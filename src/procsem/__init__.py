@@ -1,7 +1,7 @@
 """Deciders for the full spectrum of strong process semantics over BCCSP.
 
-Three independent engines (simulation fixpoints, observation-set comparison,
-saturated-transition games) decide every preorder and equivalence of the
+Three independent engines (memoized simulation games, observation-set
+comparison, saturated-transition games) decide every preorder and equivalence of the
 extended linear time-branching time spectrum for finite terms, with modal
 sublogic checking, distinguishing-formula synthesis and axiom verification
 on top.

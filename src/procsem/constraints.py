@@ -6,18 +6,17 @@ simulation class.  Two states satisfy the constraint exactly when their local
 observations are equal, which is what makes the constrained-simulation layers
 of the spectrum work.
 
-The S case compares class representatives with the plain-simulation decision
-procedure.  To avoid a module cycle, that comparator is injected by the
-``preorders`` module at import time via ``register_simulation_order``.
+The S case compares class representatives with ``simulates``, the
+constrained-simulation game; it and every other game of the package run on
+the memoized, explicit-stack driver ``solve_game`` defined here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
-from .lts import initials, traces
+from .lts import initials, step, traces
 from .terms import CanonicalTerm
 
 __all__ = [
@@ -28,26 +27,12 @@ __all__ = [
     "local_geq",
     "local_key",
     "constraint_holds",
-    "register_simulation_order",
+    "solve_game",
+    "simulates",
 ]
 
 # Fineness order U < C < I < T < S; used for reporting only.
 CONSTRAINTS = ("U", "C", "I", "T", "S")
-
-_sim_leq: Callable[[CanonicalTerm, CanonicalTerm], bool] | None = None
-
-
-def register_simulation_order(fn: Callable[[CanonicalTerm, CanonicalTerm], bool]) -> None:
-    """Install the plain-simulation order used to compare S-class representatives."""
-    global _sim_leq
-    _sim_leq = fn
-
-
-def _sim(p: CanonicalTerm, q: CanonicalTerm) -> bool:
-    if _sim_leq is None:  # pragma: no cover - preorders registers on import
-        raise RuntimeError("simulation comparator not registered; import procsem.preorders")
-    return _sim_leq(p, q)
-
 
 @dataclass(frozen=True, slots=True)
 class LocalObs:
@@ -91,7 +76,7 @@ def local_eq(constraint: str, l1: LocalObs, l2: LocalObs) -> bool:
         raise ValueError(f"observations carry constraint {n}, expected {constraint}")
     if n == "S":
         return l1.value is l2.value or (
-            _sim(l1.value, l2.value) and _sim(l2.value, l1.value)
+            simulates("U", l1.value, l2.value) and simulates("U", l2.value, l1.value)
         )
     return l1.value == l2.value
 
@@ -106,7 +91,7 @@ def local_geq(constraint: str, l1: LocalObs, l2: LocalObs) -> bool:
     if n in ("I", "T"):
         return l1.value >= l2.value
     # [[p]] >= [[q]] in the S domain means q is simulated by p.
-    return _sim(l2.value, l1.value)
+    return simulates("U", l2.value, l1.value)
 
 
 def local_key(obs: LocalObs):
@@ -125,3 +110,58 @@ def local_key(obs: LocalObs):
 
 def constraint_holds(constraint: str, p: CanonicalTerm, q: CanonicalTerm) -> bool:
     return local_eq(constraint, local_obs(constraint, p), local_obs(constraint, q))
+
+
+def solve_game(node, root, memo: dict) -> bool:
+    """Value of the game position `root`, memoized in `memo`.
+
+    ``node(key)`` is a generator that yields the positions it needs, receives
+    their values and returns the value of `key`.  Positions run on an explicit
+    stack, never on the interpreter's.  Every game here moves to strictly
+    smaller left terms, so no position ever waits on itself.
+    """
+    if root in memo:
+        return memo[root]
+    stack = [(root, node(root))]
+    value = None
+    while stack:
+        key, game = stack[-1]
+        try:
+            sub = game.send(value)
+        except StopIteration as stop:
+            value = memo[key] = stop.value
+            stack.pop()
+            continue
+        value = memo.get(sub)
+        if value is None:
+            stack.append((sub, node(sub)))
+    return value
+
+
+@lru_cache(maxsize=None)
+def _sim_game(constraint: str, stepper):
+    def node(key):
+        p, q = key
+        if not constraint_holds(constraint, p, q):
+            return False
+        q_moves = stepper(q)
+        for a, p2 in stepper(p):
+            for b, q2 in q_moves:
+                if b == a and (yield (p2, q2)):
+                    break
+            else:
+                return False
+        return True
+
+    return node, {}
+
+
+def simulates(constraint: str, p: CanonicalTerm, q: CanonicalTerm, stepper=step) -> bool:
+    """Is p simulated by q under the local constraint N?
+
+    sim(p, q) = N(p, q) and every p -a-> p' is answered by some q -a-> q'
+    with sim(p', q').  Calls with the same `stepper` (the transition
+    relation) share one memo.
+    """
+    node, memo = _sim_game(constraint, stepper)
+    return solve_game(node, (p, q), memo)

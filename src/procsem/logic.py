@@ -389,10 +389,6 @@ def _flatten(f: Formula):
     return [f]
 
 
-def _in_closure(logic: BaseLogic, f: Formula, mode: str) -> bool:
-    return all(_leaf_mode(logic, m, mode) for m in _flatten(f))
-
-
 # ---------------------------------------------------------------------------
 # Sublogic membership
 

@@ -15,6 +15,7 @@ from .terms import Action, CanonicalTerm, render_term
 __all__ = [
     "step",
     "initials",
+    "successors",
     "traces",
     "completed_traces",
     "is_deterministic",
@@ -28,6 +29,11 @@ Trace = tuple[Action, ...]
 def step(p: CanonicalTerm) -> tuple[tuple[Action, CanonicalTerm], ...]:
     """All transitions of p, in deterministic (canonical) order."""
     return p.summands
+
+
+def successors(p: CanonicalTerm, action: Action) -> tuple[CanonicalTerm, ...]:
+    """The targets of p's `action` transitions."""
+    return tuple(q for a, q in p.summands if a == action)
 
 
 @lru_cache(maxsize=None)

@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import product
 
 from .constraints import LocalObs, local_eq, local_geq, local_key, local_obs
-from .lts import initials, step
+from .lts import initials, step, successors
 from .terms import Action, CanonicalTerm, NIL, CanonicalTerm as CT, prefix, sum_terms
 
 __all__ = [
@@ -314,15 +314,11 @@ def _covered(constraint: str, p: CanonicalTerm, candidates: tuple[CanonicalTerm,
         if not local_eq(constraint, lp, local_obs(constraint, q)):
             continue
         if all(
-            _covered(constraint, p2, _succ(q, a))
+            _covered(constraint, p2, successors(q, a))
             for a, p2 in step(p)
         ):
             return True
     return False
-
-
-def _succ(q: CanonicalTerm, action: Action) -> tuple[CanonicalTerm, ...]:
-    return tuple(t for a, t in step(q) if a == action)
 
 
 def dbgo_leq(constraint: str, p: CanonicalTerm, q: CanonicalTerm) -> bool:

@@ -12,8 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .lts import initials, is_deterministic, step
-from .preorders import Verdict, greatest_simulation
+from .constraints import simulates
+from .lts import initials, step
+from .preorders import Verdict
 from .terms import CanonicalTerm, prefix, render_term, sum_terms
 
 __all__ = [
@@ -129,16 +130,11 @@ def reachable_Z(z: str, p: CanonicalTerm, cap: int = DEFAULT_SATURATION_CAP, obs
     return tuple(seen)
 
 
-def _operational_table(z, terms, constraint, cap, observer):
-    states: dict[CanonicalTerm, None] = {}
-    for t in terms:
-        for s in reachable_Z(z, t, cap, observer):
-            states.setdefault(s, None)
-
-    def stepper(t):
-        return step_Z(z, t, cap, observer)
-
-    return greatest_simulation(tuple(states), constraint, stepper)
+@lru_cache(maxsize=None)
+def _stepper(z: str, cap: int, observer: str):
+    """One saturated transition relation per (z, cap, observer): decisions share its game memo."""
+    _condition(z, observer)  # reject an unknown z or observer before any game
+    return lambda t: step_Z(z, t, cap, observer)
 
 
 def decide_via_operational(
@@ -150,16 +146,16 @@ def decide_via_operational(
 ) -> Verdict:
     """Ready simulation over the saturated transition system decides the
     linear semantics named by z."""
-    table = _operational_table(z, (p, q), "I", cap, observer)
-    return Verdict(q in table[p], None if q in table[p] else {"kind": "operational", "z": z})
+    holds = simulates("I", p, q, _stepper(z, cap, observer))
+    return Verdict(holds, None if holds else {"kind": "operational", "z": z})
 
 
 def decide_T_via_operational(
     p: CanonicalTerm, q: CanonicalTerm, cap: int = DEFAULT_SATURATION_CAP
 ) -> Verdict:
     """Plain simulation over the failures-saturated system decides traces."""
-    table = _operational_table("F", (p, q), "U", cap, "I")
-    return Verdict(q in table[p], None if q in table[p] else {"kind": "operational", "z": "T"})
+    holds = simulates("U", p, q, _stepper("F", cap, "I"))
+    return Verdict(holds, None if holds else {"kind": "operational", "z": "T"})
 
 
 @lru_cache(maxsize=None)
@@ -203,7 +199,3 @@ def check_upto(
         return True
 
     return rel(p, q)
-
-
-def deterministic_form_is_fixed(p: CanonicalTerm) -> bool:
-    return is_deterministic(p) and deter(p) is p

@@ -2,10 +2,12 @@
 
 Three families of procedures live here:
 
-* greatest-fixpoint constrained simulations (the branching backbone),
+* constrained simulations (the branching backbone), played as memoized
+  games on the driver of ``constraints``,
 * linear deciders that match decorated-trace sets under a flavor's rule,
 * the exotic deciders: deterministic branching, final-ready/final-failure
-  branching, and the extended-ready family.
+  branching (a coverage game on the same driver), and the extended-ready
+  family.
 
 Negative verdicts carry replayable witnesses: a refutation tree for
 simulations, the least unmatched decorated trace for linear flavors.
@@ -23,14 +25,15 @@ from .constraints import (
     local_geq,
     local_key,
     local_obs,
-    register_simulation_order,
+    simulates,
+    solve_game,
 )
-from .lts import initials, reachable, step
+from .lts import initials, reachable, step, successors
 from .observations import (
     BranchingObs,
     LinearObs,
     TruncationError,
-    bgo_count,
+    bgo_member,
     enum_complete_dbgo,
     enum_lgo,
 )
@@ -54,13 +57,10 @@ __all__ = [
     "sim_leq",
     "nsim_holds",
     "nsim_table",
-    "ready_sim_table",
     "lgo_json",
-    "DEFAULT_BGO_CAP",
     "DEFAULT_WORLD_CAP",
 ]
 
-DEFAULT_BGO_CAP = 1 << 18
 DEFAULT_WORLD_CAP = 1 << 16
 
 
@@ -115,14 +115,6 @@ def _label_payload(label):
 # Constrained simulations
 
 
-def _joint_states(terms: Iterable[CanonicalTerm]) -> tuple[CanonicalTerm, ...]:
-    seen: dict[CanonicalTerm, None] = {}
-    for t in terms:
-        for s in reachable(t):
-            seen.setdefault(s, None)
-    return tuple(seen)
-
-
 def greatest_simulation(
     states: tuple[CanonicalTerm, ...],
     constraint: str | None,
@@ -130,49 +122,26 @@ def greatest_simulation(
 ) -> dict[CanonicalTerm, set[CanonicalTerm]]:
     """Greatest simulation over `states` whose pairs satisfy the constraint.
 
-    Returns the map p -> {q : p related to q}.  `stepper` abstracts the
-    transition relation so the operational engine can reuse the fixpoint.
-    Terms are finite trees and every stepper used here strictly shrinks the
-    left term's depth, so a single pass in order of increasing depth reaches
-    the greatest fixpoint.
+    Returns the map p -> {q : p related to q}, read off the simulation game
+    with `stepper` as the transition relation; no constraint means the plain
+    simulation.
     """
-    sims: dict[CanonicalTerm, set[CanonicalTerm]] = {}
-    for p in sorted(states, key=lambda t: t.depth):
-        moves = stepper(p)
-        related = set()
-        for q in states:
-            if constraint is not None and not constraint_holds(constraint, p, q):
-                continue
-            q_moves = stepper(q)
-            if all(
-                any(b == a and q2 in sims[p2] for b, q2 in q_moves) for a, p2 in moves
-            ):
-                related.add(q)
-        sims[p] = related
-    return sims
+    constraint = constraint or "U"
+    return {p: {q for q in states if simulates(constraint, p, q, stepper)} for p in states}
 
 
 def nsim_table(terms: Iterable[CanonicalTerm], constraint: str) -> dict[CanonicalTerm, set[CanonicalTerm]]:
     """Greatest N-constrained simulation over the union of reachable states."""
-    return greatest_simulation(_joint_states(terms), constraint)
-
-
-@lru_cache(maxsize=None)
-def _nsim_pair(constraint: str, p: CanonicalTerm, q: CanonicalTerm) -> bool:
-    table = greatest_simulation(_joint_states((p, q)), constraint)
-    return q in table[p]
+    return greatest_simulation(tuple(dict.fromkeys(s for t in terms for s in reachable(t))), constraint)
 
 
 def nsim_holds(constraint: str, p: CanonicalTerm, q: CanonicalTerm) -> bool:
-    return _nsim_pair(constraint, p, q)
+    return simulates(constraint, p, q)
 
 
 def sim_leq(p: CanonicalTerm, q: CanonicalTerm) -> bool:
     """Plain (unconstrained) simulation order, used for the S constraint."""
-    return _nsim_pair("U", p, q)
-
-
-register_simulation_order(sim_leq)
+    return simulates("U", p, q)
 
 
 def _sim_refutation(constraint: str, p: CanonicalTerm, q: CanonicalTerm) -> dict:
@@ -186,7 +155,7 @@ def _sim_refutation(constraint: str, p: CanonicalTerm, q: CanonicalTerm) -> dict
         }
     for a, p2 in step(p):
         responses = [q2 for b, q2 in step(q) if b == a]
-        if all(not _nsim_pair(constraint, p2, q2) for q2 in responses):
+        if all(not simulates(constraint, p2, q2) for q2 in responses):
             return {
                 "kind": "move",
                 "action": a,
@@ -199,7 +168,7 @@ def _sim_refutation(constraint: str, p: CanonicalTerm, q: CanonicalTerm) -> dict
 
 
 def decide_nsim(constraint: str, p: CanonicalTerm, q: CanonicalTerm) -> Verdict:
-    if _nsim_pair(constraint, p, q):
+    if simulates(constraint, p, q):
         return Verdict(True)
     return Verdict(False, _sim_refutation(constraint, p, q))
 
@@ -238,10 +207,6 @@ def _bisim_refutation(p: CanonicalTerm, q: CanonicalTerm) -> dict:
                 "responses": [_bisim_refutation(p2, q2) for p2 in responses],
             }
     raise AssertionError("refutation requested for bisimilar terms")
-
-
-def ready_sim_table(terms: Iterable[CanonicalTerm]) -> dict[CanonicalTerm, set[CanonicalTerm]]:
-    return nsim_table(terms, "I")
 
 
 # ---------------------------------------------------------------------------
@@ -379,18 +344,9 @@ def decide_db(
             f"{count} complete deterministic observations exceed the cap {cap}", cap
         )
     for obs in sorted(enum_complete_dbgo(constraint, p), key=lambda o: (o.nodes, o._key)):
-        if not _dbgo_member(obs, q):
+        if not bgo_member(obs, q):
             return Verdict(False, {"kind": "dbgo", "unmatched": obs})
     return Verdict(True)
-
-
-@lru_cache(maxsize=None)
-def _dbgo_member(obs: BranchingObs, q: CanonicalTerm) -> bool:
-    if not local_eq(obs.constraint, obs.label, local_obs(obs.constraint, q)):
-        return False
-    return all(
-        any(b == a and _dbgo_member(c, q2) for b, q2 in step(q)) for a, c in obs.children
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -398,59 +354,69 @@ def _dbgo_member(obs: BranchingObs, q: CanonicalTerm) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _all_bgos_I(p: CanonicalTerm) -> frozenset[BranchingObs]:
+def _cover_game(exact: bool):
+    """cov(p, Q): some q in Q matches each branching observation of p.
+
+    Only leaves compare offers: exactly for final-ready (bf), not at all for
+    final-failure (bf⊇).  Observations are closed under dropping children,
+    so one q must match the observation with all child pairs:
+    cov(p, Q) = [exact => some q in Q offers I(p)] and (p = 0 ? Q nonempty :
+    some q in Q has cov(p', q/a) for every p -a-> p').
+    """
+
+    def node(key):
+        p, qs = key
+        if not _leaf_covered(p, qs, exact):
+            return False
+        for q in qs:
+            for a, p2 in step(p):
+                if not (yield (p2, successors(q, a))):
+                    break
+            else:
+                return True
+        return False
+
+    return node, {}
+
+
+def _leaf_covered(p: CanonicalTerm, qs: tuple[CanonicalTerm, ...], exact: bool) -> bool:
+    return any(initials(q) == initials(p) for q in qs) if exact else bool(qs)
+
+
+def _covered(p: CanonicalTerm, qs: tuple[CanonicalTerm, ...], exact: bool) -> bool:
+    node, memo = _cover_game(exact)
+    return solve_game(node, (p, qs), memo)
+
+
+def _uncovered_bgo(p: CanonicalTerm, qs: tuple[CanonicalTerm, ...], exact: bool) -> BranchingObs:
+    """An observation of p that no q in Q matches: the leaf if no q answers
+    it, else one child per q, built from that q's first uncovered move of p."""
     label = local_obs("I", p)
-    pool = []
-    for a, q in step(p):
-        pool.extend((a, c) for c in _all_bgos_I(q))
-    out = []
-
-    def extend(start: int, chosen: tuple) -> None:
-        out.append(BranchingObs(label, frozenset(chosen)))
-        for i in range(start, len(pool)):
-            extend(i + 1, chosen + (pool[i],))
-
-    extend(0, ())
-    return frozenset(out)
+    if not _leaf_covered(p, qs, exact):
+        return BranchingObs(label, frozenset())
+    children = set()
+    for q in qs:
+        for a, p2 in step(p):
+            if not _covered(p2, successors(q, a), exact):
+                children.add((a, _uncovered_bgo(p2, successors(q, a), exact)))
+                break
+    return BranchingObs(label, frozenset(children))
 
 
-@lru_cache(maxsize=None)
-def _final_sim_match(obs: BranchingObs, q: CanonicalTerm, exact: bool) -> bool:
-    # Leaf clause: the reached state's offer must equal the observed one for
-    # the final-ready game; the final-failure variant replaces the equation
-    # with set membership in the whole alphabet, which holds vacuously.
-    if not obs.children:
-        return initials(q) == obs.label.value if exact else True
-    return all(
-        any(b == a and _final_sim_match(c, q2, exact) for b, q2 in step(q))
-        for a, c in obs.children
-    )
+def _decide_final_branching(p: CanonicalTerm, q: CanonicalTerm, exact: bool) -> Verdict:
+    if _covered(p, (q,), exact):
+        return Verdict(True)
+    return Verdict(False, {"kind": "bgo", "unmatched": _uncovered_bgo(p, (q,), exact)})
 
 
-def _decide_final_branching(
-    p: CanonicalTerm, q: CanonicalTerm, exact: bool, cap: int
-) -> Verdict:
-    count = bgo_count("I", p)
-    if count > cap:
-        raise TruncationError(
-            f"{count} branching observations exceed the cap {cap}; "
-            "the final-ready deciders never truncate",
-            cap,
-        )
-    for obs in sorted(_all_bgos_I(p), key=lambda o: (o.nodes, o._key)):
-        if not _final_sim_match(obs, q, exact):
-            return Verdict(False, {"kind": "bgo", "unmatched": obs})
-    return Verdict(True)
-
-
-def decide_final_ready_sim(p: CanonicalTerm, q: CanonicalTerm, cap: int = DEFAULT_BGO_CAP) -> Verdict:
+def decide_final_ready_sim(p: CanonicalTerm, q: CanonicalTerm) -> Verdict:
     """Every branching observation of p is matched in q with exact leaf offers."""
-    return _decide_final_branching(p, q, True, cap)
+    return _decide_final_branching(p, q, True)
 
 
-def decide_final_failure_sim(p: CanonicalTerm, q: CanonicalTerm, cap: int = DEFAULT_BGO_CAP) -> Verdict:
+def decide_final_failure_sim(p: CanonicalTerm, q: CanonicalTerm) -> Verdict:
     """Leaf clause weakens to offer inclusion: the matched state may offer less."""
-    return _decide_final_branching(p, q, False, cap)
+    return _decide_final_branching(p, q, False)
 
 
 # ---------------------------------------------------------------------------
@@ -508,9 +474,9 @@ def decide(sem: SemanticsId, p: CanonicalTerm, q: CanonicalTerm, cap: int | None
     if flavor == "db":
         return decide_db(sem.constraint, p, q, cap or DEFAULT_WORLD_CAP)
     if flavor == "bf":
-        return decide_final_ready_sim(p, q, cap or DEFAULT_BGO_CAP)
+        return decide_final_ready_sim(p, q)
     if flavor == "bf⊇":
-        return decide_final_failure_sim(p, q, cap or DEFAULT_BGO_CAP)
+        return decide_final_failure_sim(p, q)
     if flavor in ("ER", "ERT", "ECR", "ECRT"):
         return decide_extended(flavor, p, q)
     return decide_linear(sem.constraint, flavor, p, q)

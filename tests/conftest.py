@@ -5,6 +5,12 @@ import pytest
 from procsem.terms import canonicalize, enumerate_terms, parse_term
 
 
+# 294,912 complete deterministic observations, above the world cap 2^16
+MANY_WORLDS = " + ".join(
+    f"{x}.({' + '.join(f'b.{y}.0' for y in 'abcdefgh')} + {x}.0)" for x in "abcdef"
+)
+
+
 def c(text: str):
     return canonicalize(parse_term(text))
 

@@ -77,26 +77,20 @@ def _holds(sem: SemanticsId, p, q, tables=None):
 
 def test_criterion_1_simulation_oracles(pool, nsim_tables, deep_terms):
     checked = 0
-    for n in ("U", "C", "I"):
+    for n in ("U", "C", "I", "T", "S"):
         table = nsim_tables[n]
         for p in pool:
             row = table[p]
             for q in pool:
                 assert (q in row) == bgo_leq(n, p, q), (n, p, q)
                 checked += 1
-    # the public per-pair decider agrees with the bulk fixpoint
-    rng = random.Random(1)
-    for _ in range(200):
-        n = rng.choice(("U", "C", "I"))
-        p, q = rng.choice(pool), rng.choice(pool)
-        assert pr.decide_nsim(n, p, q).holds == (q in nsim_tables[n][p])
     # randomized depth-3 extension
     rng = random.Random(2)
     for _ in range(40):
-        n = rng.choice(("U", "C", "I"))
         p, q = rng.choice(deep_terms), rng.choice(deep_terms)
-        assert pr.decide_nsim(n, p, q).holds == bgo_leq(n, p, q)
-        checked += 1
+        for n in ("U", "C", "I", "T", "S"):
+            assert pr.decide_nsim(n, p, q).holds == bgo_leq(n, p, q), (n, p, q)
+            checked += 1
     report(1, "constrained simulations match observation-set inclusion", True, f"{checked} pairs")
 
 

@@ -1,5 +1,6 @@
 import json
 
+from conftest import MANY_WORLDS
 from procsem.cli import main
 from procsem.corpus import default_corpus_path, run_corpus
 
@@ -41,9 +42,24 @@ def test_parse_error_exit_2(capsys):
 
 
 def test_cap_exit_3(capsys):
-    big = " + ".join(["a.(a.0+b.0)", "a.(a.0+a.b.0)", "b.(a.0+b.0)", "a.a.0", "b.b.0"])
-    code, _, err = run(capsys, "compare", "--semantics", "I:bf", big, big)
+    code, _, err = run(capsys, "compare", "--semantics", "PW", MANY_WORLDS, MANY_WORLDS)
     assert code == 3 and "cap" in err
+
+
+def test_final_ready_on_a_full_depth3_term(capsys):
+    # the bf cap message once needed a 2^{2^k}-digit integer and raised ValueError
+    t1 = "a.0+b.0+c.0"
+    t2 = "+".join(f"{x}.({t1})" for x in "abc")
+    t3 = "+".join(f"{x}.({t2})" for x in "abc")
+    code, _, _ = run(capsys, "compare", "--semantics", "I:bf", t3, t3)
+    assert code == 0
+
+
+def test_deep_chain(capsys):
+    chain = "a." * 700 + "0"
+    for sem in ("S", "I:bf"):
+        code, _, _ = run(capsys, "compare", "--semantics", sem, chain, chain)
+        assert code == 0, sem
 
 
 def test_spectrum_all_equal(capsys):

@@ -10,7 +10,6 @@ from procsem.constraints import (
     local_obs,
 )
 from procsem.lts import traces
-import procsem.preorders as _preorders  # noqa: F401  registers the simulation comparator
 
 
 def test_local_obs_cases():

@@ -1,12 +1,13 @@
+import functools
 import itertools
 import random
 
 import pytest
 
-from conftest import c
-from procsem.constraints import constraint_holds
-from procsem.lts import step
-from procsem.observations import TruncationError, enum_lgo
+from conftest import MANY_WORLDS, c
+from procsem.constraints import constraint_holds, local_obs
+from procsem.lts import initials, step
+from procsem.observations import BranchingObs, enum_lgo
 from procsem.preorders import (
     decide,
     decide_bisim,
@@ -138,9 +139,10 @@ def test_final_ready_examples():
 
 
 def test_final_ready_cap():
+    # beyond the 2^18 observations the enumerating decider once refused
     q3 = c("a.a.0 + a.(a.a.0 + b.0) + a.(a.(a.a.0 + b.0) + b.0)")
-    with pytest.raises(TruncationError):
-        decide_final_ready_sim(q3, q3)
+    assert decide_final_ready_sim(q3, q3).holds
+    assert decide_final_failure_sim(q3, q3).holds
 
 
 def test_extended_examples():
@@ -247,12 +249,11 @@ def test_canonicalization_decides_bisimilarity(pool2):
 
 
 def test_spectrum_matrix_cell_errors_do_not_abort():
-    big = c(
-        "a.(a.0+b.0) + a.(a.0+a.b.0) + b.(a.0+b.0) + a.a.0 + b.b.0 + a.b.0 + b.a.0"
-    )
+    big = c(MANY_WORLDS)
     matrix = spectrum_matrix(big, big)
-    bf = parse_semantics("I:bf")
-    assert isinstance(matrix[bf], dict) and "error" in matrix[bf]
+    for n in ("U", "C", "I", "T", "S"):
+        cell = matrix[SemanticsId(n, "db")]
+        assert isinstance(cell, dict) and "error" in cell
     assert matrix[parse_semantics("F")] == "≡"
 
 
@@ -266,6 +267,52 @@ def test_db_witness_replays():
     obs = verdict.witness["unmatched"]
     assert obs in enum_complete_dbgo("I", p)
     assert not dbgo_member(obs, q)
+
+
+@functools.lru_cache(maxsize=None)
+def _all_bgos_I(p):
+    """Every branching observation of p at constraint I, enumerated."""
+    label = local_obs("I", p)
+    pool = [(a, obs) for a, p2 in step(p) for obs in _all_bgos_I(p2)]
+    return frozenset(
+        BranchingObs(label, frozenset(chosen))
+        for r in range(len(pool) + 1)
+        for chosen in itertools.combinations(pool, r)
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _final_sim_match(obs, q, exact):
+    """Does q match obs in the final-ready (exact) or final-failure game?
+    Only leaves compare offers: equal to the observed one for final-ready,
+    not at all for final-failure."""
+    if not obs.children:
+        return initials(q) == obs.label.value if exact else True
+    return all(
+        any(b == a and _final_sim_match(child, q2, exact) for b, q2 in step(q))
+        for a, child in obs.children
+    )
+
+
+def test_final_branching_against_enumeration(pool2):
+    from procsem.observations import bgo_count, bgo_member
+
+    rng = random.Random(61)
+    deciders = ((True, decide_final_ready_sim), (False, decide_final_failure_sim))
+    checked = refuted = 0
+    while checked < 200:
+        p, q = rng.choice(pool2), rng.choice(pool2)
+        if bgo_count("I", p) > 1 << 14:
+            continue
+        for exact, decider in deciders:
+            verdict = decider(p, q)
+            assert verdict.holds == all(_final_sim_match(o, q, exact) for o in _all_bgos_I(p))
+            if not verdict.holds:
+                w = verdict.witness["unmatched"]
+                assert bgo_member(w, p) and not _final_sim_match(w, q, exact), (p, q, w)
+                refuted += 1
+        checked += 1
+    assert refuted > 0
 
 
 def test_final_ready_sits_between_rsim_and_readiness(pool2):
