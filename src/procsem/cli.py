@@ -110,10 +110,11 @@ def _cmd_compare(args) -> int:
                 )
         elif engine == "operational":
             table = {"lf⊇": "F", "lf": "R", "l⊇": "FT", "l": "RT"}
+            cap = op_mod.DEFAULT_SATURATION_CAP if args.cap is None else args.cap
             if sem.constraint == "I" and sem.flavor in table:
-                verdict = op_mod.decide_via_operational(table[sem.flavor], p, q)
+                verdict = op_mod.decide_via_operational(table[sem.flavor], p, q, cap)
             elif sem.constraint == "U" and sem.flavor in ("l", "l⊇", "lf", "lf⊇"):
-                verdict = op_mod.decide_T_via_operational(p, q)
+                verdict = op_mod.decide_T_via_operational(p, q, cap)
             else:
                 raise CliError(f"operational engine does not cover {sem}", EXIT_USAGE)
         else:  # pragma: no cover - argparse restricts choices

@@ -6,13 +6,17 @@ simulation class.  Two states satisfy the constraint exactly when their local
 observations are equal, which is what makes the constrained-simulation layers
 of the spectrum work.
 
-The S case compares class representatives with ``simulates``, the
-constrained-simulation game; it and every other game of the package run on
-the memoized, explicit-stack driver ``solve_game`` defined here.
+The order on values is owned here: ``LABEL_RELATIONS`` holds one (eq, geq)
+pair of functions on raw values per constraint, and ``local_eq`` and
+``local_geq`` are those pairs on ``LocalObs``.  The S case compares class
+representatives with ``simulates``, the constrained-simulation game; it and
+every other game of the package run on the memoized, explicit-stack driver
+``solve_game`` defined here.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -26,6 +30,7 @@ __all__ = [
     "local_eq",
     "local_geq",
     "local_key",
+    "LABEL_RELATIONS",
     "constraint_holds",
     "solve_game",
     "simulates",
@@ -63,35 +68,37 @@ def local_obs(constraint: str, p: CanonicalTerm) -> LocalObs:
     raise ValueError(f"unknown constraint {constraint!r}")
 
 
-def _check_same(l1: LocalObs, l2: LocalObs) -> str:
-    if l1.constraint != l2.constraint:
-        raise ValueError(f"mixed-constraint comparison: {l1.constraint} vs {l2.constraint}")
-    return l1.constraint
+# (eq, geq) on raw observation values: equality for U/C, superset for I/T,
+# and for S the simulation order ([[x]] >= [[y]] when y is simulated by x).
+LABEL_RELATIONS = {
+    "U": (operator.eq, operator.eq),
+    "C": (operator.eq, operator.eq),
+    "I": (operator.eq, operator.ge),
+    "T": (operator.eq, operator.ge),
+    "S": (
+        lambda x, y: x is y or (simulates("U", x, y) and simulates("U", y, x)),
+        lambda x, y: simulates("U", y, x),
+    ),
+}
+
+
+def _values(constraint: str, l1: LocalObs, l2: LocalObs) -> tuple:
+    for n in (l1.constraint, l2.constraint):
+        if n != constraint:
+            raise ValueError(f"observations carry constraint {n}, expected {constraint}")
+    return l1.value, l2.value
 
 
 def local_eq(constraint: str, l1: LocalObs, l2: LocalObs) -> bool:
     """The equivalence N on observation values."""
-    n = _check_same(l1, l2)
-    if n != constraint:
-        raise ValueError(f"observations carry constraint {n}, expected {constraint}")
-    if n == "S":
-        return l1.value is l2.value or (
-            simulates("U", l1.value, l2.value) and simulates("U", l2.value, l1.value)
-        )
-    return l1.value == l2.value
+    x, y = _values(constraint, l1, l2)
+    return LABEL_RELATIONS[constraint][0](x, y)
 
 
 def local_geq(constraint: str, l1: LocalObs, l2: LocalObs) -> bool:
     """l1 dominates l2: equality for U/C, superset for I/T, inverse simulation for S."""
-    n = _check_same(l1, l2)
-    if n != constraint:
-        raise ValueError(f"observations carry constraint {n}, expected {constraint}")
-    if n in ("U", "C"):
-        return l1.value == l2.value
-    if n in ("I", "T"):
-        return l1.value >= l2.value
-    # [[p]] >= [[q]] in the S domain means q is simulated by p.
-    return simulates("U", l2.value, l1.value)
+    x, y = _values(constraint, l1, l2)
+    return LABEL_RELATIONS[constraint][1](x, y)
 
 
 def local_key(obs: LocalObs):
@@ -109,7 +116,8 @@ def local_key(obs: LocalObs):
 
 
 def constraint_holds(constraint: str, p: CanonicalTerm, q: CanonicalTerm) -> bool:
-    return local_eq(constraint, local_obs(constraint, p), local_obs(constraint, q))
+    x, y = local_obs(constraint, p).value, local_obs(constraint, q).value
+    return LABEL_RELATIONS[constraint][0](x, y)
 
 
 def solve_game(node, root, memo: dict) -> bool:

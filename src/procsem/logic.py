@@ -52,7 +52,7 @@ __all__ = [
 class Formula:
     """Interned formula tree; equality is identity."""
 
-    __slots__ = ("_key", "_hash")
+    __slots__ = ("_key",)
     _interned: dict[tuple, "Formula"] = {}
 
     @classmethod
@@ -62,15 +62,8 @@ class Formula:
             return hit
         obj = builder()
         obj._key = key
-        obj._hash = hash(key)
         Formula._interned[key] = obj
         return obj
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return self is other
 
     def __repr__(self):
         return render_formula(self)

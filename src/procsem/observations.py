@@ -83,7 +83,7 @@ class LinearObs:
 class BranchingObs:
     """A finite nonempty tree of local observations; interned for fast equality."""
 
-    __slots__ = ("label", "children", "nodes", "_key", "_hash")
+    __slots__ = ("label", "children", "nodes", "_key")
 
     _interned: dict[tuple, "BranchingObs"] = {}
 
@@ -98,19 +98,12 @@ class BranchingObs:
         self.children = frozenset(children)
         self.nodes = 1 + sum(c.nodes for _, c in children)
         self._key = key
-        self._hash = hash(key)
         cls._interned[key] = self
         return self
 
     @property
     def constraint(self) -> str:
         return self.label.constraint
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        return self is other
 
     def sorted_children(self) -> list[tuple[Action, "BranchingObs"]]:
         return sorted(self.children, key=lambda ac: (ac[0], ac[1]._key))

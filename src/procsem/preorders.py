@@ -4,10 +4,11 @@ Three families of procedures live here:
 
 * constrained simulations (the branching backbone), played as memoized
   games on the driver of ``constraints``,
-* linear deciders that match decorated-trace sets under a flavor's rule,
-* the exotic deciders: deterministic branching, final-ready/final-failure
-  branching (a coverage game on the same driver), and the extended-ready
-  family.
+* linear deciders, the extended-ready family included: one scan over
+  per-term indexes of decorated traces, under the flavor's rule from a
+  table, that stops at the least unmatched decorated trace,
+* the exotic deciders: deterministic branching and final-ready/final-failure
+  branching (a coverage game on the same driver).
 
 Negative verdicts carry replayable witnesses: a refutation tree for
 simulations, the least unmatched decorated trace for linear flavors.
@@ -15,14 +16,14 @@ simulations, the least unmatched decorated trace for linear flavors.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
 from .constraints import (
+    LABEL_RELATIONS,
     constraint_holds,
-    local_eq,
-    local_geq,
     local_key,
     local_obs,
     simulates,
@@ -214,108 +215,137 @@ def _bisim_refutation(p: CanonicalTerm, q: CanonicalTerm) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _lgo_index(constraint: str, p: CanonicalTerm):
-    """trace -> sorted tuple of (observation, labels) pairs."""
-    index: dict[tuple, list] = {}
+def _lgo_index(constraint: str, p: CanonicalTerm) -> dict:
+    """trace -> (entries, value tuples, final values), traces in (len, trace) order.
+
+    An entry pairs a decorated trace with the tuple of its raw label values;
+    entries run in label-key order, so the first unmatched entry a scan meets
+    is the least one by ``LinearObs.sort_key``.
+    """
+    by_trace: dict[tuple, list] = {}
     for obs in enum_lgo(constraint, p):
-        index.setdefault(obs.trace(), []).append((obs, obs.labels()))
-    for trace in index:
-        index[trace].sort(key=lambda ol: tuple(local_key(l) for l in ol[1]))
+        labels = obs.labels()
+        by_trace.setdefault(obs.trace(), []).append(
+            (tuple(local_key(l) for l in labels), obs, tuple(l.value for l in labels))
+        )
+    index = {}
+    for trace in sorted(by_trace, key=lambda t: (len(t), t)):
+        entries = tuple((obs, xs) for _, obs, xs in sorted(by_trace[trace], key=operator.itemgetter(0)))
+        values = frozenset(xs for _, xs in entries)
+        index[trace] = (entries, values, frozenset(xs[-1] for xs in values))
     return index
 
-_POINTWISE = {"l⊇": "geq", "l⊆": "leq"}
-_FINAL = {"lf": "eq", "lf⊇": "geq", "lf⊆": "leq"}
+
+# flavor -> (relation on every label before the last, or None when only the
+# final label counts; relation on the final label).  A relation compares a
+# value of p with a value of q: eq, geq, leq (the converse of geq) or the
+# completeness rule; meet is the revivals rule on finals.
+_FLAVORS = {
+    "l": ("eq", "eq"),
+    "l⊇": ("geq", "geq"),
+    "l⊆": ("leq", "leq"),
+    "join": ("geq", "eq"),
+    "lf": (None, "eq"),
+    "lf⊇": (None, "geq"),
+    "lf⊆": (None, "leq"),
+    "meet": (None, "meet"),
+}
+
+# The extended-ready family, over offers (constraint I).
+_EXTENDED = {
+    "ER": _FLAVORS["lf⊆"],
+    "ERT": _FLAVORS["l⊆"],
+    "ECR": (None, "complete"),
+    "ECRT": ("complete", "complete"),
+}
 
 
-def _labels_match(constraint: str, mode: str, x, y) -> bool:
-    if mode == "eq":
-        return local_eq(constraint, x, y)
-    if mode == "geq":
-        return local_geq(constraint, x, y)
-    return local_geq(constraint, y, x)
+def _complete(x, y) -> bool:
+    # q's offer must dominate p's, and an empty offer be answered by an empty one
+    return not y if not x else y >= x
 
 
-def _match_lgo(constraint: str, flavor: str, xs, candidates) -> bool:
-    if flavor == "l":
-        return any(
-            all(local_eq(constraint, x, y) for x, y in zip(xs, ys))
-            for _, ys in candidates
-        )
-    if flavor in _POINTWISE:
-        mode = _POINTWISE[flavor]
-        return any(
-            all(_labels_match(constraint, mode, x, y) for x, y in zip(xs, ys))
-            for _, ys in candidates
-        )
-    if flavor in _FINAL:
-        mode = _FINAL[flavor]
-        final = xs[-1]
-        return any(_labels_match(constraint, mode, final, ys[-1]) for _, ys in candidates)
-    if flavor == "join":
-        for _, ys in candidates:
-            if local_eq(constraint, xs[-1], ys[-1]) and all(
-                local_geq(constraint, x, y) for x, y in zip(xs[:-1], ys[:-1])
-            ):
-                return True
-        return False
-    raise ValueError(f"not a matching flavor: {flavor}")
-
-
-def _meet_match(constraint: str, xs, candidates) -> tuple[bool, object]:
-    """Meet (revivals-style) matching: some final below the observed final,
-    and every element of the observed final covered by such a final."""
-    final = xs[-1]
-    below = [ys[-1] for _, ys in candidates if local_geq(constraint, final, ys[-1])]
+def _meet_match(geq, x, finals) -> tuple[bool, object]:
+    """Meet (revivals-style) matching of the final value x: some final below
+    x, and every element of x offered by such a final.  A failure names the
+    least element left unoffered, or None when no final lies below x."""
+    below = [y for y in finals if geq(x, y)]
     if not below:
         return False, None
-    for element in sorted(final.value, key=lambda e: (len(e), e) if isinstance(e, tuple) else e):
-        if not any(element in y.value for y in below):
-            return False, element
-    return True, None
+    missing = x.difference(*below)
+    if not missing:
+        return True, None
+    return False, min(missing, key=lambda e: (len(e), e) if isinstance(e, tuple) else e)
 
 
-def _flavor_for(constraint: str, flavor: str) -> str:
+@lru_cache(maxsize=None)
+def _matcher(constraint: str, rule: tuple):
+    """matched(x, pool): some value of q in `pool` matches the value x of p
+    under `rule`; values are finals if the rule has no prefix relation, else
+    tuples of label values.  None where matching is equality of values."""
+    eq, geq = LABEL_RELATIONS[constraint]
+    prefix, final = rule
+    if final == "meet":
+        return lambda x, pool: _meet_match(geq, x, pool)[0]
+    leq = operator.le if geq is operator.ge else lambda x, y: geq(y, x)
+    relations = {"eq": eq, "geq": geq, "leq": leq, "complete": _complete}
+    final = relations[final]
+    if prefix is None:
+        return None if final is operator.eq else lambda x, pool: any(final(x, y) for y in pool)
+    prefix = relations[prefix]
+    if prefix is final is operator.eq:
+        return None
+    return lambda xs, pool: any(final(xs[-1], ys[-1]) and all(map(prefix, xs[:-1], ys)) for ys in pool)
+
+
+def _least_unmatched(constraint: str, rule: tuple, p: CanonicalTerm, q: CanonicalTerm):
+    """The least decorated trace of p that no decorated trace of q on the
+    same trace matches under `rule`, or None when every one is matched."""
+    q_index = _lgo_index(constraint, q)
+    matched = _matcher(constraint, rule)
+    final_only = rule[0] is None
+    for trace, (entries, values, finals) in _lgo_index(constraint, p).items():
+        candidates = q_index.get(trace)
+        if candidates is None:
+            return entries[0][0]
+        mine, pool = (finals, candidates[2]) if final_only else (values, candidates[1])
+        # every rule is reflexive: a value that q has as well is matched
+        unmatched = mine - pool
+        if unmatched and matched:
+            unmatched = {x for x in unmatched if not matched(x, pool)}
+        if unmatched:
+            return next(obs for obs, xs in entries if (xs[-1] if final_only else xs) in unmatched)
+    return None
+
+
+def _linear_rule(constraint: str, flavor: str) -> tuple:
     if flavor == "meet" and constraint in ("U", "C"):
-        return "lf"  # the union of unit/termination values degenerates
-    return flavor
+        flavor = "lf"  # the union of unit/termination values degenerates
+    try:
+        return _FLAVORS[flavor]
+    except KeyError:
+        raise ValueError(f"not a matching flavor: {flavor}") from None
 
 
 def linear_holds(constraint: str, flavor: str, p: CanonicalTerm, q: CanonicalTerm) -> bool:
     """Boolean core of the linear deciders; cheap enough to call per pair."""
-    flavor = _flavor_for(constraint, flavor)
-    p_index = _lgo_index(constraint, p)
-    q_index = _lgo_index(constraint, q)
-    for trace, entries in p_index.items():
-        candidates = q_index.get(trace, ())
-        for _, xs in entries:
-            if flavor == "meet":
-                if not _meet_match(constraint, xs, candidates)[0]:
-                    return False
-            elif not _match_lgo(constraint, flavor, xs, candidates):
-                return False
-    return True
+    return _least_unmatched(constraint, _linear_rule(constraint, flavor), p, q) is None
 
 
 def decide_linear(constraint: str, flavor: str, p: CanonicalTerm, q: CanonicalTerm) -> Verdict:
     sem = SemanticsId(constraint, flavor)  # validates the combination
-    if linear_holds(constraint, flavor, p, q):
+    rule = _linear_rule(constraint, flavor)
+    obs = _least_unmatched(constraint, rule, p, q)
+    if obs is None:
         return Verdict(True)
-    flavor = _flavor_for(constraint, flavor)
-    p_index = _lgo_index(constraint, p)
-    q_index = _lgo_index(constraint, q)
-    for trace in sorted(p_index, key=lambda t: (len(t), t)):
-        candidates = q_index.get(trace, ())
-        for obs, xs in p_index[trace]:
-            if flavor == "meet":
-                ok, element = _meet_match(constraint, xs, candidates)
-                if not ok:
-                    witness = {"kind": "lgo", "unmatched": obs, "semantics": str(sem)}
-                    if element is not None:
-                        witness["revival_action"] = element
-                    return Verdict(False, witness)
-            elif not _match_lgo(constraint, flavor, xs, candidates):
-                return Verdict(False, {"kind": "lgo", "unmatched": obs, "semantics": str(sem)})
-    raise AssertionError("boolean core refuted but no witness found")
+    witness = {"kind": "lgo", "unmatched": obs, "semantics": str(sem)}
+    if rule[1] == "meet":
+        candidates = _lgo_index(constraint, q).get(obs.trace())
+        geq = LABEL_RELATIONS[constraint][1]
+        element = _meet_match(geq, obs.final.value, candidates[2] if candidates else ())[1]
+        if element is not None:
+            witness["revival_action"] = element
+    return Verdict(False, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -423,38 +453,10 @@ def decide_final_failure_sim(p: CanonicalTerm, q: CanonicalTerm) -> Verdict:
 # Extended ready family
 
 
-def _extended_offer_ok(x, y, empties: bool) -> bool:
-    # y is on the q side and must dominate x; with the completeness
-    # condition an empty offer must be answered by an empty offer.
-    if empties and not x.value:
-        return not y.value
-    return y.value >= x.value
-
-
-def _extended_witness(flavor: str, p: CanonicalTerm, q: CanonicalTerm):
-    pointwise = flavor in ("ERT", "ECRT")
-    empties = flavor in ("ECR", "ECRT")
-    p_index = _lgo_index("I", p)
-    q_index = _lgo_index("I", q)
-    for trace in sorted(p_index, key=lambda t: (len(t), t)):
-        candidates = q_index.get(trace, ())
-        for obs, xs in p_index[trace]:
-            if pointwise:
-                ok = any(
-                    all(_extended_offer_ok(x, y, empties) for x, y in zip(xs, ys))
-                    for _, ys in candidates
-                )
-            else:
-                ok = any(_extended_offer_ok(xs[-1], ys[-1], empties) for _, ys in candidates)
-            if not ok:
-                return obs
-    return None
-
-
 def decide_extended(flavor: str, p: CanonicalTerm, q: CanonicalTerm) -> Verdict:
-    if flavor not in ("ER", "ERT", "ECR", "ECRT"):
+    if flavor not in _EXTENDED:
         raise ValueError(f"not an extended-ready flavor: {flavor}")
-    obs = _extended_witness(flavor, p, q)
+    obs = _least_unmatched("I", _EXTENDED[flavor], p, q)
     if obs is None:
         return Verdict(True)
     return Verdict(False, {"kind": "lgo", "unmatched": obs, "semantics": flavor})

@@ -122,10 +122,11 @@ class CanonicalTerm:
     ``summands`` is a duplicate-free tuple of ``(action, CanonicalTerm)``
     pairs sorted by action name and then by the recursive order of bodies
     (nil least).  The empty tuple is the nil process.  Instances are interned:
-    building the same normal form twice yields the same object.
+    building the same normal form twice yields the same object, so equality
+    and hashing are those of object identity.
     """
 
-    __slots__ = ("summands", "key", "_depth", "_hash")
+    __slots__ = ("summands", "key", "_depth")
 
     _interned: dict[tuple, "CanonicalTerm"] = {}
 
@@ -138,15 +139,8 @@ class CanonicalTerm:
         self.summands = summands
         self.key = key
         self._depth = 1 + max((t._depth for _, t in summands), default=-1)
-        self._hash = hash(key)
         cls._interned[key] = self
         return self
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        return self is other
 
     def __lt__(self, other: "CanonicalTerm") -> bool:
         return self.key < other.key

@@ -46,6 +46,12 @@ def test_cap_exit_3(capsys):
     assert code == 3 and "cap" in err
 
 
+def test_compare_cap_reaches_operational_engine(capsys):
+    w = "a.b.0 + a.c.0 + a.d.0 + a.e.0 + a.(b.0+c.0) + a.(d.0+e.0)"
+    code, _, err = run(capsys, "compare", "--engine", "operational", "--semantics", "F", "--cap", "5", w, w)
+    assert code == 3 and "cap" in err
+
+
 def test_final_ready_on_a_full_depth3_term(capsys):
     # the bf cap message once needed a 2^{2^k}-digit integer and raised ValueError
     t1 = "a.0+b.0+c.0"

@@ -104,6 +104,95 @@ def test_linear_witnesses_replay(pool2):
                     assert not rule(obs.labels(), cand.labels())
 
 
+def _oracle_rule(n: str, flavor: str):
+    """The matching rule of a flavor on label tuples (p's, q's), written out
+    with local_eq/local_geq; meet is handled by _oracle_meet."""
+    from procsem.constraints import local_eq, local_geq
+
+    eq = lambda x, y: local_eq(n, x, y)
+    geq = lambda x, y: local_geq(n, x, y)
+    leq = lambda x, y: local_geq(n, y, x)
+    complete = lambda x, y: not y.value if not x.value else local_geq(n, y, x)
+    pointwise = lambda rel: lambda xs, ys: all(rel(x, y) for x, y in zip(xs, ys))
+    final = lambda rel: lambda xs, ys: rel(xs[-1], ys[-1])
+    return {
+        "l": pointwise(eq),
+        "l⊇": pointwise(geq),
+        "l⊆": pointwise(leq),
+        "join": lambda xs, ys: eq(xs[-1], ys[-1]) and pointwise(geq)(xs[:-1], ys[:-1]),
+        "lf": final(eq),
+        "lf⊇": final(geq),
+        "lf⊆": final(leq),
+        "ER": final(leq),
+        "ERT": pointwise(leq),
+        "ECR": final(complete),
+        "ECRT": pointwise(complete),
+    }[flavor]
+
+
+def _oracle_meet(n: str, obs, candidates):
+    """(matched, revival action): some final of q below obs's final, and every
+    element of obs's final offered by one of them."""
+    from procsem.constraints import local_geq
+
+    below = [cand.final for cand in candidates if local_geq(n, obs.final, cand.final)]
+    if not below:
+        return False, None
+    key = lambda e: (len(e), e) if isinstance(e, tuple) else e
+    for element in sorted(obs.final.value, key=key):
+        if not any(element in y.value for y in below):
+            return False, element
+    return True, None
+
+
+def _oracle_least_unmatched(n: str, flavor: str, p, q):
+    """Brute force: the least observation of p by LinearObs.sort_key that no
+    observation of q on the same trace matches, with its revival action."""
+    if flavor == "meet" and n in ("U", "C"):
+        flavor = "lf"  # the union of unit/termination values degenerates
+    by_trace = {}
+    for cand in enum_lgo(n, q):
+        by_trace.setdefault(cand.trace(), []).append(cand)
+    rule = None if flavor == "meet" else _oracle_rule(n, flavor)
+    for obs in sorted(enum_lgo(n, p), key=lambda o: o.sort_key()):
+        candidates = by_trace.get(obs.trace(), [])
+        if rule is None:
+            matched, element = _oracle_meet(n, obs, candidates)
+            if not matched:
+                return obs, element
+        elif not any(rule(obs.labels(), cand.labels()) for cand in candidates):
+            return obs, None
+    return None, None
+
+
+def test_linear_witnesses_are_least(pool2, random3):
+    from procsem.spectrum import LINEAR_FLAVORS, supported_ids
+
+    rng = random.Random(29)
+    pairs = [(rng.choice(pool2), rng.choice(pool2)) for _ in range(150)]
+    pairs += [(rng.choice(random3), rng.choice(random3)) for _ in range(40)]
+    linear = [(s.constraint, s.flavor) for s in supported_ids() if s.flavor in LINEAR_FLAVORS]
+    assert len(linear) == 39
+    extended = [("I", f) for f in ("ER", "ERT", "ECR", "ECRT")]
+    refuted = revived = 0
+    for p, q in pairs:
+        for n, flavor in linear + extended:
+            if (n, flavor) in extended:
+                verdict = decide_extended(flavor, p, q)
+            else:
+                verdict = decide_linear(n, flavor, p, q)
+            least, element = _oracle_least_unmatched(n, flavor, p, q)
+            assert verdict.holds == (least is None), (n, flavor, p, q)
+            if least is None:
+                continue
+            refuted += 1
+            witness = verdict.witness
+            assert witness["unmatched"] == least, (n, flavor, p, q)
+            assert witness.get("revival_action") == element, (n, flavor, p, q)
+            revived += element is not None
+    assert refuted > 0 and revived > 0
+
+
 def test_db_examples():
     assert decide_db("I", c("a.(b.c.0+b.d.0)"), c("a.b.c.0+a.b.d.0")).holds
     assert decide_db("I", c("a.b.c.0+a.b.d.0"), c("a.(b.c.0+b.d.0)")).holds
