@@ -1,14 +1,17 @@
 """Command-line front-end.
 
 Exit codes: 0 relation holds / success, 1 relation fails (witness reported),
-2 usage or parse error, 3 resource cap exceeded.  With --json all output is
-deterministic (sorted keys).
+2 usage or parse error, 3 resource cap exceeded, 4 internal error (a one-line
+message on stderr, no traceback), 141 the reader closed standard output
+(128 + SIGPIPE, as a shell reports a process killed by a closed pipe).  With
+--json all output is deterministic (sorted keys).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import corpus as corpus_mod
@@ -31,6 +34,8 @@ EXIT_OK = 0
 EXIT_FAILS = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
+EXIT_INTERNAL = 4
+EXIT_PIPE = 141
 
 
 class CliError(Exception):
@@ -364,10 +369,20 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except BrokenPipeError:
+        # the reader went away: silence the flush the interpreter makes at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
+    except Exception as exc:
+        message = " ".join(f"{type(exc).__name__}: {exc}".split())
+        print(f"internal error: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -283,6 +283,7 @@ class BaseLogic:
     def __init__(self, constraint: str, alphabet: frozenset[str]):
         self.constraint = constraint
         self.alphabet = frozenset(alphabet)
+        self._not_zero = not_zero(self.alphabet)
 
     def contains(self, f: Formula) -> bool:
         n = self.constraint
@@ -290,7 +291,7 @@ class BaseLogic:
             return True
         if n == "U":
             return False
-        if f is not_zero(self.alphabet):
+        if f is self._not_zero:
             return True
         if n == "C":
             return False
@@ -322,7 +323,7 @@ class BaseLogic:
         out = [TOP]
         if n == "U":
             return out
-        out.append(not_zero(self.alphabet))
+        out.append(self._not_zero)
         if n == "C":
             return out
         if n == "I":

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from .constraints import simulates
 from .lts import initials, step
-from .preorders import Verdict
+from .preorders import HOLDS, Verdict
 from .terms import CanonicalTerm, prefix, render_term, sum_terms
 
 __all__ = [
@@ -71,20 +71,25 @@ def nd_saturate(
     A rewrite picks two same-action summands a.x and a.(y+w), splits the
     second body, and, when the condition accepts (x, y, w), adds the summand
     a.(x+y).  Closing under reflexivity/transitivity is the worklist loop.
+    A merged summand that t already has, or that an earlier rewrite of t
+    added, would only rebuild a term already seen, so it is skipped first.
     """
     cond = _condition(z, observer)
     seen = {p}
     work = [p]
     while work:
         t = work.pop()
+        merged = set(t.summands)
         for a, x in t.summands:
             for b, other in t.summands:
                 if b != a:
                     continue
                 for y, w in _splits(other):
-                    if not cond(x, y, w):
+                    summand = (a, sum_terms(x, y))
+                    if summand in merged or not cond(x, y, w):
                         continue
-                    new = sum_terms(t, prefix(a, sum_terms(x, y)))
+                    merged.add(summand)
+                    new = sum_terms(t, prefix(*summand))
                     if new not in seen:
                         if len(seen) >= cap:
                             raise SaturationCapError(p, cap)
@@ -147,7 +152,7 @@ def decide_via_operational(
     """Ready simulation over the saturated transition system decides the
     linear semantics named by z."""
     holds = simulates("I", p, q, _stepper(z, cap, observer))
-    return Verdict(holds, None if holds else {"kind": "operational", "z": z})
+    return HOLDS if holds else Verdict(False, {"kind": "operational", "z": z})
 
 
 def decide_T_via_operational(
@@ -155,7 +160,7 @@ def decide_T_via_operational(
 ) -> Verdict:
     """Plain simulation over the failures-saturated system decides traces."""
     holds = simulates("U", p, q, _stepper("F", cap, "I"))
-    return Verdict(holds, None if holds else {"kind": "operational", "z": "T"})
+    return HOLDS if holds else Verdict(False, {"kind": "operational", "z": "T"})
 
 
 @lru_cache(maxsize=None)

@@ -43,6 +43,7 @@ from .terms import CanonicalTerm, render_term
 
 __all__ = [
     "Verdict",
+    "HOLDS",
     "decide",
     "decide_bisim",
     "decide_nsim",
@@ -75,6 +76,10 @@ class Verdict:
 
     def to_json(self):
         return {"holds": self.holds, "witness": _witness_json(self.witness)}
+
+
+# Verdicts are immutable, so every decider returns this one holding verdict.
+HOLDS = Verdict(True)
 
 
 def _witness_json(w):
@@ -170,7 +175,7 @@ def _sim_refutation(constraint: str, p: CanonicalTerm, q: CanonicalTerm) -> dict
 
 def decide_nsim(constraint: str, p: CanonicalTerm, q: CanonicalTerm) -> Verdict:
     if simulates(constraint, p, q):
-        return Verdict(True)
+        return HOLDS
     return Verdict(False, _sim_refutation(constraint, p, q))
 
 
@@ -178,7 +183,7 @@ def decide_bisim(p: CanonicalTerm, q: CanonicalTerm) -> Verdict:
     """Bisimilarity; on canonical forms this is identity (the choice axioms
     are a complete axiomatization of bisimilarity for finite terms)."""
     if p is q:
-        return Verdict(True)
+        return HOLDS
     return Verdict(False, _bisim_refutation(p, q))
 
 
@@ -318,27 +323,30 @@ def _least_unmatched(constraint: str, rule: tuple, p: CanonicalTerm, q: Canonica
     return None
 
 
-def _linear_rule(constraint: str, flavor: str) -> tuple:
+@lru_cache(maxsize=None)
+def _linear_rule(constraint: str, flavor: str) -> tuple[tuple, str]:
+    """(rule, semantics name) of a linear flavor at a constraint.  Validates
+    the combination; an invalid one raises on every call (errors are not cached)."""
+    sem = SemanticsId(constraint, flavor)
     if flavor == "meet" and constraint in ("U", "C"):
         flavor = "lf"  # the union of unit/termination values degenerates
     try:
-        return _FLAVORS[flavor]
+        return _FLAVORS[flavor], str(sem)
     except KeyError:
         raise ValueError(f"not a matching flavor: {flavor}") from None
 
 
 def linear_holds(constraint: str, flavor: str, p: CanonicalTerm, q: CanonicalTerm) -> bool:
     """Boolean core of the linear deciders; cheap enough to call per pair."""
-    return _least_unmatched(constraint, _linear_rule(constraint, flavor), p, q) is None
+    return _least_unmatched(constraint, _linear_rule(constraint, flavor)[0], p, q) is None
 
 
 def decide_linear(constraint: str, flavor: str, p: CanonicalTerm, q: CanonicalTerm) -> Verdict:
-    sem = SemanticsId(constraint, flavor)  # validates the combination
-    rule = _linear_rule(constraint, flavor)
+    rule, name = _linear_rule(constraint, flavor)
     obs = _least_unmatched(constraint, rule, p, q)
     if obs is None:
-        return Verdict(True)
-    witness = {"kind": "lgo", "unmatched": obs, "semantics": str(sem)}
+        return HOLDS
+    witness = {"kind": "lgo", "unmatched": obs, "semantics": name}
     if rule[1] == "meet":
         candidates = _lgo_index(constraint, q).get(obs.trace())
         geq = LABEL_RELATIONS[constraint][1]
@@ -360,6 +368,12 @@ def world_count(p: CanonicalTerm) -> int:
     return total
 
 
+@lru_cache(maxsize=None)
+def _sorted_dbgos(constraint: str, p: CanonicalTerm) -> tuple[BranchingObs, ...]:
+    """The complete deterministic observations of p, least first by (nodes, key)."""
+    return tuple(sorted(enum_complete_dbgo(constraint, p), key=lambda o: (o.nodes, o._key)))
+
+
 def decide_db(
     constraint: str, p: CanonicalTerm, q: CanonicalTerm, cap: int = DEFAULT_WORLD_CAP
 ) -> Verdict:
@@ -373,10 +387,10 @@ def decide_db(
         raise TruncationError(
             f"{count} complete deterministic observations exceed the cap {cap}", cap
         )
-    for obs in sorted(enum_complete_dbgo(constraint, p), key=lambda o: (o.nodes, o._key)):
+    for obs in _sorted_dbgos(constraint, p):
         if not bgo_member(obs, q):
             return Verdict(False, {"kind": "dbgo", "unmatched": obs})
-    return Verdict(True)
+    return HOLDS
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +449,7 @@ def _uncovered_bgo(p: CanonicalTerm, qs: tuple[CanonicalTerm, ...], exact: bool)
 
 def _decide_final_branching(p: CanonicalTerm, q: CanonicalTerm, exact: bool) -> Verdict:
     if _covered(p, (q,), exact):
-        return Verdict(True)
+        return HOLDS
     return Verdict(False, {"kind": "bgo", "unmatched": _uncovered_bgo(p, (q,), exact)})
 
 
@@ -458,7 +472,7 @@ def decide_extended(flavor: str, p: CanonicalTerm, q: CanonicalTerm) -> Verdict:
         raise ValueError(f"not an extended-ready flavor: {flavor}")
     obs = _least_unmatched("I", _EXTENDED[flavor], p, q)
     if obs is None:
-        return Verdict(True)
+        return HOLDS
     return Verdict(False, {"kind": "lgo", "unmatched": obs, "semantics": flavor})
 
 

@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from conftest import MANY_WORLDS
+import procsem
+from procsem import cli
 from procsem.cli import main
 from procsem.corpus import default_corpus_path, run_corpus
 
@@ -66,6 +72,39 @@ def test_deep_chain(capsys):
     for sem in ("S", "I:bf"):
         code, _, _ = run(capsys, "compare", "--semantics", sem, chain, chain)
         assert code == 0, sem
+
+
+def test_internal_error_exit_4(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("broken\ndecider")
+
+    monkeypatch.setattr(cli.preorders, "decide", broken)
+    code, _, err = run(capsys, "compare", "--semantics", "T", "a.0", "a.0")
+    assert code == 4
+    assert err == "internal error: RuntimeError: broken decider\n"
+
+
+def test_deeper_chain_never_exits_1(capsys):
+    # the recursive parser gives up at depth 1,200: an internal error, not "fails"
+    chain = "a." * 1200 + "0"
+    code, _, err = run(capsys, "compare", "--semantics", "S", chain, chain)
+    assert code in (0, 4)
+    assert "Traceback" not in err and err.count("\n") <= 1
+
+
+def test_closed_pipe_exit_141():
+    # about 1 MB of output, far more than a pipe buffers
+    term = "+".join("a." * k + "b.0" for k in range(1, 61))
+    env = dict(os.environ, PYTHONPATH=str(Path(procsem.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "procsem.cli", "lts", term],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait() == 141
+    assert b"Traceback" not in err
 
 
 def test_spectrum_all_equal(capsys):

@@ -362,3 +362,87 @@ def test_formula_from_observation_shapes():
     assert g is parse_formula("<a>(<b>T & ~<a>T)")
     h = formula_from_observation(ready, "F", AB)
     assert h is parse_formula("<a>~<a>T")
+
+
+def test_base_logics_contain_not_zero():
+    for n in ("C", "I", "T", "S"):
+        assert base_constraint_logic(n, AB).contains(not_zero(AB)), n
+    assert not base_constraint_logic("U", AB).contains(not_zero(AB))
+
+
+# (semantics, p, q, rendered formula) for refuted cells over the depth-2 pool:
+# distinguish is deterministic, so these pin its output byte for byte.
+DISTINGUISH_PINS = [
+    ('B', 'a.0 + a.b.0 + b.0 + b.a.0 + b.(a.0 + b.0) + b.b.0',
+     'a.a.0 + a.b.0 + b.0 + b.(a.0 + b.0)', '<a>(~<a>T & ~<b>T)'),
+    ('B', 'a.0 + a.a.0 + a.(a.0 + b.0) + b.(a.0 + b.0)', 'a.b.0 + b.a.0', '<a>~<b>T'),
+    ('S', 'a.0 + a.a.0 + b.a.0', 'a.0 + a.b.0 + b.b.0', '<a><a>T'),
+    ('S', 'a.0 + a.a.0 + a.(a.0 + b.0) + b.a.0', 'a.a.0 + a.(a.0 + b.0) + a.b.0 + b.0 + b.b.0',
+     '<b><a>T'),
+    ('CS', 'a.0 + a.a.0 + a.(a.0 + b.0) + b.0 + b.(a.0 + b.0)', 'a.0 + b.a.0',
+     '<a>~(~<a>T & ~<b>T)'),
+    ('CS', 'a.0 + a.a.0 + a.b.0 + b.0 + b.a.0 + b.(a.0 + b.0)', 'a.0 + a.b.0 + b.b.0', '<a><a>T'),
+    ('RS', 'a.0 + a.b.0 + b.a.0 + b.(a.0 + b.0)', 'a.0 + a.a.0 + a.(a.0 + b.0) + b.(a.0 + b.0)',
+     '<a>(<b>T & ~<a>T)'),
+    ('RS', 'a.0 + a.a.0 + a.b.0 + b.(a.0 + b.0) + b.b.0', 'b.0 + b.b.0', '<a>T'),
+    ('TS', '0', 'a.0 + a.a.0 + a.b.0 + b.0 + b.a.0 + b.(a.0 + b.0) + b.b.0', '~<a>T'),
+    ('TS', 'a.0 + a.a.0 + b.0 + b.a.0', 'a.0 + a.(a.0 + b.0) + b.0 + b.a.0 + b.b.0', '~<a><b>T'),
+    ('2S', 'a.0 + a.a.0 + a.b.0 + b.a.0 + b.(a.0 + b.0) + b.b.0',
+     'a.0 + a.a.0 + a.(a.0 + b.0) + b.0 + b.a.0', '<b><b>T'),
+    ('2S', 'a.0 + a.a.0 + a.(a.0 + b.0) + a.b.0 + b.a.0 + b.b.0',
+     'a.a.0 + a.b.0 + b.a.0 + b.(a.0 + b.0)', '<a>(<a>T & <b>T)'),
+    ('T', 'a.0 + a.a.0 + a.b.0 + b.0 + b.a.0 + b.b.0', 'a.b.0 + b.a.0 + b.(a.0 + b.0)', '<a><a>T'),
+    ('T', 'a.0 + b.0 + b.a.0 + b.(a.0 + b.0)', 'b.0 + b.a.0', '<a>T'),
+    ('CT', 'a.0 + a.b.0 + b.0 + b.a.0 + b.(a.0 + b.0)',
+     'a.0 + a.a.0 + a.(a.0 + b.0) + a.b.0 + b.a.0 + b.(a.0 + b.0) + b.b.0', '<b>~~(~<a>T & ~<b>T)'),
+    ('CT', 'a.0 + a.(a.0 + b.0) + a.b.0 + b.0', 'a.0 + a.a.0 + b.a.0 + b.(a.0 + b.0)', '<a><b>T'),
+    ('RT', 'a.a.0 + a.(a.0 + b.0) + b.a.0 + b.(a.0 + b.0)', 'a.(a.0 + b.0) + a.b.0 + b.(a.0 + b.0)',
+     '<a>~<b>T'),
+    ('RT', 'a.0 + a.b.0 + b.0 + b.a.0 + b.(a.0 + b.0) + b.b.0',
+     'a.0 + a.a.0 + a.(a.0 + b.0) + a.b.0 + b.b.0', '<b>~<b>T'),
+    ('FT', 'a.0 + a.a.0 + a.(a.0 + b.0) + a.b.0', 'a.a.0 + b.(a.0 + b.0) + b.b.0', '~<b>T'),
+    ('FT', 'a.a.0 + b.(a.0 + b.0) + b.b.0', 'a.b.0 + b.0 + b.a.0 + b.(a.0 + b.0)', '<a>~<b>T'),
+    ('R', 'a.0 + a.b.0 + b.0 + b.(a.0 + b.0)', 'a.0 + a.a.0 + b.a.0', '<a><b>T'),
+    ('R', 'a.0 + a.a.0 + a.b.0 + b.0 + b.a.0 + b.(a.0 + b.0) + b.b.0', 'a.0 + b.0 + b.a.0 + b.b.0',
+     '<a><a>T'),
+    ('F', 'a.0 + a.(a.0 + b.0) + a.b.0 + b.a.0 + b.(a.0 + b.0)',
+     'a.0 + a.(a.0 + b.0) + b.(a.0 + b.0) + b.b.0', '<b>~<b>T'),
+    ('F', 'a.0 + a.a.0 + a.b.0 + b.0 + b.a.0 + b.b.0', 'a.a.0 + b.0 + b.(a.0 + b.0)', '<a>~<a>T'),
+    ('PW', 'a.0 + a.b.0 + b.(a.0 + b.0)', 'a.(a.0 + b.0) + a.b.0 + b.b.0', '<b><a>T'),
+    ('PW', 'a.(a.0 + b.0) + a.b.0 + b.a.0 + b.(a.0 + b.0)', 'a.0 + a.(a.0 + b.0) + b.0 + b.b.0',
+     '<b><a>T'),
+    ('UPW', 'a.0 + a.(a.0 + b.0) + b.(a.0 + b.0) + b.b.0', 'a.a.0 + a.(a.0 + b.0) + a.b.0',
+     '<b><b>T'),
+    ('UPW', 'a.(a.0 + b.0) + a.b.0', 'a.b.0 + b.b.0', '<a><a>T'),
+    ('PF', 'a.a.0 + a.b.0 + b.0', 'a.0 + a.a.0 + a.b.0 + b.0 + b.a.0 + b.(a.0 + b.0) + b.b.0',
+     '~<b><b>T'),
+    ('PF', 'a.0 + a.a.0 + a.(a.0 + b.0) + a.b.0 + b.0 + b.(a.0 + b.0) + b.b.0',
+     'a.0 + b.0 + b.a.0 + b.b.0', '<a><b>T'),
+    ('IF', 'a.0 + b.0 + b.b.0', 'a.0 + a.a.0 + a.(a.0 + b.0) + b.0 + b.a.0', '~<b><a>T'),
+    ('IF', 'a.a.0 + a.b.0 + b.0 + b.a.0', 'a.0 + a.(a.0 + b.0) + a.b.0 + b.0', '<b><a>~<b>T'),
+    ('SF', 'a.a.0 + a.(a.0 + b.0) + a.b.0 + b.0 + b.(a.0 + b.0) + b.b.0',
+     'a.(a.0 + b.0) + a.b.0 + b.0 + b.a.0', '<a>~<b>T'),
+    ('SF', 'a.0 + a.a.0 + a.(a.0 + b.0) + b.0 + b.a.0 + b.(a.0 + b.0) + b.b.0', 'b.b.0',
+     '<a>~<b>T'),
+    ('RV', 'a.(a.0 + b.0) + a.b.0 + b.0 + b.b.0', 'a.(a.0 + b.0) + a.b.0 + b.(a.0 + b.0) + b.b.0',
+     '<b>~<b>T'),
+    ('RV', 'a.(a.0 + b.0)', 'a.0 + b.0 + b.(a.0 + b.0)', '~<b>T'),
+    ('JOIN', 'a.b.0 + b.0 + b.a.0 + b.(a.0 + b.0)', 'a.0 + b.0', '<a><b>~<b>T'),
+    ('JOIN', 'a.0 + a.(a.0 + b.0) + a.b.0 + b.a.0 + b.b.0',
+     'a.0 + a.(a.0 + b.0) + a.b.0 + b.0 + b.a.0 + b.(a.0 + b.0)', '<b>(<b>~<b>T & ~<a>T)'),
+    ('I:l⊆', 'a.0 + a.(a.0 + b.0) + b.0 + b.a.0 + b.(a.0 + b.0)',
+     'a.0 + a.a.0 + a.(a.0 + b.0) + a.b.0 + b.a.0 + b.b.0', '<b>(<a>T & <b>T)'),
+    ('I:l⊆', 'a.0 + a.a.0 + a.(a.0 + b.0) + b.0 + b.a.0 + b.b.0', 'a.(a.0 + b.0) + a.b.0 + b.a.0',
+     '<b><b>T'),
+    ('I:lf⊆', 'a.0 + b.b.0', 'a.(a.0 + b.0) + a.b.0 + b.0', '<b><b>T'),
+    ('I:lf⊆', 'a.a.0 + a.(a.0 + b.0) + a.b.0 + b.a.0 + b.b.0', 'a.(a.0 + b.0) + a.b.0 + b.0',
+     '<b><a>T'),
+    ('T:lf', 'a.a.0 + a.b.0 + b.a.0 + b.b.0', 'a.(a.0 + b.0) + a.b.0 + b.0 + b.a.0', '<b><b>T'),
+    ('T:lf', 'a.0 + a.b.0 + b.0 + b.a.0 + b.b.0', 'a.0 + a.a.0 + a.(a.0 + b.0) + b.a.0',
+     '~<a><a>T'),
+]
+
+
+def test_distinguish_pinned_formulas():
+    for sem_name, p, q, formula in DISTINGUISH_PINS:
+        assert render_formula(distinguish(sem_name, c(p), c(q), AB)) == formula, (sem_name, p, q)

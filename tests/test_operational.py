@@ -59,6 +59,13 @@ def test_saturation_cap():
         nd_saturate("F", wide, cap=5)
 
 
+def test_saturation_of_a_wide_term():
+    # six same-action summands: many rewrites of a state yield the same merged summand
+    wide = c(" + ".join(f"a.{t}" for t in ("b.0", "c.0", "d.0", "e.0", "(b.0+c.0)", "(d.0+e.0)")))
+    assert len(nd_saturate("F", wide).saturation) == 512
+    assert decide_via_operational("F", wide, wide).holds == linear_holds("I", "lf⊇", wide, wide)
+
+
 def test_operational_agrees_with_direct_small(pool1):
     sems = {"F": "lf⊇", "R": "lf", "FT": "l⊇", "RT": "l"}
     for z, flavor in sems.items():

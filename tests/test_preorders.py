@@ -9,6 +9,7 @@ from procsem.constraints import constraint_holds, local_obs
 from procsem.lts import initials, step
 from procsem.observations import BranchingObs, enum_lgo
 from procsem.preorders import (
+    Verdict,
     decide,
     decide_bisim,
     decide_db,
@@ -420,3 +421,30 @@ def test_final_ready_sits_between_rsim_and_readiness(pool2):
             assert linear_holds("I", "lf", p, q), (p, q)
             assert decide_final_failure_sim(p, q).holds
         checked += 1
+
+
+def test_invalid_linear_semantics_raises_on_every_call():
+    p = c("a.0")
+    for _ in range(2):
+        with pytest.raises(UnsupportedSemanticsError):
+            decide_linear("S", "meet", p, p)
+
+
+def test_holding_verdicts():
+    from procsem.operational import decide_T_via_operational, decide_via_operational
+
+    p = c("a.(b.0+c.0)")
+    verdicts = [
+        decide_nsim("S", p, p),
+        decide_bisim(p, p),
+        decide_linear("I", "meet", p, p),
+        decide_db("I", p, p),
+        decide_extended("ECRT", p, p),
+        decide_final_ready_sim(p, p),
+        decide_final_failure_sim(p, p),
+        decide_via_operational("F", p, p),
+        decide_T_via_operational(p, p),
+    ]
+    for verdict in verdicts:
+        assert verdict == Verdict(True)
+        assert verdict.to_json() == {"holds": True, "witness": None}
