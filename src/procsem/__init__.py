@@ -32,6 +32,17 @@ __all__ = [
     "canonicalize",
     "parse_term",
     "render_term",
+    "clear_caches",
 ]
+
+
+def clear_caches() -> None:
+    """Empty every lru cache, and with them the game memos they hold.  The
+    intern tables stay: equality is object identity, so a term, branching
+    observation or formula built after clearing must be the one built before."""
+    for module in (axioms, constraints, logic, lts, observations, operational, preorders, spectrum, terms):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
 
 __version__ = "0.1.0"

@@ -8,10 +8,11 @@ of the spectrum work.
 
 The order on values is owned here: ``LABEL_RELATIONS`` holds one (eq, geq)
 pair of functions on raw values per constraint, and ``local_eq`` and
-``local_geq`` are those pairs on ``LocalObs``.  The S case compares class
-representatives with ``simulates``, the constrained-simulation game; it and
-every other game of the package run on the memoized, explicit-stack driver
-``solve_game`` defined here.
+``local_geq`` are those pairs on ``LocalObs``; ``value_key`` is the total
+order that makes witnesses and their text reproducible.  The S case
+compares class representatives with ``simulates``, the
+constrained-simulation game; it and every other game of the package run
+on the memoized, explicit-stack driver ``solve_game`` defined here.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ __all__ = [
     "local_eq",
     "local_geq",
     "local_key",
+    "value_key",
+    "value_repr",
     "LABEL_RELATIONS",
     "constraint_holds",
     "solve_game",
@@ -47,7 +50,7 @@ class LocalObs:
     value: object
 
     def __repr__(self) -> str:
-        return f"LocalObs({self.constraint}, {self.value!r})"
+        return f"LocalObs({self.constraint}, {value_repr(self.constraint, self.value)})"
 
 
 @lru_cache(maxsize=None)
@@ -101,18 +104,29 @@ def local_geq(constraint: str, l1: LocalObs, l2: LocalObs) -> bool:
     return LABEL_RELATIONS[constraint][1](x, y)
 
 
-def local_key(obs: LocalObs):
-    """A total sort key on observation values, used for reproducible witnesses."""
-    n = obs.constraint
-    if n == "U":
+def value_key(constraint: str, value):
+    """A total sort key on the observation values of one constraint, used for
+    reproducible witnesses."""
+    if constraint == "U":
         return ()
-    if n == "C":
-        return (obs.value,)
-    if n == "I":
-        return tuple(sorted(obs.value))
-    if n == "T":
-        return tuple(sorted(obs.value))
-    return obs.value.key
+    if constraint == "C":
+        return (value,)
+    if constraint in ("I", "T"):
+        return tuple(sorted(value))
+    return value.key
+
+
+def local_key(obs: LocalObs):
+    """``value_key`` of an observation."""
+    return value_key(obs.constraint, obs.value)
+
+
+def value_repr(constraint: str, value) -> str:
+    """repr of an observation value with set elements in value_key order, so
+    that rendered observations do not depend on the hash seed."""
+    if constraint in ("I", "T") and value:
+        return "frozenset({" + ", ".join(map(repr, value_key(constraint, value))) + "})"
+    return repr(value)
 
 
 def constraint_holds(constraint: str, p: CanonicalTerm, q: CanonicalTerm) -> bool:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .constraints import LocalObs, local_eq, local_geq, local_key, local_obs
+from .constraints import LocalObs, local_eq, local_geq, local_key, local_obs, value_repr
 from .lts import initials, step, successors
 from .terms import Action, CanonicalTerm, NIL, CanonicalTerm as CT, prefix, sum_terms
 
@@ -73,10 +73,11 @@ class LinearObs:
         return (len(self.steps), self.trace(), tuple(local_key(l) for l in self.labels()))
 
     def __repr__(self) -> str:
-        bits = [repr(self.head.value)]
+        n = self.constraint
+        bits = [value_repr(n, self.head.value)]
         for a, l in self.steps:
             bits.append(a)
-            bits.append(repr(l.value))
+            bits.append(value_repr(n, l.value))
         return "<" + ",".join(bits) + ">"
 
 
@@ -116,7 +117,7 @@ class BranchingObs:
 
     def __repr__(self) -> str:
         inner = ",".join(f"({a},{c!r})" for a, c in self.sorted_children())
-        return f"<{self.label.value!r},{{{inner}}}>"
+        return f"<{value_repr(self.constraint, self.label.value)},{{{inner}}}>"
 
 
 @lru_cache(maxsize=None)

@@ -4,30 +4,34 @@ Three families of procedures live here:
 
 * constrained simulations (the branching backbone), played as memoized
   games on the driver of ``constraints``,
-* linear deciders, the extended-ready family included: one scan over
-  per-term indexes of decorated traces, under the flavor's rule from a
-  table, that stops at the least unmatched decorated trace,
+* linear deciders, the extended-ready family included: one scan, under the
+  flavor's rule from a table, over per-term tables that map each trace to
+  the raw label values of its decorated traces (built per subterm from the
+  successors' tables, with no observation objects), stopping at the first
+  trace with an unmatched value,
 * the exotic deciders: deterministic branching and final-ready/final-failure
   branching (a coverage game on the same driver).
 
 Negative verdicts carry replayable witnesses: a refutation tree for
-simulations, the least unmatched decorated trace for linear flavors.
+simulations, the least unmatched decorated trace (by ``LinearObs.sort_key``)
+for linear flavors.  Every witness but that of ``db`` is built when it is
+first read, so deciding alone pays for no witness.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterable
 
 from .constraints import (
     LABEL_RELATIONS,
+    LocalObs,
     constraint_holds,
-    local_key,
     local_obs,
     simulates,
     solve_game,
+    value_key,
 )
 from .lts import initials, reachable, step, successors
 from .observations import (
@@ -36,7 +40,6 @@ from .observations import (
     TruncationError,
     bgo_member,
     enum_complete_dbgo,
-    enum_lgo,
 )
 from .spectrum import SemanticsId, classic_name, supported_ids
 from .terms import CanonicalTerm, render_term
@@ -66,19 +69,36 @@ __all__ = [
 DEFAULT_WORLD_CAP = 1 << 16
 
 
-@dataclass(frozen=True)
 class Verdict:
-    holds: bool
-    witness: object = None
+    """Whether a preorder holds, and the witness of a negative answer.  A
+    `build` callable, when given, makes the witness on its first read, so a
+    decision whose witness nobody reads pays for none."""
+
+    __slots__ = ("holds", "_witness", "_build")
+
+    def __init__(self, holds: bool, witness: object = None, build=None):
+        self.holds, self._witness, self._build = holds, witness, build
+
+    @property
+    def witness(self):
+        if self._build is not None:
+            self._witness, self._build = self._build(), None
+        return self._witness
 
     def __bool__(self) -> bool:
         return self.holds
+
+    def __eq__(self, other):
+        return isinstance(other, Verdict) and (self.holds, self.witness) == (other.holds, other.witness)
+
+    def __repr__(self) -> str:
+        return f"Verdict(holds={self.holds!r}, witness={self.witness!r})"
 
     def to_json(self):
         return {"holds": self.holds, "witness": _witness_json(self.witness)}
 
 
-# Verdicts are immutable, so every decider returns this one holding verdict.
+# Deciders never change a verdict they return, so every one returns this holding verdict.
 HOLDS = Verdict(True)
 
 
@@ -176,7 +196,7 @@ def _sim_refutation(constraint: str, p: CanonicalTerm, q: CanonicalTerm) -> dict
 def decide_nsim(constraint: str, p: CanonicalTerm, q: CanonicalTerm) -> Verdict:
     if simulates(constraint, p, q):
         return HOLDS
-    return Verdict(False, _sim_refutation(constraint, p, q))
+    return Verdict(False, build=partial(_sim_refutation, constraint, p, q))
 
 
 def decide_bisim(p: CanonicalTerm, q: CanonicalTerm) -> Verdict:
@@ -184,7 +204,7 @@ def decide_bisim(p: CanonicalTerm, q: CanonicalTerm) -> Verdict:
     are a complete axiomatization of bisimilarity for finite terms)."""
     if p is q:
         return HOLDS
-    return Verdict(False, _bisim_refutation(p, q))
+    return Verdict(False, build=partial(_bisim_refutation, p, q))
 
 
 def _bisim_refutation(p: CanonicalTerm, q: CanonicalTerm) -> dict:
@@ -220,25 +240,25 @@ def _bisim_refutation(p: CanonicalTerm, q: CanonicalTerm) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _lgo_index(constraint: str, p: CanonicalTerm) -> dict:
-    """trace -> (entries, value tuples, final values), traces in (len, trace) order.
+def _trace_values(constraint: str, p: CanonicalTerm) -> dict:
+    """trace -> frozenset of the label-value tuples of p's decorated traces
+    on it, built from the tables of p's successors."""
+    head = local_obs(constraint, p).value
+    table = {(): {(head,)}}
+    for a, q in step(p):
+        for trace, tails in _trace_values(constraint, q).items():
+            table.setdefault((a,) + trace, set()).update((head,) + xs for xs in tails)
+    return {trace: frozenset(values) for trace, values in table.items()}
 
-    An entry pairs a decorated trace with the tuple of its raw label values;
-    entries run in label-key order, so the first unmatched entry a scan meets
-    is the least one by ``LinearObs.sort_key``.
-    """
-    by_trace: dict[tuple, list] = {}
-    for obs in enum_lgo(constraint, p):
-        labels = obs.labels()
-        by_trace.setdefault(obs.trace(), []).append(
-            (tuple(local_key(l) for l in labels), obs, tuple(l.value for l in labels))
-        )
-    index = {}
-    for trace in sorted(by_trace, key=lambda t: (len(t), t)):
-        entries = tuple((obs, xs) for _, obs, xs in sorted(by_trace[trace], key=operator.itemgetter(0)))
-        values = frozenset(xs for _, xs in entries)
-        index[trace] = (entries, values, frozenset(xs[-1] for xs in values))
-    return index
+
+@lru_cache(maxsize=None)
+def _lgo_index(constraint: str, p: CanonicalTerm) -> dict:
+    """trace -> (value tuples, final values), traces in (len, trace) order."""
+    table = _trace_values(constraint, p)
+    return {
+        trace: (table[trace], frozenset(xs[-1] for xs in table[trace]))
+        for trace in sorted(table, key=lambda t: (len(t), t))
+    }
 
 
 # flavor -> (relation on every label before the last, or None when only the
@@ -304,23 +324,39 @@ def _matcher(constraint: str, rule: tuple):
 
 
 def _least_unmatched(constraint: str, rule: tuple, p: CanonicalTerm, q: CanonicalTerm):
-    """The least decorated trace of p that no decorated trace of q on the
-    same trace matches under `rule`, or None when every one is matched."""
+    """(trace, unmatched value tuples) for the first trace of p, in (len,
+    trace) order, on which some decorated trace of p is matched by no
+    decorated trace of q under `rule`; None when every one is matched.  For
+    final-only rules the tuples are those whose final is unmatched."""
     q_index = _lgo_index(constraint, q)
     matched = _matcher(constraint, rule)
     final_only = rule[0] is None
-    for trace, (entries, values, finals) in _lgo_index(constraint, p).items():
+    for trace, (values, finals) in _lgo_index(constraint, p).items():
         candidates = q_index.get(trace)
         if candidates is None:
-            return entries[0][0]
-        mine, pool = (finals, candidates[2]) if final_only else (values, candidates[1])
+            return trace, values
+        mine, pool = (finals, candidates[1]) if final_only else (values, candidates[0])
         # every rule is reflexive: a value that q has as well is matched
         unmatched = mine - pool
         if unmatched and matched:
             unmatched = {x for x in unmatched if not matched(x, pool)}
         if unmatched:
-            return next(obs for obs, xs in entries if (xs[-1] if final_only else xs) in unmatched)
+            return trace, [xs for xs in values if xs[-1] in unmatched] if final_only else unmatched
     return None
+
+
+def _lgo_witness(constraint: str, rule: tuple, name: str, q: CanonicalTerm, trace: tuple, unmatched) -> dict:
+    """The least unmatched decorated trace (by ``LinearObs.sort_key``) as a
+    witness, with the revival action of a failed meet."""
+    xs = min(unmatched, key=lambda ys: tuple(value_key(constraint, y) for y in ys))
+    head, *labels = [LocalObs(constraint, x) for x in xs]
+    witness = {"kind": "lgo", "unmatched": LinearObs(head, tuple(zip(trace, labels))), "semantics": name}
+    if rule[1] == "meet":
+        finals = _lgo_index(constraint, q).get(trace, (None, ()))[1]
+        element = _meet_match(LABEL_RELATIONS[constraint][1], xs[-1], finals)[1]
+        if element is not None:
+            witness["revival_action"] = element
+    return witness
 
 
 @lru_cache(maxsize=None)
@@ -343,17 +379,10 @@ def linear_holds(constraint: str, flavor: str, p: CanonicalTerm, q: CanonicalTer
 
 def decide_linear(constraint: str, flavor: str, p: CanonicalTerm, q: CanonicalTerm) -> Verdict:
     rule, name = _linear_rule(constraint, flavor)
-    obs = _least_unmatched(constraint, rule, p, q)
-    if obs is None:
+    found = _least_unmatched(constraint, rule, p, q)
+    if found is None:
         return HOLDS
-    witness = {"kind": "lgo", "unmatched": obs, "semantics": name}
-    if rule[1] == "meet":
-        candidates = _lgo_index(constraint, q).get(obs.trace())
-        geq = LABEL_RELATIONS[constraint][1]
-        element = _meet_match(geq, obs.final.value, candidates[2] if candidates else ())[1]
-        if element is not None:
-            witness["revival_action"] = element
-    return Verdict(False, witness)
+    return Verdict(False, build=partial(_lgo_witness, constraint, rule, name, q, *found))
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +479,7 @@ def _uncovered_bgo(p: CanonicalTerm, qs: tuple[CanonicalTerm, ...], exact: bool)
 def _decide_final_branching(p: CanonicalTerm, q: CanonicalTerm, exact: bool) -> Verdict:
     if _covered(p, (q,), exact):
         return HOLDS
-    return Verdict(False, {"kind": "bgo", "unmatched": _uncovered_bgo(p, (q,), exact)})
+    return Verdict(False, build=lambda: {"kind": "bgo", "unmatched": _uncovered_bgo(p, (q,), exact)})
 
 
 def decide_final_ready_sim(p: CanonicalTerm, q: CanonicalTerm) -> Verdict:
@@ -470,10 +499,11 @@ def decide_final_failure_sim(p: CanonicalTerm, q: CanonicalTerm) -> Verdict:
 def decide_extended(flavor: str, p: CanonicalTerm, q: CanonicalTerm) -> Verdict:
     if flavor not in _EXTENDED:
         raise ValueError(f"not an extended-ready flavor: {flavor}")
-    obs = _least_unmatched("I", _EXTENDED[flavor], p, q)
-    if obs is None:
+    rule = _EXTENDED[flavor]
+    found = _least_unmatched("I", rule, p, q)
+    if found is None:
         return HOLDS
-    return Verdict(False, {"kind": "lgo", "unmatched": obs, "semantics": flavor})
+    return Verdict(False, build=partial(_lgo_witness, "I", rule, flavor, q, *found))
 
 
 # ---------------------------------------------------------------------------

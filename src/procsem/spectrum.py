@@ -126,8 +126,7 @@ def parse_semantics(text: str) -> SemanticsId:
     raise UnsupportedSemanticsError(f"unknown semantics {text!r}")
 
 
-def supported_ids() -> tuple[SemanticsId, ...]:
-    """Every decidable point of the spectrum, deterministic order."""
+def _supported_ids() -> tuple[SemanticsId, ...]:
     out = [BISIM]
     for n in ("S", "T", "I", "C", "U"):
         out.append(SemanticsId(n, "b"))
@@ -146,6 +145,14 @@ def supported_ids() -> tuple[SemanticsId, ...]:
         SemanticsId("C", "ECRT"),
     ]
     return tuple(out)
+
+
+_SUPPORTED_IDS = _supported_ids()
+
+
+def supported_ids() -> tuple[SemanticsId, ...]:
+    """Every decidable point of the spectrum, deterministic order."""
+    return _SUPPORTED_IDS
 
 
 def _arrows() -> tuple[tuple[SemanticsId, SemanticsId], ...]:

@@ -120,6 +120,22 @@ def test_json_determinism(capsys):
         _, out, _ = run(capsys, "--json", "spectrum", "a.(b.0+c.0)", "a.b.0+a.c.0")
         outs.add(out)
     assert len(outs) == 1
+    # branching observations print offers and trace sets: the text must not
+    # depend on the hash seed of the interpreter
+    env = dict(os.environ, PYTHONPATH=str(Path(procsem.__file__).parents[1]))
+    commands = (
+        ["--json", "compare", "--semantics", "T:db", "a.(a.0+b.0)+b.0", "a.0+b.0"],
+        ["--json", "observe", "--kind", "cdbgo", "a.(a.0+b.0)+b.0"],
+    )
+    for argv in commands:
+        outs = {
+            subprocess.run(
+                [sys.executable, "-m", "procsem.cli", *argv],
+                capture_output=True, env=dict(env, PYTHONHASHSEED=seed), timeout=60,
+            ).stdout
+            for seed in ("1", "2", "3")
+        }
+        assert len(outs) == 1, argv
 
 
 def test_observe_and_lts(capsys):

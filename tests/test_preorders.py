@@ -194,6 +194,49 @@ def test_linear_witnesses_are_least(pool2, random3):
     assert refuted > 0 and revived > 0
 
 
+def test_trace_tables_against_enumeration(pool2, random3):
+    from procsem.constraints import CONSTRAINTS
+    from procsem.preorders import _trace_values
+
+    terms = pool2 + tuple(random.Random(31).sample(random3, 40))
+    for n in CONSTRAINTS:
+        for p in terms:
+            table = {(trace, xs) for trace, values in _trace_values(n, p).items() for xs in values}
+            expected = {(o.trace(), tuple(l.value for l in o.labels())) for o in enum_lgo(n, p)}
+            assert table == expected, (n, p)
+
+
+def test_witnesses_are_built_on_first_read(monkeypatch):
+    from procsem import preorders
+
+    def refuse(*args):
+        raise RuntimeError("witness built")
+
+    for name in ("_sim_refutation", "_bisim_refutation", "_uncovered_bgo", "_lgo_witness"):
+        monkeypatch.setattr(preorders, name, refuse)
+    p, q = c("a.(b.0+c.0)"), c("0")
+    for name in ("B", "S", "2S", "I:bf", "I:bf⊇", "T", "RT", "F", "RV", "S:l⊇", "ER", "ERT", "ECR", "ECRT"):
+        verdict = decide(parse_semantics(name), p, q)
+        assert verdict.holds is False, name
+        with pytest.raises(RuntimeError, match="witness built"):
+            verdict.witness
+
+
+def test_clear_caches(pool2):
+    import procsem
+    from procsem.preorders import _trace_values
+    from procsem.spectrum import supported_ids
+
+    rng = random.Random(17)
+    cells = [(sem, rng.choice(pool2), rng.choice(pool2)) for _ in range(20) for sem in supported_ids()]
+    before = [decide(*cell).to_json() for cell in cells]
+    unread = [decide(*cell) for cell in cells]
+    procsem.clear_caches()
+    assert _trace_values.cache_info().currsize == 0
+    assert [verdict.to_json() for verdict in unread] == before
+    assert [decide(*cell).to_json() for cell in cells] == before
+
+
 def test_db_examples():
     assert decide_db("I", c("a.(b.c.0+b.d.0)"), c("a.b.c.0+a.b.d.0")).holds
     assert decide_db("I", c("a.b.c.0+a.b.d.0"), c("a.(b.c.0+b.d.0)")).holds
