@@ -5,6 +5,10 @@ Exit codes: 0 relation holds / success, 1 relation fails (witness reported),
 message on stderr, no traceback), 141 the reader closed standard output
 (128 + SIGPIPE, as a shell reports a process killed by a closed pipe).  With
 --json all output is deterministic (sorted keys).
+
+Only the decide core is imported at start-up; each subcommand imports the
+engine modules it uses (``logic``, ``operational``, ``axioms``, ``corpus``),
+so ``compare`` on the direct engine and ``spectrum`` load none of them.
 """
 
 from __future__ import annotations
@@ -14,9 +18,6 @@ import json
 import os
 import sys
 
-from . import corpus as corpus_mod
-from . import logic as logic_mod
-from . import operational as op_mod
 from . import preorders
 from .lts import step, transition_graph_dot
 from .observations import (
@@ -52,6 +53,8 @@ def _term(text: str):
 
 
 def _formula(text: str):
+    from . import logic as logic_mod
+
     try:
         return logic_mod.parse_formula(text)
     except logic_mod.FormulaParseError as exc:
@@ -114,19 +117,22 @@ def _cmd_compare(args) -> int:
                     f"observational engine does not cover {sem}", EXIT_USAGE
                 )
         elif engine == "operational":
+            from . import operational as op_mod
+
             table = {"lf⊇": "F", "lf": "R", "l⊇": "FT", "l": "RT"}
             cap = op_mod.DEFAULT_SATURATION_CAP if args.cap is None else args.cap
-            if sem.constraint == "I" and sem.flavor in table:
-                verdict = op_mod.decide_via_operational(table[sem.flavor], p, q, cap)
-            elif sem.constraint == "U" and sem.flavor in ("l", "l⊇", "lf", "lf⊇"):
-                verdict = op_mod.decide_T_via_operational(p, q, cap)
-            else:
-                raise CliError(f"operational engine does not cover {sem}", EXIT_USAGE)
+            try:
+                if sem.constraint == "I" and sem.flavor in table:
+                    verdict = op_mod.decide_via_operational(table[sem.flavor], p, q, cap)
+                elif sem.constraint == "U" and sem.flavor in ("l", "l⊇", "lf", "lf⊇"):
+                    verdict = op_mod.decide_T_via_operational(p, q, cap)
+                else:
+                    raise CliError(f"operational engine does not cover {sem}", EXIT_USAGE)
+            except op_mod.SaturationCapError as exc:
+                raise CliError(str(exc), EXIT_CAP) from exc
         else:  # pragma: no cover - argparse restricts choices
             raise CliError(f"unknown engine {engine}", EXIT_USAGE)
     except TruncationError as exc:
-        raise CliError(str(exc), EXIT_CAP) from exc
-    except op_mod.SaturationCapError as exc:
         raise CliError(str(exc), EXIT_CAP) from exc
     _emit(args, verdict.to_json())
     return EXIT_OK if verdict.holds else EXIT_FAILS
@@ -183,6 +189,8 @@ def _cmd_observe(args) -> int:
 
 
 def _cmd_check_formula(args) -> int:
+    from . import logic as logic_mod
+
     p = _term(args.p)
     f = _formula(args.formula)
     holds = logic_mod.sat(p, f)
@@ -191,6 +199,8 @@ def _cmd_check_formula(args) -> int:
 
 
 def _cmd_in_logic(args) -> int:
+    from . import logic as logic_mod
+
     sem = _semantics(args.semantics)
     f = _formula(args.formula)
     alphabet = _alphabet(args, fallback=logic_mod.formula_actions(f))
@@ -203,6 +213,8 @@ def _cmd_in_logic(args) -> int:
 
 
 def _cmd_distinguish(args) -> int:
+    from . import logic as logic_mod
+
     sem = _semantics(args.semantics)
     p, q = _term(args.p), _term(args.q)
     alphabet = _alphabet(args, fallback=None)
@@ -248,12 +260,16 @@ def _cmd_axioms(args) -> int:
 
 
 def _cmd_deter(args) -> int:
+    from . import operational as op_mod
+
     p = _term(args.p)
     _emit(args, {"term": render_term(p), "deterministic_form": render_term(op_mod.deter(p))})
     return EXIT_OK
 
 
 def _cmd_corpus(args) -> int:
+    from . import corpus as corpus_mod
+
     if args.path:
         try:
             with open(args.path) as handle:
@@ -276,6 +292,12 @@ def _alphabet(args, fallback):
     return fallback
 
 
+def _positive_int(text: str) -> int:
+    if not (text.isdecimal() and int(text) > 0):
+        raise argparse.ArgumentTypeError(f"must be a positive integer, not {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument(
@@ -296,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument(
         "--engine", choices=("direct", "observational", "operational"), default="direct"
     )
-    compare.add_argument("--cap", type=int, default=None)
+    compare.add_argument("--cap", type=_positive_int, default=None)
     compare.add_argument("p")
     compare.add_argument("q")
     compare.set_defaults(func=_cmd_compare)

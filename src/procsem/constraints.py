@@ -18,11 +18,10 @@ on the memoized, explicit-stack driver ``solve_game`` defined here.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .lts import initials, step, traces
-from .terms import CanonicalTerm
+from .terms import CanonicalTerm, Frozen
 
 __all__ = [
     "CONSTRAINTS",
@@ -42,12 +41,23 @@ __all__ = [
 # Fineness order U < C < I < T < S; used for reporting only.
 CONSTRAINTS = ("U", "C", "I", "T", "S")
 
-@dataclass(frozen=True, slots=True)
-class LocalObs:
+
+class LocalObs(Frozen):
     """Value of a local observation function at one state."""
 
-    constraint: str
-    value: object
+    __slots__ = ("constraint", "value")
+
+    def __init__(self, constraint: str, value):
+        object.__setattr__(self, "constraint", constraint)
+        object.__setattr__(self, "value", value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.constraint, self.value) == (other.constraint, other.value)
+
+    def __hash__(self):
+        return hash((self.constraint, self.value))
 
     def __repr__(self) -> str:
         return f"LocalObs({self.constraint}, {value_repr(self.constraint, self.value)})"

@@ -11,13 +11,12 @@ structure to stay exact without materializing the sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
 from .constraints import LocalObs, local_eq, local_geq, local_key, local_obs, value_repr
 from .lts import initials, step, successors
-from .terms import Action, CanonicalTerm, NIL, CanonicalTerm as CT, prefix, sum_terms
+from .terms import Action, CanonicalTerm, NIL, CanonicalTerm as CT, Frozen, prefix, sum_terms
 
 __all__ = [
     "LinearObs",
@@ -31,7 +30,6 @@ __all__ = [
     "enum_partial_possible_worlds",
     "bgo_member",
     "dbgo_member",
-    "bgo_count",
     "bgo_leq",
     "dbgo_leq",
     "ClosureSet",
@@ -48,12 +46,22 @@ class TruncationError(RuntimeError):
         super().__init__(message)
 
 
-@dataclass(frozen=True, slots=True)
-class LinearObs:
+class LinearObs(Frozen):
     """A decorated trace: head observation plus (action, observation) steps."""
 
-    head: LocalObs
-    steps: tuple[tuple[Action, LocalObs], ...]
+    __slots__ = ("head", "steps")
+
+    def __init__(self, head: LocalObs, steps: tuple[tuple[Action, LocalObs], ...]):
+        object.__setattr__(self, "head", head)
+        object.__setattr__(self, "steps", steps)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.head, self.steps) == (other.head, other.steps)
+
+    def __hash__(self):
+        return hash((self.head, self.steps))
 
     @property
     def constraint(self) -> str:
@@ -279,15 +287,6 @@ def _member(obs: BranchingObs, p: CanonicalTerm) -> bool:
 
 def dbgo_member(obs: BranchingObs, p: CanonicalTerm) -> bool:
     return obs.is_deterministic() and bgo_member(obs, p)
-
-
-@lru_cache(maxsize=None)
-def bgo_count(constraint: str, p: CanonicalTerm) -> int:
-    """Exact size of the (unbounded) branching-observation set of p."""
-    pairs = 0
-    for _, q in step(p):
-        pairs += bgo_count(constraint, q)
-    return 2**pairs
 
 
 def bgo_leq(constraint: str, p: CanonicalTerm, q: CanonicalTerm) -> bool:

@@ -518,7 +518,7 @@ def decide(sem: SemanticsId, p: CanonicalTerm, q: CanonicalTerm, cap: int | None
     if flavor == "b":
         return decide_nsim(sem.constraint, p, q)
     if flavor == "db":
-        return decide_db(sem.constraint, p, q, cap or DEFAULT_WORLD_CAP)
+        return decide_db(sem.constraint, p, q, DEFAULT_WORLD_CAP if cap is None else cap)
     if flavor == "bf":
         return decide_final_ready_sim(p, q)
     if flavor == "bf⊇":

@@ -18,7 +18,7 @@ the generic ``N:flavor`` syntax with ASCII fallbacks for the set symbols.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .terms import Frozen
 
 __all__ = [
     "SemanticsId",
@@ -47,30 +47,43 @@ class UnsupportedSemanticsError(ValueError):
         super().__init__(message + f"; supported ids: {', '.join(sorted(CLASSIC_NAMES))} or N:flavor")
 
 
-@dataclass(frozen=True, slots=True)
-class SemanticsId:
-    constraint: str
-    flavor: str
+class SemanticsId(Frozen):
+    """One point of the spectrum; its hash is computed once, when it is built."""
 
-    def __post_init__(self):
-        if self.flavor not in ALL_FLAVORS:
-            raise UnsupportedSemanticsError(f"unknown flavor {self.flavor!r}")
-        if self.flavor == "bisim":
-            if self.constraint != "B":
+    __slots__ = ("constraint", "flavor", "_hash")
+
+    def __init__(self, constraint: str, flavor: str):
+        if flavor not in ALL_FLAVORS:
+            raise UnsupportedSemanticsError(f"unknown flavor {flavor!r}")
+        if flavor == "bisim":
+            if constraint != "B":
                 raise UnsupportedSemanticsError("bisimilarity takes no constraint")
-            return
-        if self.constraint not in ("U", "C", "I", "T", "S"):
-            raise UnsupportedSemanticsError(f"unknown constraint {self.constraint!r}")
-        if self.flavor in ("bf", "bf⊇") and self.constraint != "I":
+        elif constraint not in ("U", "C", "I", "T", "S"):
+            raise UnsupportedSemanticsError(f"unknown constraint {constraint!r}")
+        elif flavor in ("bf", "bf⊇") and constraint != "I":
             raise UnsupportedSemanticsError("final-ready/final-failure branching exist only at constraint I")
-        if self.flavor in ("ER", "ERT") and self.constraint != "U":
+        elif flavor in ("ER", "ERT") and constraint != "U":
             raise UnsupportedSemanticsError("extended ready semantics live at constraint U")
-        if self.flavor in ("ECR", "ECRT") and self.constraint != "C":
+        elif flavor in ("ECR", "ECRT") and constraint != "C":
             raise UnsupportedSemanticsError("extended complete ready semantics live at constraint C")
-        if self.flavor == "meet" and self.constraint == "S":
+        elif flavor == "meet" and constraint == "S":
             raise UnsupportedSemanticsError(
                 "no meet at constraint S: the union of simulation classes is not a class"
             )
+        object.__setattr__(self, "constraint", constraint)
+        object.__setattr__(self, "flavor", flavor)
+        object.__setattr__(self, "_hash", hash((constraint, flavor)))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.constraint, self.flavor) == (other.constraint, other.flavor)
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"SemanticsId(constraint={self.constraint!r}, flavor={self.flavor!r})"
 
     def __str__(self) -> str:
         name = classic_name(self)

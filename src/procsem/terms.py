@@ -19,7 +19,6 @@ Two representations coexist:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Mapping
 
@@ -54,39 +53,88 @@ VAR_RE = re.compile(r"[X-Z][A-Za-z0-9_]*")
 Action = str
 
 
-class Term:
+class Frozen:
+    """Immutable values: ``__init__`` sets each field with ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Term(Frozen):
     """Base class for raw syntax trees."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class Nil(Term):
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ or NotImplemented
+
+    def __hash__(self):
+        return hash(())
+
     def __repr__(self) -> str:
         return "Nil()"
 
 
-@dataclass(frozen=True, slots=True)
 class Prefix(Term):
-    action: Action
-    body: Term
+    __slots__ = ("action", "body")
+
+    def __init__(self, action: Action, body: Term):
+        object.__setattr__(self, "action", action)
+        object.__setattr__(self, "body", body)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.action, self.body) == (other.action, other.body)
+
+    def __hash__(self):
+        return hash((self.action, self.body))
 
     def __repr__(self) -> str:
         return f"Prefix({self.action!r}, {self.body!r})"
 
 
-@dataclass(frozen=True, slots=True)
 class Choice(Term):
-    left: Term
-    right: Term
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Term, right: Term):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.left, self.right) == (other.left, other.right)
+
+    def __hash__(self):
+        return hash((self.left, self.right))
 
     def __repr__(self) -> str:
         return f"Choice({self.left!r}, {self.right!r})"
 
 
-@dataclass(frozen=True, slots=True)
 class Var(Term):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.name == other.name
+
+    def __hash__(self):
+        return hash((self.name,))
 
     def __repr__(self) -> str:
         return f"Var({self.name!r})"

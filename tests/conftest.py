@@ -1,7 +1,9 @@
 import random
+from functools import lru_cache
 
 import pytest
 
+from procsem.lts import step
 from procsem.terms import canonicalize, enumerate_terms, parse_term
 
 
@@ -44,3 +46,12 @@ def random3():
     """Seeded random depth-3 terms over {a, b, c}."""
     rng = random.Random(20240817)
     return tuple(random_term(rng, 3) for _ in range(120))
+
+
+@lru_cache(maxsize=None)
+def bgo_count(constraint: str, p) -> int:
+    """Exact size of the (unbounded) branching-observation set of p."""
+    pairs = 0
+    for _, q in step(p):
+        pairs += bgo_count(constraint, q)
+    return 2**pairs

@@ -52,6 +52,15 @@ def test_cap_exit_3(capsys):
     assert code == 3 and "cap" in err
 
 
+def test_cap_must_be_positive(capsys):
+    p = "a.0+a.b.0"
+    code, _, err = run(capsys, "compare", "--semantics", "PW", "--cap", "1", p, p)
+    assert code == 3 and "cap" in err
+    for cap in ("0", "-1", "x"):
+        code, _, err = run(capsys, "compare", "--semantics", "PW", "--cap", cap, p, p)
+        assert code == 2 and "positive integer" in err, cap
+
+
 def test_compare_cap_reaches_operational_engine(capsys):
     w = "a.b.0 + a.c.0 + a.d.0 + a.e.0 + a.(b.0+c.0) + a.(d.0+e.0)"
     code, _, err = run(capsys, "compare", "--engine", "operational", "--semantics", "F", "--cap", "5", w, w)

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import c
 from procsem.constraints import (
+    LocalObs,
     constraint_holds,
     local_eq,
     local_geq,
@@ -19,6 +20,17 @@ def test_local_obs_cases():
     assert local_obs("T", c("a.b.0")).value == {(), ("a",), ("a", "b")}
     assert local_obs("U", c("a.0")).value is None
     assert local_obs("S", c("a.0")).value is c("a.0")
+
+
+def test_local_obs_is_a_frozen_value():
+    obs = local_obs("I", c("b.0 + a.0"))
+    same = LocalObs("I", frozenset({"b", "a"}))
+    assert obs == same and hash(obs) == hash(same) == hash(("I", frozenset({"a", "b"})))
+    assert {same: 1}[obs] == 1
+    assert obs != LocalObs("T", obs.value) and obs != ("I", obs.value)
+    with pytest.raises(AttributeError):
+        obs.value = frozenset()
+    assert repr(obs) == "LocalObs(I, frozenset({'a', 'b'}))"
 
 
 def test_local_geq_examples():

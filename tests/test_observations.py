@@ -1,13 +1,14 @@
 import itertools
 import random
 
-from conftest import c
+import pytest
+
+from conftest import bgo_count, c
 from procsem.constraints import LocalObs, local_obs
 from procsem.lts import traces
 from procsem.observations import (
     BranchingObs,
     LinearObs,
-    bgo_count,
     bgo_leq,
     bgo_member,
     closure_apply,
@@ -30,6 +31,19 @@ def lgo(n, head, *steps):
 
 def offers(*names):
     return frozenset(names)
+
+
+def test_linear_obs_is_a_frozen_value():
+    head, tail = LocalObs("I", frozenset("a")), LocalObs("I", frozenset())
+    obs = LinearObs(head, (("a", tail),))
+    same = LinearObs(LocalObs("I", frozenset("a")), (("a", LocalObs("I", frozenset())),))
+    assert obs in enum_lgo("I", c("a.0"))
+    assert obs == same and hash(obs) == hash(same) == hash((head, (("a", tail),)))
+    assert {same: 1}[obs] == 1
+    assert obs != LinearObs(head, ()) and obs != (head, (("a", tail),))
+    with pytest.raises(AttributeError):
+        obs.steps = ()
+    assert repr(obs) == "<frozenset({'a'}),a,frozenset()>"
 
 
 def test_enum_lgo_examples():

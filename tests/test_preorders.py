@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import MANY_WORLDS, c
+from conftest import MANY_WORLDS, bgo_count, c
 from procsem.constraints import constraint_holds, local_obs
 from procsem.lts import initials, step
 from procsem.observations import BranchingObs, enum_lgo
@@ -24,7 +24,13 @@ from procsem.preorders import (
     sim_leq,
     spectrum_matrix,
 )
-from procsem.spectrum import CLASSIC_NAMES, SemanticsId, UnsupportedSemanticsError, parse_semantics
+from procsem.spectrum import (
+    CLASSIC_NAMES,
+    SemanticsId,
+    UnsupportedSemanticsError,
+    parse_semantics,
+    supported_ids,
+)
 
 
 def test_bisim_examples():
@@ -311,6 +317,22 @@ def test_semantics_id_validation():
     assert parse_semantics("I:lf⊇") == CLASSIC_NAMES["F"]
 
 
+def test_semantics_id_is_a_frozen_value():
+    sem = SemanticsId("I", "b")
+    assert sem == parse_semantics("RS") == parse_semantics("I:b")
+    assert hash(sem) == hash(parse_semantics("RS")) == hash(("I", "b"))
+    assert {parse_semantics("RS"): "RS"}[sem] == "RS"
+    assert sem != SemanticsId("I", "db") and sem != ("I", "b")
+    for other in supported_ids():
+        same = SemanticsId(other.constraint, other.flavor)
+        assert same == other == parse_semantics(str(other)) and hash(same) == hash(other)
+    with pytest.raises(AttributeError):
+        sem.flavor = "db"
+    with pytest.raises(AttributeError):
+        del sem.constraint
+    assert repr(sem) == "SemanticsId(constraint='I', flavor='b')"
+
+
 def test_reflexive_transitive_sampled(pool2):
     rng = random.Random(9)
     sems = [parse_semantics(s) for s in ("RS", "F", "RT", "RV", "JOIN", "PW", "PF", "2S", "ER")]
@@ -428,7 +450,7 @@ def _final_sim_match(obs, q, exact):
 
 
 def test_final_branching_against_enumeration(pool2):
-    from procsem.observations import bgo_count, bgo_member
+    from procsem.observations import bgo_member
 
     rng = random.Random(61)
     deciders = ((True, decide_final_ready_sim), (False, decide_final_failure_sim))
@@ -449,8 +471,6 @@ def test_final_branching_against_enumeration(pool2):
 
 
 def test_final_ready_sits_between_rsim_and_readiness(pool2):
-    from procsem.observations import bgo_count
-
     rng = random.Random(53)
     checked = 0
     while checked < 150:

@@ -33,6 +33,19 @@ def test_parse_base_cases():
     )
 
 
+def test_raw_terms_are_frozen_values():
+    t = parse_term("a.(X + 0)")
+    same = Prefix("a", Choice(Var("X"), Nil()))
+    assert t == same and hash(t) == hash(same) == hash(("a", Choice(Var("X"), Nil())))
+    assert {same: 1}[t] == 1
+    assert Nil() == Nil() and hash(Nil()) == hash(()) and Nil() != Var("X") and t != ("a", t.body)
+    with pytest.raises(AttributeError):
+        t.action = "b"
+    with pytest.raises(AttributeError):
+        Var("X").name = "Y"
+    assert repr(t) == "Prefix('a', Choice(Var('X'), Nil()))"
+
+
 def test_parse_variables_and_whitespace():
     assert parse_term("  X +a.Y ") == Choice(Var("X"), Prefix("a", Var("Y")))
     assert parse_term("a . 0") == Prefix("a", Nil())
