@@ -1,4 +1,4 @@
-"""Axiom schemas, soundness sweeps, head normal forms and proof replay.
+"""Axiom schemas, soundness sweeps, head-normal-form laws and proof replay.
 
 The catalog is generated from three schema families: the choice axioms (the
 bisimilarity base), one simulation axiom per constraint (conditional on the
@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import product
 from typing import Callable, Sequence
 
 from .lts import initials, traces
-from .observations import TruncationError
+from .operational import OPERATIONAL_ZS, saturate
 from .spectrum import SemanticsId, UnsupportedSemanticsError, parse_semantics
 from .terms import (
     CanonicalTerm,
@@ -39,8 +38,6 @@ __all__ = [
     "axiom_catalog",
     "SoundnessReport",
     "check_soundness",
-    "hnf",
-    "tehnf",
     "HnfLawReport",
     "verify_hnf_laws",
     "Derivation",
@@ -224,11 +221,7 @@ T_AXIOM = Axiom(
     action_vars=("a",),
 )
 
-_LINEAR_CONDITION = {
-    "l": "RT",
-    "l⊇": "FT",
-    "lf": "R",
-    "lf⊇": "F",
+_LINEAR_CONDITION = {flavor: z for z, flavor in OPERATIONAL_ZS.items()} | {
     "join": "R∧FT",
     "meet": "R∨FT",
 }
@@ -368,90 +361,7 @@ def check_soundness(
 
 
 # ---------------------------------------------------------------------------
-# Head normal forms
-
-
-def _restrict(t: CanonicalTerm, offer: frozenset[str], inside: bool) -> CanonicalTerm:
-    kept = tuple(s for s in t.summands if (s[0] in offer) == inside)
-    return CanonicalTerm(kept)
-
-
-_HNF_SEMANTICS = {"F": "lf⊇", "R": "lf", "FT": "l⊇", "RT": "l"}
-
-
-@lru_cache(maxsize=None)
-def hnf(z: str, p: CanonicalTerm) -> CanonicalTerm:
-    """Saturate p with every merged summand the reduction condition licenses."""
-    if z not in _HNF_SEMANTICS:
-        raise ValueError(f"head normal forms exist for F, R, FT, RT; got {z!r}")
-    cond = CONDITIONS["M_" + z]
-    groups: dict[str, list[CanonicalTerm]] = {}
-    for a, body in p.summands:
-        groups.setdefault(a, []).append(body)
-    extra = []
-    for a, bodies in groups.items():
-        union_offer = frozenset().union(*[initials(b) for b in bodies])
-        for i, base in enumerate(bodies):
-            for subset in _subsets(union_offer):
-                if not initials(base) <= subset:
-                    continue
-                merged = [base]
-                for j, other in enumerate(bodies):
-                    if j == i:
-                        continue
-                    inside = _restrict(other, subset, True)
-                    outside = _restrict(other, subset, False)
-                    if cond(base, inside, outside):
-                        merged.append(inside)
-                extra.append(prefix(a, sum_terms(*merged)))
-    return sum_terms(p, *extra)
-
-
-def _subsets(items: frozenset[str]):
-    items = sorted(items)
-    for mask in range(1 << len(items)):
-        yield frozenset(a for i, a in enumerate(items) if mask >> i & 1)
-
-
-def tehnf(observer: str, z: str, p: CanonicalTerm, cap: int = 20000) -> CanonicalTerm:
-    """Totally expanded head normal form: merges arbitrary decompositions of
-    sibling summands, with the condition read through the given observer
-    (I or T).  Combinatorial; guarded by a summand cap."""
-    if observer not in ("I", "T"):
-        raise ValueError("tehnf supports the I and T observers")
-    key = "M_" + ("" if observer == "I" else "T-") + z
-    cond = CONDITIONS[key]
-    groups: dict[str, list[CanonicalTerm]] = {}
-    for a, body in p.summands:
-        groups.setdefault(a, []).append(body)
-    extra = []
-    for a, bodies in groups.items():
-        for base in bodies:
-            merged_options: list[list[CanonicalTerm]] = [[]]
-            for other in bodies:
-                choices = [None]
-                for kept in _summand_splits(other):
-                    inside, outside = kept
-                    if cond(base, inside, outside):
-                        choices.append(inside)
-                merged_options = [
-                    opt + ([c] if c is not None else []) for opt in merged_options for c in choices
-                ]
-                if len(merged_options) > cap:
-                    raise TruncationError(
-                        f"tehnf expansion exceeds {cap} candidate summands", cap
-                    )
-            for opt in merged_options:
-                extra.append(prefix(a, sum_terms(base, *opt)))
-    return sum_terms(p, *extra)
-
-
-def _summand_splits(t: CanonicalTerm):
-    summands = t.summands
-    for mask in range(1 << len(summands)):
-        inside = tuple(s for i, s in enumerate(summands) if mask >> i & 1)
-        outside = tuple(s for i, s in enumerate(summands) if not mask >> i & 1)
-        yield CanonicalTerm(inside), CanonicalTerm(outside)
+# Head normal forms (operational.saturate) and their laws
 
 
 @dataclass
@@ -468,14 +378,15 @@ class HnfLawReport:
 
 
 def verify_hnf_laws(z: str, pool: Sequence[CanonicalTerm], pairs=None) -> HnfLawReport:
-    """Check that hnf is a Z-equivalent saturation and that related pairs
-    match summand-wise through the head normal form of the larger side."""
+    """Check that the head normal form (``operational.saturate``) is a
+    Z-equivalent saturation and that related pairs match summand-wise through
+    the head normal form of the larger side."""
     from . import preorders
 
-    sem = SemanticsId("I", _HNF_SEMANTICS[z])
+    sem = SemanticsId("I", OPERATIONAL_ZS[z])
     report = HnfLawReport(z=z)
     for p in pool:
-        h = hnf(z, p)
+        h = saturate(z, p)
         if not (preorders.decide(sem, h, p).holds and preorders.decide(sem, p, h).holds):
             report.equivalence_failures.append(p)
         report.terms_checked += 1
@@ -498,7 +409,7 @@ def verify_hnf_laws(z: str, pool: Sequence[CanonicalTerm], pairs=None) -> HnfLaw
         index = hnf_index.get(q)
         if index is None:
             index = hnf_index[q] = {}
-            for a, body in hnf(z, q).summands:
+            for a, body in saturate(z, q).summands:
                 index.setdefault(a, []).append(body)
         for a, derivative in p.summands:
             if not any(below(derivative, candidate) for candidate in index.get(a, ())):
@@ -530,7 +441,7 @@ def derive_leq(z: str, p: CanonicalTerm, q: CanonicalTerm) -> Derivation:
     """
     from . import preorders
 
-    sem = SemanticsId("I", _HNF_SEMANTICS[z])
+    sem = SemanticsId("I", OPERATIONAL_ZS[z])
     if not preorders.decide(sem, p, q).holds:
         raise ValueError(f"{render_term(p)} is not below {render_term(q)} in {sem}")
     derivation = Derivation(z=z, goal=(p, q))
@@ -546,7 +457,7 @@ def _derive(z, sem, p, q, derivation) -> None:
             raise AssertionError("nil is only below nil in the ready-simulation layers")
         derivation.record("refl", {"term": p})
         return
-    h = hnf(z, q)
+    h = saturate(z, q)
     derivation.record("hnf-saturate", {"from": q, "to": h, "z": z})
     by_action: dict[str, list[CanonicalTerm]] = {}
     for a, body in h.summands:

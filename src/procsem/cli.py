@@ -119,12 +119,12 @@ def _cmd_compare(args) -> int:
         elif engine == "operational":
             from . import operational as op_mod
 
-            table = {"lf⊇": "F", "lf": "R", "l⊇": "FT", "l": "RT"}
+            z_of = {flavor: z for z, flavor in op_mod.OPERATIONAL_ZS.items()}
             cap = op_mod.DEFAULT_SATURATION_CAP if args.cap is None else args.cap
             try:
-                if sem.constraint == "I" and sem.flavor in table:
-                    verdict = op_mod.decide_via_operational(table[sem.flavor], p, q, cap)
-                elif sem.constraint == "U" and sem.flavor in ("l", "l⊇", "lf", "lf⊇"):
+                if sem.constraint == "I" and sem.flavor in z_of:
+                    verdict = op_mod.decide_via_operational(z_of[sem.flavor], p, q, cap)
+                elif sem.constraint == "U" and sem.flavor in z_of:
                     verdict = op_mod.decide_T_via_operational(p, q, cap)
                 else:
                     raise CliError(f"operational engine does not cover {sem}", EXIT_USAGE)
@@ -298,6 +298,12 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _natural_int(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, not {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument(
@@ -336,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     observe = add_parser("observe", help="enumerate observations of a term")
     observe.add_argument("--kind", choices=("lgo", "bgo", "dbgo", "cdbgo", "pw"), required=True)
     observe.add_argument("--constraint", choices=("U", "C", "I", "T", "S"), default="I")
-    observe.add_argument("--max-nodes", type=int, default=64)
+    observe.add_argument("--max-nodes", type=_positive_int, default=64)
     observe.add_argument("p")
     observe.set_defaults(func=_cmd_observe)
 
@@ -367,10 +373,10 @@ def build_parser() -> argparse.ArgumentParser:
     ax_check = ax_sub.add_parser("check", parents=[shared])
     ax_check.add_argument("--semantics", required=True)
     ax_check.add_argument("--form", choices=("order", "equivalence"), default="order")
-    ax_check.add_argument("--depth", type=int, default=1)
-    ax_check.add_argument("--width", type=int, default=2)
+    ax_check.add_argument("--depth", type=_natural_int, default=1)
+    ax_check.add_argument("--width", type=_positive_int, default=2)
     ax_check.add_argument("--alphabet", default="a,b")
-    ax_check.add_argument("--max-instances", type=int, default=2000)
+    ax_check.add_argument("--max-instances", type=_positive_int, default=2000)
     ax_check.set_defaults(func=_cmd_axioms)
 
     deter = add_parser("deter", help="deterministic (trace-preserving) form")

@@ -1,26 +1,25 @@
 """The third decision pathway: saturate terms, then run plain machinery.
 
-A term is rewritten at top level by adding merged summands licensed by the
-reduction condition of the chosen linear semantics; the transition relation
-taken after saturation turns each linear semantics into a ready-simulation
-question (a plain-simulation question for traces).  Everything is computed
-modulo canonical forms, which keeps saturation finite.
+A term is saturated at top level: its summands are closed under the merge
+rule licensed by the reduction condition of the chosen linear semantics.
+The transitions of the saturated term turn each linear semantics into a
+ready-simulation question (a plain-simulation question for traces).
+Everything is computed modulo canonical forms, which keeps saturation
+finite; a cap on the number of summands bounds it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .constraints import simulates
 from .lts import initials, step
 from .preorders import HOLDS, Verdict
-from .terms import CanonicalTerm, prefix, render_term, sum_terms
+from .terms import CanonicalTerm, render_term, sum_terms
 
 __all__ = [
     "SaturationCapError",
-    "SaturatedState",
-    "nd_saturate",
+    "saturate",
     "step_Z",
     "reachable_Z",
     "decide_via_operational",
@@ -30,7 +29,8 @@ __all__ = [
     "OPERATIONAL_ZS",
 ]
 
-OPERATIONAL_ZS = ("F", "R", "FT", "RT")
+# The linear semantics the engine decides, by reduction condition: z -> flavor at I.
+OPERATIONAL_ZS = {"F": "lf⊇", "R": "lf", "FT": "l⊇", "RT": "l"}
 DEFAULT_SATURATION_CAP = 10_000
 
 
@@ -39,14 +39,8 @@ class SaturationCapError(RuntimeError):
         self.term = term
         self.cap = cap
         super().__init__(
-            f"saturation of {render_term(term)} exceeded {cap} states; raise the cap"
+            f"saturation of {render_term(term)} exceeded {cap} summands; raise the cap"
         )
-
-
-@dataclass(frozen=True)
-class SaturatedState:
-    base: CanonicalTerm
-    saturation: frozenset[CanonicalTerm]
 
 
 def _condition(z: str, observer: str):
@@ -63,39 +57,36 @@ def _condition(z: str, observer: str):
 
 
 @lru_cache(maxsize=None)
-def nd_saturate(
+def saturate(
     z: str, p: CanonicalTerm, cap: int = DEFAULT_SATURATION_CAP, observer: str = "I"
-) -> SaturatedState:
-    """Least set of terms reachable from p by top-level merge rewrites.
+) -> CanonicalTerm:
+    """p's summands closed under the merge rule, as one term.
 
-    A rewrite picks two same-action summands a.x and a.(y+w), splits the
-    second body, and, when the condition accepts (x, y, w), adds the summand
-    a.(x+y).  Closing under reflexivity/transitivity is the worklist loop.
-    A merged summand that t already has, or that an earlier rewrite of t
-    added, would only rebuild a term already seen, so it is skipped first.
+    The rule picks two same-action summands a.x and a.v, splits v into
+    y + w, and, when the condition accepts (x, y, w), adds the summand
+    a.(x+y).  A rewrite reads only the two summands it merges, so every
+    term that top-level merge rewrites reach from p is a sum of these
+    summands, and together they have exactly this term's transitions.
+    Each summand is merged with every earlier one in both roles (merged
+    with itself it gives itself back).  The cap counts summands.
     """
     cond = _condition(z, observer)
-    seen = {p}
-    work = [p]
-    while work:
-        t = work.pop()
-        merged = set(t.summands)
-        for a, x in t.summands:
-            for b, other in t.summands:
-                if b != a:
-                    continue
-                for y, w in _splits(other):
+    closure = list(p.summands)
+    seen = set(closure)
+    for i, new in enumerate(closure):  # also visits the summands appended below
+        for old in closure[:i]:
+            if new[0] != old[0]:
+                continue
+            for (a, x), (_, v) in ((new, old), (old, new)):
+                for y, w in _splits(v):
                     summand = (a, sum_terms(x, y))
-                    if summand in merged or not cond(x, y, w):
+                    if summand in seen or not cond(x, y, w):
                         continue
-                    merged.add(summand)
-                    new = sum_terms(t, prefix(*summand))
-                    if new not in seen:
-                        if len(seen) >= cap:
-                            raise SaturationCapError(p, cap)
-                        seen.add(new)
-                        work.append(new)
-    return SaturatedState(p, frozenset(seen))
+                    if len(closure) >= cap:
+                        raise SaturationCapError(p, cap)
+                    seen.add(summand)
+                    closure.append(summand)
+    return CanonicalTerm(tuple(sorted(closure)))
 
 
 @lru_cache(maxsize=None)
@@ -109,16 +100,12 @@ def _splits(t: CanonicalTerm):
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def step_Z(
     z: str, p: CanonicalTerm, cap: int = DEFAULT_SATURATION_CAP, observer: str = "I"
 ) -> tuple[tuple[str, CanonicalTerm], ...]:
     """Transitions available after any saturation rewrite; a superset of
     the plain transitions with the same initial actions."""
-    out = set()
-    for member in nd_saturate(z, p, cap, observer).saturation:
-        out.update(step(member))
-    return tuple(sorted(out))
+    return step(saturate(z, p, cap, observer))
 
 
 def reachable_Z(z: str, p: CanonicalTerm, cap: int = DEFAULT_SATURATION_CAP, observer: str = "I"):

@@ -157,7 +157,8 @@ def _supported_ids() -> tuple[SemanticsId, ...]:
         SemanticsId("C", "ECR"),
         SemanticsId("C", "ECRT"),
     ]
-    return tuple(out)
+    # the CLASSIC_NAMES objects themselves, so that classic_name hits on identity
+    return tuple(CLASSIC_NAMES.get(classic_name(sem), sem) for sem in out)
 
 
 _SUPPORTED_IDS = _supported_ids()

@@ -12,12 +12,11 @@ from procsem.axioms import (
     axiom_catalog,
     check_soundness,
     derive_leq,
-    hnf,
     nd_axiom,
     ns_axiom,
-    tehnf,
     verify_hnf_laws,
 )
+from procsem.operational import OPERATIONAL_ZS, saturate
 from procsem.preorders import decide, linear_holds
 from procsem.spectrum import UnsupportedSemanticsError, parse_semantics
 from procsem.terms import render_term
@@ -110,17 +109,17 @@ def test_equational_and_inequational_forms_agree_semantically(pool1):
 
 
 def test_hnf_examples():
-    assert hnf("F", c("a.b.0")) is c("a.b.0")
-    saturated = hnf("F", c("a.b.0 + a.c.0"))
+    assert saturate("F", c("a.b.0")) is c("a.b.0")
+    saturated = saturate("F", c("a.b.0 + a.c.0"))
     assert c("a.(b.0+c.0)").summands[0] in saturated.summands
-    assert hnf("RT", c("a.b.0 + a.c.0")) is c("a.b.0 + a.c.0")
-    assert hnf("F", c("0")) is c("0")
+    assert saturate("RT", c("a.b.0 + a.c.0")) is c("a.b.0 + a.c.0")
+    assert saturate("F", c("0")) is c("0")
 
 
 def test_hnf_idempotent_on_examples():
     for z in ("F", "R", "FT", "RT"):
-        t = hnf(z, c("a.b.0 + a.c.0 + b.0"))
-        assert hnf(z, t) is t
+        t = saturate(z, c("a.b.0 + a.c.0 + b.0"))
+        assert saturate(z, t) is t
 
 
 def test_verify_hnf_laws_small(pool1):
@@ -130,10 +129,10 @@ def test_verify_hnf_laws_small(pool1):
 
 
 def test_tehnf_small():
-    t = tehnf("I", "F", c("a.b.0 + a.c.0"))
+    t = saturate("F", c("a.b.0 + a.c.0"))
     assert c("a.(b.0+c.0)").summands[0] in t.summands
     # the trace-observer variant merges trace-included bodies only
-    t2 = tehnf("T", "RT", c("a.b.0 + a.c.0"))
+    t2 = saturate("RT", c("a.b.0 + a.c.0"), observer="T")
     assert t2 is c("a.b.0 + a.c.0")
     assert decide(parse_semantics("F"), t, c("a.b.0 + a.c.0")).holds
 
@@ -172,7 +171,7 @@ def test_axiom_instance_machinery():
 
 def test_derivation_reconstruction_depth2(pool2):
     rng = random.Random(47)
-    for z, flavor in (("F", "lf⊇"), ("R", "lf"), ("FT", "l⊇"), ("RT", "l")):
+    for z, flavor in OPERATIONAL_ZS.items():
         found = 0
         tried = 0
         while found < 60 and tried < 6000:

@@ -59,12 +59,31 @@ def test_cap_must_be_positive(capsys):
     for cap in ("0", "-1", "x"):
         code, _, err = run(capsys, "compare", "--semantics", "PW", "--cap", cap, p, p)
         assert code == 2 and "positive integer" in err, cap
+    check = ("axioms", "check", "--semantics", "F")
+    for option, value, message in (
+        ("--depth", "-1", "non-negative integer"),
+        ("--width", "0", "positive integer"),
+        ("--max-instances", "-1", "positive integer"),
+        ("--max-instances", "0", "positive integer"),
+    ):
+        code, _, err = run(capsys, *check, option, value)
+        assert code == 2 and message in err, option
+    code, _, err = run(capsys, "observe", "--kind", "bgo", "--max-nodes", "0", "a.b.0")
+    assert code == 2 and "positive integer" in err
 
 
 def test_compare_cap_reaches_operational_engine(capsys):
     w = "a.b.0 + a.c.0 + a.d.0 + a.e.0 + a.(b.0+c.0) + a.(d.0+e.0)"
     code, _, err = run(capsys, "compare", "--engine", "operational", "--semantics", "F", "--cap", "5", w, w)
     assert code == 3 and "cap" in err
+
+
+def test_operational_engine_on_a_depth3_term(capsys):
+    # the saturation of t has 32 summands; as a set of rewritten terms it
+    # passes 1,000 states
+    t = "a.0 + a.(a.(a.0 + c.0) + a.c.0) + a.(b.0 + b.(a.0 + c.0) + c.(b.0 + c.0))"
+    code, _, _ = run(capsys, "compare", "--engine", "operational", "--semantics", "F", t, t)
+    assert code == 0
 
 
 def test_final_ready_on_a_full_depth3_term(capsys):

@@ -1,9 +1,11 @@
 import itertools
 import random
+from functools import lru_cache
 
 import pytest
 
 from conftest import c
+from procsem.axioms import CONDITIONS
 from procsem.lts import initials, is_deterministic, step, traces
 from procsem.operational import (
     OPERATIONAL_ZS,
@@ -12,33 +14,92 @@ from procsem.operational import (
     decide_T_via_operational,
     decide_via_operational,
     deter,
-    nd_saturate,
     reachable_Z,
+    saturate,
     step_Z,
 )
 from procsem.preorders import linear_holds
+from procsem.terms import CanonicalTerm, prefix, sum_terms
+
+# six same-action summands: many rewrites of a state yield the same merged summand
+WIDE = " + ".join(f"a.{t}" for t in ("b.0", "c.0", "d.0", "e.0", "(b.0+c.0)", "(d.0+e.0)"))
+
+
+@lru_cache(maxsize=None)
+def _oracle_splits(t: CanonicalTerm):
+    summands = t.summands
+    return tuple(
+        (
+            CanonicalTerm(tuple(s for i, s in enumerate(summands) if mask >> i & 1)),
+            CanonicalTerm(tuple(s for i, s in enumerate(summands) if not mask >> i & 1)),
+        )
+        for mask in range(1 << len(summands))
+    )
+
+
+@lru_cache(maxsize=None)
+def saturation_oracle(z: str, p: CanonicalTerm, observer: str = "I", cap: int = 128):
+    """Every term that top-level merge rewrites reach from p, as an explicit
+    set of states, or None past `cap` states.  A rewrite picks two
+    same-action summands a.x and a.v of a state, splits v into y + w, and,
+    when the condition accepts (x, y, w), adds the summand a.(x+y)."""
+    cond = CONDITIONS["M_" + ("" if observer == "I" else "T-") + z]
+    seen = {p}
+    work = [p]
+    while work:
+        t = work.pop()
+        merged = set(t.summands)
+        for a, x in t.summands:
+            for b, other in t.summands:
+                if b != a:
+                    continue
+                for y, w in _oracle_splits(other):
+                    summand = (a, sum_terms(x, y))
+                    if summand in merged or not cond(x, y, w):
+                        continue
+                    merged.add(summand)
+                    new = sum_terms(t, prefix(*summand))
+                    if new not in seen:
+                        if len(seen) >= cap:
+                            return None
+                        seen.add(new)
+                        work.append(new)
+    return frozenset(seen)
 
 
 def test_saturation_examples():
     base = c("a.b.0 + a.c.0")
-    sat_f = nd_saturate("F", base)
-    assert c("a.b.0 + a.c.0 + a.(b.0 + c.0)") in sat_f.saturation
-    assert base in sat_f.saturation
-    sat_rt = nd_saturate("RT", base)
-    assert sat_rt.saturation == {base}
-    assert nd_saturate("F", c("0")).saturation == {c("0")}
+    sat_f = saturate("F", base)
+    assert sat_f is c("a.b.0 + a.c.0 + a.(b.0 + c.0)")
+    assert set(base.summands) <= set(sat_f.summands)
+    assert saturate("RT", base) is base
+    assert saturate("F", c("0")) is c("0")
 
 
 def test_saturation_members_stay_equivalent(pool2):
+    # the closure is the largest member of the saturation
     rng = random.Random(17)
-    sems = {"F": "lf⊇", "R": "lf", "FT": "l⊇", "RT": "l"}
-    for z, flavor in sems.items():
+    for z, flavor in OPERATIONAL_ZS.items():
         for p in rng.sample(list(pool2), 40):
-            for member in nd_saturate(z, p).saturation:
-                assert linear_holds("I", flavor, p, member)
-                assert linear_holds("I", flavor, member, p)
+            closure = saturate(z, p)
+            assert linear_holds("I", flavor, p, closure)
+            assert linear_holds("I", flavor, closure, p)
 
 
+def test_saturation_is_the_union_of_the_oracle_states(pool2, random3):
+    # step_Z reads the one closed term; the oracle unions the transitions of
+    # every state a rewrite sequence reaches
+    checked = 0
+    for p in pool2 + random3[:40]:
+        for z in OPERATIONAL_ZS:
+            for observer in ("I", "T"):
+                states = saturation_oracle(z, p, observer)
+                if states is None:
+                    continue
+                checked += 1
+                union = {move for state in states for move in step(state)}
+                assert set(step(saturate(z, p, observer=observer))) == union, (z, p, observer)
+    assert checked >= 2 * 4 * 280
 def test_step_Z_extends_and_preserves_initials(pool2):
     rng = random.Random(19)
     for z in OPERATIONAL_ZS:
@@ -54,21 +115,25 @@ def test_step_Z_example():
 
 
 def test_saturation_cap():
-    wide = c(" + ".join(f"a.{t}" for t in ("b.0", "c.0", "d.0", "e.0", "(b.0+c.0)", "(d.0+e.0)")))
+    wide = c(WIDE)
     with pytest.raises(SaturationCapError):
-        nd_saturate("F", wide, cap=5)
+        saturate("F", wide, cap=5)
+    # the cap counts summands: W closes at 15
+    assert len(saturate("F", wide, cap=15).summands) == 15
+    with pytest.raises(SaturationCapError, match="14 summands"):
+        saturate("F", wide, cap=14)
 
 
 def test_saturation_of_a_wide_term():
-    # six same-action summands: many rewrites of a state yield the same merged summand
-    wide = c(" + ".join(f"a.{t}" for t in ("b.0", "c.0", "d.0", "e.0", "(b.0+c.0)", "(d.0+e.0)")))
-    assert len(nd_saturate("F", wide).saturation) == 512
+    wide = c(WIDE)
+    states = saturation_oracle("F", wide, cap=1000)
+    assert len(states) == 512
+    assert set(step_Z("F", wide)) == {move for state in states for move in step(state)}
     assert decide_via_operational("F", wide, wide).holds == linear_holds("I", "lf⊇", wide, wide)
 
 
 def test_operational_agrees_with_direct_small(pool1):
-    sems = {"F": "lf⊇", "R": "lf", "FT": "l⊇", "RT": "l"}
-    for z, flavor in sems.items():
+    for z, flavor in OPERATIONAL_ZS.items():
         for p, q in itertools.product(pool1, repeat=2):
             assert decide_via_operational(z, p, q).holds == linear_holds("I", flavor, p, q)
 
@@ -114,13 +179,9 @@ def test_trace_observer_saturation_cross_check(pool1):
     # linear semantics on tiny terms
     from procsem.preorders import greatest_simulation
 
-    sems = {"R": "lf", "RT": "l"}
-    states = tuple(
-        dict.fromkeys(
-            s for p in pool1 for s in reachable_Z("R", p, observer="T")
-        )
-    )
-    for z, flavor in sems.items():
+    for z in ("R", "RT"):
+        flavor = OPERATIONAL_ZS[z]
+
         def stepper(t, _z=z):
             return step_Z(_z, t, observer="T")
 

@@ -28,6 +28,7 @@ from procsem.spectrum import (
     CLASSIC_NAMES,
     SemanticsId,
     UnsupportedSemanticsError,
+    classic_name,
     parse_semantics,
     supported_ids,
 )
@@ -331,6 +332,13 @@ def test_semantics_id_is_a_frozen_value():
     with pytest.raises(AttributeError):
         del sem.constraint
     assert repr(sem) == "SemanticsId(constraint='I', flavor='b')"
+
+
+def test_supported_ids_share_the_classic_objects():
+    named = [sem for sem in supported_ids() if classic_name(sem) is not None]
+    assert len(named) == len(CLASSIC_NAMES)
+    for sem in named:
+        assert sem is CLASSIC_NAMES[classic_name(sem)]
 
 
 def test_reflexive_transitive_sampled(pool2):
