@@ -21,7 +21,9 @@ import sys
 from . import preorders
 from .lts import step, transition_graph_dot
 from .observations import (
+    DEFAULT_WORLD_CAP,
     TruncationError,
+    check_world_cap,
     enum_bgo,
     enum_complete_dbgo,
     enum_dbgo,
@@ -29,7 +31,15 @@ from .observations import (
     enum_possible_worlds,
 )
 from .spectrum import UnsupportedSemanticsError, parse_semantics
-from .terms import OpenTermError, ParseError, canonicalize, parse_term, render_term, term_to_json
+from .terms import (
+    ACTION_RE,
+    OpenTermError,
+    ParseError,
+    canonicalize,
+    parse_term,
+    render_term,
+    term_to_json,
+)
 
 EXIT_OK = 0
 EXIT_FAILS = 1
@@ -104,7 +114,8 @@ def _cmd_compare(args) -> int:
             if sem.flavor == "b":
                 verdict = preorders.Verdict(bgo_leq(sem.constraint, p, q))
             elif sem.flavor == "db":
-                verdict = preorders.Verdict(dbgo_leq(sem.constraint, p, q))
+                cap = DEFAULT_WORLD_CAP if args.cap is None else args.cap
+                verdict = preorders.Verdict(dbgo_leq(sem.constraint, p, q, cap))
             elif sem.flavor in ("l⊇", "lf", "lf⊇"):
                 delta = {"l⊇": "⊇", "lf": "f", "lf⊇": "f⊇"}[sem.flavor]
                 verdict = preorders.Verdict(lgo_leq_via_closure(sem.constraint, delta, p, q))
@@ -174,12 +185,14 @@ def _cmd_observe(args) -> int:
             obs_set, truncated = fn(n, p, args.max_nodes)
             payload = [repr(o) for o in sorted(obs_set, key=lambda o: (o.nodes, o._key))]
         elif args.kind == "cdbgo":
+            check_world_cap(p)
             payload = [
                 repr(o)
                 for o in sorted(enum_complete_dbgo(n, p), key=lambda o: (o.nodes, o._key))
             ]
             truncated = False
         else:  # pw
+            check_world_cap(p)
             payload = sorted(render_term(w) for w in enum_possible_worlds(p))
             truncated = False
     except TruncationError as exc:
@@ -203,7 +216,7 @@ def _cmd_in_logic(args) -> int:
 
     sem = _semantics(args.semantics)
     f = _formula(args.formula)
-    alphabet = _alphabet(args, fallback=logic_mod.formula_actions(f))
+    alphabet = args.alphabet or logic_mod.formula_actions(f)
     try:
         member = logic_mod.in_sublogic(f, sem, alphabet)
     except UnsupportedSemanticsError as exc:
@@ -217,10 +230,9 @@ def _cmd_distinguish(args) -> int:
 
     sem = _semantics(args.semantics)
     p, q = _term(args.p), _term(args.q)
-    alphabet = _alphabet(args, fallback=None)
     try:
-        formula = logic_mod.distinguish(sem, p, q, alphabet)
-    except UnsupportedSemanticsError as exc:
+        formula = logic_mod.distinguish(sem, p, q, args.alphabet)
+    except ValueError as exc:  # an unsupported semantics, or actions the alphabet misses
         raise CliError(str(exc), EXIT_USAGE) from exc
     except TruncationError as exc:
         raise CliError(str(exc), EXIT_CAP) from exc
@@ -245,7 +257,7 @@ def _cmd_axioms(args) -> int:
     # check
     from .terms import enumerate_terms
 
-    alphabet = _alphabet(args, fallback=frozenset(("a", "b")))
+    alphabet = args.alphabet
     pool = list(enumerate_terms(alphabet, args.depth, args.width))
     reports = []
     violated = False
@@ -286,10 +298,12 @@ def _cmd_corpus(args) -> int:
     return EXIT_OK if report.ok else EXIT_FAILS
 
 
-def _alphabet(args, fallback):
-    if getattr(args, "alphabet", None):
-        return frozenset(args.alphabet.split(","))
-    return fallback
+def _alphabet_arg(text: str) -> frozenset:
+    actions = text.split(",")
+    bad = [a for a in actions if not ACTION_RE.fullmatch(a)]
+    if bad:
+        raise argparse.ArgumentTypeError(f"not an action: {bad[0]!r}")
+    return frozenset(actions)
 
 
 def _positive_int(text: str) -> int:
@@ -353,13 +367,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     inlogic = add_parser("in-logic", help="grammar membership of a formula")
     inlogic.add_argument("--semantics", required=True)
-    inlogic.add_argument("--alphabet", default=None)
+    inlogic.add_argument("--alphabet", type=_alphabet_arg, default=None)
     inlogic.add_argument("formula")
     inlogic.set_defaults(func=_cmd_in_logic)
 
     dist = add_parser("distinguish", help="synthesize a separating formula")
     dist.add_argument("--semantics", required=True)
-    dist.add_argument("--alphabet", default=None)
+    dist.add_argument("--alphabet", type=_alphabet_arg, default=None)
     dist.add_argument("p")
     dist.add_argument("q")
     dist.set_defaults(func=_cmd_distinguish)
@@ -375,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     ax_check.add_argument("--form", choices=("order", "equivalence"), default="order")
     ax_check.add_argument("--depth", type=_natural_int, default=1)
     ax_check.add_argument("--width", type=_positive_int, default=2)
-    ax_check.add_argument("--alphabet", default="a,b")
+    ax_check.add_argument("--alphabet", type=_alphabet_arg, default="a,b")
     ax_check.add_argument("--max-instances", type=_positive_int, default=2000)
     ax_check.set_defaults(func=_cmd_axioms)
 

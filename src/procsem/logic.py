@@ -3,9 +3,12 @@
 Formulas are Hennessy-Milner style with finite conjunction: top, conjunction,
 negation and action diamonds.  Each point of the spectrum owns a grammar; a
 preorder holds between two terms exactly when every grammar formula satisfied
-by the left one is satisfied by the right one.  When a decision procedure
-refutes a preorder, the refutation witness is converted into a formula of the
-corresponding grammar, giving an independently checkable certificate.
+by the left one is satisfied by the right one.  ``distinguish`` decides a
+preorder once and reads the refuting verdict's witness as a formula of the
+corresponding grammar, giving an independently checkable certificate: the
+refutation tree of a simulation or bisimulation game is walked once, by the
+decider, and each move becomes a diamond over the conjunction of its
+responses (negated for a bisimulation move of the right side).
 
 Grammar anatomy: each constraint N has a small base logic (what a single
 state shows), and the flavors assemble chains or trees whose per-state
@@ -19,9 +22,10 @@ import random
 from functools import lru_cache
 from itertools import product
 
-from .lts import initials, step, traces
+from .constraints import constraint_holds
+from .lts import completed_traces, initials, reachable, step, traces
 from .observations import BranchingObs, LinearObs
-from .preorders import nsim_holds, sim_leq
+from .preorders import decide, decide_linear, decide_nsim, sim_leq
 from .spectrum import SemanticsId, UnsupportedSemanticsError, parse_semantics
 from .terms import ACTION_RE, CanonicalTerm
 
@@ -45,7 +49,6 @@ __all__ = [
     "formula_from_observation",
     "distinguish",
     "sample_formulas",
-    "FORMULA_FLAVORS",
 ]
 
 
@@ -386,8 +389,6 @@ def _flatten(f: Formula):
 # ---------------------------------------------------------------------------
 # Sublogic membership
 
-FORMULA_FLAVORS = ("bisim", "b", "db", "l", "l⊇", "lf", "lf⊇", "l⊆", "lf⊆", "join", "meet")
-
 _MODE = {"l": "sym", "l⊇": "neg", "l⊆": "pos", "lf": "sym", "lf⊇": "neg", "lf⊆": "pos"}
 
 
@@ -655,9 +656,7 @@ def _branching_formula(constraint, obs: BranchingObs, alphabet, context) -> Form
 
 def distinguish(sem: SemanticsId | str, p: CanonicalTerm, q: CanonicalTerm, alphabet=None):
     """None when p lies below q in sem; otherwise a grammar formula that p
-    satisfies and q does not."""
-    from . import preorders
-
+    satisfies and q does not.  An alphabet must hold every action of p and q."""
     if isinstance(sem, str):
         sem = parse_semantics(sem)
     if sem.flavor in ("bf", "bf⊇", "ER", "ERT", "ECR", "ECRT"):
@@ -667,103 +666,70 @@ def distinguish(sem: SemanticsId | str, p: CanonicalTerm, q: CanonicalTerm, alph
             "the positive closure of the termination logic cannot pin 0; "
             "no distinguishing formulas for partial offers at constraint C"
         )
+    actions = frozenset(a for s in _joint_context(p, q) for a in initials(s))
     if alphabet is None:
-        alphabet = _term_actions(p) | _term_actions(q)
+        alphabet = actions
     alphabet = frozenset(alphabet)
+    if not actions <= alphabet:
+        raise ValueError(f"the alphabet misses the actions {', '.join(sorted(actions - alphabet))}")
 
-    if not preorders.decide(sem, p, q).holds:
-        f = _build_separator(sem, p, q, alphabet)
-        f = _minimize(f, sem, p, q, alphabet)
-        assert sat(p, f) and not sat(q, f) and in_sublogic(f, sem, alphabet)
-        return f
-    return None
-
-
-def _term_actions(p: CanonicalTerm) -> frozenset:
-    out = set()
-    for a, q in step(p):
-        out.add(a)
-        out |= _term_actions(q)
-    return frozenset(out)
+    verdict = decide(sem, p, q)
+    if verdict.holds:
+        return None
+    f = _minimize(_build_separator(sem, verdict, p, q, alphabet), sem, p, q, alphabet)
+    assert sat(p, f) and not sat(q, f) and in_sublogic(f, sem, alphabet)
+    return f
 
 
-def _build_separator(sem, p, q, alphabet) -> Formula:
-    from . import preorders
-
+def _build_separator(sem, verdict, p, q, alphabet) -> Formula:
+    """A formula that p satisfies and q does not, read off the refuting
+    verdict of sem; join refutes one of its two parts."""
     flavor = sem.flavor
-    if flavor == "bisim":
-        return _distinguish_bisim(p, q)
-    if flavor == "b":
-        return _distinguish_nsim(sem.constraint, p, q, alphabet, _joint_context(p, q))
+    if flavor in ("bisim", "b"):
+        return _refutation_formula(sem.constraint, verdict.witness, alphabet)
     if flavor == "db":
-        verdict = preorders.decide_db(sem.constraint, p, q)
         obs = verdict.witness["unmatched"]
         return _branching_formula(sem.constraint, obs, alphabet, _joint_context(p, q))
     if sem.constraint == "C":
         return _distinguish_completed(p, q, alphabet)
     if flavor == "join":
         for part in ("l⊇", "lf"):
-            if not preorders.decide_linear(sem.constraint, part, p, q).holds:
-                return _build_separator(SemanticsId(sem.constraint, part), p, q, alphabet)
+            verdict = decide_linear(sem.constraint, part, p, q)
+            if not verdict.holds:
+                return _build_separator(SemanticsId(sem.constraint, part), verdict, p, q, alphabet)
         raise AssertionError("join refuted but both components hold")
-    verdict = (
-        preorders.decide_linear(sem.constraint, flavor, p, q)
-    )
     witness = verdict.witness
     obs = witness["unmatched"]
-    context = _joint_context(p, q)
     if flavor == "meet" and witness.get("revival_action") is not None:
         return _revival_formula(sem.constraint, obs, witness["revival_action"], alphabet)
-    return formula_from_observation(obs, sem, alphabet, context)
+    return formula_from_observation(obs, sem, alphabet, _joint_context(p, q))
 
 
 def _joint_context(p, q):
-    from .lts import reachable
-
     return tuple(dict.fromkeys(reachable(p) + reachable(q)))
 
 
 def _revival_formula(constraint, obs: LinearObs, element, alphabet) -> Formula:
-    final = obs.final
     if constraint == "I":
-        head = conj(
-            Diamond(element, TOP),
-            *[Neg(Diamond(a, TOP)) for a in sorted(set(alphabet) - final.value)],
-        )
+        revived = Diamond(element, TOP)
     elif constraint == "T":
-        head = conj(
-            chain(element),
-            *[Neg(chain(tr)) for tr in _trace_complement(final.value, alphabet)],
-        )
+        revived = chain(element)
     else:
         raise UnsupportedSemanticsError(f"no revival formulas at constraint {constraint}")
-    return chain(obs.trace(), head)
+    return chain(obs.trace(), conj(revived, _pin(constraint, obs.final, alphabet, "neg")))
 
 
-def _distinguish_bisim(p, q) -> Formula:
-    for a, p2 in step(p):
-        responses = [q2 for b, q2 in step(q) if b == a]
-        if all(p2 is not q2 for q2 in responses):
-            return Diamond(a, conj(*[_distinguish_bisim(p2, q2) for q2 in responses]))
-    for a, q2 in step(q):
-        responses = [p2 for b, p2 in step(p) if b == a]
-        if all(q2 is not p2 for p2 in responses):
-            return Neg(Diamond(a, conj(*[_distinguish_bisim(q2, p2) for p2 in responses])))
-    raise AssertionError("bisimilar terms cannot be distinguished")
-
-
-def _distinguish_plain_sim(p, q) -> Formula:
-    """Positive formula with sat(p) and not sat(q); requires p not below q."""
-    for a, p2 in step(p):
-        responses = [q2 for b, q2 in step(q) if b == a]
-        if all(not sim_leq(p2, q2) for q2 in responses):
-            return Diamond(a, conj(*[_distinguish_plain_sim(p2, q2) for q2 in responses]))
-    raise AssertionError("simulated term cannot be distinguished")
+def _refutation_formula(constraint, node, alphabet) -> Formula:
+    """The formula a refutation tree of a simulation or bisimulation game
+    proves: its p side satisfies it and its q side does not."""
+    if node["kind"] == "constraint":
+        return _constraint_separator(constraint, node["p"], node["q"], alphabet)
+    responses = [_refutation_formula(constraint, sub, alphabet) for sub in node["responses"]]
+    f = Diamond(node["action"], conj(*responses))
+    return Neg(f) if node.get("side") == "right" else f
 
 
 def _constraint_separator(constraint, p, q, alphabet) -> Formula:
-    from .constraints import constraint_holds
-
     assert not constraint_holds(constraint, p, q)
     if constraint == "C":
         return Neg(not_zero(alphabet)) if p.is_nil else not_zero(alphabet)
@@ -780,31 +746,15 @@ def _constraint_separator(constraint, p, q, alphabet) -> Formula:
             return chain(extra[0])
         return Neg(chain(sorted(theirs - mine)[0]))
     if constraint == "S":
-        if not sim_leq(p, q):
-            return _distinguish_plain_sim(p, q)
-        return Neg(_distinguish_plain_sim(q, p))
+        verdict = decide_nsim("U", p, q)
+        if not verdict.holds:
+            return _refutation_formula("U", verdict.witness, alphabet)
+        return Neg(_refutation_formula("U", decide_nsim("U", q, p).witness, alphabet))
     raise AssertionError("the universal constraint never fails")
-
-
-def _distinguish_nsim(constraint, p, q, alphabet, context) -> Formula:
-    from .constraints import constraint_holds
-
-    if not constraint_holds(constraint, p, q):
-        return _constraint_separator(constraint, p, q, alphabet)
-    for a, p2 in step(p):
-        responses = [q2 for b, q2 in step(q) if b == a]
-        if all(not nsim_holds(constraint, p2, q2) for q2 in responses):
-            return Diamond(
-                a,
-                conj(*[_distinguish_nsim(constraint, p2, q2, alphabet, context) for q2 in responses]),
-            )
-    raise AssertionError("simulation holds; nothing to distinguish")
 
 
 def _distinguish_completed(p, q, alphabet) -> Formula:
     """All linear flavors at constraint C coincide with completed traces."""
-    from .lts import completed_traces
-
     trace_diff = sorted(traces(p) - traces(q), key=lambda t: (len(t), t))
     if trace_diff:
         return chain(trace_diff[0])

@@ -12,7 +12,7 @@ structure to stay exact without materializing the sets.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 
 from .constraints import LocalObs, local_eq, local_geq, local_key, local_obs, value_repr
 from .lts import initials, step, successors
@@ -28,6 +28,9 @@ __all__ = [
     "enum_complete_dbgo",
     "enum_possible_worlds",
     "enum_partial_possible_worlds",
+    "world_count",
+    "check_world_cap",
+    "DEFAULT_WORLD_CAP",
     "bgo_member",
     "dbgo_member",
     "bgo_leq",
@@ -36,6 +39,8 @@ __all__ = [
     "closure_apply",
     "lgo_leq_via_closure",
 ]
+
+DEFAULT_WORLD_CAP = 1 << 16
 
 
 class TruncationError(RuntimeError):
@@ -139,28 +144,32 @@ def enum_lgo(constraint: str, p: CanonicalTerm) -> frozenset[LinearObs]:
     return frozenset(out)
 
 
-def _child_pool(constraint: str, p: CanonicalTerm, budget: int) -> tuple[list, bool]:
-    pool = []
-    truncated = False
-    for a, q in step(p):
-        sub, sub_trunc = enum_bgo(constraint, q, budget)
-        truncated = truncated or sub_trunc
-        for c in sub:
-            pool.append((a, c))
-    pool.sort(key=lambda ac: (ac[1].nodes, ac[0], ac[1]._key))
-    return pool, truncated
-
-
 def enum_bgo(constraint: str, p: CanonicalTerm, max_nodes: int) -> tuple[frozenset[BranchingObs], bool]:
     """Branching observations of p with at most max_nodes nodes.
 
     Returns the set and a truncation flag; the flag is set whenever some
     observation of p was cut off by the bound.
     """
+    return _enum_branching(constraint, p, max_nodes, False)
+
+
+def enum_dbgo(constraint: str, p: CanonicalTerm, max_nodes: int) -> tuple[frozenset[BranchingObs], bool]:
+    """Deterministic branching observations of p within the node bound."""
+    return _enum_branching(constraint, p, max_nodes, True)
+
+
+def _enum_branching(constraint: str, p: CanonicalTerm, max_nodes: int, deterministic: bool):
+    """Observations of p within the node bound: every subset of the child
+    pool that fits, with at most one child per action if `deterministic`."""
     if max_nodes < 1:
         return frozenset(), True
     label = local_obs(constraint, p)
-    pool, truncated = _child_pool(constraint, p, max_nodes - 1)
+    pool, truncated = [], False
+    for a, q in step(p):
+        sub, sub_trunc = _enum_branching(constraint, q, max_nodes - 1, deterministic)
+        truncated = truncated or sub_trunc
+        pool.extend((a, c) for c in sub)
+    pool.sort(key=lambda ac: (ac[1].nodes, ac[0], ac[1]._key))
     out: set[BranchingObs] = set()
     cut = [truncated]
 
@@ -168,6 +177,8 @@ def enum_bgo(constraint: str, p: CanonicalTerm, max_nodes: int) -> tuple[frozens
         out.add(BranchingObs(label, frozenset(chosen)))
         for i in range(start, len(pool)):
             a, c = pool[i]
+            if deterministic and any(a == b for b, _ in chosen):
+                continue
             if used + c.nodes > max_nodes - 1:
                 cut[0] = True
                 continue
@@ -177,40 +188,21 @@ def enum_bgo(constraint: str, p: CanonicalTerm, max_nodes: int) -> tuple[frozens
     return frozenset(out), cut[0]
 
 
-def enum_dbgo(constraint: str, p: CanonicalTerm, max_nodes: int) -> tuple[frozenset[BranchingObs], bool]:
-    """Deterministic branching observations of p within the node bound."""
-    if max_nodes < 1:
-        return frozenset(), True
-    label = local_obs(constraint, p)
-    pool, truncated = _child_pool_deterministic(constraint, p, max_nodes - 1)
-    out: set[BranchingObs] = set()
-    cut = [truncated]
-
-    def extend(start: int, chosen: tuple, used_actions: frozenset, used: int) -> None:
-        out.add(BranchingObs(label, frozenset(chosen)))
-        for i in range(start, len(pool)):
-            a, c = pool[i]
-            if a in used_actions:
-                continue
-            if used + c.nodes > max_nodes - 1:
-                cut[0] = True
-                continue
-            extend(i + 1, chosen + ((a, c),), used_actions | {a}, used + c.nodes)
-
-    extend(0, (), frozenset(), 0)
-    return frozenset(out), cut[0]
+@lru_cache(maxsize=None)
+def world_count(p: CanonicalTerm) -> int:
+    """An upper bound, computed without enumerating, on the number of p's
+    complete deterministic observations and of its possible worlds."""
+    total = 1
+    for a in sorted(initials(p)):
+        total *= sum(world_count(q) for b, q in step(p) if b == a)
+    return total
 
 
-def _child_pool_deterministic(constraint: str, p: CanonicalTerm, budget: int) -> tuple[list, bool]:
-    pool = []
-    truncated = False
-    for a, q in step(p):
-        sub, sub_trunc = enum_dbgo(constraint, q, budget)
-        truncated = truncated or sub_trunc
-        for c in sub:
-            pool.append((a, c))
-    pool.sort(key=lambda ac: (ac[1].nodes, ac[0], ac[1]._key))
-    return pool, truncated
+def check_world_cap(p: CanonicalTerm, cap: int = DEFAULT_WORLD_CAP) -> None:
+    """Raise TruncationError before enumerating more than `cap` worlds of p."""
+    count = world_count(p)
+    if count > cap:
+        raise TruncationError(f"{count} complete deterministic observations exceed the cap {cap}", cap)
 
 
 @lru_cache(maxsize=None)
@@ -314,12 +306,14 @@ def _covered(constraint: str, p: CanonicalTerm, candidates: tuple[CanonicalTerm,
     return False
 
 
-def dbgo_leq(constraint: str, p: CanonicalTerm, q: CanonicalTerm) -> bool:
+def dbgo_leq(constraint: str, p: CanonicalTerm, q: CanonicalTerm, cap: int = DEFAULT_WORLD_CAP) -> bool:
     """Inclusion of deterministic branching-observation sets.
 
     Every deterministic observation extends to a complete one and pruning
-    preserves membership, so checking the complete ones suffices.
+    preserves membership, so checking the complete ones suffices.  Raises
+    TruncationError when p has more than `cap` worlds.
     """
+    check_world_cap(p, cap)
     return all(bgo_member(obs, q) for obs in enum_complete_dbgo(constraint, p))
 
 
@@ -387,14 +381,8 @@ def _label_domain(constraint: str, alphabet: frozenset[Action]) -> list[LocalObs
         return [LocalObs("U", None)]
     if constraint == "C":
         return [LocalObs("C", False), LocalObs("C", True)]
-    subsets = [frozenset(c) for r in range(len(alphabet) + 1) for c in _combos(sorted(alphabet), r)]
+    subsets = [frozenset(c) for r in range(len(alphabet) + 1) for c in combinations(sorted(alphabet), r)]
     return [LocalObs("I", s) for s in subsets]
-
-
-def _combos(items, r):
-    from itertools import combinations
-
-    return combinations(items, r)
 
 
 def closure_apply(delta: str, obs_set, constraint: str) -> ClosureSet:

@@ -35,11 +35,14 @@ from .constraints import (
 )
 from .lts import initials, reachable, step, successors
 from .observations import (
+    DEFAULT_WORLD_CAP,
     BranchingObs,
     LinearObs,
     TruncationError,
     bgo_member,
+    check_world_cap,
     enum_complete_dbgo,
+    world_count,  # read as preorders.world_count too
 )
 from .spectrum import SemanticsId, classic_name, supported_ids
 from .terms import CanonicalTerm, render_term
@@ -65,8 +68,6 @@ __all__ = [
     "lgo_json",
     "DEFAULT_WORLD_CAP",
 ]
-
-DEFAULT_WORLD_CAP = 1 << 16
 
 
 class Verdict:
@@ -208,30 +209,21 @@ def decide_bisim(p: CanonicalTerm, q: CanonicalTerm) -> Verdict:
 
 
 def _bisim_refutation(p: CanonicalTerm, q: CanonicalTerm) -> dict:
-    for a, p2 in step(p):
-        responses = [q2 for b, q2 in step(q) if b == a]
-        if all(p2 is not q2 for q2 in responses):
-            return {
-                "kind": "move",
-                "side": "left",
-                "action": a,
-                "p": p,
-                "q": q,
-                "after_p": p2,
-                "responses": [_bisim_refutation(p2, q2) for q2 in responses],
-            }
-    for a, q2 in step(q):
-        responses = [p2 for b, p2 in step(p) if b == a]
-        if all(q2 is not p2 for p2 in responses):
-            return {
-                "kind": "move",
-                "side": "right",
-                "action": a,
-                "p": p,
-                "q": q,
-                "after_p": q2,
-                "responses": [_bisim_refutation(p2, q2) for p2 in responses],
-            }
+    """A move of p (left) or of q (right) that no same-action move of the
+    other side answers bisimilarly; each response refutes (moved state, answer)."""
+    for side, mover, other in (("left", p, q), ("right", q, p)):
+        for a, moved in step(mover):
+            responses = [r for b, r in step(other) if b == a]
+            if all(moved is not r for r in responses):
+                return {
+                    "kind": "move",
+                    "side": side,
+                    "action": a,
+                    "p": p,
+                    "q": q,
+                    "after_p": moved,
+                    "responses": [_bisim_refutation(moved, r) for r in responses],
+                }
     raise AssertionError("refutation requested for bisimilar terms")
 
 
@@ -390,14 +382,6 @@ def decide_linear(constraint: str, flavor: str, p: CanonicalTerm, q: CanonicalTe
 
 
 @lru_cache(maxsize=None)
-def world_count(p: CanonicalTerm) -> int:
-    total = 1
-    for a in sorted(initials(p)):
-        total *= sum(world_count(q) for b, q in step(p) if b == a)
-    return total
-
-
-@lru_cache(maxsize=None)
 def _sorted_dbgos(constraint: str, p: CanonicalTerm) -> tuple[BranchingObs, ...]:
     """The complete deterministic observations of p, least first by (nodes, key)."""
     return tuple(sorted(enum_complete_dbgo(constraint, p), key=lambda o: (o.nodes, o._key)))
@@ -411,11 +395,7 @@ def decide_db(
     Complete deterministic observations suffice: every deterministic
     observation extends to a complete one, and membership survives pruning.
     """
-    count = world_count(p)
-    if count > cap:
-        raise TruncationError(
-            f"{count} complete deterministic observations exceed the cap {cap}", cap
-        )
+    check_world_cap(p, cap)
     for obs in _sorted_dbgos(constraint, p):
         if not bgo_member(obs, q):
             return Verdict(False, {"kind": "dbgo", "unmatched": obs})

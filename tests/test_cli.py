@@ -50,6 +50,20 @@ def test_parse_error_exit_2(capsys):
 def test_cap_exit_3(capsys):
     code, _, err = run(capsys, "compare", "--semantics", "PW", MANY_WORLDS, MANY_WORLDS)
     assert code == 3 and "cap" in err
+    # the world count is checked before any enumeration, on every engine
+    for argv in (
+        ("compare", "--engine", "observational", "--semantics", "PW", MANY_WORLDS, MANY_WORLDS),
+        ("observe", "--kind", "cdbgo", MANY_WORLDS),
+        ("observe", "--kind", "pw", MANY_WORLDS),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == "" and err.count("\n") == 1 and "exceed the cap 65536" in err, argv
+    six = "a.0 + a.b.0 + b.0 + b.c.0 + b.d.0"
+    observational = ("compare", "--engine", "observational", "--semantics", "PW")
+    code, _, err = run(capsys, *observational, "--cap", "5", six, six)
+    assert code == 3 and "6 complete deterministic observations exceed the cap 5" in err
+    code, _, _ = run(capsys, *observational, "--cap", "6", six, six)
+    assert code == 0
 
 
 def test_cap_must_be_positive(capsys):
@@ -70,6 +84,13 @@ def test_cap_must_be_positive(capsys):
         assert code == 2 and message in err, option
     code, _, err = run(capsys, "observe", "--kind", "bgo", "--max-nodes", "0", "a.b.0")
     assert code == 2 and "positive integer" in err
+    for alphabet in (",a", "a,b,1", "a,,b", "", "A"):
+        for argv in (check, ("in-logic", "--semantics", "F", "<a>T"), ("distinguish", "--semantics", "F", "a.0", "b.0")):
+            code, _, err = run(capsys, *argv, "--alphabet", alphabet)
+            assert code == 2 and "not an action" in err, (argv, alphabet)
+    for sem in ("RT", "F", "RS", "PW", "B", "T"):
+        code, out, err = run(capsys, "distinguish", "--semantics", sem, "--alphabet", "a", "a.0", "a.b.0")
+        assert code == 2 and out == "" and err == "error: the alphabet misses the actions b\n", sem
 
 
 def test_compare_cap_reaches_operational_engine(capsys):

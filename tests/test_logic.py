@@ -274,6 +274,14 @@ def test_distinguish_rejections():
         distinguish("C:lf⊆", c("a.0"), c("a.b.0"))
 
 
+def test_distinguish_needs_every_action_in_the_alphabet():
+    p, q = c("a.0"), c("a.b.0 + c.0")
+    for sem in ("RT", "F", "RS", "PW", "B", "T"):
+        with pytest.raises(ValueError, match="the alphabet misses the actions b, c"):
+            distinguish(sem, p, q, frozenset("a"))
+    assert distinguish("T", q, p, frozenset("abc")) is not None
+
+
 def test_distinguish_examples():
     # possible-worlds counterexample formula
     p = c("a.b.c.0 + a.(b.c.0+d.0) + a.b.0")

@@ -161,6 +161,29 @@ def test_enum_dbgo_examples():
         assert obs.is_deterministic()
 
 
+def test_dbgo_are_the_deterministic_bgo(pool1):
+    for n in ("U", "C", "I", "T", "S"):
+        for p in pool1:
+            for max_nodes in range(1, 6):
+                full, _ = enum_bgo(n, p, max_nodes)
+                det, _ = enum_dbgo(n, p, max_nodes)
+                assert det == {o for o in full if o.is_deterministic()}
+
+
+def test_dbgo_leq_checks_the_world_cap():
+    from conftest import MANY_WORLDS
+    from procsem.observations import TruncationError, world_count
+
+    big = c(MANY_WORLDS)
+    assert world_count(big) == 294912 and preorders.world_count is world_count
+    with pytest.raises(TruncationError, match="294912 complete deterministic observations exceed the cap 65536"):
+        dbgo_leq("I", big, big)
+    small = c("a.0 + a.b.0 + b.0 + b.c.0 + b.d.0")
+    with pytest.raises(TruncationError, match="exceed the cap 5"):
+        dbgo_leq("I", small, small, cap=5)
+    assert dbgo_leq("I", small, small, cap=6)
+
+
 def test_complete_dbgo_examples():
     assert enum_complete_dbgo("I", c("0")) == {bgo_of("I", offers())}
     assert len(enum_complete_dbgo("I", c("a.b.0 + a.c.0"))) == 2

@@ -73,6 +73,39 @@ def _replay_sim_refutation(n, node):
         _replay_sim_refutation(n, sub)
 
 
+def test_bisim_witness_replays(pool2):
+    rng = random.Random(4)
+    refuted = 0
+    for _ in range(300):
+        p, q = rng.choice(pool2), rng.choice(pool2)
+        verdict = decide_bisim(p, q)
+        if verdict.holds:
+            assert p is q and verdict.witness is None
+        else:
+            refuted += 1
+            _replay_bisim_refutation(p, q, verdict.witness)
+    assert refuted > 250
+    # a right-side move: q's a-move to b.0 is answered by p's a-move to a.0
+    node = decide_bisim(c("a.a.0"), c("a.a.0 + a.b.0")).witness
+    assert node["side"] == "right" and node["after_p"] is c("b.0")
+    assert [(sub["p"], sub["q"]) for sub in node["responses"]] == [(c("b.0"), c("a.0"))]
+
+
+def _replay_bisim_refutation(p, q, node):
+    """A node refutes (p, q): its move exists on its side, its responses are
+    exactly the other side's same-action moves, and each response refutes
+    (moved state, answer), none of them by an identical answer."""
+    assert node["kind"] == "move" and (node["p"], node["q"]) == (p, q)
+    mover, other = (p, q) if node["side"] == "left" else (q, p)
+    a, moved = node["action"], node["after_p"]
+    assert (a, moved) in step(mover)
+    answers = [r for b, r in step(other) if b == a]
+    assert len(answers) == len(node["responses"])
+    for answer, sub in zip(answers, node["responses"]):
+        assert answer is not moved
+        _replay_bisim_refutation(moved, answer, sub)
+
+
 def test_linear_examples_failures_readiness():
     # failure-below across a widened offer
     assert decide_linear("I", "lf⊇", c("a.b.0"), c("a.0 + a.(b.0+c.0)")).holds
