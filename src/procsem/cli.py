@@ -23,6 +23,7 @@ from .lts import step, transition_graph_dot
 from .observations import (
     DEFAULT_WORLD_CAP,
     TruncationError,
+    check_branching_cap,
     check_world_cap,
     enum_bgo,
     enum_complete_dbgo,
@@ -182,6 +183,7 @@ def _cmd_observe(args) -> int:
             truncated = False
         elif args.kind in ("bgo", "dbgo"):
             fn = enum_bgo if args.kind == "bgo" else enum_dbgo
+            check_branching_cap(p, args.max_nodes, args.kind == "dbgo")
             obs_set, truncated = fn(n, p, args.max_nodes)
             payload = [repr(o) for o in sorted(obs_set, key=lambda o: (o.nodes, o._key))]
         elif args.kind == "cdbgo":

@@ -12,6 +12,7 @@ structure to stay exact without materializing the sets.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import comb
 from itertools import combinations, product
 
 from .constraints import LocalObs, local_eq, local_geq, local_key, local_obs, value_repr
@@ -30,6 +31,7 @@ __all__ = [
     "enum_partial_possible_worlds",
     "world_count",
     "check_world_cap",
+    "check_branching_cap",
     "DEFAULT_WORLD_CAP",
     "bgo_member",
     "dbgo_member",
@@ -203,6 +205,43 @@ def check_world_cap(p: CanonicalTerm, cap: int = DEFAULT_WORLD_CAP) -> None:
     count = world_count(p)
     if count > cap:
         raise TruncationError(f"{count} complete deterministic observations exceed the cap {cap}", cap)
+
+
+def check_branching_cap(
+    p: CanonicalTerm, max_nodes: int, deterministic: bool, cap: int = DEFAULT_WORLD_CAP
+) -> None:
+    """Raise TruncationError before `enum_bgo` (`enum_dbgo` if
+    `deterministic`) may enumerate more than `cap` observations of p."""
+    if sum(_sized_counts(p, max_nodes, deterministic)) > cap:
+        kind = "deterministic branching" if deterministic else "branching"
+        raise TruncationError(f"the {kind} observations within {max_nodes} nodes exceed the cap {cap}", cap)
+
+
+@lru_cache(maxsize=None)
+def _sized_counts(p: CanonicalTerm, max_nodes: int, deterministic: bool) -> tuple[int, ...]:
+    """Entry k bounds the number of p's observations with k + 1 nodes.  An
+    observation is a set of child pairs (at most one per action if
+    `deterministic`), so the counts by size are the coefficients of a
+    product of one factor per child pool, truncated at max_nodes; an
+    observation that two pool entries give is counted twice."""
+    if max_nodes < 1:
+        return ()
+    counts = [1] + [0] * (max_nodes - 1)  # by the number of nodes below the root
+
+    def times(factor: list[tuple[int, int]]) -> None:
+        counts[:] = [sum(c * counts[k - size] for size, c in factor if size <= k) for k in range(max_nodes)]
+
+    pools: dict[Action, list[tuple[int, int]]] = {}
+    for a, q in step(p):
+        sub = _sized_counts(q, max_nodes - 1, deterministic)
+        pools.setdefault(a, []).extend((k + 1, c) for k, c in enumerate(sub) if c)
+    for pool in pools.values():
+        if deterministic:  # no a-child, or one from the pool
+            times([(0, 1)] + pool)
+            continue
+        for size, c in pool:  # any subset of the c children of this size
+            times([(j * size, comb(c, j)) for j in range(min(c, (max_nodes - 1) // size) + 1)])
+    return tuple(counts)
 
 
 @lru_cache(maxsize=None)

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .constraints import simulates
 from .lts import initials, step
-from .preorders import HOLDS, Verdict
+from .preorders import Verdict, decide_nsim
 from .terms import CanonicalTerm, render_term, sum_terms
 
 __all__ = [
@@ -137,17 +136,16 @@ def decide_via_operational(
     observer: str = "I",
 ) -> Verdict:
     """Ready simulation over the saturated transition system decides the
-    linear semantics named by z."""
-    holds = simulates("I", p, q, _stepper(z, cap, observer))
-    return HOLDS if holds else Verdict(False, {"kind": "operational", "z": z})
+    linear semantics named by z.  A negative verdict's witness is the
+    refutation of that game, over the saturated transitions on both sides."""
+    return decide_nsim("I", p, q, _stepper(z, cap, observer))
 
 
 def decide_T_via_operational(
     p: CanonicalTerm, q: CanonicalTerm, cap: int = DEFAULT_SATURATION_CAP
 ) -> Verdict:
     """Plain simulation over the failures-saturated system decides traces."""
-    holds = simulates("U", p, q, _stepper("F", cap, "I"))
-    return HOLDS if holds else Verdict(False, {"kind": "operational", "z": "T"})
+    return decide_nsim("U", p, q, _stepper("F", cap, "I"))
 
 
 @lru_cache(maxsize=None)

@@ -4,11 +4,11 @@ Three families of procedures live here:
 
 * constrained simulations (the branching backbone), played as memoized
   games on the driver of ``constraints``,
-* linear deciders, the extended-ready family included: one scan, under the
-  flavor's rule from a table, over per-term tables that map each trace to
-  the raw label values of its decorated traces (built per subterm from the
-  successors' tables, with no observation objects), stopping at the first
-  trace with an unmatched value,
+* linear deciders, the extended-ready family included: one set inclusion
+  of per-term tables of decorated traces as (trace, raw label values)
+  pairs (built per subterm from the successors' tables, with no
+  observation objects), the flavor's rule from a table matching only the
+  pairs the inclusion leaves; the ordered scan runs for witnesses only,
 * the exotic deciders: deterministic branching and final-ready/final-failure
   branching (a coverage game on the same driver).
 
@@ -21,7 +21,8 @@ first read, so deciding alone pays for no witness.
 from __future__ import annotations
 
 import operator
-from functools import lru_cache, partial
+from functools import lru_cache
+from itertools import repeat
 from typing import Iterable
 
 from .constraints import (
@@ -72,18 +73,18 @@ __all__ = [
 
 class Verdict:
     """Whether a preorder holds, and the witness of a negative answer.  A
-    `build` callable, when given, makes the witness on its first read, so a
-    decision whose witness nobody reads pays for none."""
+    `build` callable, when given, makes the witness from `args` on its first
+    read, so a decision whose witness nobody reads pays for none."""
 
-    __slots__ = ("holds", "_witness", "_build")
+    __slots__ = ("holds", "_witness", "_build", "_args")
 
-    def __init__(self, holds: bool, witness: object = None, build=None):
-        self.holds, self._witness, self._build = holds, witness, build
+    def __init__(self, holds: bool, witness: object = None, build=None, *args):
+        self.holds, self._witness, self._build, self._args = holds, witness, build, args
 
     @property
     def witness(self):
         if self._build is not None:
-            self._witness, self._build = self._build(), None
+            self._witness, self._build, self._args = self._build(*self._args), None, ()
         return self._witness
 
     def __bool__(self) -> bool:
@@ -171,8 +172,9 @@ def sim_leq(p: CanonicalTerm, q: CanonicalTerm) -> bool:
     return simulates("U", p, q)
 
 
-def _sim_refutation(constraint: str, p: CanonicalTerm, q: CanonicalTerm) -> dict:
-    """Replayable refutation tree for a failed constrained simulation."""
+def _sim_refutation(constraint: str, p: CanonicalTerm, q: CanonicalTerm, stepper=step) -> dict:
+    """Replayable refutation tree for a failed constrained simulation, with
+    `stepper` as the transition relation on both sides."""
     if not constraint_holds(constraint, p, q):
         return {
             "kind": "constraint",
@@ -180,24 +182,25 @@ def _sim_refutation(constraint: str, p: CanonicalTerm, q: CanonicalTerm) -> dict
             "p": p,
             "q": q,
         }
-    for a, p2 in step(p):
-        responses = [q2 for b, q2 in step(q) if b == a]
-        if all(not simulates(constraint, p2, q2) for q2 in responses):
+    for a, p2 in stepper(p):
+        responses = [q2 for b, q2 in stepper(q) if b == a]
+        if all(not simulates(constraint, p2, q2, stepper) for q2 in responses):
             return {
                 "kind": "move",
                 "action": a,
                 "p": p,
                 "q": q,
                 "after_p": p2,
-                "responses": [_sim_refutation(constraint, p2, q2) for q2 in responses],
+                "responses": [_sim_refutation(constraint, p2, q2, stepper) for q2 in responses],
             }
     raise AssertionError("refutation requested for a holding pair")
 
 
-def decide_nsim(constraint: str, p: CanonicalTerm, q: CanonicalTerm) -> Verdict:
-    if simulates(constraint, p, q):
+def decide_nsim(constraint: str, p: CanonicalTerm, q: CanonicalTerm, stepper=step) -> Verdict:
+    """The constrained simulation with `stepper` as the transition relation."""
+    if simulates(constraint, p, q, stepper):
         return HOLDS
-    return Verdict(False, build=partial(_sim_refutation, constraint, p, q))
+    return Verdict(False, None, _sim_refutation, constraint, p, q, stepper)
 
 
 def decide_bisim(p: CanonicalTerm, q: CanonicalTerm) -> Verdict:
@@ -205,7 +208,7 @@ def decide_bisim(p: CanonicalTerm, q: CanonicalTerm) -> Verdict:
     are a complete axiomatization of bisimilarity for finite terms)."""
     if p is q:
         return HOLDS
-    return Verdict(False, build=partial(_bisim_refutation, p, q))
+    return Verdict(False, None, _bisim_refutation, p, q)
 
 
 def _bisim_refutation(p: CanonicalTerm, q: CanonicalTerm) -> dict:
@@ -232,21 +235,31 @@ def _bisim_refutation(p: CanonicalTerm, q: CanonicalTerm) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _trace_values(constraint: str, p: CanonicalTerm) -> dict:
-    """trace -> frozenset of the label-value tuples of p's decorated traces
-    on it, built from the tables of p's successors."""
+def _trace_table(constraint: str, p: CanonicalTerm) -> tuple[frozenset, frozenset]:
+    """(items, finals) of p's decorated traces: the (trace, label-value
+    tuple) pairs, built from the successors' items, and the (trace, final
+    value) pairs; index 1 (True) is what final-only rules compare."""
     head = local_obs(constraint, p).value
-    table = {(): {(head,)}}
+    items = {((), (head,))}
     for a, q in step(p):
-        for trace, tails in _trace_values(constraint, q).items():
-            table.setdefault((a,) + trace, set()).update((head,) + xs for xs in tails)
-    return {trace: frozenset(values) for trace, values in table.items()}
+        items.update(((a,) + trace, (head,) + xs) for trace, xs in _trace_table(constraint, q)[0])
+    return frozenset(items), frozenset((trace, xs[-1]) for trace, xs in items)
+
+
+@lru_cache(maxsize=None)
+def _pools(constraint: str, q: CanonicalTerm, final_only: bool) -> dict:
+    """trace -> q's value tuples on it, or its final values if `final_only`."""
+    pools: dict = {}
+    for trace, x in _trace_table(constraint, q)[final_only]:
+        pools.setdefault(trace, []).append(x)
+    return {trace: frozenset(xs) for trace, xs in pools.items()}
 
 
 @lru_cache(maxsize=None)
 def _lgo_index(constraint: str, p: CanonicalTerm) -> dict:
-    """trace -> (value tuples, final values), traces in (len, trace) order."""
-    table = _trace_values(constraint, p)
+    """trace -> (value tuples, final values), traces in (len, trace) order;
+    read by witness builders only."""
+    table = _pools(constraint, p, False)
     return {
         trace: (table[trace], frozenset(xs[-1] for xs in table[trace]))
         for trace in sorted(table, key=lambda t: (len(t), t))
@@ -308,11 +321,36 @@ def _matcher(constraint: str, rule: tuple):
     relations = {"eq": eq, "geq": geq, "leq": leq, "complete": _complete}
     final = relations[final]
     if prefix is None:
-        return None if final is operator.eq else lambda x, pool: any(final(x, y) for y in pool)
+        return None if final is operator.eq else lambda x, pool: any(map(final, repeat(x), pool))
     prefix = relations[prefix]
     if prefix is final is operator.eq:
         return None
-    return lambda xs, pool: any(final(xs[-1], ys[-1]) and all(map(prefix, xs[:-1], ys)) for ys in pool)
+
+    def matched(xs, pool):
+        last, init = xs[-1], xs[:-1]
+        return any(final(last, ys[-1]) and all(map(prefix, init, ys)) for ys in pool)
+
+    return matched
+
+
+def _included(constraint: str, rule: tuple, p: CanonicalTerm, q: CanonicalTerm) -> bool:
+    """Is every decorated trace of p matched by one of q on the same trace
+    under `rule`?  Every rule is reflexive, so a value that q has as well is
+    matched: one set inclusion decides, and only the values it leaves are
+    matched one by one against q's values on their trace."""
+    final_only = rule[0] is None
+    mine = _trace_table(constraint, p)[final_only]
+    theirs = _trace_table(constraint, q)[final_only]
+    if mine <= theirs:
+        return True
+    matched = _matcher(constraint, rule)
+    if matched is None:
+        return False
+    pool = _pools(constraint, q, final_only).get
+    for trace, x in mine - theirs:
+        if not matched(x, pool(trace, ())):
+            return False
+    return True
 
 
 def _least_unmatched(constraint: str, rule: tuple, p: CanonicalTerm, q: CanonicalTerm):
@@ -337,9 +375,10 @@ def _least_unmatched(constraint: str, rule: tuple, p: CanonicalTerm, q: Canonica
     return None
 
 
-def _lgo_witness(constraint: str, rule: tuple, name: str, q: CanonicalTerm, trace: tuple, unmatched) -> dict:
-    """The least unmatched decorated trace (by ``LinearObs.sort_key``) as a
-    witness, with the revival action of a failed meet."""
+def _lgo_witness(constraint: str, rule: tuple, name: str, p: CanonicalTerm, q: CanonicalTerm) -> dict:
+    """The least unmatched decorated trace of p (by ``LinearObs.sort_key``)
+    as a witness, with the revival action of a failed meet."""
+    trace, unmatched = _least_unmatched(constraint, rule, p, q)
     xs = min(unmatched, key=lambda ys: tuple(value_key(constraint, y) for y in ys))
     head, *labels = [LocalObs(constraint, x) for x in xs]
     witness = {"kind": "lgo", "unmatched": LinearObs(head, tuple(zip(trace, labels))), "semantics": name}
@@ -366,15 +405,14 @@ def _linear_rule(constraint: str, flavor: str) -> tuple[tuple, str]:
 
 def linear_holds(constraint: str, flavor: str, p: CanonicalTerm, q: CanonicalTerm) -> bool:
     """Boolean core of the linear deciders; cheap enough to call per pair."""
-    return _least_unmatched(constraint, _linear_rule(constraint, flavor)[0], p, q) is None
+    return _included(constraint, _linear_rule(constraint, flavor)[0], p, q)
 
 
 def decide_linear(constraint: str, flavor: str, p: CanonicalTerm, q: CanonicalTerm) -> Verdict:
     rule, name = _linear_rule(constraint, flavor)
-    found = _least_unmatched(constraint, rule, p, q)
-    if found is None:
+    if _included(constraint, rule, p, q):
         return HOLDS
-    return Verdict(False, build=partial(_lgo_witness, constraint, rule, name, q, *found))
+    return Verdict(False, None, _lgo_witness, constraint, rule, name, p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -480,10 +518,9 @@ def decide_extended(flavor: str, p: CanonicalTerm, q: CanonicalTerm) -> Verdict:
     if flavor not in _EXTENDED:
         raise ValueError(f"not an extended-ready flavor: {flavor}")
     rule = _EXTENDED[flavor]
-    found = _least_unmatched("I", rule, p, q)
-    if found is None:
+    if _included("I", rule, p, q):
         return HOLDS
-    return Verdict(False, build=partial(_lgo_witness, "I", rule, flavor, q, *found))
+    return Verdict(False, None, _lgo_witness, "I", rule, flavor, p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -493,6 +530,8 @@ def decide_extended(flavor: str, p: CanonicalTerm, q: CanonicalTerm) -> Verdict:
 def decide(sem: SemanticsId, p: CanonicalTerm, q: CanonicalTerm, cap: int | None = None) -> Verdict:
     """Does p lie below q in the given semantics?"""
     flavor = sem.flavor
+    if flavor in _FLAVORS:
+        return decide_linear(sem.constraint, flavor, p, q)
     if flavor == "bisim":
         return decide_bisim(p, q)
     if flavor == "b":
@@ -503,9 +542,7 @@ def decide(sem: SemanticsId, p: CanonicalTerm, q: CanonicalTerm, cap: int | None
         return decide_final_ready_sim(p, q)
     if flavor == "bf⊇":
         return decide_final_failure_sim(p, q)
-    if flavor in ("ER", "ERT", "ECR", "ECRT"):
-        return decide_extended(flavor, p, q)
-    return decide_linear(sem.constraint, flavor, p, q)
+    return decide_extended(flavor, p, q)
 
 
 def holds(sem: SemanticsId, p: CanonicalTerm, q: CanonicalTerm) -> bool:

@@ -66,6 +66,18 @@ def test_cap_exit_3(capsys):
     assert code == 0
 
 
+def test_observe_checks_the_branching_count_first(capsys):
+    # 2^32 branching observations, most within 64 nodes: the count exits before any is built
+    wide = "a.(a.0+b.0+c.0) + a.(a.0+b.0) + b.(a.0+c.0) + c.(a.0+b.0+c.0+d.0)"
+    code, out, err = run(capsys, "observe", "--kind", "bgo", wide)
+    assert code == 3 and out == "" and err.count("\n") == 1
+    assert "branching observations within 64 nodes exceed the cap 65536" in err
+    code, out, _ = run(capsys, "--json", "observe", "--kind", "bgo", "--max-nodes", "5", wide)
+    assert code == 0 and len(json.loads(out)["observations"]) == 252
+    code, out, _ = run(capsys, "--json", "observe", "--kind", "dbgo", wide)
+    assert code == 0 and not json.loads(out)["truncated"]
+
+
 def test_cap_must_be_positive(capsys):
     p = "a.0+a.b.0"
     code, _, err = run(capsys, "compare", "--semantics", "PW", "--cap", "1", p, p)

@@ -170,6 +170,26 @@ def test_dbgo_are_the_deterministic_bgo(pool1):
                 assert det == {o for o in full if o.is_deterministic()}
 
 
+def test_branching_counts_bound_the_enumeration(pool2):
+    from procsem.observations import TruncationError, _sized_counts, check_branching_cap
+
+    for p in pool2:
+        # with room for every observation, the bound is the powerset count
+        assert sum(_sized_counts(p, 64, False)) == bgo_count("I", p)
+        for deterministic, enum in ((False, enum_bgo), (True, enum_dbgo)):
+            for max_nodes in range(1, 7):
+                size = len(enum("I", p, max_nodes)[0])
+                bound = sum(_sized_counts(p, max_nodes, deterministic))
+                assert size <= bound, (p, deterministic, max_nodes)
+                check_branching_cap(p, max_nodes, deterministic, cap=bound)
+                with pytest.raises(TruncationError, match=f"within {max_nodes} nodes exceed the cap {bound - 1}"):
+                    check_branching_cap(p, max_nodes, deterministic, cap=bound - 1)
+    # 2^32 observations, the largest with 85 nodes
+    wide = c("a.(a.0+b.0+c.0) + a.(a.0+b.0) + b.(a.0+c.0) + c.(a.0+b.0+c.0+d.0)")
+    assert sum(_sized_counts(wide, 85, False)) == bgo_count("I", wide) == 1 << 32
+    assert sum(_sized_counts(wide, 84, False)) == (1 << 32) - 1
+
+
 def test_dbgo_leq_checks_the_world_cap():
     from conftest import MANY_WORLDS
     from procsem.observations import TruncationError, world_count

@@ -1,10 +1,10 @@
 import itertools
 import random
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import pytest
 
-from conftest import c
+from conftest import c, replay_sim_refutation
 from procsem.axioms import CONDITIONS
 from procsem.lts import initials, is_deterministic, step, traces
 from procsem.operational import (
@@ -136,6 +136,28 @@ def test_operational_agrees_with_direct_small(pool1):
     for z, flavor in OPERATIONAL_ZS.items():
         for p, q in itertools.product(pool1, repeat=2):
             assert decide_via_operational(z, p, q).holds == linear_holds("I", flavor, p, q)
+
+
+def test_operational_witness_replays(pool2):
+    rng = random.Random(7)
+    pairs = [(rng.choice(pool2), rng.choice(pool2)) for _ in range(150)]
+    refuted = 0
+    for z in OPERATIONAL_ZS:
+        for p, q in pairs:
+            verdict = decide_via_operational(z, p, q)
+            if verdict.holds:
+                assert verdict.witness is None
+                continue
+            refuted += 1
+            replay_sim_refutation("I", p, q, verdict.witness, partial(step_Z, z))
+    for p, q in pairs:
+        verdict = decide_T_via_operational(p, q)
+        if not verdict.holds:
+            replay_sim_refutation("U", p, q, verdict.witness, partial(step_Z, "F"))
+    assert refuted > 200
+    # failures saturation gives q the answer a.(b.0+c.0), which no plain move is
+    witness = decide_via_operational("F", c("a.(b.0+c.0+d.0)"), c("a.b.0 + a.c.0")).witness
+    assert [sub["q"] for sub in witness["responses"]] == [c("b.0"), c("b.0+c.0"), c("c.0")]
 
 
 def test_trace_engine(pool1):

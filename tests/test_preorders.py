@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from conftest import MANY_WORLDS, bgo_count, c
-from procsem.constraints import constraint_holds, local_obs
+from conftest import MANY_WORLDS, bgo_count, c, replay_sim_refutation
+from procsem.constraints import local_obs
 from procsem.lts import initials, step
 from procsem.observations import BranchingObs, enum_lgo
 from procsem.preorders import (
@@ -57,20 +57,7 @@ def test_nsim_witness_replays(pool2):
             if verdict.holds:
                 assert verdict.witness is None
             else:
-                _replay_sim_refutation(n, verdict.witness)
-
-
-def _replay_sim_refutation(n, node):
-    if node["kind"] == "constraint":
-        assert not constraint_holds(n, node["p"], node["q"])
-        return
-    a, p, q = node["action"], node["p"], node["q"]
-    p2 = node["after_p"]
-    assert (a, p2) in step(p)
-    responses = [q2 for b, q2 in step(q) if b == a]
-    assert len(responses) == len(node["responses"])
-    for q2, sub in zip(responses, node["responses"]):
-        _replay_sim_refutation(n, sub)
+                replay_sim_refutation(n, p, q, verdict.witness)
 
 
 def test_bisim_witness_replays(pool2):
@@ -236,14 +223,62 @@ def test_linear_witnesses_are_least(pool2, random3):
 
 def test_trace_tables_against_enumeration(pool2, random3):
     from procsem.constraints import CONSTRAINTS
-    from procsem.preorders import _trace_values
+    from procsem.preorders import _trace_table
 
     terms = pool2 + tuple(random.Random(31).sample(random3, 40))
     for n in CONSTRAINTS:
         for p in terms:
-            table = {(trace, xs) for trace, values in _trace_values(n, p).items() for xs in values}
+            items, finals = _trace_table(n, p)
             expected = {(o.trace(), tuple(l.value for l in o.labels())) for o in enum_lgo(n, p)}
-            assert table == expected, (n, p)
+            assert items == expected, (n, p)
+            assert finals == {(o.trace(), o.final.value) for o in enum_lgo(n, p)}, (n, p)
+
+
+def test_inclusion_agrees_with_the_ordered_scan(pool2, random3):
+    from procsem.preorders import _EXTENDED, _least_unmatched, _linear_rule
+    from procsem.spectrum import LINEAR_FLAVORS
+
+    rng = random.Random(37)
+    pairs = [(rng.choice(pool2), rng.choice(pool2)) for _ in range(2000)]
+    pairs += [(rng.choice(random3), rng.choice(random3)) for _ in range(200)]
+    linear = [(s.constraint, s.flavor) for s in supported_ids() if s.flavor in LINEAR_FLAVORS]
+    assert len(linear) == 39
+    refuted = 0
+    for p, q in pairs:
+        for n, flavor in linear:
+            holds = linear_holds(n, flavor, p, q)
+            assert holds == (_least_unmatched(n, _linear_rule(n, flavor)[0], p, q) is None), (n, flavor, p, q)
+            refuted += not holds
+        for flavor, rule in _EXTENDED.items():
+            holds = decide_extended(flavor, p, q).holds
+            assert holds == (_least_unmatched("I", rule, p, q) is None), (flavor, p, q)
+    assert refuted > 0
+
+
+def test_deciding_builds_no_ordered_index(monkeypatch, pool2):
+    import procsem
+    from procsem import preorders
+
+    def refuse(*args):
+        raise RuntimeError("ordered scan")
+
+    procsem.clear_caches()
+    monkeypatch.setattr(preorders, "_least_unmatched", refuse)
+    rng = random.Random(41)
+    pairs = [(rng.choice(pool2), rng.choice(pool2)) for _ in range(200)]
+    verdicts = [decide(parse_semantics(name), p, q) for name in ("I:l", "I:lf") for p, q in pairs]
+    assert not all(verdicts)
+    # the equality rules decide by set inclusion alone, with no per-trace pools
+    assert preorders._lgo_index.cache_info().currsize == 0
+    assert preorders._pools.cache_info().currsize == 0
+    branching = ("b", "bisim", "db", "bf", "bf⊇")
+    for sem in (sem for sem in supported_ids() if sem.flavor not in branching):
+        for p, q in pairs:
+            decide(sem, p, q)
+    assert preorders._lgo_index.cache_info().currsize == 0
+    refuted = next(verdict for verdict in verdicts if not verdict)
+    with pytest.raises(RuntimeError, match="ordered scan"):
+        refuted.witness
 
 
 def test_witnesses_are_built_on_first_read(monkeypatch):
@@ -264,7 +299,7 @@ def test_witnesses_are_built_on_first_read(monkeypatch):
 
 def test_clear_caches(pool2):
     import procsem
-    from procsem.preorders import _trace_values
+    from procsem.preorders import _trace_table
     from procsem.spectrum import supported_ids
 
     rng = random.Random(17)
@@ -272,7 +307,7 @@ def test_clear_caches(pool2):
     before = [decide(*cell).to_json() for cell in cells]
     unread = [decide(*cell) for cell in cells]
     procsem.clear_caches()
-    assert _trace_values.cache_info().currsize == 0
+    assert _trace_table.cache_info().currsize == 0
     assert [verdict.to_json() for verdict in unread] == before
     assert [decide(*cell).to_json() for cell in cells] == before
 
