@@ -23,7 +23,6 @@ from .lts import step, transition_graph_dot
 from .observations import (
     DEFAULT_WORLD_CAP,
     TruncationError,
-    check_branching_cap,
     check_world_cap,
     enum_bgo,
     enum_complete_dbgo,
@@ -81,25 +80,55 @@ def _semantics(text: str):
 
 def _emit(args, payload) -> None:
     if getattr(args, "json", False):
-        print(json.dumps(payload, sort_keys=True, ensure_ascii=False))
+        print(_dumps(payload))
     else:
         _pretty(payload)
 
 
-def _pretty(payload, indent: str = "") -> None:
-    if isinstance(payload, dict):
-        for key in payload:
-            value = payload[key]
-            if isinstance(value, (dict, list)):
-                print(f"{indent}{key}:")
-                _pretty(value, indent + "  ")
-            else:
-                print(f"{indent}{key}: {value}")
-    elif isinstance(payload, list):
-        for value in payload:
-            _pretty(value, indent)
-    else:
-        print(f"{indent}{payload}")
+class _Text(str):
+    """Output that `_dumps` copies as it is."""
+
+
+def _dumps(payload) -> str:
+    """``json.dumps(payload, sort_keys=True, ensure_ascii=False)`` on an
+    explicit stack: a refutation tree nests as deep as the terms it refutes."""
+    out, todo = [], [payload]
+    while todo:
+        value = todo.pop()
+        if isinstance(value, _Text):
+            out.append(value)
+        elif isinstance(value, dict):
+            out.append("{")
+            todo.append(_Text("}"))
+            for n, (key, item) in reversed(list(enumerate(sorted(value.items())))):
+                key = json.dumps(key if isinstance(key, str) else json.dumps(key), ensure_ascii=False)
+                todo += [item, _Text(f"{', ' if n else ''}{key}: ")]
+        elif isinstance(value, (list, tuple)):
+            out.append("[")
+            todo.append(_Text("]"))
+            for n in reversed(range(len(value))):
+                todo += [value[n], _Text(", ")] if n else [value[n]]
+        else:
+            out.append(json.dumps(value, ensure_ascii=False))
+    return "".join(out)
+
+
+def _pretty(payload) -> None:
+    """Indented text, one line per leaf, on an explicit stack."""
+    todo = [(payload, "")]
+    while todo:
+        payload, indent = todo.pop()
+        if isinstance(payload, dict):
+            for key in reversed(payload):
+                value = payload[key]
+                if isinstance(value, (dict, list)):
+                    todo += [(value, indent + "  "), (f"{key}:", indent)]
+                else:
+                    todo.append((f"{key}: {value}", indent))
+        elif isinstance(payload, list):
+            todo += [(value, indent) for value in reversed(payload)]
+        else:
+            print(f"{indent}{payload}")
 
 
 def _cmd_compare(args) -> int:
@@ -183,8 +212,7 @@ def _cmd_observe(args) -> int:
             truncated = False
         elif args.kind in ("bgo", "dbgo"):
             fn = enum_bgo if args.kind == "bgo" else enum_dbgo
-            check_branching_cap(p, args.max_nodes, args.kind == "dbgo")
-            obs_set, truncated = fn(n, p, args.max_nodes)
+            obs_set, truncated = fn(n, p, args.max_nodes, DEFAULT_WORLD_CAP)
             payload = [repr(o) for o in sorted(obs_set, key=lambda o: (o.nodes, o._key))]
         elif args.kind == "cdbgo":
             check_world_cap(p)

@@ -12,7 +12,6 @@ structure to stay exact without materializing the sets.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb
 from itertools import combinations, product
 
 from .constraints import LocalObs, local_eq, local_geq, local_key, local_obs, value_repr
@@ -31,7 +30,6 @@ __all__ = [
     "enum_partial_possible_worlds",
     "world_count",
     "check_world_cap",
-    "check_branching_cap",
     "DEFAULT_WORLD_CAP",
     "bgo_member",
     "dbgo_member",
@@ -146,44 +144,54 @@ def enum_lgo(constraint: str, p: CanonicalTerm) -> frozenset[LinearObs]:
     return frozenset(out)
 
 
-def enum_bgo(constraint: str, p: CanonicalTerm, max_nodes: int) -> tuple[frozenset[BranchingObs], bool]:
+def enum_bgo(
+    constraint: str, p: CanonicalTerm, max_nodes: int, cap: int | None = None
+) -> tuple[frozenset[BranchingObs], bool]:
     """Branching observations of p with at most max_nodes nodes.
 
     Returns the set and a truncation flag; the flag is set whenever some
-    observation of p was cut off by the bound.
+    observation of p was cut off by the bound.  Raises TruncationError as
+    soon as more than `cap` observations (of p or of a subterm, which has no
+    more than p) are built.
     """
-    return _enum_branching(constraint, p, max_nodes, False)
+    return _enum_branching(constraint, p, max_nodes, False, cap)
 
 
-def enum_dbgo(constraint: str, p: CanonicalTerm, max_nodes: int) -> tuple[frozenset[BranchingObs], bool]:
+def enum_dbgo(
+    constraint: str, p: CanonicalTerm, max_nodes: int, cap: int | None = None
+) -> tuple[frozenset[BranchingObs], bool]:
     """Deterministic branching observations of p within the node bound."""
-    return _enum_branching(constraint, p, max_nodes, True)
+    return _enum_branching(constraint, p, max_nodes, True, cap)
 
 
-def _enum_branching(constraint: str, p: CanonicalTerm, max_nodes: int, deterministic: bool):
+def _enum_branching(constraint: str, p: CanonicalTerm, max_nodes: int, deterministic: bool, cap):
     """Observations of p within the node bound: every subset of the child
-    pool that fits, with at most one child per action if `deterministic`."""
+    pool that fits, with at most one child per action if `deterministic`.
+    The pool holds each child pair once, so each subset is one observation."""
     if max_nodes < 1:
         return frozenset(), True
     label = local_obs(constraint, p)
-    pool, truncated = [], False
+    pool, truncated = set(), False
     for a, q in step(p):
-        sub, sub_trunc = _enum_branching(constraint, q, max_nodes - 1, deterministic)
+        sub, sub_trunc = _enum_branching(constraint, q, max_nodes - 1, deterministic, cap)
         truncated = truncated or sub_trunc
-        pool.extend((a, c) for c in sub)
-    pool.sort(key=lambda ac: (ac[1].nodes, ac[0], ac[1]._key))
+        pool.update((a, c) for c in sub)
+    pool = sorted(pool, key=lambda ac: (ac[1].nodes, ac[0], ac[1]._key))
     out: set[BranchingObs] = set()
     cut = [truncated]
 
     def extend(start: int, chosen: tuple, used: int) -> None:
         out.add(BranchingObs(label, frozenset(chosen)))
+        if cap is not None and len(out) > cap:
+            kind = "deterministic branching" if deterministic else "branching"
+            raise TruncationError(f"more than {cap} {kind} observations within the node bound", cap)
         for i in range(start, len(pool)):
             a, c = pool[i]
             if deterministic and any(a == b for b, _ in chosen):
                 continue
-            if used + c.nodes > max_nodes - 1:
+            if used + c.nodes > max_nodes - 1:  # the pool is sorted by size: no later pair fits
                 cut[0] = True
-                continue
+                break
             extend(i + 1, chosen + ((a, c),), used + c.nodes)
 
     extend(0, (), 0)
@@ -205,43 +213,6 @@ def check_world_cap(p: CanonicalTerm, cap: int = DEFAULT_WORLD_CAP) -> None:
     count = world_count(p)
     if count > cap:
         raise TruncationError(f"{count} complete deterministic observations exceed the cap {cap}", cap)
-
-
-def check_branching_cap(
-    p: CanonicalTerm, max_nodes: int, deterministic: bool, cap: int = DEFAULT_WORLD_CAP
-) -> None:
-    """Raise TruncationError before `enum_bgo` (`enum_dbgo` if
-    `deterministic`) may enumerate more than `cap` observations of p."""
-    if sum(_sized_counts(p, max_nodes, deterministic)) > cap:
-        kind = "deterministic branching" if deterministic else "branching"
-        raise TruncationError(f"the {kind} observations within {max_nodes} nodes exceed the cap {cap}", cap)
-
-
-@lru_cache(maxsize=None)
-def _sized_counts(p: CanonicalTerm, max_nodes: int, deterministic: bool) -> tuple[int, ...]:
-    """Entry k bounds the number of p's observations with k + 1 nodes.  An
-    observation is a set of child pairs (at most one per action if
-    `deterministic`), so the counts by size are the coefficients of a
-    product of one factor per child pool, truncated at max_nodes; an
-    observation that two pool entries give is counted twice."""
-    if max_nodes < 1:
-        return ()
-    counts = [1] + [0] * (max_nodes - 1)  # by the number of nodes below the root
-
-    def times(factor: list[tuple[int, int]]) -> None:
-        counts[:] = [sum(c * counts[k - size] for size, c in factor if size <= k) for k in range(max_nodes)]
-
-    pools: dict[Action, list[tuple[int, int]]] = {}
-    for a, q in step(p):
-        sub = _sized_counts(q, max_nodes - 1, deterministic)
-        pools.setdefault(a, []).extend((k + 1, c) for k, c in enumerate(sub) if c)
-    for pool in pools.values():
-        if deterministic:  # no a-child, or one from the pool
-            times([(0, 1)] + pool)
-            continue
-        for size, c in pool:  # any subset of the c children of this size
-            times([(j * size, comb(c, j)) for j in range(min(c, (max_nodes - 1) // size) + 1)])
-    return tuple(counts)
 
 
 @lru_cache(maxsize=None)

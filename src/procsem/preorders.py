@@ -8,7 +8,7 @@ Three families of procedures live here:
   of per-term tables of decorated traces as (trace, raw label values)
   pairs (built per subterm from the successors' tables, with no
   observation objects), the flavor's rule from a table matching only the
-  pairs the inclusion leaves; the ordered scan runs for witnesses only,
+  pairs the inclusion leaves; a witness is the least of the unmatched pairs,
 * the exotic deciders: deterministic branching and final-ready/final-failure
   branching (a coverage game on the same driver).
 
@@ -72,9 +72,10 @@ __all__ = [
 
 
 class Verdict:
-    """Whether a preorder holds, and the witness of a negative answer.  A
-    `build` callable, when given, makes the witness from `args` on its first
-    read, so a decision whose witness nobody reads pays for none."""
+    """Whether a preorder holds, and the witness of a negative answer.  When
+    a `build` callable is given, `build(*args)` makes the witness on its
+    first read, so a decision whose witness nobody reads pays for none (and
+    allocates no closure)."""
 
     __slots__ = ("holds", "_witness", "_build", "_args")
 
@@ -105,12 +106,26 @@ HOLDS = Verdict(True)
 
 
 def _witness_json(w):
+    """JSON form of a witness, built on an explicit stack: a refutation tree
+    is as deep as the terms it refutes."""
+    root = [None]
+    todo = [(w, root, 0)]
+    while todo:
+        w, slots, key = todo.pop()
+        if isinstance(w, dict):
+            slots[key] = out = dict.fromkeys(w)
+            todo.extend((v, out, k) for k, v in w.items())
+        elif isinstance(w, (list, tuple)):
+            slots[key] = out = [None] * len(w)
+            todo.extend((v, out, i) for i, v in enumerate(w))
+        else:
+            slots[key] = _leaf_json(w)
+    return root[0]
+
+
+def _leaf_json(w):
     if w is None or isinstance(w, (str, int, bool)):
         return w
-    if isinstance(w, dict):
-        return {k: _witness_json(v) for k, v in w.items()}
-    if isinstance(w, (list, tuple)):
-        return [_witness_json(v) for v in w]
     if isinstance(w, CanonicalTerm):
         return render_term(w)
     if isinstance(w, LinearObs):
@@ -174,26 +189,25 @@ def sim_leq(p: CanonicalTerm, q: CanonicalTerm) -> bool:
 
 def _sim_refutation(constraint: str, p: CanonicalTerm, q: CanonicalTerm, stepper=step) -> dict:
     """Replayable refutation tree for a failed constrained simulation, with
-    `stepper` as the transition relation on both sides."""
-    if not constraint_holds(constraint, p, q):
-        return {
-            "kind": "constraint",
-            "constraint": constraint,
-            "p": p,
-            "q": q,
-        }
-    for a, p2 in stepper(p):
-        responses = [q2 for b, q2 in stepper(q) if b == a]
-        if all(not simulates(constraint, p2, q2, stepper) for q2 in responses):
-            return {
-                "kind": "move",
-                "action": a,
-                "p": p,
-                "q": q,
-                "after_p": p2,
-                "responses": [_sim_refutation(constraint, p2, q2, stepper) for q2 in responses],
-            }
-    raise AssertionError("refutation requested for a holding pair")
+    `stepper` as the transition relation on both sides.  Built on an
+    explicit stack: the tree is as deep as the terms."""
+    root = [None]
+    todo = [(p, q, root, 0)]
+    while todo:
+        p, q, slots, i = todo.pop()
+        if not constraint_holds(constraint, p, q):
+            slots[i] = {"kind": "constraint", "constraint": constraint, "p": p, "q": q}
+            continue
+        for a, p2 in stepper(p):
+            responses = [q2 for b, q2 in stepper(q) if b == a]
+            if all(not simulates(constraint, p2, q2, stepper) for q2 in responses):
+                break
+        else:
+            raise AssertionError("refutation requested for a holding pair")
+        refuted = [None] * len(responses)
+        slots[i] = {"kind": "move", "action": a, "p": p, "q": q, "after_p": p2, "responses": refuted}
+        todo.extend((p2, q2, refuted, j) for j, q2 in enumerate(responses))
+    return root[0]
 
 
 def decide_nsim(constraint: str, p: CanonicalTerm, q: CanonicalTerm, stepper=step) -> Verdict:
@@ -253,17 +267,6 @@ def _pools(constraint: str, q: CanonicalTerm, final_only: bool) -> dict:
     for trace, x in _trace_table(constraint, q)[final_only]:
         pools.setdefault(trace, []).append(x)
     return {trace: frozenset(xs) for trace, xs in pools.items()}
-
-
-@lru_cache(maxsize=None)
-def _lgo_index(constraint: str, p: CanonicalTerm) -> dict:
-    """trace -> (value tuples, final values), traces in (len, trace) order;
-    read by witness builders only."""
-    table = _pools(constraint, p, False)
-    return {
-        trace: (table[trace], frozenset(xs[-1] for xs in table[trace]))
-        for trace in sorted(table, key=lambda t: (len(t), t))
-    }
 
 
 # flavor -> (relation on every label before the last, or None when only the
@@ -333,57 +336,43 @@ def _matcher(constraint: str, rule: tuple):
     return matched
 
 
-def _included(constraint: str, rule: tuple, p: CanonicalTerm, q: CanonicalTerm) -> bool:
-    """Is every decorated trace of p matched by one of q on the same trace
-    under `rule`?  Every rule is reflexive, so a value that q has as well is
-    matched: one set inclusion decides, and only the values it leaves are
-    matched one by one against q's values on their trace."""
+def _unmatched(constraint: str, rule: tuple, p: CanonicalTerm, q: CanonicalTerm) -> Iterable:
+    """The (trace, value) pairs of p that no decorated trace of q on the
+    same trace matches under `rule`; values are finals if the rule has no
+    prefix relation, else tuples of label values.  Every rule is reflexive,
+    so a pair that q has as well is matched: one set inclusion settles most
+    pairs, and only the pairs it leaves are matched, lazily, against q's
+    values on their trace."""
     final_only = rule[0] is None
     mine = _trace_table(constraint, p)[final_only]
     theirs = _trace_table(constraint, q)[final_only]
     if mine <= theirs:
-        return True
+        return ()
     matched = _matcher(constraint, rule)
     if matched is None:
-        return False
+        return mine - theirs
     pool = _pools(constraint, q, final_only).get
-    for trace, x in mine - theirs:
-        if not matched(x, pool(trace, ())):
-            return False
-    return True
+    return ((trace, x) for trace, x in mine - theirs if not matched(x, pool(trace, ())))
 
 
-def _least_unmatched(constraint: str, rule: tuple, p: CanonicalTerm, q: CanonicalTerm):
-    """(trace, unmatched value tuples) for the first trace of p, in (len,
-    trace) order, on which some decorated trace of p is matched by no
-    decorated trace of q under `rule`; None when every one is matched.  For
-    final-only rules the tuples are those whose final is unmatched."""
-    q_index = _lgo_index(constraint, q)
-    matched = _matcher(constraint, rule)
-    final_only = rule[0] is None
-    for trace, (values, finals) in _lgo_index(constraint, p).items():
-        candidates = q_index.get(trace)
-        if candidates is None:
-            return trace, values
-        mine, pool = (finals, candidates[1]) if final_only else (values, candidates[0])
-        # every rule is reflexive: a value that q has as well is matched
-        unmatched = mine - pool
-        if unmatched and matched:
-            unmatched = {x for x in unmatched if not matched(x, pool)}
-        if unmatched:
-            return trace, [xs for xs in values if xs[-1] in unmatched] if final_only else unmatched
-    return None
+def _included(constraint: str, rule: tuple, p: CanonicalTerm, q: CanonicalTerm) -> bool:
+    """Is every decorated trace of p matched by one of q under `rule`?"""
+    return next(iter(_unmatched(constraint, rule, p, q)), None) is None
 
 
 def _lgo_witness(constraint: str, rule: tuple, name: str, p: CanonicalTerm, q: CanonicalTerm) -> dict:
     """The least unmatched decorated trace of p (by ``LinearObs.sort_key``)
     as a witness, with the revival action of a failed meet."""
-    trace, unmatched = _least_unmatched(constraint, rule, p, q)
-    xs = min(unmatched, key=lambda ys: tuple(value_key(constraint, y) for y in ys))
+    unmatched = tuple(_unmatched(constraint, rule, p, q))
+    trace = min((t for t, _ in unmatched), key=lambda t: (len(t), t))
+    values = {x for t, x in unmatched if t == trace}
+    if rule[0] is None:  # the value tuples of p on the trace with an unmatched final
+        values = [xs for xs in _pools(constraint, p, False)[trace] if xs[-1] in values]
+    xs = min(values, key=lambda ys: tuple(value_key(constraint, y) for y in ys))
     head, *labels = [LocalObs(constraint, x) for x in xs]
     witness = {"kind": "lgo", "unmatched": LinearObs(head, tuple(zip(trace, labels))), "semantics": name}
     if rule[1] == "meet":
-        finals = _lgo_index(constraint, q).get(trace, (None, ()))[1]
+        finals = _pools(constraint, q, True).get(trace, ())
         element = _meet_match(LABEL_RELATIONS[constraint][1], xs[-1], finals)[1]
         if element is not None:
             witness["revival_action"] = element
@@ -497,7 +486,7 @@ def _uncovered_bgo(p: CanonicalTerm, qs: tuple[CanonicalTerm, ...], exact: bool)
 def _decide_final_branching(p: CanonicalTerm, q: CanonicalTerm, exact: bool) -> Verdict:
     if _covered(p, (q,), exact):
         return HOLDS
-    return Verdict(False, build=lambda: {"kind": "bgo", "unmatched": _uncovered_bgo(p, (q,), exact)})
+    return Verdict(False, None, lambda: {"kind": "bgo", "unmatched": _uncovered_bgo(p, (q,), exact)})
 
 
 def decide_final_ready_sim(p: CanonicalTerm, q: CanonicalTerm) -> Verdict:

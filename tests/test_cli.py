@@ -4,7 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from conftest import MANY_WORLDS
+from conftest import MANY_WORLDS, c
 import procsem
 from procsem import cli
 from procsem.cli import main
@@ -66,16 +66,52 @@ def test_cap_exit_3(capsys):
     assert code == 0
 
 
-def test_observe_checks_the_branching_count_first(capsys):
-    # 2^32 branching observations, most within 64 nodes: the count exits before any is built
+def test_observe_stops_past_the_branching_cap(capsys):
+    # 2^32 branching observations: enumeration stops at the cap, in a child
+    # process, as the observations it builds stay interned
     wide = "a.(a.0+b.0+c.0) + a.(a.0+b.0) + b.(a.0+c.0) + c.(a.0+b.0+c.0+d.0)"
-    code, out, err = run(capsys, "observe", "--kind", "bgo", wide)
-    assert code == 3 and out == "" and err.count("\n") == 1
-    assert "branching observations within 64 nodes exceed the cap 65536" in err
+    env = dict(os.environ, PYTHONPATH=str(Path(procsem.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "procsem.cli", "observe", "--kind", "bgo", wide],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 3 and proc.stdout == "" and proc.stderr.count("\n") == 1
+    assert "more than 65536 branching observations within the node bound" in proc.stderr
     code, out, _ = run(capsys, "--json", "observe", "--kind", "bgo", "--max-nodes", "5", wide)
     assert code == 0 and len(json.loads(out)["observations"]) == 252
     code, out, _ = run(capsys, "--json", "observe", "--kind", "dbgo", wide)
     assert code == 0 and not json.loads(out)["truncated"]
+    # the cost follows the term, not the node bound
+    code, out, _ = run(capsys, "--json", "observe", "--kind", "bgo", "--max-nodes", "100000000", "a.b.0")
+    assert code == 0 and len(json.loads(out)["observations"]) == 4
+    # under U the three a-successors share children: 2^12 observations, not 2^20
+    shared = "a.(a.0+b.0+c.0) + a.(a.0+c.0) + a.(a.0+c.0+d.0)"
+    code, out, _ = run(capsys, "--json", "observe", "--kind", "bgo", "--constraint", "U", shared)
+    assert code == 0 and len(json.loads(out)["observations"]) == 1 << 12
+
+
+def test_deep_operational_refutation(capsys):
+    # the refutation is about 600 moves deep: it is built and printed
+    # without an interpreter frame per move.  Plain simulation (T) ends with
+    # the b move q cannot answer, ready simulation with the offers {b}, {c}
+    p, q = "a." * 600 + "b.0", "a." * 600 + "c.0"
+    for sem, moves in (("T", 601), ("F", 600)):
+        code, out, err = run(capsys, "--json", "compare", "--engine", "operational", "--semantics", sem, p, q)
+        assert code == 1 and err == ""
+        assert out.startswith('{"holds": false, "witness": {"action": "a"') and out.count('"kind": "move"') == moves
+    code, out, err = run(capsys, "compare", "--engine", "operational", "--semantics", "R", p, q)
+    assert code == 1 and err == "" and out.count("kind: move") == 600 and out.count("kind: constraint") == 1
+
+
+def test_json_output_is_json_dumps(capsys):
+    from procsem.cli import _dumps
+
+    for payload in ({}, [], {"b": {}, "a": ['x"y', 2.5, None, True]}, {1: (2, "é")}, [[[]]]):
+        assert _dumps(payload) == json.dumps(payload, sort_keys=True, ensure_ascii=False)
+    p, q = "a.(b.0+c.0)", "a.b.0+a.c.0"
+    code, out, _ = run(capsys, "--json", "compare", "--semantics", "S", p, q)
+    verdict = procsem.decide(procsem.parse_semantics("S"), c(p), c(q))
+    assert code == 1 and out == json.dumps(verdict.to_json(), sort_keys=True, ensure_ascii=False) + "\n"
 
 
 def test_cap_must_be_positive(capsys):

@@ -170,24 +170,26 @@ def test_dbgo_are_the_deterministic_bgo(pool1):
                 assert det == {o for o in full if o.is_deterministic()}
 
 
-def test_branching_counts_bound_the_enumeration(pool2):
-    from procsem.observations import TruncationError, _sized_counts, check_branching_cap
+def test_branching_enumeration_stops_past_the_cap(pool2):
+    from procsem.observations import TruncationError
 
-    for p in pool2:
-        # with room for every observation, the bound is the powerset count
-        assert sum(_sized_counts(p, 64, False)) == bgo_count("I", p)
-        for deterministic, enum in ((False, enum_bgo), (True, enum_dbgo)):
-            for max_nodes in range(1, 7):
-                size = len(enum("I", p, max_nodes)[0])
-                bound = sum(_sized_counts(p, max_nodes, deterministic))
-                assert size <= bound, (p, deterministic, max_nodes)
-                check_branching_cap(p, max_nodes, deterministic, cap=bound)
-                with pytest.raises(TruncationError, match=f"within {max_nodes} nodes exceed the cap {bound - 1}"):
-                    check_branching_cap(p, max_nodes, deterministic, cap=bound - 1)
-    # 2^32 observations, the largest with 85 nodes
-    wide = c("a.(a.0+b.0+c.0) + a.(a.0+b.0) + b.(a.0+c.0) + c.(a.0+b.0+c.0+d.0)")
-    assert sum(_sized_counts(wide, 85, False)) == bgo_count("I", wide) == 1 << 32
-    assert sum(_sized_counts(wide, 84, False)) == (1 << 32) - 1
+    for n in ("I", "U"):
+        for p in pool2:
+            for enum in (enum_bgo, enum_dbgo):
+                for max_nodes in range(1, 7):
+                    full = enum(n, p, max_nodes)
+                    assert enum(n, p, max_nodes, len(full[0])) == full
+                    with pytest.raises(TruncationError, match=f"more than {len(full[0]) - 1} "):
+                        enum(n, p, max_nodes, len(full[0]) - 1)
+
+
+def test_branching_truncation_counts_each_child_pair_once():
+    # under U both a-successors offer the child <·>: counted twice, the
+    # largest observation <·,{(a,<·>),(a,<·,{(a,<·>)}>)}> would seem to need 5 nodes
+    p = c("a.0 + a.a.0")
+    full, truncated = enum_bgo("U", p, 4)
+    assert not truncated and max(o.nodes for o in full) == 4
+    assert enum_bgo("U", p, 3)[1]
 
 
 def test_dbgo_leq_checks_the_world_cap():

@@ -234,50 +234,23 @@ def test_trace_tables_against_enumeration(pool2, random3):
             assert finals == {(o.trace(), o.final.value) for o in enum_lgo(n, p)}, (n, p)
 
 
-def test_inclusion_agrees_with_the_ordered_scan(pool2, random3):
-    from procsem.preorders import _EXTENDED, _least_unmatched, _linear_rule
-    from procsem.spectrum import LINEAR_FLAVORS
-
-    rng = random.Random(37)
-    pairs = [(rng.choice(pool2), rng.choice(pool2)) for _ in range(2000)]
-    pairs += [(rng.choice(random3), rng.choice(random3)) for _ in range(200)]
-    linear = [(s.constraint, s.flavor) for s in supported_ids() if s.flavor in LINEAR_FLAVORS]
-    assert len(linear) == 39
-    refuted = 0
-    for p, q in pairs:
-        for n, flavor in linear:
-            holds = linear_holds(n, flavor, p, q)
-            assert holds == (_least_unmatched(n, _linear_rule(n, flavor)[0], p, q) is None), (n, flavor, p, q)
-            refuted += not holds
-        for flavor, rule in _EXTENDED.items():
-            holds = decide_extended(flavor, p, q).holds
-            assert holds == (_least_unmatched("I", rule, p, q) is None), (flavor, p, q)
-    assert refuted > 0
-
-
-def test_deciding_builds_no_ordered_index(monkeypatch, pool2):
+def test_equality_rules_decide_by_inclusion_alone(monkeypatch, pool2):
     import procsem
     from procsem import preorders
 
     def refuse(*args):
-        raise RuntimeError("ordered scan")
+        raise RuntimeError("witness built")
 
     procsem.clear_caches()
-    monkeypatch.setattr(preorders, "_least_unmatched", refuse)
+    monkeypatch.setattr(preorders, "_lgo_witness", refuse)
     rng = random.Random(41)
     pairs = [(rng.choice(pool2), rng.choice(pool2)) for _ in range(200)]
     verdicts = [decide(parse_semantics(name), p, q) for name in ("I:l", "I:lf") for p, q in pairs]
     assert not all(verdicts)
-    # the equality rules decide by set inclusion alone, with no per-trace pools
-    assert preorders._lgo_index.cache_info().currsize == 0
+    # no per-trace pools, and no witness until one is read
     assert preorders._pools.cache_info().currsize == 0
-    branching = ("b", "bisim", "db", "bf", "bf⊇")
-    for sem in (sem for sem in supported_ids() if sem.flavor not in branching):
-        for p, q in pairs:
-            decide(sem, p, q)
-    assert preorders._lgo_index.cache_info().currsize == 0
     refuted = next(verdict for verdict in verdicts if not verdict)
-    with pytest.raises(RuntimeError, match="ordered scan"):
+    with pytest.raises(RuntimeError, match="witness built"):
         refuted.witness
 
 
