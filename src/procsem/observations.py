@@ -14,7 +14,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations, product
 
-from .constraints import LocalObs, local_eq, local_geq, local_key, local_obs, value_repr
+from .constraints import LocalObs, local_eq, local_geq, local_key, local_obs, solve_game, value_repr
 from .lts import initials, step, successors
 from .terms import Action, CanonicalTerm, NIL, CanonicalTerm as CT, Frozen, prefix, sum_terms
 
@@ -199,13 +199,26 @@ def _enum_branching(constraint: str, p: CanonicalTerm, max_nodes: int, determini
 
 
 @lru_cache(maxsize=None)
+def _world_game():
+    def node(p):
+        total = 1
+        for a in sorted(initials(p)):
+            worlds = 0
+            for b, q in step(p):
+                if b == a:
+                    worlds += yield q
+            total *= worlds
+        return total
+
+    return node, {}
+
+
 def world_count(p: CanonicalTerm) -> int:
     """An upper bound, computed without enumerating, on the number of p's
-    complete deterministic observations and of its possible worlds."""
-    total = 1
-    for a in sorted(initials(p)):
-        total *= sum(world_count(q) for b, q in step(p) if b == a)
-    return total
+    complete deterministic observations and of its possible worlds, counted
+    on the explicit stack of ``solve_game`` so that deep terms count too."""
+    node, memo = _world_game()
+    return solve_game(node, p, memo)
 
 
 def check_world_cap(p: CanonicalTerm, cap: int = DEFAULT_WORLD_CAP) -> None:

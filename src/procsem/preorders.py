@@ -9,13 +9,16 @@ Three families of procedures live here:
   pairs (built per subterm from the successors' tables, with no
   observation objects), the flavor's rule from a table matching only the
   pairs the inclusion leaves; a witness is the least of the unmatched pairs,
-* the exotic deciders: deterministic branching and final-ready/final-failure
-  branching (a coverage game on the same driver).
+* the exotic deciders: deterministic branching (a game over bit-masked
+  types, the sets of q-states that match a world of p) and
+  final-ready/final-failure branching (a coverage game), both on the same
+  driver.
 
 Negative verdicts carry replayable witnesses: a refutation tree for
 simulations, the least unmatched decorated trace (by ``LinearObs.sort_key``)
-for linear flavors.  Every witness but that of ``db`` is built when it is
-first read, so deciding alone pays for no witness.
+for linear flavors, the least unmatched complete deterministic observation
+for ``db``.  Every witness is built when it is first read, so deciding alone
+pays for no witness and ``db`` enumerates no world.
 """
 
 from __future__ import annotations
@@ -414,6 +417,75 @@ def _sorted_dbgos(constraint: str, p: CanonicalTerm) -> tuple[BranchingObs, ...]
     return tuple(sorted(enum_complete_dbgo(constraint, p), key=lambda o: (o.nodes, o._key)))
 
 
+@lru_cache(maxsize=None)
+def _step_masks(qs: tuple[CanonicalTerm, ...], a: str) -> tuple[tuple[CanonicalTerm, ...], tuple[int, ...]]:
+    """(Q_a, masks): the `a`-successors of the states `qs`, deduplicated in
+    encounter order, and per state of `qs` the bit mask of its successors in Q_a."""
+    index: dict = {}
+    masks = []
+    for q in qs:
+        mask = 0
+        for b, q2 in step(q):
+            if b == a:
+                mask |= 1 << index.setdefault(q2, len(index))
+        masks.append(mask)
+    return tuple(index), tuple(masks)
+
+
+def _minimal(masks) -> list[int]:
+    """The ⊆-minimal bit masks of `masks`."""
+    kept: list[int] = []
+    for m in sorted(masks, key=int.bit_count):
+        if all(k & m != k for k in kept):
+            kept.append(m)
+    return kept
+
+
+@lru_cache(maxsize=None)
+def _types_game(constraint: str):
+    """types(p, Q): the ⊆-minimal bit masks over Q of {q in Q : d in bgo(q)},
+    over the complete deterministic observations d of p.
+
+    A world of p picks one a-successor world per action a of p, so its type
+    is the label match intersected, per action, with the lift of the chosen
+    child's type over Q_a: {q_i : q_i has an a-successor in it}.  Every step
+    is monotone, so only minimal types matter; [0] means some world of p
+    lies in no bgo(q), and ends the search.
+    """
+    eq = LABEL_RELATIONS[constraint][0]
+
+    def node(key):
+        p, qs = key
+        label = local_obs(constraint, p).value
+        acc = [sum(1 << i for i, q in enumerate(qs) if eq(label, local_obs(constraint, q).value))]
+        for a in sorted(initials(p)):
+            if acc == [0]:
+                break
+            qa, succ = _step_masks(qs, a)
+            if not qa:
+                return (0,)
+            children = set()
+            for b, p2 in step(p):
+                if b == a:
+                    children.update((yield (p2, qa)))
+            if 0 in children:
+                return (0,)
+            lifted = {sum(1 << i for i, s in enumerate(succ) if s & m) for m in children}
+            acc = _minimal({x & y for x in acc for y in lifted})
+        return tuple(acc)
+
+    return node, {}
+
+
+def _db_witness(constraint: str, p: CanonicalTerm, q: CanonicalTerm) -> dict:
+    """The least complete deterministic observation of p (by (nodes, key))
+    that q lacks."""
+    for obs in _sorted_dbgos(constraint, p):
+        if not bgo_member(obs, q):
+            return {"kind": "dbgo", "unmatched": obs}
+    raise AssertionError("witness requested for a holding pair")
+
+
 def decide_db(
     constraint: str, p: CanonicalTerm, q: CanonicalTerm, cap: int = DEFAULT_WORLD_CAP
 ) -> Verdict:
@@ -421,12 +493,18 @@ def decide_db(
 
     Complete deterministic observations suffice: every deterministic
     observation extends to a complete one, and membership survives pruning.
+    A complete one of p lies in bgo(q) iff the labels match and, for each
+    summand (a, p') it takes, its child lies in bgo of some a-successor of
+    q; so inclusion fails iff the labels differ or some world of some p'
+    has the empty type over q's a-successors.  The worlds are enumerated
+    only for a witness that is read; the cap still guards them.
     """
     check_world_cap(p, cap)
-    for obs in _sorted_dbgos(constraint, p):
-        if not bgo_member(obs, q):
-            return Verdict(False, {"kind": "dbgo", "unmatched": obs})
-    return HOLDS
+    if constraint_holds(constraint, p, q):
+        node, memo = _types_game(constraint)
+        if all(0 not in solve_game(node, (p2, successors(q, a)), memo) for a, p2 in step(p)):
+            return HOLDS
+    return Verdict(False, None, _db_witness, constraint, p, q)
 
 
 # ---------------------------------------------------------------------------

@@ -260,10 +260,10 @@ def test_witnesses_are_built_on_first_read(monkeypatch):
     def refuse(*args):
         raise RuntimeError("witness built")
 
-    for name in ("_sim_refutation", "_bisim_refutation", "_uncovered_bgo", "_lgo_witness"):
+    for name in ("_sim_refutation", "_bisim_refutation", "_uncovered_bgo", "_lgo_witness", "_db_witness"):
         monkeypatch.setattr(preorders, name, refuse)
     p, q = c("a.(b.0+c.0)"), c("0")
-    for name in ("B", "S", "2S", "I:bf", "I:bf⊇", "T", "RT", "F", "RV", "S:l⊇", "ER", "ERT", "ECR", "ECRT"):
+    for name in ("B", "S", "2S", "I:bf", "I:bf⊇", "PW", "UPW", "T", "RT", "F", "RV", "S:l⊇", "ER", "ERT", "ECR", "ECRT"):
         verdict = decide(parse_semantics(name), p, q)
         assert verdict.holds is False, name
         with pytest.raises(RuntimeError, match="witness built"):
@@ -471,6 +471,62 @@ def test_db_witness_replays():
     obs = verdict.witness["unmatched"]
     assert obs in enum_complete_dbgo("I", p)
     assert not dbgo_member(obs, q)
+
+
+def test_db_types_against_world_enumeration(pool2, random3):
+    import procsem
+    from procsem import preorders
+    from procsem.observations import bgo_member, dbgo_leq, enum_complete_dbgo, world_count
+    from procsem.terms import sum_terms
+
+    @functools.lru_cache(maxsize=None)
+    def worlds(p):  # the recursive count world_count replaced
+        total = 1
+        for a in sorted(initials(p)):
+            total *= sum(worlds(q) for b, q in step(p) if b == a)
+        return total
+
+    # after a, the worlds of p have two incomparable types over the two
+    # x-successors of q; each b-world meets only one of them
+    q = c("x.(a.0 + b.c.0) + x.(a.c.0 + b.0)")
+    pairs = [(c("x.(a.0 + a.c.0 + b.0)"), q), (c("x.(a.0 + a.c.0 + b.c.0)"), q)]
+    rng = random.Random(47)
+    pairs += itertools.product(pool2[::4], repeat=2)
+    for _ in range(60):
+        p = rng.choice(random3)
+        pairs += [(p, p), (p, sum_terms(p, rng.choice(random3))), (p, rng.choice(random3))]
+    assert all(world_count(p) == worlds(p) for p, _ in pairs)
+    held = refuted = 0
+    for n in ("U", "C", "I", "T", "S"):
+        for p, q in pairs:
+            verdict = decide_db(n, p, q)
+            assert verdict.holds == dbgo_leq(n, p, q), (n, p, q)
+            if verdict.holds:
+                held += p.depth == 3
+                continue
+            refuted += 1
+            least = min(
+                (o for o in enum_complete_dbgo(n, p) if not bgo_member(o, q)),
+                key=lambda o: (o.nodes, o._key),
+            )
+            assert verdict.witness == {"kind": "dbgo", "unmatched": least}, (n, p, q)
+    assert held > 0 and refuted > 0
+    assert preorders._types_game("I")[1]
+    procsem.clear_caches()
+    assert not preorders._types_game("I")[1]
+
+
+def test_db_decides_deep_chains():
+    from procsem.terms import NIL, prefix
+
+    chain = NIL
+    for _ in range(2000):
+        chain = prefix("a", chain)
+    other = prefix("b", chain)
+    for name in ("UPW", "C:db", "PW", "S:db"):
+        sem = parse_semantics(name)
+        assert decide(sem, chain, chain).holds, name
+        assert not decide(sem, chain, other).holds, name
 
 
 @functools.lru_cache(maxsize=None)
