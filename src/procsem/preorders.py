@@ -477,6 +477,19 @@ def _types_game(constraint: str):
     return node, {}
 
 
+@lru_cache(maxsize=None)
+def _db_included(constraint: str, p: CanonicalTerm, q: CanonicalTerm) -> bool:
+    """Is every complete deterministic observation of p one of q?  It is iff
+    the labels match and, for each summand (a, p') of p, no world of p' has
+    the empty type over q's a-successors.  The singleton root {q} gets no
+    types entry; the answer is cached per pair, because `distinguish` and
+    repeated cells decide a pair again."""
+    if not constraint_holds(constraint, p, q):
+        return False
+    node, memo = _types_game(constraint)
+    return all(0 not in solve_game(node, (p2, successors(q, a)), memo) for a, p2 in step(p))
+
+
 def _db_witness(constraint: str, p: CanonicalTerm, q: CanonicalTerm) -> dict:
     """The least complete deterministic observation of p (by (nodes, key))
     that q lacks."""
@@ -493,17 +506,13 @@ def decide_db(
 
     Complete deterministic observations suffice: every deterministic
     observation extends to a complete one, and membership survives pruning.
-    A complete one of p lies in bgo(q) iff the labels match and, for each
-    summand (a, p') it takes, its child lies in bgo of some a-successor of
-    q; so inclusion fails iff the labels differ or some world of some p'
-    has the empty type over q's a-successors.  The worlds are enumerated
-    only for a witness that is read; the cap still guards them.
+    They are decided by the types game, never enumerated; only a witness
+    that is read enumerates p's worlds, and the cap, checked first, still
+    guards that.
     """
     check_world_cap(p, cap)
-    if constraint_holds(constraint, p, q):
-        node, memo = _types_game(constraint)
-        if all(0 not in solve_game(node, (p2, successors(q, a)), memo) for a, p2 in step(p)):
-            return HOLDS
+    if _db_included(constraint, p, q):
+        return HOLDS
     return Verdict(False, None, _db_witness, constraint, p, q)
 
 
