@@ -462,32 +462,15 @@ def _types_game(constraint: str):
             if acc == [0]:
                 break
             qa, succ = _step_masks(qs, a)
-            if not qa:
-                return (0,)
             children = set()
             for b, p2 in step(p):
                 if b == a:
                     children.update((yield (p2, qa)))
-            if 0 in children:
-                return (0,)
             lifted = {sum(1 << i for i, s in enumerate(succ) if s & m) for m in children}
             acc = _minimal({x & y for x in acc for y in lifted})
         return tuple(acc)
 
     return node, {}
-
-
-@lru_cache(maxsize=None)
-def _db_included(constraint: str, p: CanonicalTerm, q: CanonicalTerm) -> bool:
-    """Is every complete deterministic observation of p one of q?  It is iff
-    the labels match and, for each summand (a, p') of p, no world of p' has
-    the empty type over q's a-successors.  The singleton root {q} gets no
-    types entry; the answer is cached per pair, because `distinguish` and
-    repeated cells decide a pair again."""
-    if not constraint_holds(constraint, p, q):
-        return False
-    node, memo = _types_game(constraint)
-    return all(0 not in solve_game(node, (p2, successors(q, a)), memo) for a, p2 in step(p))
 
 
 def _db_witness(constraint: str, p: CanonicalTerm, q: CanonicalTerm) -> dict:
@@ -508,10 +491,15 @@ def decide_db(
     observation extends to a complete one, and membership survives pruning.
     They are decided by the types game, never enumerated; only a witness
     that is read enumerates p's worlds, and the cap, checked first, still
-    guards that.
+    guards that.  The singleton root {q} is not played: p ⊑ q iff the
+    labels match and no summand (a, p') of p has the empty type over q's
+    a-successors, positions that many pairs share.
     """
     check_world_cap(p, cap)
-    if _db_included(constraint, p, q):
+    node, memo = _types_game(constraint)
+    if constraint_holds(constraint, p, q) and all(
+        0 not in solve_game(node, (p2, successors(q, a)), memo) for a, p2 in step(p)
+    ):
         return HOLDS
     return Verdict(False, None, _db_witness, constraint, p, q)
 
