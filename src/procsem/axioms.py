@@ -15,7 +15,7 @@ from itertools import product
 from typing import Callable, Sequence
 
 from .lts import initials, traces
-from .operational import OPERATIONAL_ZS, saturate
+from .operational import rule, saturate
 from .spectrum import SemanticsId, UnsupportedSemanticsError, parse_semantics
 from .terms import (
     CanonicalTerm,
@@ -221,10 +221,7 @@ T_AXIOM = Axiom(
     action_vars=("a",),
 )
 
-_LINEAR_CONDITION = {flavor: z for z, flavor in OPERATIONAL_ZS.items()} | {
-    "join": "R∧FT",
-    "meet": "R∨FT",
-}
+_LINEAR_CONDITION = {"lf⊇": "F", "lf": "R", "l⊇": "FT", "l": "RT", "join": "R∧FT", "meet": "R∨FT"}
 
 
 def axiom_catalog(sem: SemanticsId | str, form: str = "order") -> tuple[Axiom, ...]:
@@ -377,16 +374,26 @@ class HnfLawReport:
         return not self.equivalence_failures and not self.matching_failures
 
 
+def _hnf_rule(z: str) -> tuple[SemanticsId, str]:
+    """The semantics z names and its reduction condition.  The head normal
+    form recipe matches offers, so z lies at constraint I."""
+    sem = parse_semantics(z)
+    n, condition = rule(sem)
+    if n != "I":
+        raise ValueError(f"head normal forms are defined at constraint I; got {sem}")
+    return sem, condition
+
+
 def verify_hnf_laws(z: str, pool: Sequence[CanonicalTerm], pairs=None) -> HnfLawReport:
     """Check that the head normal form (``operational.saturate``) is a
     Z-equivalent saturation and that related pairs match summand-wise through
     the head normal form of the larger side."""
     from . import preorders
 
-    sem = SemanticsId("I", OPERATIONAL_ZS[z])
+    sem, condition = _hnf_rule(z)
     report = HnfLawReport(z=z)
     for p in pool:
-        h = saturate(z, p)
+        h = saturate(condition, p)
         if not (preorders.decide(sem, h, p).holds and preorders.decide(sem, p, h).holds):
             report.equivalence_failures.append(p)
         report.terms_checked += 1
@@ -409,7 +416,7 @@ def verify_hnf_laws(z: str, pool: Sequence[CanonicalTerm], pairs=None) -> HnfLaw
         index = hnf_index.get(q)
         if index is None:
             index = hnf_index[q] = {}
-            for a, body in saturate(z, q).summands:
+            for a, body in saturate(condition, q).summands:
                 index.setdefault(a, []).append(body)
         for a, derivative in p.summands:
             if not any(below(derivative, candidate) for candidate in index.get(a, ())):
@@ -441,15 +448,15 @@ def derive_leq(z: str, p: CanonicalTerm, q: CanonicalTerm) -> Derivation:
     """
     from . import preorders
 
-    sem = SemanticsId("I", OPERATIONAL_ZS[z])
+    sem, condition = _hnf_rule(z)
     if not preorders.decide(sem, p, q).holds:
         raise ValueError(f"{render_term(p)} is not below {render_term(q)} in {sem}")
     derivation = Derivation(z=z, goal=(p, q))
-    _derive(z, sem, p, q, derivation)
+    _derive(sem, condition, p, q, derivation)
     return derivation
 
 
-def _derive(z, sem, p, q, derivation) -> None:
+def _derive(sem, condition, p, q, derivation) -> None:
     from . import preorders
 
     if p.is_nil:
@@ -457,8 +464,8 @@ def _derive(z, sem, p, q, derivation) -> None:
             raise AssertionError("nil is only below nil in the ready-simulation layers")
         derivation.record("refl", {"term": p})
         return
-    h = saturate(z, q)
-    derivation.record("hnf-saturate", {"from": q, "to": h, "z": z})
+    h = saturate(condition, q)
+    derivation.record("hnf-saturate", {"from": q, "to": h, "z": derivation.z})
     by_action: dict[str, list[CanonicalTerm]] = {}
     for a, body in h.summands:
         by_action.setdefault(a, []).append(body)
@@ -471,7 +478,7 @@ def _derive(z, sem, p, q, derivation) -> None:
                 break
         if match is None:
             raise AssertionError("summand matching failed; completeness recipe broken")
-        _derive(z, sem, derivative, match, derivation)
+        _derive(sem, condition, derivative, match, derivation)
         derivation.record("prefix", {"action": a, "from": derivative, "to": match})
         chosen.append((a, match))
     target = sum_terms(*[prefix(a, body) for a, body in chosen])

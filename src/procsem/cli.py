@@ -24,13 +24,14 @@ from .observations import (
     DEFAULT_WORLD_CAP,
     TruncationError,
     check_world_cap,
+    decide_via_observations,
     enum_bgo,
     enum_complete_dbgo,
     enum_dbgo,
     enum_lgo,
     enum_possible_worlds,
 )
-from .spectrum import UnsupportedSemanticsError, parse_semantics
+from .spectrum import UncoveredSemanticsError, UnsupportedSemanticsError, parse_semantics
 from .terms import (
     ACTION_RE,
     OpenTermError,
@@ -134,46 +135,19 @@ def _pretty(payload) -> None:
 def _cmd_compare(args) -> int:
     sem = _semantics(args.semantics)
     p, q = _term(args.p), _term(args.q)
-    engine = args.engine
     try:
-        if engine == "direct":
+        if args.engine == "direct":
             verdict = preorders.decide(sem, p, q, cap=args.cap)
-        elif engine == "observational":
-            from .observations import bgo_leq, dbgo_leq, lgo_leq_via_closure
-
-            if sem.flavor == "b":
-                verdict = preorders.Verdict(bgo_leq(sem.constraint, p, q))
-            elif sem.flavor == "db":
-                cap = DEFAULT_WORLD_CAP if args.cap is None else args.cap
-                verdict = preorders.Verdict(dbgo_leq(sem.constraint, p, q, cap))
-            elif sem.flavor in ("l⊇", "lf", "lf⊇"):
-                delta = {"l⊇": "⊇", "lf": "f", "lf⊇": "f⊇"}[sem.flavor]
-                verdict = preorders.Verdict(lgo_leq_via_closure(sem.constraint, delta, p, q))
-            elif sem.flavor == "l":
-                verdict = preorders.Verdict(
-                    enum_lgo(sem.constraint, p) <= enum_lgo(sem.constraint, q)
-                )
-            else:
-                raise CliError(
-                    f"observational engine does not cover {sem}", EXIT_USAGE
-                )
-        elif engine == "operational":
+        elif args.engine == "observational":
+            verdict = decide_via_observations(sem, p, q, args.cap)
+        else:
             from . import operational as op_mod
 
-            z_of = {flavor: z for z, flavor in op_mod.OPERATIONAL_ZS.items()}
             cap = op_mod.DEFAULT_SATURATION_CAP if args.cap is None else args.cap
-            try:
-                if sem.constraint == "I" and sem.flavor in z_of:
-                    verdict = op_mod.decide_via_operational(z_of[sem.flavor], p, q, cap)
-                elif sem.constraint == "U" and sem.flavor in z_of:
-                    verdict = op_mod.decide_T_via_operational(p, q, cap)
-                else:
-                    raise CliError(f"operational engine does not cover {sem}", EXIT_USAGE)
-            except op_mod.SaturationCapError as exc:
-                raise CliError(str(exc), EXIT_CAP) from exc
-        else:  # pragma: no cover - argparse restricts choices
-            raise CliError(f"unknown engine {engine}", EXIT_USAGE)
-    except TruncationError as exc:
+            verdict = op_mod.decide_via_operational(sem, p, q, cap)
+    except UncoveredSemanticsError as exc:
+        raise CliError(str(exc), EXIT_USAGE) from exc
+    except TruncationError as exc:  # a world, observation or saturation cap
         raise CliError(str(exc), EXIT_CAP) from exc
     _emit(args, verdict.to_json())
     return EXIT_OK if verdict.holds else EXIT_FAILS

@@ -16,6 +16,7 @@ from itertools import combinations, product
 
 from .constraints import LocalObs, local_eq, local_geq, local_key, local_obs, solve_game, value_repr
 from .lts import initials, step, successors
+from .spectrum import SemanticsId, UncoveredSemanticsError
 from .terms import Action, CanonicalTerm, NIL, CanonicalTerm as CT, Frozen, prefix, sum_terms
 
 __all__ = [
@@ -38,6 +39,7 @@ __all__ = [
     "ClosureSet",
     "closure_apply",
     "lgo_leq_via_closure",
+    "decide_via_observations",
 ]
 
 DEFAULT_WORLD_CAP = 1 << 16
@@ -421,3 +423,26 @@ def lgo_leq_via_closure(constraint: str, delta: str, p: CanonicalTerm, q: Canoni
     """
     closure = closure_apply(delta, enum_lgo(constraint, q), constraint)
     return closure.contains_all(enum_lgo(constraint, p))
+
+
+_CLOSURE_DELTA = {"l⊇": "⊇", "lf": "f", "lf⊇": "f⊇"}
+
+
+def decide_via_observations(sem: SemanticsId, p: CanonicalTerm, q: CanonicalTerm, cap: int | None = None):
+    """Observation-set inclusion for the flavors b, db, l, l⊇, lf and lf⊇ at
+    any constraint, as a Verdict with no witness.  `cap` bounds the worlds
+    of p for db (TruncationError past it)."""
+    from .preorders import Verdict
+
+    n, flavor = sem.constraint, sem.flavor
+    if flavor == "b":
+        holds = bgo_leq(n, p, q)
+    elif flavor == "db":
+        holds = dbgo_leq(n, p, q, DEFAULT_WORLD_CAP if cap is None else cap)
+    elif flavor in _CLOSURE_DELTA:
+        holds = lgo_leq_via_closure(n, _CLOSURE_DELTA[flavor], p, q)
+    elif flavor == "l":
+        holds = enum_lgo(n, p) <= enum_lgo(n, q)
+    else:
+        raise UncoveredSemanticsError(f"observational engine does not cover {sem}")
+    return Verdict(holds)

@@ -1,65 +1,73 @@
-"""The third decision pathway: saturate terms, then run plain machinery.
+"""The third decision pathway: N-constrained simulation over M-saturated
+terms for every semantics axiomatized by the choice, simulation and
+reduction axioms.
 
-A term is saturated at top level: its summands are closed under the merge
-rule licensed by the reduction condition of the chosen linear semantics.
-The transitions of the saturated term turn each linear semantics into a
-ready-simulation question (a plain-simulation question for traces).
-Everything is computed modulo canonical forms, which keeps saturation
-finite; a cap on the number of summands bounds it.
+``rule(sem)`` reads (N, M) from ``axioms.axiom_catalog``: the catalog is
+B1-B4, one simulation axiom with constraint N and one reduction axiom ND
+with condition M.  A term is saturated at top level: its summands are
+closed under the merge rule M licenses.  Everything is computed modulo
+canonical forms, which keeps saturation finite; a cap on the number of
+summands bounds it.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .lts import initials, step
+from .constraints import constraint_holds
+from .lts import step
+from .observations import TruncationError
 from .preorders import Verdict, decide_nsim
+from .spectrum import SemanticsId, UncoveredSemanticsError, UnsupportedSemanticsError, parse_semantics
 from .terms import CanonicalTerm, render_term, sum_terms
 
 __all__ = [
     "SaturationCapError",
+    "rule",
     "saturate",
     "step_Z",
-    "reachable_Z",
     "decide_via_operational",
-    "decide_T_via_operational",
     "deter",
     "check_upto",
-    "OPERATIONAL_ZS",
 ]
 
-# The linear semantics the engine decides, by reduction condition: z -> flavor at I.
-OPERATIONAL_ZS = {"F": "lf⊇", "R": "lf", "FT": "l⊇", "RT": "l"}
 DEFAULT_SATURATION_CAP = 10_000
 
 
-class SaturationCapError(RuntimeError):
+class SaturationCapError(TruncationError):
     def __init__(self, term: CanonicalTerm, cap: int):
         self.term = term
-        self.cap = cap
         super().__init__(
-            f"saturation of {render_term(term)} exceeded {cap} summands; raise the cap"
+            f"saturation of {render_term(term)} exceeded {cap} summands; raise the cap", cap
         )
 
 
-def _condition(z: str, observer: str):
-    from .axioms import CONDITIONS
+@lru_cache(maxsize=None)
+def rule(sem: SemanticsId | str) -> tuple[str, str]:
+    """(N, M) for sem: the constraint of its simulation axiom and the
+    condition (a ``CONDITIONS`` name) of its reduction axiom, read from the
+    order-form catalog.  Raises UncoveredSemanticsError unless that catalog
+    is the choice axioms plus exactly these two."""
+    from .axioms import B_AXIOMS, axiom_catalog
 
-    if z not in OPERATIONAL_ZS:
-        raise ValueError(f"operational engine covers F, R, FT, RT; got {z!r}")
-    if observer == "I":
-        return CONDITIONS["M_" + z]
-    if observer == "T":
-        # experimental trace-observer variant; finite terms only
-        return CONDITIONS["M_T-" + z]
-    raise ValueError(f"unknown observer {observer!r}")
+    if isinstance(sem, str):
+        sem = parse_semantics(sem)
+    try:
+        catalog = axiom_catalog(sem)
+    except UnsupportedSemanticsError:
+        catalog = ()
+    extra = catalog[len(B_AXIOMS):]
+    ns = [a.n_condition for a in extra if a.n_condition is not None]
+    ms = [a.condition for a in extra if a.condition is not None]
+    if catalog[: len(B_AXIOMS)] != B_AXIOMS or len(extra) != 2 or len(ns) != 1 or len(ms) != 1:
+        raise UncoveredSemanticsError(f"operational engine does not cover {sem}")
+    return ns[0], ms[0]
 
 
 @lru_cache(maxsize=None)
-def saturate(
-    z: str, p: CanonicalTerm, cap: int = DEFAULT_SATURATION_CAP, observer: str = "I"
-) -> CanonicalTerm:
-    """p's summands closed under the merge rule, as one term.
+def saturate(condition: str, p: CanonicalTerm, cap: int = DEFAULT_SATURATION_CAP) -> CanonicalTerm:
+    """p's summands closed under the merge rule of ``CONDITIONS[condition]``,
+    as one term.
 
     The rule picks two same-action summands a.x and a.v, splits v into
     y + w, and, when the condition accepts (x, y, w), adds the summand
@@ -69,7 +77,9 @@ def saturate(
     Each summand is merged with every earlier one in both roles (merged
     with itself it gives itself back).  The cap counts summands.
     """
-    cond = _condition(z, observer)
+    from .axioms import CONDITIONS
+
+    cond = CONDITIONS[condition]
     closure = list(p.summands)
     seen = set(closure)
     for i, new in enumerate(closure):  # also visits the summands appended below
@@ -100,52 +110,31 @@ def _splits(t: CanonicalTerm):
 
 
 def step_Z(
-    z: str, p: CanonicalTerm, cap: int = DEFAULT_SATURATION_CAP, observer: str = "I"
+    condition: str, p: CanonicalTerm, cap: int = DEFAULT_SATURATION_CAP
 ) -> tuple[tuple[str, CanonicalTerm], ...]:
     """Transitions available after any saturation rewrite; a superset of
     the plain transitions with the same initial actions."""
-    return step(saturate(z, p, cap, observer))
-
-
-def reachable_Z(z: str, p: CanonicalTerm, cap: int = DEFAULT_SATURATION_CAP, observer: str = "I"):
-    seen: dict[CanonicalTerm, None] = {}
-
-    def walk(t: CanonicalTerm) -> None:
-        if t in seen:
-            return
-        seen[t] = None
-        for _, q in step_Z(z, t, cap, observer):
-            walk(q)
-
-    walk(p)
-    return tuple(seen)
+    return step(saturate(condition, p, cap))
 
 
 @lru_cache(maxsize=None)
-def _stepper(z: str, cap: int, observer: str):
-    """One saturated transition relation per (z, cap, observer): decisions share its game memo."""
-    _condition(z, observer)  # reject an unknown z or observer before any game
-    return lambda t: step_Z(z, t, cap, observer)
+def _stepper(condition: str, cap: int):
+    """One saturated transition relation per (condition, cap): every
+    semantics with that reduction condition shares its game memo."""
+    return lambda t: step_Z(condition, t, cap)
 
 
 def decide_via_operational(
-    z: str,
+    sem: SemanticsId | str,
     p: CanonicalTerm,
     q: CanonicalTerm,
     cap: int = DEFAULT_SATURATION_CAP,
-    observer: str = "I",
 ) -> Verdict:
-    """Ready simulation over the saturated transition system decides the
-    linear semantics named by z.  A negative verdict's witness is the
-    refutation of that game, over the saturated transitions on both sides."""
-    return decide_nsim("I", p, q, _stepper(z, cap, observer))
-
-
-def decide_T_via_operational(
-    p: CanonicalTerm, q: CanonicalTerm, cap: int = DEFAULT_SATURATION_CAP
-) -> Verdict:
-    """Plain simulation over the failures-saturated system decides traces."""
-    return decide_nsim("U", p, q, _stepper("F", cap, "I"))
+    """The N-constrained simulation over the M-saturated transition system,
+    (N, M) = ``rule(sem)``.  A negative verdict's witness is the refutation
+    of that game, over the saturated transitions on both sides."""
+    n, condition = rule(sem)
+    return decide_nsim(n, p, q, _stepper(condition, cap))
 
 
 @lru_cache(maxsize=None)
@@ -166,23 +155,21 @@ def deter(p: CanonicalTerm) -> CanonicalTerm:
 
 
 def check_upto(
-    constraint: str,
-    z: str,
+    sem: SemanticsId | str,
     p: CanonicalTerm,
     q: CanonicalTerm,
     cap: int = DEFAULT_SATURATION_CAP,
 ) -> bool:
     """Local simulation up-to: the simulator answers plain moves of p after
     first rewriting inside its own saturation.  Coincides with the saturated
-    ready-simulation game, hence with the linear semantics z."""
-    if constraint != "I":
-        raise ValueError("local simulations up-to are defined for the offer constraint")
+    N-simulation game, hence with sem, (N, M) = ``rule(sem)``."""
+    n, condition = rule(sem)
 
     @lru_cache(maxsize=None)
     def rel(x: CanonicalTerm, y: CanonicalTerm) -> bool:
-        if initials(x) != initials(y):
+        if not constraint_holds(n, x, y):
             return False
-        responses = step_Z(z, y, cap, "I")
+        responses = step_Z(condition, y, cap)
         for a, x2 in step(x):
             if not any(b == a and rel(x2, y2) for b, y2 in responses):
                 return False

@@ -28,6 +28,7 @@ __all__ = [
     "CLASSIC_NAMES",
     "SPECTRUM_ARROWS",
     "UnsupportedSemanticsError",
+    "UncoveredSemanticsError",
 ]
 
 LINEAR_FLAVORS = ("l", "l⊇", "lf", "lf⊇", "l⊆", "lf⊆", "join", "meet")
@@ -45,6 +46,10 @@ _ASCII_FLAVOR = {
 class UnsupportedSemanticsError(ValueError):
     def __init__(self, message: str):
         super().__init__(message + f"; supported ids: {', '.join(sorted(CLASSIC_NAMES))} or N:flavor")
+
+
+class UncoveredSemanticsError(ValueError):
+    """A valid semantics that an engine has no decider for."""
 
 
 class SemanticsId(Frozen):

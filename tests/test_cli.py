@@ -147,6 +147,24 @@ def test_compare_cap_reaches_operational_engine(capsys):
     assert code == 3 and "cap" in err
 
 
+def test_operational_engine_covers_every_axiomatized_layer(capsys):
+    # each pair holds in the next coarser semantics and fails in this one
+    for sem, p, q in (
+        ("PF", "a.0", "a.0 + a.a.0"),
+        ("IFT", "a.0", "a.0 + a.a.0"),
+        ("T:meet", "a.0", "a.0 + a.a.0"),
+        ("ER", "a.(a.0 + b.0)", "a.a.0 + a.b.0"),
+        ("ECRT", "a.(a.0 + b.0)", "a.a.0 + a.b.0"),
+        ("C:lf", "0", "a.0"),
+    ):
+        direct, _, _ = run(capsys, "compare", "--semantics", sem, p, q)
+        code, _, err = run(capsys, "compare", "--engine", "operational", "--semantics", sem, p, q)
+        assert code == direct == 1 and err == "", sem
+    for sem in ("S", "PW", "SF", "I:bf", "C:l⊆", "B"):
+        code, out, err = run(capsys, "compare", "--engine", "operational", "--semantics", sem, "a.0", "a.0")
+        assert code == 2 and out == "" and err == f"error: operational engine does not cover {sem}\n", sem
+
+
 def test_operational_engine_on_a_depth3_term(capsys):
     # the saturation of t has 32 summands; as a set of rewritten terms it
     # passes 1,000 states

@@ -8,18 +8,26 @@ from conftest import c, replay_sim_refutation
 from procsem.axioms import CONDITIONS
 from procsem.lts import initials, is_deterministic, step, traces
 from procsem.operational import (
-    OPERATIONAL_ZS,
     SaturationCapError,
     check_upto,
-    decide_T_via_operational,
     decide_via_operational,
     deter,
-    reachable_Z,
+    rule,
     saturate,
     step_Z,
 )
-from procsem.preorders import linear_holds
+from procsem.preorders import decide
+from procsem.spectrum import UncoveredSemanticsError, parse_semantics, supported_ids
 from procsem.terms import CanonicalTerm, prefix, sum_terms
+
+# every semantics whose catalog is the choice, simulation and reduction axioms
+COVERED = (
+    ("T", "CT", "F", "R", "FT", "RT", "JOIN", "RV", "PF", "IF", "PFT", "IFT")
+    + ("ER", "ERT", "ECR", "ECRT", "T:join", "T:meet")
+    + tuple(f"{n}:{flavor}" for n in "UC" for flavor in ("l⊇", "lf", "lf⊇", "join", "meet"))
+)
+SEMS = tuple(parse_semantics(name) for name in COVERED)
+RULE_CONDITIONS = sorted({rule(sem)[1] for sem in SEMS})
 
 # six same-action summands: many rewrites of a state yield the same merged summand
 WIDE = " + ".join(f"a.{t}" for t in ("b.0", "c.0", "d.0", "e.0", "(b.0+c.0)", "(d.0+e.0)"))
@@ -38,12 +46,12 @@ def _oracle_splits(t: CanonicalTerm):
 
 
 @lru_cache(maxsize=None)
-def saturation_oracle(z: str, p: CanonicalTerm, observer: str = "I", cap: int = 128):
+def saturation_oracle(condition: str, p: CanonicalTerm, cap: int = 128):
     """Every term that top-level merge rewrites reach from p, as an explicit
     set of states, or None past `cap` states.  A rewrite picks two
     same-action summands a.x and a.v of a state, splits v into y + w, and,
     when the condition accepts (x, y, w), adds the summand a.(x+y)."""
-    cond = CONDITIONS["M_" + ("" if observer == "I" else "T-") + z]
+    cond = CONDITIONS[condition]
     seen = {p}
     work = [p]
     while work:
@@ -67,23 +75,38 @@ def saturation_oracle(z: str, p: CanonicalTerm, observer: str = "I", cap: int = 
     return frozenset(seen)
 
 
+def test_rule_covers_exactly_the_axiomatized_semantics():
+    assert len(SEMS) == len(set(SEMS)) == 28
+    assert rule("F") == rule(parse_semantics("F")) == ("I", "M_F")
+    assert rule("T") == ("U", "M_F") and rule("PF") == ("T", "M_T-R") and rule("ECRT") == ("C", "M_RT")
+    assert len(RULE_CONDITIONS) == 12
+    for sem in supported_ids():
+        if sem in SEMS:
+            n, condition = rule(sem)
+            assert n == sem.constraint and condition in CONDITIONS
+            continue
+        with pytest.raises(UncoveredSemanticsError) as info:
+            rule(sem)
+        assert str(info.value) == f"operational engine does not cover {sem}"
+
+
 def test_saturation_examples():
     base = c("a.b.0 + a.c.0")
-    sat_f = saturate("F", base)
+    sat_f = saturate("M_F", base)
     assert sat_f is c("a.b.0 + a.c.0 + a.(b.0 + c.0)")
     assert set(base.summands) <= set(sat_f.summands)
-    assert saturate("RT", base) is base
-    assert saturate("F", c("0")) is c("0")
+    assert saturate("M_RT", base) is base
+    assert saturate("M_F", c("0")) is c("0")
 
 
 def test_saturation_members_stay_equivalent(pool2):
     # the closure is the largest member of the saturation
     rng = random.Random(17)
-    for z, flavor in OPERATIONAL_ZS.items():
+    for sem in SEMS:
+        condition = rule(sem)[1]
         for p in rng.sample(list(pool2), 40):
-            closure = saturate(z, p)
-            assert linear_holds("I", flavor, p, closure)
-            assert linear_holds("I", flavor, closure, p)
+            closure = saturate(condition, p)
+            assert decide(sem, p, closure).holds and decide(sem, closure, p).holds, (sem, p)
 
 
 def test_saturation_is_the_union_of_the_oracle_states(pool2, random3):
@@ -91,70 +114,68 @@ def test_saturation_is_the_union_of_the_oracle_states(pool2, random3):
     # every state a rewrite sequence reaches
     checked = 0
     for p in pool2 + random3[:40]:
-        for z in OPERATIONAL_ZS:
-            for observer in ("I", "T"):
-                states = saturation_oracle(z, p, observer)
-                if states is None:
-                    continue
-                checked += 1
-                union = {move for state in states for move in step(state)}
-                assert set(step(saturate(z, p, observer=observer))) == union, (z, p, observer)
-    assert checked >= 2 * 4 * 280
+        for condition in RULE_CONDITIONS:
+            states = saturation_oracle(condition, p)
+            if states is None:
+                continue
+            checked += 1
+            union = {move for state in states for move in step(state)}
+            assert set(step(saturate(condition, p))) == union, (condition, p)
+    assert checked >= 12 * 280
+
+
 def test_step_Z_extends_and_preserves_initials(pool2):
     rng = random.Random(19)
-    for z in OPERATIONAL_ZS:
+    for condition in RULE_CONDITIONS:
         for p in rng.sample(list(pool2), 60):
-            moves = set(step_Z(z, p))
+            moves = set(step_Z(condition, p))
             assert moves >= set(step(p))
             assert {a for a, _ in moves} == initials(p)
 
 
 def test_step_Z_example():
-    assert ("a", c("b.0+c.0")) in step_Z("F", c("a.b.0+a.c.0"))
-    assert step_Z("F", c("0")) == ()
+    assert ("a", c("b.0+c.0")) in step_Z("M_F", c("a.b.0+a.c.0"))
+    assert step_Z("M_F", c("0")) == ()
 
 
 def test_saturation_cap():
     wide = c(WIDE)
     with pytest.raises(SaturationCapError):
-        saturate("F", wide, cap=5)
+        saturate("M_F", wide, cap=5)
     # the cap counts summands: W closes at 15
-    assert len(saturate("F", wide, cap=15).summands) == 15
+    assert len(saturate("M_F", wide, cap=15).summands) == 15
     with pytest.raises(SaturationCapError, match="14 summands"):
-        saturate("F", wide, cap=14)
+        saturate("M_F", wide, cap=14)
 
 
 def test_saturation_of_a_wide_term():
     wide = c(WIDE)
-    states = saturation_oracle("F", wide, cap=1000)
+    states = saturation_oracle("M_F", wide, cap=1000)
     assert len(states) == 512
-    assert set(step_Z("F", wide)) == {move for state in states for move in step(state)}
-    assert decide_via_operational("F", wide, wide).holds == linear_holds("I", "lf⊇", wide, wide)
+    assert set(step_Z("M_F", wide)) == {move for state in states for move in step(state)}
+    assert decide_via_operational("F", wide, wide).holds == decide(parse_semantics("F"), wide, wide).holds
 
 
 def test_operational_agrees_with_direct_small(pool1):
-    for z, flavor in OPERATIONAL_ZS.items():
+    for sem in SEMS:
         for p, q in itertools.product(pool1, repeat=2):
-            assert decide_via_operational(z, p, q).holds == linear_holds("I", flavor, p, q)
+            assert decide_via_operational(sem, p, q).holds == decide(sem, p, q).holds, (sem, p, q)
 
 
 def test_operational_witness_replays(pool2):
     rng = random.Random(7)
     pairs = [(rng.choice(pool2), rng.choice(pool2)) for _ in range(150)]
     refuted = 0
-    for z in OPERATIONAL_ZS:
+    for sem in SEMS:
+        n, condition = rule(sem)
         for p, q in pairs:
-            verdict = decide_via_operational(z, p, q)
+            verdict = decide_via_operational(sem, p, q)
             if verdict.holds:
                 assert verdict.witness is None
                 continue
             refuted += 1
-            replay_sim_refutation("I", p, q, verdict.witness, partial(step_Z, z))
-    for p, q in pairs:
-        verdict = decide_T_via_operational(p, q)
-        if not verdict.holds:
-            replay_sim_refutation("U", p, q, verdict.witness, partial(step_Z, "F"))
-    assert refuted > 200
+            replay_sim_refutation(n, p, q, verdict.witness, partial(step_Z, condition))
+    assert refuted > 3000
     # failures saturation gives q the answer a.(b.0+c.0), which no plain move is
     witness = decide_via_operational("F", c("a.(b.0+c.0+d.0)"), c("a.b.0 + a.c.0")).witness
     assert [sub["q"] for sub in witness["responses"]] == [c("b.0"), c("b.0+c.0"), c("c.0")]
@@ -162,10 +183,10 @@ def test_operational_witness_replays(pool2):
 
 def test_trace_engine(pool1):
     p, q = c("a.(b.0+c.0)"), c("a.b.0+a.c.0")
-    assert decide_T_via_operational(p, q).holds
-    assert decide_T_via_operational(q, p).holds
+    assert decide_via_operational("T", p, q).holds
+    assert decide_via_operational("T", q, p).holds
     for x, y in itertools.product(pool1, repeat=2):
-        assert decide_T_via_operational(x, y).holds == (traces(x) <= traces(y))
+        assert decide_via_operational("T", x, y).holds == (traces(x) <= traces(y))
 
 
 def test_deter_examples():
@@ -183,41 +204,14 @@ def test_deter_properties(pool2):
 
 def test_check_upto_examples():
     p, q = c("a.b.c.0 + a.b.d.0"), c("a.(b.c.0 + b.d.0)")
-    assert check_upto("I", "F", p, q)
-    assert check_upto("I", "F", q, p)
-    assert check_upto("I", "F", p, p)
-    with pytest.raises(ValueError):
-        check_upto("T", "F", p, q)
+    assert check_upto("F", p, q)
+    assert check_upto("F", q, p)
+    assert check_upto("F", p, p)
+    with pytest.raises(UncoveredSemanticsError):
+        check_upto("S", p, q)
 
 
 def test_check_upto_agrees_with_operational(pool1):
-    for z in OPERATIONAL_ZS:
+    for sem in SEMS:
         for p, q in itertools.product(pool1, repeat=2):
-            assert check_upto("I", z, p, q) == decide_via_operational(z, p, q).holds
-
-
-def test_trace_observer_saturation_cross_check(pool1):
-    # experimental: the trace-conditioned saturation decides the trace-layer
-    # linear semantics on tiny terms
-    from procsem.preorders import greatest_simulation
-
-    for z in ("R", "RT"):
-        flavor = OPERATIONAL_ZS[z]
-
-        def stepper(t, _z=z):
-            return step_Z(_z, t, observer="T")
-
-        all_states = tuple(
-            dict.fromkeys(s for p in pool1 for s in reachable_Z(z, p, observer="T"))
-        )
-        table = greatest_simulation(all_states, "T", stepper)
-        for p, q in itertools.product(pool1, repeat=2):
-            assert (q in table[p]) == linear_holds("T", flavor, p, q), (z, p, q)
-
-
-def test_reachable_Z_closed(pool1):
-    for p in pool1:
-        states = reachable_Z("F", p)
-        for s in states:
-            for _, t in step_Z("F", s):
-                assert t in states
+            assert check_upto(sem, p, q) == decide_via_operational(sem, p, q).holds, (sem, p, q)

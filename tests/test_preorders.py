@@ -599,7 +599,7 @@ def test_invalid_linear_semantics_raises_on_every_call():
 
 
 def test_holding_verdicts():
-    from procsem.operational import decide_T_via_operational, decide_via_operational
+    from procsem.operational import decide_via_operational
 
     p = c("a.(b.0+c.0)")
     verdicts = [
@@ -611,7 +611,7 @@ def test_holding_verdicts():
         decide_final_ready_sim(p, p),
         decide_final_failure_sim(p, p),
         decide_via_operational("F", p, p),
-        decide_T_via_operational(p, p),
+        decide_via_operational("T", p, p),
     ]
     for verdict in verdicts:
         assert verdict == Verdict(True)
