@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable, Sequence
 
+from . import preorders
 from .lts import initials, traces
 from .operational import rule, saturate
 from .spectrum import SemanticsId, UnsupportedSemanticsError, parse_semantics
@@ -317,8 +318,6 @@ def check_soundness(
 ) -> SoundnessReport:
     """Instantiate the axiom over the pool and check every instance with the
     decision engine.  Violations are collected, not raised."""
-    from . import preorders
-
     if isinstance(sem, str):
         sem = parse_semantics(sem)
     variables = axiom.variables()
@@ -388,8 +387,6 @@ def verify_hnf_laws(z: str, pool: Sequence[CanonicalTerm], pairs=None) -> HnfLaw
     """Check that the head normal form (``operational.saturate``) is a
     Z-equivalent saturation and that related pairs match summand-wise through
     the head normal form of the larger side."""
-    from . import preorders
-
     sem, condition = _hnf_rule(z)
     report = HnfLawReport(z=z)
     for p in pool:
@@ -446,8 +443,6 @@ def derive_leq(z: str, p: CanonicalTerm, q: CanonicalTerm) -> Derivation:
     step's side condition (equal offers) is checked during replay.  Raises
     if the relation does not hold.
     """
-    from . import preorders
-
     sem, condition = _hnf_rule(z)
     if not preorders.decide(sem, p, q).holds:
         raise ValueError(f"{render_term(p)} is not below {render_term(q)} in {sem}")
@@ -457,8 +452,6 @@ def derive_leq(z: str, p: CanonicalTerm, q: CanonicalTerm) -> Derivation:
 
 
 def _derive(sem, condition, p, q, derivation) -> None:
-    from . import preorders
-
     if p.is_nil:
         if not q.is_nil:
             raise AssertionError("nil is only below nil in the ready-simulation layers")

@@ -783,11 +783,13 @@ def _conj_variants(f: Formula):
 
 def _minimize(f: Formula, sem, p, q, alphabet) -> Formula:
     def good(g: Formula) -> bool:
+        # separation first: it is cached and rejects most variants
+        if not sat(p, g) or sat(q, g):
+            return False
         try:
-            ok = in_sublogic(g, sem, alphabet)
+            return in_sublogic(g, sem, alphabet)
         except UnsupportedSemanticsError:
             return False
-        return ok and sat(p, g) and not sat(q, g)
 
     changed = True
     while changed:

@@ -4,11 +4,13 @@ Three families of procedures live here:
 
 * constrained simulations (the branching backbone), played as memoized
   games on the driver of ``constraints``,
-* linear deciders, the extended-ready family included: one set inclusion
-  of per-term tables of decorated traces as (trace, raw label values)
-  pairs (built per subterm from the successors' tables, with no
-  observation objects), the flavor's rule from a table matching only the
-  pairs the inclusion leaves; a witness is the least of the unmatched pairs,
+* linear deciders, the extended-ready family included: first trace-set
+  inclusion, which every linear rule refines (each matches a pair of p only
+  on its own trace), then one set inclusion of per-term tables of
+  decorated traces as (trace, raw label values) pairs (built per subterm
+  from the successors' tables, with no observation objects), the flavor's
+  rule from a table matching only the pairs the inclusion leaves; a
+  witness is the least of the unmatched pairs,
 * the exotic deciders: deterministic branching (a game over bit-masked
   types, the sets of q-states that match a world of p) and
   final-ready/final-failure branching (a coverage game), both on the same
@@ -37,7 +39,7 @@ from .constraints import (
     solve_game,
     value_key,
 )
-from .lts import initials, reachable, step, successors
+from .lts import initials, reachable, step, successors, traces
 from .observations import (
     DEFAULT_WORLD_CAP,
     BranchingObs,
@@ -323,7 +325,10 @@ def _matcher(constraint: str, rule: tuple):
     prefix, final = rule
     if final == "meet":
         return lambda x, pool: _meet_match(geq, x, pool)[0]
-    leq = operator.le if geq is operator.ge else lambda x, y: geq(y, x)
+    if geq is eq:  # U and C order values by equality alone
+        leq = eq
+    else:
+        leq = operator.le if geq is operator.ge else lambda x, y: geq(y, x)
     relations = {"eq": eq, "geq": geq, "leq": leq, "complete": _complete}
     final = relations[final]
     if prefix is None:
@@ -359,8 +364,13 @@ def _unmatched(constraint: str, rule: tuple, p: CanonicalTerm, q: CanonicalTerm)
 
 
 def _included(constraint: str, rule: tuple, p: CanonicalTerm, q: CanonicalTerm) -> bool:
-    """Is every decorated trace of p matched by one of q under `rule`?"""
-    return next(iter(_unmatched(constraint, rule, p, q)), None) is None
+    """Is every decorated trace of p matched by one of q under `rule`?
+
+    Trace inclusion is checked first, from the cached trace sets: every rule
+    matches a pair of p only against q's values on the same trace, and p's
+    tables hold a pair on every trace of p, so a trace of p that q lacks
+    leaves a pair unmatched.  A direction it refutes builds no table."""
+    return traces(p) <= traces(q) and next(iter(_unmatched(constraint, rule, p, q)), None) is None
 
 
 def _lgo_witness(constraint: str, rule: tuple, name: str, p: CanonicalTerm, q: CanonicalTerm) -> dict:

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import MANY_WORLDS, bgo_count, c, replay_sim_refutation
 from procsem.constraints import local_obs
-from procsem.lts import initials, step
+from procsem.lts import initials, step, traces
 from procsem.observations import BranchingObs, enum_lgo
 from procsem.preorders import (
     Verdict,
@@ -202,7 +202,7 @@ def test_linear_witnesses_are_least(pool2, random3):
     linear = [(s.constraint, s.flavor) for s in supported_ids() if s.flavor in LINEAR_FLAVORS]
     assert len(linear) == 39
     extended = [("I", f) for f in ("ER", "ERT", "ECR", "ECRT")]
-    refuted = revived = 0
+    refuted = trace_refuted = revived = 0
     for p, q in pairs:
         for n, flavor in linear + extended:
             if (n, flavor) in extended:
@@ -214,11 +214,13 @@ def test_linear_witnesses_are_least(pool2, random3):
             if least is None:
                 continue
             refuted += 1
+            trace_refuted += not traces(p) <= traces(q)
             witness = verdict.witness
             assert witness["unmatched"] == least, (n, flavor, p, q)
             assert witness.get("revival_action") == element, (n, flavor, p, q)
             revived += element is not None
-    assert refuted > 0 and revived > 0
+    # witnesses of directions refuted at the trace layer are least too
+    assert refuted > trace_refuted > 0 and revived > 0
 
 
 def test_trace_tables_against_enumeration(pool2, random3):
@@ -245,13 +247,49 @@ def test_equality_rules_decide_by_inclusion_alone(monkeypatch, pool2):
     monkeypatch.setattr(preorders, "_lgo_witness", refuse)
     rng = random.Random(41)
     pairs = [(rng.choice(pool2), rng.choice(pool2)) for _ in range(200)]
-    verdicts = [decide(parse_semantics(name), p, q) for name in ("I:l", "I:lf") for p, q in pairs]
+    names = ("I:l", "I:lf", "C:l⊆", "C:lf⊆")
+    verdicts = [decide(parse_semantics(name), p, q) for name in names for p, q in pairs]
     assert not all(verdicts)
     # no per-trace pools, and no witness until one is read
     assert preorders._pools.cache_info().currsize == 0
     refuted = next(verdict for verdict in verdicts if not verdict)
     with pytest.raises(RuntimeError, match="witness built"):
         refuted.witness
+
+
+def _trace_refuted_pairs(terms, rng, count):
+    pairs = []
+    while len(pairs) < count:
+        p, q = rng.choice(terms), rng.choice(terms)
+        if not traces(p) <= traces(q):
+            pairs.append((p, q))
+    return pairs
+
+
+def test_trace_refuted_linear_cells_build_no_table(pool2):
+    import procsem
+    from procsem import preorders
+    from procsem.spectrum import LINEAR_FLAVORS
+
+    procsem.clear_caches()
+    pairs = _trace_refuted_pairs(pool2, random.Random(43), 100)
+    linear = [s for s in supported_ids() if s.flavor in LINEAR_FLAVORS]
+    extended = [parse_semantics(name) for name in ("ER", "ERT", "ECR", "ECRT")]
+    assert len(linear) == 39
+    verdicts = [decide(sem, p, q) for sem in linear + extended for p, q in pairs]
+    assert not any(verdicts)
+    assert preorders._trace_table.cache_info().currsize == 0
+    assert preorders._pools.cache_info().currsize == 0
+    verdicts[0].witness
+    assert preorders._trace_table.cache_info().currsize > 0
+
+
+def test_every_semantics_refines_trace_inclusion(pool2, random3):
+    rng = random.Random(47)
+    pairs = _trace_refuted_pairs(pool2, rng, 300) + _trace_refuted_pairs(random3, rng, 60)
+    for p, q in pairs:
+        for sem in supported_ids():
+            assert not decide(sem, p, q).holds, (sem, p, q)
 
 
 def test_witnesses_are_built_on_first_read(monkeypatch):
