@@ -4,13 +4,18 @@ Three families of procedures live here:
 
 * constrained simulations (the branching backbone), played as memoized
   games on the driver of ``constraints``,
-* linear deciders, the extended-ready family included: first trace-set
-  inclusion, which every linear rule refines (each matches a pair of p only
-  on its own trace), then one set inclusion of per-term tables of
-  decorated traces as (trace, raw label values) pairs (built per subterm
-  from the successors' tables, with no observation objects), the flavor's
-  rule from a table matching only the pairs the inclusion leaves; a
-  witness is the least of the unmatched pairs,
+* linear deciders, the extended-ready family included, each cell settled
+  at the coarsest of three layers that decides it:
+  1. trace-set inclusion, which every linear rule refines (each matches a
+     pair of p only on its own trace);
+  2. the collapse laws: at U every rule is trace inclusion (every label is
+     the same), at C completed-trace inclusion (only a path's last state
+     can be nil);
+  3. one set inclusion of per-term tables of decorated traces as (trace,
+     raw label values) pairs (built per subterm from the successors'
+     tables, with no observation objects), the flavor's rule from a table
+     matching only the pairs the inclusion leaves;
+  a witness is the least of the unmatched pairs,
 * the exotic deciders: deterministic branching (a game over bit-masked
   types, the sets of q-states that match a world of p) and
   final-ready/final-failure branching (a coverage game), both on the same
@@ -20,7 +25,9 @@ Negative verdicts carry replayable witnesses: a refutation tree for
 simulations, the least unmatched decorated trace (by ``LinearObs.sort_key``)
 for linear flavors, the least unmatched complete deterministic observation
 for ``db``.  Every witness is built when it is first read, so deciding alone
-pays for no witness and ``db`` enumerates no world.
+pays for no witness and ``db`` enumerates no world.  ``decide`` and
+``spectrum_matrix`` read one flavor dispatch, and the matrix reads only its
+booleans, so it builds no verdict at all.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ from .constraints import (
     solve_game,
     value_key,
 )
-from .lts import initials, reachable, step, successors, traces
+from .lts import completed_traces, initials, reachable, step, successors, traces
 from .observations import (
     DEFAULT_WORLD_CAP,
     BranchingObs,
@@ -50,7 +57,7 @@ from .observations import (
     enum_complete_dbgo,
     world_count,  # read as preorders.world_count too
 )
-from .spectrum import SemanticsId, classic_name, supported_ids
+from .spectrum import BISIM, CLASSIC_NAMES, SemanticsId, classic_name, supported_ids
 from .terms import CanonicalTerm, render_term
 
 __all__ = [
@@ -225,9 +232,7 @@ def decide_nsim(constraint: str, p: CanonicalTerm, q: CanonicalTerm, stepper=ste
 def decide_bisim(p: CanonicalTerm, q: CanonicalTerm) -> Verdict:
     """Bisimilarity; on canonical forms this is identity (the choice axioms
     are a complete axiomatization of bisimilarity for finite terms)."""
-    if p is q:
-        return HOLDS
-    return Verdict(False, None, _bisim_refutation, p, q)
+    return decide(BISIM, p, q)
 
 
 def _bisim_refutation(p: CanonicalTerm, q: CanonicalTerm) -> dict:
@@ -366,11 +371,21 @@ def _unmatched(constraint: str, rule: tuple, p: CanonicalTerm, q: CanonicalTerm)
 def _included(constraint: str, rule: tuple, p: CanonicalTerm, q: CanonicalTerm) -> bool:
     """Is every decorated trace of p matched by one of q under `rule`?
 
-    Trace inclusion is checked first, from the cached trace sets: every rule
-    matches a pair of p only against q's values on the same trace, and p's
-    tables hold a pair on every trace of p, so a trace of p that q lacks
-    leaves a pair unmatched.  A direction it refutes builds no table."""
-    return traces(p) <= traces(q) and next(iter(_unmatched(constraint, rule, p, q)), None) is None
+    Three exact layers, coarsest first; only the last builds a table:
+    1. Traces: every rule matches a pair of p only against q's values on its
+       trace, and p has a pair on each of its traces.
+    2. Collapse: at U every value is None, so the trace alone matches.  At C
+       `geq` is `eq` and only a path's last state can be nil, so each rule
+       asks that q end each trace of p as p can, nil or live: completed-trace
+       inclusion, as q has p's longer traces and so its live ends too.
+    3. Tables: the set inclusion and leftover matching of `_unmatched`."""
+    if not traces(p) <= traces(q):
+        return False
+    if constraint == "U":
+        return True
+    if constraint == "C":
+        return completed_traces(p) <= completed_traces(q)
+    return next(iter(_unmatched(constraint, rule, p, q)), None) is None
 
 
 def _lgo_witness(constraint: str, rule: tuple, name: str, p: CanonicalTerm, q: CanonicalTerm) -> dict:
@@ -411,10 +426,8 @@ def linear_holds(constraint: str, flavor: str, p: CanonicalTerm, q: CanonicalTer
 
 
 def decide_linear(constraint: str, flavor: str, p: CanonicalTerm, q: CanonicalTerm) -> Verdict:
-    rule, name = _linear_rule(constraint, flavor)
-    if _included(constraint, rule, p, q):
-        return HOLDS
-    return Verdict(False, None, _lgo_witness, constraint, rule, name, p, q)
+    _linear_rule(constraint, flavor)  # a flavor that is not linear raises
+    return decide(SemanticsId(constraint, flavor), p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -492,9 +505,7 @@ def _db_witness(constraint: str, p: CanonicalTerm, q: CanonicalTerm) -> dict:
     raise AssertionError("witness requested for a holding pair")
 
 
-def decide_db(
-    constraint: str, p: CanonicalTerm, q: CanonicalTerm, cap: int = DEFAULT_WORLD_CAP
-) -> Verdict:
+def _db_included(constraint: str, p: CanonicalTerm, q: CanonicalTerm, cap: int) -> bool:
     """Inclusion of deterministic branching observations.
 
     Complete deterministic observations suffice: every deterministic
@@ -507,11 +518,15 @@ def decide_db(
     """
     check_world_cap(p, cap)
     node, memo = _types_game(constraint)
-    if constraint_holds(constraint, p, q) and all(
+    return constraint_holds(constraint, p, q) and all(
         0 not in solve_game(node, (p2, successors(q, a)), memo) for a, p2 in step(p)
-    ):
-        return HOLDS
-    return Verdict(False, None, _db_witness, constraint, p, q)
+    )
+
+
+def decide_db(
+    constraint: str, p: CanonicalTerm, q: CanonicalTerm, cap: int = DEFAULT_WORLD_CAP
+) -> Verdict:
+    return decide(SemanticsId(constraint, "db"), p, q, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -568,20 +583,18 @@ def _uncovered_bgo(p: CanonicalTerm, qs: tuple[CanonicalTerm, ...], exact: bool)
     return BranchingObs(label, frozenset(children))
 
 
-def _decide_final_branching(p: CanonicalTerm, q: CanonicalTerm, exact: bool) -> Verdict:
-    if _covered(p, (q,), exact):
-        return HOLDS
-    return Verdict(False, None, lambda: {"kind": "bgo", "unmatched": _uncovered_bgo(p, (q,), exact)})
+def _bgo_witness(p: CanonicalTerm, q: CanonicalTerm, exact: bool) -> dict:
+    return {"kind": "bgo", "unmatched": _uncovered_bgo(p, (q,), exact)}
 
 
 def decide_final_ready_sim(p: CanonicalTerm, q: CanonicalTerm) -> Verdict:
     """Every branching observation of p is matched in q with exact leaf offers."""
-    return _decide_final_branching(p, q, True)
+    return decide(SemanticsId("I", "bf"), p, q)
 
 
 def decide_final_failure_sim(p: CanonicalTerm, q: CanonicalTerm) -> Verdict:
     """Leaf clause weakens to offer inclusion: the matched state may offer less."""
-    return _decide_final_branching(p, q, False)
+    return decide(SemanticsId("I", "bf⊇"), p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -591,45 +604,59 @@ def decide_final_failure_sim(p: CanonicalTerm, q: CanonicalTerm) -> Verdict:
 def decide_extended(flavor: str, p: CanonicalTerm, q: CanonicalTerm) -> Verdict:
     if flavor not in _EXTENDED:
         raise ValueError(f"not an extended-ready flavor: {flavor}")
-    rule = _EXTENDED[flavor]
-    if _included("I", rule, p, q):
-        return HOLDS
-    return Verdict(False, None, _lgo_witness, "I", rule, flavor, p, q)
+    return decide(CLASSIC_NAMES[flavor], p, q)
 
 
 # ---------------------------------------------------------------------------
 # Dispatch and the spectrum matrix
 
 
+# The one flavor dispatch: flavor -> (holds(constraint, flavor, p, q, cap),
+# witness(constraint, flavor, p, q)).  `spectrum_matrix` reads only `holds`;
+# `decide` hands `witness` to a refuting verdict, which builds it on first
+# read.  The lambdas look their deciders up when called, so a replaced module
+# function is the one used.  The extended-ready flavors compare offers
+# (constraint I) whatever layer they are named at.
+_DECIDERS = {
+    **dict.fromkeys(_FLAVORS, (
+        lambda c, f, p, q, cap: _included(c, _linear_rule(c, f)[0], p, q),
+        lambda c, f, p, q: _lgo_witness(c, *_linear_rule(c, f), p, q),
+    )),
+    **dict.fromkeys(_EXTENDED, (
+        lambda c, f, p, q, cap: _included("I", _EXTENDED[f], p, q),
+        lambda c, f, p, q: _lgo_witness("I", _EXTENDED[f], f, p, q),
+    )),
+    "bisim": (lambda c, f, p, q, cap: p is q, lambda c, f, p, q: _bisim_refutation(p, q)),
+    "b": (lambda c, f, p, q, cap: simulates(c, p, q), lambda c, f, p, q: _sim_refutation(c, p, q)),
+    "db": (lambda c, f, p, q, cap: _db_included(c, p, q, cap), lambda c, f, p, q: _db_witness(c, p, q)),
+    "bf": (lambda c, f, p, q, cap: _covered(p, (q,), True), lambda c, f, p, q: _bgo_witness(p, q, True)),
+    "bf⊇": (lambda c, f, p, q, cap: _covered(p, (q,), False), lambda c, f, p, q: _bgo_witness(p, q, False)),
+}
+
+
 def decide(sem: SemanticsId, p: CanonicalTerm, q: CanonicalTerm, cap: int | None = None) -> Verdict:
     """Does p lie below q in the given semantics?"""
-    flavor = sem.flavor
-    if flavor in _FLAVORS:
-        return decide_linear(sem.constraint, flavor, p, q)
-    if flavor == "bisim":
-        return decide_bisim(p, q)
-    if flavor == "b":
-        return decide_nsim(sem.constraint, p, q)
-    if flavor == "db":
-        return decide_db(sem.constraint, p, q, DEFAULT_WORLD_CAP if cap is None else cap)
-    if flavor == "bf":
-        return decide_final_ready_sim(p, q)
-    if flavor == "bf⊇":
-        return decide_final_failure_sim(p, q)
-    return decide_extended(flavor, p, q)
+    constraint, flavor = sem.constraint, sem.flavor
+    test, witness = _DECIDERS[flavor]
+    if test(constraint, flavor, p, q, DEFAULT_WORLD_CAP if cap is None else cap):
+        return HOLDS
+    return Verdict(False, None, witness, constraint, flavor, p, q)
 
 
 def holds(sem: SemanticsId, p: CanonicalTerm, q: CanonicalTerm) -> bool:
-    return decide(sem, p, q).holds
+    return _DECIDERS[sem.flavor][0](sem.constraint, sem.flavor, p, q, DEFAULT_WORLD_CAP)
 
 
 def spectrum_matrix(p: CanonicalTerm, q: CanonicalTerm) -> dict[SemanticsId, object]:
-    """Both directions of every supported semantics; cell errors never abort."""
+    """Both directions of every supported semantics; cell errors never abort.
+    Only the booleans are read, so no verdict or witness is built."""
     out: dict[SemanticsId, object] = {}
     for sem in supported_ids():
+        constraint, flavor = sem.constraint, sem.flavor
+        test = _DECIDERS[flavor][0]
         try:
-            below = decide(sem, p, q).holds
-            above = decide(sem, q, p).holds
+            below = test(constraint, flavor, p, q, DEFAULT_WORLD_CAP)
+            above = test(constraint, flavor, q, p, DEFAULT_WORLD_CAP)
         except TruncationError as exc:
             out[sem] = {"error": str(exc)}
             continue

@@ -202,7 +202,7 @@ def test_linear_witnesses_are_least(pool2, random3):
     linear = [(s.constraint, s.flavor) for s in supported_ids() if s.flavor in LINEAR_FLAVORS]
     assert len(linear) == 39
     extended = [("I", f) for f in ("ER", "ERT", "ECR", "ECRT")]
-    refuted = trace_refuted = revived = 0
+    refuted = trace_refuted = collapse_refuted = root_refuted = revived = 0
     for p, q in pairs:
         for n, flavor in linear + extended:
             if (n, flavor) in extended:
@@ -214,13 +214,20 @@ def test_linear_witnesses_are_least(pool2, random3):
             if least is None:
                 continue
             refuted += 1
-            trace_refuted += not traces(p) <= traces(q)
+            if not traces(p) <= traces(q):
+                trace_refuted += 1
+            elif n in ("U", "C"):
+                collapse_refuted += 1
+            else:
+                root_refuted += not least.steps
             witness = verdict.witness
             assert witness["unmatched"] == least, (n, flavor, p, q)
             assert witness.get("revival_action") == element, (n, flavor, p, q)
             revived += element is not None
-    # witnesses of directions refuted at the trace layer are least too
+    # witnesses of directions refuted at the trace layer, by the collapse
+    # laws and on the empty trace are least too
     assert refuted > trace_refuted > 0 and revived > 0
+    assert collapse_refuted > 0 and root_refuted > 0
 
 
 def test_trace_tables_against_enumeration(pool2, random3):
@@ -282,6 +289,37 @@ def test_trace_refuted_linear_cells_build_no_table(pool2):
     assert preorders._pools.cache_info().currsize == 0
     verdicts[0].witness
     assert preorders._trace_table.cache_info().currsize > 0
+
+
+def test_collapsed_linear_cells_build_no_table(pool2):
+    import procsem
+    from procsem import preorders
+    from procsem.spectrum import LINEAR_FLAVORS
+
+    procsem.clear_caches()
+    rng = random.Random(53)
+    pairs = [(rng.choice(pool2), rng.choice(pool2)) for _ in range(300)]
+    collapsed = [s for s in supported_ids() if s.constraint in ("U", "C") and s.flavor in LINEAR_FLAVORS]
+    assert len(collapsed) == 16
+    cells = [(sem, p, q) for sem in collapsed for p, q in pairs]
+    verdicts = [decide(*cell) for cell in cells]
+    assert any(verdicts)
+    # some cells are refuted past the trace layer, by completed traces at C
+    assert any(not verdict and traces(p) <= traces(q) for verdict, (_, p, q) in zip(verdicts, cells))
+    assert preorders._trace_table.cache_info().currsize == 0
+    assert preorders._pools.cache_info().currsize == 0
+    next(verdict for verdict in verdicts if not verdict).witness
+    assert preorders._trace_table.cache_info().currsize > 0
+
+
+def test_spectrum_matrix_agrees_with_decide(pool2, random3):
+    rng = random.Random(59)
+    pairs = [(rng.choice(pool2), rng.choice(pool2)) for _ in range(40)]
+    pairs += [(rng.choice(random3), rng.choice(random3)) for _ in range(20)]
+    cell = {(True, True): "≡", (True, False): "⊑", (False, True): "⊒", (False, False): "incomparable"}
+    for p, q in pairs:
+        expected = {sem: cell[decide(sem, p, q).holds, decide(sem, q, p).holds] for sem in supported_ids()}
+        assert spectrum_matrix(p, q) == expected, (p, q)
 
 
 def test_every_semantics_refines_trace_inclusion(pool2, random3):
