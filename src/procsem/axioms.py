@@ -18,19 +18,7 @@ from . import preorders
 from .lts import initials, traces
 from .operational import rule, saturate
 from .spectrum import SemanticsId, UnsupportedSemanticsError, parse_semantics
-from .terms import (
-    CanonicalTerm,
-    Choice,
-    Nil,
-    Prefix,
-    Term,
-    Var,
-    canonicalize,
-    prefix,
-    render_term,
-    substitute,
-    sum_terms,
-)
+from .terms import NIL, CanonicalTerm, Choice, Nil, Prefix, Term, Var, prefix, render_term, sum_terms
 
 __all__ = [
     "Axiom",
@@ -117,9 +105,7 @@ class Axiom:
         return tuple(sorted(free_variables(self.lhs) | free_variables(self.rhs)))
 
     def instance_ok(self, subst: dict[str, CanonicalTerm]) -> bool:
-        x = subst.get("X", canonicalize(Nil()))
-        y = subst.get("Y", canonicalize(Nil()))
-        w = subst.get("Z", canonicalize(Nil()))
+        x, y, w = (subst.get(v, NIL) for v in ("X", "Y", "Z"))
         if self.condition is not None and not condition_holds(self.condition, x, y, w):
             return False
         if self.n_condition is not None and not _N_RELATION[self.n_condition](x, y):
@@ -129,10 +115,7 @@ class Axiom:
     def instantiate(
         self, subst: dict[str, CanonicalTerm], actions: dict[str, str]
     ) -> tuple[CanonicalTerm, CanonicalTerm]:
-        raw = {name: _raw(term) for name, term in subst.items()}
-        lhs = substitute(_rename_actions(self.lhs, actions), raw)
-        rhs = substitute(_rename_actions(self.rhs, actions), raw)
-        return canonicalize(lhs), canonicalize(rhs)
+        return _instance(self.lhs, subst, actions), _instance(self.rhs, subst, actions)
 
     def __str__(self) -> str:
         rel = "=" if self.kind == "equation" else "<="
@@ -146,19 +129,16 @@ class Axiom:
         return f"({self.name}) {head}{render_term(self.lhs)} {rel} {render_term(self.rhs)}"
 
 
-def _raw(t: CanonicalTerm) -> Term:
-    if t.is_nil:
-        return Nil()
-    parts = [Prefix(a, _raw(b)) for a, b in t.summands]
-    return _plus(*parts)
-
-
-def _rename_actions(t: Term, actions: dict[str, str]) -> Term:
+def _instance(t: Term, subst: dict[str, CanonicalTerm], actions: dict[str, str]) -> CanonicalTerm:
+    """The canonical term of schema `t` with its variables and placeholder
+    actions replaced."""
+    if isinstance(t, Var):
+        return subst[t.name]
     if isinstance(t, Prefix):
-        return Prefix(actions.get(t.action, t.action), _rename_actions(t.body, actions))
+        return prefix(actions.get(t.action, t.action), _instance(t.body, subst, actions))
     if isinstance(t, Choice):
-        return Choice(_rename_actions(t.left, actions), _rename_actions(t.right, actions))
-    return t
+        return sum_terms(_instance(t.left, subst, actions), _instance(t.right, subst, actions))
+    return NIL
 
 
 # ---------------------------------------------------------------------------
@@ -348,9 +328,9 @@ def check_soundness(
         action_map = dict(zip(axiom.action_vars, binding))
         lhs, rhs = axiom.instantiate(subst, action_map)
         report.checked += 1
-        ok = preorders.decide(sem, lhs, rhs).holds
+        ok = preorders.holds(sem, lhs, rhs)
         if ok and axiom.kind == "equation":
-            ok = preorders.decide(sem, rhs, lhs).holds
+            ok = preorders.holds(sem, rhs, lhs)
         if not ok:
             report.violations.append((subst, action_map, lhs, rhs))
     return report
@@ -391,7 +371,7 @@ def verify_hnf_laws(z: str, pool: Sequence[CanonicalTerm], pairs=None) -> HnfLaw
     report = HnfLawReport(z=z)
     for p in pool:
         h = saturate(condition, p)
-        if not (preorders.decide(sem, h, p).holds and preorders.decide(sem, p, h).holds):
+        if not (preorders.holds(sem, h, p) and preorders.holds(sem, p, h)):
             report.equivalence_failures.append(p)
         report.terms_checked += 1
     if pairs is None:
@@ -402,7 +382,7 @@ def verify_hnf_laws(z: str, pool: Sequence[CanonicalTerm], pairs=None) -> HnfLaw
         key = (x, y)
         hit = memo.get(key)
         if hit is None:
-            hit = memo[key] = preorders.linear_holds(sem.constraint, sem.flavor, x, y)
+            hit = memo[key] = preorders.holds(sem, x, y)
         return hit
 
     hnf_index: dict[CanonicalTerm, dict[str, list[CanonicalTerm]]] = {}
@@ -444,7 +424,7 @@ def derive_leq(z: str, p: CanonicalTerm, q: CanonicalTerm) -> Derivation:
     if the relation does not hold.
     """
     sem, condition = _hnf_rule(z)
-    if not preorders.decide(sem, p, q).holds:
+    if not preorders.holds(sem, p, q):
         raise ValueError(f"{render_term(p)} is not below {render_term(q)} in {sem}")
     derivation = Derivation(z=z, goal=(p, q))
     _derive(sem, condition, p, q, derivation)
@@ -466,7 +446,7 @@ def _derive(sem, condition, p, q, derivation) -> None:
     for a, derivative in p.summands:
         match = None
         for candidate in by_action.get(a, ()):
-            if preorders.decide(sem, derivative, candidate).holds:
+            if preorders.holds(sem, derivative, candidate):
                 match = candidate
                 break
         if match is None:

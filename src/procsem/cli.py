@@ -135,9 +135,12 @@ def _pretty(payload) -> None:
 def _cmd_compare(args) -> int:
     sem = _semantics(args.semantics)
     p, q = _term(args.p), _term(args.q)
+    if args.engine == "direct" and args.cap is not None:
+        message = "--cap applies to the observational and operational engines, not to direct"
+        raise CliError(message, EXIT_USAGE)
     try:
         if args.engine == "direct":
-            verdict = preorders.decide(sem, p, q, cap=args.cap)
+            verdict = preorders.decide(sem, p, q)
         elif args.engine == "observational":
             verdict = decide_via_observations(sem, p, q, args.cap)
         else:
@@ -145,11 +148,12 @@ def _cmd_compare(args) -> int:
 
             cap = op_mod.DEFAULT_SATURATION_CAP if args.cap is None else args.cap
             verdict = op_mod.decide_via_operational(sem, p, q, cap)
+        payload = verdict.to_json()  # reads the witness, which a world cap may stop
     except UncoveredSemanticsError as exc:
         raise CliError(str(exc), EXIT_USAGE) from exc
     except TruncationError as exc:  # a world, observation or saturation cap
         raise CliError(str(exc), EXIT_CAP) from exc
-    _emit(args, verdict.to_json())
+    _emit(args, payload)
     return EXIT_OK if verdict.holds else EXIT_FAILS
 
 

@@ -22,10 +22,10 @@ import random
 from functools import lru_cache
 from itertools import product
 
-from .constraints import constraint_holds
+from .constraints import constraint_holds, simulates
 from .lts import completed_traces, initials, reachable, step, traces
 from .observations import BranchingObs, LinearObs
-from .preorders import decide, decide_linear, decide_nsim, sim_leq
+from .preorders import decide, decide_nsim
 from .spectrum import SemanticsId, UnsupportedSemanticsError, parse_semantics
 from .terms import ACTION_RE, CanonicalTerm
 
@@ -320,46 +320,6 @@ class BaseLogic:
             return self._is_positive(f.body)
         return False
 
-    def enumerate(self, max_depth: int):
-        """All base formulas of modal depth <= max_depth (finite for each N)."""
-        n = self.constraint
-        out = [TOP]
-        if n == "U":
-            return out
-        out.append(self._not_zero)
-        if n == "C":
-            return out
-        if n == "I":
-            out.extend(Diamond(a, TOP) for a in sorted(self.alphabet))
-            return out
-        if n == "T":
-            for length in range(1, max_depth + 1):
-                for tr in product(sorted(self.alphabet), repeat=length):
-                    out.append(chain(tr))
-            return out
-        # S: positive formulas, grown by depth with a crude size cap.
-        layer = [TOP]
-        seen = {TOP}
-        for _ in range(max_depth):
-            new = []
-            for a in sorted(self.alphabet):
-                for f in layer:
-                    new.append(Diamond(a, f))
-            pool = layer + new
-            for x, y in product(pool, repeat=2):
-                c = conj(x, y)
-                if c not in seen:
-                    new.append(c)
-            layer = []
-            for f in new:
-                if f not in seen:
-                    seen.add(f)
-                    layer.append(f)
-            out.extend(layer)
-            if len(out) > 400:
-                break
-        return out
-
 
 @lru_cache(maxsize=None)
 def base_constraint_logic(constraint: str, alphabet: frozenset) -> BaseLogic:
@@ -549,7 +509,7 @@ def _pin(constraint: str, label, alphabet, mode: str, context=()) -> Formula:
         negatives = [
             Neg(characteristic_sim_formula(w))
             for w in sorted(context, key=lambda t: t.key)
-            if not sim_leq(w, value)
+            if not simulates("U", w, value)
         ]
         if mode == "neg":
             return conj(*negatives)
@@ -693,10 +653,10 @@ def _build_separator(sem, verdict, p, q, alphabet) -> Formula:
     if sem.constraint == "C":
         return _distinguish_completed(p, q, alphabet)
     if flavor == "join":
-        for part in ("l⊇", "lf"):
-            verdict = decide_linear(sem.constraint, part, p, q)
+        for part in (SemanticsId(sem.constraint, "l⊇"), SemanticsId(sem.constraint, "lf")):
+            verdict = decide(part, p, q)
             if not verdict.holds:
-                return _build_separator(SemanticsId(sem.constraint, part), verdict, p, q, alphabet)
+                return _build_separator(part, verdict, p, q, alphabet)
         raise AssertionError("join refuted but both components hold")
     witness = verdict.witness
     obs = witness["unmatched"]

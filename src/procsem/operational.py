@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .constraints import constraint_holds
+from .constraints import constraint_holds, solve_game
 from .lts import step
 from .observations import TruncationError
 from .preorders import Verdict, decide_nsim
@@ -162,17 +162,21 @@ def check_upto(
 ) -> bool:
     """Local simulation up-to: the simulator answers plain moves of p after
     first rewriting inside its own saturation.  Coincides with the saturated
-    N-simulation game, hence with sem, (N, M) = ``rule(sem)``."""
+    N-simulation game, hence with sem, (N, M) = ``rule(sem)``.  Played on
+    ``solve_game``'s explicit stack, with a memo of its own."""
     n, condition = rule(sem)
 
-    @lru_cache(maxsize=None)
-    def rel(x: CanonicalTerm, y: CanonicalTerm) -> bool:
+    def node(key):
+        x, y = key
         if not constraint_holds(n, x, y):
             return False
         responses = step_Z(condition, y, cap)
         for a, x2 in step(x):
-            if not any(b == a and rel(x2, y2) for b, y2 in responses):
+            for b, y2 in responses:
+                if b == a and (yield (x2, y2)):
+                    break
+            else:
                 return False
         return True
 
-    return rel(p, q)
+    return solve_game(node, (p, q), {})

@@ -25,9 +25,10 @@ Negative verdicts carry replayable witnesses: a refutation tree for
 simulations, the least unmatched decorated trace (by ``LinearObs.sort_key``)
 for linear flavors, the least unmatched complete deterministic observation
 for ``db``.  Every witness is built when it is first read, so deciding alone
-pays for no witness and ``db`` enumerates no world.  ``decide`` and
-``spectrum_matrix`` read one flavor dispatch, and the matrix reads only its
-booleans, so it builds no verdict at all.
+pays for no witness and enumerates no world: the world cap guards only the
+``db`` witness.  ``decide(sem, p, q)``, ``holds`` (its boolean, with no
+verdict) and ``spectrum_matrix`` read one flavor dispatch; ``decide_nsim``
+takes a transition relation, for the operational engine and ``logic``.
 """
 
 from __future__ import annotations
@@ -46,40 +47,26 @@ from .constraints import (
     solve_game,
     value_key,
 )
-from .lts import completed_traces, initials, reachable, step, successors, traces
+from .lts import completed_traces, initials, step, successors, traces
 from .observations import (
-    DEFAULT_WORLD_CAP,
     BranchingObs,
     LinearObs,
-    TruncationError,
     bgo_member,
     check_world_cap,
     enum_complete_dbgo,
-    world_count,  # read as preorders.world_count too
 )
-from .spectrum import BISIM, CLASSIC_NAMES, SemanticsId, classic_name, supported_ids
+from .spectrum import SemanticsId, classic_name, supported_ids
 from .terms import CanonicalTerm, render_term
 
 __all__ = [
     "Verdict",
     "HOLDS",
     "decide",
-    "decide_bisim",
-    "decide_nsim",
-    "decide_linear",
-    "decide_db",
-    "decide_final_ready_sim",
-    "decide_final_failure_sim",
-    "decide_extended",
-    "linear_holds",
     "holds",
+    "decide_nsim",
     "spectrum_matrix",
     "matrix_json",
-    "sim_leq",
-    "nsim_holds",
-    "nsim_table",
     "lgo_json",
-    "DEFAULT_WORLD_CAP",
 ]
 
 
@@ -170,35 +157,6 @@ def _label_payload(label):
 # Constrained simulations
 
 
-def greatest_simulation(
-    states: tuple[CanonicalTerm, ...],
-    constraint: str | None,
-    stepper=step,
-) -> dict[CanonicalTerm, set[CanonicalTerm]]:
-    """Greatest simulation over `states` whose pairs satisfy the constraint.
-
-    Returns the map p -> {q : p related to q}, read off the simulation game
-    with `stepper` as the transition relation; no constraint means the plain
-    simulation.
-    """
-    constraint = constraint or "U"
-    return {p: {q for q in states if simulates(constraint, p, q, stepper)} for p in states}
-
-
-def nsim_table(terms: Iterable[CanonicalTerm], constraint: str) -> dict[CanonicalTerm, set[CanonicalTerm]]:
-    """Greatest N-constrained simulation over the union of reachable states."""
-    return greatest_simulation(tuple(dict.fromkeys(s for t in terms for s in reachable(t))), constraint)
-
-
-def nsim_holds(constraint: str, p: CanonicalTerm, q: CanonicalTerm) -> bool:
-    return simulates(constraint, p, q)
-
-
-def sim_leq(p: CanonicalTerm, q: CanonicalTerm) -> bool:
-    """Plain (unconstrained) simulation order, used for the S constraint."""
-    return simulates("U", p, q)
-
-
 def _sim_refutation(constraint: str, p: CanonicalTerm, q: CanonicalTerm, stepper=step) -> dict:
     """Replayable refutation tree for a failed constrained simulation, with
     `stepper` as the transition relation on both sides.  Built on an
@@ -227,12 +185,6 @@ def decide_nsim(constraint: str, p: CanonicalTerm, q: CanonicalTerm, stepper=ste
     if simulates(constraint, p, q, stepper):
         return HOLDS
     return Verdict(False, None, _sim_refutation, constraint, p, q, stepper)
-
-
-def decide_bisim(p: CanonicalTerm, q: CanonicalTerm) -> Verdict:
-    """Bisimilarity; on canonical forms this is identity (the choice axioms
-    are a complete axiomatization of bisimilarity for finite terms)."""
-    return decide(BISIM, p, q)
 
 
 def _bisim_refutation(p: CanonicalTerm, q: CanonicalTerm) -> dict:
@@ -409,25 +361,11 @@ def _lgo_witness(constraint: str, rule: tuple, name: str, p: CanonicalTerm, q: C
 
 @lru_cache(maxsize=None)
 def _linear_rule(constraint: str, flavor: str) -> tuple[tuple, str]:
-    """(rule, semantics name) of a linear flavor at a constraint.  Validates
-    the combination; an invalid one raises on every call (errors are not cached)."""
-    sem = SemanticsId(constraint, flavor)
+    """(rule, semantics name) of a linear flavor at a constraint."""
+    name = str(SemanticsId(constraint, flavor))
     if flavor == "meet" and constraint in ("U", "C"):
         flavor = "lf"  # the union of unit/termination values degenerates
-    try:
-        return _FLAVORS[flavor], str(sem)
-    except KeyError:
-        raise ValueError(f"not a matching flavor: {flavor}") from None
-
-
-def linear_holds(constraint: str, flavor: str, p: CanonicalTerm, q: CanonicalTerm) -> bool:
-    """Boolean core of the linear deciders; cheap enough to call per pair."""
-    return _included(constraint, _linear_rule(constraint, flavor)[0], p, q)
-
-
-def decide_linear(constraint: str, flavor: str, p: CanonicalTerm, q: CanonicalTerm) -> Verdict:
-    _linear_rule(constraint, flavor)  # a flavor that is not linear raises
-    return decide(SemanticsId(constraint, flavor), p, q)
+    return _FLAVORS[flavor], name
 
 
 # ---------------------------------------------------------------------------
@@ -498,35 +436,29 @@ def _types_game(constraint: str):
 
 def _db_witness(constraint: str, p: CanonicalTerm, q: CanonicalTerm) -> dict:
     """The least complete deterministic observation of p (by (nodes, key))
-    that q lacks."""
+    that q lacks.  It enumerates p's worlds, so the world cap is checked first."""
+    check_world_cap(p)
     for obs in _sorted_dbgos(constraint, p):
         if not bgo_member(obs, q):
             return {"kind": "dbgo", "unmatched": obs}
     raise AssertionError("witness requested for a holding pair")
 
 
-def _db_included(constraint: str, p: CanonicalTerm, q: CanonicalTerm, cap: int) -> bool:
+def _db_included(constraint: str, p: CanonicalTerm, q: CanonicalTerm) -> bool:
     """Inclusion of deterministic branching observations.
 
     Complete deterministic observations suffice: every deterministic
     observation extends to a complete one, and membership survives pruning.
     They are decided by the types game, never enumerated; only a witness
-    that is read enumerates p's worlds, and the cap, checked first, still
-    guards that.  The singleton root {q} is not played: p ⊑ q iff the
-    labels match and no summand (a, p') of p has the empty type over q's
-    a-successors, positions that many pairs share.
+    that is read enumerates p's worlds, behind the world cap.  The singleton
+    root {q} is not played: p ⊑ q iff the labels match and no summand
+    (a, p') of p has the empty type over q's a-successors, positions that
+    many pairs share.
     """
-    check_world_cap(p, cap)
     node, memo = _types_game(constraint)
     return constraint_holds(constraint, p, q) and all(
         0 not in solve_game(node, (p2, successors(q, a)), memo) for a, p2 in step(p)
     )
-
-
-def decide_db(
-    constraint: str, p: CanonicalTerm, q: CanonicalTerm, cap: int = DEFAULT_WORLD_CAP
-) -> Verdict:
-    return decide(SemanticsId(constraint, "db"), p, q, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -587,79 +519,59 @@ def _bgo_witness(p: CanonicalTerm, q: CanonicalTerm, exact: bool) -> dict:
     return {"kind": "bgo", "unmatched": _uncovered_bgo(p, (q,), exact)}
 
 
-def decide_final_ready_sim(p: CanonicalTerm, q: CanonicalTerm) -> Verdict:
-    """Every branching observation of p is matched in q with exact leaf offers."""
-    return decide(SemanticsId("I", "bf"), p, q)
-
-
-def decide_final_failure_sim(p: CanonicalTerm, q: CanonicalTerm) -> Verdict:
-    """Leaf clause weakens to offer inclusion: the matched state may offer less."""
-    return decide(SemanticsId("I", "bf⊇"), p, q)
-
-
-# ---------------------------------------------------------------------------
-# Extended ready family
-
-
-def decide_extended(flavor: str, p: CanonicalTerm, q: CanonicalTerm) -> Verdict:
-    if flavor not in _EXTENDED:
-        raise ValueError(f"not an extended-ready flavor: {flavor}")
-    return decide(CLASSIC_NAMES[flavor], p, q)
-
-
 # ---------------------------------------------------------------------------
 # Dispatch and the spectrum matrix
 
 
-# The one flavor dispatch: flavor -> (holds(constraint, flavor, p, q, cap),
-# witness(constraint, flavor, p, q)).  `spectrum_matrix` reads only `holds`;
-# `decide` hands `witness` to a refuting verdict, which builds it on first
-# read.  The lambdas look their deciders up when called, so a replaced module
-# function is the one used.  The extended-ready flavors compare offers
-# (constraint I) whatever layer they are named at.
+# The one flavor dispatch: flavor -> (holds(constraint, flavor, p, q),
+# witness(constraint, flavor, p, q)).  `spectrum_matrix` and `holds` read
+# only the first; `decide` hands the second to a refuting verdict, which
+# builds it on first read.  The lambdas look their deciders up when called,
+# so a replaced module function is the one used.  The extended-ready flavors
+# compare offers (constraint I) whatever layer they are named at.  On
+# canonical forms bisimilarity is identity.
 _DECIDERS = {
     **dict.fromkeys(_FLAVORS, (
-        lambda c, f, p, q, cap: _included(c, _linear_rule(c, f)[0], p, q),
+        lambda c, f, p, q: _included(c, _linear_rule(c, f)[0], p, q),
         lambda c, f, p, q: _lgo_witness(c, *_linear_rule(c, f), p, q),
     )),
     **dict.fromkeys(_EXTENDED, (
-        lambda c, f, p, q, cap: _included("I", _EXTENDED[f], p, q),
+        lambda c, f, p, q: _included("I", _EXTENDED[f], p, q),
         lambda c, f, p, q: _lgo_witness("I", _EXTENDED[f], f, p, q),
     )),
-    "bisim": (lambda c, f, p, q, cap: p is q, lambda c, f, p, q: _bisim_refutation(p, q)),
-    "b": (lambda c, f, p, q, cap: simulates(c, p, q), lambda c, f, p, q: _sim_refutation(c, p, q)),
-    "db": (lambda c, f, p, q, cap: _db_included(c, p, q, cap), lambda c, f, p, q: _db_witness(c, p, q)),
-    "bf": (lambda c, f, p, q, cap: _covered(p, (q,), True), lambda c, f, p, q: _bgo_witness(p, q, True)),
-    "bf⊇": (lambda c, f, p, q, cap: _covered(p, (q,), False), lambda c, f, p, q: _bgo_witness(p, q, False)),
+    "bisim": (lambda c, f, p, q: p is q, lambda c, f, p, q: _bisim_refutation(p, q)),
+    "b": (lambda c, f, p, q: simulates(c, p, q), lambda c, f, p, q: _sim_refutation(c, p, q)),
+    "db": (lambda c, f, p, q: _db_included(c, p, q), lambda c, f, p, q: _db_witness(c, p, q)),
+    "bf": (lambda c, f, p, q: _covered(p, (q,), True), lambda c, f, p, q: _bgo_witness(p, q, True)),
+    "bf⊇": (lambda c, f, p, q: _covered(p, (q,), False), lambda c, f, p, q: _bgo_witness(p, q, False)),
 }
 
 
-def decide(sem: SemanticsId, p: CanonicalTerm, q: CanonicalTerm, cap: int | None = None) -> Verdict:
-    """Does p lie below q in the given semantics?"""
+def decide(sem: SemanticsId, p: CanonicalTerm, q: CanonicalTerm) -> Verdict:
+    """Does p lie below q in the given semantics?  A refuting verdict builds
+    its witness when first read."""
     constraint, flavor = sem.constraint, sem.flavor
     test, witness = _DECIDERS[flavor]
-    if test(constraint, flavor, p, q, DEFAULT_WORLD_CAP if cap is None else cap):
+    if test(constraint, flavor, p, q):
         return HOLDS
     return Verdict(False, None, witness, constraint, flavor, p, q)
 
 
 def holds(sem: SemanticsId, p: CanonicalTerm, q: CanonicalTerm) -> bool:
-    return _DECIDERS[sem.flavor][0](sem.constraint, sem.flavor, p, q, DEFAULT_WORLD_CAP)
+    """``decide(sem, p, q).holds``, with no verdict built."""
+    return _DECIDERS[sem.flavor][0](sem.constraint, sem.flavor, p, q)
 
 
-def spectrum_matrix(p: CanonicalTerm, q: CanonicalTerm) -> dict[SemanticsId, object]:
-    """Both directions of every supported semantics; cell errors never abort.
-    Only the booleans are read, so no verdict or witness is built."""
-    out: dict[SemanticsId, object] = {}
+def spectrum_matrix(p: CanonicalTerm, q: CanonicalTerm) -> dict[SemanticsId, str]:
+    """Both directions of every supported semantics, as "≡", "⊑", "⊒" or
+    "incomparable".  Only the booleans are read, so no verdict or witness is
+    built, and deciding enumerates no world, so every cell is decided."""
+    out: dict[SemanticsId, str] = {}
     for sem in supported_ids():
         constraint, flavor = sem.constraint, sem.flavor
         test = _DECIDERS[flavor][0]
-        try:
-            below = test(constraint, flavor, p, q, DEFAULT_WORLD_CAP)
-            above = test(constraint, flavor, q, p, DEFAULT_WORLD_CAP)
-        except TruncationError as exc:
-            out[sem] = {"error": str(exc)}
-            continue
+        below = test(constraint, flavor, p, q)
+        above = test(constraint, flavor, q, p)
         if below and above:
             out[sem] = "≡"
         elif below:
@@ -671,7 +583,7 @@ def spectrum_matrix(p: CanonicalTerm, q: CanonicalTerm) -> dict[SemanticsId, obj
     return out
 
 
-def matrix_json(matrix: dict[SemanticsId, object]) -> dict:
+def matrix_json(matrix: dict[SemanticsId, str]) -> dict:
     out = {}
     for sem, cell in matrix.items():
         name = classic_name(sem) or f"{sem.constraint}:{sem.flavor}"

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import re
 from itertools import combinations
-from typing import Iterator, Mapping
+from typing import Iterator
 
 __all__ = [
     "Action",
@@ -32,12 +32,10 @@ __all__ = [
     "CanonicalTerm",
     "NIL",
     "ParseError",
-    "UnboundVariableError",
     "OpenTermError",
     "parse_term",
     "render_term",
     "canonicalize",
-    "substitute",
     "free_variables",
     "term_depth",
     "enumerate_terms",
@@ -150,12 +148,6 @@ class ParseError(ValueError):
         if expected:
             detail += " (expected " + " or ".join(expected) + ")"
         super().__init__(detail)
-
-
-class UnboundVariableError(KeyError):
-    def __init__(self, name: str):
-        self.name = name
-        super().__init__(f"unbound variable {name!r}")
 
 
 class OpenTermError(ValueError):
@@ -360,20 +352,6 @@ def _canon(term: Term) -> CanonicalTerm:
     if isinstance(term, Choice):
         return sum_terms(_canon(term.left), _canon(term.right))
     raise TypeError(f"cannot canonicalize {term!r}")
-
-
-def substitute(term: Term, subst: Mapping[str, Term]) -> Term:
-    """Apply a substitution; every variable of ``term`` must be bound."""
-    if isinstance(term, Var):
-        try:
-            return subst[term.name]
-        except KeyError:
-            raise UnboundVariableError(term.name) from None
-    if isinstance(term, Prefix):
-        return Prefix(term.action, substitute(term.body, subst))
-    if isinstance(term, Choice):
-        return Choice(substitute(term.left, subst), substitute(term.right, subst))
-    return term
 
 
 def term_depth(term: Term | CanonicalTerm) -> int:

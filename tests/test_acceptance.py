@@ -20,9 +20,10 @@ from procsem import axioms as ax
 from procsem import logic as lg
 from procsem import operational as op
 from procsem import preorders as pr
+from procsem.constraints import simulates
 from procsem.corpus import run_corpus
 from procsem.lts import completed_traces, traces
-from procsem.observations import bgo_leq, closure_apply, decide_via_observations, enum_lgo
+from procsem.observations import bgo_leq, closure_apply, decide_via_observations, enum_lgo, world_count
 from procsem.spectrum import SPECTRUM_ARROWS, SemanticsId, UncoveredSemanticsError, parse_semantics
 from procsem.terms import enumerate_terms
 
@@ -49,25 +50,25 @@ def deep_terms():
     out = []
     while len(out) < 120:
         t = random_term(rng, 3)
-        if pr.world_count(t) <= 4096:
+        if world_count(t) <= 4096:
             out.append(t)
     return tuple(out)
 
 
 @pytest.fixture(scope="module")
-def nsim_tables(pool):
-    return {n: pr.nsim_table(pool, n) for n in ("U", "C", "I", "T", "S")}
+def sim_tables(pool):
+    return {n: {p: {q for q in pool if simulates(n, p, q)} for p in pool} for n in ("U", "C", "I", "T", "S")}
 
 
 @pytest.fixture(scope="module")
-def direct_rows(pool, nsim_tables):
+def direct_rows(pool, sim_tables):
     """rows(sem)[i] has bit j set when pool[i] lies below pool[j] in sem,
     by the direct engine; computed once per semantics."""
     cache = {}
 
     def rows(sem):
         if sem not in cache:
-            cache[sem] = _rows(pool, lambda p, q: _holds(sem, p, q, nsim_tables))
+            cache[sem] = _rows(pool, lambda p, q: _holds(sem, p, q, sim_tables))
         return cache[sem]
 
     return rows
@@ -85,26 +86,18 @@ def _rows(pool, holds):
 
 
 def _holds(sem: SemanticsId, p, q, tables=None):
-    if sem.flavor == "bisim":
-        return p is q
-    if sem.flavor == "b":
-        if tables is not None:
-            return q in tables[sem.constraint][p]
-        return pr.nsim_holds(sem.constraint, p, q)
-    if sem.flavor == "db":
-        return pr.decide_db(sem.constraint, p, q).holds
-    if sem.flavor in ("ER", "ERT", "ECR", "ECRT"):
-        return pr.decide_extended(sem.flavor, p, q).holds
-    return pr.linear_holds(sem.constraint, sem.flavor, p, q)
+    if tables is not None and sem.flavor == "b":
+        return q in tables[sem.constraint][p]
+    return pr.holds(sem, p, q)
 
 
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_1_simulation_oracles(pool, nsim_tables, deep_terms):
+def test_criterion_1_simulation_oracles(pool, sim_tables, deep_terms):
     checked = 0
     for n in ("U", "C", "I", "T", "S"):
-        table = nsim_tables[n]
+        table = sim_tables[n]
         for p in pool:
             row = table[p]
             for q in pool:
@@ -138,10 +131,11 @@ def _ready_pairs(p):
 def test_criterion_2_failures_readiness_oracles(pool):
     fail_sets = {p: _failures(p, AB) for p in pool}
     ready_sets = {p: _ready_pairs(p) for p in pool}
+    failures, readiness = parse_semantics("F"), parse_semantics("R")
     for p in pool:
         for q in pool:
-            assert pr.linear_holds("I", "lf⊇", p, q) == (fail_sets[p] <= fail_sets[q])
-            assert pr.linear_holds("I", "lf", p, q) == (ready_sets[p] <= ready_sets[q])
+            assert pr.holds(failures, p, q) == (fail_sets[p] <= fail_sets[q])
+            assert pr.holds(readiness, p, q) == (ready_sets[p] <= ready_sets[q])
     report(2, "failures/readiness pair oracles agree", True, f"{2 * len(pool) ** 2} checks")
 
 

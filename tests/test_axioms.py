@@ -17,7 +17,7 @@ from procsem.axioms import (
     verify_hnf_laws,
 )
 from procsem.operational import saturate
-from procsem.preorders import decide, linear_holds
+from procsem.preorders import decide, holds
 from procsem.spectrum import UnsupportedSemanticsError, parse_semantics
 from procsem.terms import render_term
 
@@ -143,7 +143,7 @@ def test_derivation_reconstruction(pool1):
     for z, sem_name in (("F", "F"), ("RT", "RT")):
         sem = parse_semantics(sem_name)
         for p, q in pairs:
-            if not linear_holds("I", sem.flavor, p, q):
+            if not holds(sem, p, q):
                 with pytest.raises(ValueError):
                     derive_leq(z, p, q)
                 continue
@@ -172,13 +172,13 @@ def test_axiom_instance_machinery():
 def test_derivation_reconstruction_depth2(pool2):
     rng = random.Random(47)
     for z in ("F", "R", "FT", "RT"):
-        flavor = parse_semantics(z).flavor
+        sem = parse_semantics(z)
         found = 0
         tried = 0
         while found < 60 and tried < 6000:
             tried += 1
             p, q = rng.choice(pool2), rng.choice(pool2)
-            if not linear_holds("I", flavor, p, q):
+            if not holds(sem, p, q):
                 continue
             derivation = derive_leq(z, p, q)
             assert derivation.steps

@@ -48,10 +48,16 @@ def test_parse_error_exit_2(capsys):
 
 
 def test_cap_exit_3(capsys):
-    code, _, err = run(capsys, "compare", "--semantics", "PW", MANY_WORLDS, MANY_WORLDS)
-    assert code == 3 and "cap" in err
+    # the direct engine decides without enumerating worlds; only a witness,
+    # which enumerates p's worlds, meets the world cap
+    code, _, _ = run(capsys, "compare", "--semantics", "PW", MANY_WORLDS, MANY_WORLDS)
+    assert code == 0
+    fewer = MANY_WORLDS[: MANY_WORLDS.index(" + f.(")]
     # the world count is checked before any enumeration, on every engine
     for argv in (
+        ("compare", "--semantics", "PW", MANY_WORLDS, fewer),
+        ("--json", "compare", "--semantics", "UPW", MANY_WORLDS, fewer),
+        ("distinguish", "--semantics", "PW", MANY_WORLDS, fewer),
         ("compare", "--engine", "observational", "--semantics", "PW", MANY_WORLDS, MANY_WORLDS),
         ("observe", "--kind", "cdbgo", MANY_WORLDS),
         ("observe", "--kind", "pw", MANY_WORLDS),
@@ -116,8 +122,11 @@ def test_json_output_is_json_dumps(capsys):
 
 def test_cap_must_be_positive(capsys):
     p = "a.0+a.b.0"
-    code, _, err = run(capsys, "compare", "--semantics", "PW", "--cap", "1", p, p)
+    observational = ("compare", "--engine", "observational", "--semantics", "PW")
+    code, _, err = run(capsys, *observational, "--cap", "1", p, p)
     assert code == 3 and "cap" in err
+    code, out, err = run(capsys, "compare", "--semantics", "PW", "--cap", "1", p, p)
+    assert code == 2 and out == "" and err.count("\n") == 1 and "not to direct" in err
     for cap in ("0", "-1", "x"):
         code, _, err = run(capsys, "compare", "--semantics", "PW", "--cap", cap, p, p)
         assert code == 2 and "positive integer" in err, cap
@@ -323,7 +332,8 @@ def test_corpus_module_ok():
 def test_exit_code_contract_over_pool(capsys):
     import random
 
-    from procsem.preorders import linear_holds
+    from procsem.preorders import holds
+    from procsem.spectrum import SemanticsId
     from procsem.terms import enumerate_terms, render_term
 
     pool = list(enumerate_terms({"a", "b"}, 2, 4))
@@ -331,4 +341,4 @@ def test_exit_code_contract_over_pool(capsys):
     for _ in range(25):
         p, q = rng.choice(pool), rng.choice(pool)
         code, _, _ = run(capsys, "compare", "--semantics", "F", render_term(p), render_term(q))
-        assert code == (0 if linear_holds("I", "lf⊇", p, q) else 1)
+        assert code == (0 if holds(SemanticsId("I", "lf⊇"), p, q) else 1)

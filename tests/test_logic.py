@@ -109,9 +109,6 @@ def test_base_constraint_logics():
     ls = base_constraint_logic("S", AB)
     assert ls.contains(parse_formula("<a>(<b>T & <a>T)"))
     assert not ls.contains(parse_formula("<a>~<b>T"))
-    # enumerations are finite and contain the bases
-    assert TOP in lc.enumerate(2)
-    assert parse_formula("<a>T") in li.enumerate(2)
 
 
 def test_in_sublogic_examples():

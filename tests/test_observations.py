@@ -4,7 +4,7 @@ import random
 import pytest
 
 from conftest import bgo_count, c
-from procsem.constraints import LocalObs, local_obs
+from procsem.constraints import LocalObs, local_obs, simulates
 from procsem.lts import traces
 from procsem.observations import (
     BranchingObs,
@@ -22,6 +22,7 @@ from procsem.observations import (
     lgo_leq_via_closure,
 )
 import procsem.preorders as preorders
+from procsem.spectrum import SemanticsId
 
 
 def lgo(n, head, *steps):
@@ -197,7 +198,7 @@ def test_dbgo_leq_checks_the_world_cap():
     from procsem.observations import TruncationError, world_count
 
     big = c(MANY_WORLDS)
-    assert world_count(big) == 294912 and preorders.world_count is world_count
+    assert world_count(big) == 294912
     with pytest.raises(TruncationError, match="294912 complete deterministic observations exceed the cap 65536"):
         dbgo_leq("I", big, big)
     small = c("a.0 + a.b.0 + b.0 + b.c.0 + b.d.0")
@@ -228,7 +229,7 @@ def test_possible_worlds_are_ready_simulated(pool2):
             assert preorders.decide_nsim("I", w, p).holds
         for w in enum_partial_possible_worlds(p):
             assert is_deterministic(w)
-            assert preorders.sim_leq(w, p)
+            assert simulates("U", w, p)
 
 
 def test_closure_laws_small():
@@ -258,10 +259,9 @@ def test_closure_membership_decides_linear_orders(pool2):
     rng = random.Random(7)
     pairs = [(rng.choice(pool2), rng.choice(pool2)) for _ in range(150)]
     for delta, flavor in (("⊇", "l⊇"), ("f", "lf"), ("f⊇", "lf⊇")):
+        sem = SemanticsId("I", flavor)
         for p, q in pairs:
-            assert lgo_leq_via_closure("I", delta, p, q) == preorders.linear_holds(
-                "I", flavor, p, q
-            )
+            assert lgo_leq_via_closure("I", delta, p, q) == preorders.holds(sem, p, q)
 
 
 def test_bgo_leq_matches_materialized_inclusion(pool1):
@@ -295,4 +295,4 @@ def test_two_separate_branches_may_share_one_successor():
     early = c("a.b.c.0 + a.b.d.0")
     assert bgo_member(two_branch, early)
     assert bgo_member(two_branch, late)
-    assert preorders.nsim_holds("I", early, late)
+    assert simulates("I", early, late)

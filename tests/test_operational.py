@@ -18,7 +18,7 @@ from procsem.operational import (
 )
 from procsem.preorders import decide
 from procsem.spectrum import UncoveredSemanticsError, parse_semantics, supported_ids
-from procsem.terms import CanonicalTerm, prefix, sum_terms
+from procsem.terms import NIL, CanonicalTerm, prefix, sum_terms
 
 # every semantics whose catalog is the choice, simulation and reduction axioms
 COVERED = (
@@ -209,6 +209,12 @@ def test_check_upto_examples():
     assert check_upto("F", p, p)
     with pytest.raises(UncoveredSemanticsError):
         check_upto("S", p, q)
+    # played on an explicit stack: a depth-2,000 chain needs no deep recursion
+    chain = NIL
+    for _ in range(2000):
+        chain = prefix("a", chain)
+    assert check_upto("F", chain, chain)
+    assert not check_upto("F", prefix("a", chain), chain)
 
 
 def test_check_upto_agrees_with_operational(pool1):

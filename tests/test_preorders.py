@@ -5,26 +5,12 @@ import random
 import pytest
 
 from conftest import MANY_WORLDS, bgo_count, c, replay_sim_refutation
-from procsem.constraints import local_obs
+from procsem.constraints import local_obs, simulates
 from procsem.lts import initials, step, traces
 from procsem.observations import BranchingObs, enum_lgo
-from procsem.preorders import (
-    Verdict,
-    decide,
-    decide_bisim,
-    decide_db,
-    decide_extended,
-    decide_final_failure_sim,
-    decide_final_ready_sim,
-    decide_linear,
-    decide_nsim,
-    linear_holds,
-    nsim_holds,
-    nsim_table,
-    sim_leq,
-    spectrum_matrix,
-)
+from procsem.preorders import Verdict, decide, decide_nsim, holds, spectrum_matrix
 from procsem.spectrum import (
+    BISIM,
     CLASSIC_NAMES,
     SemanticsId,
     UnsupportedSemanticsError,
@@ -36,9 +22,9 @@ from procsem.spectrum import (
 
 def test_bisim_examples():
     p = c("a.(b.0+c.0)")
-    assert decide_bisim(p, p).holds
-    assert not decide_bisim(p, c("a.b.0+a.c.0")).holds
-    assert decide_bisim(c("a.0+0"), c("a.0")).holds
+    assert decide(BISIM, p, p).holds
+    assert not decide(BISIM, p, c("a.b.0+a.c.0")).holds
+    assert decide(BISIM, c("a.0+0"), c("a.0")).holds
 
 
 def test_nsim_examples():
@@ -65,7 +51,7 @@ def test_bisim_witness_replays(pool2):
     refuted = 0
     for _ in range(300):
         p, q = rng.choice(pool2), rng.choice(pool2)
-        verdict = decide_bisim(p, q)
+        verdict = decide(BISIM, p, q)
         if verdict.holds:
             assert p is q and verdict.witness is None
         else:
@@ -73,7 +59,7 @@ def test_bisim_witness_replays(pool2):
             _replay_bisim_refutation(p, q, verdict.witness)
     assert refuted > 250
     # a right-side move: q's a-move to b.0 is answered by p's a-move to a.0
-    node = decide_bisim(c("a.a.0"), c("a.a.0 + a.b.0")).witness
+    node = decide(BISIM, c("a.a.0"), c("a.a.0 + a.b.0")).witness
     assert node["side"] == "right" and node["after_p"] is c("b.0")
     assert [(sub["p"], sub["q"]) for sub in node["responses"]] == [(c("b.0"), c("a.0"))]
 
@@ -95,8 +81,8 @@ def _replay_bisim_refutation(p, q, node):
 
 def test_linear_examples_failures_readiness():
     # failure-below across a widened offer
-    assert decide_linear("I", "lf⊇", c("a.b.0"), c("a.0 + a.(b.0+c.0)")).holds
-    verdict = decide_linear("I", "meet", c("a.b.0"), c("a.0 + a.(b.0+c.0)"))
+    assert decide(SemanticsId("I", "lf⊇"), c("a.b.0"), c("a.0 + a.(b.0+c.0)")).holds
+    verdict = decide(SemanticsId("I", "meet"), c("a.b.0"), c("a.0 + a.(b.0+c.0)"))
     assert not verdict.holds
     assert verdict.witness["revival_action"] == "b"
     assert verdict.witness["unmatched"].trace() == ("a",)
@@ -105,10 +91,10 @@ def test_linear_examples_failures_readiness():
 def test_partial_offer_examples():
     p, q = c("a.b.0+a.c.0"), c("a.(b.0+c.0)")
     r = c("a.b.0+a.c.0+a.(b.0+c.0)")
-    assert linear_holds("I", "l⊇", p, r) and linear_holds("I", "l⊇", r, p)
-    assert not linear_holds("I", "lf⊆", r, p)
-    assert linear_holds("I", "l⊆", q, r) and linear_holds("I", "l⊆", r, q)
-    assert not linear_holds("I", "lf⊇", r, q)
+    assert holds(SemanticsId("I", "l⊇"), p, r) and holds(SemanticsId("I", "l⊇"), r, p)
+    assert not holds(SemanticsId("I", "lf⊆"), r, p)
+    assert holds(SemanticsId("I", "l⊆"), q, r) and holds(SemanticsId("I", "l⊆"), r, q)
+    assert not holds(SemanticsId("I", "lf⊇"), r, q)
 
 
 def test_linear_witnesses_replay(pool2):
@@ -122,7 +108,7 @@ def test_linear_witnesses_replay(pool2):
     }
     for flavor, rule in rules.items():
         for p, q in pairs:
-            verdict = decide_linear("I", flavor, p, q)
+            verdict = decide(SemanticsId("I", flavor), p, q)
             if verdict.holds:
                 continue
             obs = verdict.witness["unmatched"]
@@ -205,10 +191,8 @@ def test_linear_witnesses_are_least(pool2, random3):
     refuted = trace_refuted = collapse_refuted = root_refuted = revived = 0
     for p, q in pairs:
         for n, flavor in linear + extended:
-            if (n, flavor) in extended:
-                verdict = decide_extended(flavor, p, q)
-            else:
-                verdict = decide_linear(n, flavor, p, q)
+            sem = CLASSIC_NAMES[flavor] if (n, flavor) in extended else SemanticsId(n, flavor)
+            verdict = decide(sem, p, q)
             least, element = _oracle_least_unmatched(n, flavor, p, q)
             assert verdict.holds == (least is None), (n, flavor, p, q)
             if least is None:
@@ -362,14 +346,14 @@ def test_clear_caches(pool2):
 
 
 def test_db_examples():
-    assert decide_db("I", c("a.(b.c.0+b.d.0)"), c("a.b.c.0+a.b.d.0")).holds
-    assert decide_db("I", c("a.b.c.0+a.b.d.0"), c("a.(b.c.0+b.d.0)")).holds
+    assert decide(SemanticsId("I", "db"), c("a.(b.c.0+b.d.0)"), c("a.b.c.0+a.b.d.0")).holds
+    assert decide(SemanticsId("I", "db"), c("a.b.c.0+a.b.d.0"), c("a.(b.c.0+b.d.0)")).holds
     p = c("a.b.c.0 + a.(b.c.0+d.0) + a.b.0")
     q = c("a.(b.c.0+d.0) + a.b.0")
-    assert not decide_db("I", p, q).holds
-    assert decide_db("I", q, p).holds
-    assert decide_db("U", c("a.b.0+a.c.0"), c("a.(b.0+c.0)")).holds
-    assert not decide_db("U", c("a.(b.0+c.0)"), c("a.b.0+a.c.0")).holds
+    assert not decide(SemanticsId("I", "db"), p, q).holds
+    assert decide(SemanticsId("I", "db"), q, p).holds
+    assert decide(SemanticsId("U", "db"), c("a.b.0+a.c.0"), c("a.(b.0+c.0)")).holds
+    assert not decide(SemanticsId("U", "db"), c("a.(b.0+c.0)"), c("a.b.0+a.c.0")).holds
 
 
 def test_db_against_possible_worlds(pool2):
@@ -378,36 +362,36 @@ def test_db_against_possible_worlds(pool2):
     rng = random.Random(5)
     pairs = [(rng.choice(pool2), rng.choice(pool2)) for _ in range(250)]
     for p, q in pairs:
-        assert decide_db("I", p, q).holds == (
+        assert decide(SemanticsId("I", "db"), p, q).holds == (
             enum_possible_worlds(p) <= enum_possible_worlds(q)
         )
 
 
 def test_final_ready_examples():
     p = c("a.a.a.a.0")
-    assert decide_final_ready_sim(p, p).holds
+    assert decide(SemanticsId("I", "bf"), p, p).holds
     q3 = c("a.a.0 + a.(a.a.0 + b.0) + a.(a.(a.a.0 + b.0) + b.0)")
     q4 = c("a.0 + a.(a.0+b.0) + a.(a.(a.0+b.0)+b.0) + a.(a.(a.(a.0+b.0)+b.0)+b.0)")
-    assert decide_final_failure_sim(p, q4).holds
-    assert not decide_final_ready_sim(p, q4).holds
+    assert decide(SemanticsId("I", "bf⊇"), p, q4).holds
+    assert not decide(SemanticsId("I", "bf"), p, q4).holds
     assert not decide_nsim("I", p, q3).holds
     # the mixed-stop observation refutes the final-ready game here
-    assert not decide_final_ready_sim(p, q3).holds
+    assert not decide(SemanticsId("I", "bf"), p, q3).holds
 
 
 def test_final_ready_cap():
     # beyond the 2^18 observations the enumerating decider once refused
     q3 = c("a.a.0 + a.(a.a.0 + b.0) + a.(a.(a.a.0 + b.0) + b.0)")
-    assert decide_final_ready_sim(q3, q3).holds
-    assert decide_final_failure_sim(q3, q3).holds
+    assert decide(SemanticsId("I", "bf"), q3, q3).holds
+    assert decide(SemanticsId("I", "bf⊇"), q3, q3).holds
 
 
 def test_extended_examples():
-    assert decide_extended("ER", c("a.b.0"), c("a.(b.0+c.0)")).holds
-    assert decide_extended("ECR", c("a.0"), c("a.0 + a.b.0")).holds
-    assert not decide_extended("ECR", c("a.b.0"), c("a.0")).holds
+    assert decide(CLASSIC_NAMES["ER"], c("a.b.0"), c("a.(b.0+c.0)")).holds
+    assert decide(CLASSIC_NAMES["ECR"], c("a.0"), c("a.0 + a.b.0")).holds
+    assert not decide(CLASSIC_NAMES["ECR"], c("a.b.0"), c("a.0")).holds
     p = c("a.b.0 + b.0")
-    assert decide_extended("ER", p, p).holds
+    assert decide(CLASSIC_NAMES["ER"], p, p).holds
 
 
 def test_spectrum_matrix_examples():
@@ -474,33 +458,33 @@ def test_join_is_the_meet_of_R_and_FT_relationwise(pool2):
     rng = random.Random(13)
     pairs = [(rng.choice(pool2), rng.choice(pool2)) for _ in range(400)]
     for p, q in pairs:
-        joined = linear_holds("I", "join", p, q)
-        assert joined == (linear_holds("I", "lf", p, q) and linear_holds("I", "l⊇", p, q))
+        joined = holds(SemanticsId("I", "join"), p, q)
+        assert joined == (holds(SemanticsId("I", "lf"), p, q) and holds(SemanticsId("I", "l⊇"), p, q))
 
 
 def test_meet_sits_between(pool2):
     rng = random.Random(14)
     pairs = [(rng.choice(pool2), rng.choice(pool2)) for _ in range(400)]
     for p, q in pairs:
-        meet = linear_holds("I", "meet", p, q)
-        if linear_holds("I", "lf", p, q) or linear_holds("I", "l⊇", p, q):
+        meet = holds(SemanticsId("I", "meet"), p, q)
+        if holds(SemanticsId("I", "lf"), p, q) or holds(SemanticsId("I", "l⊇"), p, q):
             assert meet
         if meet:
-            assert linear_holds("I", "lf⊇", p, q)
+            assert holds(SemanticsId("I", "lf⊇"), p, q)
 
 
-def test_nsim_table_agrees_with_decide(pool2):
+def test_simulates_agrees_with_decide(pool2):
     rng = random.Random(15)
     for n in ("U", "C", "I"):
-        table = nsim_table(pool2, n)
+        sem = SemanticsId(n, "b")
         for _ in range(150):
             p, q = rng.choice(pool2), rng.choice(pool2)
-            assert (q in table[p]) == nsim_holds(n, p, q)
+            assert decide(sem, p, q).holds == holds(sem, p, q) == simulates(n, p, q)
 
 
-def test_sim_leq_basics():
-    assert sim_leq(c("a.0"), c("a.0+b.0"))
-    assert not sim_leq(c("a.0+b.0"), c("a.0"))
+def test_plain_simulation_basics():
+    assert simulates("U", c("a.0"), c("a.0+b.0"))
+    assert not simulates("U", c("a.0+b.0"), c("a.0"))
 
 
 def test_canonicalization_decides_bisimilarity(pool2):
@@ -529,12 +513,34 @@ def test_canonicalization_decides_bisimilarity(pool2):
 
 
 def test_spectrum_matrix_cell_errors_do_not_abort():
+    # deciding enumerates no world, so no cell stops at the world cap:
+    # every db cell of 294,912 worlds is decided
     big = c(MANY_WORLDS)
     matrix = spectrum_matrix(big, big)
     for n in ("U", "C", "I", "T", "S"):
-        cell = matrix[SemanticsId(n, "db")]
-        assert isinstance(cell, dict) and "error" in cell
+        assert matrix[SemanticsId(n, "db")] == "≡"
     assert matrix[parse_semantics("F")] == "≡"
+
+
+def test_db_decides_without_enumerating_worlds():
+    import procsem
+    from procsem.observations import TruncationError, enum_complete_dbgo
+    from procsem.terms import prefix, sum_terms
+
+    big = c(MANY_WORLDS)
+    fewer = sum_terms(*(prefix(a, t) for a, t in big.summands[1:]))
+    procsem.clear_caches()
+    verdicts = [
+        decide(SemanticsId(n, "db"), x, y)
+        for n in ("U", "C", "I", "T", "S")
+        for x, y in ((big, fewer), (fewer, big))
+    ]
+    assert enum_complete_dbgo.cache_info().currsize == 0
+    refuted = decide(SemanticsId("I", "db"), big, fewer)
+    assert not refuted.holds and sum(not v.holds for v in verdicts) >= 5
+    with pytest.raises(TruncationError, match="294912 complete deterministic observations exceed the cap"):
+        refuted.witness
+    assert enum_complete_dbgo.cache_info().currsize == 0
 
 
 def test_db_witness_replays():
@@ -542,7 +548,7 @@ def test_db_witness_replays():
 
     p = c("a.b.c.0 + a.(b.c.0+d.0) + a.b.0")
     q = c("a.(b.c.0+d.0) + a.b.0")
-    verdict = decide_db("I", p, q)
+    verdict = decide(SemanticsId("I", "db"), p, q)
     assert not verdict.holds
     obs = verdict.witness["unmatched"]
     assert obs in enum_complete_dbgo("I", p)
@@ -575,7 +581,7 @@ def test_db_types_against_world_enumeration(pool2, random3):
     held = refuted = 0
     for n in ("U", "C", "I", "T", "S"):
         for p, q in pairs:
-            verdict = decide_db(n, p, q)
+            verdict = decide(SemanticsId(n, "db"), p, q)
             assert verdict.holds == dbgo_leq(n, p, q), (n, p, q)
             if verdict.holds:
                 held += p.depth == 3
@@ -634,14 +640,14 @@ def test_final_branching_against_enumeration(pool2):
     from procsem.observations import bgo_member
 
     rng = random.Random(61)
-    deciders = ((True, decide_final_ready_sim), (False, decide_final_failure_sim))
+    deciders = ((True, SemanticsId("I", "bf")), (False, SemanticsId("I", "bf⊇")))
     checked = refuted = 0
     while checked < 200:
         p, q = rng.choice(pool2), rng.choice(pool2)
         if bgo_count("I", p) > 1 << 14:
             continue
-        for exact, decider in deciders:
-            verdict = decider(p, q)
+        for exact, sem in deciders:
+            verdict = decide(sem, p, q)
             assert verdict.holds == all(_final_sim_match(o, q, exact) for o in _all_bgos_I(p))
             if not verdict.holds:
                 w = verdict.witness["unmatched"]
@@ -658,20 +664,13 @@ def test_final_ready_sits_between_rsim_and_readiness(pool2):
         p, q = rng.choice(pool2), rng.choice(pool2)
         if bgo_count("I", p) > 1 << 14:
             continue
-        bf = decide_final_ready_sim(p, q).holds
-        if nsim_holds("I", p, q):
+        bf = decide(SemanticsId("I", "bf"), p, q).holds
+        if simulates("I", p, q):
             assert bf, (p, q)
         if bf:
-            assert linear_holds("I", "lf", p, q), (p, q)
-            assert decide_final_failure_sim(p, q).holds
+            assert holds(SemanticsId("I", "lf"), p, q), (p, q)
+            assert decide(SemanticsId("I", "bf⊇"), p, q).holds
         checked += 1
-
-
-def test_invalid_linear_semantics_raises_on_every_call():
-    p = c("a.0")
-    for _ in range(2):
-        with pytest.raises(UnsupportedSemanticsError):
-            decide_linear("S", "meet", p, p)
 
 
 def test_holding_verdicts():
@@ -680,12 +679,12 @@ def test_holding_verdicts():
     p = c("a.(b.0+c.0)")
     verdicts = [
         decide_nsim("S", p, p),
-        decide_bisim(p, p),
-        decide_linear("I", "meet", p, p),
-        decide_db("I", p, p),
-        decide_extended("ECRT", p, p),
-        decide_final_ready_sim(p, p),
-        decide_final_failure_sim(p, p),
+        decide(BISIM, p, p),
+        decide(SemanticsId("I", "meet"), p, p),
+        decide(SemanticsId("I", "db"), p, p),
+        decide(CLASSIC_NAMES["ECRT"], p, p),
+        decide(SemanticsId("I", "bf"), p, p),
+        decide(SemanticsId("I", "bf⊇"), p, p),
         decide_via_operational("F", p, p),
         decide_via_operational("T", p, p),
     ]

@@ -11,13 +11,11 @@ from procsem.terms import (
     OpenTermError,
     ParseError,
     Prefix,
-    UnboundVariableError,
     Var,
     canonicalize,
     enumerate_terms,
     parse_term,
     render_term,
-    substitute,
     term_depth,
     term_from_json,
     term_to_json,
@@ -78,18 +76,6 @@ def test_canonicalize_unit_idempotence_dedup():
 def test_canonicalize_rejects_open_terms():
     with pytest.raises(OpenTermError):
         canonicalize(parse_term("a.X"))
-
-
-def test_substitute():
-    sub = {"X": parse_term("a.0"), "Y": parse_term("0")}
-    assert substitute(parse_term("X + Y"), sub) == Choice(Prefix("a", Nil()), Nil())
-    assert substitute(parse_term("a.X"), {"X": parse_term("b.0")}) == Prefix(
-        "a", Prefix("b", Nil())
-    )
-    closed = parse_term("a.b.0")
-    assert substitute(closed, {}) == closed
-    with pytest.raises(UnboundVariableError):
-        substitute(parse_term("a.Z"), {})
 
 
 def test_depths():
