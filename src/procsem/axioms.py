@@ -15,7 +15,8 @@ from itertools import product
 from typing import Callable, Sequence
 
 from . import preorders
-from .lts import initials, traces
+from .constraints import constraint_holds
+from .lts import initials, step, traces
 from .operational import rule, saturate
 from .spectrum import SemanticsId, UnsupportedSemanticsError, parse_semantics
 from .terms import NIL, CanonicalTerm, Choice, Nil, Prefix, Term, Var, prefix, render_term, sum_terms
@@ -67,14 +68,6 @@ CONDITIONS: dict[str, Callable[[CanonicalTerm, CanonicalTerm, CanonicalTerm], bo
     "M_CRT": lambda x, y, w: (_is_nil(x) == _is_nil(y)) and ((not _is_nil(y)) or _is_nil(w)),
 }
 
-# Constraint relations N(x, y) for the simulation axioms.
-_N_RELATION: dict[str, Callable[[CanonicalTerm, CanonicalTerm], bool]] = {
-    "U": lambda x, y: True,
-    "C": lambda x, y: _is_nil(x) == _is_nil(y),
-    "I": lambda x, y: initials(x) == initials(y),
-    "T": lambda x, y: traces(x) == traces(y),
-}
-
 
 def condition_holds(condition: str | None, x: CanonicalTerm, y: CanonicalTerm, w: CanonicalTerm) -> bool:
     if condition is None:
@@ -88,7 +81,7 @@ class Axiom:
 
     ``action_vars`` are placeholder actions instantiated over the alphabet;
     ``condition`` names an entry of CONDITIONS (on X, Y, Z) and
-    ``n_condition`` a constraint relation on X, Y.
+    ``n_condition`` a constraint, related on X, Y by ``constraint_holds``.
     """
 
     name: str
@@ -108,7 +101,7 @@ class Axiom:
         x, y, w = (subst.get(v, NIL) for v in ("X", "Y", "Z"))
         if self.condition is not None and not condition_holds(self.condition, x, y, w):
             return False
-        if self.n_condition is not None and not _N_RELATION[self.n_condition](x, y):
+        if self.n_condition is not None and not constraint_holds(self.n_condition, x, y):
             return False
         return True
 
@@ -376,29 +369,21 @@ def verify_hnf_laws(z: str, pool: Sequence[CanonicalTerm], pairs=None) -> HnfLaw
         report.terms_checked += 1
     if pairs is None:
         pairs = [(p, q) for p in pool for q in pool]
-    memo: dict[tuple, bool] = {}
-
-    def below(x, y) -> bool:
-        key = (x, y)
-        hit = memo.get(key)
-        if hit is None:
-            hit = memo[key] = preorders.holds(sem, x, y)
-        return hit
-
-    hnf_index: dict[CanonicalTerm, dict[str, list[CanonicalTerm]]] = {}
     for p, q in pairs:
-        if not below(p, q):
+        if not preorders.holds(sem, p, q):
             continue
         report.pairs_checked += 1
-        index = hnf_index.get(q)
-        if index is None:
-            index = hnf_index[q] = {}
-            for a, body in saturate(condition, q).summands:
-                index.setdefault(a, []).append(body)
         for a, derivative in p.summands:
-            if not any(below(derivative, candidate) for candidate in index.get(a, ())):
+            if _answer(sem, saturate(condition, q), a, derivative) is None:
                 report.matching_failures.append((p, q, a, derivative))
     return report
+
+
+def _answer(sem: SemanticsId, h: CanonicalTerm, a: str, x: CanonicalTerm):
+    """The first a-move of the head normal form h whose target lies above x in sem, or None."""
+    for b, y in step(h):
+        if b == a and preorders.holds(sem, x, y):
+            return y
 
 
 # ---------------------------------------------------------------------------
@@ -439,16 +424,9 @@ def _derive(sem, condition, p, q, derivation) -> None:
         return
     h = saturate(condition, q)
     derivation.record("hnf-saturate", {"from": q, "to": h, "z": derivation.z})
-    by_action: dict[str, list[CanonicalTerm]] = {}
-    for a, body in h.summands:
-        by_action.setdefault(a, []).append(body)
     chosen = []
     for a, derivative in p.summands:
-        match = None
-        for candidate in by_action.get(a, ()):
-            if preorders.holds(sem, derivative, candidate):
-                match = candidate
-                break
+        match = _answer(sem, h, a, derivative)
         if match is None:
             raise AssertionError("summand matching failed; completeness recipe broken")
         _derive(sem, condition, derivative, match, derivation)

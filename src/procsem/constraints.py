@@ -171,13 +171,13 @@ def solve_game(node, root, memo: dict) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _sim_game(constraint: str, stepper):
+def _sim_game(constraint: str, answers):
     def node(key):
         p, q = key
         if not constraint_holds(constraint, p, q):
             return False
-        q_moves = stepper(q)
-        for a, p2 in stepper(p):
+        q_moves = answers(q)
+        for a, p2 in step(p):
             for b, q2 in q_moves:
                 if b == a and (yield (p2, q2)):
                     break
@@ -188,12 +188,12 @@ def _sim_game(constraint: str, stepper):
     return node, {}
 
 
-def simulates(constraint: str, p: CanonicalTerm, q: CanonicalTerm, stepper=step) -> bool:
+def simulates(constraint: str, p: CanonicalTerm, q: CanonicalTerm, answers=step) -> bool:
     """Is p simulated by q under the local constraint N?
 
-    sim(p, q) = N(p, q) and every p -a-> p' is answered by some q -a-> q'
-    with sim(p', q').  Calls with the same `stepper` (the transition
-    relation) share one memo.
+    sim(p, q) = N(p, q) and every p -a-> p' of ``step(p)`` is answered by
+    some (a, q') of ``answers(q)`` with sim(p', q').  Calls with the same
+    `answers` (q's transition relation) share one memo.
     """
-    node, memo = _sim_game(constraint, stepper)
+    node, memo = _sim_game(constraint, answers)
     return solve_game(node, (p, q), memo)

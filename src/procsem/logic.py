@@ -327,10 +327,10 @@ def base_constraint_logic(constraint: str, alphabet: frozenset) -> BaseLogic:
 
 
 def _leaf_mode(logic: BaseLogic, f: Formula, mode: str) -> bool:
-    """Is f a legitimate closure leaf?  mode: sym (s or ~s), neg (~s), pos (s)."""
-    if mode in ("sym", "pos") and logic.contains(f):
+    """Is f a legitimate closure leaf?  mode: eq (s or ~s), neg (~s), pos (s)."""
+    if mode in ("eq", "pos") and logic.contains(f):
         return True
-    if mode in ("sym", "neg") and isinstance(f, Neg) and logic.contains(f.body):
+    if mode in ("eq", "neg") and isinstance(f, Neg) and logic.contains(f.body):
         return True
     return False
 
@@ -349,7 +349,20 @@ def _flatten(f: Formula):
 # ---------------------------------------------------------------------------
 # Sublogic membership
 
-_MODE = {"l": "sym", "l⊇": "neg", "l⊆": "pos", "lf": "sym", "lf⊇": "neg", "lf⊆": "pos"}
+# The linear grammars: flavor -> (mode of the pins before the last state,
+# None when there are none; mode of the last state's pin).  A mode is "eq",
+# "neg" or "pos" (see ``_pin``), and a mode before the last state is the
+# last one's.  join is the union of l⊇ and lf; meet's grammar is its own
+# (``_in_meet``), and its observation formulas are failure pins.
+_LINEAR = {
+    "l": ("eq", "eq"),
+    "l⊇": ("neg", "neg"),
+    "l⊆": ("pos", "pos"),
+    "lf": (None, "eq"),
+    "lf⊇": (None, "neg"),
+    "lf⊆": (None, "pos"),
+    "meet": (None, "neg"),
+}
 
 
 def in_sublogic(f: Formula, sem: SemanticsId | str, alphabet=None) -> bool:
@@ -369,18 +382,14 @@ def in_sublogic(f: Formula, sem: SemanticsId | str, alphabet=None) -> bool:
     if flavor == "db":
         return _in_det_branching(logic, f)
     if flavor == "join":
-        return _in_linear(logic, f, "neg", everywhere=True) or _in_linear(
-            logic, f, "sym", everywhere=False
-        )
+        return any(_in_linear(logic, f, *_LINEAR[part]) for part in ("l⊇", "lf"))
     if flavor == "meet":
         return _in_meet(logic, f)
-    mode = _MODE[flavor]
-    everywhere = flavor in ("l", "l⊇", "l⊆")
-    return _in_linear(logic, f, mode, everywhere)
+    return _in_linear(logic, f, *_LINEAR[flavor])
 
 
 def _in_branching(logic: BaseLogic, f: Formula) -> bool:
-    if _leaf_mode(logic, f, "sym"):
+    if _leaf_mode(logic, f, "eq"):
         return True
     if isinstance(f, Diamond):
         return _in_branching(logic, f.body)
@@ -408,7 +417,7 @@ def _split_parts(logic: BaseLogic, f: Formula, mode: str):
 
 
 def _in_det_branching(logic: BaseLogic, f: Formula) -> bool:
-    split = _split_parts(logic, f, "sym")
+    split = _split_parts(logic, f, "eq")
     if split is None:
         return False
     _, continuations = split
@@ -418,8 +427,8 @@ def _in_det_branching(logic: BaseLogic, f: Formula) -> bool:
     return all(_in_det_branching(logic, d.body) for d in continuations)
 
 
-def _in_linear(logic: BaseLogic, f: Formula, mode: str, everywhere: bool) -> bool:
-    split = _split_parts(logic, f, mode)
+def _in_linear(logic: BaseLogic, f: Formula, mid: str | None, last: str) -> bool:
+    split = _split_parts(logic, f, last)
     if split is None:
         return False
     leaves, continuations = split
@@ -427,9 +436,9 @@ def _in_linear(logic: BaseLogic, f: Formula, mode: str, everywhere: bool) -> boo
         return False
     if not continuations:
         return True
-    if leaves and not everywhere:
+    if leaves and mid is None:
         return False
-    return _in_linear(logic, continuations[0].body, mode, everywhere)
+    return _in_linear(logic, continuations[0].body, mid, last)
 
 
 def _in_meet(logic: BaseLogic, f: Formula) -> bool:
@@ -535,18 +544,6 @@ def _trace_complement(trace_set, alphabet):
 # ---------------------------------------------------------------------------
 # Observation -> formula correspondence
 
-_OBS_MODE = {
-    "l": ("eq", "eq"),
-    "l⊇": ("neg", "neg"),
-    "lf": (None, "eq"),
-    "lf⊇": (None, "neg"),
-    "l⊆": ("pos", "pos"),
-    "lf⊆": (None, "pos"),
-    "join": ("neg", "eq"),
-    "meet": (None, "neg"),
-}
-
-
 def formula_from_observation(obs, sem: SemanticsId | str, alphabet=None, context=()) -> Formula:
     """The grammar formula whose satisfaction set realizes the observation.
 
@@ -554,26 +551,27 @@ def formula_from_observation(obs, sem: SemanticsId | str, alphabet=None, context
     the formula holds in p exactly when the observation belongs to p's
     observation set; for the widened/forgetful flavors membership is in the
     corresponding closure of that set.  For constraint S a ``context`` of
-    candidate states must be supplied; exactness is relative to it.
+    candidate states must be supplied; exactness is relative to it.  join
+    has none: its grammar is a union, and ``distinguish`` refutes one part.
     """
     if isinstance(sem, str):
         sem = parse_semantics(sem)
-    if sem.flavor in ("bf", "bf⊇", "ER", "ERT", "ECR", "ECRT", "bisim"):
+    if sem.flavor not in _LINEAR and sem.flavor not in ("b", "db"):
         raise UnsupportedSemanticsError(f"{sem} has no observation-to-formula pathway")
     if alphabet is None:
         alphabet = _obs_alphabet(obs)
     alphabet = frozenset(alphabet)
     if sem.flavor in ("b", "db"):
         return _branching_formula(sem.constraint, obs, alphabet, context)
-    mid_mode, final_mode = _OBS_MODE[sem.flavor]
+    mid, last = _LINEAR[sem.flavor]
     labels = obs.labels()
     steps = obs.steps
-    out = _pin(sem.constraint, labels[-1], alphabet, final_mode, context)
+    out = _pin(sem.constraint, labels[-1], alphabet, last, context)
     for i in range(len(steps) - 1, -1, -1):
         action = steps[i][0]
         out = Diamond(action, out)
-        if mid_mode is not None:
-            out = conj(_pin(sem.constraint, labels[i], alphabet, mid_mode, context), out)
+        if mid is not None:
+            out = conj(_pin(sem.constraint, labels[i], alphabet, mid, context), out)
     return out
 
 
@@ -805,7 +803,7 @@ def _random_leaf(constraint, alphabet, rng, depth, mode) -> Formula:
     base = _random_base(constraint, alphabet, rng, depth)
     if mode == "neg":
         return Neg(base)
-    if mode == "sym":
+    if mode == "eq":
         return Neg(base) if rng.random() < 0.5 else base
     return base
 
@@ -837,14 +835,13 @@ def _random_formula(sem: SemanticsId, alphabet, rng, depth) -> Formula:
             Neg(_random_base(n, alphabet, rng, depth)) for _ in range(rng.randint(0, 2))
         ]
         return chain(rng.choices(actions, k=length), conj(*(positives + negatives)))
-    mode = _MODE[flavor]
-    everywhere = flavor in ("l", "l⊇", "l⊆")
+    mid, last = _LINEAR[flavor]
     length = rng.randint(0, depth)
-    out = _random_pin(n, alphabet, rng, depth, mode)
+    out = _random_pin(n, alphabet, rng, depth, last)
     for _ in range(length):
         out = Diamond(rng.choice(actions), out)
-        if everywhere and rng.random() < 0.6:
-            out = conj(_random_pin(n, alphabet, rng, depth, mode), out)
+        if mid is not None and rng.random() < 0.6:
+            out = conj(_random_pin(n, alphabet, rng, depth, mid), out)
     return out
 
 
@@ -862,7 +859,7 @@ def _random_hml(alphabet, rng, depth) -> Formula:
 
 
 def _random_branching(n, alphabet, rng, depth) -> Formula:
-    leaves = [_random_leaf(n, alphabet, rng, depth, "sym") for _ in range(rng.randint(0, 2))]
+    leaves = [_random_leaf(n, alphabet, rng, depth, "eq") for _ in range(rng.randint(0, 2))]
     if depth > 0:
         for _ in range(rng.randint(0, 2)):
             leaves.append(
@@ -872,7 +869,7 @@ def _random_branching(n, alphabet, rng, depth) -> Formula:
 
 
 def _random_det_branching(n, alphabet, rng, depth) -> Formula:
-    leaves = [_random_leaf(n, alphabet, rng, depth, "sym") for _ in range(rng.randint(0, 2))]
+    leaves = [_random_leaf(n, alphabet, rng, depth, "eq") for _ in range(rng.randint(0, 2))]
     if depth > 0:
         chosen = rng.sample(sorted(alphabet), rng.randint(0, len(alphabet)))
         for a in chosen:

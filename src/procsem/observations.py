@@ -28,12 +28,10 @@ __all__ = [
     "enum_dbgo",
     "enum_complete_dbgo",
     "enum_possible_worlds",
-    "enum_partial_possible_worlds",
     "world_count",
     "check_world_cap",
     "DEFAULT_WORLD_CAP",
     "bgo_member",
-    "dbgo_member",
     "bgo_leq",
     "dbgo_leq",
     "ClosureSet",
@@ -267,25 +265,6 @@ def enum_possible_worlds(p: CanonicalTerm) -> frozenset[CanonicalTerm]:
     return frozenset(out)
 
 
-@lru_cache(maxsize=None)
-def enum_partial_possible_worlds(p: CanonicalTerm) -> frozenset[CanonicalTerm]:
-    """Like possible worlds, but any subset of the offer may be kept."""
-    actions = sorted(initials(p))
-    per_action: list[list[CT | None]] = []
-    for a in actions:
-        options: list[CT | None] = [None]
-        for b, q in step(p):
-            if b != a:
-                continue
-            options.extend(prefix(a, w) for w in enum_partial_possible_worlds(q))
-        per_action.append(options)
-    out = set()
-    for combo in product(*per_action):
-        kept = [t for t in combo if t is not None]
-        out.add(sum_terms(*kept) if kept else NIL)
-    return frozenset(out)
-
-
 def bgo_member(obs: BranchingObs, p: CanonicalTerm) -> bool:
     """Does obs belong to the branching observations of p?"""
     return _member(obs, p)
@@ -300,10 +279,6 @@ def _member(obs: BranchingObs, p: CanonicalTerm) -> bool:
         if not any(b == a and _member(child, q) for b, q in step(p)):
             return False
     return True
-
-
-def dbgo_member(obs: BranchingObs, p: CanonicalTerm) -> bool:
-    return obs.is_deterministic() and bgo_member(obs, p)
 
 
 def bgo_leq(constraint: str, p: CanonicalTerm, q: CanonicalTerm) -> bool:

@@ -1,20 +1,20 @@
-"""The third decision pathway: N-constrained simulation over M-saturated
-terms for every semantics axiomatized by the choice, simulation and
+"""The third decision pathway: N-constrained simulation up to
+M-saturation for every semantics axiomatized by the choice, simulation and
 reduction axioms.
 
 ``rule(sem)`` reads (N, M) from ``axioms.axiom_catalog``: the catalog is
 B1-B4, one simulation axiom with constraint N and one reduction axiom ND
 with condition M.  A term is saturated at top level: its summands are
-closed under the merge rule M licenses.  Everything is computed modulo
-canonical forms, which keeps saturation finite; a cap on the number of
-summands bounds it.
+closed under the merge rule M licenses.  The game plays p's own moves and
+answers each with a move of q's saturation, so only the simulator's terms
+are ever saturated.  Everything is computed modulo canonical forms, which
+keeps saturation finite; a cap on the number of summands bounds it.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .constraints import constraint_holds, solve_game
 from .lts import step
 from .observations import TruncationError
 from .preorders import Verdict, decide_nsim
@@ -28,7 +28,6 @@ __all__ = [
     "step_Z",
     "decide_via_operational",
     "deter",
-    "check_upto",
 ]
 
 DEFAULT_SATURATION_CAP = 10_000
@@ -130,9 +129,10 @@ def decide_via_operational(
     q: CanonicalTerm,
     cap: int = DEFAULT_SATURATION_CAP,
 ) -> Verdict:
-    """The N-constrained simulation over the M-saturated transition system,
-    (N, M) = ``rule(sem)``.  A negative verdict's witness is the refutation
-    of that game, over the saturated transitions on both sides."""
+    """The N-constrained simulation up to M-saturation, (N, M) =
+    ``rule(sem)``: p moves by ``step`` and q answers by ``step_Z``, so the
+    cap bounds q's saturations only.  A negative verdict's witness is the
+    refutation of that game and replays the same way."""
     n, condition = rule(sem)
     return decide_nsim(n, p, q, _stepper(condition, cap))
 
@@ -153,30 +153,3 @@ def deter(p: CanonicalTerm) -> CanonicalTerm:
         )
     )
 
-
-def check_upto(
-    sem: SemanticsId | str,
-    p: CanonicalTerm,
-    q: CanonicalTerm,
-    cap: int = DEFAULT_SATURATION_CAP,
-) -> bool:
-    """Local simulation up-to: the simulator answers plain moves of p after
-    first rewriting inside its own saturation.  Coincides with the saturated
-    N-simulation game, hence with sem, (N, M) = ``rule(sem)``.  Played on
-    ``solve_game``'s explicit stack, with a memo of its own."""
-    n, condition = rule(sem)
-
-    def node(key):
-        x, y = key
-        if not constraint_holds(n, x, y):
-            return False
-        responses = step_Z(condition, y, cap)
-        for a, x2 in step(x):
-            for b, y2 in responses:
-                if b == a and (yield (x2, y2)):
-                    break
-            else:
-                return False
-        return True
-
-    return solve_game(node, (p, q), {})

@@ -28,7 +28,7 @@ for ``db``.  Every witness is built when it is first read, so deciding alone
 pays for no witness and enumerates no world: the world cap guards only the
 ``db`` witness.  ``decide(sem, p, q)``, ``holds`` (its boolean, with no
 verdict) and ``spectrum_matrix`` read one flavor dispatch; ``decide_nsim``
-takes a transition relation, for the operational engine and ``logic``.
+takes q's transition relation, for the operational engine and ``logic``.
 """
 
 from __future__ import annotations
@@ -157,10 +157,10 @@ def _label_payload(label):
 # Constrained simulations
 
 
-def _sim_refutation(constraint: str, p: CanonicalTerm, q: CanonicalTerm, stepper=step) -> dict:
-    """Replayable refutation tree for a failed constrained simulation, with
-    `stepper` as the transition relation on both sides.  Built on an
-    explicit stack: the tree is as deep as the terms."""
+def _sim_refutation(constraint: str, p: CanonicalTerm, q: CanonicalTerm, answers=step) -> dict:
+    """Replayable refutation tree for a failed constrained simulation: p
+    moves by ``step`` and q answers by `answers`.  Built on an explicit
+    stack: the tree is as deep as the terms."""
     root = [None]
     todo = [(p, q, root, 0)]
     while todo:
@@ -168,9 +168,9 @@ def _sim_refutation(constraint: str, p: CanonicalTerm, q: CanonicalTerm, stepper
         if not constraint_holds(constraint, p, q):
             slots[i] = {"kind": "constraint", "constraint": constraint, "p": p, "q": q}
             continue
-        for a, p2 in stepper(p):
-            responses = [q2 for b, q2 in stepper(q) if b == a]
-            if all(not simulates(constraint, p2, q2, stepper) for q2 in responses):
+        for a, p2 in step(p):
+            responses = [q2 for b, q2 in answers(q) if b == a]
+            if all(not simulates(constraint, p2, q2, answers) for q2 in responses):
                 break
         else:
             raise AssertionError("refutation requested for a holding pair")
@@ -180,11 +180,11 @@ def _sim_refutation(constraint: str, p: CanonicalTerm, q: CanonicalTerm, stepper
     return root[0]
 
 
-def decide_nsim(constraint: str, p: CanonicalTerm, q: CanonicalTerm, stepper=step) -> Verdict:
-    """The constrained simulation with `stepper` as the transition relation."""
-    if simulates(constraint, p, q, stepper):
+def decide_nsim(constraint: str, p: CanonicalTerm, q: CanonicalTerm, answers=step) -> Verdict:
+    """The constrained simulation, q answering by the transition relation `answers`."""
+    if simulates(constraint, p, q, answers):
         return HOLDS
-    return Verdict(False, None, _sim_refutation, constraint, p, q, stepper)
+    return Verdict(False, None, _sim_refutation, constraint, p, q, answers)
 
 
 def _bisim_refutation(p: CanonicalTerm, q: CanonicalTerm) -> dict:

@@ -37,7 +37,6 @@ __all__ = [
     "render_term",
     "canonicalize",
     "free_variables",
-    "term_depth",
     "enumerate_terms",
     "term_to_json",
     "term_from_json",
@@ -166,7 +165,7 @@ class CanonicalTerm:
     and hashing are those of object identity.
     """
 
-    __slots__ = ("summands", "key", "_depth")
+    __slots__ = ("summands", "key")
 
     _interned: dict[tuple, "CanonicalTerm"] = {}
 
@@ -178,7 +177,6 @@ class CanonicalTerm:
         self = object.__new__(cls)
         self.summands = summands
         self.key = key
-        self._depth = 1 + max((t._depth for _, t in summands), default=-1)
         cls._interned[key] = self
         return self
 
@@ -187,10 +185,6 @@ class CanonicalTerm:
 
     def __le__(self, other: "CanonicalTerm") -> bool:
         return self is other or self.key < other.key
-
-    @property
-    def depth(self) -> int:
-        return self._depth
 
     @property
     def is_nil(self) -> bool:
@@ -352,18 +346,6 @@ def _canon(term: Term) -> CanonicalTerm:
     if isinstance(term, Choice):
         return sum_terms(_canon(term.left), _canon(term.right))
     raise TypeError(f"cannot canonicalize {term!r}")
-
-
-def term_depth(term: Term | CanonicalTerm) -> int:
-    if isinstance(term, CanonicalTerm):
-        return term.depth
-    if isinstance(term, (Nil, Var)):
-        return 0
-    if isinstance(term, Prefix):
-        return 1 + term_depth(term.body)
-    if isinstance(term, Choice):
-        return max(term_depth(term.left), term_depth(term.right))
-    raise TypeError(f"not a term: {term!r}")
 
 
 def enumerate_terms(

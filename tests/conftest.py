@@ -58,17 +58,18 @@ def bgo_count(constraint: str, p) -> int:
     return 2**pairs
 
 
-def replay_sim_refutation(n, p, q, node, stepper=step):
-    """A node refutes (p, q) under constraint n, with `stepper` as the
-    transition relation: a constraint leaf fails n, and a move exists for p
-    while its responses are exactly q's same-action moves, each refuted."""
+def replay_sim_refutation(n, p, q, node, answers=step):
+    """A node refutes (p, q) under constraint n, q answering by the
+    transition relation `answers`: a constraint leaf fails n, and a move
+    exists for p by ``step`` while its responses are exactly the same-action
+    moves of ``answers(q)``, each refuted."""
     assert (node["p"], node["q"]) == (p, q)
     if node["kind"] == "constraint":
         assert not constraint_holds(n, p, q)
         return
     a, p2 = node["action"], node["after_p"]
-    assert (a, p2) in stepper(p)
-    responses = [q2 for b, q2 in stepper(q) if b == a]
+    assert (a, p2) in step(p)
+    responses = [q2 for b, q2 in answers(q) if b == a]
     assert len(responses) == len(node["responses"])
     for q2, sub in zip(responses, node["responses"]):
-        replay_sim_refutation(n, p2, q2, sub, stepper)
+        replay_sim_refutation(n, p2, q2, sub, answers)

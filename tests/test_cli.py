@@ -156,6 +156,18 @@ def test_compare_cap_reaches_operational_engine(capsys):
     assert code == 3 and "cap" in err
 
 
+def test_operational_cap_counts_the_simulator_only(capsys):
+    # S7 saturates to 201 summands under M_F, but as the simulated side it
+    # only makes its own moves
+    s7 = " + ".join(f"a.({x}.0 + {y}.0)" for x, y in zip("bcdefgh", "cdefghi"))
+    small = "a.b.0 + a.c.0"
+    argv = ("compare", "--engine", "operational", "--semantics", "F", "--cap", "20")
+    code, _, err = run(capsys, *argv, s7, small)
+    assert code == 1 and err == ""
+    code, out, err = run(capsys, *argv, small, s7)
+    assert code == 3 and out == "" and "exceeded 20 summands" in err
+
+
 def test_operational_engine_covers_every_axiomatized_layer(capsys):
     # each pair holds in the next coarser semantics and fails in this one
     for sem, p, q in (

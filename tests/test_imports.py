@@ -1,7 +1,9 @@
 """The import graph: ``import procsem`` loads the decide core, and the engine
 modules load on first use.  Each check runs in a fresh interpreter."""
 
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -50,6 +52,17 @@ print("ok")
 """
     proc = python("-c", script)
     assert proc.returncode == 0 and proc.stdout == "ok\n", proc.stderr
+
+
+def test_every_exported_name_resolves():
+    # tools that wrap each public function look every __all__ name up, so a
+    # stale entry left behind by a deletion breaks them
+    modules = [procsem]
+    modules += (importlib.import_module(f"procsem.{m.name}") for m in pkgutil.iter_modules(procsem.__path__))
+    assert len(modules) >= 12
+    for module in modules:
+        missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert not missing, (module.__name__, missing)
 
 
 def imported_by(*argv) -> set[str]:

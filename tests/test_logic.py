@@ -369,6 +369,35 @@ def test_formula_from_observation_shapes():
     assert h is parse_formula("<a>~<a>T")
 
 
+def test_formula_from_observation_stays_in_its_grammar(pool2):
+    # a linear flavor's observation formula lies in that flavor's grammar, or
+    # the pin is unrealizable (constraint C only); join, whose grammar is the
+    # union of the l⊇ and lf grammars, has no observation formula
+    from procsem.spectrum import supported_ids
+
+    abc = frozenset("abc")
+    linear = ("l", "l⊇", "l⊆", "lf", "lf⊇", "lf⊆", "meet", "join")
+    sems = [s for s in supported_ids() if s.constraint != "S" and s.flavor in linear]
+    rng = random.Random(29)
+    sources = [c("a.(a.0 + b.0) + a.(b.0 + c.0)")] + rng.sample(list(pool2), 8)
+    built = 0
+    for sem in sems:
+        for source in sources:
+            for obs in sorted(enum_lgo(sem.constraint, source), key=lambda o: o.sort_key())[:8]:
+                if sem.flavor == "join":
+                    with pytest.raises(UnsupportedSemanticsError):
+                        formula_from_observation(obs, sem, abc)
+                    continue
+                try:
+                    f = formula_from_observation(obs, sem, abc)
+                except ValueError:
+                    assert sem.constraint == "C"
+                    continue
+                built += 1
+                assert in_sublogic(f, sem, abc), (sem, obs, render_formula(f))
+    assert built > 500
+
+
 def test_base_logics_contain_not_zero():
     for n in ("C", "I", "T", "S"):
         assert base_constraint_logic(n, AB).contains(not_zero(AB)), n

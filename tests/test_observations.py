@@ -17,7 +17,6 @@ from procsem.observations import (
     enum_complete_dbgo,
     enum_dbgo,
     enum_lgo,
-    enum_partial_possible_worlds,
     enum_possible_worlds,
     lgo_leq_via_closure,
 )
@@ -214,7 +213,6 @@ def test_complete_dbgo_examples():
 
 def test_possible_worlds_examples():
     assert enum_possible_worlds(c("a.b.0")) == {c("a.b.0")}
-    assert c("a.0") in enum_partial_possible_worlds(c("a.0 + b.0"))
     p = c("a.b.c.0 + a.(b.c.0 + d.0) + a.b.0")
     q = c("a.(b.c.0 + d.0) + a.b.0")
     assert enum_possible_worlds(q) < enum_possible_worlds(p)
@@ -227,9 +225,6 @@ def test_possible_worlds_are_ready_simulated(pool2):
         for w in enum_possible_worlds(p):
             assert is_deterministic(w)
             assert preorders.decide_nsim("I", w, p).holds
-        for w in enum_partial_possible_worlds(p):
-            assert is_deterministic(w)
-            assert simulates("U", w, p)
 
 
 def test_closure_laws_small():

@@ -9,7 +9,6 @@ from procsem.axioms import CONDITIONS
 from procsem.lts import initials, is_deterministic, step, traces
 from procsem.operational import (
     SaturationCapError,
-    check_upto,
     decide_via_operational,
     deter,
     rule,
@@ -202,22 +201,18 @@ def test_deter_properties(pool2):
         assert traces(d) == traces(p)
 
 
-def test_check_upto_examples():
+def test_operational_examples_and_a_deep_chain():
     p, q = c("a.b.c.0 + a.b.d.0"), c("a.(b.c.0 + b.d.0)")
-    assert check_upto("F", p, q)
-    assert check_upto("F", q, p)
-    assert check_upto("F", p, p)
-    with pytest.raises(UncoveredSemanticsError):
-        check_upto("S", p, q)
+    assert decide_via_operational("F", p, q).holds and decide_via_operational("F", q, p).holds
     # played on an explicit stack: a depth-2,000 chain needs no deep recursion
     chain = NIL
     for _ in range(2000):
         chain = prefix("a", chain)
-    assert check_upto("F", chain, chain)
-    assert not check_upto("F", prefix("a", chain), chain)
-
-
-def test_check_upto_agrees_with_operational(pool1):
-    for sem in SEMS:
-        for p, q in itertools.product(pool1, repeat=2):
-            assert check_upto(sem, p, q) == decide_via_operational(sem, p, q).holds, (sem, p, q)
+    assert decide_via_operational("F", chain, chain).holds
+    verdict = decide_via_operational("F", prefix("a", chain), chain)
+    assert not verdict.holds
+    node, moves = verdict.witness, 0
+    while node["kind"] == "move":
+        (node,) = node["responses"]
+        moves += 1
+    assert moves == 2000 and (node["p"], node["q"]) == (c("a.0"), NIL)

@@ -16,7 +16,6 @@ from procsem.terms import (
     enumerate_terms,
     parse_term,
     render_term,
-    term_depth,
     term_from_json,
     term_to_json,
 )
@@ -76,12 +75,6 @@ def test_canonicalize_unit_idempotence_dedup():
 def test_canonicalize_rejects_open_terms():
     with pytest.raises(OpenTermError):
         canonicalize(parse_term("a.X"))
-
-
-def test_depths():
-    assert term_depth(parse_term("0")) == 0
-    assert term_depth(parse_term("a.b.0")) == 2
-    assert c("a.b.0 + c.0").depth == 2
 
 
 def test_enumerate_terms_small():
