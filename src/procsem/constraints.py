@@ -116,14 +116,14 @@ def local_geq(constraint: str, l1: LocalObs, l2: LocalObs) -> bool:
 
 def value_key(constraint: str, value):
     """A total sort key on the observation values of one constraint, used for
-    reproducible witnesses."""
+    reproducible witnesses.  An S value is the term itself, in term order."""
     if constraint == "U":
         return ()
     if constraint == "C":
         return (value,)
     if constraint in ("I", "T"):
         return tuple(sorted(value))
-    return value.key
+    return value
 
 
 def local_key(obs: LocalObs):

@@ -517,7 +517,7 @@ def _pin(constraint: str, label, alphabet, mode: str, context=()) -> Formula:
             return positive
         negatives = [
             Neg(characteristic_sim_formula(w))
-            for w in sorted(context, key=lambda t: t.key)
+            for w in sorted(context)
             if not simulates("U", w, value)
         ]
         if mode == "neg":

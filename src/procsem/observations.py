@@ -258,7 +258,7 @@ def enum_possible_worlds(p: CanonicalTerm) -> frozenset[CanonicalTerm]:
             if b != a:
                 continue
             options.extend(prefix(a, w) for w in enum_possible_worlds(q))
-        per_action.append(sorted(set(options), key=lambda t: t.key))
+        per_action.append(sorted(set(options)))
     out = set()
     for combo in product(*per_action):
         out.add(sum_terms(*combo) if combo else NIL)

@@ -63,10 +63,11 @@ def rule(sem: SemanticsId | str) -> tuple[str, str]:
     return ns[0], ms[0]
 
 
-@lru_cache(maxsize=None)
 def saturate(condition: str, p: CanonicalTerm, cap: int = DEFAULT_SATURATION_CAP) -> CanonicalTerm:
     """p's summands closed under the merge rule of ``CONDITIONS[condition]``,
-    as one term.
+    as one term.  Each (condition, p) closure is computed once, whatever the
+    cap; a later call raises when the kept closure grew past its cap, as
+    computing it again would.
 
     The rule picks two same-action summands a.x and a.v, splits v into
     y + w, and, when the condition accepts (x, y, w), adds the summand
@@ -76,6 +77,22 @@ def saturate(condition: str, p: CanonicalTerm, cap: int = DEFAULT_SATURATION_CAP
     Each summand is merged with every earlier one in both roles (merged
     with itself it gives itself back).  The cap counts summands.
     """
+    known = _closures(condition)
+    closure = known.get(p)
+    if closure is None:
+        closure = known[p] = _saturate(condition, p, cap)
+    elif len(closure.summands) > max(cap, len(p.summands)):
+        raise SaturationCapError(p, cap)
+    return closure
+
+
+@lru_cache(maxsize=None)
+def _closures(condition: str) -> dict[CanonicalTerm, CanonicalTerm]:
+    """The saturations computed under one condition, by term."""
+    return {}
+
+
+def _saturate(condition: str, p: CanonicalTerm, cap: int) -> CanonicalTerm:
     from .axioms import CONDITIONS
 
     cond = CONDITIONS[condition]

@@ -189,20 +189,35 @@ def decide_nsim(constraint: str, p: CanonicalTerm, q: CanonicalTerm, answers=ste
 
 def _bisim_refutation(p: CanonicalTerm, q: CanonicalTerm) -> dict:
     """A move of p (left) or of q (right) that no same-action move of the
-    other side answers bisimilarly; each response refutes (moved state, answer)."""
+    other side answers bisimilarly; each response refutes (moved state,
+    answer).  Built on an explicit stack: the tree is as deep as the terms."""
+    root = [None]
+    todo = [(p, q, root, 0)]
+    while todo:
+        p, q, slots, i = todo.pop()
+        side, a, moved, responses = _unanswered_move(p, q)
+        refuted = [None] * len(responses)
+        slots[i] = {
+            "kind": "move",
+            "side": side,
+            "action": a,
+            "p": p,
+            "q": q,
+            "after_p": moved,
+            "responses": refuted,
+        }
+        todo.extend((moved, r, refuted, j) for j, r in enumerate(responses))
+    return root[0]
+
+
+def _unanswered_move(p: CanonicalTerm, q: CanonicalTerm) -> tuple:
+    """(side, action, moved state, same-action answers) of the first move
+    of p (left) or of q (right) that no answer matches identically."""
     for side, mover, other in (("left", p, q), ("right", q, p)):
         for a, moved in step(mover):
             responses = [r for b, r in step(other) if b == a]
             if all(moved is not r for r in responses):
-                return {
-                    "kind": "move",
-                    "side": side,
-                    "action": a,
-                    "p": p,
-                    "q": q,
-                    "after_p": moved,
-                    "responses": [_bisim_refutation(moved, r) for r in responses],
-                }
+                return side, a, moved, responses
     raise AssertionError("refutation requested for bisimilar terms")
 
 

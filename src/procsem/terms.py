@@ -159,32 +159,41 @@ class CanonicalTerm:
     """A closed term in ACI+unit normal form: a sorted tuple of summands.
 
     ``summands`` is a duplicate-free tuple of ``(action, CanonicalTerm)``
-    pairs sorted by action name and then by the recursive order of bodies
-    (nil least).  The empty tuple is the nil process.  Instances are interned:
-    building the same normal form twice yields the same object, so equality
-    and hashing are those of object identity.
+    pairs sorted by the term order of ``__lt__``; the empty tuple is the nil
+    process.  Instances are interned on ``summands`` itself: bodies are
+    interned too, so a lookup hashes and compares the term's width, never
+    its tree, and building the same normal form twice yields the same
+    object.  Equality and hashing are those of object identity.
     """
 
-    __slots__ = ("summands", "key")
+    __slots__ = ("summands",)
 
     _interned: dict[tuple, "CanonicalTerm"] = {}
 
     def __new__(cls, summands: tuple[tuple[Action, "CanonicalTerm"], ...]):
-        key = tuple((a, t.key) for a, t in summands)
-        hit = cls._interned.get(key)
+        hit = cls._interned.get(summands)
         if hit is not None:
             return hit
         self = object.__new__(cls)
         self.summands = summands
-        self.key = key
-        cls._interned[key] = self
+        cls._interned[summands] = self
         return self
 
     def __lt__(self, other: "CanonicalTerm") -> bool:
-        return self.key < other.key
-
-    def __le__(self, other: "CanonicalTerm") -> bool:
-        return self is other or self.key < other.key
+        """The term order: summands compared in turn, by action and then by
+        body (nil least).  Only the first differing pair of bodies is ever
+        entered, so a loop walks it."""
+        x, y = self, other
+        while x is not y:
+            for (a, s), (b, t) in zip(x.summands, y.summands):
+                if a != b:
+                    return a < b
+                if s is not t:
+                    x, y = s, t
+                    break
+            else:
+                return len(x.summands) < len(y.summands)
+        return False
 
     @property
     def is_nil(self) -> bool:
@@ -365,7 +374,7 @@ def enumerate_terms(
     actions = sorted(set(alphabet))
     if not actions:
         raise ValueError("alphabet must be nonempty")
-    yield from sorted(_terms_upto(tuple(actions), max_depth, max_width), key=lambda t: t.key)
+    yield from sorted(_terms_upto(tuple(actions), max_depth, max_width))
 
 
 def _terms_upto(actions: tuple[Action, ...], depth: int, width: int) -> set[CanonicalTerm]:

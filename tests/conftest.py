@@ -73,3 +73,22 @@ def replay_sim_refutation(n, p, q, node, answers=step):
     assert len(responses) == len(node["responses"])
     for q2, sub in zip(responses, node["responses"]):
         replay_sim_refutation(n, p2, q2, sub, answers)
+
+
+def replay_bisim_refutation(p, q, node):
+    """A node refutes (p, q): its move exists on its side, its responses are
+    exactly the other side's same-action moves, and each response refutes
+    (moved state, answer), none of them by an identical answer.  Walks the
+    tree on an explicit stack: it is as deep as the terms."""
+    todo = [(p, q, node)]
+    while todo:
+        p, q, node = todo.pop()
+        assert node["kind"] == "move" and (node["p"], node["q"]) == (p, q)
+        mover, other = (p, q) if node["side"] == "left" else (q, p)
+        a, moved = node["action"], node["after_p"]
+        assert (a, moved) in step(mover)
+        answers = [r for b, r in step(other) if b == a]
+        assert len(answers) == len(node["responses"])
+        for answer, sub in zip(answers, node["responses"]):
+            assert answer is not moved
+            todo.append((moved, answer, sub))

@@ -4,7 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from conftest import MANY_WORLDS, c
+from conftest import MANY_WORLDS, c, replay_bisim_refutation
 import procsem
 from procsem import cli
 from procsem.cli import main
@@ -208,6 +208,40 @@ def test_deep_chain(capsys):
     for sem in ("S", "I:bf"):
         code, _, _ = run(capsys, "compare", "--semantics", sem, chain, chain)
         assert code == 0, sem
+
+
+def test_sum_of_deep_chains_with_a_common_prefix(capsys):
+    # X and Y differ only in their last action, so ordering the summands of
+    # X + Y walks the whole chain
+    x, y = "a." * 498 + "a.0", "a." * 498 + "b.0"
+    for sem in ("S", "RS", "B"):
+        code, _, err = run(capsys, "compare", "--semantics", sem, f"{x} + {y}", x)
+        assert code == 1 and err == "", sem
+
+
+def test_deep_bisimulation_witness(capsys):
+    p, q = "a." * 900 + "0", "a." * 900 + "b.0"
+    code, _, err = run(capsys, "--json", "compare", "--semantics", "B", p, q)
+    assert code == 1 and err == ""
+    replay_bisim_refutation(c(p), c(q), procsem.decide(procsem.parse_semantics("B"), c(p), c(q)).witness)
+
+
+def test_deep_and_shared_terms_build():
+    from procsem.terms import NIL, prefix, sum_terms
+
+    chain = NIL
+    for _ in range(20_000):
+        chain = prefix("a", chain)
+    assert len(chain.summands) == 1
+    # t(n+1) = a.t(n) + b.t(n): exponential as a tree, 61 distinct subterms
+    t = NIL
+    for _ in range(60):
+        t = sum_terms(prefix("a", t), prefix("b", t))
+    assert [a for a, _ in t.summands] == ["a", "b"]
+    x, y = prefix("a", NIL), prefix("b", NIL)
+    for _ in range(4_999):
+        x, y = prefix("a", x), prefix("a", y)
+    assert sum_terms(y, x).summands == x.summands + y.summands
 
 
 def test_internal_error_exit_4(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from functools import lru_cache, partial
 
 import pytest
@@ -145,6 +146,41 @@ def test_saturation_cap():
     assert len(saturate("M_F", wide, cap=15).summands) == 15
     with pytest.raises(SaturationCapError, match="14 summands"):
         saturate("M_F", wide, cap=14)
+
+
+def test_each_closure_is_computed_once(pool2, monkeypatch):
+    # a derivation sweep and then the operational engine, as in one round of
+    # the relations benchmark: the head normal forms of the sweep (no cap
+    # given) are the closures the engine saturates (cap given)
+    import procsem
+    from procsem import axioms, operational
+    from procsem.preorders import holds
+
+    procsem.clear_caches()
+    computed = Counter()
+    compute = operational._saturate
+
+    def counted(condition, p, cap):
+        computed[condition, p] += 1
+        return compute(condition, p, cap)
+
+    monkeypatch.setattr(operational, "_saturate", counted)
+    terms = random.Random(16).sample(list(pool2), 32)
+    for z in ("F", "R", "FT", "RT"):
+        for p in terms:
+            for q in terms:
+                if holds(parse_semantics(z), p, q):
+                    axioms.derive_leq(z, p, q)
+    swept = sum(computed.values())
+    for z in ("F", "R", "FT", "RT"):
+        for p in terms:
+            for q in terms:
+                decide_via_operational(z, p, q)
+    assert swept and set(computed.values()) == {1}
+    key = next(iter(computed))
+    procsem.clear_caches()
+    saturate(*key)
+    assert computed[key] == 2
 
 
 def test_saturation_of_a_wide_term():

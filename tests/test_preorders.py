@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import MANY_WORLDS, bgo_count, c, replay_sim_refutation
+from conftest import MANY_WORLDS, bgo_count, c, replay_bisim_refutation, replay_sim_refutation
 from procsem.constraints import local_obs, simulates
 from procsem.lts import initials, step, traces
 from procsem.observations import BranchingObs, enum_lgo
@@ -56,27 +56,12 @@ def test_bisim_witness_replays(pool2):
             assert p is q and verdict.witness is None
         else:
             refuted += 1
-            _replay_bisim_refutation(p, q, verdict.witness)
+            replay_bisim_refutation(p, q, verdict.witness)
     assert refuted > 250
     # a right-side move: q's a-move to b.0 is answered by p's a-move to a.0
     node = decide(BISIM, c("a.a.0"), c("a.a.0 + a.b.0")).witness
     assert node["side"] == "right" and node["after_p"] is c("b.0")
     assert [(sub["p"], sub["q"]) for sub in node["responses"]] == [(c("b.0"), c("a.0"))]
-
-
-def _replay_bisim_refutation(p, q, node):
-    """A node refutes (p, q): its move exists on its side, its responses are
-    exactly the other side's same-action moves, and each response refutes
-    (moved state, answer), none of them by an identical answer."""
-    assert node["kind"] == "move" and (node["p"], node["q"]) == (p, q)
-    mover, other = (p, q) if node["side"] == "left" else (q, p)
-    a, moved = node["action"], node["after_p"]
-    assert (a, moved) in step(mover)
-    answers = [r for b, r in step(other) if b == a]
-    assert len(answers) == len(node["responses"])
-    for answer, sub in zip(answers, node["responses"]):
-        assert answer is not moved
-        _replay_bisim_refutation(moved, answer, sub)
 
 
 def test_linear_examples_failures_readiness():
@@ -494,7 +479,7 @@ def test_canonicalization_decides_bisimilarity(pool2):
     terms = tuple(enumerate_terms({"a", "b"}, 3, 2))  # depth-3 slice, width 2
 
     def bisimilar(p, q, memo={}):
-        key = (p, q) if p.key <= q.key else (q, p)
+        key = (p, q) if p < q else (q, p)
         hit = memo.get(key)
         if hit is not None:
             return hit

@@ -132,7 +132,21 @@ def test_canonical_idempotent(t):
     assert canonicalize(ct) is ct
 
 
+def _nested_key(t):
+    """The term order as a nested tuple of the whole tree: the oracle for
+    ``CanonicalTerm.__lt__``.  Recursive, so for shallow terms only."""
+    return tuple((a, _nested_key(body)) for a, body in t.summands)
+
+
 def test_summand_order_is_total(pool2):
-    keys = [t.key for t in pool2]
-    assert len(set(keys)) == len(keys)
-    assert keys == sorted(keys)
+    assert len(set(pool2)) == len(pool2)
+    assert sorted(pool2) == list(pool2) == sorted(reversed(pool2))
+    assert not any(t < t for t in pool2)
+
+
+def test_term_order_is_the_nested_key_order(pool2, random3):
+    keys = {t: _nested_key(t) for t in pool2 + random3}
+    for terms in (pool2, random3):
+        for a in terms:
+            for b in terms:
+                assert (a < b) == (keys[a] < keys[b]), (a, b)
