@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product
 from typing import Callable, Sequence
 
@@ -379,8 +380,10 @@ def verify_hnf_laws(z: str, pool: Sequence[CanonicalTerm], pairs=None) -> HnfLaw
     return report
 
 
+@lru_cache(maxsize=None)
 def _answer(sem: SemanticsId, h: CanonicalTerm, a: str, x: CanonicalTerm):
-    """The first a-move of the head normal form h whose target lies above x in sem, or None."""
+    """The first a-move of the head normal form h whose target lies above x
+    in sem, or None; derivations share subgoals, so it is memoized."""
     for b, y in step(h):
         if b == a and preorders.holds(sem, x, y):
             return y

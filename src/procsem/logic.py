@@ -280,6 +280,38 @@ def sat(p: CanonicalTerm, f: Formula) -> bool:
 # Base constraint logics and their closures
 
 
+@lru_cache(maxsize=None)
+def _contains(logic: BaseLogic, f: Formula) -> bool:
+    n = logic.constraint
+    if f is TOP:
+        return True
+    if n == "U":
+        return False
+    if f is logic._not_zero:
+        return True
+    if n == "C":
+        return False
+    if n == "I":
+        return isinstance(f, Diamond) and f.body is TOP and f.action in logic.alphabet
+    if n == "T":
+        while isinstance(f, Diamond):
+            f = f.body
+        return f is TOP
+    if n == "S":
+        return _is_positive(f)
+    raise ValueError(f"unknown constraint {n!r}")
+
+
+def _is_positive(f: Formula) -> bool:
+    if f is TOP:
+        return True
+    if isinstance(f, Conj):
+        return all(_is_positive(m) for m in f.members)
+    if isinstance(f, Diamond):
+        return _is_positive(f.body)
+    return False
+
+
 class BaseLogic:
     """The formulas a single state can be probed with under constraint N."""
 
@@ -288,37 +320,8 @@ class BaseLogic:
         self.alphabet = frozenset(alphabet)
         self._not_zero = not_zero(self.alphabet)
 
-    def contains(self, f: Formula) -> bool:
-        n = self.constraint
-        if f is TOP:
-            return True
-        if n == "U":
-            return False
-        if f is self._not_zero:
-            return True
-        if n == "C":
-            return False
-        if n == "I":
-            return isinstance(f, Diamond) and f.body is TOP and f.action in self.alphabet
-        if n == "T":
-            return self._is_chain(f)
-        if n == "S":
-            return self._is_positive(f)
-        raise ValueError(f"unknown constraint {n!r}")
-
-    def _is_chain(self, f: Formula) -> bool:
-        while isinstance(f, Diamond):
-            f = f.body
-        return f is TOP
-
-    def _is_positive(self, f: Formula) -> bool:
-        if f is TOP:
-            return True
-        if isinstance(f, Conj):
-            return all(self._is_positive(m) for m in f.members)
-        if isinstance(f, Diamond):
-            return self._is_positive(f.body)
-        return False
+    # memoized per (logic, formula) at module level, where clear_caches finds it
+    contains = _contains
 
 
 @lru_cache(maxsize=None)
@@ -416,6 +419,7 @@ def _split_parts(logic: BaseLogic, f: Formula, mode: str):
     return leaves, continuations
 
 
+@lru_cache(maxsize=None)
 def _in_det_branching(logic: BaseLogic, f: Formula) -> bool:
     split = _split_parts(logic, f, "eq")
     if split is None:
@@ -427,6 +431,7 @@ def _in_det_branching(logic: BaseLogic, f: Formula) -> bool:
     return all(_in_det_branching(logic, d.body) for d in continuations)
 
 
+@lru_cache(maxsize=None)
 def _in_linear(logic: BaseLogic, f: Formula, mid: str | None, last: str) -> bool:
     split = _split_parts(logic, f, last)
     if split is None:
@@ -475,6 +480,7 @@ class UnrealizablePinError(ValueError):
     pass
 
 
+@lru_cache(maxsize=None)
 def characteristic_sim_formula(p: CanonicalTerm) -> Formula:
     """Positive formula satisfied by exactly the states that simulate p."""
     return conj(*[Diamond(a, characteristic_sim_formula(q)) for a, q in step(p)])
@@ -624,7 +630,8 @@ def distinguish(sem: SemanticsId | str, p: CanonicalTerm, q: CanonicalTerm, alph
             "the positive closure of the termination logic cannot pin 0; "
             "no distinguishing formulas for partial offers at constraint C"
         )
-    actions = frozenset(a for s in _joint_context(p, q) for a in initials(s))
+    context = tuple(dict.fromkeys(reachable(p) + reachable(q)))
+    actions = frozenset(a for s in context for a in initials(s))
     if alphabet is None:
         alphabet = actions
     alphabet = frozenset(alphabet)
@@ -634,37 +641,34 @@ def distinguish(sem: SemanticsId | str, p: CanonicalTerm, q: CanonicalTerm, alph
     verdict = decide(sem, p, q)
     if verdict.holds:
         return None
-    f = _minimize(_build_separator(sem, verdict, p, q, alphabet), sem, p, q, alphabet)
+    f = _minimize(_build_separator(sem, verdict, p, q, alphabet, context), sem, p, q, alphabet)
     assert sat(p, f) and not sat(q, f) and in_sublogic(f, sem, alphabet)
     return f
 
 
-def _build_separator(sem, verdict, p, q, alphabet) -> Formula:
+def _build_separator(sem, verdict, p, q, alphabet, context) -> Formula:
     """A formula that p satisfies and q does not, read off the refuting
-    verdict of sem; join refutes one of its two parts."""
+    verdict of sem; join refutes one of its two parts.  `context` is the
+    states reachable from p or q, the candidates an S pin excludes."""
     flavor = sem.flavor
     if flavor in ("bisim", "b"):
         return _refutation_formula(sem.constraint, verdict.witness, alphabet)
     if flavor == "db":
         obs = verdict.witness["unmatched"]
-        return _branching_formula(sem.constraint, obs, alphabet, _joint_context(p, q))
+        return _branching_formula(sem.constraint, obs, alphabet, context)
     if sem.constraint == "C":
         return _distinguish_completed(p, q, alphabet)
     if flavor == "join":
         for part in (SemanticsId(sem.constraint, "l⊇"), SemanticsId(sem.constraint, "lf")):
             verdict = decide(part, p, q)
             if not verdict.holds:
-                return _build_separator(part, verdict, p, q, alphabet)
+                return _build_separator(part, verdict, p, q, alphabet, context)
         raise AssertionError("join refuted but both components hold")
     witness = verdict.witness
     obs = witness["unmatched"]
     if flavor == "meet" and witness.get("revival_action") is not None:
         return _revival_formula(sem.constraint, obs, witness["revival_action"], alphabet)
-    return formula_from_observation(obs, sem, alphabet, _joint_context(p, q))
-
-
-def _joint_context(p, q):
-    return tuple(dict.fromkeys(reachable(p) + reachable(q)))
+    return formula_from_observation(obs, sem, alphabet, context)
 
 
 def _revival_formula(constraint, obs: LinearObs, element, alphabet) -> Formula:

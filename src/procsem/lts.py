@@ -74,17 +74,16 @@ def is_deterministic(p: CanonicalTerm) -> bool:
 
 
 def reachable(p: CanonicalTerm) -> tuple[CanonicalTerm, ...]:
-    """All states reachable from p (p first, then DFS order, deduplicated)."""
+    """All states reachable from p (p first, then DFS order, deduplicated).
+    Walked on an explicit stack that holds each state's successors in
+    reverse, so the first is visited next: a deep term is as safe as a wide one."""
     seen: dict[CanonicalTerm, None] = {}
-
-    def walk(t: CanonicalTerm) -> None:
-        if t in seen:
-            return
-        seen[t] = None
-        for _, q in t.summands:
-            walk(q)
-
-    walk(p)
+    todo = [p]
+    while todo:
+        t = todo.pop()
+        if t not in seen:
+            seen[t] = None
+            todo.extend(q for _, q in reversed(t.summands))
     return tuple(seen)
 
 

@@ -10,7 +10,7 @@ Three families of procedures live here:
      pair of p only on its own trace);
   2. the collapse laws: at U every rule is trace inclusion (every label is
      the same), at C completed-trace inclusion (only a path's last state
-     can be nil);
+     can be nil), and at S the partial-offer rules are simulation;
   3. one set inclusion of per-term tables of decorated traces as (trace,
      raw label values) pairs (built per subterm from the successors'
      tables, with no observation objects), the flavor's rule from a table
@@ -344,7 +344,11 @@ def _included(constraint: str, rule: tuple, p: CanonicalTerm, q: CanonicalTerm) 
     2. Collapse: at U every value is None, so the trace alone matches.  At C
        `geq` is `eq` and only a path's last state can be nil, so each rule
        asks that q end each trace of p as p can, nil or live: completed-trace
-       inclusion, as q has p's longer traces and so its live ends too.
+       inclusion, as q has p's longer traces and so its live ends too.  At S
+       the partial-offer rules (`leq` on the final label, l⊆ and lf⊆) are
+       plain simulation: the empty trace's pair asks that q simulate p, and a
+       simulation answers each path of p with a path of q whose states
+       simulate p's pointwise.
     3. Tables: the set inclusion and leftover matching of `_unmatched`."""
     if not traces(p) <= traces(q):
         return False
@@ -352,6 +356,8 @@ def _included(constraint: str, rule: tuple, p: CanonicalTerm, q: CanonicalTerm) 
         return True
     if constraint == "C":
         return completed_traces(p) <= completed_traces(q)
+    if constraint == "S" and rule[1] == "leq":
+        return simulates("U", p, q)
     return next(iter(_unmatched(constraint, rule, p, q)), None) is None
 
 

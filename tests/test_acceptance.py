@@ -335,7 +335,7 @@ def test_criterion_9_closure_laws(pool):
     report(9, "widening/forgetting operators are closures", True, f"{law_checks} random sets")
 
 
-def test_criterion_10_collapse_laws(pool):
+def test_criterion_10_collapse_laws(pool, deep_terms):
     """Checked on the decorated-trace tables (`_unmatched` is empty exactly
     when the rule holds), not through the decider, which uses these laws."""
     from procsem.spectrum import LINEAR_FLAVORS as ALL_LINEAR
@@ -353,4 +353,13 @@ def test_criterion_10_collapse_laws(pool):
                 matched = next(iter(pr._unmatched(n, rule, p, q)), None) is None
                 assert matched == expected[n], (n, rule, p, q)
                 checks += 1
-    report(10, "all eight linear flavors collapse at the U and C layers", True, f"{checks} checks")
+    # at S the partial-offer rules l⊆ and lf⊆ are plain simulation
+    s_rules = [pr._linear_rule("S", flavor)[0] for flavor in ("l⊆", "lf⊆")]
+    for terms in (pool, deep_terms):
+        for p in terms:
+            for q in terms:
+                expected = simulates("U", p, q)
+                for rule in s_rules:
+                    assert (next(iter(pr._unmatched("S", rule, p, q)), None) is None) == expected, (rule, p, q)
+                    checks += 1
+    report(10, "all eight linear flavors collapse at U and C, l⊆ and lf⊆ at S", True, f"{checks} checks")

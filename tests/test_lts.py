@@ -67,7 +67,7 @@ def test_reachable_bounded(pool2):
     for p in pool2[:64]:
         states = reachable(p)
         assert states[0] is p
-        assert len(states) == len(set(states))
+        assert states == tuple(_subsums(p))  # the recursive DFS order
         # bounded by the number of distinct sub-sums plus nil
         assert len(states) <= sum(1 for _ in _subsums(p)) + 1
 
@@ -80,6 +80,15 @@ def _subsums(p, seen=None):
         yield p
         for _, q in p.summands:
             yield from _subsums(q, seen)
+
+
+def test_reachable_deep_chain():
+    from procsem.terms import NIL, prefix
+
+    states = [NIL]
+    for _ in range(2000):
+        states.append(prefix("a", states[-1]))
+    assert reachable(states[-1]) == tuple(reversed(states))
 
 
 def test_dot_export():

@@ -82,6 +82,41 @@ def test_partial_offer_examples():
     assert not holds(SemanticsId("I", "lf⊇"), r, q)
 
 
+def test_partial_offers_below_simulation_are_no_collapse():
+    """T:l⊆, T:lf⊆ and I:l⊆ relate a pair that simulation does not, so they
+    are strictly coarser than S:l⊆ = S:lf⊆ = U:b: each path of p is matched
+    by a path of q, but no single a-move of q answers both of p's branches."""
+    p = c("a.(b.c.(e.0+f.0) + d.g.(h.0+k.0))")
+    q = c("a.(b.c.(e.0+f.0) + d.g.h.0 + d.g.k.0) + a.(b.c.e.0 + b.c.f.0 + d.g.(h.0+k.0))")
+    for name in ("T:l⊆", "T:lf⊆", "I:l⊆"):
+        assert decide(parse_semantics(name), p, q).holds, name
+    for name in ("S:l⊆", "S:lf⊆"):
+        assert not decide(parse_semantics(name), p, q).holds, name
+    verdict = decide(parse_semantics("U:b"), p, q)
+    assert not verdict.holds
+    replay_sim_refutation("U", p, q, verdict.witness)
+
+
+def test_s_partial_offer_witnesses_come_from_the_tables(pool2):
+    """S:l⊆ and S:lf⊆ are decided by simulation; a refuted cell's witness is
+    still the least unmatched decorated trace of the tables."""
+    from procsem.preorders import _lgo_witness, _linear_rule
+
+    rng = random.Random(61)
+    pairs = [(rng.choice(pool2), rng.choice(pool2)) for _ in range(400)]
+    for flavor in ("l⊆", "lf⊆"):
+        sem = SemanticsId("S", flavor)
+        refuted = 0
+        for p, q in pairs:
+            verdict = decide(sem, p, q)
+            assert verdict.holds == simulates("U", p, q), (flavor, p, q)
+            if not verdict.holds:
+                expected = Verdict(False, _lgo_witness("S", *_linear_rule("S", flavor), p, q))
+                assert verdict.to_json() == expected.to_json(), (flavor, p, q)
+                refuted += 1
+        assert refuted > 100, flavor
+
+
 def test_linear_witnesses_replay(pool2):
     rng = random.Random(11)
     pairs = [(rng.choice(pool2), rng.choice(pool2)) for _ in range(80)]
@@ -269,7 +304,8 @@ def test_collapsed_linear_cells_build_no_table(pool2):
     rng = random.Random(53)
     pairs = [(rng.choice(pool2), rng.choice(pool2)) for _ in range(300)]
     collapsed = [s for s in supported_ids() if s.constraint in ("U", "C") and s.flavor in LINEAR_FLAVORS]
-    assert len(collapsed) == 16
+    collapsed += [SemanticsId("S", "l⊆"), SemanticsId("S", "lf⊆")]
+    assert len(collapsed) == 18
     cells = [(sem, p, q) for sem in collapsed for p, q in pairs]
     verdicts = [decide(*cell) for cell in cells]
     assert any(verdicts)
@@ -317,6 +353,7 @@ def test_witnesses_are_built_on_first_read(monkeypatch):
 
 def test_clear_caches(pool2):
     import procsem
+    from procsem import axioms, logic
     from procsem.preorders import _trace_table
     from procsem.spectrum import supported_ids
 
@@ -324,10 +361,27 @@ def test_clear_caches(pool2):
     cells = [(sem, rng.choice(pool2), rng.choice(pool2)) for _ in range(20) for sem in supported_ids()]
     before = [decide(*cell).to_json() for cell in cells]
     unread = [decide(*cell) for cell in cells]
+    names = ("B", "S", "PW", "RT", "F", "RV", "S:l", "S:l⊇", "S:lf", "T:l⊆")
+    separated = [(name, p, q) for name in names for _, p, q in cells[:: len(supported_ids())]]
+    separations = [logic.distinguish(*cell) for cell in separated]
+    assert any(separations)
+    derived = [(z, p, q) for z in ("F", "RT") for p in pool2[:24] for q in pool2[:24] if holds(parse_semantics(z), p, q)]
+    derivations = [axioms.derive_leq(*cell) for cell in derived]
+    memos = (
+        _trace_table,
+        logic._contains,
+        logic._in_linear,
+        logic._in_det_branching,
+        logic.characteristic_sim_formula,
+        axioms._answer,
+    )
+    assert all(memo.cache_info().currsize for memo in memos)
     procsem.clear_caches()
-    assert _trace_table.cache_info().currsize == 0
+    assert [memo.cache_info().currsize for memo in memos] == [0] * len(memos)
     assert [verdict.to_json() for verdict in unread] == before
     assert [decide(*cell).to_json() for cell in cells] == before
+    assert [logic.distinguish(*cell) for cell in separated] == separations
+    assert [axioms.derive_leq(*cell) for cell in derived] == derivations
 
 
 def test_db_examples():
