@@ -19,13 +19,12 @@ from . import preorders
 from .constraints import constraint_holds
 from .lts import initials, step, traces
 from .operational import rule, saturate
-from .spectrum import SemanticsId, UnsupportedSemanticsError, parse_semantics
+from .spectrum import SemanticsId, UncoveredSemanticsError, parse_semantics
 from .terms import NIL, CanonicalTerm, Choice, Nil, Prefix, Term, Var, prefix, render_term, sum_terms
 
 __all__ = [
     "Axiom",
     "CONDITIONS",
-    "condition_holds",
     "axiom_catalog",
     "SoundnessReport",
     "check_soundness",
@@ -45,10 +44,6 @@ def _plus(*parts: Term) -> Term:
     return out
 
 
-def _is_nil(t: CanonicalTerm) -> bool:
-    return t.is_nil
-
-
 # Side conditions M(x, y, w) on closed instances; the third variable is
 # spelled Z because the term grammar reserves X-Z identifiers for variables.
 CONDITIONS: dict[str, Callable[[CanonicalTerm, CanonicalTerm, CanonicalTerm], bool]] = {
@@ -64,16 +59,10 @@ CONDITIONS: dict[str, Callable[[CanonicalTerm, CanonicalTerm, CanonicalTerm], bo
     "M_T-RT": lambda x, y, w: traces(x) == traces(y) and traces(w) <= traces(y),
     "M_T-R∧FT": lambda x, y, w: traces(x) >= traces(y) and traces(w) <= traces(y),
     "M_T-R∨FT": lambda x, y, w: traces(x) >= traces(y) or traces(w) <= traces(y),
-    "M_CR": lambda x, y, w: (not _is_nil(x)) or _is_nil(y),
-    "M_CFT": lambda x, y, w: (not _is_nil(y)) or _is_nil(w),
-    "M_CRT": lambda x, y, w: (_is_nil(x) == _is_nil(y)) and ((not _is_nil(y)) or _is_nil(w)),
+    "M_CR": lambda x, y, w: (not x.is_nil) or y.is_nil,
+    "M_CFT": lambda x, y, w: (not y.is_nil) or w.is_nil,
+    "M_CRT": lambda x, y, w: (x.is_nil == y.is_nil) and ((not y.is_nil) or w.is_nil),
 }
-
-
-def condition_holds(condition: str | None, x: CanonicalTerm, y: CanonicalTerm, w: CanonicalTerm) -> bool:
-    if condition is None:
-        return True
-    return CONDITIONS[condition](x, y, w)
 
 
 @dataclass(frozen=True)
@@ -100,7 +89,7 @@ class Axiom:
 
     def instance_ok(self, subst: dict[str, CanonicalTerm]) -> bool:
         x, y, w = (subst.get(v, NIL) for v in ("X", "Y", "Z"))
-        if self.condition is not None and not condition_holds(self.condition, x, y, w):
+        if self.condition is not None and not CONDITIONS[self.condition](x, y, w):
             return False
         if self.n_condition is not None and not constraint_holds(self.n_condition, x, y):
             return False
@@ -200,7 +189,8 @@ _LINEAR_CONDITION = {"lf⊇": "F", "lf": "R", "l⊇": "FT", "l": "RT", "join": "
 
 
 def axiom_catalog(sem: SemanticsId | str, form: str = "order") -> tuple[Axiom, ...]:
-    """The axiom set for one point of the spectrum, order or equivalence form."""
+    """The axiom set for one point of the spectrum, order or equivalence
+    form; UncoveredSemanticsError where no axiomatization is known."""
     if isinstance(sem, str):
         sem = parse_semantics(sem)
     if form not in ("order", "equivalence"):
@@ -211,22 +201,13 @@ def axiom_catalog(sem: SemanticsId | str, form: str = "order") -> tuple[Axiom, .
     if flavor == "bisim":
         return B_AXIOMS
     if flavor in ("bf", "bf⊇"):
-        raise UnsupportedSemanticsError(
-            f"{sem} is conjectured not to be finitely axiomatizable; no axiom pathway"
-        )
-    if flavor in ("l⊆", "lf⊆"):
-        raise UnsupportedSemanticsError(f"no axiomatization is known for {sem}")
-    if n == "S":
-        raise UnsupportedSemanticsError(
-            "the 2-nested layer has no axiom pathway here (conditions over simulation classes)"
-        )
+        raise UncoveredSemanticsError(f"{sem} is conjectured not to be finitely axiomatizable")
+    # at the 2-nested layer S the conditions would range over simulation classes
+    if flavor in ("l⊆", "lf⊆") or n == "S" or (flavor == "db" and n != "I"):
+        raise UncoveredSemanticsError(f"no axiomatization is known for {sem}")
     if flavor == "b":
         return B_AXIOMS + (ns_axiom(n, eq),)
     if flavor == "db":
-        if n != "I":
-            raise UnsupportedSemanticsError(
-                f"no axiomatization is known for deterministic branching at constraint {n}"
-            )
         if eq:
             return B_AXIOMS + (PW_AXIOM,)
         return B_AXIOMS + (ns_axiom("I", False), PW_AXIOM)
@@ -241,11 +222,9 @@ def axiom_catalog(sem: SemanticsId | str, form: str = "order") -> tuple[Axiom, .
     if n in ("U", "C"):
         # every linear flavor collapses to (completed) traces
         return B_AXIOMS + (ns_axiom(n, eq), nd_axiom("M_F", eq))
-    if n == "T":
-        # the inequational reduction schema is unsound for the R/F conditions
-        # at this layer; the equational form works for all four
-        return B_AXIOMS + (ns_axiom("T", eq), nd_axiom("M_T-" + _LINEAR_CONDITION[flavor], True))
-    raise UnsupportedSemanticsError(f"no axiom catalog for {sem}")
+    # n == "T": the inequational reduction schema is unsound for the R/F
+    # conditions at this layer; the equational form works for all four
+    return B_AXIOMS + (ns_axiom("T", eq), nd_axiom("M_T-" + _LINEAR_CONDITION[flavor], True))
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ message on stderr, no traceback), 141 the reader closed standard output
 --json all output is deterministic (sorted keys).
 
 Only the decide core is imported at start-up; each subcommand imports the
-engine modules it uses (``logic``, ``operational``, ``axioms``, ``corpus``),
-so ``compare`` on the direct engine and ``spectrum`` load none of them.
+engine modules it uses (``logic``, ``axioms``, ``corpus``, and
+``operational`` through ``preorders.engine``), so ``compare`` on the direct
+engine and ``spectrum`` load none of them.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .observations import (
     DEFAULT_WORLD_CAP,
     TruncationError,
     check_world_cap,
-    decide_via_observations,
     enum_bgo,
     enum_complete_dbgo,
     enum_dbgo,
@@ -70,13 +70,6 @@ def _formula(text: str):
         return logic_mod.parse_formula(text)
     except logic_mod.FormulaParseError as exc:
         raise CliError(f"bad formula {text!r}: {exc}", EXIT_USAGE) from exc
-
-
-def _semantics(text: str):
-    try:
-        return parse_semantics(text)
-    except UnsupportedSemanticsError as exc:
-        raise CliError(str(exc), EXIT_USAGE) from exc
 
 
 def _emit(args, payload) -> None:
@@ -133,24 +126,15 @@ def _pretty(payload) -> None:
 
 
 def _cmd_compare(args) -> int:
-    sem = _semantics(args.semantics)
+    sem = parse_semantics(args.semantics)
     p, q = _term(args.p), _term(args.q)
     if args.engine == "direct" and args.cap is not None:
         message = "--cap applies to the observational and operational engines, not to direct"
         raise CliError(message, EXIT_USAGE)
+    decider = preorders.engine(args.engine)
     try:
-        if args.engine == "direct":
-            verdict = preorders.decide(sem, p, q)
-        elif args.engine == "observational":
-            verdict = decide_via_observations(sem, p, q, args.cap)
-        else:
-            from . import operational as op_mod
-
-            cap = op_mod.DEFAULT_SATURATION_CAP if args.cap is None else args.cap
-            verdict = op_mod.decide_via_operational(sem, p, q, cap)
+        verdict = decider(sem, p, q) if args.cap is None else decider(sem, p, q, args.cap)
         payload = verdict.to_json()  # reads the witness, which a world cap may stop
-    except UncoveredSemanticsError as exc:
-        raise CliError(str(exc), EXIT_USAGE) from exc
     except TruncationError as exc:  # a world, observation or saturation cap
         raise CliError(str(exc), EXIT_CAP) from exc
     _emit(args, payload)
@@ -222,13 +206,10 @@ def _cmd_check_formula(args) -> int:
 def _cmd_in_logic(args) -> int:
     from . import logic as logic_mod
 
-    sem = _semantics(args.semantics)
+    sem = parse_semantics(args.semantics)
     f = _formula(args.formula)
     alphabet = args.alphabet or logic_mod.formula_actions(f)
-    try:
-        member = logic_mod.in_sublogic(f, sem, alphabet)
-    except UnsupportedSemanticsError as exc:
-        raise CliError(str(exc), EXIT_USAGE) from exc
+    member = logic_mod.in_sublogic(f, sem, alphabet)
     _emit(args, {"formula": logic_mod.render_formula(f), "semantics": str(sem), "member": member})
     return EXIT_OK if member else EXIT_FAILS
 
@@ -236,11 +217,11 @@ def _cmd_in_logic(args) -> int:
 def _cmd_distinguish(args) -> int:
     from . import logic as logic_mod
 
-    sem = _semantics(args.semantics)
+    sem = parse_semantics(args.semantics)
     p, q = _term(args.p), _term(args.q)
     try:
         formula = logic_mod.distinguish(sem, p, q, args.alphabet)
-    except ValueError as exc:  # an unsupported semantics, or actions the alphabet misses
+    except ValueError as exc:  # an uncovered semantics, or actions the alphabet misses
         raise CliError(str(exc), EXIT_USAGE) from exc
     except TruncationError as exc:
         raise CliError(str(exc), EXIT_CAP) from exc
@@ -254,11 +235,8 @@ def _cmd_distinguish(args) -> int:
 def _cmd_axioms(args) -> int:
     from . import axioms as ax
 
-    sem = _semantics(args.semantics)
-    try:
-        catalog = ax.axiom_catalog(sem, args.form)
-    except UnsupportedSemanticsError as exc:
-        raise CliError(str(exc), EXIT_USAGE) from exc
+    sem = parse_semantics(args.semantics)
+    catalog = ax.axiom_catalog(sem, args.form)
     if args.axioms_command == "list":
         _emit(args, {"semantics": str(sem), "form": args.form, "axioms": [str(a) for a in catalog]})
         return EXIT_OK
@@ -425,6 +403,10 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except (UnsupportedSemanticsError, UncoveredSemanticsError) as exc:
+        # an unknown semantics, or a valid one that the pathway does not characterize
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except BrokenPipeError:
         # the reader went away: silence the flush the interpreter makes at exit
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

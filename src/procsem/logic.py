@@ -26,7 +26,7 @@ from .constraints import constraint_holds, simulates
 from .lts import completed_traces, initials, reachable, step, traces
 from .observations import BranchingObs, LinearObs
 from .preorders import decide, decide_nsim
-from .spectrum import SemanticsId, UnsupportedSemanticsError, parse_semantics
+from .spectrum import SemanticsId, UncoveredSemanticsError, parse_semantics
 from .terms import ACTION_RE, CanonicalTerm
 
 __all__ = [
@@ -368,18 +368,27 @@ _LINEAR = {
 }
 
 
-def in_sublogic(f: Formula, sem: SemanticsId | str, alphabet=None) -> bool:
-    """Structural membership of f in the grammar characterizing sem."""
+def _covered(sem: SemanticsId | str, pathway: str, gaps=()) -> SemanticsId:
+    """sem, parsed; UncoveredSemanticsError when `pathway` has nothing for
+    it.  No grammar is known for final-ready and final-failure branching or
+    for the extended-ready family; `gaps` are the pathway's own further
+    gaps, by flavor or by id."""
     if isinstance(sem, str):
         sem = parse_semantics(sem)
+    if sem.flavor in ("bf", "bf⊇", "ER", "ERT", "ECR", "ECRT") or sem.flavor in gaps or sem in gaps:
+        raise UncoveredSemanticsError(f"{sem} has no {pathway}")
+    return sem
+
+
+def in_sublogic(f: Formula, sem: SemanticsId | str, alphabet=None) -> bool:
+    """Structural membership of f in the grammar characterizing sem."""
+    sem = _covered(sem, "logical characterization")
     if alphabet is None:
         alphabet = formula_actions(f)
     logic = base_constraint_logic(sem.constraint if sem.flavor != "bisim" else "U", frozenset(alphabet))
     flavor = sem.flavor
     if flavor == "bisim":
         return True
-    if flavor in ("bf", "bf⊇", "ER", "ERT", "ECR", "ECRT"):
-        raise UnsupportedSemanticsError(f"{sem} has no logical characterization")
     if flavor == "b":
         return _in_branching(logic, f)
     if flavor == "db":
@@ -559,11 +568,9 @@ def formula_from_observation(obs, sem: SemanticsId | str, alphabet=None, context
     corresponding closure of that set.  For constraint S a ``context`` of
     candidate states must be supplied; exactness is relative to it.  join
     has none: its grammar is a union, and ``distinguish`` refutes one part.
+    Bisimilarity has no observations.
     """
-    if isinstance(sem, str):
-        sem = parse_semantics(sem)
-    if sem.flavor not in _LINEAR and sem.flavor not in ("b", "db"):
-        raise UnsupportedSemanticsError(f"{sem} has no observation-to-formula pathway")
+    sem = _covered(sem, "observation formulas", ("bisim", "join"))
     if alphabet is None:
         alphabet = _obs_alphabet(obs)
     alphabet = frozenset(alphabet)
@@ -618,18 +625,15 @@ def _branching_formula(constraint, obs: BranchingObs, alphabet, context) -> Form
 # Distinguishing formulas
 
 
+# The positive closure of the termination logic cannot pin 0, so partial
+# offers at constraint C have no separating formulas.
+_NO_SEPARATOR = (SemanticsId("C", "l⊆"), SemanticsId("C", "lf⊆"))
+
+
 def distinguish(sem: SemanticsId | str, p: CanonicalTerm, q: CanonicalTerm, alphabet=None):
     """None when p lies below q in sem; otherwise a grammar formula that p
     satisfies and q does not.  An alphabet must hold every action of p and q."""
-    if isinstance(sem, str):
-        sem = parse_semantics(sem)
-    if sem.flavor in ("bf", "bf⊇", "ER", "ERT", "ECR", "ECRT"):
-        raise UnsupportedSemanticsError(f"{sem} has no formula pathway")
-    if sem.constraint == "C" and sem.flavor in ("l⊆", "lf⊆"):
-        raise UnsupportedSemanticsError(
-            "the positive closure of the termination logic cannot pin 0; "
-            "no distinguishing formulas for partial offers at constraint C"
-        )
+    sem = _covered(sem, "distinguishing formulas", _NO_SEPARATOR)
     context = tuple(dict.fromkeys(reachable(p) + reachable(q)))
     actions = frozenset(a for s in context for a in initials(s))
     if alphabet is None:
@@ -672,12 +676,8 @@ def _build_separator(sem, verdict, p, q, alphabet, context) -> Formula:
 
 
 def _revival_formula(constraint, obs: LinearObs, element, alphabet) -> Formula:
-    if constraint == "I":
-        revived = Diamond(element, TOP)
-    elif constraint == "T":
-        revived = chain(element)
-    else:
-        raise UnsupportedSemanticsError(f"no revival formulas at constraint {constraint}")
+    # meet matches as lf at U and C, so a revival action comes from I or T only
+    revived = Diamond(element, TOP) if constraint == "I" else chain(element)
     return chain(obs.trace(), conj(revived, _pin(constraint, obs.final, alphabet, "neg")))
 
 
@@ -746,12 +746,7 @@ def _conj_variants(f: Formula):
 def _minimize(f: Formula, sem, p, q, alphabet) -> Formula:
     def good(g: Formula) -> bool:
         # separation first: it is cached and rejects most variants
-        if not sat(p, g) or sat(q, g):
-            return False
-        try:
-            return in_sublogic(g, sem, alphabet)
-        except UnsupportedSemanticsError:
-            return False
+        return sat(p, g) and not sat(q, g) and in_sublogic(g, sem, alphabet)
 
     changed = True
     while changed:

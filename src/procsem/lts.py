@@ -18,7 +18,6 @@ __all__ = [
     "successors",
     "traces",
     "completed_traces",
-    "is_deterministic",
     "reachable",
     "transition_graph_dot",
 ]
@@ -60,17 +59,6 @@ def completed_traces(p: CanonicalTerm) -> frozenset[Trace]:
     for a, q in p.summands:
         out.update((a,) + t for t in completed_traces(q))
     return frozenset(out)
-
-
-@lru_cache(maxsize=None)
-def is_deterministic(p: CanonicalTerm) -> bool:
-    """True iff no reachable state offers the same action twice."""
-    seen = set()
-    for a, q in p.summands:
-        if a in seen:
-            return False
-        seen.add(a)
-    return all(is_deterministic(q) for _, q in p.summands)
 
 
 def reachable(p: CanonicalTerm) -> tuple[CanonicalTerm, ...]:

@@ -122,12 +122,6 @@ class BranchingObs:
     def sorted_children(self) -> list[tuple[Action, "BranchingObs"]]:
         return sorted(self.children, key=lambda ac: (ac[0], ac[1]._key))
 
-    def is_deterministic(self) -> bool:
-        actions = [a for a, _ in self.children]
-        if len(actions) != len(set(actions)):
-            return False
-        return all(c.is_deterministic() for _, c in self.children)
-
     def __repr__(self) -> str:
         inner = ",".join(f"({a},{c!r})" for a, c in self.sorted_children())
         return f"<{value_repr(self.constraint, self.label.value)},{{{inner}}}>"
@@ -318,8 +312,11 @@ def dbgo_leq(constraint: str, p: CanonicalTerm, q: CanonicalTerm, cap: int = DEF
 
 
 class ClosureSet:
-    """Lazy closure of a set of linear observations under one of the three
-    identification operators: pointwise widening, final forgetting, or both.
+    """Lazy closure of a set of linear observations under one of four
+    identification operators: pointwise N-equivalence ``=``, pointwise
+    widening ``⊇``, final forgetting ``f``, or both ``f⊇``.  ``=`` matters at
+    S, where an observation value is a term standing for its simulation
+    class, so equal observations may have distinct values.
 
     Membership queries never materialize anything; ``materialize`` works only
     where the label domain is small (offers over an alphabet of at most three
@@ -327,7 +324,7 @@ class ClosureSet:
     """
 
     def __init__(self, delta: str, base: frozenset[LinearObs], constraint: str):
-        if delta not in ("⊇", "f", "f⊇"):
+        if delta not in ("=", "⊇", "f", "f⊇"):
             raise ValueError(f"unknown closure {delta!r}")
         self.delta = delta
         self.constraint = constraint
@@ -339,20 +336,12 @@ class ClosureSet:
             self._by_trace.setdefault(obs.trace(), []).append(obs)
 
     def __contains__(self, obs: LinearObs) -> bool:
-        n = self.constraint
+        n, delta = self.constraint, self.delta
+        related = local_geq if "⊇" in delta else local_eq
         for cand in self._by_trace.get(obs.trace(), ()):
-            if self.delta == "⊇":
-                if all(
-                    local_geq(n, x, y)
-                    for x, y in zip(obs.labels(), cand.labels())
-                ):
-                    return True
-            elif self.delta == "f":
-                if local_eq(n, obs.final, cand.final):
-                    return True
-            else:
-                if local_geq(n, obs.final, cand.final):
-                    return True
+            pairs = ((obs.final, cand.final),) if "f" in delta else zip(obs.labels(), cand.labels())
+            if all(related(n, x, y) for x, y in pairs):
+                return True
         return False
 
     def contains_all(self, items) -> bool:
@@ -386,7 +375,7 @@ def _label_domain(constraint: str, alphabet: frozenset[Action]) -> list[LocalObs
 
 
 def closure_apply(delta: str, obs_set, constraint: str) -> ClosureSet:
-    """Build the closure view of an lgo set for delta in {⊇, f, f⊇}."""
+    """Build the closure view of an lgo set for delta in {=, ⊇, f, f⊇}."""
     return ClosureSet(delta, frozenset(obs_set), constraint)
 
 
@@ -400,13 +389,14 @@ def lgo_leq_via_closure(constraint: str, delta: str, p: CanonicalTerm, q: Canoni
     return closure.contains_all(enum_lgo(constraint, p))
 
 
-_CLOSURE_DELTA = {"l⊇": "⊇", "lf": "f", "lf⊇": "f⊇"}
+_CLOSURE_DELTA = {"l": "=", "l⊇": "⊇", "lf": "f", "lf⊇": "f⊇"}
 
 
 def decide_via_observations(sem: SemanticsId, p: CanonicalTerm, q: CanonicalTerm, cap: int | None = None):
     """Observation-set inclusion for the flavors b, db, l, l⊇, lf and lf⊇ at
-    any constraint, as a Verdict with no witness.  `cap` bounds the worlds
-    of p for db (TruncationError past it)."""
+    any constraint, as a Verdict with no witness; UncoveredSemanticsError
+    for any other flavor.  `cap` bounds the worlds of p for db
+    (TruncationError past it; None: ``DEFAULT_WORLD_CAP``)."""
     from .preorders import Verdict
 
     n, flavor = sem.constraint, sem.flavor
@@ -416,8 +406,6 @@ def decide_via_observations(sem: SemanticsId, p: CanonicalTerm, q: CanonicalTerm
         holds = dbgo_leq(n, p, q, DEFAULT_WORLD_CAP if cap is None else cap)
     elif flavor in _CLOSURE_DELTA:
         holds = lgo_leq_via_closure(n, _CLOSURE_DELTA[flavor], p, q)
-    elif flavor == "l":
-        holds = enum_lgo(n, p) <= enum_lgo(n, q)
     else:
         raise UncoveredSemanticsError(f"observational engine does not cover {sem}")
     return Verdict(holds)

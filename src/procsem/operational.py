@@ -18,7 +18,7 @@ from functools import lru_cache
 from .lts import step
 from .observations import TruncationError
 from .preorders import Verdict, decide_nsim
-from .spectrum import SemanticsId, UncoveredSemanticsError, UnsupportedSemanticsError, parse_semantics
+from .spectrum import SemanticsId, UncoveredSemanticsError, parse_semantics
 from .terms import CanonicalTerm, render_term, sum_terms
 
 __all__ = [
@@ -53,7 +53,7 @@ def rule(sem: SemanticsId | str) -> tuple[str, str]:
         sem = parse_semantics(sem)
     try:
         catalog = axiom_catalog(sem)
-    except UnsupportedSemanticsError:
+    except UncoveredSemanticsError:
         catalog = ()
     extra = catalog[len(B_AXIOMS):]
     ns = [a.n_condition for a in extra if a.n_condition is not None]
@@ -144,14 +144,15 @@ def decide_via_operational(
     sem: SemanticsId | str,
     p: CanonicalTerm,
     q: CanonicalTerm,
-    cap: int = DEFAULT_SATURATION_CAP,
+    cap: int | None = None,
 ) -> Verdict:
     """The N-constrained simulation up to M-saturation, (N, M) =
     ``rule(sem)``: p moves by ``step`` and q answers by ``step_Z``, so the
-    cap bounds q's saturations only.  A negative verdict's witness is the
-    refutation of that game and replays the same way."""
+    cap (None: ``DEFAULT_SATURATION_CAP``) bounds q's saturations only.  A
+    negative verdict's witness is the refutation of that game and replays
+    the same way."""
     n, condition = rule(sem)
-    return decide_nsim(n, p, q, _stepper(condition, cap))
+    return decide_nsim(n, p, q, _stepper(condition, DEFAULT_SATURATION_CAP if cap is None else cap))
 
 
 @lru_cache(maxsize=None)

@@ -29,6 +29,8 @@ pays for no witness and enumerates no world: the world cap guards only the
 ``db`` witness.  ``decide(sem, p, q)``, ``holds`` (its boolean, with no
 verdict) and ``spectrum_matrix`` read one flavor dispatch; ``decide_nsim``
 takes q's transition relation, for the operational engine and ``logic``.
+``engine(name)`` names the decider of each of the three engines, and
+``coverage(sem)`` lists the pathways that characterize a semantics.
 """
 
 from __future__ import annotations
@@ -53,16 +55,20 @@ from .observations import (
     LinearObs,
     bgo_member,
     check_world_cap,
+    decide_via_observations,
     enum_complete_dbgo,
 )
-from .spectrum import SemanticsId, classic_name, supported_ids
-from .terms import CanonicalTerm, render_term
+from .spectrum import SemanticsId, UncoveredSemanticsError, classic_name, supported_ids
+from .terms import NIL, CanonicalTerm, render_term
 
 __all__ = [
     "Verdict",
     "HOLDS",
     "decide",
     "holds",
+    "engine",
+    "PATHWAYS",
+    "coverage",
     "decide_nsim",
     "spectrum_matrix",
     "matrix_json",
@@ -581,6 +587,51 @@ def decide(sem: SemanticsId, p: CanonicalTerm, q: CanonicalTerm) -> Verdict:
 def holds(sem: SemanticsId, p: CanonicalTerm, q: CanonicalTerm) -> bool:
     """``decide(sem, p, q).holds``, with no verdict built."""
     return _DECIDERS[sem.flavor][0](sem.constraint, sem.flavor, p, q)
+
+
+def engine(name: str):
+    """The decider of the "direct", "observational" or "operational" engine:
+    ``decide``, or one that takes a cap after the terms (None for its
+    default) and raises UncoveredSemanticsError on a semantics it does not
+    decide.  The operational engine's module loads on first use."""
+    if name == "direct":
+        return decide
+    if name == "observational":
+        return decide_via_observations
+    if name == "operational":
+        from .operational import decide_via_operational
+
+        return decide_via_operational
+    raise ValueError(f"unknown engine {name!r}")
+
+
+# The characterizations of a semantics: three engines, the axiom catalogs, the
+# sublogic grammars and distinguishing formulas.
+PATHWAYS = ("direct", "observational", "operational", "axioms", "logic", "distinguish")
+
+
+def coverage(sem: SemanticsId) -> tuple[str, ...]:
+    """The pathways that characterize sem, in ``PATHWAYS`` order.  Each is
+    probed on the pair (0, 0) and covers sem unless it refuses it with
+    UncoveredSemanticsError, so the pathways' own refusals are the table."""
+    from . import axioms, logic
+
+    probes = {
+        "direct": lambda: decide(sem, NIL, NIL),
+        "observational": lambda: decide_via_observations(sem, NIL, NIL),
+        "operational": lambda: engine("operational")(sem, NIL, NIL),
+        "axioms": lambda: axioms.axiom_catalog(sem),
+        "logic": lambda: logic.in_sublogic(logic.TOP, sem),
+        "distinguish": lambda: logic.distinguish(sem, NIL, NIL),
+    }
+    covered = []
+    for name, probe in probes.items():
+        try:
+            probe()
+        except UncoveredSemanticsError:
+            continue
+        covered.append(name)
+    return tuple(covered)
 
 
 def spectrum_matrix(p: CanonicalTerm, q: CanonicalTerm) -> dict[SemanticsId, str]:

@@ -44,12 +44,17 @@ _ASCII_FLAVOR = {
 
 
 class UnsupportedSemanticsError(ValueError):
+    """An id that names no point of the spectrum."""
+
     def __init__(self, message: str):
         super().__init__(message + f"; supported ids: {', '.join(sorted(CLASSIC_NAMES))} or N:flavor")
 
 
 class UncoveredSemanticsError(ValueError):
-    """A valid semantics that an engine has no decider for."""
+    """A valid id that a pathway does not characterize: an engine with no
+    decider, no axiom catalog, no grammar or no distinguishing formulas for
+    it.  Each pathway raises it in one place, and ``preorders.coverage``
+    reads it."""
 
 
 class SemanticsId(Frozen):

@@ -5,6 +5,7 @@ import pytest
 
 from procsem.constraints import constraint_holds
 from procsem.lts import step
+from procsem.observations import BranchingObs
 from procsem.terms import canonicalize, enumerate_terms, parse_term
 
 
@@ -56,6 +57,13 @@ def bgo_count(constraint: str, p) -> int:
     for _, q in step(p):
         pairs += bgo_count(constraint, q)
     return 2**pairs
+
+
+def deterministic(t) -> bool:
+    """No node of the term or branching observation t has two arcs with one action."""
+    arcs = t.children if isinstance(t, BranchingObs) else t.summands
+    actions = [a for a, _ in arcs]
+    return len(actions) == len(set(actions)) and all(deterministic(u) for _, u in arcs)
 
 
 def replay_sim_refutation(n, p, q, node, answers=step):

@@ -18,7 +18,7 @@ from procsem.axioms import (
 )
 from procsem.operational import saturate
 from procsem.preorders import decide, holds
-from procsem.spectrum import UnsupportedSemanticsError, parse_semantics
+from procsem.spectrum import UncoveredSemanticsError, parse_semantics
 from procsem.terms import render_term
 
 
@@ -41,7 +41,7 @@ def test_catalog_contents():
 
 @pytest.mark.parametrize("bad", ["I:bf", "SF", "2S", "I:l⊆", "U:db"])
 def test_catalog_rejections(bad):
-    with pytest.raises(UnsupportedSemanticsError):
+    with pytest.raises(UncoveredSemanticsError):
         axiom_catalog(bad)
 
 

@@ -40,6 +40,30 @@ def test_compare_engines_agree(capsys):
         assert code == 0
 
 
+def test_observational_ready_simulation_traces(capsys):
+    # distinct S-equivalent states on the same trace: at S a decorated trace
+    # is matched by mutual simulation of its labels, not by equal terms
+    p = "a.0 + a.(a.0 + b.0) + b.0 + b.a.0 + b.(a.0 + b.0) + b.b.0"
+    q = "a.0 + a.a.0 + a.(a.0 + b.0) + a.b.0 + b.0 + b.a.0 + b.(a.0 + b.0) + b.b.0"
+    for engine in ("direct", "observational"):
+        code, _, err = run(capsys, "compare", "--engine", engine, "--semantics", "S:l", p, q)
+        assert code == 0 and err == "", engine
+
+
+def test_refusals_name_no_supported_ids(capsys):
+    # a valid id that a pathway does not characterize is not an unknown id
+    for argv, message in (
+        (("in-logic", "--semantics", "ER", "T"), "ER has no logical characterization"),
+        (("distinguish", "--semantics", "I:bf", "a.0", "b.0"), "I:bf has no distinguishing formulas"),
+        (("axioms", "list", "--semantics", "I:bf"), "I:bf is conjectured not to be finitely axiomatizable"),
+        (("axioms", "list", "--semantics", "S:b"), "no axiomatization is known for 2S"),
+        (("compare", "--engine", "observational", "--semantics", "RV", "a.0", "a.0"),
+         "observational engine does not cover RV"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n"), argv
+
+
 def test_parse_error_exit_2(capsys):
     code, _, err = run(capsys, "compare", "--semantics", "T", "a..0", "0")
     assert code == 2 and "bad term" in err

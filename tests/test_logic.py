@@ -25,7 +25,7 @@ from procsem.logic import (
 )
 from procsem.observations import bgo_member, closure_apply, enum_bgo, enum_lgo
 from procsem.preorders import decide
-from procsem.spectrum import UnsupportedSemanticsError, parse_semantics
+from procsem.spectrum import UncoveredSemanticsError, parse_semantics
 
 AB = frozenset("ab")
 
@@ -263,11 +263,11 @@ def test_distinguish_round_trip(pool2, sem_name):
 
 
 def test_distinguish_rejections():
-    with pytest.raises(UnsupportedSemanticsError):
+    with pytest.raises(UncoveredSemanticsError):
         distinguish("I:bf", c("a.0"), c("b.0"))
-    with pytest.raises(UnsupportedSemanticsError):
+    with pytest.raises(UncoveredSemanticsError):
         distinguish("ER", c("a.0"), c("b.0"))
-    with pytest.raises(UnsupportedSemanticsError):
+    with pytest.raises(UncoveredSemanticsError):
         distinguish("C:lf⊆", c("a.0"), c("a.b.0"))
 
 
@@ -385,7 +385,7 @@ def test_formula_from_observation_stays_in_its_grammar(pool2):
         for source in sources:
             for obs in sorted(enum_lgo(sem.constraint, source), key=lambda o: o.sort_key())[:8]:
                 if sem.flavor == "join":
-                    with pytest.raises(UnsupportedSemanticsError):
+                    with pytest.raises(UncoveredSemanticsError):
                         formula_from_observation(obs, sem, abc)
                     continue
                 try:

@@ -2,7 +2,6 @@ from conftest import c
 from procsem.lts import (
     completed_traces,
     initials,
-    is_deterministic,
     reachable,
     step,
     traces,
@@ -55,12 +54,6 @@ def test_traces_prefix_closed(pool2):
         for t in ts:
             assert t[:-1] in ts or not t
             assert len(t) <= depth(p)
-
-
-def test_is_deterministic():
-    assert is_deterministic(c("a.b.0"))
-    assert not is_deterministic(c("a.b.0 + a.c.0"))
-    assert is_deterministic(c("a.(b.0+c.0)"))
 
 
 def test_reachable_bounded(pool2):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import bgo_count, c
+from conftest import bgo_count, c, deterministic
 from procsem.constraints import LocalObs, local_obs, simulates
 from procsem.lts import traces
 from procsem.observations import (
@@ -158,7 +158,7 @@ def test_enum_dbgo_examples():
     dq, _ = enum_dbgo("I", q, 16)
     assert dp == dq
     for obs in dp:
-        assert obs.is_deterministic()
+        assert deterministic(obs)
 
 
 def test_dbgo_are_the_deterministic_bgo(pool1):
@@ -167,7 +167,7 @@ def test_dbgo_are_the_deterministic_bgo(pool1):
             for max_nodes in range(1, 6):
                 full, _ = enum_bgo(n, p, max_nodes)
                 det, _ = enum_dbgo(n, p, max_nodes)
-                assert det == {o for o in full if o.is_deterministic()}
+                assert det == {o for o in full if deterministic(o)}
 
 
 def test_branching_enumeration_stops_past_the_cap(pool2):
@@ -219,17 +219,15 @@ def test_possible_worlds_examples():
 
 
 def test_possible_worlds_are_ready_simulated(pool2):
-    from procsem.lts import is_deterministic
-
     for p in pool2[:48]:
         for w in enum_possible_worlds(p):
-            assert is_deterministic(w)
+            assert deterministic(w)
             assert preorders.decide_nsim("I", w, p).holds
 
 
 def test_closure_laws_small():
     base = enum_lgo("I", c("a.b.0"))
-    for delta in ("⊇", "f", "f⊇"):
+    for delta in ("=", "⊇", "f", "f⊇"):
         closure = closure_apply(delta, base, "I")
         # extensive
         assert closure.contains_all(base)
@@ -253,10 +251,11 @@ def test_f_closure_forgets_intermediate_labels():
 def test_closure_membership_decides_linear_orders(pool2):
     rng = random.Random(7)
     pairs = [(rng.choice(pool2), rng.choice(pool2)) for _ in range(150)]
-    for delta, flavor in (("⊇", "l⊇"), ("f", "lf"), ("f⊇", "lf⊇")):
-        sem = SemanticsId("I", flavor)
+    # at S an observation value is a term standing for its simulation class
+    for n, (delta, flavor) in itertools.product("IS", (("=", "l"), ("⊇", "l⊇"), ("f", "lf"), ("f⊇", "lf⊇"))):
+        sem = SemanticsId(n, flavor)
         for p, q in pairs:
-            assert lgo_leq_via_closure("I", delta, p, q) == preorders.holds(sem, p, q)
+            assert lgo_leq_via_closure(n, delta, p, q) == preorders.holds(sem, p, q), (sem, p, q)
 
 
 def test_bgo_leq_matches_materialized_inclusion(pool1):

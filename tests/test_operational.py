@@ -5,9 +5,9 @@ from functools import lru_cache, partial
 
 import pytest
 
-from conftest import c, replay_sim_refutation
+from conftest import c, deterministic, replay_sim_refutation
 from procsem.axioms import CONDITIONS
-from procsem.lts import initials, is_deterministic, step, traces
+from procsem.lts import initials, step, traces
 from procsem.operational import (
     SaturationCapError,
     decide_via_operational,
@@ -233,7 +233,7 @@ def test_deter_examples():
 def test_deter_properties(pool2):
     for p in pool2:
         d = deter(p)
-        assert is_deterministic(d)
+        assert deterministic(d)
         assert traces(d) == traces(p)
 
 

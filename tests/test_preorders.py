@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import MANY_WORLDS, bgo_count, c, replay_bisim_refutation, replay_sim_refutation
+from conftest import MANY_WORLDS, bgo_count, c, deterministic, replay_bisim_refutation, replay_sim_refutation
 from procsem.constraints import local_obs, simulates
 from procsem.lts import initials, step, traces
 from procsem.observations import BranchingObs, enum_lgo
@@ -591,7 +591,7 @@ def test_db_witness_replays():
     assert not verdict.holds
     obs = verdict.witness["unmatched"]
     assert obs in enum_complete_dbgo("I", p)
-    assert obs.is_deterministic() and not bgo_member(obs, q)
+    assert deterministic(obs) and not bgo_member(obs, q)
 
 
 def test_db_types_against_world_enumeration(pool2, random3):
