@@ -10,10 +10,10 @@ predicates evaluated on closed instances, never symbolic.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
-from typing import Callable, Sequence
+from types import MappingProxyType
+from typing import Callable, NamedTuple, Sequence
 
 from . import preorders
 from .constraints import constraint_holds
@@ -65,8 +65,7 @@ CONDITIONS: dict[str, Callable[[CanonicalTerm, CanonicalTerm, CanonicalTerm], bo
 }
 
 
-@dataclass(frozen=True)
-class Axiom:
+class Axiom(NamedTuple):
     """An (in)equation schema over open terms with a semantic side condition.
 
     ``action_vars`` are placeholder actions instantiated over the alphabet;
@@ -231,13 +230,12 @@ def axiom_catalog(sem: SemanticsId | str, form: str = "order") -> tuple[Axiom, .
 # Soundness sweeps
 
 
-@dataclass
-class SoundnessReport:
+class SoundnessReport(NamedTuple):
     axiom: str
     semantics: str
-    checked: int = 0
-    skipped: int = 0
-    violations: list = field(default_factory=list)
+    checked: int
+    skipped: int
+    violations: list
 
     @property
     def sound(self) -> bool:
@@ -292,34 +290,34 @@ def check_soundness(
             for combo in product(pool, repeat=len(variables))
             for binding in product(actions, repeat=len(axiom.action_vars))
         )
-    report = SoundnessReport(axiom=axiom.name, semantics=str(sem))
+    checked = skipped = 0
+    violations = []
     for combo, binding in instances:
         subst = dict(zip(variables, combo))
         if not axiom.instance_ok(subst):
-            report.skipped += 1
+            skipped += 1
             continue
         action_map = dict(zip(axiom.action_vars, binding))
         lhs, rhs = axiom.instantiate(subst, action_map)
-        report.checked += 1
+        checked += 1
         ok = preorders.holds(sem, lhs, rhs)
         if ok and axiom.kind == "equation":
             ok = preorders.holds(sem, rhs, lhs)
         if not ok:
-            report.violations.append((subst, action_map, lhs, rhs))
-    return report
+            violations.append((subst, action_map, lhs, rhs))
+    return SoundnessReport(axiom.name, str(sem), checked, skipped, violations)
 
 
 # ---------------------------------------------------------------------------
 # Head normal forms (operational.saturate) and their laws
 
 
-@dataclass
-class HnfLawReport:
+class HnfLawReport(NamedTuple):
     z: str
-    equivalence_failures: list = field(default_factory=list)
-    matching_failures: list = field(default_factory=list)
-    terms_checked: int = 0
-    pairs_checked: int = 0
+    equivalence_failures: list
+    matching_failures: list
+    terms_checked: int
+    pairs_checked: int
 
     @property
     def ok(self) -> bool:
@@ -328,11 +326,15 @@ class HnfLawReport:
 
 def _hnf_rule(z: str) -> tuple[SemanticsId, str]:
     """The semantics z names and its reduction condition.  The head normal
-    form recipe matches offers, so z lies at constraint I."""
+    form recipe matches offers, so z must have an operational rule at
+    constraint I; UncoveredSemanticsError otherwise."""
     sem = parse_semantics(z)
-    n, condition = rule(sem)
+    try:
+        n, condition = rule(sem)
+    except UncoveredSemanticsError:
+        n = None
     if n != "I":
-        raise ValueError(f"head normal forms are defined at constraint I; got {sem}")
+        raise UncoveredSemanticsError(f"head normal form derivations do not cover {sem}")
     return sem, condition
 
 
@@ -341,22 +343,24 @@ def verify_hnf_laws(z: str, pool: Sequence[CanonicalTerm], pairs=None) -> HnfLaw
     Z-equivalent saturation and that related pairs match summand-wise through
     the head normal form of the larger side."""
     sem, condition = _hnf_rule(z)
-    report = HnfLawReport(z=z)
+    pool = list(pool)
+    equivalence_failures = []
     for p in pool:
         h = saturate(condition, p)
         if not (preorders.holds(sem, h, p) and preorders.holds(sem, p, h)):
-            report.equivalence_failures.append(p)
-        report.terms_checked += 1
+            equivalence_failures.append(p)
     if pairs is None:
         pairs = [(p, q) for p in pool for q in pool]
+    matching_failures = []
+    pairs_checked = 0
     for p, q in pairs:
         if not preorders.holds(sem, p, q):
             continue
-        report.pairs_checked += 1
+        pairs_checked += 1
         for a, derivative in p.summands:
             if _answer(sem, saturate(condition, q), a, derivative) is None:
-                report.matching_failures.append((p, q, a, derivative))
-    return report
+                matching_failures.append((p, q, a, derivative))
+    return HnfLawReport(z, equivalence_failures, matching_failures, len(pool), pairs_checked)
 
 
 @lru_cache(maxsize=None)
@@ -372,14 +376,14 @@ def _answer(sem: SemanticsId, h: CanonicalTerm, a: str, x: CanonicalTerm):
 # Derivation reconstruction (the completeness recipe, replayed and checked)
 
 
-@dataclass
-class Derivation:
+class Derivation(NamedTuple):
+    """A proof of goal[0] <= goal[1] in z.  Its steps are read-only
+    mappings, each with a "rule" key, and a tuple shared with every other
+    derivation of the same goal in z."""
+
     z: str
     goal: tuple[CanonicalTerm, CanonicalTerm]
-    steps: list = field(default_factory=list)
-
-    def record(self, rule: str, detail: dict) -> None:
-        self.steps.append({"rule": rule, **detail})
+    steps: tuple[MappingProxyType, ...]
 
 
 def derive_leq(z: str, p: CanonicalTerm, q: CanonicalTerm) -> Derivation:
@@ -388,37 +392,44 @@ def derive_leq(z: str, p: CanonicalTerm, q: CanonicalTerm) -> Derivation:
 
     Follows the structural-induction completeness recipe; every simulation
     step's side condition (equal offers) is checked during replay.  Raises
-    if the relation does not hold.
+    UncoveredSemanticsError unless z is RT, FT, R, F, JOIN or RV, and
+    ValueError if the relation does not hold.
     """
-    sem, condition = _hnf_rule(z)
+    sem, _ = _hnf_rule(z)
     if not preorders.holds(sem, p, q):
         raise ValueError(f"{render_term(p)} is not below {render_term(q)} in {sem}")
-    derivation = Derivation(z=z, goal=(p, q))
-    _derive(sem, condition, p, q, derivation)
-    return derivation
+    return Derivation(z, (p, q), _steps(z, p, q))
 
 
-def _derive(sem, condition, p, q, derivation) -> None:
+@lru_cache(maxsize=None)
+def _steps(z: str, p: CanonicalTerm, q: CanonicalTerm) -> tuple[MappingProxyType, ...]:
+    """The steps of p <= q in z, in replay order.  Subgoals recur across
+    and within derivations, so each is derived once and its steps are
+    shared."""
     if p.is_nil:
         if not q.is_nil:
             raise AssertionError("nil is only below nil in the ready-simulation layers")
-        derivation.record("refl", {"term": p})
-        return
+        return (_record("refl", {"term": p}),)
+    sem, condition = _hnf_rule(z)
     h = saturate(condition, q)
-    derivation.record("hnf-saturate", {"from": q, "to": h, "z": derivation.z})
+    steps = [_record("hnf-saturate", {"from": q, "to": h, "z": z})]
     chosen = []
     for a, derivative in p.summands:
         match = _answer(sem, h, a, derivative)
         if match is None:
             raise AssertionError("summand matching failed; completeness recipe broken")
-        _derive(sem, condition, derivative, match, derivation)
-        derivation.record("prefix", {"action": a, "from": derivative, "to": match})
+        steps += _steps(z, derivative, match)
+        steps.append(_record("prefix", {"action": a, "from": derivative, "to": match}))
         chosen.append((a, match))
     target = sum_terms(*[prefix(a, body) for a, body in chosen])
     if initials(p) != initials(h):
         raise AssertionError("simulation axiom side condition violated")
-    derivation.record(
-        "sum+RS",
-        {"from": p, "via": target, "to": h, "side_condition": "I(p)=I(hnf(q))"},
+    steps.append(
+        _record("sum+RS", {"from": p, "via": target, "to": h, "side_condition": "I(p)=I(hnf(q))"})
     )
-    derivation.record("hnf-below", {"from": h, "to": q})
+    steps.append(_record("hnf-below", {"from": h, "to": q}))
+    return tuple(steps)
+
+
+def _record(rule: str, detail: dict) -> MappingProxyType:
+    return MappingProxyType({"rule": rule, **detail})

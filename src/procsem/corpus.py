@@ -8,8 +8,8 @@ leq / geq / eq / incomparable (both directions are decided) or holds / fails
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from importlib import resources
+from typing import NamedTuple
 
 from .preorders import holds
 from .spectrum import parse_semantics
@@ -20,10 +20,9 @@ __all__ = ["CorpusReport", "run_corpus", "default_corpus_path"]
 _EXPECT = {"leq", "geq", "eq", "incomparable", "holds", "fails"}
 
 
-@dataclass
-class CorpusReport:
-    rows: int = 0
-    mismatches: list = field(default_factory=list)
+class CorpusReport(NamedTuple):
+    rows: int
+    mismatches: list
 
     @property
     def ok(self) -> bool:
@@ -43,9 +42,8 @@ def default_corpus_path() -> str:
 
 
 def run_corpus(lines=None) -> CorpusReport:
-    if lines is None:
-        lines = default_corpus_lines()
-    report = CorpusReport()
+    lines = default_corpus_lines() if lines is None else list(lines)
+    mismatches = []
     for line in lines:
         row = json.loads(line)
         if row["expect"] not in _EXPECT:
@@ -64,9 +62,6 @@ def run_corpus(lines=None) -> CorpusReport:
                 (False, True): "geq",
                 (False, False): "incomparable",
             }[(below, above)]
-        report.rows += 1
         if got != row["expect"]:
-            report.mismatches.append(
-                {"name": row["name"], "expected": row["expect"], "got": got}
-            )
-    return report
+            mismatches.append({"name": row["name"], "expected": row["expect"], "got": got})
+    return CorpusReport(len(lines), mismatches)

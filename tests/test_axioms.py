@@ -16,10 +16,11 @@ from procsem.axioms import (
     ns_axiom,
     verify_hnf_laws,
 )
-from procsem.operational import saturate
+from procsem.lts import initials, step
+from procsem.operational import rule, saturate
 from procsem.preorders import decide, holds
-from procsem.spectrum import UncoveredSemanticsError, parse_semantics
-from procsem.terms import render_term
+from procsem.spectrum import UncoveredSemanticsError, parse_semantics, supported_ids
+from procsem.terms import NIL, prefix, render_term, sum_terms
 
 
 def test_catalog_contents():
@@ -184,3 +185,93 @@ def test_derivation_reconstruction_depth2(pool2):
             assert derivation.steps
             found += 1
         assert found >= 40, (z, found)
+
+
+def oracle_derive(z, p, q):
+    """The completeness recipe written out recursively, one fresh dict per
+    step and nothing shared: the steps derive_leq must give, in order."""
+    sem = parse_semantics(z)
+    _, condition = rule(sem)
+    steps = []
+
+    def derive(p, q):
+        if p.is_nil:
+            assert q.is_nil
+            steps.append({"rule": "refl", "term": p})
+            return
+        h = saturate(condition, q)
+        steps.append({"rule": "hnf-saturate", "from": q, "to": h, "z": z})
+        chosen = []
+        for a, x in p.summands:
+            match = next(y for b, y in step(h) if b == a and holds(sem, x, y))
+            derive(x, match)
+            steps.append({"rule": "prefix", "action": a, "from": x, "to": match})
+            chosen.append((a, match))
+        target = sum_terms(*[prefix(a, body) for a, body in chosen])
+        assert initials(p) == initials(h)
+        steps.append(
+            {"rule": "sum+RS", "from": p, "via": target, "to": h, "side_condition": "I(p)=I(hnf(q))"}
+        )
+        steps.append({"rule": "hnf-below", "from": h, "to": q})
+
+    derive(p, q)
+    return steps
+
+
+DERIVED_IDS = ("RT", "FT", "R", "F", "JOIN", "RV")
+
+
+def holding_pairs(z, pool, rng, count):
+    sem = parse_semantics(z)
+    pairs = ((rng.choice(pool), rng.choice(pool)) for _ in range(40 * count))
+    return [(p, q) for p, q in pairs if holds(sem, p, q)][:count]
+
+
+def test_derivations_follow_the_recursive_recipe(pool2):
+    rng = random.Random(59)
+    for z in DERIVED_IDS:
+        pairs = holding_pairs(z, pool2, rng, 150)
+        assert len(pairs) == 150, z
+        for p, q in pairs:
+            derivation = derive_leq(z, p, q)
+            assert derivation.z == z and derivation.goal == (p, q)
+            expected = oracle_derive(z, p, q)
+            assert len(derivation.steps) == len(expected)
+            for got, want in zip(derivation.steps, expected):
+                assert list(got.items()) == list(want.items()), (z, p, q)
+
+
+def test_derivations_share_read_only_steps(pool2):
+    rng = random.Random(61)
+    shared = 0
+    for z in ("F", "RT"):
+        for p, q in holding_pairs(z, pool2, rng, 60):
+            steps = derive_leq(z, p, q).steps
+            assert derive_leq(z, p, q).steps is steps
+            for k, step_ in enumerate(steps):
+                if step_["rule"] != "prefix":
+                    continue
+                # the subgoal's own derivation holds the very step objects
+                sub = derive_leq(z, step_["from"], step_["to"]).steps
+                assert all(x is y for x, y in zip(sub, steps[k - len(sub) : k]))
+                shared += 1
+            with pytest.raises(TypeError):
+                steps[0]["rule"] = "refl"
+            with pytest.raises(TypeError):
+                steps[0] = {"rule": "refl"}
+    assert shared > 100
+
+
+def test_derivations_refuse_uncovered_semantics():
+    derived = []
+    for sem in supported_ids():
+        try:
+            derivation = derive_leq(str(sem), NIL, NIL)
+        except UncoveredSemanticsError as exc:
+            assert str(exc) == f"head normal form derivations do not cover {sem}"
+            with pytest.raises(UncoveredSemanticsError):
+                verify_hnf_laws(str(sem), [NIL])
+            continue
+        assert [s["rule"] for s in derivation.steps] == ["refl"]
+        derived.append(str(sem))
+    assert tuple(derived) == DERIVED_IDS

@@ -30,6 +30,15 @@ def test_import_loads_only_the_decide_core():
         assert proc.stdout.strip() == "[]", statement
 
 
+def test_engine_modules_load_no_dataclasses():
+    for module in sorted(ENGINES):
+        proc = python(
+            "-c", f"import sys\nimport {module}\nprint(sorted({{'dataclasses', 'inspect'}} & set(sys.modules)))"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]", module
+
+
 def test_engines_load_on_first_use_and_clear():
     script = """
 import sys

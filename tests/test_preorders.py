@@ -374,6 +374,7 @@ def test_clear_caches(pool2):
         logic._in_det_branching,
         logic.characteristic_sim_formula,
         axioms._answer,
+        axioms._steps,
     )
     assert all(memo.cache_info().currsize for memo in memos)
     procsem.clear_caches()
