@@ -175,12 +175,12 @@ def _cmd_observe(args) -> int:
         elif args.kind in ("bgo", "dbgo"):
             fn = enum_bgo if args.kind == "bgo" else enum_dbgo
             obs_set, truncated = fn(n, p, args.max_nodes, DEFAULT_WORLD_CAP)
-            payload = [repr(o) for o in sorted(obs_set, key=lambda o: (o.nodes, o._key))]
+            payload = [repr(o) for o in sorted(obs_set, key=lambda o: (o.nodes, o))]
         elif args.kind == "cdbgo":
             check_world_cap(p)
             payload = [
                 repr(o)
-                for o in sorted(enum_complete_dbgo(n, p), key=lambda o: (o.nodes, o._key))
+                for o in sorted(enum_complete_dbgo(n, p), key=lambda o: (o.nodes, o))
             ]
             truncated = False
         else:  # pw

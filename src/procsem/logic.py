@@ -53,92 +53,79 @@ __all__ = [
 
 
 class Formula:
-    """Interned formula tree; equality is identity."""
+    """Interned formula tree; equality is identity.  Like ``CanonicalTerm``,
+    a node is interned on its kind and its own parts (members, or action and
+    body), which are interned too, so a lookup hashes the node's width,
+    never its tree.  ``TOP`` is ``Formula()``, the one bare node; the members
+    of a conjunction are never conjunctions or ``TOP``, and are sorted."""
 
-    __slots__ = ("_key",)
+    __slots__ = ()
+    _kind = "T"
     _interned: dict[tuple, "Formula"] = {}
 
-    @classmethod
-    def _intern(cls, key, builder):
+    def __new__(cls, *parts):
+        key = (cls._kind, *parts)
         hit = Formula._interned.get(key)
-        if hit is not None:
-            return hit
-        obj = builder()
-        obj._key = key
-        Formula._interned[key] = obj
-        return obj
+        if hit is None:
+            if len(parts) != len(cls.__slots__):
+                raise TypeError(f"{cls.__name__} takes the parts {cls.__slots__}")
+            hit = object.__new__(cls)
+            for name, part in zip(cls.__slots__, parts):
+                setattr(hit, name, part)
+            hit = Formula._interned.setdefault(key, hit)
+        return hit
+
+    def __lt__(self, other: "Formula") -> bool:
+        """Kind ("&" < "<>" < "T" < "~"), then the parts in turn; a loop
+        walks the first differing pair of subformulas, as in terms."""
+        x, y = self, other
+        while x is not y:
+            if x._kind != y._kind:
+                return x._kind < y._kind
+            if x._kind == "&":
+                for s, t in zip(x.members, y.members):
+                    if s is not t:
+                        x, y = s, t
+                        break
+                else:
+                    return len(x.members) < len(y.members)
+            elif x._kind == "<>" and x.action != y.action:
+                return x.action < y.action
+            else:  # one action, or two negations; TOP is one object
+                x, y = x.body, y.body
+        return False
 
     def __repr__(self):
         return render_formula(self)
 
 
-class _Top(Formula):
-    __slots__ = ()
-
-
-def _make_top():
-    return Formula._intern(("T",), lambda: object.__new__(_Top))
-
-
-TOP: Formula = _make_top()
+TOP: Formula = Formula()
 
 
 class Conj(Formula):
     __slots__ = ("members",)
+    _kind = "&"
 
     def __new__(cls, members):
-        items = []
-        stack = list(reversed(list(members)))
-        while stack:
-            m = stack.pop()
-            if m is TOP:
-                continue
+        items = set()
+        for m in members:
             if isinstance(m, Conj):
-                stack.extend(reversed(m.members))
-            else:
-                items.append(m)
-        items = sorted(set(items), key=lambda f: f._key)
-        if not items:
-            return TOP
-        if len(items) == 1:
-            return items[0]
-        key = ("&",) + tuple(f._key for f in items)
-
-        def build():
-            obj = object.__new__(Conj)
-            obj.members = tuple(items)
-            return obj
-
-        return Formula._intern(key, build)
+                items.update(m.members)
+            elif m is not TOP:
+                items.add(m)
+        if len(items) < 2:
+            return items.pop() if items else TOP
+        return super().__new__(cls, tuple(sorted(items)))
 
 
 class Neg(Formula):
     __slots__ = ("body",)
-
-    def __new__(cls, body):
-        key = ("~", body._key)
-
-        def build():
-            obj = object.__new__(Neg)
-            obj.body = body
-            return obj
-
-        return Formula._intern(key, build)
+    _kind = "~"
 
 
 class Diamond(Formula):
     __slots__ = ("action", "body")
-
-    def __new__(cls, action, body):
-        key = ("<>", action, body._key)
-
-        def build():
-            obj = object.__new__(Diamond)
-            obj.action = action
-            obj.body = body
-            return obj
-
-        return Formula._intern(key, build)
+    _kind = "<>"
 
 
 def conj(*members) -> Formula:
@@ -338,15 +325,11 @@ def _leaf_mode(logic: BaseLogic, f: Formula, mode: str) -> bool:
     return False
 
 
-def _flatten(f: Formula):
-    if f is TOP:
-        return []
+def _flatten(f: Formula) -> tuple[Formula, ...]:
+    """The conjuncts of f; a conjunction's members are never conjunctions."""
     if isinstance(f, Conj):
-        out = []
-        for m in f.members:
-            out.extend(_flatten(m))
-        return out
-    return [f]
+        return f.members
+    return () if f is TOP else (f,)
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +599,7 @@ def _label_actions(label):
 
 def _branching_formula(constraint, obs: BranchingObs, alphabet, context) -> Formula:
     parts = [_pin(constraint, obs.label, alphabet, "eq", context)]
-    for a, child in obs.sorted_children():
+    for a, child in obs.arcs:
         parts.append(Diamond(a, _branching_formula(constraint, child, alphabet, context)))
     return conj(*parts)
 

@@ -35,7 +35,6 @@ __all__ = [
     "bgo_leq",
     "dbgo_leq",
     "ClosureSet",
-    "closure_apply",
     "lgo_leq_via_closure",
     "decide_via_observations",
 ]
@@ -95,35 +94,51 @@ class LinearObs(Frozen):
 
 
 class BranchingObs:
-    """A finite nonempty tree of local observations; interned for fast equality."""
+    """A finite nonempty tree of local observations, interned like
+    ``CanonicalTerm`` on its own parts, ``(label, children)``; ``arcs`` holds
+    the children sorted by action and then by child, in ``__lt__`` order."""
 
-    __slots__ = ("label", "children", "nodes", "_key")
+    __slots__ = ("label", "children", "arcs", "nodes")
 
     _interned: dict[tuple, "BranchingObs"] = {}
 
     def __new__(cls, label: LocalObs, children: frozenset):
-        child_keys = tuple(sorted((a, c._key) for a, c in children))
-        key = (label.constraint, local_key(label), child_keys)
+        children = frozenset(children)
+        key = (label, children)
         hit = cls._interned.get(key)
         if hit is not None:
             return hit
         self = object.__new__(cls)
         self.label = label
-        self.children = frozenset(children)
+        self.children = children
+        self.arcs = tuple(sorted(children))
         self.nodes = 1 + sum(c.nodes for _, c in children)
-        self._key = key
-        cls._interned[key] = self
-        return self
+        return cls._interned.setdefault(key, self)
+
+    def __lt__(self, other: "BranchingObs") -> bool:
+        """Label (constraint, then ``local_key``), then the arcs in turn; a
+        loop walks the first differing pair of children, as in terms."""
+        x, y = self, other
+        while x is not y:
+            u, v = x.label, y.label
+            if u is not v and u != v:
+                return (u.constraint, local_key(u)) < (v.constraint, local_key(v))
+            for (a, s), (b, t) in zip(x.arcs, y.arcs):
+                if a != b:
+                    return a < b
+                if s is not t:
+                    x, y = s, t
+                    break
+            else:
+                return len(x.arcs) < len(y.arcs)
+        return False
 
     @property
     def constraint(self) -> str:
         return self.label.constraint
 
-    def sorted_children(self) -> list[tuple[Action, "BranchingObs"]]:
-        return sorted(self.children, key=lambda ac: (ac[0], ac[1]._key))
-
     def __repr__(self) -> str:
-        inner = ",".join(f"({a},{c!r})" for a, c in self.sorted_children())
+        inner = ",".join(f"({a},{c!r})" for a, c in self.arcs)
         return f"<{value_repr(self.constraint, self.label.value)},{{{inner}}}>"
 
 
@@ -170,7 +185,7 @@ def _enum_branching(constraint: str, p: CanonicalTerm, max_nodes: int, determini
         sub, sub_trunc = _enum_branching(constraint, q, max_nodes - 1, deterministic, cap)
         truncated = truncated or sub_trunc
         pool.update((a, c) for c in sub)
-    pool = sorted(pool, key=lambda ac: (ac[1].nodes, ac[0], ac[1]._key))
+    pool = sorted(pool, key=lambda ac: (ac[1].nodes, ac[0], ac[1]))
     out: set[BranchingObs] = set()
     cut = [truncated]
 
@@ -259,18 +274,14 @@ def enum_possible_worlds(p: CanonicalTerm) -> frozenset[CanonicalTerm]:
     return frozenset(out)
 
 
+@lru_cache(maxsize=None)
 def bgo_member(obs: BranchingObs, p: CanonicalTerm) -> bool:
     """Does obs belong to the branching observations of p?"""
-    return _member(obs, p)
-
-
-@lru_cache(maxsize=None)
-def _member(obs: BranchingObs, p: CanonicalTerm) -> bool:
     n = obs.constraint
     if not local_eq(n, obs.label, local_obs(n, p)):
         return False
     for a, child in obs.children:
-        if not any(b == a and _member(child, q) for b, q in step(p)):
+        if not any(b == a and bgo_member(child, q) for b, q in step(p)):
             return False
     return True
 
@@ -374,18 +385,13 @@ def _label_domain(constraint: str, alphabet: frozenset[Action]) -> list[LocalObs
     return [LocalObs("I", s) for s in subsets]
 
 
-def closure_apply(delta: str, obs_set, constraint: str) -> ClosureSet:
-    """Build the closure view of an lgo set for delta in {=, ⊇, f, f⊇}."""
-    return ClosureSet(delta, frozenset(obs_set), constraint)
-
-
 def lgo_leq_via_closure(constraint: str, delta: str, p: CanonicalTerm, q: CanonicalTerm) -> bool:
     """Observational engine: compare lgo sets through closure membership.
 
     A set is below another exactly when its base observations all fall in the
     other's closure.
     """
-    closure = closure_apply(delta, enum_lgo(constraint, q), constraint)
+    closure = ClosureSet(delta, enum_lgo(constraint, q), constraint)
     return closure.contains_all(enum_lgo(constraint, p))
 
 

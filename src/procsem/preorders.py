@@ -401,8 +401,8 @@ def _linear_rule(constraint: str, flavor: str) -> tuple[tuple, str]:
 
 @lru_cache(maxsize=None)
 def _sorted_dbgos(constraint: str, p: CanonicalTerm) -> tuple[BranchingObs, ...]:
-    """The complete deterministic observations of p, least first by (nodes, key)."""
-    return tuple(sorted(enum_complete_dbgo(constraint, p), key=lambda o: (o.nodes, o._key)))
+    """The complete deterministic observations of p, least first by (nodes, obs)."""
+    return tuple(sorted(enum_complete_dbgo(constraint, p), key=lambda o: (o.nodes, o)))
 
 
 @lru_cache(maxsize=None)
@@ -462,7 +462,7 @@ def _types_game(constraint: str):
 
 
 def _db_witness(constraint: str, p: CanonicalTerm, q: CanonicalTerm) -> dict:
-    """The least complete deterministic observation of p (by (nodes, key))
+    """The least complete deterministic observation of p (by (nodes, obs))
     that q lacks.  It enumerates p's worlds, so the world cap is checked first."""
     check_world_cap(p)
     for obs in _sorted_dbgos(constraint, p):

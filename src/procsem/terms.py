@@ -163,7 +163,9 @@ class CanonicalTerm:
     process.  Instances are interned on ``summands`` itself: bodies are
     interned too, so a lookup hashes and compares the term's width, never
     its tree, and building the same normal form twice yields the same
-    object.  Equality and hashing are those of object identity.
+    object, also in concurrent threads: a new node is built in full and
+    stored with one ``dict.setdefault``.  Equality and hashing are those of
+    object identity.
     """
 
     __slots__ = ("summands",)
@@ -176,8 +178,7 @@ class CanonicalTerm:
             return hit
         self = object.__new__(cls)
         self.summands = summands
-        cls._interned[summands] = self
-        return self
+        return cls._interned.setdefault(summands, self)
 
     def __lt__(self, other: "CanonicalTerm") -> bool:
         """The term order: summands compared in turn, by action and then by

@@ -23,7 +23,7 @@ from procsem import preorders as pr
 from procsem.constraints import simulates
 from procsem.corpus import run_corpus
 from procsem.lts import completed_traces, traces
-from procsem.observations import bgo_leq, closure_apply, decide_via_observations, enum_lgo, world_count
+from procsem.observations import ClosureSet, bgo_leq, decide_via_observations, enum_lgo, world_count
 from procsem.spectrum import SPECTRUM_ARROWS, SemanticsId, parse_semantics, supported_ids
 from procsem.terms import enumerate_terms
 
@@ -298,13 +298,13 @@ def test_criterion_9_closure_laws(pool):
             base |= set(enum_lgo("I", rng.choice(pool)))
         base = frozenset(rng.sample(sorted(base, key=lambda o: o.sort_key()), rng.randint(1, min(8, len(base)))))
         delta = rng.choice(("⊇", "f", "f⊇"))
-        closure = closure_apply(delta, base, "I")
+        closure = ClosureSet(delta, base, "I")
         assert closure.contains_all(base)  # extensive
         materialized = closure.materialize(AB)
-        again = closure_apply(delta, materialized, "I").materialize(AB)
+        again = ClosureSet(delta, materialized, "I").materialize(AB)
         assert again == materialized  # idempotent
         smaller = frozenset(rng.sample(sorted(base, key=lambda o: o.sort_key()), max(1, len(base) // 2)))
-        assert closure_apply(delta, smaller, "I").materialize(AB) <= materialized  # monotone
+        assert ClosureSet(delta, smaller, "I").materialize(AB) <= materialized  # monotone
         law_checks += 1
     report(9, "widening/forgetting operators are closures", True, f"{law_checks} random sets")
 

@@ -296,7 +296,8 @@ def test_closed_pipe_exit_141():
     )
     proc.stdout.readline()
     proc.stdout.close()
-    err = proc.stderr.read()
+    with proc.stderr:
+        err = proc.stderr.read()
     assert proc.wait() == 141
     assert b"Traceback" not in err
 

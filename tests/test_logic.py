@@ -12,6 +12,7 @@ from procsem.logic import (
     Diamond,
     Neg,
     base_constraint_logic,
+    chain,
     conj,
     distinguish,
     formula_from_observation,
@@ -23,7 +24,7 @@ from procsem.logic import (
     sat,
     zero_formula,
 )
-from procsem.observations import bgo_member, closure_apply, enum_bgo, enum_lgo
+from procsem.observations import ClosureSet, bgo_member, enum_bgo, enum_lgo
 from procsem.preorders import decide
 from procsem.spectrum import UncoveredSemanticsError, parse_semantics
 
@@ -97,6 +98,42 @@ def test_conj_normalization():
     assert Conj([f, TOP]) is f
 
 
+def _nested_key(f):
+    """The formula order as a nested tuple of the whole tree: the oracle for
+    ``Formula.__lt__``.  Recursive, so for shallow formulas only."""
+    if isinstance(f, Conj):
+        return ("&", *map(_nested_key, f.members))
+    if isinstance(f, Diamond):
+        return ("<>", f.action, _nested_key(f.body))
+    if isinstance(f, Neg):
+        return ("~", _nested_key(f.body))
+    return ("T",)
+
+
+def test_formula_order_is_the_nested_key_order(pool2):
+    rng = random.Random(2006)
+    formulas = {TOP}
+    for name in ("B", "S", "RS", "PW", "RT", "F", "T:l", "S:l⊇", "I:lf⊆"):
+        formulas.update(sample_formulas(name, "abc", rng, 3, 30))
+        for _ in range(30):
+            f = distinguish(name, rng.choice(pool2), rng.choice(pool2), AB)
+            if f is not None:
+                formulas.add(f)
+    keys = {f: _nested_key(f) for f in formulas}
+    for f in formulas:
+        if isinstance(f, Conj):
+            assert list(f.members) == sorted(f.members, key=_nested_key)
+        for g in formulas:
+            assert (f < g) == (keys[f] < keys[g]), (f, g)
+
+
+def test_deep_formulas_compare_without_recursion():
+    x, y = chain("a" * 4999 + "a"), chain("a" * 4999 + "b")
+    assert x < y and not y < x and not x < x
+    assert Neg(x) < Neg(y) and Conj([x, TOP]) is x
+    assert Conj([x, y]).members == (x, y)
+
+
 def test_base_constraint_logics():
     lc = base_constraint_logic("C", AB)
     assert lc.contains(not_zero(AB))
@@ -157,7 +194,7 @@ def test_zero_formula_semantics():
 
 
 def _closure_member(constraint, delta, obs, term):
-    closure = closure_apply(delta, enum_lgo(constraint, term), constraint)
+    closure = ClosureSet(delta, enum_lgo(constraint, term), constraint)
     return obs in closure
 
 
@@ -191,7 +228,7 @@ def test_correspondence_linear(pool2, constraint):
 def test_correspondence_branching(pool1):
     for source in pool1:
         full, _ = enum_bgo("I", source, 16)
-        for obs in sorted(full, key=lambda o: (o.nodes, o._key))[:8]:
+        for obs in sorted(full, key=lambda o: (o.nodes, o))[:8]:
             f = formula_from_observation(obs, "RS", AB)
             assert in_sublogic(f, "RS", AB)
             for x in pool1:

@@ -4,14 +4,14 @@ import random
 import pytest
 
 from conftest import bgo_count, c, deterministic
-from procsem.constraints import LocalObs, local_obs, simulates
+from procsem.constraints import LocalObs, local_key, local_obs, simulates
 from procsem.lts import traces
 from procsem.observations import (
     BranchingObs,
+    ClosureSet,
     LinearObs,
     bgo_leq,
     bgo_member,
-    closure_apply,
     dbgo_leq,
     enum_bgo,
     enum_complete_dbgo,
@@ -44,6 +44,41 @@ def test_linear_obs_is_a_frozen_value():
     with pytest.raises(AttributeError):
         obs.steps = ()
     assert repr(obs) == "<frozenset({'a'}),a,frozenset()>"
+
+
+def _nested_key(o):
+    """The observation order as a nested tuple of the whole tree: the oracle
+    for ``BranchingObs.__lt__``.  Recursive, so for shallow trees only."""
+    return (o.constraint, local_key(o.label), tuple(sorted((a, _nested_key(c)) for a, c in o.children)))
+
+
+def test_observation_order_is_the_nested_key_order(pool2):
+    rng = random.Random(2006)
+    observations = set()
+    for n in ("U", "I", "T", "S"):
+        for p in pool2:
+            observations.update(enum_bgo(n, p, 4)[0])
+    sample = rng.sample(sorted(observations, key=_nested_key), 400)
+    keys = {o: _nested_key(o) for o in sample}
+    for o in sample:
+        assert o.arcs == tuple(sorted(o.children, key=lambda ac: (ac[0], _nested_key(ac[1]))))
+        for other in sample:
+            assert (o < other) == (keys[o] < keys[other]), (o, other)
+
+
+def _observation_chain(depth, leaf_action):
+    label = LocalObs("U", None)
+    out = BranchingObs(label, frozenset({(leaf_action, BranchingObs(label, frozenset()))}))
+    for _ in range(depth - 1):
+        out = BranchingObs(label, frozenset({("a", out)}))
+    return out
+
+
+def test_deep_observations_compare_without_recursion():
+    x, y = _observation_chain(5000, "a"), _observation_chain(5000, "b")
+    assert x.nodes == y.nodes == 5001
+    assert x < y and not y < x and not x < x
+    assert _observation_chain(5000, "a") is x
 
 
 def test_enum_lgo_examples():
@@ -228,21 +263,21 @@ def test_possible_worlds_are_ready_simulated(pool2):
 def test_closure_laws_small():
     base = enum_lgo("I", c("a.b.0"))
     for delta in ("=", "⊇", "f", "f⊇"):
-        closure = closure_apply(delta, base, "I")
+        closure = ClosureSet(delta, base, "I")
         # extensive
         assert closure.contains_all(base)
         # idempotent + monotone via materialization over a 2-action alphabet
         alphabet = frozenset("ab")
         mat = closure.materialize(alphabet)
-        again = closure_apply(delta, mat, "I").materialize(alphabet)
+        again = ClosureSet(delta, mat, "I").materialize(alphabet)
         assert again == mat
-        smaller = closure_apply(delta, set(itertools.islice(base, 1)), "I").materialize(alphabet)
+        smaller = ClosureSet(delta, set(itertools.islice(base, 1)), "I").materialize(alphabet)
         assert smaller <= mat
 
 
 def test_f_closure_forgets_intermediate_labels():
     base = {lgo("I", offers("a"), ("a", offers("b")))}
-    closure = closure_apply("f", base, "I")
+    closure = ClosureSet("f", base, "I")
     for x in (offers(), offers("a"), offers("b"), offers("a", "b")):
         assert lgo("I", x, ("a", offers("b"))) in closure
     assert lgo("I", offers("a"), ("a", offers())) not in closure

@@ -629,7 +629,7 @@ def test_db_types_against_world_enumeration(pool2, random3):
             refuted += 1
             least = min(
                 (o for o in enum_complete_dbgo(n, p) if not bgo_member(o, q)),
-                key=lambda o: (o.nodes, o._key),
+                key=lambda o: (o.nodes, o),
             )
             assert verdict.witness == {"kind": "dbgo", "unmatched": least}, (n, p, q)
     assert held > 0 and refuted > 0

@@ -1,4 +1,6 @@
 import json
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -150,3 +152,45 @@ def test_term_order_is_the_nested_key_order(pool2, random3):
         for a in terms:
             for b in terms:
                 assert (a < b) == (keys[a] < keys[b]), (a, b)
+
+
+def test_interning_is_atomic_across_threads():
+    """Threads that build the same new term, formula and branching
+    observation at once get one object for each.  Bisimilarity is identity
+    on canonical forms, so two objects for one term would be a wrong
+    verdict."""
+    from procsem.constraints import LocalObs
+    from procsem.logic import TOP, Conj, Diamond, Neg
+    from procsem.observations import BranchingObs
+    from procsem.terms import NIL, prefix, sum_terms
+
+    workers, rounds = 8, 200
+    barrier = threading.Barrier(workers, timeout=60)
+    label = LocalObs("U", None)
+    leaf = BranchingObs(label, frozenset())
+    built = [[] for _ in range(workers)]
+
+    def build(out):
+        for r in range(rounds):
+            a, b = f"race{r}a", f"race{r}b"  # new actions, so new nodes
+            barrier.wait()
+            out.append((
+                sum_terms(prefix(a, NIL), prefix(b, prefix(a, NIL))),
+                Conj([Diamond(a, TOP), Neg(Diamond(b, TOP))]),
+                BranchingObs(label, frozenset({(a, leaf), (b, leaf)})),
+            ))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(out,)) for out in built]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(len(out) == rounds for out in built)
+    for r in range(rounds):
+        for k in range(3):
+            assert len({id(out[r][k]) for out in built}) == 1, (r, k)
