@@ -351,6 +351,12 @@ _LINEAR = {
 }
 
 
+# The positive closure of the termination logic cannot pin 0, so the grammars
+# of partial offers at constraint C characterize T, not the CT relation that
+# the engines decide: they have neither a grammar nor separating formulas.
+_NO_SEPARATOR = frozenset({SemanticsId("C", "l⊆"), SemanticsId("C", "lf⊆")})
+
+
 def _covered(sem: SemanticsId | str, pathway: str, gaps=()) -> SemanticsId:
     """sem, parsed; UncoveredSemanticsError when `pathway` has nothing for
     it.  No grammar is known for final-ready and final-failure branching or
@@ -365,7 +371,7 @@ def _covered(sem: SemanticsId | str, pathway: str, gaps=()) -> SemanticsId:
 
 def in_sublogic(f: Formula, sem: SemanticsId | str, alphabet=None) -> bool:
     """Structural membership of f in the grammar characterizing sem."""
-    sem = _covered(sem, "logical characterization")
+    sem = _covered(sem, "logical characterization", _NO_SEPARATOR)
     if alphabet is None:
         alphabet = formula_actions(f)
     logic = base_constraint_logic(sem.constraint if sem.flavor != "bisim" else "U", frozenset(alphabet))
@@ -606,11 +612,6 @@ def _branching_formula(constraint, obs: BranchingObs, alphabet, context) -> Form
 
 # ---------------------------------------------------------------------------
 # Distinguishing formulas
-
-
-# The positive closure of the termination logic cannot pin 0, so partial
-# offers at constraint C have no separating formulas.
-_NO_SEPARATOR = (SemanticsId("C", "l⊆"), SemanticsId("C", "lf⊆"))
 
 
 def distinguish(sem: SemanticsId | str, p: CanonicalTerm, q: CanonicalTerm, alphabet=None):

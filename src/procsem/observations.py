@@ -16,7 +16,7 @@ from itertools import combinations, product
 
 from .constraints import LocalObs, local_eq, local_geq, local_key, local_obs, solve_game, value_repr
 from .lts import initials, step, successors
-from .spectrum import SemanticsId, UncoveredSemanticsError
+from .spectrum import LINEAR_RULES, SemanticsId, UncoveredSemanticsError, linear_rule
 from .terms import Action, CanonicalTerm, NIL, CanonicalTerm as CT, Frozen, prefix, sum_terms
 
 __all__ = [
@@ -322,24 +322,37 @@ def dbgo_leq(constraint: str, p: CanonicalTerm, q: CanonicalTerm, cap: int = DEF
     return all(bgo_member(obs, q) for obs in enum_complete_dbgo(constraint, p))
 
 
+# A relation of ``spectrum.LINEAR_RULES`` on the labels x of p and y of q.
+_RELATIONS = {
+    "eq": local_eq,
+    "geq": local_geq,
+    "leq": lambda n, x, y: local_geq(n, y, x),
+    "complete": lambda n, x, y: not y.value if not x.value else local_geq(n, y, x),
+}
+
+_ALIASES = {"=": "l", "⊇": "l⊇", "f": "lf", "f⊇": "lf⊇"}
+
+
 class ClosureSet:
-    """Lazy closure of a set of linear observations under one of four
-    identification operators: pointwise N-equivalence ``=``, pointwise
-    widening ``⊇``, final forgetting ``f``, or both ``f⊇``.  ``=`` matters at
-    S, where an observation value is a term standing for its simulation
-    class, so equal observations may have distinct values.
+    """Lazy closure of a set of linear observations under the matching rule
+    of a linear or extended-ready flavor (``spectrum.linear_rule``), or of l,
+    l⊇, lf and lf⊇ by their names ``=``, ``⊇``, ``f`` and ``f⊇``.  Equality
+    matters at S, where an observation value is a term standing for its
+    simulation class, so equal observations may have distinct values.
 
     Membership queries never materialize anything; ``materialize`` works only
     where the label domain is small (offers over an alphabet of at most three
     actions, traces of bounded depth).
     """
 
-    def __init__(self, delta: str, base: frozenset[LinearObs], constraint: str):
-        if delta not in ("=", "⊇", "f", "f⊇"):
-            raise ValueError(f"unknown closure {delta!r}")
-        self.delta = delta
+    def __init__(self, flavor: str, base: frozenset[LinearObs], constraint: str):
+        flavor = _ALIASES.get(flavor, flavor)
+        if flavor not in LINEAR_RULES:
+            raise ValueError(f"unknown closure {flavor!r}")
+        compared, self.rule = linear_rule(constraint, flavor)
+        if compared != constraint:
+            raise ValueError(f"{flavor} compares observations of constraint {compared}")
         self.constraint = constraint
-        self.base = frozenset(base)
         self._by_trace: dict[tuple, list[LinearObs]] = {}
         for obs in base:
             if obs.constraint != constraint:
@@ -347,13 +360,17 @@ class ClosureSet:
             self._by_trace.setdefault(obs.trace(), []).append(obs)
 
     def __contains__(self, obs: LinearObs) -> bool:
-        n, delta = self.constraint, self.delta
-        related = local_geq if "⊇" in delta else local_eq
-        for cand in self._by_trace.get(obs.trace(), ()):
-            pairs = ((obs.final, cand.final),) if "f" in delta else zip(obs.labels(), cand.labels())
-            if all(related(n, x, y) for x, y in pairs):
-                return True
-        return False
+        n, (prefix, final) = self.constraint, self.rule
+        cands = self._by_trace.get(obs.trace(), ())
+        if final == "meet":
+            below = [cand.final.value for cand in cands if local_geq(n, obs.final, cand.final)]
+            return bool(below) and obs.final.value <= frozenset().union(*below)
+        final, prefix = _RELATIONS[final], _RELATIONS.get(prefix)
+        init = obs.labels()[:-1] if prefix else ()
+        return any(
+            final(n, obs.final, cand.final) and all(prefix(n, u, v) for u, v in zip(init, cand.labels()))
+            for cand in cands
+        )
 
     def contains_all(self, items) -> bool:
         return all(obs in self for obs in items)
@@ -385,23 +402,21 @@ def _label_domain(constraint: str, alphabet: frozenset[Action]) -> list[LocalObs
     return [LocalObs("I", s) for s in subsets]
 
 
-def lgo_leq_via_closure(constraint: str, delta: str, p: CanonicalTerm, q: CanonicalTerm) -> bool:
+def lgo_leq_via_closure(constraint: str, flavor: str, p: CanonicalTerm, q: CanonicalTerm) -> bool:
     """Observational engine: compare lgo sets through closure membership.
 
     A set is below another exactly when its base observations all fall in the
-    other's closure.
+    other's closure under the rule of `flavor`.
     """
-    closure = ClosureSet(delta, enum_lgo(constraint, q), constraint)
+    closure = ClosureSet(flavor, enum_lgo(constraint, q), constraint)
     return closure.contains_all(enum_lgo(constraint, p))
 
 
-_CLOSURE_DELTA = {"l": "=", "l⊇": "⊇", "lf": "f", "lf⊇": "f⊇"}
-
-
 def decide_via_observations(sem: SemanticsId, p: CanonicalTerm, q: CanonicalTerm, cap: int | None = None):
-    """Observation-set inclusion for the flavors b, db, l, l⊇, lf and lf⊇ at
-    any constraint, as a Verdict with no witness; UncoveredSemanticsError
-    for any other flavor.  `cap` bounds the worlds of p for db
+    """Observation-set inclusion for b, db and every flavor of
+    ``spectrum.LINEAR_RULES``, at the constraint whose labels its rule
+    compares, as a Verdict with no witness; UncoveredSemanticsError for
+    bisimilarity, bf and bf⊇.  `cap` bounds the worlds of p for db
     (TruncationError past it; None: ``DEFAULT_WORLD_CAP``)."""
     from .preorders import Verdict
 
@@ -410,8 +425,8 @@ def decide_via_observations(sem: SemanticsId, p: CanonicalTerm, q: CanonicalTerm
         holds = bgo_leq(n, p, q)
     elif flavor == "db":
         holds = dbgo_leq(n, p, q, DEFAULT_WORLD_CAP if cap is None else cap)
-    elif flavor in _CLOSURE_DELTA:
-        holds = lgo_leq_via_closure(n, _CLOSURE_DELTA[flavor], p, q)
+    elif flavor in LINEAR_RULES:
+        holds = lgo_leq_via_closure(linear_rule(n, flavor)[0], flavor, p, q)
     else:
         raise UncoveredSemanticsError(f"observational engine does not cover {sem}")
     return Verdict(holds)

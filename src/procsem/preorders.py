@@ -58,7 +58,7 @@ from .observations import (
     decide_via_observations,
     enum_complete_dbgo,
 )
-from .spectrum import SemanticsId, UncoveredSemanticsError, classic_name, supported_ids
+from .spectrum import LINEAR_RULES, SemanticsId, UncoveredSemanticsError, classic_name, linear_rule, supported_ids
 from .terms import NIL, CanonicalTerm, render_term
 
 __all__ = [
@@ -252,30 +252,6 @@ def _pools(constraint: str, q: CanonicalTerm, final_only: bool) -> dict:
     return {trace: frozenset(xs) for trace, xs in pools.items()}
 
 
-# flavor -> (relation on every label before the last, or None when only the
-# final label counts; relation on the final label).  A relation compares a
-# value of p with a value of q: eq, geq, leq (the converse of geq) or the
-# completeness rule; meet is the revivals rule on finals.
-_FLAVORS = {
-    "l": ("eq", "eq"),
-    "l⊇": ("geq", "geq"),
-    "l⊆": ("leq", "leq"),
-    "join": ("geq", "eq"),
-    "lf": (None, "eq"),
-    "lf⊇": (None, "geq"),
-    "lf⊆": (None, "leq"),
-    "meet": (None, "meet"),
-}
-
-# The extended-ready family, over offers (constraint I).
-_EXTENDED = {
-    "ER": _FLAVORS["lf⊆"],
-    "ERT": _FLAVORS["l⊆"],
-    "ECR": (None, "complete"),
-    "ECRT": ("complete", "complete"),
-}
-
-
 def _complete(x, y) -> bool:
     # q's offer must dominate p's, and an empty offer be answered by an empty one
     return not y if not x else y >= x
@@ -341,8 +317,9 @@ def _unmatched(constraint: str, rule: tuple, p: CanonicalTerm, q: CanonicalTerm)
     return ((trace, x) for trace, x in mine - theirs if not matched(x, pool(trace, ())))
 
 
-def _included(constraint: str, rule: tuple, p: CanonicalTerm, q: CanonicalTerm) -> bool:
-    """Is every decorated trace of p matched by one of q under `rule`?
+def _included(linear: tuple, p: CanonicalTerm, q: CanonicalTerm) -> bool:
+    """Is every decorated trace of p matched by one of q under `linear`, a
+    (constraint, rule) pair of ``spectrum.linear_rule``?
 
     Three exact layers, coarsest first; only the last builds a table:
     1. Traces: every rule matches a pair of p only against q's values on its
@@ -356,6 +333,7 @@ def _included(constraint: str, rule: tuple, p: CanonicalTerm, q: CanonicalTerm) 
        simulation answers each path of p with a path of q whose states
        simulate p's pointwise.
     3. Tables: the set inclusion and leftover matching of `_unmatched`."""
+    constraint, rule = linear
     if not traces(p) <= traces(q):
         return False
     if constraint == "U":
@@ -384,15 +362,6 @@ def _lgo_witness(constraint: str, rule: tuple, name: str, p: CanonicalTerm, q: C
         if element is not None:
             witness["revival_action"] = element
     return witness
-
-
-@lru_cache(maxsize=None)
-def _linear_rule(constraint: str, flavor: str) -> tuple[tuple, str]:
-    """(rule, semantics name) of a linear flavor at a constraint."""
-    name = str(SemanticsId(constraint, flavor))
-    if flavor == "meet" and constraint in ("U", "C"):
-        flavor = "lf"  # the union of unit/termination values degenerates
-    return _FLAVORS[flavor], name
 
 
 # ---------------------------------------------------------------------------
@@ -554,17 +523,15 @@ def _bgo_witness(p: CanonicalTerm, q: CanonicalTerm, exact: bool) -> dict:
 # witness(constraint, flavor, p, q)).  `spectrum_matrix` and `holds` read
 # only the first; `decide` hands the second to a refuting verdict, which
 # builds it on first read.  The lambdas look their deciders up when called,
-# so a replaced module function is the one used.  The extended-ready flavors
-# compare offers (constraint I) whatever layer they are named at.  On
-# canonical forms bisimilarity is identity.
+# so a replaced module function is the one used.  Every linear and
+# extended-ready flavor reads its (constraint, rule) from
+# ``spectrum.linear_rule`` through `_linear`, one cached lookup per cell that
+# allocates nothing.  On canonical forms bisimilarity is identity.
+_linear = lru_cache(maxsize=None)(linear_rule)
 _DECIDERS = {
-    **dict.fromkeys(_FLAVORS, (
-        lambda c, f, p, q: _included(c, _linear_rule(c, f)[0], p, q),
-        lambda c, f, p, q: _lgo_witness(c, *_linear_rule(c, f), p, q),
-    )),
-    **dict.fromkeys(_EXTENDED, (
-        lambda c, f, p, q: _included("I", _EXTENDED[f], p, q),
-        lambda c, f, p, q: _lgo_witness("I", _EXTENDED[f], f, p, q),
+    **dict.fromkeys(LINEAR_RULES, (
+        lambda c, f, p, q: _included(_linear(c, f), p, q),
+        lambda c, f, p, q: _lgo_witness(*_linear(c, f), str(SemanticsId(c, f)), p, q),
     )),
     "bisim": (lambda c, f, p, q: p is q, lambda c, f, p, q: _bisim_refutation(p, q)),
     "b": (lambda c, f, p, q: simulates(c, p, q), lambda c, f, p, q: _sim_refutation(c, p, q)),

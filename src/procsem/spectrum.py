@@ -22,6 +22,8 @@ from .terms import Frozen
 
 __all__ = [
     "SemanticsId",
+    "LINEAR_RULES",
+    "linear_rule",
     "parse_semantics",
     "supported_ids",
     "classic_name",
@@ -32,7 +34,41 @@ __all__ = [
 ]
 
 LINEAR_FLAVORS = ("l", "l⊇", "lf", "lf⊇", "l⊆", "lf⊆", "join", "meet")
-ALL_FLAVORS = ("bisim", "b", "db", "bf", "bf⊇") + LINEAR_FLAVORS + ("ER", "ERT", "ECR", "ECRT")
+
+# The matching rules of the linear and extended-ready flavors on decorated
+# traces (van Glabbeek 2001): flavor -> (relation on the labels before the
+# last, None when only the last counts; relation on the last label).  A
+# relation holds of a label x of p and y of q: "eq" (x N y), "geq" (x
+# dominates y), "leq" (y dominates x), "complete" (leq, and an empty offer
+# only by an empty one), or "meet", on all of q's finals on the trace: some
+# lie below x, and their union covers x.
+LINEAR_RULES = {
+    "l": ("eq", "eq"),
+    "l⊇": ("geq", "geq"),
+    "l⊆": ("leq", "leq"),
+    "join": ("geq", "eq"),
+    "lf": (None, "eq"),
+    "lf⊇": (None, "geq"),
+    "lf⊆": (None, "leq"),
+    "meet": (None, "meet"),
+    "ER": (None, "leq"),
+    "ERT": ("leq", "leq"),
+    "ECR": (None, "complete"),
+    "ECRT": ("complete", "complete"),
+}
+ALL_FLAVORS = ("bisim", "b", "db", "bf", "bf⊇") + tuple(LINEAR_RULES)
+
+
+def linear_rule(constraint: str, flavor: str) -> tuple[str, tuple]:
+    """(constraint whose labels are compared, rule) of a flavor named at
+    `constraint`: the extended-ready family compares offers (I), and meet at
+    U and C is lf, as a union of unit or termination values is one of them."""
+    if flavor in ("ER", "ERT", "ECR", "ECRT"):
+        return "I", LINEAR_RULES[flavor]
+    if flavor == "meet" and constraint in ("U", "C"):
+        return constraint, LINEAR_RULES["lf"]
+    return constraint, LINEAR_RULES[flavor]
+
 
 _ASCII_FLAVOR = {
     "l>=": "l⊇",
@@ -133,7 +169,6 @@ CLASSIC_NAMES: dict[str, SemanticsId] = {
 
 _BY_ID = {v: k for k, v in reversed(list(CLASSIC_NAMES.items()))}
 
-
 def classic_name(sem: SemanticsId) -> str | None:
     return _BY_ID.get(sem)
 
@@ -184,7 +219,9 @@ def _arrows() -> tuple[tuple[SemanticsId, SemanticsId], ...]:
 
     Layer order by constraint fineness: S, T, I, C, U.  Within a layer:
     b -> db -> l -> {l⊇, lf} -> lf⊇, refined at I by the join/meet diamond
-    RT -> join -> {FT, R} -> meet -> F.
+    RT -> join -> {FT, R} -> meet -> F.  By ``LINEAR_RULES``, l -> l⊆ and
+    lf -> lf⊆ (eq implies leq) and l⊆ -> lf⊆ (a rule that matches every
+    label matches the last) at every layer.
     """
     edges: list[tuple[SemanticsId, SemanticsId]] = []
 
@@ -201,6 +238,9 @@ def _arrows() -> tuple[tuple[SemanticsId, SemanticsId], ...]:
         edges.append((sid(n, "l"), sid(n, "lf")))
         edges.append((sid(n, "l⊇"), sid(n, "lf⊇")))
         edges.append((sid(n, "lf"), sid(n, "lf⊇")))
+        edges.append((sid(n, "l"), sid(n, "l⊆")))
+        edges.append((sid(n, "lf"), sid(n, "lf⊆")))
+        edges.append((sid(n, "l⊆"), sid(n, "lf⊆")))
         if n != "S":
             edges.append((sid(n, "l"), sid(n, "join")))
             edges.append((sid(n, "join"), sid(n, "l⊇")))

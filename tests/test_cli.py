@@ -57,8 +57,8 @@ def test_refusals_name_no_supported_ids(capsys):
         (("distinguish", "--semantics", "I:bf", "a.0", "b.0"), "I:bf has no distinguishing formulas"),
         (("axioms", "list", "--semantics", "I:bf"), "I:bf is conjectured not to be finitely axiomatizable"),
         (("axioms", "list", "--semantics", "S:b"), "no axiomatization is known for 2S"),
-        (("compare", "--engine", "observational", "--semantics", "RV", "a.0", "a.0"),
-         "observational engine does not cover RV"),
+        (("compare", "--engine", "observational", "--semantics", "I:bf", "a.0", "a.0"),
+         "observational engine does not cover I:bf"),
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (2, "", f"error: {message}\n"), argv

@@ -21,7 +21,7 @@ from procsem.observations import (
     lgo_leq_via_closure,
 )
 import procsem.preorders as preorders
-from procsem.spectrum import SemanticsId
+from procsem.spectrum import LINEAR_RULES, SemanticsId
 
 
 def lgo(n, head, *steps):
@@ -262,7 +262,8 @@ def test_possible_worlds_are_ready_simulated(pool2):
 
 def test_closure_laws_small():
     base = enum_lgo("I", c("a.b.0"))
-    for delta in ("=", "⊇", "f", "f⊇"):
+    # the four named closures and the rule of every linear flavor
+    for delta in ("=", "⊇", "f", "f⊇", *LINEAR_RULES):
         closure = ClosureSet(delta, base, "I")
         # extensive
         assert closure.contains_all(base)
@@ -273,6 +274,9 @@ def test_closure_laws_small():
         assert again == mat
         smaller = ClosureSet(delta, set(itertools.islice(base, 1)), "I").materialize(alphabet)
         assert smaller <= mat
+    # the extended-ready rules compare offers, so they close no other labels
+    with pytest.raises(ValueError, match="ER compares observations of constraint I"):
+        ClosureSet("ER", enum_lgo("U", c("a.b.0")), "U")
 
 
 def test_f_closure_forgets_intermediate_labels():

@@ -100,7 +100,8 @@ def test_partial_offers_below_simulation_are_no_collapse():
 def test_s_partial_offer_witnesses_come_from_the_tables(pool2):
     """S:l⊆ and S:lf⊆ are decided by simulation; a refuted cell's witness is
     still the least unmatched decorated trace of the tables."""
-    from procsem.preorders import _lgo_witness, _linear_rule
+    from procsem.preorders import _lgo_witness
+    from procsem.spectrum import linear_rule
 
     rng = random.Random(61)
     pairs = [(rng.choice(pool2), rng.choice(pool2)) for _ in range(400)]
@@ -111,7 +112,7 @@ def test_s_partial_offer_witnesses_come_from_the_tables(pool2):
             verdict = decide(sem, p, q)
             assert verdict.holds == simulates("U", p, q), (flavor, p, q)
             if not verdict.holds:
-                expected = Verdict(False, _lgo_witness("S", *_linear_rule("S", flavor), p, q))
+                expected = Verdict(False, _lgo_witness(*linear_rule("S", flavor), str(sem), p, q))
                 assert verdict.to_json() == expected.to_json(), (flavor, p, q)
                 refuted += 1
         assert refuted > 100, flavor
