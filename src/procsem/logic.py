@@ -317,10 +317,11 @@ def base_constraint_logic(constraint: str, alphabet: frozenset) -> BaseLogic:
 
 
 def _leaf_mode(logic: BaseLogic, f: Formula, mode: str) -> bool:
-    """Is f a legitimate closure leaf?  mode: eq (s or ~s), neg (~s), pos (s)."""
-    if mode in ("eq", "pos") and logic.contains(f):
+    """Is f a legitimate closure leaf?  mode: eq (s or ~s), neg (~s), pos
+    (s), or rev, whose leaves are eq's (see ``_GRAMMARS``)."""
+    if mode != "neg" and logic.contains(f):
         return True
-    if mode in ("eq", "neg") and isinstance(f, Neg) and logic.contains(f.body):
+    if mode != "pos" and isinstance(f, Neg) and logic.contains(f.body):
         return True
     return False
 
@@ -335,19 +336,25 @@ def _flatten(f: Formula) -> tuple[Formula, ...]:
 # ---------------------------------------------------------------------------
 # Sublogic membership
 
-# The linear grammars: flavor -> (mode of the pins before the last state,
-# None when there are none; mode of the last state's pin).  A mode is "eq",
-# "neg" or "pos" (see ``_pin``), and a mode before the last state is the
-# last one's.  join is the union of l⊇ and lf; meet's grammar is its own
-# (``_in_meet``), and its observation formulas are failure pins.
-_LINEAR = {
-    "l": ("eq", "eq"),
-    "l⊇": ("neg", "neg"),
-    "l⊆": ("pos", "pos"),
-    "lf": (None, "eq"),
-    "lf⊇": (None, "neg"),
-    "lf⊆": (None, "pos"),
-    "meet": (None, "neg"),
+# The grammars (van Glabbeek 2001): flavor -> (mode of the pins before the
+# last state, None when there are none; mode of the last state's pins; how a
+# state continues).  A mode is "eq", "neg" or "pos" (see ``_pin``), or "rev":
+# eq leaves with at most one positive among the last state's, a revival
+# (meet's observation formulas are failure pins).  A state continues by
+# "any" number of diamonds, by diamonds on distinct actions ("det") or by
+# "one" diamond, which ends at the last state.  A mode before the last state
+# is the last one's.  join is the union of l⊇ and lf; bisim takes every
+# formula.
+_GRAMMARS = {
+    "b": ("eq", "eq", "any"),
+    "db": ("eq", "eq", "det"),
+    "l": ("eq", "eq", "one"),
+    "l⊇": ("neg", "neg", "one"),
+    "l⊆": ("pos", "pos", "one"),
+    "lf": (None, "eq", "one"),
+    "lf⊇": (None, "neg", "one"),
+    "lf⊆": (None, "pos", "one"),
+    "meet": (None, "rev", "one"),
 }
 
 
@@ -359,108 +366,54 @@ _NO_SEPARATOR = frozenset({SemanticsId("C", "l⊆"), SemanticsId("C", "lf⊆")})
 
 def _covered(sem: SemanticsId | str, pathway: str, gaps=()) -> SemanticsId:
     """sem, parsed; UncoveredSemanticsError when `pathway` has nothing for
-    it.  No grammar is known for final-ready and final-failure branching or
-    for the extended-ready family; `gaps` are the pathway's own further
-    gaps, by flavor or by id."""
+    it: a flavor with no grammar (final-ready and final-failure branching,
+    the extended-ready family), an id of ``_NO_SEPARATOR``, or a flavor of
+    the pathway's own `gaps`."""
     if isinstance(sem, str):
         sem = parse_semantics(sem)
-    if sem.flavor in ("bf", "bf⊇", "ER", "ERT", "ECR", "ECRT") or sem.flavor in gaps or sem in gaps:
+    flavor = sem.flavor
+    if flavor not in _GRAMMARS and flavor not in ("bisim", "join") or sem in _NO_SEPARATOR or flavor in gaps:
         raise UncoveredSemanticsError(f"{sem} has no {pathway}")
     return sem
 
 
 def in_sublogic(f: Formula, sem: SemanticsId | str, alphabet=None) -> bool:
     """Structural membership of f in the grammar characterizing sem."""
-    sem = _covered(sem, "logical characterization", _NO_SEPARATOR)
+    sem = _covered(sem, "logical characterization")
+    if sem.flavor == "bisim":
+        return True
     if alphabet is None:
         alphabet = formula_actions(f)
-    logic = base_constraint_logic(sem.constraint if sem.flavor != "bisim" else "U", frozenset(alphabet))
-    flavor = sem.flavor
-    if flavor == "bisim":
-        return True
-    if flavor == "b":
-        return _in_branching(logic, f)
-    if flavor == "db":
-        return _in_det_branching(logic, f)
-    if flavor == "join":
-        return any(_in_linear(logic, f, *_LINEAR[part]) for part in ("l⊇", "lf"))
-    if flavor == "meet":
-        return _in_meet(logic, f)
-    return _in_linear(logic, f, *_LINEAR[flavor])
+    logic = base_constraint_logic(sem.constraint, frozenset(alphabet))
+    if sem.flavor == "join":
+        return any(_in_grammar(logic, f, *_GRAMMARS[part]) for part in ("l⊇", "lf"))
+    return _in_grammar(logic, f, *_GRAMMARS[sem.flavor])
 
 
-def _in_branching(logic: BaseLogic, f: Formula) -> bool:
-    if _leaf_mode(logic, f, "eq"):
-        return True
-    if isinstance(f, Diamond):
-        return _in_branching(logic, f.body)
-    if isinstance(f, Conj):
-        return all(_in_branching(logic, m) for m in f.members)
-    return f is TOP
-
-
-def _split_parts(logic: BaseLogic, f: Formula, mode: str):
-    """Partition a flattened conjunction into closure leaves and continuations.
-
-    Base formulas may syntactically be diamonds (an offer probe, a trace
-    probe); those count as leaves, everything else must be a diamond
-    continuation.  Returns None when some member is neither.
-    """
+@lru_cache(maxsize=None)
+def _in_grammar(logic: BaseLogic, f: Formula, mid: str | None, last: str, continue_by: str) -> bool:
+    """Is f a state of the grammar (mid, last, continue_by)?  Its conjuncts
+    are closure leaves and diamond continuations; base formulas may
+    syntactically be diamonds (an offer probe, a trace probe), and those
+    count as leaves."""
     leaves, continuations = [], []
     for m in _flatten(f):
-        if _leaf_mode(logic, m, mode):
+        if _leaf_mode(logic, m, last):
             leaves.append(m)
         elif isinstance(m, Diamond):
             continuations.append(m)
         else:
-            return None
-    return leaves, continuations
-
-
-@lru_cache(maxsize=None)
-def _in_det_branching(logic: BaseLogic, f: Formula) -> bool:
-    split = _split_parts(logic, f, "eq")
-    if split is None:
+            return False
+    if continue_by == "one":
+        if len(continuations) > 1:
+            return False
+        if not continuations:
+            return last != "rev" or sum(map(logic.contains, leaves)) <= 1
+        if leaves and mid is None:
+            return False
+    elif continue_by == "det" and len({d.action for d in continuations}) != len(continuations):
         return False
-    _, continuations = split
-    actions = [d.action for d in continuations]
-    if len(actions) != len(set(actions)):
-        return False
-    return all(_in_det_branching(logic, d.body) for d in continuations)
-
-
-@lru_cache(maxsize=None)
-def _in_linear(logic: BaseLogic, f: Formula, mid: str | None, last: str) -> bool:
-    split = _split_parts(logic, f, last)
-    if split is None:
-        return False
-    leaves, continuations = split
-    if len(continuations) > 1:
-        return False
-    if not continuations:
-        return True
-    if leaves and mid is None:
-        return False
-    return _in_linear(logic, continuations[0].body, mid, last)
-
-
-def _in_meet(logic: BaseLogic, f: Formula) -> bool:
-    """Meet grammar: diamond chains ending in one offered action plus a
-    refused set (a revival); pure failure finals are the degenerate case."""
-    parts = _flatten(f)
-    positives = negatives = others = 0
-    for m in parts:
-        if logic.contains(m):
-            positives += 1
-        elif isinstance(m, Neg) and logic.contains(m.body):
-            negatives += 1
-        else:
-            others += 1
-    if others == 0 and positives <= 1:
-        return True
-    if len(parts) == 1 and isinstance(parts[0], Diamond):
-        return _in_meet(logic, parts[0].body)
-    return False
+    return all(_in_grammar(logic, d.body, mid, last, continue_by) for d in continuations)
 
 
 # ---------------------------------------------------------------------------
@@ -563,9 +516,10 @@ def formula_from_observation(obs, sem: SemanticsId | str, alphabet=None, context
     if alphabet is None:
         alphabet = _obs_alphabet(obs)
     alphabet = frozenset(alphabet)
-    if sem.flavor in ("b", "db"):
+    mid, last, continue_by = _GRAMMARS[sem.flavor]
+    if continue_by != "one":
         return _branching_formula(sem.constraint, obs, alphabet, context)
-    mid, last = _LINEAR[sem.flavor]
+    last = "neg" if last == "rev" else last
     labels = obs.labels()
     steps = obs.steps
     out = _pin(sem.constraint, labels[-1], alphabet, last, context)
@@ -617,7 +571,7 @@ def _branching_formula(constraint, obs: BranchingObs, alphabet, context) -> Form
 def distinguish(sem: SemanticsId | str, p: CanonicalTerm, q: CanonicalTerm, alphabet=None):
     """None when p lies below q in sem; otherwise a grammar formula that p
     satisfies and q does not.  An alphabet must hold every action of p and q."""
-    sem = _covered(sem, "distinguishing formulas", _NO_SEPARATOR)
+    sem = _covered(sem, "distinguishing formulas")
     context = tuple(dict.fromkeys(reachable(p) + reachable(q)))
     actions = frozenset(a for s in context for a in initials(s))
     if alphabet is None:
@@ -797,20 +751,18 @@ def _random_pin(constraint, alphabet, rng, depth, mode) -> Formula:
 
 
 def _random_formula(sem: SemanticsId, alphabet, rng, depth) -> Formula:
-    flavor = sem.flavor
-    n = sem.constraint if flavor != "bisim" else "U"
-    actions = sorted(alphabet)
+    flavor, n = sem.flavor, sem.constraint
     if flavor == "bisim":
         return _random_hml(alphabet, rng, depth)
-    if flavor == "b":
-        return _random_branching(n, alphabet, rng, depth)
-    if flavor == "db":
-        return _random_det_branching(n, alphabet, rng, depth)
     if flavor == "join":
         inner = SemanticsId(n, "l⊇" if rng.random() < 0.5 else "lf")
         return _random_formula(inner, alphabet, rng, depth)
-    if flavor == "meet":
-        length = rng.randint(0, depth)
+    mid, last, continue_by = _GRAMMARS[flavor]
+    if continue_by != "one":
+        return _random_tree(n, alphabet, rng, depth, continue_by == "det")
+    actions = sorted(alphabet)
+    length = rng.randint(0, depth)
+    if last == "rev":
         positives = []
         if rng.random() < 0.7:
             positives.append(_random_base(n, alphabet, rng, depth))
@@ -818,8 +770,6 @@ def _random_formula(sem: SemanticsId, alphabet, rng, depth) -> Formula:
             Neg(_random_base(n, alphabet, rng, depth)) for _ in range(rng.randint(0, 2))
         ]
         return chain(rng.choices(actions, k=length), conj(*(positives + negatives)))
-    mid, last = _LINEAR[flavor]
-    length = rng.randint(0, depth)
     out = _random_pin(n, alphabet, rng, depth, last)
     for _ in range(length):
         out = Diamond(rng.choice(actions), out)
@@ -841,20 +791,16 @@ def _random_hml(alphabet, rng, depth) -> Formula:
     )
 
 
-def _random_branching(n, alphabet, rng, depth) -> Formula:
+def _random_tree(n, alphabet, rng, depth, deterministic) -> Formula:
+    """A branching grammar formula: eq leaves and diamonds, on distinct
+    actions when `deterministic`."""
     leaves = [_random_leaf(n, alphabet, rng, depth, "eq") for _ in range(rng.randint(0, 2))]
     if depth > 0:
-        for _ in range(rng.randint(0, 2)):
-            leaves.append(
-                Diamond(rng.choice(sorted(alphabet)), _random_branching(n, alphabet, rng, depth - 1))
-            )
-    return conj(*leaves)
-
-
-def _random_det_branching(n, alphabet, rng, depth) -> Formula:
-    leaves = [_random_leaf(n, alphabet, rng, depth, "eq") for _ in range(rng.randint(0, 2))]
-    if depth > 0:
-        chosen = rng.sample(sorted(alphabet), rng.randint(0, len(alphabet)))
-        for a in chosen:
-            leaves.append(Diamond(a, _random_det_branching(n, alphabet, rng, depth - 1)))
+        actions = sorted(alphabet)
+        if deterministic:
+            picks = rng.sample(actions, rng.randint(0, len(actions)))
+        else:  # drawn one by one, each before its subtree
+            picks = (rng.choice(actions) for _ in range(rng.randint(0, 2)))
+        for a in picks:
+            leaves.append(Diamond(a, _random_tree(n, alphabet, rng, depth - 1, deterministic)))
     return conj(*leaves)

@@ -221,7 +221,9 @@ def _arrows() -> tuple[tuple[SemanticsId, SemanticsId], ...]:
     b -> db -> l -> {l⊇, lf} -> lf⊇, refined at I by the join/meet diamond
     RT -> join -> {FT, R} -> meet -> F.  By ``LINEAR_RULES``, l -> l⊆ and
     lf -> lf⊆ (eq implies leq) and l⊆ -> lf⊆ (a rule that matches every
-    label matches the last) at every layer.
+    label matches the last) at every layer.  join is (geq, eq), so l -> join
+    -> {l⊇, lf} (eq implies geq) at every layer too, S included; S has no
+    meet.
     """
     edges: list[tuple[SemanticsId, SemanticsId]] = []
 
@@ -241,10 +243,10 @@ def _arrows() -> tuple[tuple[SemanticsId, SemanticsId], ...]:
         edges.append((sid(n, "l"), sid(n, "l⊆")))
         edges.append((sid(n, "lf"), sid(n, "lf⊆")))
         edges.append((sid(n, "l⊆"), sid(n, "lf⊆")))
+        edges.append((sid(n, "l"), sid(n, "join")))
+        edges.append((sid(n, "join"), sid(n, "l⊇")))
+        edges.append((sid(n, "join"), sid(n, "lf")))
         if n != "S":
-            edges.append((sid(n, "l"), sid(n, "join")))
-            edges.append((sid(n, "join"), sid(n, "l⊇")))
-            edges.append((sid(n, "join"), sid(n, "lf")))
             edges.append((sid(n, "l⊇"), sid(n, "meet")))
             edges.append((sid(n, "lf"), sid(n, "meet")))
             edges.append((sid(n, "meet"), sid(n, "lf⊇")))

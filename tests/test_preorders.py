@@ -371,8 +371,7 @@ def test_clear_caches(pool2):
     memos = (
         _trace_table,
         logic._contains,
-        logic._in_linear,
-        logic._in_det_branching,
+        logic._in_grammar,
         logic.characteristic_sim_formula,
         axioms._answer,
         axioms._steps,
