@@ -13,13 +13,13 @@ import random
 from functools import lru_cache
 from itertools import product
 from types import MappingProxyType
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from . import preorders
 from .constraints import constraint_holds
-from .lts import initials, step, traces
-from .operational import rule, saturate
-from .spectrum import SemanticsId, UncoveredSemanticsError, parse_semantics
+from .lts import initials, step
+from .operational import CONDITIONS, saturate
+from .spectrum import REDUCTIONS, SemanticsId, UncoveredSemanticsError, parse_semantics
 from .terms import NIL, CanonicalTerm, Choice, Nil, Prefix, Term, Var, prefix, render_term, sum_terms
 
 __all__ = [
@@ -42,27 +42,6 @@ def _plus(*parts: Term) -> Term:
     for p in parts[1:]:
         out = Choice(out, p)
     return out
-
-
-# Side conditions M(x, y, w) on closed instances; the third variable is
-# spelled Z because the term grammar reserves X-Z identifiers for variables.
-CONDITIONS: dict[str, Callable[[CanonicalTerm, CanonicalTerm, CanonicalTerm], bool]] = {
-    "M_F": lambda x, y, w: True,
-    "M_R": lambda x, y, w: initials(x) >= initials(y),
-    "M_FT": lambda x, y, w: initials(w) <= initials(y),
-    "M_RT": lambda x, y, w: initials(x) == initials(y) and initials(w) <= initials(y),
-    "M_R∧FT": lambda x, y, w: initials(x) >= initials(y) and initials(w) <= initials(y),
-    "M_R∨FT": lambda x, y, w: initials(x) >= initials(y) or initials(w) <= initials(y),
-    "M_T-F": lambda x, y, w: True,
-    "M_T-R": lambda x, y, w: traces(x) >= traces(y),
-    "M_T-FT": lambda x, y, w: traces(w) <= traces(y),
-    "M_T-RT": lambda x, y, w: traces(x) == traces(y) and traces(w) <= traces(y),
-    "M_T-R∧FT": lambda x, y, w: traces(x) >= traces(y) and traces(w) <= traces(y),
-    "M_T-R∨FT": lambda x, y, w: traces(x) >= traces(y) or traces(w) <= traces(y),
-    "M_CR": lambda x, y, w: (not x.is_nil) or y.is_nil,
-    "M_CFT": lambda x, y, w: (not y.is_nil) or w.is_nil,
-    "M_CRT": lambda x, y, w: (x.is_nil == y.is_nil) and ((not y.is_nil) or w.is_nil),
-}
 
 
 class Axiom(NamedTuple):
@@ -184,8 +163,6 @@ T_AXIOM = Axiom(
     action_vars=("a",),
 )
 
-_LINEAR_CONDITION = {"lf⊇": "F", "lf": "R", "l⊇": "FT", "l": "RT", "join": "R∧FT", "meet": "R∨FT"}
-
 
 def axiom_catalog(sem: SemanticsId | str, form: str = "order") -> tuple[Axiom, ...]:
     """The axiom set for one point of the spectrum, order or equivalence
@@ -210,20 +187,10 @@ def axiom_catalog(sem: SemanticsId | str, form: str = "order") -> tuple[Axiom, .
         if eq:
             return B_AXIOMS + (PW_AXIOM,)
         return B_AXIOMS + (ns_axiom("I", False), PW_AXIOM)
-    if flavor in ("ER", "ERT", "ECR", "ECRT"):
-        base = "U" if flavor in ("ER", "ERT") else "C"
-        cond = "M_R" if flavor in ("ER", "ECR") else "M_RT"
-        return B_AXIOMS + (ns_axiom(base, eq), nd_axiom(cond, eq))
-    # linear flavors
-    if n == "I":
-        cond = "M_" + _LINEAR_CONDITION[flavor]
-        return B_AXIOMS + (ns_axiom("I", eq), nd_axiom(cond, eq))
-    if n in ("U", "C"):
-        # every linear flavor collapses to (completed) traces
-        return B_AXIOMS + (ns_axiom(n, eq), nd_axiom("M_F", eq))
-    # n == "T": the inequational reduction schema is unsound for the R/F
+    n, condition = REDUCTIONS[sem]
+    # at T the inequational reduction schema is unsound for the R/F
     # conditions at this layer; the equational form works for all four
-    return B_AXIOMS + (ns_axiom("T", eq), nd_axiom("M_T-" + _LINEAR_CONDITION[flavor], True))
+    return B_AXIOMS + (ns_axiom(n, eq), nd_axiom(condition, eq or n == "T"))
 
 
 # ---------------------------------------------------------------------------
@@ -329,10 +296,7 @@ def _hnf_rule(z: str) -> tuple[SemanticsId, str]:
     form recipe matches offers, so z must have an operational rule at
     constraint I; UncoveredSemanticsError otherwise."""
     sem = parse_semantics(z)
-    try:
-        n, condition = rule(sem)
-    except UncoveredSemanticsError:
-        n = None
+    n, condition = REDUCTIONS.get(sem, (None, None))
     if n != "I":
         raise UncoveredSemanticsError(f"head normal form derivations do not cover {sem}")
     return sem, condition

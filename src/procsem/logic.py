@@ -501,7 +501,7 @@ def _trace_complement(trace_set, alphabet):
 # ---------------------------------------------------------------------------
 # Observation -> formula correspondence
 
-def formula_from_observation(obs, sem: SemanticsId | str, alphabet=None, context=()) -> Formula:
+def formula_from_observation(obs, sem: SemanticsId | str, alphabet, context=()) -> Formula:
     """The grammar formula whose satisfaction set realizes the observation.
 
     For the branching, deterministic-branching and ready-trace-style flavors
@@ -513,8 +513,6 @@ def formula_from_observation(obs, sem: SemanticsId | str, alphabet=None, context
     Bisimilarity has no observations.
     """
     sem = _covered(sem, "observation formulas", ("bisim", "join"))
-    if alphabet is None:
-        alphabet = _obs_alphabet(obs)
     alphabet = frozenset(alphabet)
     mid, last, continue_by = _GRAMMARS[sem.flavor]
     if continue_by != "one":
@@ -529,32 +527,6 @@ def formula_from_observation(obs, sem: SemanticsId | str, alphabet=None, context
         if mid is not None:
             out = conj(_pin(sem.constraint, labels[i], alphabet, mid, context), out)
     return out
-
-
-def _obs_alphabet(obs):
-    out = set()
-    if isinstance(obs, LinearObs):
-        for a, _ in obs.steps:
-            out.add(a)
-        for l in obs.labels():
-            out.update(_label_actions(l))
-    else:
-        stack = [obs]
-        while stack:
-            node = stack.pop()
-            out.update(_label_actions(node.label))
-            for a, c in node.children:
-                out.add(a)
-                stack.append(c)
-    return frozenset(out)
-
-
-def _label_actions(label):
-    if label.constraint == "I":
-        return set(label.value)
-    if label.constraint == "T":
-        return {a for tr in label.value for a in tr}
-    return set()
 
 
 def _branching_formula(constraint, obs: BranchingObs, alphabet, context) -> Formula:

@@ -2,26 +2,29 @@
 M-saturation for every semantics axiomatized by the choice, simulation and
 reduction axioms.
 
-``rule(sem)`` reads (N, M) from ``axioms.axiom_catalog``: the catalog is
-B1-B4, one simulation axiom with constraint N and one reduction axiom ND
-with condition M.  A term is saturated at top level: its summands are
-closed under the merge rule M licenses.  The game plays p's own moves and
-answers each with a move of q's saturation, so only the simulator's terms
-are ever saturated.  Everything is computed modulo canonical forms, which
-keeps saturation finite; a cap on the number of summands bounds it.
+``rule(sem)`` reads (N, M) from ``spectrum.REDUCTIONS``, the table the
+axiom catalogs are built from: B1-B4, one simulation axiom with constraint N
+and one reduction axiom ND with condition M.  A term is saturated at top
+level: its summands are closed under the merge rule M licenses.  The game
+plays p's own moves and answers each with a move of q's saturation, so only
+the simulator's terms are ever saturated.  Everything is computed modulo
+canonical forms, which keeps saturation finite; a cap on the number of
+summands bounds it.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Callable
 
-from .lts import step
+from .lts import initials, step, traces
 from .observations import TruncationError
 from .preorders import Verdict, decide_nsim
-from .spectrum import SemanticsId, UncoveredSemanticsError, parse_semantics
+from .spectrum import REDUCTIONS, SemanticsId, UncoveredSemanticsError, parse_semantics
 from .terms import CanonicalTerm, render_term, sum_terms
 
 __all__ = [
+    "CONDITIONS",
     "SaturationCapError",
     "rule",
     "saturate",
@@ -41,26 +44,35 @@ class SaturationCapError(TruncationError):
         )
 
 
-@lru_cache(maxsize=None)
-def rule(sem: SemanticsId | str) -> tuple[str, str]:
-    """(N, M) for sem: the constraint of its simulation axiom and the
-    condition (a ``CONDITIONS`` name) of its reduction axiom, read from the
-    order-form catalog.  Raises UncoveredSemanticsError unless that catalog
-    is the choice axioms plus exactly these two."""
-    from .axioms import B_AXIOMS, axiom_catalog
+# The reduction conditions M(x, y, w) of ``spectrum.REDUCTIONS`` on closed
+# terms: a.x and a.(y + w) merge into a.(x + y) when M accepts (x, y, w).  The
+# axiom schemas spell w as Z, as the term grammar reserves X-Z for variables.
+CONDITIONS: dict[str, Callable[[CanonicalTerm, CanonicalTerm, CanonicalTerm], bool]] = {
+    "M_F": lambda x, y, w: True,
+    "M_R": lambda x, y, w: initials(x) >= initials(y),
+    "M_FT": lambda x, y, w: initials(w) <= initials(y),
+    "M_RT": lambda x, y, w: initials(x) == initials(y) and initials(w) <= initials(y),
+    "M_R∧FT": lambda x, y, w: initials(x) >= initials(y) and initials(w) <= initials(y),
+    "M_R∨FT": lambda x, y, w: initials(x) >= initials(y) or initials(w) <= initials(y),
+    "M_T-F": lambda x, y, w: True,
+    "M_T-R": lambda x, y, w: traces(x) >= traces(y),
+    "M_T-FT": lambda x, y, w: traces(w) <= traces(y),
+    "M_T-RT": lambda x, y, w: traces(x) == traces(y) and traces(w) <= traces(y),
+    "M_T-R∧FT": lambda x, y, w: traces(x) >= traces(y) and traces(w) <= traces(y),
+    "M_T-R∨FT": lambda x, y, w: traces(x) >= traces(y) or traces(w) <= traces(y),
+}
 
+
+def rule(sem: SemanticsId | str) -> tuple[str, str]:
+    """(N, M) for sem, from ``spectrum.REDUCTIONS``: the constraint of its
+    simulation axiom and the ``CONDITIONS`` name of its reduction axiom.
+    Raises UncoveredSemanticsError for a semantics not in the table."""
     if isinstance(sem, str):
         sem = parse_semantics(sem)
     try:
-        catalog = axiom_catalog(sem)
-    except UncoveredSemanticsError:
-        catalog = ()
-    extra = catalog[len(B_AXIOMS):]
-    ns = [a.n_condition for a in extra if a.n_condition is not None]
-    ms = [a.condition for a in extra if a.condition is not None]
-    if catalog[: len(B_AXIOMS)] != B_AXIOMS or len(extra) != 2 or len(ns) != 1 or len(ms) != 1:
-        raise UncoveredSemanticsError(f"operational engine does not cover {sem}")
-    return ns[0], ms[0]
+        return REDUCTIONS[sem]
+    except KeyError:
+        raise UncoveredSemanticsError(f"operational engine does not cover {sem}") from None
 
 
 def saturate(condition: str, p: CanonicalTerm, cap: int = DEFAULT_SATURATION_CAP) -> CanonicalTerm:
@@ -93,8 +105,6 @@ def _closures(condition: str) -> dict[CanonicalTerm, CanonicalTerm]:
 
 
 def _saturate(condition: str, p: CanonicalTerm, cap: int) -> CanonicalTerm:
-    from .axioms import CONDITIONS
-
     cond = CONDITIONS[condition]
     closure = list(p.summands)
     seen = set(closure)

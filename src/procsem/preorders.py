@@ -369,12 +369,6 @@ def _lgo_witness(constraint: str, rule: tuple, name: str, p: CanonicalTerm, q: C
 
 
 @lru_cache(maxsize=None)
-def _sorted_dbgos(constraint: str, p: CanonicalTerm) -> tuple[BranchingObs, ...]:
-    """The complete deterministic observations of p, least first by (nodes, obs)."""
-    return tuple(sorted(enum_complete_dbgo(constraint, p), key=lambda o: (o.nodes, o)))
-
-
-@lru_cache(maxsize=None)
 def _step_masks(qs: tuple[CanonicalTerm, ...], a: str) -> tuple[tuple[CanonicalTerm, ...], tuple[int, ...]]:
     """(Q_a, masks): the `a`-successors of the states `qs`, deduplicated in
     encounter order, and per state of `qs` the bit mask of its successors in Q_a."""
@@ -434,10 +428,11 @@ def _db_witness(constraint: str, p: CanonicalTerm, q: CanonicalTerm) -> dict:
     """The least complete deterministic observation of p (by (nodes, obs))
     that q lacks.  It enumerates p's worlds, so the world cap is checked first."""
     check_world_cap(p)
-    for obs in _sorted_dbgos(constraint, p):
-        if not bgo_member(obs, q):
-            return {"kind": "dbgo", "unmatched": obs}
-    raise AssertionError("witness requested for a holding pair")
+    unmatched = (obs for obs in enum_complete_dbgo(constraint, p) if not bgo_member(obs, q))
+    least = min(unmatched, key=lambda o: (o.nodes, o), default=None)
+    if least is None:
+        raise AssertionError("witness requested for a holding pair")
+    return {"kind": "dbgo", "unmatched": least}
 
 
 def _db_included(constraint: str, p: CanonicalTerm, q: CanonicalTerm) -> bool:

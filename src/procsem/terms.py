@@ -390,31 +390,15 @@ def _terms_upto(actions: tuple[Action, ...], depth: int, width: int) -> set[Cano
     return out
 
 
-def term_to_json(term: Term | CanonicalTerm):
-    """Stable JSON encoding: {"nil":true} | {"prefix":{...}} | {"sum":[...]}."""
-    if isinstance(term, CanonicalTerm):
-        if term.is_nil:
-            return {"nil": True}
-        if len(term.summands) == 1:
-            a, body = term.summands[0]
-            return {"prefix": {"a": a, "p": term_to_json(body)}}
-        return {"sum": [{"prefix": {"a": a, "p": term_to_json(b)}} for a, b in term.summands]}
-    if isinstance(term, Nil):
+def term_to_json(term: CanonicalTerm):
+    """Stable JSON encoding of a canonical term: {"nil":true} |
+    {"prefix":{...}} | {"sum":[...]}; ``term_from_json`` reads it back."""
+    if term.is_nil:
         return {"nil": True}
-    if isinstance(term, Prefix):
-        return {"prefix": {"a": term.action, "p": term_to_json(term.body)}}
-    if isinstance(term, Choice):
-        flat = []
-        stack = [term]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, Choice):
-                stack.append(node.right)
-                stack.append(node.left)
-            else:
-                flat.append(term_to_json(node))
-        return {"sum": flat}
-    raise TypeError(f"not encodable: {term!r}")
+    if len(term.summands) == 1:
+        a, body = term.summands[0]
+        return {"prefix": {"a": a, "p": term_to_json(body)}}
+    return {"sum": [{"prefix": {"a": a, "p": term_to_json(b)}} for a, b in term.summands]}
 
 
 def term_from_json(obj) -> Term:

@@ -286,6 +286,31 @@ def test_deeper_chain_never_exits_1(capsys):
     assert "Traceback" not in err and err.count("\n") <= 1
 
 
+def test_lts_json(capsys):
+    code, out, _ = run(capsys, "--json", "lts", "a.b.0")
+    assert code == 0
+    assert json.loads(out) == {
+        "encoding": {"prefix": {"a": "a", "p": {"prefix": {"a": "b", "p": {"nil": True}}}}},
+        "term": "a.b.0",
+        "transitions": [{"action": "a", "from": "a.b.0", "to": "b.0"}],
+    }
+    code, out, _ = run(capsys, "--json", "lts", "a.0 + b.c.0")
+    assert code == 0
+    assert json.loads(out) == {
+        "encoding": {
+            "sum": [
+                {"prefix": {"a": "a", "p": {"nil": True}}},
+                {"prefix": {"a": "b", "p": {"prefix": {"a": "c", "p": {"nil": True}}}}},
+            ]
+        },
+        "term": "a.0 + b.c.0",
+        "transitions": [
+            {"action": "a", "from": "a.0 + b.c.0", "to": "0"},
+            {"action": "b", "from": "a.0 + b.c.0", "to": "c.0"},
+        ],
+    }
+
+
 def test_closed_pipe_exit_141():
     # about 1 MB of output, far more than a pipe buffers
     term = "+".join("a." * k + "b.0" for k in range(1, 61))
@@ -347,8 +372,10 @@ def test_check_formula_and_logic(capsys):
     assert code == 0
     code2, _, _ = run(capsys, "check-formula", "a.b.0+a.c.0", "<a>(<b>T & <c>T)")
     assert code2 == 1
-    code3, _, _ = run(capsys, "in-logic", "--semantics", "F", "--alphabet", "a,b", "<a>~<b>T")
+    code3, out3, _ = run(capsys, "in-logic", "--semantics", "F", "--alphabet", "a,b", "<a>~<b>T")
     assert code3 == 0
+    # without --alphabet the formula's own actions are the alphabet
+    assert run(capsys, "in-logic", "--semantics", "F", "<a>~<b>T") == (code3, out3, "")
     code4, _, _ = run(capsys, "in-logic", "--semantics", "F", "--alphabet", "a,b", "<a><b>T & <a>T")
     assert code4 == 1
 

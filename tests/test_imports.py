@@ -94,3 +94,13 @@ def test_direct_compare_and_spectrum_load_no_engine():
         assert "procsem.preorders" in modules, argv
         assert not modules & ENGINES, (argv, modules & ENGINES)
         assert "dataclasses" not in modules, argv
+
+
+def test_operational_compare_loads_no_axioms():
+    # the operational engine reads (N, M) from spectrum.REDUCTIONS, not from
+    # the axiom catalogs
+    modules = imported_by(
+        "compare", "--engine", "operational", "--semantics", "F", "a.(b.0+c.0)", "a.b.0+a.c.0"
+    )
+    assert "procsem.operational" in modules
+    assert "procsem.axioms" not in modules

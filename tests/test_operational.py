@@ -6,9 +6,9 @@ from functools import lru_cache, partial
 import pytest
 
 from conftest import c, deterministic, replay_sim_refutation
-from procsem.axioms import CONDITIONS
 from procsem.lts import initials, step, traces
 from procsem.operational import (
+    CONDITIONS,
     SaturationCapError,
     decide_via_operational,
     deter,
@@ -17,7 +17,7 @@ from procsem.operational import (
     step_Z,
 )
 from procsem.preorders import decide
-from procsem.spectrum import UncoveredSemanticsError, parse_semantics, supported_ids
+from procsem.spectrum import REDUCTIONS, UncoveredSemanticsError, parse_semantics, supported_ids
 from procsem.terms import NIL, CanonicalTerm, prefix, sum_terms
 
 # every semantics whose catalog is the choice, simulation and reduction axioms
@@ -88,6 +88,14 @@ def test_rule_covers_exactly_the_axiomatized_semantics():
         with pytest.raises(UncoveredSemanticsError) as info:
             rule(sem)
         assert str(info.value) == f"operational engine does not cover {sem}"
+
+
+def test_conditions_are_the_reduction_conditions():
+    from procsem import axioms
+
+    assert set(CONDITIONS) == {m for _, m in REDUCTIONS.values()}
+    assert len(CONDITIONS) == 12 and set(REDUCTIONS) == set(SEMS)
+    assert axioms.CONDITIONS is CONDITIONS
 
 
 def test_saturation_examples():

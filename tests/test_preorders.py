@@ -713,6 +713,21 @@ def test_final_ready_sits_between_rsim_and_readiness(pool2):
         checked += 1
 
 
+def test_final_failure_branching_is_simulation(pool2, random3):
+    # as decided, I:bf⊇ compares no offers: its cover game's leaf test is
+    # "some state answers", so it plays U-simulation (as _final_sim_match,
+    # the oracle above, does)
+    sem = SemanticsId("I", "bf⊇")
+    for pool in (pool2, random3):
+        related = 0
+        for p in pool:
+            for q in pool:
+                verdict = holds(sem, p, q)
+                assert verdict == simulates("U", p, q), (p, q)
+                related += verdict
+        assert 0 < related < len(pool) ** 2
+
+
 def test_holding_verdicts():
     from procsem.operational import decide_via_operational
 
