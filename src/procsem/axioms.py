@@ -302,10 +302,10 @@ def _hnf_rule(z: str) -> tuple[SemanticsId, str]:
     return sem, condition
 
 
-def verify_hnf_laws(z: str, pool: Sequence[CanonicalTerm], pairs=None) -> HnfLawReport:
+def verify_hnf_laws(z: str, pool: Sequence[CanonicalTerm]) -> HnfLawReport:
     """Check that the head normal form (``operational.saturate``) is a
-    Z-equivalent saturation and that related pairs match summand-wise through
-    the head normal form of the larger side."""
+    Z-equivalent saturation and that every related ordered pair of `pool`
+    matches summand-wise through the head normal form of the larger side."""
     sem, condition = _hnf_rule(z)
     pool = list(pool)
     equivalence_failures = []
@@ -313,11 +313,9 @@ def verify_hnf_laws(z: str, pool: Sequence[CanonicalTerm], pairs=None) -> HnfLaw
         h = saturate(condition, p)
         if not (preorders.holds(sem, h, p) and preorders.holds(sem, p, h)):
             equivalence_failures.append(p)
-    if pairs is None:
-        pairs = [(p, q) for p in pool for q in pool]
     matching_failures = []
     pairs_checked = 0
-    for p, q in pairs:
+    for p, q in product(pool, repeat=2):
         if not preorders.holds(sem, p, q):
             continue
         pairs_checked += 1

@@ -49,6 +49,10 @@ EXIT_CAP = 3
 EXIT_INTERNAL = 4
 EXIT_PIPE = 141
 
+# The most terms ``axioms check`` builds, counted before it builds any: the
+# depth-3 pools over a, b (width 3, 1,072,632 terms) and a, b, c (width 2) fit.
+AXIOM_POOL_CAP = 1 << 21
+
 
 class CliError(Exception):
     def __init__(self, message: str, code: int):
@@ -241,9 +245,15 @@ def _cmd_axioms(args) -> int:
         _emit(args, {"semantics": str(sem), "form": args.form, "axioms": [str(a) for a in catalog]})
         return EXIT_OK
     # check
-    from .terms import enumerate_terms
+    from .terms import count_terms, enumerate_terms
 
     alphabet = args.alphabet
+    if count_terms(alphabet, args.depth, args.width, AXIOM_POOL_CAP) > AXIOM_POOL_CAP:
+        message = (
+            f"the pool of --depth {args.depth} and --width {args.width} over {len(alphabet)} actions"
+            f" has more than {AXIOM_POOL_CAP} terms"
+        )
+        raise CliError(message, EXIT_CAP)
     pool = list(enumerate_terms(alphabet, args.depth, args.width))
     reports = []
     violated = False
@@ -278,7 +288,7 @@ def _cmd_corpus(args) -> int:
         lines = None
     try:
         report = corpus_mod.run_corpus(lines)
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise CliError(f"bad corpus row: {exc}", EXIT_USAGE) from exc
     _emit(args, report.to_json())
     return EXIT_OK if report.ok else EXIT_FAILS

@@ -18,6 +18,7 @@ on the memoized, explicit-stack driver ``solve_game`` defined here.
 from __future__ import annotations
 
 import operator
+from collections import namedtuple
 from functools import lru_cache
 
 from .lts import initials, step, traces
@@ -42,22 +43,10 @@ __all__ = [
 CONSTRAINTS = ("U", "C", "I", "T", "S")
 
 
-class LocalObs(Frozen):
+class LocalObs(Frozen, namedtuple("LocalObs", "constraint value")):
     """Value of a local observation function at one state."""
 
-    __slots__ = ("constraint", "value")
-
-    def __init__(self, constraint: str, value):
-        object.__setattr__(self, "constraint", constraint)
-        object.__setattr__(self, "value", value)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.constraint, self.value) == (other.constraint, other.value)
-
-    def __hash__(self):
-        return hash((self.constraint, self.value))
+    __slots__ = ()
 
     def __repr__(self) -> str:
         return f"LocalObs({self.constraint}, {value_repr(self.constraint, self.value)})"

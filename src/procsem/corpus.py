@@ -1,8 +1,9 @@
 """Regression corpus: frozen relation claims re-verified by the engine.
 
-Rows are JSON lines {name, p, q, semantics, expect, note}.  expect is one of
-leq / geq / eq / incomparable (both directions are decided) or holds / fails
-(only p-against-q is decided).
+Rows are JSON lines {name, p, q, semantics, expect, note}, the first five
+strings.  expect is one of leq / geq / eq / incomparable (both directions are
+decided) or holds / fails (only p-against-q is decided).  A row of another
+shape raises ValueError naming its line.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from .terms import canonicalize, parse_term
 
 __all__ = ["CorpusReport", "run_corpus", "default_corpus_path"]
 
+_FIELDS = ("name", "p", "q", "semantics", "expect")
 _EXPECT = {"leq", "geq", "eq", "incomparable", "holds", "fails"}
 
 
@@ -44,10 +46,12 @@ def default_corpus_path() -> str:
 def run_corpus(lines=None) -> CorpusReport:
     lines = default_corpus_lines() if lines is None else list(lines)
     mismatches = []
-    for line in lines:
+    for number, line in enumerate(lines, 1):
         row = json.loads(line)
+        if not (isinstance(row, dict) and all(isinstance(row.get(key), str) for key in _FIELDS)):
+            raise ValueError(f"row {number}: not an object with string fields {', '.join(_FIELDS)}")
         if row["expect"] not in _EXPECT:
-            raise ValueError(f"row {row.get('name')!r}: bad expect {row['expect']!r}")
+            raise ValueError(f"row {number} ({row['name']!r}): bad expect {row['expect']!r}")
         sem = parse_semantics(row["semantics"])
         p = canonicalize(parse_term(row["p"]))
         q = canonicalize(parse_term(row["q"]))

@@ -26,7 +26,8 @@ Trace = tuple[Action, ...]
 
 
 def step(p: CanonicalTerm) -> tuple[tuple[Action, CanonicalTerm], ...]:
-    """All transitions of p, in deterministic (canonical) order."""
+    """All transitions of p, in canonical order: sorted by action, so
+    ``groupby(step(p), itemgetter(0))`` reads the moves of each action in turn."""
     return p.summands
 
 

@@ -11,13 +11,15 @@ structure to stay exact without materializing the sets.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, groupby, product
+from operator import itemgetter
 
 from .constraints import LocalObs, local_eq, local_geq, local_key, local_obs, solve_game, value_repr
-from .lts import initials, step, successors
+from .lts import step, successors
 from .spectrum import LINEAR_RULES, SemanticsId, UncoveredSemanticsError, linear_rule
-from .terms import Action, CanonicalTerm, NIL, CanonicalTerm as CT, Frozen, prefix, sum_terms
+from .terms import Action, CanonicalTerm, Frozen, prefix, sum_terms
 
 __all__ = [
     "LinearObs",
@@ -50,22 +52,10 @@ class TruncationError(RuntimeError):
         super().__init__(message)
 
 
-class LinearObs(Frozen):
+class LinearObs(Frozen, namedtuple("LinearObs", "head steps")):
     """A decorated trace: head observation plus (action, observation) steps."""
 
-    __slots__ = ("head", "steps")
-
-    def __init__(self, head: LocalObs, steps: tuple[tuple[Action, LocalObs], ...]):
-        object.__setattr__(self, "head", head)
-        object.__setattr__(self, "steps", steps)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.head, self.steps) == (other.head, other.steps)
-
-    def __hash__(self):
-        return hash((self.head, self.steps))
+    __slots__ = ()
 
     @property
     def constraint(self) -> str:
@@ -211,11 +201,10 @@ def _enum_branching(constraint: str, p: CanonicalTerm, max_nodes: int, determini
 def _world_game():
     def node(p):
         total = 1
-        for a in sorted(initials(p)):
+        for _, moves in groupby(step(p), itemgetter(0)):
             worlds = 0
-            for b, q in step(p):
-                if b == a:
-                    worlds += yield q
+            for _, q in moves:
+                worlds += yield q
             total *= worlds
         return total
 
@@ -241,37 +230,21 @@ def check_world_cap(p: CanonicalTerm, cap: int = DEFAULT_WORLD_CAP) -> None:
 def enum_complete_dbgo(constraint: str, p: CanonicalTerm) -> frozenset[BranchingObs]:
     """Complete deterministic observations: one branch per offered action, everywhere."""
     label = local_obs(constraint, p)
-    actions = sorted(initials(p))
-    per_action: list[list[tuple[Action, BranchingObs]]] = []
-    for a in actions:
-        options = []
-        for b, q in step(p):
-            if b != a:
-                continue
-            options.extend((a, c) for c in enum_complete_dbgo(constraint, q))
-        per_action.append(options)
-    out = set()
-    for combo in product(*per_action):
-        out.add(BranchingObs(label, frozenset(combo)))
-    return frozenset(out)
+    per_action = [
+        [(a, c) for _, q in moves for c in enum_complete_dbgo(constraint, q)]
+        for a, moves in groupby(step(p), itemgetter(0))
+    ]
+    return frozenset(BranchingObs(label, frozenset(combo)) for combo in product(*per_action))
 
 
 @lru_cache(maxsize=None)
 def enum_possible_worlds(p: CanonicalTerm) -> frozenset[CanonicalTerm]:
     """Deterministic terms obtained by resolving every choice, keeping the full offer."""
-    actions = sorted(initials(p))
-    per_action: list[list[CT]] = []
-    for a in actions:
-        options: list[CT] = []
-        for b, q in step(p):
-            if b != a:
-                continue
-            options.extend(prefix(a, w) for w in enum_possible_worlds(q))
-        per_action.append(sorted(set(options)))
-    out = set()
-    for combo in product(*per_action):
-        out.add(sum_terms(*combo) if combo else NIL)
-    return frozenset(out)
+    per_action = [
+        sorted({prefix(a, w) for _, q in moves for w in enum_possible_worlds(q)})
+        for a, moves in groupby(step(p), itemgetter(0))
+    ]
+    return frozenset(sum_terms(*combo) for combo in product(*per_action))
 
 
 @lru_cache(maxsize=None)

@@ -15,6 +15,8 @@ summands bounds it.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import groupby
+from operator import itemgetter
 from typing import Callable
 
 from .lts import initials, step, traces
@@ -169,15 +171,7 @@ def decide_via_operational(
 def deter(p: CanonicalTerm) -> CanonicalTerm:
     """The deterministic form: merge all same-action derivatives, recursively.
     Trace-equivalent to p, and above p in every semantics at or below traces."""
-    by_action: dict[str, list[CanonicalTerm]] = {}
-    for a, q in p.summands:
-        by_action.setdefault(a, []).append(q)
     return CanonicalTerm(
-        tuple(
-            sorted(
-                (a, deter(sum_terms(*bodies)))
-                for a, bodies in by_action.items()
-            )
-        )
+        tuple((a, deter(sum_terms(*(q for _, q in moves)))) for a, moves in groupby(step(p), itemgetter(0)))
     )
 

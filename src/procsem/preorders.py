@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import operator
 from functools import lru_cache
-from itertools import repeat
+from itertools import groupby, repeat
 from typing import Iterable
 
 from .constraints import (
@@ -120,7 +120,7 @@ def _witness_json(w):
         if isinstance(w, dict):
             slots[key] = out = dict.fromkeys(w)
             todo.extend((v, out, k) for k, v in w.items())
-        elif isinstance(w, (list, tuple)):
+        elif type(w) in (list, tuple):  # exactly: a value class is a tuple too
             slots[key] = out = [None] * len(w)
             todo.extend((v, out, i) for i, v in enumerate(w))
         else:
@@ -409,14 +409,13 @@ def _types_game(constraint: str):
         p, qs = key
         label = local_obs(constraint, p).value
         acc = [sum(1 << i for i, q in enumerate(qs) if eq(label, local_obs(constraint, q).value))]
-        for a in sorted(initials(p)):
+        for a, moves in groupby(step(p), operator.itemgetter(0)):
             if acc == [0]:
                 break
             qa, succ = _step_masks(qs, a)
             children = set()
-            for b, p2 in step(p):
-                if b == a:
-                    children.update((yield (p2, qa)))
+            for _, p2 in moves:
+                children.update((yield (p2, qa)))
             lifted = {sum(1 << i for i, s in enumerate(succ) if s & m) for m in children}
             acc = _minimal({x & y for x in acc for y in lifted})
         return tuple(acc)

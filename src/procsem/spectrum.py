@@ -18,6 +18,8 @@ the generic ``N:flavor`` syntax with ASCII fallbacks for the set symbols.
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 from .terms import Frozen
 
 __all__ = [
@@ -94,12 +96,12 @@ class UncoveredSemanticsError(ValueError):
     reads it."""
 
 
-class SemanticsId(Frozen):
-    """One point of the spectrum; its hash is computed once, when it is built."""
+class SemanticsId(Frozen, namedtuple("SemanticsId", "constraint flavor")):
+    """One point of the spectrum: a (constraint, flavor) pair, checked when built."""
 
-    __slots__ = ("constraint", "flavor", "_hash")
+    __slots__ = ()
 
-    def __init__(self, constraint: str, flavor: str):
+    def __new__(cls, constraint: str, flavor: str):
         if flavor not in ALL_FLAVORS:
             raise UnsupportedSemanticsError(f"unknown flavor {flavor!r}")
         if flavor == "bisim":
@@ -117,20 +119,7 @@ class SemanticsId(Frozen):
             raise UnsupportedSemanticsError(
                 "no meet at constraint S: the union of simulation classes is not a class"
             )
-        object.__setattr__(self, "constraint", constraint)
-        object.__setattr__(self, "flavor", flavor)
-        object.__setattr__(self, "_hash", hash((constraint, flavor)))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.constraint, self.flavor) == (other.constraint, other.flavor)
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self) -> str:
-        return f"SemanticsId(constraint={self.constraint!r}, flavor={self.flavor!r})"
+        return super().__new__(cls, constraint, flavor)
 
     def __str__(self) -> str:
         name = classic_name(self)

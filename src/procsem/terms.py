@@ -19,7 +19,9 @@ Two representations coexist:
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from itertools import combinations
+from math import comb
 from typing import Iterator
 
 __all__ = [
@@ -38,6 +40,7 @@ __all__ = [
     "canonicalize",
     "free_variables",
     "enumerate_terms",
+    "count_terms",
     "term_to_json",
     "term_from_json",
     "prefix",
@@ -51,15 +54,18 @@ Action = str
 
 
 class Frozen:
-    """Immutable values: ``__init__`` sets each field with ``object.__setattr__``."""
+    """Immutable values, mixed into a ``namedtuple``: equal only to values of
+    their own class, hashed as the tuple of their fields."""
 
     __slots__ = ()
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
 
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
 
 class Term(Frozen):
@@ -68,70 +74,26 @@ class Term(Frozen):
     __slots__ = ()
 
 
-class Nil(Term):
+class Nil(Term, namedtuple("Nil", "")):
     __slots__ = ()
 
-    def __eq__(self, other):
-        return other.__class__ is self.__class__ or NotImplemented
 
-    def __hash__(self):
-        return hash(())
-
-    def __repr__(self) -> str:
-        return "Nil()"
-
-
-class Prefix(Term):
-    __slots__ = ("action", "body")
-
-    def __init__(self, action: Action, body: Term):
-        object.__setattr__(self, "action", action)
-        object.__setattr__(self, "body", body)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.action, self.body) == (other.action, other.body)
-
-    def __hash__(self):
-        return hash((self.action, self.body))
+class Prefix(Term, namedtuple("Prefix", "action body")):
+    __slots__ = ()
 
     def __repr__(self) -> str:
         return f"Prefix({self.action!r}, {self.body!r})"
 
 
-class Choice(Term):
-    __slots__ = ("left", "right")
-
-    def __init__(self, left: Term, right: Term):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.left, self.right) == (other.left, other.right)
-
-    def __hash__(self):
-        return hash((self.left, self.right))
+class Choice(Term, namedtuple("Choice", "left right")):
+    __slots__ = ()
 
     def __repr__(self) -> str:
         return f"Choice({self.left!r}, {self.right!r})"
 
 
-class Var(Term):
-    __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        object.__setattr__(self, "name", name)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.name == other.name
-
-    def __hash__(self):
-        return hash((self.name,))
+class Var(Term, namedtuple("Var", "name")):
+    __slots__ = ()
 
     def __repr__(self) -> str:
         return f"Var({self.name!r})"
@@ -376,6 +338,21 @@ def enumerate_terms(
     if not actions:
         raise ValueError("alphabet must be nonempty")
     yield from sorted(_terms_upto(tuple(actions), max_depth, max_width))
+
+
+def count_terms(alphabet, max_depth: int, max_width: int, cap: int) -> int:
+    """How many terms ``enumerate_terms`` yields, counted without building
+    one: n_0 = 1 and n_d = sum over k <= max_width of C(|alphabet| * n_{d-1}, k).
+    Counting stops at the first sum past `cap`, which it returns, so a doubly
+    exponential pool is never counted out."""
+    count = 1
+    for _ in range(max_depth):
+        pool, count = len(set(alphabet)) * count, 0
+        for k in range(min(max_width, pool) + 1):
+            count += comb(pool, k)
+            if count > cap:
+                return count
+    return count
 
 
 def _terms_upto(actions: tuple[Action, ...], depth: int, width: int) -> set[CanonicalTerm]:

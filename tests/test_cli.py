@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -311,6 +312,69 @@ def test_lts_json(capsys):
     }
 
 
+_P, _Q, _R = "a.b.0+a.c.0", "a.(b.0+c.0)", "a.(b.0+c.b.0)+a.c.0+b.0"
+
+# (argv, exit code, stdout of `procsem --json argv`): the text itself when
+# short, else "sha256:" and its digest.  Witnesses of every engine and kind
+# are here, so a change in how any of them is rendered shows.
+_PINNED_JSON = [
+    (("compare", "--semantics", "RT", "a.b.0", "a.c.0"), 1,
+     '{"holds": false, "witness": {"kind": "lgo", "semantics": "RT", "unmatched": [["a"], "a", ["b"]]}}\n'),
+    (("compare", "--semantics", "RV", "a.b.0", "a.0+a.(b.0+c.0)"), 1,
+     '{"holds": false, "witness": {"kind": "lgo", "revival_action": "b", "semantics": "RV", '
+     '"unmatched": [["a"], "a", ["b"]]}}\n'),
+    (("compare", "--semantics", "S", _Q, _P), 1,
+     "sha256:ba14e1e55556eccf7cfad95ee1e86cb582aa653fab65b0e1b43f7851dca7d8b9"),
+    (("compare", "--semantics", "B", _P, _Q), 1,
+     "sha256:7f4d7d181ae69e818090814ce30e51db38f5f4e4bcc2043ddb1dd67e8d459b76"),
+    (("compare", "--semantics", "PW", _Q, _P), 1,
+     '{"holds": false, "witness": {"kind": "dbgo", "unmatched": '
+     '"<frozenset({\'a\'}),{(a,<frozenset({\'b\', \'c\'}),{(b,<frozenset(),{}>),(c,<frozenset(),{}>)}>)}>"}}\n'),
+    (("compare", "--semantics", "I:bf", _P, _Q), 1,
+     '{"holds": false, "witness": {"kind": "bgo", "unmatched": "<frozenset({\'a\'}),{(a,<frozenset({\'b\'}),{}>)}>"}}\n'),
+    (("compare", "--semantics", "PFT", _R, _P), 1,
+     '{"holds": false, "witness": {"kind": "lgo", "semantics": "PFT", '
+     '"unmatched": [["", "a", "ab", "ac", "acb", "b"]]}}\n'),
+    (("compare", "--semantics", "ECRT", _R, _Q), 1,
+     '{"holds": false, "witness": {"kind": "lgo", "semantics": "ECRT", "unmatched": [["a", "b"]]}}\n'),
+    (("compare", "--engine", "observational", "--semantics", "RT", "a.b.0", "a.c.0"), 1,
+     '{"holds": false, "witness": null}\n'),
+    (("compare", "--engine", "operational", "--semantics", "PF", "a.0", "a.0+a.a.0"), 1,
+     '{"holds": false, "witness": {"constraint": "T", "kind": "constraint", "p": "a.0", "q": "a.0 + a.a.0"}}\n'),
+    (("compare", "--engine", "operational", "--semantics", "RT", _R, _Q), 1,
+     '{"holds": false, "witness": {"constraint": "I", "kind": "constraint", '
+     '"p": "a.(b.0 + c.b.0) + a.c.0 + b.0", "q": "a.(b.0 + c.0)"}}\n'),
+    (("spectrum", _P, _Q), 0, "sha256:97104bfa319fe416260cc67b2e38e20bba69ecdf271beed058b0c49f20aa4ce9"),
+    (("spectrum", _R, _Q), 0, "sha256:929060a884d5e0225f8f568861fe306478d69fd9f29655172ab5cae6f0133a6b"),
+    (("observe", "--kind", "lgo", _R), 0,
+     "sha256:e4278ff7b1445d80bd4129e8d326c69e90ba88c52064e37d32976de24d5e9009"),
+    (("observe", "--kind", "lgo", "--constraint", "T", _P), 0,
+     "sha256:a3f2a9669467eea094ede1a71a5c78b3cf29f3de6c9ac40862b5ffa6ac73a667"),
+    (("observe", "--kind", "bgo", _R), 0,
+     "sha256:050a5fc401a8b1c0fb45b593ad6f8e34ecce8f7a1afa2f677790d7fc4ee444ea"),
+    (("observe", "--kind", "cdbgo", _R), 0,
+     "sha256:fb9d641d8e6d32b7da1af74cad8967478cdc900ee53dd0d1ecd6d2c1d47c5d80"),
+    (("observe", "--kind", "pw", _R), 0,
+     '{"observations": ["a.(b.0 + c.b.0) + b.0", "a.c.0 + b.0"], "truncated": false}\n'),
+    (("distinguish", "--semantics", "RV", "a.b.0", "a.0+a.(b.0+c.0)"), 1,
+     '{"formula": "<a>(<b>T & ~<c>T)", "holds": false}\n'),
+    (("distinguish", "--semantics", "PW", _Q, _P), 1, '{"formula": "<a>(<b>T & <c>T)", "holds": false}\n'),
+    (("axioms", "list", "--semantics", "RV"), 0,
+     "sha256:f9c64f25c4abfd651e5737afca01a16b2bdfe8e2c96f49f4bc8c389424c55ecb"),
+    (("lts", _R), 0, "sha256:9ff749b2b8cd3003bad1eedefd9c66e403ff88ea5a603123232a6db04fa81d44"),
+    (("deter", _R), 0,
+     '{"deterministic_form": "a.(b.0 + c.b.0) + b.0", "term": "a.(b.0 + c.b.0) + a.c.0 + b.0"}\n'),
+]
+
+
+def test_json_outputs_are_pinned(capsys):
+    for argv, pinned_code, pinned in _PINNED_JSON:
+        code, out, err = run(capsys, "--json", *argv)
+        if pinned.startswith("sha256:"):
+            out = "sha256:" + hashlib.sha256(out.encode()).hexdigest()
+        assert (code, out, err) == (pinned_code, pinned, ""), argv
+
+
 def test_closed_pipe_exit_141():
     # about 1 MB of output, far more than a pipe buffers
     term = "+".join("a." * k + "b.0" for k in range(1, 61))
@@ -404,6 +468,29 @@ def test_axioms_cli(capsys):
     assert code3 == 2
 
 
+def test_axioms_check_counts_the_pool_first(capsys, monkeypatch):
+    import procsem.terms
+
+    enumerate_terms = procsem.terms.enumerate_terms
+
+    def pool_upto_depth_3(alphabet, depth, width):
+        assert depth <= 3, "a depth-4 pool was built"
+        return enumerate_terms(alphabet, depth, width)
+
+    monkeypatch.setattr(procsem.terms, "enumerate_terms", pool_upto_depth_3)
+    check = ("axioms", "check", "--semantics", "F")
+    # 15,415,129 terms: refused before one is built
+    code, out, err = run(capsys, *check, "--depth", "4", "--alphabet", "a,b")
+    assert (code, out) == (3, "") and err == (
+        "error: the pool of --depth 4 and --width 2 over 2 actions has more than 2097152 terms\n"
+    )
+    code, out, err = run(capsys, *check, "--depth", "3", "--width", "3", "--alphabet", "a,b,c")
+    assert (code, out) == (3, "") and "more than 2097152 terms" in err
+    code, out, err = run(capsys, "--json", *check)
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert (code, digest, err) == (0, "a4bf6a695c1da804d9dff7c35d41462ecd38c113ca752d43fa0101f3f21da7c3", "")
+
+
 def test_deter_cli(capsys):
     code, out, _ = run(capsys, "--json", "deter", "a.b.0+a.c.0")
     assert code == 0 and json.loads(out)["deterministic_form"] == "a.(b.0 + c.0)"
@@ -420,6 +507,16 @@ def test_corpus_cli(capsys, tmp_path):
     assert code3 == 1
     code4, _, _ = run(capsys, "corpus", str(tmp_path / "missing.jsonl"))
     assert code4 == 2
+
+
+def test_malformed_corpus_rows_exit_2(capsys, tmp_path):
+    good = {"name": "x", "p": "a.0", "q": "a.0", "semantics": "F", "expect": "eq"}
+    rows = [[1, 2], "row", {**good, "p": 5}, {**good, "semantics": ["F"]}, {**good, "expect": ["eq"]}]
+    path = tmp_path / "rows.jsonl"
+    for row in rows:
+        path.write_text(json.dumps(good) + "\n" + json.dumps(row) + "\n")
+        code, out, err = run(capsys, "corpus", str(path))
+        assert (code, out) == (2, "") and err.startswith("error: bad corpus row: row 2: "), row
 
 
 def test_corpus_module_ok():

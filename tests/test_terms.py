@@ -15,6 +15,7 @@ from procsem.terms import (
     Prefix,
     Var,
     canonicalize,
+    count_terms,
     enumerate_terms,
     parse_term,
     render_term,
@@ -43,6 +44,25 @@ def test_raw_terms_are_frozen_values():
     with pytest.raises(AttributeError):
         Var("X").name = "Y"
     assert repr(t) == "Prefix('a', Choice(Var('X'), Nil()))"
+
+
+def test_value_classes_are_named_tuples():
+    from procsem.constraints import LocalObs
+    from procsem.observations import LinearObs
+    from procsem.spectrum import SemanticsId
+
+    head = LocalObs("I", frozenset("a"))
+    values = [
+        Nil(), Prefix("a", Nil()), Choice(Nil(), Var("X")), Var("X"),
+        head, LinearObs(head, (("a", LocalObs("I", frozenset())),)), SemanticsId("I", "b"),
+    ]
+    for value in values:
+        fields = tuple(value)
+        assert not hasattr(value, "__dict__") and fields == tuple(getattr(value, f) for f in value._fields)
+        assert value == type(value)(*fields) and hash(value) == hash(fields)
+        assert value != fields and not value == fields
+    # equal fields, another class: not equal
+    assert Prefix("a", Nil()) != Choice("a", Nil()) and LocalObs("I", "b") != SemanticsId("I", "b")
 
 
 def test_parse_variables_and_whitespace():
@@ -94,6 +114,20 @@ def test_enumerate_terms_against_counting():
     expected = 1 + comb(pool, 1) + comb(pool, 2)
     assert len(terms) == expected == 37
     assert len(set(terms)) == len(terms)
+
+
+def test_count_terms_matches_enumerate_terms():
+    for alphabet in ("a", "ab", "abc"):
+        for depth in range(3):
+            for width in range(1, 4):
+                n = count_terms(alphabet, depth, width, 1 << 21)
+                assert n == len(list(enumerate_terms(set(alphabet), depth, width))), (alphabet, depth, width)
+    assert count_terms("ab", 3, 2, 1 << 21) == 2776 == len(list(enumerate_terms({"a", "b"}, 3, 2)))
+    assert count_terms("abc", 3, 2, 1 << 21) == 242_557
+    assert count_terms("ab", 3, 3, 1 << 21) == 1_072_632
+    # past the cap the count stops: depth 50 would have astronomically many digits
+    assert count_terms("ab", 4, 2, 1 << 21) > 1 << 21
+    assert 1 << 21 < count_terms("abcdefgh", 50, 8, 1 << 21) <= 1 << 22
 
 
 def test_enumerate_terms_exhaustive_powerset():
