@@ -12,7 +12,9 @@ pair of functions on raw values per constraint, and ``local_eq`` and
 order that makes witnesses and their text reproducible.  The S case
 compares class representatives with ``simulates``, the
 constrained-simulation game; it and every other game of the package run
-on the memoized, explicit-stack driver ``solve_game`` defined here.
+on the memoized, explicit-stack driver ``solve_game`` defined here: a
+game constructor returns a position generator and the memo it fills, and
+a position yields only the sub-positions that memo lacks.
 """
 
 from __future__ import annotations
@@ -133,48 +135,51 @@ def constraint_holds(constraint: str, p: CanonicalTerm, q: CanonicalTerm) -> boo
     return LABEL_RELATIONS[constraint][0](x, y)
 
 
-def solve_game(node, root, memo: dict) -> bool:
+def solve_game(node, root, memo: dict):
     """Value of the game position `root`, memoized in `memo`.
 
-    ``node(key)`` is a generator that yields the positions it needs, receives
-    their values and returns the value of `key`.  Positions run on an explicit
-    stack, never on the interpreter's.  Every game here moves to strictly
-    smaller left terms, so no position ever waits on itself.
+    ``node(key)`` is a generator over the position `key`, closed over
+    `memo`.  It yields only the sub-positions its memo lacks, reads each
+    value back from the memo once resumed, and stores the value of `key` in
+    the memo before it returns; so a memoized position costs one dict read,
+    and no generator is built or resumed for it.  Positions run on an
+    explicit stack, never on the interpreter's.  Every game here moves to
+    strictly smaller left terms, so no position ever waits on itself.
     """
-    if root in memo:
-        return memo[root]
-    stack = [(root, node(root))]
-    value = None
-    while stack:
-        key, game = stack[-1]
-        try:
-            sub = game.send(value)
-        except StopIteration as stop:
-            value = memo[key] = stop.value
-            stack.pop()
-            continue
-        value = memo.get(sub)
-        if value is None:
-            stack.append((sub, node(sub)))
-    return value
+    if root not in memo:
+        stack = [node(root)]
+        while stack:
+            sub = next(stack[-1], None)
+            if sub is None:
+                stack.pop()
+            else:
+                stack.append(node(sub))
+    return memo[root]
 
 
 @lru_cache(maxsize=None)
 def _sim_game(constraint: str, answers):
+    memo = {}
+
     def node(key):
         p, q = key
-        if not constraint_holds(constraint, p, q):
-            return False
-        q_moves = answers(q)
-        for a, p2 in step(p):
-            for b, q2 in q_moves:
-                if b == a and (yield (p2, q2)):
+        value = constraint_holds(constraint, p, q)
+        if value:
+            q_moves = answers(q)
+            for a, p2 in step(p):
+                for b, q2 in q_moves:
+                    if b == a:
+                        sub = (p2, q2)
+                        if sub not in memo:
+                            yield sub
+                        if memo[sub]:
+                            break
+                else:
+                    value = False
                     break
-            else:
-                return False
-        return True
+        memo[key] = value
 
-    return node, {}
+    return node, memo
 
 
 def simulates(constraint: str, p: CanonicalTerm, q: CanonicalTerm, answers=step) -> bool:

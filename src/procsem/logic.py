@@ -19,6 +19,7 @@ closure (upper bounds) or positive closure (lower bounds).
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from functools import lru_cache
 from itertools import product
 
@@ -438,7 +439,26 @@ def characteristic_sim_formula(p: CanonicalTerm) -> Formula:
 
 
 def _pin(constraint: str, label, alphabet, mode: str, context=()) -> Formula:
+    """The pin of `label` in `mode`.  An S pin excludes the states of
+    `context` that do not simulate the label, so only it is built each time."""
     value = label.value
+    if constraint == "S":
+        positive = characteristic_sim_formula(value)
+        if mode == "pos":
+            return positive
+        negatives = [
+            Neg(characteristic_sim_formula(w))
+            for w in sorted(context)
+            if not simulates("U", w, value)
+        ]
+        if mode == "neg":
+            return conj(*negatives)
+        return conj(positive, *negatives)
+    return _local_pin(constraint, value, frozenset(alphabet), mode)
+
+
+@lru_cache(maxsize=None)
+def _local_pin(constraint: str, value, alphabet: frozenset, mode: str) -> Formula:
     if constraint == "U":
         return TOP
     if constraint == "C":
@@ -468,18 +488,6 @@ def _pin(constraint: str, label, alphabet, mode: str, context=()) -> Formula:
         if mode == "neg":
             return conj(*negatives)
         return conj(*positives)
-    if constraint == "S":
-        positive = characteristic_sim_formula(value)
-        if mode == "pos":
-            return positive
-        negatives = [
-            Neg(characteristic_sim_formula(w))
-            for w in sorted(context)
-            if not simulates("U", w, value)
-        ]
-        if mode == "neg":
-            return conj(*negatives)
-        return conj(positive, *negatives)
     raise ValueError(f"unknown constraint {constraint!r}")
 
 
@@ -636,15 +644,30 @@ def _distinguish_completed(p, q, alphabet) -> Formula:
     raise AssertionError("completed-trace inclusion holds; nothing to distinguish")
 
 
+def _conj_of(members: tuple) -> Formula:
+    """``Conj(members)`` for sorted, distinct members that are neither
+    conjunctions nor TOP, interned with no flattening or sorting."""
+    if len(members) < 2:
+        return members[0] if members else TOP
+    return Formula.__new__(Conj, members)
+
+
 def _conj_variants(f: Formula):
-    """All formulas obtained by dropping exactly one conjunct somewhere."""
+    """All formulas obtained by dropping exactly one conjunct somewhere.  A
+    conjunction's variants keep its sorted members: a changed member (never
+    a conjunction or TOP) is inserted in order, or merged with its equal."""
     if isinstance(f, Conj):
         members = f.members
         for i in range(len(members)):
-            yield Conj(members[:i] + members[i + 1 :])
+            yield _conj_of(members[:i] + members[i + 1 :])
         for i, m in enumerate(members):
+            rest = members[:i] + members[i + 1 :]
             for variant in _conj_variants(m):
-                yield Conj(members[:i] + (variant,) + members[i + 1 :])
+                j = bisect_left(rest, variant)
+                if j < len(rest) and rest[j] is variant:
+                    yield _conj_of(rest)
+                else:
+                    yield _conj_of(rest[:j] + (variant,) + rest[j:])
     elif isinstance(f, Neg):
         for variant in _conj_variants(f.body):
             yield Neg(variant)

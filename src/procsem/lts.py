@@ -62,6 +62,7 @@ def completed_traces(p: CanonicalTerm) -> frozenset[Trace]:
     return frozenset(out)
 
 
+@lru_cache(maxsize=None)
 def reachable(p: CanonicalTerm) -> tuple[CanonicalTerm, ...]:
     """All states reachable from p (p first, then DFS order, deduplicated).
     Walked on an explicit stack that holds each state's successors in

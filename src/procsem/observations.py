@@ -199,16 +199,20 @@ def _enum_branching(constraint: str, p: CanonicalTerm, max_nodes: int, determini
 
 @lru_cache(maxsize=None)
 def _world_game():
+    memo = {}
+
     def node(p):
         total = 1
         for _, moves in groupby(step(p), itemgetter(0)):
             worlds = 0
             for _, q in moves:
-                worlds += yield q
+                if q not in memo:
+                    yield q
+                worlds += memo[q]
             total *= worlds
-        return total
+        memo[p] = total
 
-    return node, {}
+    return node, memo
 
 
 def world_count(p: CanonicalTerm) -> int:

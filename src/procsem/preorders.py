@@ -404,6 +404,7 @@ def _types_game(constraint: str):
     lies in no bgo(q), and ends the search.
     """
     eq = LABEL_RELATIONS[constraint][0]
+    memo = {}
 
     def node(key):
         p, qs = key
@@ -415,12 +416,15 @@ def _types_game(constraint: str):
             qa, succ = _step_masks(qs, a)
             children = set()
             for _, p2 in moves:
-                children.update((yield (p2, qa)))
+                sub = (p2, qa)
+                if sub not in memo:
+                    yield sub
+                children.update(memo[sub])
             lifted = {sum(1 << i for i, s in enumerate(succ) if s & m) for m in children}
             acc = _minimal({x & y for x in acc for y in lifted})
-        return tuple(acc)
+        memo[key] = tuple(acc)
 
-    return node, {}
+    return node, memo
 
 
 def _db_witness(constraint: str, p: CanonicalTerm, q: CanonicalTerm) -> dict:
@@ -465,20 +469,25 @@ def _cover_game(exact: bool):
     cov(p, Q) = [exact => some q in Q offers I(p)] and (p = 0 ? Q nonempty :
     some q in Q has cov(p', q/a) for every p -a-> p').
     """
+    memo = {}
 
     def node(key):
         p, qs = key
-        if not _leaf_covered(p, qs, exact):
-            return False
-        for q in qs:
-            for a, p2 in step(p):
-                if not (yield (p2, successors(q, a))):
+        value = False
+        if _leaf_covered(p, qs, exact):
+            for q in qs:
+                for a, p2 in step(p):
+                    sub = (p2, successors(q, a))
+                    if sub not in memo:
+                        yield sub
+                    if not memo[sub]:
+                        break
+                else:
+                    value = True
                     break
-            else:
-                return True
-        return False
+        memo[key] = value
 
-    return node, {}
+    return node, memo
 
 
 def _leaf_covered(p: CanonicalTerm, qs: tuple[CanonicalTerm, ...], exact: bool) -> bool:

@@ -159,27 +159,6 @@ CLASSIC_NAMES: dict[str, SemanticsId] = {
 
 _BY_ID = {v: k for k, v in reversed(list(CLASSIC_NAMES.items()))}
 
-# The equational and operational characterizations of every family that the
-# choice axioms axiomatize with one simulation axiom and one reduction axiom
-# (arXiv 1304.6574): sem -> (N, M), the constraint of the simulation axiom and
-# the condition (an ``operational.CONDITIONS`` name) of the reduction axiom;
-# the operational engine decides sem as N-simulation up to M-saturation.  At I
-# a linear flavor's condition compares initials, at T traces; at U and C every
-# linear flavor collapses to (completed) traces, where every merge is sound.
-_REDUCTION = {"l": "RT", "l⊇": "FT", "lf": "R", "lf⊇": "F", "join": "R∧FT", "meet": "R∨FT"}
-REDUCTIONS: dict[SemanticsId, tuple[str, str]] = {
-    **{
-        SemanticsId(n, flavor): (n, prefix + m)
-        for n, prefix in (("I", "M_"), ("T", "M_T-"))
-        for flavor, m in _REDUCTION.items()
-    },
-    **{SemanticsId(n, flavor): (n, "M_F") for n in ("U", "C") for flavor in _REDUCTION},
-    CLASSIC_NAMES["ER"]: ("U", "M_R"),
-    CLASSIC_NAMES["ERT"]: ("U", "M_RT"),
-    CLASSIC_NAMES["ECR"]: ("C", "M_R"),
-    CLASSIC_NAMES["ECRT"]: ("C", "M_RT"),
-}
-
 
 def classic_name(sem: SemanticsId) -> str | None:
     return _BY_ID.get(sem)
@@ -224,6 +203,30 @@ _SUPPORTED_IDS = _supported_ids()
 def supported_ids() -> tuple[SemanticsId, ...]:
     """Every decidable point of the spectrum, deterministic order."""
     return _SUPPORTED_IDS
+
+
+# The equational and operational characterizations of every family that the
+# choice axioms axiomatize with one simulation axiom and one reduction axiom
+# (arXiv 1304.6574): sem -> (N, M), the constraint of the simulation axiom and
+# the condition (an ``operational.CONDITIONS`` name) of the reduction axiom;
+# the operational engine decides sem as N-simulation up to M-saturation.  At I
+# a linear flavor's condition compares initials, at T traces; at U and C every
+# linear flavor collapses to (completed) traces, where every merge is sound.
+_REDUCTION = {"l": "RT", "l⊇": "FT", "lf": "R", "lf⊇": "F", "join": "R∧FT", "meet": "R∨FT"}
+# Keyed by the ``supported_ids()`` objects, so that a lookup hits on identity.
+_IDS = {sem: sem for sem in _SUPPORTED_IDS}
+REDUCTIONS: dict[SemanticsId, tuple[str, str]] = {
+    **{
+        _IDS[SemanticsId(n, flavor)]: (n, prefix + m)
+        for n, prefix in (("I", "M_"), ("T", "M_T-"))
+        for flavor, m in _REDUCTION.items()
+    },
+    **{_IDS[SemanticsId(n, flavor)]: (n, "M_F") for n in ("U", "C") for flavor in _REDUCTION},
+    CLASSIC_NAMES["ER"]: ("U", "M_R"),
+    CLASSIC_NAMES["ERT"]: ("U", "M_RT"),
+    CLASSIC_NAMES["ECR"]: ("C", "M_R"),
+    CLASSIC_NAMES["ECRT"]: ("C", "M_RT"),
+}
 
 
 def _arrows() -> tuple[tuple[SemanticsId, SemanticsId], ...]:

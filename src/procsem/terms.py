@@ -291,13 +291,17 @@ def render_term(term: Term | CanonicalTerm) -> str:
 
 
 def free_variables(term: Term) -> frozenset[str]:
-    if isinstance(term, Var):
-        return frozenset((term.name,))
-    if isinstance(term, Prefix):
-        return free_variables(term.body)
-    if isinstance(term, Choice):
-        return free_variables(term.left) | free_variables(term.right)
-    return frozenset()
+    names = set()
+    todo = [term]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, Var):
+            names.add(t.name)
+        elif isinstance(t, Prefix):
+            todo.append(t.body)
+        elif isinstance(t, Choice):
+            todo += (t.left, t.right)
+    return frozenset(names)
 
 
 def canonicalize(term: Term | CanonicalTerm) -> CanonicalTerm:
@@ -316,7 +320,15 @@ def _canon(term: Term) -> CanonicalTerm:
     if isinstance(term, Prefix):
         return prefix(term.action, _canon(term.body))
     if isinstance(term, Choice):
-        return sum_terms(_canon(term.left), _canon(term.right))
+        # the parser nests a sum's spine to the left: walk it on a stack, sort once
+        parts, todo = [], [term]
+        while todo:
+            t = todo.pop()
+            if isinstance(t, Choice):
+                todo += (t.right, t.left)
+            else:
+                parts.append(_canon(t))
+        return sum_terms(*parts)
     raise TypeError(f"cannot canonicalize {term!r}")
 
 
@@ -337,7 +349,7 @@ def enumerate_terms(
     actions = sorted(set(alphabet))
     if not actions:
         raise ValueError("alphabet must be nonempty")
-    yield from sorted(_terms_upto(tuple(actions), max_depth, max_width))
+    yield from _terms_upto(actions, max_depth, max_width)
 
 
 def count_terms(alphabet, max_depth: int, max_width: int, cap: int) -> int:
@@ -355,16 +367,17 @@ def count_terms(alphabet, max_depth: int, max_width: int, cap: int) -> int:
     return count
 
 
-def _terms_upto(actions: tuple[Action, ...], depth: int, width: int) -> set[CanonicalTerm]:
-    if depth == 0:
-        return {NIL}
-    bodies = _terms_upto(actions, depth - 1, width)
-    pool = sorted(((a, t) for a in actions for t in bodies))
-    out = {NIL}
-    for size in range(1, min(width, len(pool)) + 1):
-        for combo in combinations(pool, size):
-            out.add(CanonicalTerm(tuple(combo)))
-    return out
+def _terms_upto(actions: list[Action], depth: int, width: int) -> list[CanonicalTerm]:
+    """The terms of depth <= `depth` in term order, built level by level.
+    Each level's summand pool is sorted, as `actions` and the level below
+    are, so the term order is the order of the index tuples of the summands."""
+    terms = [NIL]
+    for _ in range(depth):
+        pool = [(a, t) for a in actions for t in terms]
+        picks = range(len(pool))
+        combos = sorted(c for size in range(min(width, len(pool)) + 1) for c in combinations(picks, size))
+        terms = [CanonicalTerm(tuple(pool[i] for i in combo)) for combo in combos]
+    return terms
 
 
 def term_to_json(term: CanonicalTerm):

@@ -287,6 +287,13 @@ def test_deeper_chain_never_exits_1(capsys):
     assert "Traceback" not in err and err.count("\n") <= 1
 
 
+def test_wide_sum_answers(capsys):
+    # the parser nests a sum's spine to the left, 999 levels deep here
+    wide = " + ".join(f"a.y{i}.0" for i in range(1000))
+    code, out, err = run(capsys, "compare", "--semantics", "T", wide, "a.0")
+    assert code == 1 and "holds: False" in out and err == ""
+
+
 def test_lts_json(capsys):
     code, out, _ = run(capsys, "--json", "lts", "a.b.0")
     assert code == 0

@@ -1,16 +1,23 @@
 import itertools
+import random
+import time
+from collections import Counter
 
 import pytest
 
 from conftest import c
 from procsem.constraints import (
+    CONSTRAINTS,
     LocalObs,
     constraint_holds,
     local_eq,
     local_geq,
     local_obs,
+    simulates,
+    solve_game,
 )
-from procsem.lts import traces
+from procsem.lts import step, successors, traces
+from procsem.terms import NIL, prefix, sum_terms
 
 
 def test_local_obs_cases():
@@ -95,3 +102,76 @@ def test_local_obs_identifies_constraint(pool2):
             assert constraint_holds(n, p, q) == local_eq(
                 n, local_obs(n, p), local_obs(n, q)
             )
+
+
+def _counted(node, memo, built: Counter, yielded: list):
+    """`node`, counting the generators built per position and the positions
+    yielded, and checking that none yields a position its memo holds or
+    ends without its value."""
+
+    def counted(key):
+        built[key] += 1
+        for sub in node(key):
+            assert sub not in memo, (key, sub)
+            yielded.append(sub)
+            yield sub
+        assert key in memo, key
+
+    return counted
+
+
+def test_positions_are_built_once_and_yield_only_misses(pool2):
+    import procsem
+    from procsem import constraints, observations, preorders
+
+    procsem.clear_caches()
+    rng = random.Random(2701)
+    pairs = [(rng.choice(pool2), rng.choice(pool2)) for _ in range(400)]
+    # (game, the positions a pair (p, q) is decided at)
+    games = [(constraints._sim_game(n, step), lambda p, q: [(p, q)]) for n in CONSTRAINTS]
+    games += [
+        (preorders._types_game(n), lambda p, q: [(p2, successors(q, a)) for a, p2 in step(p)])
+        for n in CONSTRAINTS
+    ]
+    games += [(preorders._cover_game(exact), lambda p, q: [(p, (q,))]) for exact in (True, False)]
+    games.append((observations._world_game(), lambda p, q: [p]))
+    for (node, memo), roots in games:
+        assert not memo
+        built, yielded = Counter(), []
+        counted = _counted(node, memo, built, yielded)
+        for p, q in pairs:
+            for root in roots(p, q):
+                solve_game(counted, root, memo)
+        assert set(built.values()) == {1}
+        assert built.keys() == memo.keys()
+        assert yielded
+
+
+def test_a_wide_position_decides_in_linear_time():
+    import procsem
+
+    procsem.clear_caches()
+    # a.z.0 is answered by the last of 3,001 same-action summands
+    wide = sum_terms(*(prefix("a", prefix(f"y{i:04}", NIL)) for i in range(3000)), prefix("a", prefix("z", NIL)))
+    start = time.process_time()
+    assert simulates("U", prefix("a", prefix("z", NIL)), wide)
+    assert time.process_time() - start < 0.1
+
+
+def test_deep_chains_decide_on_the_explicit_stack():
+    import procsem
+    from procsem.observations import world_count
+    from procsem.preorders import decide
+    from procsem.spectrum import parse_semantics
+
+    procsem.clear_caches()
+    chain = NIL
+    for _ in range(5000):
+        chain = prefix("a", chain)
+    longer = prefix("a", chain)
+    for name in ("S", "CS", "RS", "2S", "UPW", "C:db", "PW", "S:db", "I:bf", "I:bf⊇"):
+        sem = parse_semantics(name)
+        assert decide(sem, chain, chain).holds, name
+        assert not decide(sem, longer, chain).holds, name
+    assert world_count(chain) == 1
+    assert world_count(sum_terms(prefix("a", chain), prefix("a", NIL))) == 2

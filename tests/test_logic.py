@@ -650,3 +650,25 @@ DISTINGUISH_PINS = [
 def test_distinguish_pinned_formulas():
     for sem_name, p, q, formula in DISTINGUISH_PINS:
         assert render_formula(distinguish(sem_name, c(p), c(q), AB)) == formula, (sem_name, p, q)
+
+
+# (lines, sha256) of the rendered distinguishing formulas of the first 12
+# refuted cells of 160 seeded pairs (120 from pool2, 40 from random3), for
+# every id that distinguish covers, one "id: p | q | formula" line each.
+DISTINGUISH_PIN = (576, "6b5fd8b85762b15d83b0e8e5b386a5941e607c7aeae151eef619cb22e9bb8ae6")
+
+
+def test_distinguish_formulas_are_pinned(pool2, random3):
+    import hashlib
+
+    rng = random.Random(2727)
+    pairs = [(rng.choice(pool2), rng.choice(pool2)) for _ in range(120)]
+    pairs += [(rng.choice(random3), rng.choice(random3)) for _ in range(40)]
+    lines = []
+    for sem in supported_ids():
+        if "distinguish" not in coverage(sem):
+            continue
+        refuted = [(p, q) for p, q in pairs if not holds(sem, p, q)][:12]
+        assert refuted, sem
+        lines += [f"{sem}: {p} | {q} | {render_formula(distinguish(sem, p, q))}" for p, q in refuted]
+    assert (len(lines), hashlib.sha256("\n".join(lines).encode()).hexdigest()) == DISTINGUISH_PIN

@@ -90,6 +90,13 @@ def test_rule_covers_exactly_the_axiomatized_semantics():
         assert str(info.value) == f"operational engine does not cover {sem}"
 
 
+def test_reductions_are_keyed_by_the_supported_ids():
+    # a lookup with a supported id hits on identity, with no value comparison
+    ids = {sem: sem for sem in supported_ids()}
+    assert len(REDUCTIONS) == 28
+    assert all(ids[sem] is sem for sem in REDUCTIONS)
+
+
 def test_conditions_are_the_reduction_conditions():
     from procsem import axioms
 

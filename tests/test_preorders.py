@@ -385,6 +385,43 @@ def test_clear_caches(pool2):
     assert [axioms.derive_leq(*cell) for cell in derived] == derivations
 
 
+def test_clear_caches_empties_every_cache_and_game_memo(pool2):
+    import sys
+
+    import procsem
+    from procsem import constraints, logic, observations, operational, preorders
+    from procsem.constraints import CONSTRAINTS
+
+    def games():
+        stepper = operational._stepper("M_F", operational.DEFAULT_SATURATION_CAP)
+        out = [constraints._sim_game(n, step) for n in CONSTRAINTS] + [constraints._sim_game("I", stepper)]
+        out += [preorders._types_game(n) for n in CONSTRAINTS]
+        out += [preorders._cover_game(exact) for exact in (True, False)]
+        return out + [observations._world_game()]
+
+    rng = random.Random(29)
+    pairs = [(rng.choice(pool2), rng.choice(pool2)) for _ in range(40)]
+    for p, q in pairs:
+        for sem in supported_ids():
+            decide(sem, p, q)
+        for name in ("B", "S", "PW", "RT", "F", "RV", "S:l", "T:l⊆"):
+            logic.distinguish(name, p, q)
+        operational.decide_via_operational("F", p, q)
+        observations.world_count(p)
+    assert all(memo for _, memo in games())
+    procsem.clear_caches()
+    caches = [
+        (name, attr, value.cache_info().currsize)
+        for name, module in list(sys.modules.items())
+        if name.startswith("procsem.")
+        for attr, value in vars(module).items()
+        if hasattr(value, "cache_info")
+    ]
+    assert len(caches) > 30
+    assert [cache for cache in caches if cache[2]] == []
+    assert not any(memo for _, memo in games())
+
+
 def test_db_examples():
     assert decide(SemanticsId("I", "db"), c("a.(b.c.0+b.d.0)"), c("a.b.c.0+a.b.d.0")).holds
     assert decide(SemanticsId("I", "db"), c("a.b.c.0+a.b.d.0"), c("a.(b.c.0+b.d.0)")).holds

@@ -130,6 +130,12 @@ def test_count_terms_matches_enumerate_terms():
     assert 1 << 21 < count_terms("abcdefgh", 50, 8, 1 << 21) <= 1 << 22
 
 
+def test_enumerate_terms_builds_deep_levels_in_a_loop():
+    terms = list(enumerate_terms(("a",), 1500, 1))
+    assert len(terms) == len(set(terms)) == 1501
+    assert all(x < y for x, y in zip(terms, terms[1:]))
+
+
 def test_enumerate_terms_exhaustive_powerset():
     # with width 8 every nonempty subset of the 8 summands appears
     terms = list(enumerate_terms({"a", "b"}, 2, 8))
