@@ -19,7 +19,7 @@ from . import preorders
 from .constraints import constraint_holds
 from .lts import initials, step
 from .operational import CONDITIONS, saturate
-from .spectrum import REDUCTIONS, SemanticsId, UncoveredSemanticsError, parse_semantics
+from .spectrum import REDUCTIONS, SemanticsId, UncoveredSemanticsError, classic_name, parse_semantics
 from .terms import NIL, CanonicalTerm, Choice, Nil, Prefix, Term, Var, prefix, render_term, sum_terms
 
 __all__ = [
@@ -112,11 +112,10 @@ B_AXIOMS = (
     Axiom("B4", Choice(X, Nil()), X, "equation"),
 )
 
-_NS_NAME = {"U": "S", "C": "CS", "I": "RS", "T": "TS"}
-
 
 def ns_axiom(constraint: str, equational: bool) -> Axiom:
-    name = _NS_NAME[constraint]
+    """The simulation axiom of constraint N, named after N's simulation."""
+    name = classic_name(SemanticsId(constraint, "b"))
     if not equational:
         return Axiom(name, X, Choice(X, Y), "inequation", n_condition=constraint)
     return Axiom(

@@ -20,6 +20,7 @@ import os
 import sys
 
 from . import preorders
+from .constraints import CONSTRAINTS
 from .lts import step, transition_graph_dot
 from .observations import (
     DEFAULT_WORLD_CAP,
@@ -351,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     observe = add_parser("observe", help="enumerate observations of a term")
     observe.add_argument("--kind", choices=("lgo", "bgo", "dbgo", "cdbgo", "pw"), required=True)
-    observe.add_argument("--constraint", choices=("U", "C", "I", "T", "S"), default="I")
+    observe.add_argument("--constraint", choices=CONSTRAINTS, default="I")
     observe.add_argument("--max-nodes", type=_positive_int, default=64)
     observe.add_argument("p")
     observe.set_defaults(func=_cmd_observe)

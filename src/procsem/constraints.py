@@ -6,15 +6,16 @@ simulation class.  Two states satisfy the constraint exactly when their local
 observations are equal, which is what makes the constrained-simulation layers
 of the spectrum work.
 
-The order on values is owned here: ``LABEL_RELATIONS`` holds one (eq, geq)
-pair of functions on raw values per constraint, and ``local_eq`` and
-``local_geq`` are those pairs on ``LocalObs``; ``value_key`` is the total
-order that makes witnesses and their text reproducible.  The S case
-compares class representatives with ``simulates``, the
-constrained-simulation game; it and every other game of the package run
-on the memoized, explicit-stack driver ``solve_game`` defined here: a
-game constructor returns a position generator and the memo it fills, and
-a position yields only the sub-positions that memo lacks.
+The order on values is owned here: ``LAYERS`` holds one row per
+constraint, with the value it observes of a state, (eq, geq) on those
+values and the sort key that makes witnesses and their text reproducible;
+``local_obs``, ``local_eq``, ``local_geq``, ``value_key`` and
+``constraint_holds`` read the row.  The S case compares class
+representatives with ``simulates``, the constrained-simulation game; it
+and every other game of the package run on the memoized, explicit-stack
+driver ``solve_game`` defined here: a game constructor returns a position
+generator and the memo it fills, and a position yields only the
+sub-positions that memo lacks.
 """
 
 from __future__ import annotations
@@ -35,14 +36,11 @@ __all__ = [
     "local_key",
     "value_key",
     "value_repr",
-    "LABEL_RELATIONS",
+    "LAYERS",
     "constraint_holds",
     "solve_game",
     "simulates",
 ]
-
-# Fineness order U < C < I < T < S; used for reporting only.
-CONSTRAINTS = ("U", "C", "I", "T", "S")
 
 
 class LocalObs(Frozen, namedtuple("LocalObs", "constraint value")):
@@ -54,36 +52,39 @@ class LocalObs(Frozen, namedtuple("LocalObs", "constraint value")):
         return f"LocalObs({self.constraint}, {value_repr(self.constraint, self.value)})"
 
 
-@lru_cache(maxsize=None)
-def local_obs(constraint: str, p: CanonicalTerm) -> LocalObs:
-    if constraint == "U":
-        return LocalObs("U", None)
-    if constraint == "C":
-        return LocalObs("C", p.is_nil)
-    if constraint == "I":
-        return LocalObs("I", initials(p))
-    if constraint == "T":
-        return LocalObs("T", traces(p))
-    if constraint == "S":
-        # The term itself stands in for its simulation class; comparisons go
-        # through the simulation decision procedure, never through equality
-        # of representatives.
-        return LocalObs("S", p)
-    raise ValueError(f"unknown constraint {constraint!r}")
+# One row per constraint N: the value N observes of a state, (eq, geq) on
+# those values, and the total sort key on them that makes witnesses
+# reproducible.  Equality for U and C, superset for I and T; at S the value
+# is the term itself, standing in for its simulation class, and the order is
+# the simulation order ([[x]] >= [[y]] when y is simulated by x), decided by
+# the game, never by equality of representatives.
+Layer = namedtuple("Layer", "value eq geq key")
 
 
-# (eq, geq) on raw observation values: equality for U/C, superset for I/T,
-# and for S the simulation order ([[x]] >= [[y]] when y is simulated by x).
-LABEL_RELATIONS = {
-    "U": (operator.eq, operator.eq),
-    "C": (operator.eq, operator.eq),
-    "I": (operator.eq, operator.ge),
-    "T": (operator.eq, operator.ge),
-    "S": (
+def _sorted(values) -> tuple:
+    return tuple(sorted(values))
+
+
+LAYERS = {
+    "U": Layer(lambda p: None, operator.eq, operator.eq, lambda v: ()),
+    "C": Layer(operator.attrgetter("is_nil"), operator.eq, operator.eq, lambda v: (v,)),
+    "I": Layer(initials, operator.eq, operator.ge, _sorted),
+    "T": Layer(traces, operator.eq, operator.ge, _sorted),
+    "S": Layer(
+        lambda p: p,
         lambda x, y: x is y or (simulates("U", x, y) and simulates("U", y, x)),
         lambda x, y: simulates("U", y, x),
+        lambda v: v,
     ),
 }
+
+# Fineness order U < C < I < T < S; used for reporting only.
+CONSTRAINTS = tuple(LAYERS)
+
+
+@lru_cache(maxsize=None)
+def local_obs(constraint: str, p: CanonicalTerm) -> LocalObs:
+    return LocalObs(constraint, LAYERS[constraint].value(p))
 
 
 def _values(constraint: str, l1: LocalObs, l2: LocalObs) -> tuple:
@@ -95,26 +96,18 @@ def _values(constraint: str, l1: LocalObs, l2: LocalObs) -> tuple:
 
 def local_eq(constraint: str, l1: LocalObs, l2: LocalObs) -> bool:
     """The equivalence N on observation values."""
-    x, y = _values(constraint, l1, l2)
-    return LABEL_RELATIONS[constraint][0](x, y)
+    return LAYERS[constraint].eq(*_values(constraint, l1, l2))
 
 
 def local_geq(constraint: str, l1: LocalObs, l2: LocalObs) -> bool:
     """l1 dominates l2: equality for U/C, superset for I/T, inverse simulation for S."""
-    x, y = _values(constraint, l1, l2)
-    return LABEL_RELATIONS[constraint][1](x, y)
+    return LAYERS[constraint].geq(*_values(constraint, l1, l2))
 
 
 def value_key(constraint: str, value):
     """A total sort key on the observation values of one constraint, used for
     reproducible witnesses.  An S value is the term itself, in term order."""
-    if constraint == "U":
-        return ()
-    if constraint == "C":
-        return (value,)
-    if constraint in ("I", "T"):
-        return tuple(sorted(value))
-    return value
+    return LAYERS[constraint].key(value)
 
 
 def local_key(obs: LocalObs):
@@ -125,14 +118,13 @@ def local_key(obs: LocalObs):
 def value_repr(constraint: str, value) -> str:
     """repr of an observation value with set elements in value_key order, so
     that rendered observations do not depend on the hash seed."""
-    if constraint in ("I", "T") and value:
+    if isinstance(value, frozenset) and value:
         return "frozenset({" + ", ".join(map(repr, value_key(constraint, value))) + "})"
     return repr(value)
 
 
 def constraint_holds(constraint: str, p: CanonicalTerm, q: CanonicalTerm) -> bool:
-    x, y = local_obs(constraint, p).value, local_obs(constraint, q).value
-    return LABEL_RELATIONS[constraint][0](x, y)
+    return LAYERS[constraint].eq(local_obs(constraint, p).value, local_obs(constraint, q).value)
 
 
 def solve_game(node, root, memo: dict):

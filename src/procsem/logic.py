@@ -23,7 +23,7 @@ from bisect import bisect_left
 from functools import lru_cache
 from itertools import product
 
-from .constraints import constraint_holds, simulates
+from .constraints import constraint_holds, local_obs, simulates
 from .lts import completed_traces, initials, reachable, step, traces
 from .observations import BranchingObs, LinearObs
 from .preorders import decide, decide_nsim
@@ -469,26 +469,14 @@ def _local_pin(constraint: str, value, alphabet: frozenset, mode: str) -> Formul
         if mode == "eq" or mode == "pos":
             return not_zero(alphabet)
         raise UnrealizablePinError("negative closure of the termination logic cannot pin ~0")
-    if constraint == "I":
-        offered = [Diamond(a, TOP) for a in sorted(value)]
-        refused = [Neg(Diamond(a, TOP)) for a in sorted(set(alphabet) - value)]
-        if mode == "eq":
-            return conj(*(offered + refused))
-        if mode == "neg":
-            return conj(*refused)
-        return conj(*offered)
-    if constraint == "T":
-        positives = [chain(tr) for tr in sorted(value) if tr]
-        negatives = [
-            Neg(chain(tr))
-            for tr in _trace_complement(value, alphabet)
-        ]
-        if mode == "eq":
-            return conj(*(positives + negatives))
-        if mode == "neg":
-            return conj(*negatives)
-        return conj(*positives)
-    raise ValueError(f"unknown constraint {constraint!r}")
+    element, complement = _ELEMENTS[constraint]
+    positives = [element(e) for e in sorted(value)]
+    negatives = [Neg(element(e)) for e in complement(value, alphabet)]
+    if mode == "eq":
+        return conj(*(positives + negatives))
+    if mode == "neg":
+        return conj(*negatives)
+    return conj(*positives)
 
 
 def _trace_complement(trace_set, alphabet):
@@ -504,6 +492,15 @@ def _trace_complement(trace_set, alphabet):
             if tr not in trace_set:
                 out.append(tr)
     return out
+
+
+# The I and T layers pin a value by its elements: per layer, the formula
+# of one element (an action, a trace) and the elements outside a value that
+# an upper bound on it must refuse.
+_ELEMENTS = {
+    "I": (lambda a: Diamond(a, TOP), lambda value, alphabet: sorted(alphabet - value)),
+    "T": (chain, _trace_complement),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +592,7 @@ def _build_separator(sem, verdict, p, q, alphabet, context) -> Formula:
 
 def _revival_formula(constraint, obs: LinearObs, element, alphabet) -> Formula:
     # meet matches as lf at U and C, so a revival action comes from I or T only
-    revived = Diamond(element, TOP) if constraint == "I" else chain(element)
+    revived = _ELEMENTS[constraint][0](element)
     return chain(obs.trace(), conj(revived, _pin(constraint, obs.final, alphabet, "neg")))
 
 
@@ -613,24 +610,17 @@ def _constraint_separator(constraint, p, q, alphabet) -> Formula:
     assert not constraint_holds(constraint, p, q)
     if constraint == "C":
         return Neg(not_zero(alphabet)) if p.is_nil else not_zero(alphabet)
-    if constraint == "I":
-        mine, theirs = initials(p), initials(q)
-        extra = sorted(mine - theirs)
-        if extra:
-            return Diamond(extra[0], TOP)
-        return Neg(Diamond(sorted(theirs - mine)[0], TOP))
-    if constraint == "T":
-        mine, theirs = traces(p), traces(q)
-        extra = sorted(mine - theirs)
-        if extra:
-            return chain(extra[0])
-        return Neg(chain(sorted(theirs - mine)[0]))
     if constraint == "S":
         verdict = decide_nsim("U", p, q)
         if not verdict.holds:
             return _refutation_formula("U", verdict.witness, alphabet)
         return Neg(_refutation_formula("U", decide_nsim("U", q, p).witness, alphabet))
-    raise AssertionError("the universal constraint never fails")
+    # the universal constraint never fails, so this is I or T
+    element = _ELEMENTS[constraint][0]
+    mine, theirs = local_obs(constraint, p).value, local_obs(constraint, q).value
+    if mine - theirs:
+        return element(min(mine - theirs))
+    return Neg(element(min(theirs - mine)))
 
 
 def _distinguish_completed(p, q, alphabet) -> Formula:

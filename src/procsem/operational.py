@@ -19,7 +19,8 @@ from itertools import groupby
 from operator import itemgetter
 from typing import Callable
 
-from .lts import initials, step, traces
+from .constraints import LAYERS
+from .lts import step
 from .observations import TruncationError
 from .preorders import Verdict, decide_nsim
 from .spectrum import REDUCTIONS, SemanticsId, UncoveredSemanticsError, parse_semantics
@@ -49,19 +50,29 @@ class SaturationCapError(TruncationError):
 # The reduction conditions M(x, y, w) of ``spectrum.REDUCTIONS`` on closed
 # terms: a.x and a.(y + w) merge into a.(x + y) when M accepts (x, y, w).  The
 # axiom schemas spell w as Z, as the term grammar reserves X-Z for variables.
+# They are the six merge rules of de Frutos-Escrig, Gregorio-Rodríguez and
+# Palomino ("Ready to preorder", CALCO 2007) over one layer's (eq, geq),
+# lifted to terms; F reads no value.  Layer I names them M_…, layer T M_T-….
+_MERGE_RULES = {
+    "F": lambda eq, geq: lambda x, y, w: True,
+    "R": lambda eq, geq: lambda x, y, w: geq(x, y),
+    "FT": lambda eq, geq: lambda x, y, w: geq(y, w),
+    "RT": lambda eq, geq: lambda x, y, w: eq(x, y) and geq(y, w),
+    "R∧FT": lambda eq, geq: lambda x, y, w: geq(x, y) and geq(y, w),
+    "R∨FT": lambda eq, geq: lambda x, y, w: geq(x, y) or geq(y, w),
+}
+
+
+def _lifted(layer) -> tuple[Callable, Callable]:
+    """(eq, geq) of `layer`, on the terms whose values they compare."""
+    value, eq, geq = layer.value, layer.eq, layer.geq
+    return lambda x, y: eq(value(x), value(y)), lambda x, y: geq(value(x), value(y))
+
+
 CONDITIONS: dict[str, Callable[[CanonicalTerm, CanonicalTerm, CanonicalTerm], bool]] = {
-    "M_F": lambda x, y, w: True,
-    "M_R": lambda x, y, w: initials(x) >= initials(y),
-    "M_FT": lambda x, y, w: initials(w) <= initials(y),
-    "M_RT": lambda x, y, w: initials(x) == initials(y) and initials(w) <= initials(y),
-    "M_R∧FT": lambda x, y, w: initials(x) >= initials(y) and initials(w) <= initials(y),
-    "M_R∨FT": lambda x, y, w: initials(x) >= initials(y) or initials(w) <= initials(y),
-    "M_T-F": lambda x, y, w: True,
-    "M_T-R": lambda x, y, w: traces(x) >= traces(y),
-    "M_T-FT": lambda x, y, w: traces(w) <= traces(y),
-    "M_T-RT": lambda x, y, w: traces(x) == traces(y) and traces(w) <= traces(y),
-    "M_T-R∧FT": lambda x, y, w: traces(x) >= traces(y) and traces(w) <= traces(y),
-    "M_T-R∨FT": lambda x, y, w: traces(x) >= traces(y) or traces(w) <= traces(y),
+    prefix + name: merge(*_lifted(LAYERS[n]))
+    for n, prefix in (("I", "M_"), ("T", "M_T-"))
+    for name, merge in _MERGE_RULES.items()
 }
 
 

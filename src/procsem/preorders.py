@@ -41,7 +41,7 @@ from itertools import groupby, repeat
 from typing import Iterable
 
 from .constraints import (
-    LABEL_RELATIONS,
+    LAYERS,
     LocalObs,
     constraint_holds,
     local_obs,
@@ -275,7 +275,7 @@ def _matcher(constraint: str, rule: tuple):
     """matched(x, pool): some value of q in `pool` matches the value x of p
     under `rule`; values are finals if the rule has no prefix relation, else
     tuples of label values.  None where matching is equality of values."""
-    eq, geq = LABEL_RELATIONS[constraint]
+    eq, geq = LAYERS[constraint].eq, LAYERS[constraint].geq
     prefix, final = rule
     if final == "meet":
         return lambda x, pool: _meet_match(geq, x, pool)[0]
@@ -358,7 +358,7 @@ def _lgo_witness(constraint: str, rule: tuple, name: str, p: CanonicalTerm, q: C
     witness = {"kind": "lgo", "unmatched": LinearObs(head, tuple(zip(trace, labels))), "semantics": name}
     if rule[1] == "meet":
         finals = _pools(constraint, q, True).get(trace, ())
-        element = _meet_match(LABEL_RELATIONS[constraint][1], xs[-1], finals)[1]
+        element = _meet_match(LAYERS[constraint].geq, xs[-1], finals)[1]
         if element is not None:
             witness["revival_action"] = element
     return witness
@@ -403,7 +403,7 @@ def _types_game(constraint: str):
     is monotone, so only minimal types matter; [0] means some world of p
     lies in no bgo(q), and ends the search.
     """
-    eq = LABEL_RELATIONS[constraint][0]
+    eq = LAYERS[constraint].eq
     memo = {}
 
     def node(key):

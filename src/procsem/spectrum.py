@@ -209,9 +209,12 @@ def supported_ids() -> tuple[SemanticsId, ...]:
 # choice axioms axiomatize with one simulation axiom and one reduction axiom
 # (arXiv 1304.6574): sem -> (N, M), the constraint of the simulation axiom and
 # the condition (an ``operational.CONDITIONS`` name) of the reduction axiom;
-# the operational engine decides sem as N-simulation up to M-saturation.  At I
-# a linear flavor's condition compares initials, at T traces; at U and C every
-# linear flavor collapses to (completed) traces, where every merge is sound.
+# the operational engine decides sem as N-simulation up to M-saturation.  A
+# condition is one of six merge rules over one layer's order: ``_REDUCTION``
+# names the rule of each linear flavor, run over the I layer (M_…) at I and
+# over the T layer (M_T-…) at T.  At U and C every linear flavor collapses to
+# (completed) traces, where every merge is sound (F); the extended ready ids
+# merge by the I layer's R and RT.
 _REDUCTION = {"l": "RT", "l⊇": "FT", "lf": "R", "lf⊇": "F", "join": "R∧FT", "meet": "R∨FT"}
 # Keyed by the ``supported_ids()`` objects, so that a lookup hits on identity.
 _IDS = {sem: sem for sem in _SUPPORTED_IDS}

@@ -222,35 +222,40 @@ class _Parser:
                 return term
 
     def parse_prefix(self) -> Term:
-        self.skip_ws()
-        if self.pos >= len(self.text):
-            raise ParseError("unexpected end of input", self.pos, ("'0'", "action", "'('", "variable"))
-        ch = self.text[self.pos]
-        if ch == "0":
-            self.pos += 1
-            return Nil()
-        if ch == "(":
-            self.pos += 1
-            inner = self.parse_sum()
+        # a chain of prefixes is read in a loop and wrapped from the inside out
+        actions = []
+        while True:
             self.skip_ws()
-            if self.pos >= len(self.text) or self.text[self.pos] != ")":
-                raise ParseError("unbalanced parenthesis", self.pos, ("')'",))
-            self.pos += 1
-            return inner
-        m = ACTION_RE.match(self.text, self.pos)
-        if m:
-            action = m.group()
+            if self.pos >= len(self.text):
+                raise ParseError("unexpected end of input", self.pos, ("'0'", "action", "'('", "variable"))
+            m = ACTION_RE.match(self.text, self.pos)
+            if not m:
+                break
             self.pos = m.end()
             self.skip_ws()
             if self.pos >= len(self.text) or self.text[self.pos] != ".":
                 raise ParseError("prefix needs '.'", self.pos, ("'.'",))
             self.pos += 1
-            return Prefix(action, self.parse_prefix())
-        m = VAR_RE.match(self.text, self.pos)
-        if m:
+            actions.append(m.group())
+        ch = self.text[self.pos]
+        if ch == "0":
+            self.pos += 1
+            term = Nil()
+        elif ch == "(":
+            self.pos += 1
+            term = self.parse_sum()
+            self.skip_ws()
+            if self.pos >= len(self.text) or self.text[self.pos] != ")":
+                raise ParseError("unbalanced parenthesis", self.pos, ("')'",))
+            self.pos += 1
+        elif m := VAR_RE.match(self.text, self.pos):
             self.pos = m.end()
-            return Var(m.group())
-        raise ParseError(f"unexpected {ch!r}", self.pos, ("'0'", "action", "'('", "variable"))
+            term = Var(m.group())
+        else:
+            raise ParseError(f"unexpected {ch!r}", self.pos, ("'0'", "action", "'('", "variable"))
+        for action in reversed(actions):
+            term = Prefix(action, term)
+        return term
 
 
 def parse_term(text: str) -> Term:
@@ -315,11 +320,14 @@ def canonicalize(term: Term | CanonicalTerm) -> CanonicalTerm:
 
 
 def _canon(term: Term) -> CanonicalTerm:
+    # a chain of prefixes is read in a loop and wrapped from the inside out
+    actions = []
+    while isinstance(term, Prefix):
+        actions.append(term.action)
+        term = term.body
     if isinstance(term, Nil):
-        return NIL
-    if isinstance(term, Prefix):
-        return prefix(term.action, _canon(term.body))
-    if isinstance(term, Choice):
+        out = NIL
+    elif isinstance(term, Choice):
         # the parser nests a sum's spine to the left: walk it on a stack, sort once
         parts, todo = [], [term]
         while todo:
@@ -328,8 +336,12 @@ def _canon(term: Term) -> CanonicalTerm:
                 todo += (t.right, t.left)
             else:
                 parts.append(_canon(t))
-        return sum_terms(*parts)
-    raise TypeError(f"cannot canonicalize {term!r}")
+        out = sum_terms(*parts)
+    else:
+        raise TypeError(f"cannot canonicalize {term!r}")
+    for action in reversed(actions):
+        out = prefix(action, out)
+    return out
 
 
 def enumerate_terms(

@@ -17,7 +17,7 @@ from procsem.axioms import (
     ns_axiom,
     verify_hnf_laws,
 )
-from procsem.lts import initials, step
+from procsem.lts import initials, step, traces
 from procsem.operational import rule, saturate
 from procsem.preorders import decide, holds
 from procsem.spectrum import UncoveredSemanticsError, parse_semantics, supported_ids
@@ -73,8 +73,30 @@ def test_condition_table():
     assert CONDITIONS["M_T-R"](c("a.b.0+a.0"), c("a.b.0"), nil)
 
 
+# The twelve reduction conditions written out, the reference for the table
+# that ``operational`` builds from six merge rules over a layer's order.
+WRITTEN_CONDITIONS = {
+    "M_F": lambda x, y, w: True,
+    "M_R": lambda x, y, w: initials(x) >= initials(y),
+    "M_FT": lambda x, y, w: initials(w) <= initials(y),
+    "M_RT": lambda x, y, w: initials(x) == initials(y) and initials(w) <= initials(y),
+    "M_R∧FT": lambda x, y, w: initials(x) >= initials(y) and initials(w) <= initials(y),
+    "M_R∨FT": lambda x, y, w: initials(x) >= initials(y) or initials(w) <= initials(y),
+    "M_T-F": lambda x, y, w: True,
+    "M_T-R": lambda x, y, w: traces(x) >= traces(y),
+    "M_T-FT": lambda x, y, w: traces(w) <= traces(y),
+    "M_T-RT": lambda x, y, w: traces(x) == traces(y) and traces(w) <= traces(y),
+    "M_T-R∧FT": lambda x, y, w: traces(x) >= traces(y) and traces(w) <= traces(y),
+    "M_T-R∨FT": lambda x, y, w: traces(x) >= traces(y) or traces(w) <= traces(y),
+}
+
+
 def test_condition_implications(pool1):
+    assert list(CONDITIONS) == list(WRITTEN_CONDITIONS)
+    assert CONDITIONS["M_F"](None, None, None) and CONDITIONS["M_T-F"](None, None, None)  # F reads no value
     for x, y, w in itertools.product(pool1, repeat=3):
+        for name, reference in WRITTEN_CONDITIONS.items():
+            assert CONDITIONS[name](x, y, w) == reference(x, y, w), (name, x, y, w)
         if CONDITIONS["M_RT"](x, y, w):
             assert CONDITIONS["M_FT"](x, y, w) and CONDITIONS["M_R"](x, y, w)
         if CONDITIONS["M_FT"](x, y, w) or CONDITIONS["M_R"](x, y, w):

@@ -229,8 +229,10 @@ def test_final_ready_on_a_full_depth3_term(capsys):
 
 
 def test_deep_chain(capsys):
-    chain = "a." * 700 + "0"
-    for sem in ("S", "I:bf"):
+    # the parser and canonicalizer read a chain of prefixes in a loop; these
+    # ids decide on explicit stacks (the trace-reading ones still recurse)
+    chain = "a." * 3000 + "0"
+    for sem in ("B", "2S", "S:db", "RS", "PW", "I:bf", "I:bf⊇", "CS", "C:db", "S", "UPW"):
         code, _, _ = run(capsys, "compare", "--semantics", sem, chain, chain)
         assert code == 0, sem
 

@@ -15,6 +15,7 @@ from procsem.constraints import (
     local_obs,
     simulates,
     solve_game,
+    value_key,
 )
 from procsem.lts import step, successors, traces
 from procsem.terms import NIL, prefix, sum_terms
@@ -92,6 +93,8 @@ def test_local_geq_is_a_preorder_and_eq_is_its_kernel(pool2):
                 assert local_geq(n, x, z)
         for x, y in itertools.product(obs, repeat=2):
             assert local_eq(n, x, y) == (local_geq(n, x, y) and local_geq(n, y, x))
+            if n != "S":  # an S key is the term, not its class
+                assert (value_key(n, x.value) == value_key(n, y.value)) == local_eq(n, x, y)
 
 
 def test_local_obs_identifies_constraint(pool2):
