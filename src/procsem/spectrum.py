@@ -19,6 +19,7 @@ the generic ``N:flavor`` syntax with ASCII fallbacks for the set symbols.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import pairwise
 
 from .terms import Frozen
 
@@ -37,6 +38,7 @@ __all__ = [
 ]
 
 LINEAR_FLAVORS = ("l", "l⊇", "lf", "lf⊇", "l⊆", "lf⊆", "join", "meet")
+_EXTENDED_READY = ("ER", "ERT", "ECR", "ECRT")
 
 # The matching rules of the linear and extended-ready flavors on decorated
 # traces (van Glabbeek 2001): flavor -> (relation on the labels before the
@@ -59,14 +61,30 @@ LINEAR_RULES = {
     "ECR": (None, "complete"),
     "ECRT": ("complete", "complete"),
 }
-ALL_FLAVORS = ("bisim", "b", "db", "bf", "bf⊇") + tuple(LINEAR_RULES)
+# The flavors of one layer, in the order of ``supported_ids()``.
+_LAYER_FLAVORS = ("b", "db", "bf", "bf⊇") + LINEAR_FLAVORS
+ALL_FLAVORS = ("bisim",) + _LAYER_FLAVORS + _EXTENDED_READY
+
+# The layers, finest constraint first.  A flavor lives at all five, unless
+# ``_PLACES`` names where it lives and why it lives nowhere else.
+_LAYERS = ("S", "T", "I", "C", "U")
+_PLACES = {
+    "bisim": (("B",), "bisimilarity takes no constraint"),
+    "bf": (("I",), "final-ready/final-failure branching exist only at constraint I"),
+    "bf⊇": (("I",), "final-ready/final-failure branching exist only at constraint I"),
+    "meet": (("T", "I", "C", "U"), "no meet at constraint S: the union of simulation classes is not a class"),
+    "ER": (("U",), "extended ready semantics live at constraint U"),
+    "ERT": (("U",), "extended ready semantics live at constraint U"),
+    "ECR": (("C",), "extended complete ready semantics live at constraint C"),
+    "ECRT": (("C",), "extended complete ready semantics live at constraint C"),
+}
 
 
 def linear_rule(constraint: str, flavor: str) -> tuple[str, tuple]:
     """(constraint whose labels are compared, rule) of a flavor named at
     `constraint`: the extended-ready family compares offers (I), and meet at
     U and C is lf, as a union of unit or termination values is one of them."""
-    if flavor in ("ER", "ERT", "ECR", "ECRT"):
+    if flavor in _EXTENDED_READY:
         return "I", LINEAR_RULES[flavor]
     if flavor == "meet" and constraint in ("U", "C"):
         return constraint, LINEAR_RULES["lf"]
@@ -104,21 +122,12 @@ class SemanticsId(Frozen, namedtuple("SemanticsId", "constraint flavor")):
     def __new__(cls, constraint: str, flavor: str):
         if flavor not in ALL_FLAVORS:
             raise UnsupportedSemanticsError(f"unknown flavor {flavor!r}")
-        if flavor == "bisim":
-            if constraint != "B":
-                raise UnsupportedSemanticsError("bisimilarity takes no constraint")
-        elif constraint not in ("U", "C", "I", "T", "S"):
-            raise UnsupportedSemanticsError(f"unknown constraint {constraint!r}")
-        elif flavor in ("bf", "bf⊇") and constraint != "I":
-            raise UnsupportedSemanticsError("final-ready/final-failure branching exist only at constraint I")
-        elif flavor in ("ER", "ERT") and constraint != "U":
-            raise UnsupportedSemanticsError("extended ready semantics live at constraint U")
-        elif flavor in ("ECR", "ECRT") and constraint != "C":
-            raise UnsupportedSemanticsError("extended complete ready semantics live at constraint C")
-        elif flavor == "meet" and constraint == "S":
-            raise UnsupportedSemanticsError(
-                "no meet at constraint S: the union of simulation classes is not a class"
-            )
+        places, why = _PLACES.get(flavor, (_LAYERS, None))
+        if constraint not in places:
+            # bisimilarity refuses every constraint; a layer flavor first refuses one that is no layer
+            if constraint not in _LAYERS and flavor != "bisim":
+                why = f"unknown constraint {constraint!r}"
+            raise UnsupportedSemanticsError(why)
         return super().__new__(cls, constraint, flavor)
 
     def __str__(self) -> str:
@@ -126,35 +135,49 @@ class SemanticsId(Frozen, namedtuple("SemanticsId", "constraint flavor")):
         return name if name else f"{self.constraint}:{self.flavor}"
 
 
-BISIM = SemanticsId("B", "bisim")
+# Every point of the spectrum: bisimilarity; the flavors that live at each
+# layer, layer by layer; the extended-ready ids.
+_SUPPORTED_IDS = tuple(
+    SemanticsId(n, f)
+    for n, f in (
+        *((n, "bisim") for n in _PLACES["bisim"][0]),
+        *((n, f) for n in _LAYERS for f in _LAYER_FLAVORS),
+        *((n, f) for f in _EXTENDED_READY for n in _PLACES[f][0]),
+    )
+    if n in _PLACES.get(f, (_LAYERS,))[0]
+)
+# The grid objects by (constraint, flavor): every id in the tables below is
+# one of them, so a lookup keyed by an id hits on identity.
+_ID = {(sem.constraint, sem.flavor): sem for sem in _SUPPORTED_IDS}
+BISIM = _ID["B", "bisim"]
 
 # Classic names from the literature for points of the spectrum.
 CLASSIC_NAMES: dict[str, SemanticsId] = {
     "B": BISIM,
-    "S": SemanticsId("U", "b"),
-    "CS": SemanticsId("C", "b"),
-    "RS": SemanticsId("I", "b"),
-    "TS": SemanticsId("T", "b"),
-    "2S": SemanticsId("S", "b"),
-    "T": SemanticsId("U", "l"),
-    "CT": SemanticsId("C", "l"),
-    "RT": SemanticsId("I", "l"),
-    "FT": SemanticsId("I", "l⊇"),
-    "R": SemanticsId("I", "lf"),
-    "F": SemanticsId("I", "lf⊇"),
-    "PW": SemanticsId("I", "db"),
-    "UPW": SemanticsId("U", "db"),
-    "PF": SemanticsId("T", "lf"),
-    "IF": SemanticsId("T", "lf⊇"),
-    "PFT": SemanticsId("T", "l"),
-    "IFT": SemanticsId("T", "l⊇"),
-    "SF": SemanticsId("S", "lf⊇"),
-    "RV": SemanticsId("I", "meet"),
-    "JOIN": SemanticsId("I", "join"),
-    "ER": SemanticsId("U", "ER"),
-    "ERT": SemanticsId("U", "ERT"),
-    "ECR": SemanticsId("C", "ECR"),
-    "ECRT": SemanticsId("C", "ECRT"),
+    "S": _ID["U", "b"],
+    "CS": _ID["C", "b"],
+    "RS": _ID["I", "b"],
+    "TS": _ID["T", "b"],
+    "2S": _ID["S", "b"],
+    "T": _ID["U", "l"],
+    "CT": _ID["C", "l"],
+    "RT": _ID["I", "l"],
+    "FT": _ID["I", "l⊇"],
+    "R": _ID["I", "lf"],
+    "F": _ID["I", "lf⊇"],
+    "PW": _ID["I", "db"],
+    "UPW": _ID["U", "db"],
+    "PF": _ID["T", "lf"],
+    "IF": _ID["T", "lf⊇"],
+    "PFT": _ID["T", "l"],
+    "IFT": _ID["T", "l⊇"],
+    "SF": _ID["S", "lf⊇"],
+    "RV": _ID["I", "meet"],
+    "JOIN": _ID["I", "join"],
+    "ER": _ID["U", "ER"],
+    "ERT": _ID["U", "ERT"],
+    "ECR": _ID["C", "ECR"],
+    "ECRT": _ID["C", "ECRT"],
 }
 
 _BY_ID = {v: k for k, v in reversed(list(CLASSIC_NAMES.items()))}
@@ -170,34 +193,10 @@ def parse_semantics(text: str) -> SemanticsId:
         return CLASSIC_NAMES[token]
     if ":" in token:
         constraint, flavor = token.split(":", 1)
-        flavor = _ASCII_FLAVOR.get(flavor, flavor)
-        return SemanticsId(constraint.strip(), flavor.strip())
+        constraint, flavor = constraint.strip(), _ASCII_FLAVOR.get(flavor, flavor).strip()
+        # the grid object, or the constructor's refusal
+        return _ID.get((constraint, flavor)) or SemanticsId(constraint, flavor)
     raise UnsupportedSemanticsError(f"unknown semantics {text!r}")
-
-
-def _supported_ids() -> tuple[SemanticsId, ...]:
-    out = [BISIM]
-    for n in ("S", "T", "I", "C", "U"):
-        out.append(SemanticsId(n, "b"))
-        out.append(SemanticsId(n, "db"))
-        if n == "I":
-            out.append(SemanticsId("I", "bf"))
-            out.append(SemanticsId("I", "bf⊇"))
-        for flavor in LINEAR_FLAVORS:
-            if flavor == "meet" and n == "S":
-                continue
-            out.append(SemanticsId(n, flavor))
-    out += [
-        SemanticsId("U", "ER"),
-        SemanticsId("U", "ERT"),
-        SemanticsId("C", "ECR"),
-        SemanticsId("C", "ECRT"),
-    ]
-    # the CLASSIC_NAMES objects themselves, so that classic_name hits on identity
-    return tuple(CLASSIC_NAMES.get(classic_name(sem), sem) for sem in out)
-
-
-_SUPPORTED_IDS = _supported_ids()
 
 
 def supported_ids() -> tuple[SemanticsId, ...]:
@@ -216,63 +215,39 @@ def supported_ids() -> tuple[SemanticsId, ...]:
 # (completed) traces, where every merge is sound (F); the extended ready ids
 # merge by the I layer's R and RT.
 _REDUCTION = {"l": "RT", "l⊇": "FT", "lf": "R", "lf⊇": "F", "join": "R∧FT", "meet": "R∨FT"}
-# Keyed by the ``supported_ids()`` objects, so that a lookup hits on identity.
-_IDS = {sem: sem for sem in _SUPPORTED_IDS}
 REDUCTIONS: dict[SemanticsId, tuple[str, str]] = {
     **{
-        _IDS[SemanticsId(n, flavor)]: (n, prefix + m)
+        _ID[n, flavor]: (n, prefix + m)
         for n, prefix in (("I", "M_"), ("T", "M_T-"))
         for flavor, m in _REDUCTION.items()
     },
-    **{_IDS[SemanticsId(n, flavor)]: (n, "M_F") for n in ("U", "C") for flavor in _REDUCTION},
-    CLASSIC_NAMES["ER"]: ("U", "M_R"),
-    CLASSIC_NAMES["ERT"]: ("U", "M_RT"),
-    CLASSIC_NAMES["ECR"]: ("C", "M_R"),
-    CLASSIC_NAMES["ECRT"]: ("C", "M_RT"),
+    **{_ID[n, flavor]: (n, "M_F") for n in ("U", "C") for flavor in _REDUCTION},
+    _ID["U", "ER"]: ("U", "M_R"),
+    _ID["U", "ERT"]: ("U", "M_RT"),
+    _ID["C", "ECR"]: ("C", "M_R"),
+    _ID["C", "ECRT"]: ("C", "M_RT"),
 }
 
 
-def _arrows() -> tuple[tuple[SemanticsId, SemanticsId], ...]:
-    """Finer -> coarser edges of the extended spectrum plus the real diamond.
-
-    Layer order by constraint fineness: S, T, I, C, U.  Within a layer:
-    b -> db -> l -> {l⊇, lf} -> lf⊇, refined at I by the join/meet diamond
-    RT -> join -> {FT, R} -> meet -> F.  By ``LINEAR_RULES``, l -> l⊆ and
-    lf -> lf⊆ (eq implies leq) and l⊆ -> lf⊆ (a rule that matches every
-    label matches the last) at every layer.  join is (geq, eq), so l -> join
-    -> {l⊇, lf} (eq implies geq) at every layer too, S included; S has no
-    meet.
-    """
-    edges: list[tuple[SemanticsId, SemanticsId]] = []
-
-    def sid(n, f):
-        return SemanticsId(n, f)
-
-    layers = ("S", "T", "I", "C", "U")
-    for n in layers:
-        edges.append((BISIM, sid(n, "b")) if n == "S" else (sid(layers[layers.index(n) - 1], "b"), sid(n, "b")))
-    for n in layers:
-        edges.append((sid(n, "b"), sid(n, "db")))
-        edges.append((sid(n, "db"), sid(n, "l")))
-        edges.append((sid(n, "l"), sid(n, "l⊇")))
-        edges.append((sid(n, "l"), sid(n, "lf")))
-        edges.append((sid(n, "l⊇"), sid(n, "lf⊇")))
-        edges.append((sid(n, "lf"), sid(n, "lf⊇")))
-        edges.append((sid(n, "l"), sid(n, "l⊆")))
-        edges.append((sid(n, "lf"), sid(n, "lf⊆")))
-        edges.append((sid(n, "l⊆"), sid(n, "lf⊆")))
-        edges.append((sid(n, "l"), sid(n, "join")))
-        edges.append((sid(n, "join"), sid(n, "l⊇")))
-        edges.append((sid(n, "join"), sid(n, "lf")))
-        if n != "S":
-            edges.append((sid(n, "l⊇"), sid(n, "meet")))
-            edges.append((sid(n, "lf"), sid(n, "meet")))
-            edges.append((sid(n, "meet"), sid(n, "lf⊇")))
-    # Vertical arrows between consecutive layers, flavor by flavor.
-    for upper, lower in zip(layers, layers[1:]):
-        for flavor in ("db", "l", "l⊇", "lf", "lf⊇"):
-            edges.append((sid(upper, flavor), sid(lower, flavor)))
-    return tuple(dict.fromkeys(edges))
-
-
-SPECTRUM_ARROWS = _arrows()
+# The finer -> coarser edges of one layer, the real diamond included.
+#
+# Layer order by constraint fineness: S, T, I, C, U.  Within a layer:
+# b -> db -> l -> {l⊇, lf} -> lf⊇, refined at I by the join/meet diamond
+# RT -> join -> {FT, R} -> meet -> F.  By ``LINEAR_RULES``, l -> l⊆ and
+# lf -> lf⊆ (eq implies leq) and l⊆ -> lf⊆ (a rule that matches every
+# label matches the last) at every layer.  join is (geq, eq), so l -> join
+# -> {l⊇, lf} (eq implies geq) at every layer too, S included; S has no
+# meet.
+_WITHIN = (
+    ("b", "db"), ("db", "l"), ("l", "l⊇"), ("l", "lf"), ("l⊇", "lf⊇"), ("lf", "lf⊇"),
+    ("l", "l⊆"), ("lf", "lf⊆"), ("l⊆", "lf⊆"), ("l", "join"), ("join", "l⊇"), ("join", "lf"),
+    ("l⊇", "meet"), ("lf", "meet"), ("meet", "lf⊇"),
+)
+SPECTRUM_ARROWS: tuple[tuple[SemanticsId, SemanticsId], ...] = (
+    # bisimilarity, then b from layer to layer
+    *pairwise((BISIM, *(_ID[n, "b"] for n in _LAYERS))),
+    # the diagram of one layer, wherever both its ends live
+    *((_ID[n, f], _ID[n, g]) for n in _LAYERS for f, g in _WITHIN if (n, f) in _ID and (n, g) in _ID),
+    # vertical arrows between consecutive layers, flavor by flavor
+    *((_ID[m, f], _ID[n, f]) for m, n in pairwise(_LAYERS) for f in ("db", "l", "l⊇", "lf", "lf⊇")),
+)

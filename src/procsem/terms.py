@@ -185,7 +185,7 @@ def sum_terms(*parts: CanonicalTerm) -> CanonicalTerm:
 
 
 class _Parser:
-    """Recursive-descent parser for the external grammar.
+    """Parser for the external grammar, in loops: groups wait on a stack.
 
     term := sum ; sum := prefix ("+" prefix)* ;
     prefix := "0" | action "." prefix | "(" sum ")" | var
@@ -212,17 +212,34 @@ class _Parser:
         return term
 
     def parse_sum(self) -> Term:
-        term = self.parse_prefix()
+        # an open group waits on a stack with the sum to its left and the
+        # prefixes before it, so that nesting takes no recursion
+        groups, left = [], None
         while True:
-            self.skip_ws()
-            if self.pos < len(self.text) and self.text[self.pos] == "+":
+            actions = self.parse_actions()
+            if self.text[self.pos] == "(":
                 self.pos += 1
-                term = Choice(term, self.parse_prefix())
-            else:
-                return term
+                groups.append((left, actions))
+                left = None
+                continue
+            term = self.parse_atom()
+            while True:
+                for action in reversed(actions):
+                    term = Prefix(action, term)
+                left = term if left is None else Choice(left, term)
+                self.skip_ws()
+                if self.pos < len(self.text) and self.text[self.pos] == "+":
+                    self.pos += 1
+                    break
+                if not groups:
+                    return left
+                if self.pos >= len(self.text) or self.text[self.pos] != ")":
+                    raise ParseError("unbalanced parenthesis", self.pos, ("')'",))
+                self.pos += 1
+                term, (left, actions) = left, groups.pop()
 
-    def parse_prefix(self) -> Term:
-        # a chain of prefixes is read in a loop and wrapped from the inside out
+    def parse_actions(self) -> list[Action]:
+        """The chain of prefixes before an atom, read in a loop."""
         actions = []
         while True:
             self.skip_ws()
@@ -230,32 +247,23 @@ class _Parser:
                 raise ParseError("unexpected end of input", self.pos, ("'0'", "action", "'('", "variable"))
             m = ACTION_RE.match(self.text, self.pos)
             if not m:
-                break
+                return actions
             self.pos = m.end()
             self.skip_ws()
             if self.pos >= len(self.text) or self.text[self.pos] != ".":
                 raise ParseError("prefix needs '.'", self.pos, ("'.'",))
             self.pos += 1
             actions.append(m.group())
+
+    def parse_atom(self) -> Term:
         ch = self.text[self.pos]
         if ch == "0":
             self.pos += 1
-            term = Nil()
-        elif ch == "(":
-            self.pos += 1
-            term = self.parse_sum()
-            self.skip_ws()
-            if self.pos >= len(self.text) or self.text[self.pos] != ")":
-                raise ParseError("unbalanced parenthesis", self.pos, ("')'",))
-            self.pos += 1
-        elif m := VAR_RE.match(self.text, self.pos):
+            return Nil()
+        if m := VAR_RE.match(self.text, self.pos):
             self.pos = m.end()
-            term = Var(m.group())
-        else:
-            raise ParseError(f"unexpected {ch!r}", self.pos, ("'0'", "action", "'('", "variable"))
-        for action in reversed(actions):
-            term = Prefix(action, term)
-        return term
+            return Var(m.group())
+        raise ParseError(f"unexpected {ch!r}", self.pos, ("'0'", "action", "'('", "variable"))
 
 
 def parse_term(text: str) -> Term:
@@ -280,19 +288,21 @@ def _render_raw(term: Term) -> str:
 
 def render_term(term: Term | CanonicalTerm) -> str:
     """Deterministic concrete syntax; reparsing preserves the canonical form."""
-    if isinstance(term, CanonicalTerm):
-        if term.is_nil:
-            return "0"
-        parts = []
-        for action, body in term.summands:
-            if body.is_nil:
-                parts.append(f"{action}.0")
-            elif len(body.summands) == 1:
-                parts.append(f"{action}.{render_term(body)}")
-            else:
-                parts.append(f"{action}.({render_term(body)})")
-        return " + ".join(parts)
-    return _render_raw(term)
+    if not isinstance(term, CanonicalTerm):
+        return _render_raw(term)
+    # a stack of pieces of text and terms still to render, as terms may be deep
+    out, todo = [], [term]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, str):
+            out.append(t)
+        elif t.is_nil:
+            out.append("0")
+        else:
+            for k, (action, body) in reversed(list(enumerate(t.summands))):
+                head = f"{' + ' if k else ''}{action}."
+                todo += (")", body, head + "(") if len(body.summands) > 1 else (body, head)
+    return "".join(out)
 
 
 def free_variables(term: Term) -> frozenset[str]:

@@ -247,10 +247,17 @@ def test_sum_of_deep_chains_with_a_common_prefix(capsys):
 
 
 def test_deep_bisimulation_witness(capsys):
-    p, q = "a." * 900 + "0", "a." * 900 + "b.0"
-    code, _, err = run(capsys, "--json", "compare", "--semantics", "B", p, q)
-    assert code == 1 and err == ""
+    # the witness prints its terms, so rendering them must not recurse either
+    p, q = "a." * 1200 + "b.0", "a." * 1200 + "c.0"
+    for sem in ("B", "S"):
+        code, _, err = run(capsys, "--json", "compare", "--semantics", sem, p, q)
+        assert code == 1 and err == "", sem
     replay_bisim_refutation(c(p), c(q), procsem.decide(procsem.parse_semantics("B"), c(p), c(q)).witness)
+
+
+def test_deeply_nested_parentheses(capsys):
+    code, out, err = run(capsys, "compare", "--semantics", "F", "(" * 3000 + "a.0" + ")" * 3000, "a.0")
+    assert code == 0 and "True" in out and err == ""
 
 
 def test_deep_and_shared_terms_build():

@@ -12,6 +12,9 @@ from procsem.preorders import Verdict, decide, decide_nsim, holds, spectrum_matr
 from procsem.spectrum import (
     BISIM,
     CLASSIC_NAMES,
+    LINEAR_RULES,
+    REDUCTIONS,
+    SPECTRUM_ARROWS,
     SemanticsId,
     UnsupportedSemanticsError,
     classic_name,
@@ -517,6 +520,26 @@ def test_supported_ids_share_the_classic_objects():
     assert len(named) == len(CLASSIC_NAMES)
     for sem in named:
         assert sem is CLASSIC_NAMES[classic_name(sem)]
+
+
+GRID_PIN = "e2d1eca383c98d662ae72d0a2c10426f66c01296caee30954745e9ab7c7f17c7"
+
+
+def test_the_grid_is_pinned():
+    """The ids in order, the arrows in order, the reductions, and the class
+    and message of every probed (constraint, flavor), hashed from ordered
+    tuples so that the digest does not depend on the hash seed."""
+    import hashlib
+
+    probes = []
+    for n in ("B", "U", "C", "I", "T", "S", "X"):
+        for f in ("bisim", "b", "db", "bf", "bf⊇", *LINEAR_RULES, "nonsense"):
+            try:
+                probes.append((n, f, "ok", str(SemanticsId(n, f))))
+            except ValueError as err:
+                probes.append((n, f, type(err).__name__, str(err)))
+    grid = (supported_ids(), SPECTRUM_ARROWS, tuple(REDUCTIONS.items()), tuple(probes))
+    assert hashlib.sha256(repr(grid).encode()).hexdigest() == GRID_PIN
 
 
 def test_reflexive_transitive_sampled(pool2):

@@ -80,6 +80,46 @@ def test_parse_errors_carry_offsets(text):
     assert err.value.offset >= 0
 
 
+# Tokens of the seeded parser strings: the grammar's own, plus characters
+# that start no token and an empty one.
+PARSE_TOKENS = ("0", "a", "b", "cd", "X", "Y1", "A", "1", ".", "+", "(", ")", " ", "\t", "")
+PARSER_PIN = (13185, "c0f2883d25bc61ade1d2b45435374cfe8a7d75b20a05c92d3f121ea89f5004af")
+
+
+def _seeded_term_tokens(rng, depth):
+    """The tokens of a random term; one node in 25 is a random token instead."""
+    roll = rng.random()
+    if roll < 0.04:
+        return [rng.choice(PARSE_TOKENS)]
+    if depth == 0 or roll < 0.3:
+        return [rng.choice(("0", "X", "Y1"))]
+    if roll < 0.65:
+        return [rng.choice(("a", "b", "cd")), rng.choice((".", " .", ". "))] + _seeded_term_tokens(rng, depth - 1)
+    if roll < 0.85:
+        return _seeded_term_tokens(rng, depth - 1) + [rng.choice(("+", " + "))] + _seeded_term_tokens(rng, depth - 1)
+    return ["("] + _seeded_term_tokens(rng, depth - 1) + [")"]
+
+
+def test_parser_output_is_pinned():
+    """20,000 seeded strings, a quarter of them with one token dropped: the
+    parsed tree, or the error's message, offset and expected set, of each."""
+    import hashlib
+    import random
+
+    rng = random.Random(29)
+    rows, parsed = [], 0
+    for _ in range(20_000):
+        tokens = _seeded_term_tokens(rng, 5)
+        if rng.random() < 0.25:
+            del tokens[rng.randrange(len(tokens))]
+        try:
+            rows.append(repr(parse_term("".join(tokens))))
+            parsed += 1
+        except ParseError as err:
+            rows.append(f"{err}|{err.offset}|{err.expected}")
+    assert (parsed, hashlib.sha256("\n".join(rows).encode()).hexdigest()) == PARSER_PIN
+
+
 def test_render_examples():
     assert render_term(Nil()) == "0"
     assert render_term(Prefix("a", Nil())) == "a.0"
