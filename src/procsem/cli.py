@@ -4,7 +4,10 @@ Exit codes: 0 relation holds / success, 1 relation fails (witness reported),
 2 usage or parse error, 3 resource cap exceeded, 4 internal error (a one-line
 message on stderr, no traceback), 141 the reader closed standard output
 (128 + SIGPIPE, as a shell reports a process killed by a closed pipe).  With
---json all output is deterministic (sorted keys).
+--json all output is deterministic (sorted keys), and every JSON output is
+flat: a term or witness names each state once, in a ``terms.state_table``,
+and a refutation tree is a list of nodes, so ``json.dumps`` prints any of
+them, however deep the terms.
 
 Only the decide core is imported at start-up; each subcommand imports the
 engine modules it uses (``logic``, ``axioms``, ``corpus``, and
@@ -79,55 +82,43 @@ def _formula(text: str):
 
 def _emit(args, payload) -> None:
     if getattr(args, "json", False):
-        print(_dumps(payload))
+        print(json.dumps(payload, sort_keys=True, ensure_ascii=False))
     else:
         _pretty(payload)
 
 
-class _Text(str):
-    """Output that `_dumps` copies as it is."""
+# The keys whose integers name states ("s3") or nodes ("n2"), and the plain line of each.
+_NAMES = {"p": "s", "q": "s", "after_p": "s", "root": "s", "unmatched": "s", "responses": "n"}
+_LINES = {
+    "states": lambda i, state: f"s{i} = " + (" + ".join(f"{a}.s{j}" for a, j in state) or "0"),
+    "nodes": lambda i, node: f"n{i}: " + ", ".join(f"{k}: {_name(k, v)}" for k, v in node.items()),
+}
 
 
-def _dumps(payload) -> str:
-    """``json.dumps(payload, sort_keys=True, ensure_ascii=False)`` on an
-    explicit stack: a refutation tree nests as deep as the terms it refutes."""
-    out, todo = [], [payload]
-    while todo:
-        value = todo.pop()
-        if isinstance(value, _Text):
-            out.append(value)
-        elif isinstance(value, dict):
-            out.append("{")
-            todo.append(_Text("}"))
-            for n, (key, item) in reversed(list(enumerate(sorted(value.items())))):
-                key = json.dumps(key if isinstance(key, str) else json.dumps(key), ensure_ascii=False)
-                todo += [item, _Text(f"{', ' if n else ''}{key}: ")]
-        elif isinstance(value, (list, tuple)):
-            out.append("[")
-            todo.append(_Text("]"))
-            for n in reversed(range(len(value))):
-                todo += [value[n], _Text(", ")] if n else [value[n]]
-        else:
-            out.append(json.dumps(value, ensure_ascii=False))
-    return "".join(out)
+def _name(key, value):
+    """A state or node index as plain text names it; other values as they are."""
+    if isinstance(value, list):
+        return "[" + ", ".join(str(_name(key, v)) for v in value) + "]"
+    return f"{_NAMES[key]}{value}" if key in _NAMES and type(value) is int else value
 
 
-def _pretty(payload) -> None:
-    """Indented text, one line per leaf, on an explicit stack."""
-    todo = [(payload, "")]
-    while todo:
-        payload, indent = todo.pop()
-        if isinstance(payload, dict):
-            for key in reversed(payload):
-                value = payload[key]
-                if isinstance(value, (dict, list)):
-                    todo += [(value, indent + "  "), (f"{key}:", indent)]
-                else:
-                    todo.append((f"{key}: {value}", indent))
-        elif isinstance(payload, list):
-            todo += [(value, indent) for value in reversed(payload)]
-        else:
-            print(f"{indent}{payload}")
+def _pretty(payload, indent="", key=None) -> None:
+    """Indented text, one line per leaf, per state (``s3 = a.s4 + b.s5``)
+    and per refutation node.  Payloads are a few levels deep."""
+    if isinstance(payload, list):
+        for item in payload:
+            _pretty(item, indent, key)
+    elif not isinstance(payload, dict):
+        print(f"{indent}{_name(key, payload)}")
+    else:
+        for key, value in payload.items():
+            if key in _LINES:
+                value = [_LINES[key](i, entry) for i, entry in enumerate(value)]
+            if isinstance(value, (dict, list)):
+                print(f"{indent}{key}:")
+                _pretty(value, indent + "  ", key)
+            else:
+                print(f"{indent}{key}: {_name(key, value)}")
 
 
 def _cmd_compare(args) -> int:
@@ -172,26 +163,21 @@ def _cmd_lts(args) -> int:
 def _cmd_observe(args) -> int:
     p = _term(args.p)
     n = args.constraint
+    truncated = False
     try:
         if args.kind == "lgo":
-            obs = sorted(enum_lgo(n, p), key=lambda o: o.sort_key())
-            payload = [preorders.lgo_json(o) for o in obs]
-            truncated = False
-        elif args.kind in ("bgo", "dbgo"):
-            fn = enum_bgo if args.kind == "bgo" else enum_dbgo
-            obs_set, truncated = fn(n, p, args.max_nodes, DEFAULT_WORLD_CAP)
-            payload = [repr(o) for o in sorted(obs_set, key=lambda o: (o.nodes, o))]
-        elif args.kind == "cdbgo":
-            check_world_cap(p)
-            payload = [
-                repr(o)
-                for o in sorted(enum_complete_dbgo(n, p), key=lambda o: (o.nodes, o))
-            ]
-            truncated = False
-        else:  # pw
+            payload = [preorders.lgo_json(o) for o in sorted(enum_lgo(n, p), key=lambda o: o.sort_key())]
+        elif args.kind == "pw":
             check_world_cap(p)
             payload = sorted(render_term(w) for w in enum_possible_worlds(p))
-            truncated = False
+        else:
+            if args.kind == "cdbgo":
+                check_world_cap(p)
+                obs = enum_complete_dbgo(n, p)
+            else:
+                fn = enum_bgo if args.kind == "bgo" else enum_dbgo
+                obs, truncated = fn(n, p, args.max_nodes, DEFAULT_WORLD_CAP)
+            payload = [repr(o) for o in sorted(obs, key=lambda o: (o.nodes, o))]
     except TruncationError as exc:
         raise CliError(str(exc), EXIT_CAP) from exc
     _emit(args, {"observations": payload, "truncated": truncated})

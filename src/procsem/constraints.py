@@ -135,8 +135,8 @@ def solve_game(node, root, memo: dict):
     value back from the memo once resumed, and stores the value of `key` in
     the memo before it returns; so a memoized position costs one dict read,
     and no generator is built or resumed for it.  Positions run on an
-    explicit stack, never on the interpreter's.  Every game here moves to
-    strictly smaller left terms, so no position ever waits on itself.
+    explicit stack, never on the interpreter's.  Every game here moves to a
+    smaller left term, or pair of terms, so no position waits on itself.
     """
     if root not in memo:
         stack = [node(root)]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .terms import Action, CanonicalTerm, render_term
+from .terms import Action, CanonicalTerm, render_term, state_table
 
 __all__ = [
     "step",
@@ -64,29 +64,16 @@ def completed_traces(p: CanonicalTerm) -> frozenset[Trace]:
 
 @lru_cache(maxsize=None)
 def reachable(p: CanonicalTerm) -> tuple[CanonicalTerm, ...]:
-    """All states reachable from p (p first, then DFS order, deduplicated).
-    Walked on an explicit stack that holds each state's successors in
-    reverse, so the first is visited next: a deep term is as safe as a wide one."""
-    seen: dict[CanonicalTerm, None] = {}
-    todo = [p]
-    while todo:
-        t = todo.pop()
-        if t not in seen:
-            seen[t] = None
-            todo.extend(q for _, q in reversed(t.summands))
-    return tuple(seen)
+    """All states reachable from p, each once, numbered as in
+    ``terms.state_table``: p first, and each state before its successors."""
+    return tuple(state_table(p)[1])
 
 
 def transition_graph_dot(p: CanonicalTerm) -> str:
-    """DOT rendering of the reachable transition graph."""
-    states = reachable(p)
-    index = {s: i for i, s in enumerate(states)}
-    lines = ["digraph lts {"]
-    for s, i in index.items():
-        label = render_term(s).replace('"', '\\"')
-        lines.append(f'  n{i} [label="{label}"];')
-    for s, i in index.items():
-        for a, q in s.summands:
-            lines.append(f'  n{i} -> n{index[q]} [label="{a}"];')
-    lines.append("}")
-    return "\n".join(lines)
+    """DOT rendering of the reachable transition graph, state i of
+    ``terms.state_table`` as node n<i>."""
+    states, index = state_table(p)
+    labels = (render_term(s).replace('"', '\\"') for s in index)
+    lines = ["digraph lts {", *(f'  n{i} [label="{label}"];' for i, label in enumerate(labels))]
+    lines += (f'  n{i} -> n{j} [label="{a}"];' for i, state in enumerate(states) for a, j in state)
+    return "\n".join(lines + ["}"])

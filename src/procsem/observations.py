@@ -86,23 +86,23 @@ class LinearObs(Frozen, namedtuple("LinearObs", "head steps")):
 class BranchingObs:
     """A finite nonempty tree of local observations, interned like
     ``CanonicalTerm`` on its own parts, ``(label, children)``; ``arcs`` holds
-    the children sorted by action and then by child, in ``__lt__`` order."""
+    the children sorted by action and then by child, in ``__lt__`` order:
+    n - 1 comparisons for distinct children handed over in that order."""
 
     __slots__ = ("label", "children", "arcs", "nodes")
 
     _interned: dict[tuple, "BranchingObs"] = {}
 
-    def __new__(cls, label: LocalObs, children: frozenset):
-        children = frozenset(children)
-        key = (label, children)
+    def __new__(cls, label: LocalObs, children):
+        key = (label, frozenset(children))
         hit = cls._interned.get(key)
         if hit is not None:
             return hit
         self = object.__new__(cls)
         self.label = label
-        self.children = children
+        self.children = key[1]
         self.arcs = tuple(sorted(children))
-        self.nodes = 1 + sum(c.nodes for _, c in children)
+        self.nodes = 1 + sum(c.nodes for _, c in self.arcs)
         return cls._interned.setdefault(key, self)
 
     def __lt__(self, other: "BranchingObs") -> bool:
@@ -128,8 +128,19 @@ class BranchingObs:
         return self.label.constraint
 
     def __repr__(self) -> str:
-        inner = ",".join(f"({a},{c!r})" for a, c in self.arcs)
-        return f"<{value_repr(self.constraint, self.label.value)},{{{inner}}}>"
+        """``<label,{(a,child),...}>``, rendered on a stack of pieces of text
+        and observations still to render, as observations may be deep."""
+        out, todo = [], [self]
+        while todo:
+            o = todo.pop()
+            if isinstance(o, str):
+                out.append(o)
+            else:
+                pieces = [f"<{value_repr(o.constraint, o.label.value)},{{"]
+                for k, (a, c) in enumerate(o.arcs):
+                    pieces += (f"{',' if k else ''}({a},", c, ")")
+                todo += reversed(pieces + ["}>"])
+        return "".join(out)
 
 
 @lru_cache(maxsize=None)
@@ -175,22 +186,22 @@ def _enum_branching(constraint: str, p: CanonicalTerm, max_nodes: int, determini
         sub, sub_trunc = _enum_branching(constraint, q, max_nodes - 1, deterministic, cap)
         truncated = truncated or sub_trunc
         pool.update((a, c) for c in sub)
-    pool = sorted(pool, key=lambda ac: (ac[1].nodes, ac[0], ac[1]))
+    pool = sorted(pool)  # in arcs order, so every chosen tuple is too
     out: set[BranchingObs] = set()
     cut = [truncated]
 
     def extend(start: int, chosen: tuple, used: int) -> None:
-        out.add(BranchingObs(label, frozenset(chosen)))
+        out.add(BranchingObs(label, chosen))
         if cap is not None and len(out) > cap:
             kind = "deterministic branching" if deterministic else "branching"
             raise TruncationError(f"more than {cap} {kind} observations within the node bound", cap)
         for i in range(start, len(pool)):
             a, c = pool[i]
-            if deterministic and any(a == b for b, _ in chosen):
+            if deterministic and chosen and chosen[-1][0] == a:
                 continue
-            if used + c.nodes > max_nodes - 1:  # the pool is sorted by size: no later pair fits
+            if used + c.nodes > max_nodes - 1:
                 cut[0] = True
-                break
+                continue
             extend(i + 1, chosen + ((a, c),), used + c.nodes)
 
     extend(0, (), 0)
@@ -238,7 +249,7 @@ def enum_complete_dbgo(constraint: str, p: CanonicalTerm) -> frozenset[Branching
         [(a, c) for _, q in moves for c in enum_complete_dbgo(constraint, q)]
         for a, moves in groupby(step(p), itemgetter(0))
     ]
-    return frozenset(BranchingObs(label, frozenset(combo)) for combo in product(*per_action))
+    return frozenset(BranchingObs(label, combo) for combo in product(*per_action))
 
 
 @lru_cache(maxsize=None)

@@ -59,7 +59,7 @@ from .observations import (
     enum_complete_dbgo,
 )
 from .spectrum import LINEAR_RULES, SemanticsId, UncoveredSemanticsError, classic_name, linear_rule, supported_ids
-from .terms import NIL, CanonicalTerm, render_term
+from .terms import NIL, CanonicalTerm, render_term, state_table
 
 __all__ = [
     "Verdict",
@@ -103,7 +103,7 @@ class Verdict:
         return f"Verdict(holds={self.holds!r}, witness={self.witness!r})"
 
     def to_json(self):
-        return {"holds": self.holds, "witness": _witness_json(self.witness)}
+        return {"holds": self.holds, "witness": self.witness and _witness_json(self.witness)}
 
 
 # Deciders never change a verdict they return, so every one returns this holding verdict.
@@ -111,79 +111,93 @@ HOLDS = Verdict(True)
 
 
 def _witness_json(w):
-    """JSON form of a witness, built on an explicit stack: a refutation tree
-    is as deep as the terms it refutes."""
-    root = [None]
-    todo = [(w, root, 0)]
-    while todo:
-        w, slots, key = todo.pop()
-        if isinstance(w, dict):
-            slots[key] = out = dict.fromkeys(w)
-            todo.extend((v, out, k) for k, v in w.items())
-        elif type(w) in (list, tuple):  # exactly: a value class is a tuple too
-            slots[key] = out = [None] * len(w)
-            todo.extend((v, out, i) for i, v in enumerate(w))
-        else:
-            slots[key] = _leaf_json(w)
-    return root[0]
+    """JSON form of a witness.  One that mentions terms names each state
+    once, in a ``terms.state_table`` under "states": a refutation tree as a
+    flat "nodes" list (node 0 the root, one node per (p, q) pair, responses
+    as node indices), and a decorated trace at S, whose labels are terms."""
+    if w["kind"] in ("move", "constraint"):
+        return _tree_json(w)
+    if w["kind"] == "lgo":
+        obs = w["unmatched"]
+        if obs.constraint != "S":
+            return {**w, "unmatched": lgo_json(obs)}
+        states, index = state_table(*(label.value for label in obs.labels()))
+        return {**w, "states": states, "unmatched": lgo_json(obs, index.__getitem__)}
+    return {**w, "unmatched": repr(w["unmatched"])}  # bgo and dbgo
 
 
-def _leaf_json(w):
-    if w is None or isinstance(w, (str, int, bool)):
-        return w
-    if isinstance(w, CanonicalTerm):
-        return render_term(w)
-    if isinstance(w, LinearObs):
-        return lgo_json(w)
-    if isinstance(w, BranchingObs):
-        return repr(w)
-    if isinstance(w, frozenset):
-        return sorted(_witness_json(v) for v in w)
-    return repr(w)
+def _tree_json(root: dict) -> dict:
+    nodes, number = [root], {(root["p"], root["q"]): 0}
+    for node in nodes:  # grows as responses name new pairs
+        for sub in node.get("responses", ()):
+            if (sub["p"], sub["q"]) not in number:
+                number[sub["p"], sub["q"]] = len(nodes)
+                nodes.append(sub)
+    terms = ("p", "q", "after_p")
+    states, index = state_table(*(node[key] for node in nodes for key in terms if key in node))
+    flat = [{key: index[v] if key in terms else v for key, v in node.items()} for node in nodes]
+    for node, out in zip(nodes, flat):
+        if "responses" in node:
+            out["responses"] = [number[sub["p"], sub["q"]] for sub in node["responses"]]
+    return {"states": states, "nodes": flat}
 
 
-def lgo_json(obs: LinearObs):
-    """Flat JSON rendering of a decorated trace."""
-    out = [_witness_json(_label_payload(obs.head))]
+def lgo_json(obs: LinearObs, state=render_term):
+    """Flat JSON rendering of a decorated trace; `state` names an S label's term."""
+    out = [_label_payload(obs.head, state)]
     for a, l in obs.steps:
-        out.append(a)
-        out.append(_witness_json(_label_payload(l)))
+        out += (a, _label_payload(l, state))
     return out
 
 
-def _label_payload(label):
+def _label_payload(label, state):
     if label.constraint == "U":
         return "·"
     if label.constraint == "T":
         return sorted("".join(t) for t in label.value)
-    return label.value
+    if label.constraint == "I":
+        return sorted(label.value)
+    return state(label.value) if label.constraint == "S" else label.value
 
 
 # ---------------------------------------------------------------------------
 # Constrained simulations
 
 
+def _refutation_tree(refute, p: CanonicalTerm, q: CanonicalTerm) -> dict:
+    """A replayable refutation tree: `refute(p, q)` gives the node of a
+    refuted pair, whose "responses", if any, list the pairs that refute its
+    answers.  Built children first on the explicit stack of ``solve_game``,
+    as the tree is as deep as the terms; a pair met twice is one node."""
+    built = {}
+
+    def node(key):
+        out = refute(*key)
+        pairs = out.get("responses", ())
+        for pair in pairs:
+            if pair not in built:
+                yield pair
+        if pairs:
+            out["responses"] = [built[pair] for pair in pairs]
+        built[key] = out
+
+    return solve_game(node, (p, q), built)
+
+
 def _sim_refutation(constraint: str, p: CanonicalTerm, q: CanonicalTerm, answers=step) -> dict:
-    """Replayable refutation tree for a failed constrained simulation: p
-    moves by ``step`` and q answers by `answers`.  Built on an explicit
-    stack: the tree is as deep as the terms."""
-    root = [None]
-    todo = [(p, q, root, 0)]
-    while todo:
-        p, q, slots, i = todo.pop()
+    """Refutation tree for a failed constrained simulation: p moves by
+    ``step`` and q answers by `answers`."""
+
+    def refute(p, q):
         if not constraint_holds(constraint, p, q):
-            slots[i] = {"kind": "constraint", "constraint": constraint, "p": p, "q": q}
-            continue
+            return {"kind": "constraint", "constraint": constraint, "p": p, "q": q}
         for a, p2 in step(p):
-            responses = [q2 for b, q2 in answers(q) if b == a]
-            if all(not simulates(constraint, p2, q2, answers) for q2 in responses):
-                break
-        else:
-            raise AssertionError("refutation requested for a holding pair")
-        refuted = [None] * len(responses)
-        slots[i] = {"kind": "move", "action": a, "p": p, "q": q, "after_p": p2, "responses": refuted}
-        todo.extend((p2, q2, refuted, j) for j, q2 in enumerate(responses))
-    return root[0]
+            responses = [(p2, q2) for b, q2 in answers(q) if b == a]
+            if all(not simulates(constraint, *pair, answers) for pair in responses):
+                return {"kind": "move", "action": a, "p": p, "q": q, "after_p": p2, "responses": responses}
+        raise AssertionError("refutation requested for a holding pair")
+
+    return _refutation_tree(refute, p, q)
 
 
 def decide_nsim(constraint: str, p: CanonicalTerm, q: CanonicalTerm, answers=step) -> Verdict:
@@ -194,37 +208,20 @@ def decide_nsim(constraint: str, p: CanonicalTerm, q: CanonicalTerm, answers=ste
 
 
 def _bisim_refutation(p: CanonicalTerm, q: CanonicalTerm) -> dict:
-    """A move of p (left) or of q (right) that no same-action move of the
-    other side answers bisimilarly; each response refutes (moved state,
-    answer).  Built on an explicit stack: the tree is as deep as the terms."""
-    root = [None]
-    todo = [(p, q, root, 0)]
-    while todo:
-        p, q, slots, i = todo.pop()
-        side, a, moved, responses = _unanswered_move(p, q)
-        refuted = [None] * len(responses)
-        slots[i] = {
-            "kind": "move",
-            "side": side,
-            "action": a,
-            "p": p,
-            "q": q,
-            "after_p": moved,
-            "responses": refuted,
-        }
-        todo.extend((moved, r, refuted, j) for j, r in enumerate(responses))
-    return root[0]
+    """Refutation tree for bisimilarity: a move of p (left) or of q (right)
+    that no same-action move of the other side answers identically; each
+    response refutes (moved state, answer)."""
 
+    def refute(p, q):
+        for side, mover, other in (("left", p, q), ("right", q, p)):
+            for a, moved in step(mover):
+                responses = [(moved, r) for b, r in step(other) if b == a]
+                if all(moved is not r for _, r in responses):
+                    return {"kind": "move", "side": side, "action": a,
+                            "p": p, "q": q, "after_p": moved, "responses": responses}
+        raise AssertionError("refutation requested for bisimilar terms")
 
-def _unanswered_move(p: CanonicalTerm, q: CanonicalTerm) -> tuple:
-    """(side, action, moved state, same-action answers) of the first move
-    of p (left) or of q (right) that no answer matches identically."""
-    for side, mover, other in (("left", p, q), ("right", q, p)):
-        for a, moved in step(mover):
-            responses = [r for b, r in step(other) if b == a]
-            if all(moved is not r for r in responses):
-                return side, a, moved, responses
-    raise AssertionError("refutation requested for bisimilar terms")
+    return _refutation_tree(refute, p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -499,23 +496,28 @@ def _covered(p: CanonicalTerm, qs: tuple[CanonicalTerm, ...], exact: bool) -> bo
     return solve_game(node, (p, qs), memo)
 
 
-def _uncovered_bgo(p: CanonicalTerm, qs: tuple[CanonicalTerm, ...], exact: bool) -> BranchingObs:
-    """An observation of p that no q in Q matches: the leaf if no q answers
-    it, else one child per q, built from that q's first uncovered move of p."""
-    label = local_obs("I", p)
-    if not _leaf_covered(p, qs, exact):
-        return BranchingObs(label, frozenset())
-    children = set()
-    for q in qs:
-        for a, p2 in step(p):
-            if not _covered(p2, successors(q, a), exact):
-                children.add((a, _uncovered_bgo(p2, successors(q, a), exact)))
-                break
-    return BranchingObs(label, frozenset(children))
+def _uncovered_bgo(p: CanonicalTerm, q: CanonicalTerm, exact: bool) -> dict:
+    """The witness of a refuted cover game, an observation of p that q does
+    not match: at (p', Q) the leaf if no state of Q answers it, else one child
+    per state, from its first uncovered move of p'; built children first on
+    the stack of ``solve_game``, reading the cover game's memo."""
+    built = {}
 
+    def node(key):
+        p, qs = key
+        children = set()
+        if _leaf_covered(p, qs, exact):
+            for q in qs:
+                for a, p2 in step(p):
+                    sub = (p2, successors(q, a))
+                    if not _covered(*sub, exact):
+                        if sub not in built:
+                            yield sub
+                        children.add((a, built[sub]))
+                        break
+        built[key] = BranchingObs(local_obs("I", p), children)
 
-def _bgo_witness(p: CanonicalTerm, q: CanonicalTerm, exact: bool) -> dict:
-    return {"kind": "bgo", "unmatched": _uncovered_bgo(p, (q,), exact)}
+    return {"kind": "bgo", "unmatched": solve_game(node, (p, (q,)), built)}
 
 
 # ---------------------------------------------------------------------------
@@ -539,8 +541,8 @@ _DECIDERS = {
     "bisim": (lambda c, f, p, q: p is q, lambda c, f, p, q: _bisim_refutation(p, q)),
     "b": (lambda c, f, p, q: simulates(c, p, q), lambda c, f, p, q: _sim_refutation(c, p, q)),
     "db": (lambda c, f, p, q: _db_included(c, p, q), lambda c, f, p, q: _db_witness(c, p, q)),
-    "bf": (lambda c, f, p, q: _covered(p, (q,), True), lambda c, f, p, q: _bgo_witness(p, q, True)),
-    "bf⊇": (lambda c, f, p, q: _covered(p, (q,), False), lambda c, f, p, q: _bgo_witness(p, q, False)),
+    "bf": (lambda c, f, p, q: _covered(p, (q,), True), lambda c, f, p, q: _uncovered_bgo(p, q, True)),
+    "bf⊇": (lambda c, f, p, q: _covered(p, (q,), False), lambda c, f, p, q: _uncovered_bgo(p, q, False)),
 }
 
 

@@ -41,6 +41,7 @@ __all__ = [
     "free_variables",
     "enumerate_terms",
     "count_terms",
+    "state_table",
     "term_to_json",
     "term_from_json",
     "prefix",
@@ -402,26 +403,38 @@ def _terms_upto(actions: list[Action], depth: int, width: int) -> list[Canonical
     return terms
 
 
-def term_to_json(term: CanonicalTerm):
-    """Stable JSON encoding of a canonical term: {"nil":true} |
-    {"prefix":{...}} | {"sum":[...]}; ``term_from_json`` reads it back."""
-    if term.is_nil:
-        return {"nil": True}
-    if len(term.summands) == 1:
-        a, body = term.summands[0]
-        return {"prefix": {"a": a, "p": term_to_json(body)}}
-    return {"sum": [{"prefix": {"a": a, "p": term_to_json(b)}} for a, b in term.summands]}
+def state_table(*roots: CanonicalTerm) -> tuple[list, dict]:
+    """(states, index): every state the roots reach, once, parents first:
+    tallest first (height: the longest path down to 0), then in order of
+    discovery, so each summand names a larger index.  A state lists its
+    ``[action, index]`` pairs (nil: []); `index` numbers the states."""
+    found, height, todo = {}, {}, list(reversed(roots))
+    while todo:
+        t = todo[-1]
+        found.setdefault(t, len(found))
+        missing = [body for _, body in reversed(t.summands) if body not in height]
+        if not missing:
+            todo.pop()
+            height[t] = max((height[body] + 1 for _, body in t.summands), default=0)
+        else:
+            todo += missing
+    order = sorted(found, key=lambda t: (-height[t], found[t]))
+    index = {t: i for i, t in enumerate(order)}
+    return [[[a, index[body]] for a, body in t.summands] for t in order], index
 
 
-def term_from_json(obj) -> Term:
-    if "nil" in obj:
-        return Nil()
-    if "prefix" in obj:
-        return Prefix(obj["prefix"]["a"], term_from_json(obj["prefix"]["p"]))
-    if "sum" in obj:
-        parts = [term_from_json(item) for item in obj["sum"]]
-        term = parts[0]
-        for part in parts[1:]:
-            term = Choice(term, part)
-        return term
-    raise ValueError(f"not a term object: {obj!r}")
+def term_to_json(term: CanonicalTerm) -> dict:
+    """Stable JSON encoding of a canonical term over its ``state_table``,
+    whose only tallest state is the term; ``term_from_json`` reads it back."""
+    return {"root": 0, "states": state_table(term)[0]}
+
+
+def term_from_json(obj) -> CanonicalTerm:
+    """The canonical term a state table encodes, built from its last state
+    back: each summand names a later state, so it is built first."""
+    states, built = obj["states"], {}
+    for i in reversed(range(len(states))):
+        if not all(i < j < len(states) for _, j in states[i]):
+            raise ValueError(f"state {i} names a state that does not follow it")
+        built[i] = sum_terms(*(prefix(a, built[j]) for a, j in states[i]))
+    return built[obj["root"]]

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -123,22 +125,23 @@ def test_observe_stops_past_the_branching_cap(capsys):
 
 def test_deep_operational_refutation(capsys):
     # the refutation is about 600 moves deep: it is built and printed
-    # without an interpreter frame per move.  Plain simulation (T) ends with
-    # the b move q cannot answer, ready simulation with the offers {b}, {c}
+    # without an interpreter frame per move, as a flat list of nodes over a
+    # table that names each of the 1,203 states of p and q once.  Plain
+    # simulation (T) ends with the b move q cannot answer, ready simulation
+    # with the offers {b}, {c}
     p, q = "a." * 600 + "b.0", "a." * 600 + "c.0"
     for sem, moves in (("T", 601), ("F", 600)):
         code, out, err = run(capsys, "--json", "compare", "--engine", "operational", "--semantics", sem, p, q)
         assert code == 1 and err == ""
-        assert out.startswith('{"holds": false, "witness": {"action": "a"') and out.count('"kind": "move"') == moves
+        assert out.startswith('{"holds": false, "witness": {"nodes": [{"action": "a"')
+        witness = json.loads(out)["witness"]
+        assert [node["kind"] for node in witness["nodes"]].count("move") == moves
+        assert len(witness["nodes"]) == 601 and len(witness["states"]) == 1203
     code, out, err = run(capsys, "compare", "--engine", "operational", "--semantics", "R", p, q)
     assert code == 1 and err == "" and out.count("kind: move") == 600 and out.count("kind: constraint") == 1
 
 
 def test_json_output_is_json_dumps(capsys):
-    from procsem.cli import _dumps
-
-    for payload in ({}, [], {"b": {}, "a": ['x"y', 2.5, None, True]}, {1: (2, "é")}, [[[]]]):
-        assert _dumps(payload) == json.dumps(payload, sort_keys=True, ensure_ascii=False)
     p, q = "a.(b.0+c.0)", "a.b.0+a.c.0"
     code, out, _ = run(capsys, "--json", "compare", "--semantics", "S", p, q)
     verdict = procsem.decide(procsem.parse_semantics("S"), c(p), c(q))
@@ -255,6 +258,45 @@ def test_deep_bisimulation_witness(capsys):
     replay_bisim_refutation(c(p), c(q), procsem.decide(procsem.parse_semantics("B"), c(p), c(q)).witness)
 
 
+def test_extreme_inputs(capsys):
+    """Every row answers with an exit in {0, 1, 2, 3}, and no traceback or
+    internal error.  Rows that wait on other work are not here yet: the
+    ids that read traces (T, F, RT and the other linear and extended-ready
+    flavors) recurse once per level in ``lts.traces``, a refuted ``db``
+    cell builds its witness by the recursive ``enum_complete_dbgo``,
+    ``distinguish --semantics B|S`` recurses over the refutation tree, and
+    formulas 2,000 deep in ``~``, ``<a>`` and ``(`` recurse in the formula
+    parser and in ``sat``."""
+    chain = "a." * 2000 + "0"
+    p, q = "a." * 2000 + "b.0", "a." * 2000 + "c.0"
+    parentheses = "(" * 2000 + "a.0" + ")" * 2000
+    wide = " + ".join(f"a.y{i}.0" for i in range(2000))
+    rows = [
+        ("--json", "lts", chain),
+        ("lts", chain),
+        *(("--json", "compare", "--semantics", sem, p, q) for sem in ("B", "S", "I:bf", "I:bf⊇")),
+        ("compare", "--semantics", "B", p, q),
+        ("compare", "--semantics", "F", parentheses, "a.0"),
+        ("spectrum", parentheses, "a.0"),
+        ("compare", "--semantics", "T", wide, "a.0"),
+        ("compare", "--semantics", "B", wide, "a.0"),
+    ]
+    for argv in rows:
+        code, _, err = run(capsys, *argv)
+        assert code in (0, 1, 2, 3) and "Traceback" not in err and "internal error" not in err, argv[:4]
+
+
+def test_witness_output_is_linear_in_the_depth(capsys):
+    # each state is named once and each (p, q) pair is one node, so twice
+    # the depth prints about twice the bytes
+    sizes = []
+    for n in (1000, 2000):
+        code, out, err = run(capsys, "--json", "compare", "--semantics", "B", "a." * n + "b.0", "a." * n + "c.0")
+        assert code == 1 and err == ""
+        sizes.append(len(out.encode()))
+    assert sizes[1] < 1 << 20 and sizes[1] <= 2.1 * sizes[0], sizes
+
+
 def test_deeply_nested_parentheses(capsys):
     code, out, err = run(capsys, "compare", "--semantics", "F", "(" * 3000 + "a.0" + ")" * 3000, "a.0")
     assert code == 0 and "True" in out and err == ""
@@ -307,19 +349,15 @@ def test_lts_json(capsys):
     code, out, _ = run(capsys, "--json", "lts", "a.b.0")
     assert code == 0
     assert json.loads(out) == {
-        "encoding": {"prefix": {"a": "a", "p": {"prefix": {"a": "b", "p": {"nil": True}}}}},
+        "encoding": {"root": 0, "states": [[["a", 1]], [["b", 2]], []]},
         "term": "a.b.0",
         "transitions": [{"action": "a", "from": "a.b.0", "to": "b.0"}],
     }
     code, out, _ = run(capsys, "--json", "lts", "a.0 + b.c.0")
     assert code == 0
+    # 0 is named once, although both summands reach it
     assert json.loads(out) == {
-        "encoding": {
-            "sum": [
-                {"prefix": {"a": "a", "p": {"nil": True}}},
-                {"prefix": {"a": "b", "p": {"prefix": {"a": "c", "p": {"nil": True}}}}},
-            ]
-        },
+        "encoding": {"root": 0, "states": [[["a", 2], ["b", 1]], [["c", 2]], []]},
         "term": "a.0 + b.c.0",
         "transitions": [
             {"action": "a", "from": "a.0 + b.c.0", "to": "0"},
@@ -340,9 +378,16 @@ _PINNED_JSON = [
      '{"holds": false, "witness": {"kind": "lgo", "revival_action": "b", "semantics": "RV", '
      '"unmatched": [["a"], "a", ["b"]]}}\n'),
     (("compare", "--semantics", "S", _Q, _P), 1,
-     "sha256:ba14e1e55556eccf7cfad95ee1e86cb582aa653fab65b0e1b43f7851dca7d8b9"),
+     '{"holds": false, "witness": {"nodes": ['
+     '{"action": "a", "after_p": 2, "kind": "move", "p": 0, "q": 1, "responses": [1, 2]}, '
+     '{"action": "c", "after_p": 5, "kind": "move", "p": 2, "q": 3, "responses": []}, '
+     '{"action": "b", "after_p": 5, "kind": "move", "p": 2, "q": 4, "responses": []}], '
+     '"states": [[["a", 2]], [["a", 3], ["a", 4]], [["b", 5], ["c", 5]], [["b", 5]], [["c", 5]], []]}}\n'),
     (("compare", "--semantics", "B", _P, _Q), 1,
-     "sha256:7f4d7d181ae69e818090814ce30e51db38f5f4e4bcc2043ddb1dd67e8d459b76"),
+     '{"holds": false, "witness": {"nodes": ['
+     '{"action": "a", "after_p": 2, "kind": "move", "p": 0, "q": 1, "responses": [1], "side": "left"}, '
+     '{"action": "c", "after_p": 5, "kind": "move", "p": 2, "q": 4, "responses": [], "side": "right"}], '
+     '"states": [[["a", 2], ["a", 3]], [["a", 4]], [["b", 5]], [["c", 5]], [["b", 5], ["c", 5]], []]}}\n'),
     (("compare", "--semantics", "PW", _Q, _P), 1,
      '{"holds": false, "witness": {"kind": "dbgo", "unmatched": '
      '"<frozenset({\'a\'}),{(a,<frozenset({\'b\', \'c\'}),{(b,<frozenset(),{}>),(c,<frozenset(),{}>)}>)}>"}}\n'),
@@ -356,10 +401,12 @@ _PINNED_JSON = [
     (("compare", "--engine", "observational", "--semantics", "RT", "a.b.0", "a.c.0"), 1,
      '{"holds": false, "witness": null}\n'),
     (("compare", "--engine", "operational", "--semantics", "PF", "a.0", "a.0+a.a.0"), 1,
-     '{"holds": false, "witness": {"constraint": "T", "kind": "constraint", "p": "a.0", "q": "a.0 + a.a.0"}}\n'),
+     '{"holds": false, "witness": {"nodes": [{"constraint": "T", "kind": "constraint", "p": 1, "q": 0}], '
+     '"states": [[["a", 2], ["a", 1]], [["a", 2]], []]}}\n'),
     (("compare", "--engine", "operational", "--semantics", "RT", _R, _Q), 1,
-     '{"holds": false, "witness": {"constraint": "I", "kind": "constraint", '
-     '"p": "a.(b.0 + c.b.0) + a.c.0 + b.0", "q": "a.(b.0 + c.0)"}}\n'),
+     '{"holds": false, "witness": {"nodes": [{"constraint": "I", "kind": "constraint", "p": 0, "q": 2}], '
+     '"states": [[["a", 1], ["a", 4], ["b", 6]], [["b", 6], ["c", 3]], [["a", 5]], [["b", 6]], [["c", 6]], '
+     '[["b", 6], ["c", 6]], []]}}\n'),
     (("spectrum", _P, _Q), 0, "sha256:97104bfa319fe416260cc67b2e38e20bba69ecdf271beed058b0c49f20aa4ce9"),
     (("spectrum", _R, _Q), 0, "sha256:929060a884d5e0225f8f568861fe306478d69fd9f29655172ab5cae6f0133a6b"),
     (("observe", "--kind", "lgo", _R), 0,
@@ -377,7 +424,12 @@ _PINNED_JSON = [
     (("distinguish", "--semantics", "PW", _Q, _P), 1, '{"formula": "<a>(<b>T & <c>T)", "holds": false}\n'),
     (("axioms", "list", "--semantics", "RV"), 0,
      "sha256:f9c64f25c4abfd651e5737afca01a16b2bdfe8e2c96f49f4bc8c389424c55ecb"),
-    (("lts", _R), 0, "sha256:9ff749b2b8cd3003bad1eedefd9c66e403ff88ea5a603123232a6db04fa81d44"),
+    (("lts", _R), 0,
+     '{"encoding": {"root": 0, "states": [[["a", 1], ["a", 3], ["b", 4]], [["b", 4], ["c", 2]], [["b", 4]], '
+     '[["c", 4]], []]}, "term": "a.(b.0 + c.b.0) + a.c.0 + b.0", "transitions": ['
+     '{"action": "a", "from": "a.(b.0 + c.b.0) + a.c.0 + b.0", "to": "b.0 + c.b.0"}, '
+     '{"action": "a", "from": "a.(b.0 + c.b.0) + a.c.0 + b.0", "to": "c.0"}, '
+     '{"action": "b", "from": "a.(b.0 + c.b.0) + a.c.0 + b.0", "to": "0"}]}\n'),
     (("deter", _R), 0,
      '{"deterministic_form": "a.(b.0 + c.b.0) + b.0", "term": "a.(b.0 + c.b.0) + a.c.0 + b.0"}\n'),
 ]
@@ -389,6 +441,26 @@ def test_json_outputs_are_pinned(capsys):
         if pinned.startswith("sha256:"):
             out = "sha256:" + hashlib.sha256(out.encode()).hexdigest()
         assert (code, out, err) == (pinned_code, pinned, ""), argv
+
+
+def test_readme_examples_stay_true(capsys):
+    # each "procsem" line of README's CLI section exits as its comment says
+    # (0 where it says nothing), and each "$ procsem" example prints what
+    # README shows below it
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    start = readme.index("## CLI")
+    examples = []  # (command line, the output README shows or None)
+    for kind, body in re.findall(r"```(\w+)\n(.*?)```", readme[start : readme.index("\n## ", start)], re.S):
+        if kind == "sh":
+            examples += [(line, None) for line in body.splitlines()]
+        else:
+            examples += [example.split("\n", 1) for example in body.split("$ ")[1:]]
+    assert len(examples) >= 17
+    for line, shown in examples:
+        said = re.search(r"# exit (\d)", line)
+        code, out, err = run(capsys, *shlex.split(line, comments=True)[1:])
+        assert (code, err) == (int(said[1]) if said else 0, ""), line
+        assert shown in (None, out), line
 
 
 def test_closed_pipe_exit_141():

@@ -182,11 +182,17 @@ def test_enumerate_terms_exhaustive_powerset():
     assert len(terms) == 256
 
 
-def test_json_roundtrip():
+def test_json_roundtrip(pool2):
+    # a state table names each state once, parents first; it reads back to
+    # the term itself, at any depth
     t = c("a.(b.0+c.0) + b.0")
-    blob = json.dumps(term_to_json(t), sort_keys=True)
-    assert canonicalize(term_from_json(json.loads(blob))) is t
-    assert term_to_json(c("0")) == {"nil": True}
+    assert term_to_json(t) == {"root": 0, "states": [[["a", 1], ["b", 2]], [["b", 2], ["c", 2]], []]}
+    assert term_to_json(c("0")) == {"root": 0, "states": [[]]}
+    for t in pool2 + (c("a." * 2000 + "0"),):
+        blob = json.dumps(term_to_json(t), sort_keys=True)
+        assert canonicalize(term_from_json(json.loads(blob))) is t
+    with pytest.raises(ValueError):
+        term_from_json({"root": 0, "states": [[["a", 0]]]})
 
 
 @st.composite
