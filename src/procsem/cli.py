@@ -5,9 +5,9 @@ Exit codes: 0 relation holds / success, 1 relation fails (witness reported),
 message on stderr, no traceback), 141 the reader closed standard output
 (128 + SIGPIPE, as a shell reports a process killed by a closed pipe).  With
 --json all output is deterministic (sorted keys), and every JSON output is
-flat: a term or witness names each state once, in a ``terms.state_table``,
-and a refutation tree is a list of nodes, so ``json.dumps`` prints any of
-them, however deep the terms.
+flat: a term, a witness or the decorated traces at S name each state
+once, in a ``terms.state_table``, and a refutation tree is a list of
+nodes, so ``json.dumps`` prints any of them, however deep the terms.
 
 Only the decide core is imported at start-up; each subcommand imports the
 engine modules it uses (``logic``, ``axioms``, ``corpus``, and
@@ -87,38 +87,41 @@ def _emit(args, payload) -> None:
         _pretty(payload)
 
 
-# The keys whose integers name states ("s3") or nodes ("n2"), and the plain line of each.
-_NAMES = {"p": "s", "q": "s", "after_p": "s", "root": "s", "unmatched": "s", "responses": "n"}
+def _named(value, prefix="s"):
+    """An index into a payload's "states" (or, prefix "n", its "nodes") as
+    plain text names it, a list of them as one line; other values as they are."""
+    if isinstance(value, list):
+        return "[" + ", ".join(str(_named(v, prefix)) for v in value) + "]"
+    return f"{prefix}{value}" if type(value) is int else value
+
+
 _LINES = {
     "states": lambda i, state: f"s{i} = " + (" + ".join(f"{a}.s{j}" for a, j in state) or "0"),
-    "nodes": lambda i, node: f"n{i}: " + ", ".join(f"{k}: {_name(k, v)}" for k, v in node.items()),
+    "nodes": lambda i, node: f"n{i}: " + ", ".join(
+        f"{k}: {_named(v, 'n' if k == 'responses' else 's')}" for k, v in node.items()
+    ),
 }
 
 
-def _name(key, value):
-    """A state or node index as plain text names it; other values as they are."""
-    if isinstance(value, list):
-        return "[" + ", ".join(str(_name(key, v)) for v in value) + "]"
-    return f"{_NAMES[key]}{value}" if key in _NAMES and type(value) is int else value
-
-
-def _pretty(payload, indent="", key=None) -> None:
+def _pretty(payload, indent="", named=False) -> None:
     """Indented text, one line per leaf, per state (``s3 = a.s4 + b.s5``)
-    and per refutation node.  Payloads are a few levels deep."""
+    and per refutation node.  Inside a payload that carries a "states"
+    table every integer names a state (``s3``).  Payloads are a few levels deep."""
     if isinstance(payload, list):
         for item in payload:
-            _pretty(item, indent, key)
+            _pretty(item, indent, named)
     elif not isinstance(payload, dict):
-        print(f"{indent}{_name(key, payload)}")
+        print(f"{indent}{_named(payload) if named else payload}")
     else:
+        named = named or "states" in payload
         for key, value in payload.items():
             if key in _LINES:
                 value = [_LINES[key](i, entry) for i, entry in enumerate(value)]
             if isinstance(value, (dict, list)):
                 print(f"{indent}{key}:")
-                _pretty(value, indent + "  ", key)
+                _pretty(value, indent + "  ", named)
             else:
-                print(f"{indent}{key}: {_name(key, value)}")
+                print(f"{indent}{key}: {_named(value) if named else value}")
 
 
 def _cmd_compare(args) -> int:
@@ -149,14 +152,9 @@ def _cmd_lts(args) -> int:
     if args.dot:
         print(transition_graph_dot(p))
         return EXIT_OK
-    payload = {
-        "term": render_term(p),
-        "encoding": term_to_json(p),
-        "transitions": [
-            {"from": render_term(p), "action": a, "to": render_term(t)} for a, t in step(p)
-        ],
-    }
-    _emit(args, payload)
+    term = render_term(p)
+    transitions = [{"from": term, "action": a, "to": render_term(t)} for a, t in step(p)]
+    _emit(args, {"term": term, "encoding": term_to_json(p), "transitions": transitions})
     return EXIT_OK
 
 
@@ -166,10 +164,10 @@ def _cmd_observe(args) -> int:
     truncated = False
     try:
         if args.kind == "lgo":
-            payload = [preorders.lgo_json(o) for o in sorted(enum_lgo(n, p), key=lambda o: o.sort_key())]
+            payload = preorders.lgo_json(sorted(enum_lgo(n, p), key=lambda o: o.sort_key()))
         elif args.kind == "pw":
             check_world_cap(p)
-            payload = sorted(render_term(w) for w in enum_possible_worlds(p))
+            payload = {"observations": sorted(render_term(w) for w in enum_possible_worlds(p))}
         else:
             if args.kind == "cdbgo":
                 check_world_cap(p)
@@ -177,10 +175,10 @@ def _cmd_observe(args) -> int:
             else:
                 fn = enum_bgo if args.kind == "bgo" else enum_dbgo
                 obs, truncated = fn(n, p, args.max_nodes, DEFAULT_WORLD_CAP)
-            payload = [repr(o) for o in sorted(obs, key=lambda o: (o.nodes, o))]
+            payload = {"observations": [repr(o) for o in sorted(obs, key=lambda o: (o.nodes, o))]}
     except TruncationError as exc:
         raise CliError(str(exc), EXIT_CAP) from exc
-    _emit(args, {"observations": payload, "truncated": truncated})
+    _emit(args, {**payload, "truncated": truncated})
     return EXIT_OK
 
 

@@ -58,8 +58,8 @@ from .observations import (
     decide_via_observations,
     enum_complete_dbgo,
 )
-from .spectrum import LINEAR_RULES, SemanticsId, UncoveredSemanticsError, classic_name, linear_rule, supported_ids
-from .terms import NIL, CanonicalTerm, render_term, state_table
+from .spectrum import LINEAR_RULES, SemanticsId, UncoveredSemanticsError, linear_rule, supported_ids
+from .terms import NIL, CanonicalTerm, state_table
 
 __all__ = [
     "Verdict",
@@ -112,17 +112,15 @@ HOLDS = Verdict(True)
 
 def _witness_json(w):
     """JSON form of a witness.  One that mentions terms names each state
-    once, in a ``terms.state_table`` under "states": a refutation tree as a
+    once, in a ``terms.state_table`` under "states", and every integer in it,
+    outside a node's "responses", names a state: a refutation tree as a
     flat "nodes" list (node 0 the root, one node per (p, q) pair, responses
     as node indices), and a decorated trace at S, whose labels are terms."""
     if w["kind"] in ("move", "constraint"):
         return _tree_json(w)
     if w["kind"] == "lgo":
-        obs = w["unmatched"]
-        if obs.constraint != "S":
-            return {**w, "unmatched": lgo_json(obs)}
-        states, index = state_table(*(label.value for label in obs.labels()))
-        return {**w, "states": states, "unmatched": lgo_json(obs, index.__getitem__)}
+        out = lgo_json([w["unmatched"]])
+        return {**w, "unmatched": out.pop("observations")[0], **out}
     return {**w, "unmatched": repr(w["unmatched"])}  # bgo and dbgo
 
 
@@ -142,22 +140,29 @@ def _tree_json(root: dict) -> dict:
     return {"states": states, "nodes": flat}
 
 
-def lgo_json(obs: LinearObs, state=render_term):
-    """Flat JSON rendering of a decorated trace; `state` names an S label's term."""
-    out = [_label_payload(obs.head, state)]
-    for a, l in obs.steps:
-        out += (a, _label_payload(l, state))
-    return out
+def lgo_json(observations) -> dict:
+    """Flat JSON rendering of decorated traces, each ``[label, action,
+    label, ...]`` under "observations"; at S, whose labels are terms, the
+    labels are indices into one ``terms.state_table`` under "states"."""
+    observations = list(observations)
+    states, index = state_table(*(l.value for o in observations if o.constraint == "S" for l in o.labels()))
+    flat = []
+    for obs in observations:
+        out = [_label_payload(obs.head, index)]
+        for a, l in obs.steps:
+            out += (a, _label_payload(l, index))
+        flat.append(out)
+    return {"observations": flat, "states": states} if states else {"observations": flat}
 
 
-def _label_payload(label, state):
+def _label_payload(label, index):
     if label.constraint == "U":
         return "·"
     if label.constraint == "T":
         return sorted("".join(t) for t in label.value)
     if label.constraint == "I":
         return sorted(label.value)
-    return state(label.value) if label.constraint == "S" else label.value
+    return index[label.value] if label.constraint == "S" else label.value
 
 
 # ---------------------------------------------------------------------------
@@ -628,8 +633,4 @@ def spectrum_matrix(p: CanonicalTerm, q: CanonicalTerm) -> dict[SemanticsId, str
 
 
 def matrix_json(matrix: dict[SemanticsId, str]) -> dict:
-    out = {}
-    for sem, cell in matrix.items():
-        name = classic_name(sem) or f"{sem.constraint}:{sem.flavor}"
-        out[name] = cell
-    return out
+    return {str(sem): cell for sem, cell in matrix.items()}

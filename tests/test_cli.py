@@ -259,7 +259,7 @@ def test_deep_bisimulation_witness(capsys):
 
 
 def test_extreme_inputs(capsys):
-    """Every row answers with an exit in {0, 1, 2, 3}, and no traceback or
+    """Every row answers with its verdict's exit code, and no traceback or
     internal error.  Rows that wait on other work are not here yet: the
     ids that read traces (T, F, RT and the other linear and extended-ready
     flavors) recurse once per level in ``lts.traces``, a refuted ``db``
@@ -272,18 +272,18 @@ def test_extreme_inputs(capsys):
     parentheses = "(" * 2000 + "a.0" + ")" * 2000
     wide = " + ".join(f"a.y{i}.0" for i in range(2000))
     rows = [
-        ("--json", "lts", chain),
-        ("lts", chain),
-        *(("--json", "compare", "--semantics", sem, p, q) for sem in ("B", "S", "I:bf", "I:bf⊇")),
-        ("compare", "--semantics", "B", p, q),
-        ("compare", "--semantics", "F", parentheses, "a.0"),
-        ("spectrum", parentheses, "a.0"),
-        ("compare", "--semantics", "T", wide, "a.0"),
-        ("compare", "--semantics", "B", wide, "a.0"),
+        (0, "--json", "lts", chain),
+        (0, "lts", chain),
+        *((1, "--json", "compare", "--semantics", sem, p, q) for sem in ("B", "S", "I:bf", "I:bf⊇")),
+        (1, "compare", "--semantics", "B", p, q),
+        (0, "compare", "--semantics", "F", parentheses, "a.0"),
+        (0, "spectrum", parentheses, "a.0"),
+        (1, "compare", "--semantics", "T", wide, "a.0"),
+        (1, "compare", "--semantics", "B", wide, "a.0"),
     ]
-    for argv in rows:
+    for expected, *argv in rows:
         code, _, err = run(capsys, *argv)
-        assert code in (0, 1, 2, 3) and "Traceback" not in err and "internal error" not in err, argv[:4]
+        assert code == expected and "Traceback" not in err and "internal error" not in err, argv[:4]
 
 
 def test_witness_output_is_linear_in_the_depth(capsys):
@@ -388,6 +388,9 @@ _PINNED_JSON = [
      '{"action": "a", "after_p": 2, "kind": "move", "p": 0, "q": 1, "responses": [1], "side": "left"}, '
      '{"action": "c", "after_p": 5, "kind": "move", "p": 2, "q": 4, "responses": [], "side": "right"}], '
      '"states": [[["a", 2], ["a", 3]], [["a", 4]], [["b", 5]], [["c", 5]], [["b", 5], ["c", 5]], []]}}\n'),
+    (("compare", "--semantics", "S:lf", _P, _Q), 1,
+     '{"holds": false, "witness": {"kind": "lgo", "semantics": "S:lf", '
+     '"states": [[["a", 1], ["a", 2]], [["b", 3]], [["c", 3]], []], "unmatched": [0]}}\n'),
     (("compare", "--semantics", "PW", _Q, _P), 1,
      '{"holds": false, "witness": {"kind": "dbgo", "unmatched": '
      '"<frozenset({\'a\'}),{(a,<frozenset({\'b\', \'c\'}),{(b,<frozenset(),{}>),(c,<frozenset(),{}>)}>)}>"}}\n'),
@@ -413,6 +416,9 @@ _PINNED_JSON = [
      "sha256:e4278ff7b1445d80bd4129e8d326c69e90ba88c52064e37d32976de24d5e9009"),
     (("observe", "--kind", "lgo", "--constraint", "T", _P), 0,
      "sha256:a3f2a9669467eea094ede1a71a5c78b3cf29f3de6c9ac40862b5ffa6ac73a667"),
+    (("observe", "--kind", "lgo", "--constraint", "S", _P), 0,
+     '{"observations": [[0], [0, "a", 1], [0, "a", 2], [0, "a", 1, "b", 3], [0, "a", 2, "c", 3]], '
+     '"states": [[["a", 1], ["a", 2]], [["b", 3]], [["c", 3]], []], "truncated": false}\n'),
     (("observe", "--kind", "bgo", _R), 0,
      "sha256:050a5fc401a8b1c0fb45b593ad6f8e34ecce8f7a1afa2f677790d7fc4ee444ea"),
     (("observe", "--kind", "cdbgo", _R), 0,
@@ -441,6 +447,18 @@ def test_json_outputs_are_pinned(capsys):
         if pinned.startswith("sha256:"):
             out = "sha256:" + hashlib.sha256(out.encode()).hexdigest()
         assert (code, out, err) == (pinned_code, pinned, ""), argv
+
+
+def test_plain_decorated_traces_at_s_name_states(capsys):
+    # the labels of an S decorated trace are terms: plain text names them
+    # by the states of the one table printed beside them, as --json does
+    code, out, err = run(capsys, "compare", "--semantics", "S:lf", _P, _Q)
+    assert (code, out, err) == (1, "holds: False\nwitness:\n  kind: lgo\n  unmatched:\n    s0\n"
+                                   "  semantics: S:lf\n  states:\n    s0 = a.s1 + a.s2\n    s1 = b.s3\n"
+                                   "    s2 = c.s3\n    s3 = 0\n", "")
+    code, out, err = run(capsys, "observe", "--kind", "lgo", "--constraint", "S", "a.b.0")
+    assert (code, out, err) == (0, "observations:\n  s0\n  s0\n  a\n  s1\n  s0\n  a\n  s1\n  b\n  s2\n"
+                                   "states:\n  s0 = a.s1\n  s1 = b.s2\n  s2 = 0\ntruncated: False\n", "")
 
 
 def test_readme_examples_stay_true(capsys):

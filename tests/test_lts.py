@@ -60,9 +60,8 @@ def test_reachable_bounded(pool2):
     for p in pool2[:64]:
         states = reachable(p)
         assert states[0] is p
-        # the sub-sums of p, each once, and each before its successors
-        assert sorted(states) == sorted(_subsums(p))
-        assert all(states.index(s) < states.index(t) for s in states for _, t in s.summands)
+        # as terms.state_table numbers them: tallest first, then in DFS order
+        assert states == tuple(sorted(_subsums(p), key=depth, reverse=True))
         # bounded by the number of distinct sub-sums plus nil
         assert len(states) <= sum(1 for _ in _subsums(p)) + 1
 
