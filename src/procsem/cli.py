@@ -24,7 +24,7 @@ import sys
 
 from . import preorders
 from .constraints import CONSTRAINTS
-from .lts import step, transition_graph_dot
+from .lts import transition_graph_dot
 from .observations import (
     DEFAULT_WORLD_CAP,
     TruncationError,
@@ -152,9 +152,10 @@ def _cmd_lts(args) -> int:
     if args.dot:
         print(transition_graph_dot(p))
         return EXIT_OK
-    term = render_term(p)
-    transitions = [{"from": term, "action": a, "to": render_term(t)} for a, t in step(p)]
-    _emit(args, {"term": term, "encoding": term_to_json(p), "transitions": transitions})
+    # transitions name their states by index into the encoding: the term prints once
+    encoding = term_to_json(p)
+    transitions = [{"from": 0, "action": a, "to": j} for a, j in encoding["states"][encoding["root"]]]
+    _emit(args, {"term": render_term(p), "encoding": encoding, "transitions": transitions})
     return EXIT_OK
 
 

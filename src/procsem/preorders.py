@@ -15,7 +15,11 @@ Three families of procedures live here:
      raw label values) pairs (built per subterm from the successors'
      tables, with no observation objects), the flavor's rule from a table
      matching only the pairs the inclusion leaves;
-  a witness is the least of the unmatched pairs,
+  ``decide`` runs them for one cell, ``spectrum_matrix`` once per row
+  (``_row``): the linear rules decided on one constraint's labels share
+  one trace check, one collapse and one table difference per half of the
+  table, whose leftovers each rule matches; a witness is the least of the
+  unmatched pairs,
 * the exotic deciders: deterministic branching (a game over bit-masked
   types, the sets of q-states that match a world of p) and
   final-ready/final-failure branching (a coverage game), both on the same
@@ -27,8 +31,9 @@ for linear flavors, the least unmatched complete deterministic observation
 for ``db``.  Every witness is built when it is first read, so deciding alone
 pays for no witness and enumerates no world: the world cap guards only the
 ``db`` witness.  ``decide(sem, p, q)``, ``holds`` (its boolean, with no
-verdict) and ``spectrum_matrix`` read one flavor dispatch; ``decide_nsim``
-takes q's transition relation, for the operational engine and ``logic``.
+verdict) and the other cells of ``spectrum_matrix`` read one flavor
+dispatch; ``decide_nsim`` takes q's transition relation, for the
+operational engine and ``logic``.
 ``engine(name)`` names the decider of each of the three engines, and
 ``coverage(sem)`` lists the pathways that characterize a semantics.
 """
@@ -347,6 +352,67 @@ def _included(linear: tuple, p: CanonicalTerm, q: CanonicalTerm) -> bool:
     return next(iter(_unmatched(constraint, rule, p, q)), None) is None
 
 
+def _row_tables() -> tuple[dict, dict]:
+    """(rules, bits): per constraint, the distinct linear rules decided on its
+    labels, one bit each, and per linear or extended-ready id its
+    (constraint, bit).  U, C and S have 7 rules, T 8, and I 10, as ER, ERT,
+    ECR and ECRT compare I labels and ER and ERT rerun I:lf⊆ and I:l⊆."""
+    rules: dict = {}
+    bits = {}
+    for sem in supported_ids():
+        if sem.flavor in LINEAR_RULES:
+            constraint, rule = linear_rule(sem.constraint, sem.flavor)
+            row = rules.setdefault(constraint, [])
+            if rule not in row:
+                row.append(rule)
+            bits[sem] = constraint, row.index(rule)
+    return rules, bits
+
+
+_ROW_RULES, _ROW_BITS = _row_tables()
+
+
+def _row(constraint: str, p: CanonicalTerm, q: CanonicalTerm) -> int:
+    """``_included`` for every rule of ``_ROW_RULES[constraint]`` at once, as
+    a bit mask of the rules that hold.  The layers run once for the row:
+    one trace check; at U and C one collapse; at I, T and S one table
+    difference per half (items, finals), whose leftovers each rule matches
+    against q's values on the leftover traces, grouped once per half in the
+    row (no ``_pools``); at S the `leq` rules are simulation."""
+    rules = _ROW_RULES[constraint]
+    if not traces(p) <= traces(q):
+        return 0
+    if constraint in ("U", "C"):
+        held = constraint == "U" or completed_traces(p) <= completed_traces(q)
+        return (1 << len(rules)) - 1 if held else 0
+    row, halves = 0, {}
+    for bit, rule in enumerate(rules):
+        if constraint == "S" and rule[1] == "leq":
+            row |= simulates("U", p, q) << bit
+            continue
+        final_only = rule[0] is None
+        if final_only not in halves:
+            halves[final_only] = _leftovers(_trace_table(constraint, p)[final_only],
+                                            _trace_table(constraint, q)[final_only])
+        left, pool = halves[final_only]
+        matched = _matcher(constraint, rule) if left else None  # None: equality, which q lacks
+        if not left or matched is not None and all(matched(x, pool(trace, ())) for trace, x in left):
+            row |= 1 << bit
+    return row
+
+
+def _leftovers(mine: frozenset, theirs: frozenset) -> tuple[frozenset, object]:
+    """(mine - theirs, pool): ``pool.get`` of q's values by trace, on the leftover traces."""
+    left = mine - theirs
+    pools: dict = {}
+    if left:
+        wanted = {trace for trace, _ in left}
+        for trace, y in theirs:
+            if trace in wanted:
+                pools.setdefault(trace, []).append(y)
+    return left, pools.get
+
+
 def _lgo_witness(constraint: str, rule: tuple, name: str, p: CanonicalTerm, q: CanonicalTerm) -> dict:
     """The least unmatched decorated trace of p (by ``LinearObs.sort_key``)
     as a witness, with the revival action of a failed meet."""
@@ -530,13 +596,14 @@ def _uncovered_bgo(p: CanonicalTerm, q: CanonicalTerm, exact: bool) -> dict:
 
 
 # The one flavor dispatch: flavor -> (holds(constraint, flavor, p, q),
-# witness(constraint, flavor, p, q)).  `spectrum_matrix` and `holds` read
-# only the first; `decide` hands the second to a refuting verdict, which
-# builds it on first read.  The lambdas look their deciders up when called,
-# so a replaced module function is the one used.  Every linear and
-# extended-ready flavor reads its (constraint, rule) from
-# ``spectrum.linear_rule`` through `_linear`, one cached lookup per cell that
-# allocates nothing.  On canonical forms bisimilarity is identity.
+# witness(constraint, flavor, p, q)).  `holds`, and `spectrum_matrix` for
+# the cells that are no bit of a `_row`, read only the first; `decide`
+# hands the second to a refuting verdict, which builds it on first read.
+# The lambdas look their deciders up when called, so a replaced module
+# function is the one used.  Every linear and extended-ready flavor reads
+# its (constraint, rule) from ``spectrum.linear_rule`` through `_linear`,
+# one cached lookup per cell that allocates nothing.  On canonical forms
+# bisimilarity is identity.
 _linear = lru_cache(maxsize=None)(linear_rule)
 _DECIDERS = {
     **dict.fromkeys(LINEAR_RULES, (
@@ -613,14 +680,25 @@ def coverage(sem: SemanticsId) -> tuple[str, ...]:
 
 def spectrum_matrix(p: CanonicalTerm, q: CanonicalTerm) -> dict[SemanticsId, str]:
     """Both directions of every supported semantics, as "≡", "⊑", "⊒" or
-    "incomparable".  Only the booleans are read, so no verdict or witness is
-    built, and deciding enumerates no world, so every cell is decided."""
+    "incomparable".  The linear and extended-ready cells are bits of one
+    ``_row`` per direction and constraint, computed when a cell first reads
+    it; the other cells read the flavor dispatch.  Only the booleans are
+    read, so no verdict or witness is built, and deciding enumerates no
+    world, so every cell is decided."""
     out: dict[SemanticsId, str] = {}
+    rows: dict[str, tuple[int, int]] = {}
     for sem in supported_ids():
         constraint, flavor = sem.constraint, sem.flavor
-        test = _DECIDERS[flavor][0]
-        below = test(constraint, flavor, p, q)
-        above = test(constraint, flavor, q, p)
+        if sem in _ROW_BITS:
+            constraint, bit = _ROW_BITS[sem]
+            if constraint not in rows:
+                rows[constraint] = _row(constraint, p, q), _row(constraint, q, p)
+            below, above = rows[constraint]
+            below, above = below >> bit & 1, above >> bit & 1
+        else:
+            test = _DECIDERS[flavor][0]
+            below = test(constraint, flavor, p, q)
+            above = test(constraint, flavor, q, p)
         if below and above:
             out[sem] = "≡"
         elif below:

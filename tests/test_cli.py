@@ -1,8 +1,10 @@
 import hashlib
+import itertools
 import json
 import os
 import re
 import shlex
+import string
 import subprocess
 import sys
 from pathlib import Path
@@ -351,7 +353,7 @@ def test_lts_json(capsys):
     assert json.loads(out) == {
         "encoding": {"root": 0, "states": [[["a", 1]], [["b", 2]], []]},
         "term": "a.b.0",
-        "transitions": [{"action": "a", "from": "a.b.0", "to": "b.0"}],
+        "transitions": [{"action": "a", "from": 0, "to": 1}],
     }
     code, out, _ = run(capsys, "--json", "lts", "a.0 + b.c.0")
     assert code == 0
@@ -359,10 +361,7 @@ def test_lts_json(capsys):
     assert json.loads(out) == {
         "encoding": {"root": 0, "states": [[["a", 2], ["b", 1]], [["c", 2]], []]},
         "term": "a.0 + b.c.0",
-        "transitions": [
-            {"action": "a", "from": "a.0 + b.c.0", "to": "0"},
-            {"action": "b", "from": "a.0 + b.c.0", "to": "c.0"},
-        ],
+        "transitions": [{"action": "a", "from": 0, "to": 2}, {"action": "b", "from": 0, "to": 1}],
     }
 
 
@@ -433,9 +432,7 @@ _PINNED_JSON = [
     (("lts", _R), 0,
      '{"encoding": {"root": 0, "states": [[["a", 1], ["a", 3], ["b", 4]], [["b", 4], ["c", 2]], [["b", 4]], '
      '[["c", 4]], []]}, "term": "a.(b.0 + c.b.0) + a.c.0 + b.0", "transitions": ['
-     '{"action": "a", "from": "a.(b.0 + c.b.0) + a.c.0 + b.0", "to": "b.0 + c.b.0"}, '
-     '{"action": "a", "from": "a.(b.0 + c.b.0) + a.c.0 + b.0", "to": "c.0"}, '
-     '{"action": "b", "from": "a.(b.0 + c.b.0) + a.c.0 + b.0", "to": "0"}]}\n'),
+     '{"action": "a", "from": 0, "to": 1}, {"action": "a", "from": 0, "to": 3}, {"action": "b", "from": 0, "to": 4}]}\n'),
     (("deter", _R), 0,
      '{"deterministic_form": "a.(b.0 + c.b.0) + b.0", "term": "a.(b.0 + c.b.0) + a.c.0 + b.0"}\n'),
 ]
@@ -482,8 +479,10 @@ def test_readme_examples_stay_true(capsys):
 
 
 def test_closed_pipe_exit_141():
-    # about 1 MB of output, far more than a pipe buffers
-    term = "+".join("a." * k + "b.0" for k in range(1, 61))
+    # about 1 MB of output, far more than a pipe buffers, from a 112 KB
+    # argument (one argument may hold 128 KB): lts of 14,000 distinct prefixes
+    actions = ("".join(letters) for letters in itertools.product(string.ascii_lowercase, repeat=3))
+    term = "+".join(f"a.{b}.0" for b in itertools.islice(actions, 14000))
     env = dict(os.environ, PYTHONPATH=str(Path(procsem.__file__).parents[1]))
     proc = subprocess.Popen(
         [sys.executable, "-m", "procsem.cli", "lts", term],

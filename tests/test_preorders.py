@@ -321,14 +321,80 @@ def test_collapsed_linear_cells_build_no_table(pool2):
     assert preorders._trace_table.cache_info().currsize > 0
 
 
+def _perturbed_pairs(rng, pool2, count):
+    """(p, p + a.(x + y)) for a random p of depth 2 to 4 over {a, b} with a
+    summand a.x, and y a pool2 term, prefixed half of the time."""
+    from conftest import random_term
+    from procsem.terms import prefix, sum_terms
+
+    pairs = []
+    while len(pairs) < count:
+        p = random_term(rng, rng.randint(2, 4), ("a", "b"))
+        if p.summands:
+            a, x = rng.choice(p.summands)
+            y = rng.choice(pool2)
+            y = prefix(rng.choice("ab"), y) if rng.random() < 0.5 else y
+            pairs.append((p, sum_terms(p, prefix(a, sum_terms(x, y)))))
+    return pairs
+
+
 def test_spectrum_matrix_agrees_with_decide(pool2, random3):
+    """Every bit of every linear row, and every other cell, in both
+    directions, on pairs that run every layer of a row: random pairs,
+    trace-equal pairs (every table difference runs) and perturbed pairs,
+    which tell the S ids b, db, l, lf and join apart."""
     rng = random.Random(59)
-    pairs = [(rng.choice(pool2), rng.choice(pool2)) for _ in range(40)]
+    pairs = [(rng.choice(pool2), rng.choice(pool2)) for _ in range(1040)]
     pairs += [(rng.choice(random3), rng.choice(random3)) for _ in range(20)]
+    by_traces = {}
+    for p in pool2 + random3:
+        by_traces.setdefault(traces(p), []).append(p)
+    classes = [terms for terms in by_traces.values() if len(terms) > 1]
+    pairs += [tuple(rng.sample(rng.choice(classes), 2)) for _ in range(300)]
+    # one pair for each way the perturbation search tells the five S ids apart
+    pairs += [
+        (c("a.(a.0 + a.(a.0 + b.0) + a.b.0)"), c("a.(a.0 + a.(a.0 + b.0)) + a.(a.(a.0 + b.0) + a.b.0)")),
+        (c("b.b.(a.(a.0 + b.0) + a.b.0) + b.b.(a.(a.0 + b.0) + b.b.0)"),
+         c("b.b.a.(a.0 + b.0) + b.(b.(a.(a.0 + b.0) + b.b.0) + b.a.b.0)")),
+        (c("a.(a.a.0 + b.(a.0 + b.0) + b.b.0)"), c("a.(a.a.0 + b.(a.0 + b.0)) + a.b.b.0")),
+    ]
+    pairs += _perturbed_pairs(random.Random(8), pool2, 300)
+    at_s = [parse_semantics(f"S:{flavor}") for flavor in ("b", "db", "l", "lf", "join")]
+    patterns = set()
     cell = {(True, True): "≡", (True, False): "⊑", (False, True): "⊒", (False, False): "incomparable"}
     for p, q in pairs:
         expected = {sem: cell[decide(sem, p, q).holds, decide(sem, q, p).holds] for sem in supported_ids()}
         assert spectrum_matrix(p, q) == expected, (p, q)
+        for x, y in ((p, q), (q, p)):
+            patterns.add(tuple(holds(sem, x, y) for sem in at_s))
+    # the three separations, and the pairs that all five relate or refute
+    assert patterns > {
+        (False, True, True, True, True), (False, False, False, True, False), (False, False, False, True, True)
+    }
+
+
+def test_spectrum_matrix_stays_lazy(pool2, random3):
+    """A row refuted at the trace layer, and every U and C row, builds no
+    table, and no matrix groups q's table into ``_pools``."""
+    import procsem
+    from procsem import preorders
+
+    procsem.clear_caches()
+    rng = random.Random(71)
+    refuted = [(p, q) for p, q in _trace_refuted_pairs(pool2, rng, 400) if not traces(q) <= traces(p)]
+    assert len(refuted) > 100
+    for p, q in refuted:
+        assert set(spectrum_matrix(p, q).values()) == {"incomparable"}
+    assert preorders._trace_table.cache_info().currsize == 0
+    pairs = [(rng.choice(pool2), rng.choice(pool2)) for _ in range(300)]
+    rows = {n: [preorders._row(n, p, q) for p, q in pairs] for n in ("U", "C")}
+    assert 0 in rows["C"] and any(rows["C"]) and any(rows["U"])
+    assert preorders._trace_table.cache_info().currsize == 0
+    pairs += [(rng.choice(random3), rng.choice(random3)) for _ in range(100)]
+    for p, q in pairs:
+        spectrum_matrix(p, q)
+    assert preorders._trace_table.cache_info().currsize > 0
+    assert preorders._pools.cache_info().currsize == 0
 
 
 def test_every_semantics_refines_trace_inclusion(pool2, random3):
