@@ -97,6 +97,7 @@ def _named(value, prefix="s"):
 
 _LINES = {
     "states": lambda i, state: f"s{i} = " + (" + ".join(f"{a}.s{j}" for a, j in state) or "0"),
+    "transitions": lambda i, t: f"s{t['from']} -{t['action']}-> s{t['to']}",
     "nodes": lambda i, node: f"n{i}: " + ", ".join(
         f"{k}: {_named(v, 'n' if k == 'responses' else 's')}" for k, v in node.items()
     ),
@@ -104,9 +105,10 @@ _LINES = {
 
 
 def _pretty(payload, indent="", named=False) -> None:
-    """Indented text, one line per leaf, per state (``s3 = a.s4 + b.s5``)
-    and per refutation node.  Inside a payload that carries a "states"
-    table every integer names a state (``s3``).  Payloads are a few levels deep."""
+    """Indented text, one line per leaf, per state (``s3 = a.s4 + b.s5``),
+    per transition (``s0 -a-> s3``) and per refutation node.  Inside a
+    payload that carries a "states" table every integer names a state
+    (``s3``).  Payloads are a few levels deep."""
     if isinstance(payload, list):
         for item in payload:
             _pretty(item, indent, named)

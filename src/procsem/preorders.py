@@ -6,8 +6,11 @@ Three families of procedures live here:
   games on the driver of ``constraints``,
 * linear deciders, the extended-ready family included, each cell settled
   at the coarsest of three layers that decides it:
-  1. trace-set inclusion, which every linear rule refines (each matches a
-     pair of p only on its own trace);
+  1. trace inclusion, which every semantics of the spectrum refines, so it
+     gates every family, not only the linear one: the entry points
+     (``decide``, ``holds``, ``spectrum_matrix``) play it first, as a
+     memoized game on (p, Q), a state of p against the set Q of states
+     that q reaches by the same trace (``_traced``);
   2. the collapse laws: at U every rule is trace inclusion (every label is
      the same), at C completed-trace inclusion (only a path's last state
      can be nil), and at S the partial-offer rules are simulation;
@@ -17,13 +20,17 @@ Three families of procedures live here:
      matching only the pairs the inclusion leaves;
   ``decide`` runs them for one cell, ``spectrum_matrix`` once per row
   (``_row``): the linear rules decided on one constraint's labels share
-  one trace check, one collapse and one table difference per half of the
-  table, whose leftovers each rule matches; a witness is the least of the
-  unmatched pairs,
+  one collapse and one table difference per half of the table, whose
+  leftovers each rule matches; a witness is the least of the unmatched
+  pairs,
 * the exotic deciders: deterministic branching (a game over bit-masked
   types, the sets of q-states that match a world of p) and
   final-ready/final-failure branching (a coverage game), both on the same
   driver.
+
+A pair that the trace game refutes is refuted in every semantics, and a
+position stops at the first move of p that Q cannot answer, so such pairs
+cost almost nothing and play no other game.
 
 Negative verdicts carry replayable witnesses: a refutation tree for
 simulations, the least unmatched decorated trace (by ``LinearObs.sort_key``)
@@ -54,7 +61,7 @@ from .constraints import (
     solve_game,
     value_key,
 )
-from .lts import completed_traces, initials, step, successors, traces
+from .lts import completed_traces, initials, step, successors
 from .observations import (
     BranchingObs,
     LinearObs,
@@ -235,6 +242,42 @@ def _bisim_refutation(p: CanonicalTerm, q: CanonicalTerm) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# Trace inclusion, the gate of every family
+
+
+@lru_cache(maxsize=None)
+def _trace_game():
+    """tr(p, Q): every trace of p is a trace of some state of Q, for Q not
+    empty.  tr(p, Q) holds when every move p -a-> p' has a non-empty Q/a,
+    the deduplicated a-successors of Q (``_step_masks``), with tr(p', Q/a).
+    A position stops at the first move that Q cannot answer."""
+    memo = {}
+
+    def node(key):
+        p, qs = key
+        value = True
+        for a, p2 in step(p):
+            sub = (p2, _step_masks(qs, a)[0])
+            if not sub[1]:
+                value = False
+                break
+            if sub not in memo:
+                yield sub
+            if not memo[sub]:
+                value = False
+                break
+        memo[key] = value
+
+    return node, memo
+
+
+def _traced(p: CanonicalTerm, q: CanonicalTerm) -> bool:
+    """Is every trace of p a trace of q?  tr(p, {q}) of ``_trace_game``."""
+    node, memo = _trace_game()
+    return solve_game(node, (p, (q,)), memo)
+
+
+# ---------------------------------------------------------------------------
 # Linear flavors
 
 
@@ -328,10 +371,11 @@ def _included(linear: tuple, p: CanonicalTerm, q: CanonicalTerm) -> bool:
     """Is every decorated trace of p matched by one of q under `linear`, a
     (constraint, rule) pair of ``spectrum.linear_rule``?
 
-    Three exact layers, coarsest first; only the last builds a table:
-    1. Traces: every rule matches a pair of p only against q's values on its
-       trace, and p has a pair on each of its traces.
-    2. Collapse: at U every value is None, so the trace alone matches.  At C
+    The entry points have checked that p's traces are q's (``_traced``):
+    every rule matches a pair of p only against q's values on its trace,
+    and p has a pair on each of its traces.  Two exact layers remain,
+    coarsest first; only the last builds a table:
+    1. Collapse: at U every value is None, so the trace alone matches.  At C
        `geq` is `eq` and only a path's last state can be nil, so each rule
        asks that q end each trace of p as p can, nil or live: completed-trace
        inclusion, as q has p's longer traces and so its live ends too.  At S
@@ -339,10 +383,8 @@ def _included(linear: tuple, p: CanonicalTerm, q: CanonicalTerm) -> bool:
        plain simulation: the empty trace's pair asks that q simulate p, and a
        simulation answers each path of p with a path of q whose states
        simulate p's pointwise.
-    3. Tables: the set inclusion and leftover matching of `_unmatched`."""
+    2. Tables: the set inclusion and leftover matching of `_unmatched`."""
     constraint, rule = linear
-    if not traces(p) <= traces(q):
-        return False
     if constraint == "U":
         return True
     if constraint == "C":
@@ -374,14 +416,13 @@ _ROW_RULES, _ROW_BITS = _row_tables()
 
 def _row(constraint: str, p: CanonicalTerm, q: CanonicalTerm) -> int:
     """``_included`` for every rule of ``_ROW_RULES[constraint]`` at once, as
-    a bit mask of the rules that hold.  The layers run once for the row:
-    one trace check; at U and C one collapse; at I, T and S one table
-    difference per half (items, finals), whose leftovers each rule matches
-    against q's values on the leftover traces, grouped once per half in the
-    row (no ``_pools``); at S the `leq` rules are simulation."""
+    a bit mask of the rules that hold, where the entry points have checked
+    that p's traces are q's.  The layers run once for the row: at U and C
+    one collapse; at I, T and S one table difference per half (items,
+    finals), whose leftovers each rule matches against q's values on the
+    leftover traces, grouped once per half in the row (no ``_pools``); at S
+    the `leq` rules are simulation."""
     rules = _ROW_RULES[constraint]
-    if not traces(p) <= traces(q):
-        return 0
     if constraint in ("U", "C"):
         held = constraint == "U" or completed_traces(p) <= completed_traces(q)
         return (1 << len(rules)) - 1 if held else 0
@@ -596,9 +637,12 @@ def _uncovered_bgo(p: CanonicalTerm, q: CanonicalTerm, exact: bool) -> dict:
 
 
 # The one flavor dispatch: flavor -> (holds(constraint, flavor, p, q),
-# witness(constraint, flavor, p, q)).  `holds`, and `spectrum_matrix` for
-# the cells that are no bit of a `_row`, read only the first; `decide`
-# hands the second to a refuting verdict, which builds it on first read.
+# witness(constraint, flavor, p, q)), read only where ``_traced(p, q)``
+# holds: every semantics refines trace inclusion, so the entry points ask
+# it first, and a decider may take it as given.  `holds`, and
+# `spectrum_matrix` for the cells that are no bit of a `_row`, read only
+# the first; `decide` hands the second to a refuting verdict, which builds
+# it on first read.
 # The lambdas look their deciders up when called, so a replaced module
 # function is the one used.  Every linear and extended-ready flavor reads
 # its (constraint, rule) from ``spectrum.linear_rule`` through `_linear`,
@@ -619,18 +663,19 @@ _DECIDERS = {
 
 
 def decide(sem: SemanticsId, p: CanonicalTerm, q: CanonicalTerm) -> Verdict:
-    """Does p lie below q in the given semantics?  A refuting verdict builds
-    its witness when first read."""
+    """Does p lie below q in the given semantics?  Trace inclusion first,
+    which every semantics refines, then the flavor's decider.  A refuting
+    verdict builds its witness when first read."""
     constraint, flavor = sem.constraint, sem.flavor
     test, witness = _DECIDERS[flavor]
-    if test(constraint, flavor, p, q):
+    if _traced(p, q) and test(constraint, flavor, p, q):
         return HOLDS
     return Verdict(False, None, witness, constraint, flavor, p, q)
 
 
 def holds(sem: SemanticsId, p: CanonicalTerm, q: CanonicalTerm) -> bool:
     """``decide(sem, p, q).holds``, with no verdict built."""
-    return _DECIDERS[sem.flavor][0](sem.constraint, sem.flavor, p, q)
+    return _traced(p, q) and _DECIDERS[sem.flavor][0](sem.constraint, sem.flavor, p, q)
 
 
 def engine(name: str):
@@ -680,25 +725,28 @@ def coverage(sem: SemanticsId) -> tuple[str, ...]:
 
 def spectrum_matrix(p: CanonicalTerm, q: CanonicalTerm) -> dict[SemanticsId, str]:
     """Both directions of every supported semantics, as "≡", "⊑", "⊒" or
-    "incomparable".  The linear and extended-ready cells are bits of one
-    ``_row`` per direction and constraint, computed when a cell first reads
-    it; the other cells read the flavor dispatch.  Only the booleans are
-    read, so no verdict or witness is built, and deciding enumerates no
-    world, so every cell is decided."""
+    "incomparable".  Trace inclusion is asked once per direction, and a
+    refuted direction reads False in every cell.  The linear and
+    extended-ready cells are bits of one ``_row`` per direction and
+    constraint, computed when a cell first reads it; the other cells read
+    the flavor dispatch.  Only the booleans are read, so no verdict or
+    witness is built, and deciding enumerates no world, so every cell is
+    decided."""
     out: dict[SemanticsId, str] = {}
     rows: dict[str, tuple[int, int]] = {}
+    down, up = _traced(p, q), _traced(q, p)
     for sem in supported_ids():
         constraint, flavor = sem.constraint, sem.flavor
         if sem in _ROW_BITS:
             constraint, bit = _ROW_BITS[sem]
             if constraint not in rows:
-                rows[constraint] = _row(constraint, p, q), _row(constraint, q, p)
+                rows[constraint] = down and _row(constraint, p, q), up and _row(constraint, q, p)
             below, above = rows[constraint]
             below, above = below >> bit & 1, above >> bit & 1
         else:
             test = _DECIDERS[flavor][0]
-            below = test(constraint, flavor, p, q)
-            above = test(constraint, flavor, q, p)
+            below = down and test(constraint, flavor, p, q)
+            above = up and test(constraint, flavor, q, p)
         if below and above:
             out[sem] = "≡"
         elif below:

@@ -235,9 +235,12 @@ def test_final_ready_on_a_full_depth3_term(capsys):
 
 def test_deep_chain(capsys):
     # the parser and canonicalizer read a chain of prefixes in a loop; these
-    # ids decide on explicit stacks (the trace-reading ones still recurse)
+    # ids decide on explicit stacks: the games, the trace game that gates
+    # them all and, on its own, decides the U flavors, and at S:l⊆ and S:lf⊆
+    # simulation (the ids that read trace tables or labels still recurse)
     chain = "a." * 3000 + "0"
-    for sem in ("B", "2S", "S:db", "RS", "PW", "I:bf", "I:bf⊇", "CS", "C:db", "S", "UPW"):
+    for sem in ("B", "2S", "S:db", "RS", "PW", "I:bf", "I:bf⊇", "CS", "C:db", "S", "UPW",
+                "T", "U:l⊇", "U:lf", "U:lf⊇", "U:l⊆", "U:lf⊆", "U:join", "U:meet", "S:l⊆", "S:lf⊆"):
         code, _, _ = run(capsys, "compare", "--semantics", sem, chain, chain)
         assert code == 0, sem
 
@@ -262,13 +265,17 @@ def test_deep_bisimulation_witness(capsys):
 
 def test_extreme_inputs(capsys):
     """Every row answers with its verdict's exit code, and no traceback or
-    internal error.  Rows that wait on other work are not here yet: the
-    ids that read traces (T, F, RT and the other linear and extended-ready
-    flavors) recurse once per level in ``lts.traces``, a refuted ``db``
-    cell builds its witness by the recursive ``enum_complete_dbgo``,
-    ``distinguish --semantics B|S`` recurses over the refutation tree, and
-    formulas 2,000 deep in ``~``, ``<a>`` and ``(`` recurse in the formula
-    parser and in ``sat``."""
+    internal error.  Trace inclusion is a game on an explicit stack, so T
+    and a spectrum of two trace-incomparable chains answer.  Rows that wait
+    on other work are not here yet: the 35 ids that read decorated-trace
+    tables, completed traces or T labels (F, RT, CT, TS, ``T:db`` and the
+    others past U but ``S:l⊆`` and ``S:lf⊆``) recurse once per level in
+    ``_trace_table``, ``lts.completed_traces`` or ``lts.traces``, so a
+    ``spectrum`` of trace-related chains does too;
+    a refuted ``db`` cell builds its witness by the recursive
+    ``enum_complete_dbgo``, ``distinguish --semantics B|S`` recurses over
+    the refutation tree, and formulas 2,000 deep in ``~``, ``<a>`` and
+    ``(`` recurse in the formula parser and in ``sat``."""
     chain = "a." * 2000 + "0"
     p, q = "a." * 2000 + "b.0", "a." * 2000 + "c.0"
     parentheses = "(" * 2000 + "a.0" + ")" * 2000
@@ -278,6 +285,8 @@ def test_extreme_inputs(capsys):
         (0, "lts", chain),
         *((1, "--json", "compare", "--semantics", sem, p, q) for sem in ("B", "S", "I:bf", "I:bf⊇")),
         (1, "compare", "--semantics", "B", p, q),
+        (0, "spectrum", p, q),
+        (0, "compare", "--semantics", "T", chain, chain),
         (0, "compare", "--semantics", "F", parentheses, "a.0"),
         (0, "spectrum", parentheses, "a.0"),
         (1, "compare", "--semantics", "T", wide, "a.0"),
@@ -286,6 +295,9 @@ def test_extreme_inputs(capsys):
     for expected, *argv in rows:
         code, _, err = run(capsys, *argv)
         assert code == expected and "Traceback" not in err and "internal error" not in err, argv[:4]
+    # the trace game refutes both directions, so no other game is played
+    code, out, _ = run(capsys, "--json", "spectrum", p, q)
+    assert code == 0 and set(json.loads(out).values()) == {"incomparable"}
 
 
 def test_witness_output_is_linear_in_the_depth(capsys):
@@ -525,6 +537,26 @@ def test_json_determinism(capsys):
             for seed in ("1", "2", "3")
         }
         assert len(outs) == 1, argv
+
+
+def test_plain_lts_names_transition_ends_as_the_encoding_does(capsys):
+    code, out, err = run(capsys, "lts", "a.(b.0 + c.b.0) + a.c.0 + b.0")
+    assert (code, err) == (0, "")
+    assert out == (
+        "term: a.(b.0 + c.b.0) + a.c.0 + b.0\n"
+        "encoding:\n"
+        "  root: s0\n"
+        "  states:\n"
+        "    s0 = a.s1 + a.s3 + b.s4\n"
+        "    s1 = b.s4 + c.s2\n"
+        "    s2 = b.s4\n"
+        "    s3 = c.s4\n"
+        "    s4 = 0\n"
+        "transitions:\n"
+        "  s0 -a-> s1\n"
+        "  s0 -a-> s3\n"
+        "  s0 -b-> s4\n"
+    )
 
 
 def test_observe_and_lts(capsys):

@@ -405,6 +405,34 @@ def test_every_semantics_refines_trace_inclusion(pool2, random3):
             assert not decide(sem, p, q).holds, (sem, p, q)
 
 
+def test_trace_game_is_trace_inclusion(pool2, random3):
+    from procsem.preorders import _traced
+
+    rng = random.Random(61)
+    pairs = itertools.chain(
+        itertools.product(pool2, repeat=2), ((rng.choice(random3), rng.choice(random3)) for _ in range(3000))
+    )
+    for p, q in pairs:
+        assert _traced(p, q) == (traces(p) <= traces(q)), (p, q)
+
+
+def test_ungated_families_refute_trace_refuted_pairs(pool2, random3):
+    """The entry points gate every family on ``_traced``; each family refutes
+    such pairs on its own as well, so the gate changes no verdict.  At U a
+    linear rule is trace inclusion by definition, so U has no row here."""
+    from procsem.constraints import CONSTRAINTS
+    from procsem.preorders import _ROW_RULES, _covered, _db_included, _included
+
+    rng = random.Random(67)
+    pairs = _trace_refuted_pairs(pool2, rng, 300) + _trace_refuted_pairs(random3, rng, 60)
+    for p, q in pairs:
+        assert not any(simulates(n, p, q) for n in CONSTRAINTS), (p, q)
+        assert not any(_db_included(n, p, q) for n in CONSTRAINTS), (p, q)
+        assert not _covered(p, (q,), True) and not _covered(p, (q,), False), (p, q)
+        for n in ("C", "I", "T", "S"):
+            assert not any(_included((n, rule), p, q) for rule in _ROW_RULES[n]), (n, p, q)
+
+
 def test_witnesses_are_built_on_first_read(monkeypatch):
     from procsem import preorders
 
@@ -466,7 +494,7 @@ def test_clear_caches_empties_every_cache_and_game_memo(pool2):
         out = [constraints._sim_game(n, step) for n in CONSTRAINTS] + [constraints._sim_game("I", stepper)]
         out += [preorders._types_game(n) for n in CONSTRAINTS]
         out += [preorders._cover_game(exact) for exact in (True, False)]
-        return out + [observations._world_game()]
+        return out + [preorders._trace_game(), observations._world_game()]
 
     rng = random.Random(29)
     pairs = [(rng.choice(pool2), rng.choice(pool2)) for _ in range(40)]
