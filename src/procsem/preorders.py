@@ -9,7 +9,7 @@ Three families of procedures live here:
   1. trace inclusion, which every semantics refines, so the entry points
      (``decide``, ``holds``, ``spectrum_matrix``) play it first for every
      family, as a memoized game on (p, Q), a state of p against the set Q
-     of states that q reaches by the same trace (``_traced``);
+     of states that q reaches by the same trace (``_trace_game``);
   2. the U shortcut: every U label is the same, so every U rule is the gate;
   3. mask games on the same positions (``_lin_game``): the rules of a layer
      that share a prefix relation play one game, whose value is the bit
@@ -26,14 +26,17 @@ A pair that the trace game refutes is refuted in every semantics, and a
 position stops at the first move of p that Q cannot answer, so such pairs
 cost almost nothing and play no other game.
 
+Every cell is read at the one key (p, {q}): the trace game's memo, then
+past the gate the test of the semantics (``_cell``), bound once per id to
+the memo of the game it reads, so a warm cell starts no game.
+
 Negative verdicts carry replayable witnesses: a refutation tree for
 simulations, the least unmatched decorated trace (by ``LinearObs.sort_key``)
 for linear flavors, the least unmatched complete deterministic observation
 for ``db``.  Every witness is built when it is first read, so deciding alone
 pays for no witness and enumerates no world: the world cap guards only the
-``db`` witness.  ``decide(sem, p, q)``, ``holds`` (its boolean, with no
-verdict) and the other cells of ``spectrum_matrix`` read one flavor
-dispatch; ``decide_nsim`` takes q's transition relation, for the
+``db`` witness.  ``holds`` is the boolean of ``decide(sem, p, q)``, with no
+verdict; ``decide_nsim`` takes q's transition relation, for the
 operational engine and ``logic``.
 ``engine(name)`` names the decider of each of the three engines, and
 ``coverage(sem)`` lists the pathways that characterize a semantics.
@@ -48,6 +51,7 @@ from itertools import groupby, repeat
 from .constraints import (
     LAYERS,
     LocalObs,
+    _sim_game,
     constraint_holds,
     local_obs,
     simulates,
@@ -264,9 +268,12 @@ def _trace_game():
 
 
 def _play(game, p: CanonicalTerm, qs: tuple):
-    """The value of the position (p, qs) of a game on (p, Q)."""
+    """The value of the position (p, qs) of a game on (p, Q), read from its
+    memo, so ``solve_game`` plays only a missing position."""
     node, memo = game
-    return solve_game(node, (p, qs), memo)
+    key = (p, qs)
+    value = memo.get(key)
+    return solve_game(node, key, memo) if value is None else value
 
 
 def _traced(p: CanonicalTerm, q: CanonicalTerm) -> bool:
@@ -368,7 +375,10 @@ def _lin_game(constraint: str, prefix):
     def node(key):
         p, qs = key
         x, ys = label(p), [label(q) for q in qs]
-        value = sum(mask for mask, test in tests if test(x, ys))  # the masks are disjoint
+        value = 0
+        for mask, test in tests:
+            if test(x, ys):
+                value |= mask
         if value and p.summands:
             if keep:
                 qs = tuple(q for q, y in zip(qs, ys) if keep(x, y))
@@ -618,49 +628,99 @@ def _uncovered_bgo(p: CanonicalTerm, q: CanonicalTerm, exact: bool) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Dispatch and the spectrum matrix
+# The cell table and the spectrum matrix
 
 
-# The one flavor dispatch: flavor -> (holds(constraint, flavor, p, q),
-# witness(constraint, flavor, p, q)), read only where ``_traced(p, q)``
-# holds: every semantics refines trace inclusion, so the entry points ask
-# it first, and a decider may take it as given.  `holds`, and
-# `spectrum_matrix` for the cells that are no bit of a `_row`, read only
-# the first; `decide` hands the second to a refuting verdict, which builds
-# it on first read.
-# The lambdas look their deciders up when called, so a replaced module
-# function is the one used.  Every linear and extended-ready flavor reads
-# its (constraint, rule) from ``spectrum.linear_rule`` through `_linear`,
-# one cached lookup per cell that allocates nothing, and reads one bit of
-# its group's mask game.  On canonical forms bisimilarity is identity.
-_linear = lru_cache(maxsize=None)(linear_rule)
-_DECIDERS = {
-    **dict.fromkeys(LINEAR_RULES, (
-        lambda c, f, p, q: _included(_linear(c, f), p, (q,)),
-        lambda c, f, p, q: _lgo_witness(*_linear(c, f), str(SemanticsId(c, f)), p, q),
-    )),
-    "bisim": (lambda c, f, p, q: p is q, lambda c, f, p, q: _bisim_refutation(p, q)),
-    "b": (lambda c, f, p, q: simulates(c, p, q), lambda c, f, p, q: _sim_refutation(c, p, q)),
-    "db": (lambda c, f, p, q: _db_included(c, p, q), lambda c, f, p, q: _db_witness(c, p, q)),
-    "bf": (lambda c, f, p, q: _covered(p, (q,), True), lambda c, f, p, q: _uncovered_bgo(p, q, True)),
-    "bf⊇": (lambda c, f, p, q: _covered(p, (q,), False), lambda c, f, p, q: _uncovered_bgo(p, q, False)),
+def _bit(game, mask: int):
+    """test(key): has the position key, (p, {q}), of a game on (p, Q) a bit
+    of `mask` in its value?  Only a position missing from the memo is played."""
+    node, memo = game
+
+    def test(key):
+        value = memo.get(key)
+        if value is None:
+            value = solve_game(node, key, memo)
+        return value & mask != 0
+
+    return test
+
+
+def _pair(constraint: str):
+    """test(key): the constrained simulation at (p, q), for the key (p, {q})."""
+    node, memo = _sim_game(constraint, step)
+
+    def test(key):
+        pair = key[0], key[1][0]
+        value = memo.get(pair)
+        return solve_game(node, pair, memo) if value is None else value
+
+    return test
+
+
+@lru_cache(maxsize=None)
+def _cell(sem: SemanticsId):
+    """test(key): does p lie below q in `sem`, for key = (p, {q}) past the
+    trace gate?  Bound once per id to the game it reads, as ``_included``
+    reads a linear rule (a U rule is the gate itself); cached, so
+    ``clear_caches()`` drops it with the memos it binds, and first asked
+    past the gate, so no game is built for pairs the gate refutes."""
+    constraint, flavor = sem
+    if flavor in LINEAR_RULES:
+        constraint, rule = linear_rule(constraint, flavor)
+        if constraint == "U":
+            return lambda key: True
+        if constraint == "S" and rule[1] == "leq":
+            return _pair("U")
+        prefix, mask = _GAMES[constraint, rule]
+        return _bit(_lin_game(constraint, prefix), mask)
+    if flavor == "b":
+        return _pair(constraint)
+    if flavor in ("bf", "bf⊇"):
+        return _bit(_cover_game(flavor == "bf"), 1)
+    if flavor == "db":
+        return lambda key: _db_included(constraint, key[0], key[1][0])
+    return lambda key: key[0] is key[1][0]  # bisim, identity on canonical forms
+
+
+# The witness of a refuted cell, per flavor, as witness(constraint, flavor,
+# p, q); `decide` hands it to the refuting verdict, which builds it on first
+# read.  The lambdas look their builders up when called, so a replaced module
+# function is the one used.
+_WITNESSES = {
+    **dict.fromkeys(
+        LINEAR_RULES, lambda c, f, p, q: _lgo_witness(*linear_rule(c, f), str(SemanticsId(c, f)), p, q)
+    ),
+    "bisim": lambda c, f, p, q: _bisim_refutation(p, q),
+    "b": lambda c, f, p, q: _sim_refutation(c, p, q),
+    "db": lambda c, f, p, q: _db_witness(c, p, q),
+    "bf": lambda c, f, p, q: _uncovered_bgo(p, q, True),
+    "bf⊇": lambda c, f, p, q: _uncovered_bgo(p, q, False),
 }
 
 
 def decide(sem: SemanticsId, p: CanonicalTerm, q: CanonicalTerm) -> Verdict:
     """Does p lie below q in the given semantics?  Trace inclusion first,
-    which every semantics refines, then the flavor's decider.  A refuting
-    verdict builds its witness when first read."""
-    constraint, flavor = sem.constraint, sem.flavor
-    test, witness = _DECIDERS[flavor]
-    if _traced(p, q) and test(constraint, flavor, p, q):
+    which every semantics refines, then the id's cell, both read at the one
+    key (p, {q}).  A refuting verdict builds its witness when first read."""
+    key = (p, (q,))
+    node, memo = _trace_game()
+    traced = memo.get(key)
+    if traced is None:
+        traced = solve_game(node, key, memo)
+    if traced and _cell(sem)(key):
         return HOLDS
-    return Verdict(False, None, witness, constraint, flavor, p, q)
+    constraint, flavor = sem
+    return Verdict(False, None, _WITNESSES[flavor], constraint, flavor, p, q)
 
 
 def holds(sem: SemanticsId, p: CanonicalTerm, q: CanonicalTerm) -> bool:
     """``decide(sem, p, q).holds``, with no verdict built."""
-    return _traced(p, q) and _DECIDERS[sem.flavor][0](sem.constraint, sem.flavor, p, q)
+    key = (p, (q,))
+    node, memo = _trace_game()
+    traced = memo.get(key)
+    if traced is None:
+        traced = solve_game(node, key, memo)
+    return traced and _cell(sem)(key)
 
 
 def engine(name: str):
@@ -710,28 +770,32 @@ def coverage(sem: SemanticsId) -> tuple[str, ...]:
 
 def spectrum_matrix(p: CanonicalTerm, q: CanonicalTerm) -> dict[SemanticsId, str]:
     """Both directions of every supported semantics, as "≡", "⊑", "⊒" or
-    "incomparable".  Trace inclusion is asked once per direction, and a
-    refuted direction reads False in every cell and plays no other game.
-    The linear and extended-ready cells are bits of one ``_row`` per
-    direction and constraint, the masks of its mask games, computed when a
-    cell first reads it; the other cells read the flavor dispatch.  Only the booleans are read, so no verdict or
-    witness is built, and deciding enumerates no world, so every cell is
-    decided."""
+    "incomparable".  Trace inclusion is asked once per direction: a refuted
+    direction reads False in every cell and plays no other game, and a pair
+    refuted both ways is incomparable everywhere.  The linear and
+    extended-ready cells are bits of one ``_row`` per direction and
+    constraint, the masks of its mask games, computed when a cell first
+    reads it; every other cell reads its ``_cell`` at (p, {q}) and (q, {p}).
+    Only the booleans are read, so no verdict or witness is built, and
+    deciding enumerates no world, so every cell is decided."""
+    down, up = _traced(p, q), _traced(q, p)
+    if not (down or up):
+        return dict.fromkeys(supported_ids(), "incomparable")
     out: dict[SemanticsId, str] = {}
     rows: dict[str, tuple[int, int]] = {}
-    down, up = _traced(p, q), _traced(q, p)
+    keys = (p, (q,)), (q, (p,))
     for sem in supported_ids():
-        constraint, flavor = sem.constraint, sem.flavor
-        if sem in _ROW_BITS:
-            constraint, bit = _ROW_BITS[sem]
+        row_bit = _ROW_BITS.get(sem)
+        if row_bit:
+            constraint, bit = row_bit
             if constraint not in rows:
                 rows[constraint] = down and _row(constraint, p, q), up and _row(constraint, q, p)
             below, above = rows[constraint]
             below, above = below >> bit & 1, above >> bit & 1
         else:
-            test = _DECIDERS[flavor][0]
-            below = down and test(constraint, flavor, p, q)
-            above = up and test(constraint, flavor, q, p)
+            test = _cell(sem)
+            below = down and test(keys[0])
+            above = up and test(keys[1])
         if below and above:
             out[sem] = "≡"
         elif below:

@@ -369,9 +369,8 @@ def test_spectrum_matrix_agrees_with_decide(pool2, random3):
     pairs += _perturbed_pairs(random.Random(8), pool2, 300)
     at_s = [parse_semantics(f"S:{flavor}") for flavor in ("b", "db", "l", "lf", "join")]
     patterns = set()
-    cell = {(True, True): "≡", (True, False): "⊑", (False, True): "⊒", (False, False): "incomparable"}
     for p, q in pairs:
-        expected = {sem: cell[decide(sem, p, q).holds, decide(sem, q, p).holds] for sem in supported_ids()}
+        expected = {sem: _CELL[decide(sem, p, q).holds, decide(sem, q, p).holds] for sem in supported_ids()}
         assert spectrum_matrix(p, q) == expected, (p, q)
         for x, y in ((p, q), (q, p)):
             patterns.add(tuple(holds(sem, x, y) for sem in at_s))
@@ -379,6 +378,57 @@ def test_spectrum_matrix_agrees_with_decide(pool2, random3):
     assert patterns > {
         (False, True, True, True, True), (False, False, False, True, False), (False, False, False, True, True)
     }
+
+
+_CELL = {(True, True): "≡", (True, False): "⊑", (False, True): "⊒", (False, False): "incomparable"}
+
+
+def test_holds_is_the_verdict_bool_and_the_matrix_cell(pool2, random3):
+    """``holds`` returns the very bool of ``decide``'s verdict, though mask
+    games store ints, for all 56 ids in both directions, and each agrees with
+    the ``spectrum_matrix`` cell; on random pairs and on pairs that the
+    trace gate refutes one way or both."""
+    rng = random.Random(83)
+    pairs = [(rng.choice(pool2), rng.choice(pool2)) for _ in range(150)]
+    pairs += [(rng.choice(random3), rng.choice(random3)) for _ in range(30)]
+    pairs += _trace_refuted_pairs(pool2, rng, 60)
+    assert any(not traces(q) <= traces(p) for p, q in pairs[-60:])  # refuted both ways
+    ids = supported_ids()
+    assert len(ids) == 56
+    for p, q in pairs:
+        matrix = spectrum_matrix(p, q)
+        for sem in ids:
+            below, above = holds(sem, p, q), holds(sem, q, p)
+            assert below is decide(sem, p, q).holds and above is decide(sem, q, p).holds, (sem, p, q)
+            assert matrix[sem] == _CELL[below, above], (sem, p, q)
+
+
+def test_warm_cells_start_no_game(monkeypatch, pool2, random3):
+    """Once a pass of ``decide``, ``holds`` and ``spectrum_matrix`` has
+    played a sample, a second pass reads only memos: with ``solve_game``
+    refusing, every answer is the same."""
+    from procsem import preorders
+
+    rng = random.Random(89)
+    pairs = [(rng.choice(pool2), rng.choice(pool2)) for _ in range(120)]
+    pairs += [(rng.choice(random3), rng.choice(random3)) for _ in range(20)]
+    pairs += _perturbed_pairs(random.Random(97), pool2, 40)
+
+    def answers():
+        out = []
+        for p, q in pairs:
+            out.append(spectrum_matrix(p, q))
+            for sem in supported_ids():
+                out.append((decide(sem, p, q).holds, holds(sem, p, q), holds(sem, q, p)))
+        return out
+
+    played = answers()
+
+    def refuse(*args):
+        raise RuntimeError("game started")
+
+    monkeypatch.setattr(preorders, "solve_game", refuse)
+    assert answers() == played
 
 
 def test_mask_games_against_the_oracle(pool2, random3):
@@ -571,7 +621,8 @@ def test_clear_caches_empties_every_cache_and_game_memo(pool2):
             logic.distinguish(name, p, q)
         operational.decide_via_operational("F", p, q)
         observations.world_count(p)
-    assert all(memo for _, memo in games())
+    bound = games()
+    assert all(memo for _, memo in bound) and preorders._cell.cache_info().currsize == len(supported_ids())
     procsem.clear_caches()
     caches = [
         (name, attr, value.cache_info().currsize)
@@ -582,7 +633,19 @@ def test_clear_caches_empties_every_cache_and_game_memo(pool2):
     ]
     assert len(caches) > 30
     assert [cache for cache in caches if cache[2]] == []
+    assert preorders._cell.cache_info().currsize == 0
     assert not any(memo for _, memo in games())
+    # the cells built after clearing bind the new memos: the ones bound
+    # before (every game is cached, so `bound` holds them) stop growing
+    sizes = [len(memo) for _, memo in bound]
+    for p, q in pairs:
+        spectrum_matrix(p, q)
+        for sem in supported_ids():
+            decide(sem, p, q)
+    assert preorders._cell.cache_info().currsize == len(supported_ids())
+    assert [len(memo) for _, memo in bound] == sizes
+    lin = [preorders._lin_game(n, prefix) for n in preorders._GROUPS for prefix in preorders._GROUPS[n]]
+    assert all(memo for _, memo in lin + [preorders._trace_game(), preorders._cover_game(True)])
 
 
 def test_db_examples():
