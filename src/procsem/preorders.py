@@ -4,17 +4,17 @@ Three families of procedures live here:
 
 * constrained simulations (the branching backbone), played as memoized
   games on the driver of ``constraints``,
-* linear deciders, the extended-ready family included, each cell settled
-  at the coarsest of three layers that decides it:
+* linear deciders, the extended-ready family included, as one mask game
+  per layer (``_lin_game``) on positions (p, Q), a state of p against the
+  set Q of states that q reaches by the same trace, whose value is the bit
+  mask of the layer's rules that hold.  Each cell is settled at the
+  coarsest of three layers that decides it:
   1. trace inclusion, which every semantics refines, so the entry points
      (``decide``, ``holds``, ``spectrum_matrix``) play it first for every
-     family, as a memoized game on (p, Q), a state of p against the set Q
-     of states that q reaches by the same trace (``_trace_game``);
+     family, as the bit ``_TRACE`` of C's game, which every leaf holds;
   2. the U shortcut: every U label is the same, so every U rule is the gate;
-  3. mask games on the same positions (``_lin_game``): the rules of a layer
-     that share a prefix relation play one game, whose value is the bit
-     mask of those that hold;
-  ``decide`` reads one bit, ``spectrum_matrix`` the OR of a layer's masks
+  3. the rule's bit of its layer's game;
+  ``decide`` reads one bit, ``spectrum_matrix`` a layer's whole mask
   (``_row``), and a witness is the least unmatched decorated trace, found
   by a breadth-first walk that reads the games' memos,
 * the exotic deciders: deterministic branching (a game over bit-masked
@@ -22,11 +22,11 @@ Three families of procedures live here:
   final-ready/final-failure branching (a coverage game), both on the same
   driver.
 
-A pair that the trace game refutes is refuted in every semantics, and a
-position stops at the first move of p that Q cannot answer, so such pairs
-cost almost nothing and play no other game.
+A pair that the gate refutes is refuted in every semantics, and C's game
+stops at the first move of p that Q cannot answer, so such pairs cost
+almost nothing and play no other game.
 
-Every cell is read at the one key (p, {q}): the trace game's memo, then
+Every cell is read at the one key (p, {q}): C's memo, then
 past the gate the test of the semantics (``_cell``), bound once per id to
 the memo of the game it reads, so a warm cell starts no game.
 
@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import operator
 from functools import lru_cache
-from itertools import groupby, repeat
+from itertools import compress, groupby, repeat
 
 from .constraints import (
     LAYERS,
@@ -57,7 +57,7 @@ from .constraints import (
     simulates,
     solve_game,
 )
-from .lts import initials, step, successors
+from .lts import initials, step
 from .observations import (
     BranchingObs,
     LinearObs,
@@ -238,33 +238,7 @@ def _bisim_refutation(p: CanonicalTerm, q: CanonicalTerm) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Trace inclusion, the gate of every family
-
-
-@lru_cache(maxsize=None)
-def _trace_game():
-    """tr(p, Q): every trace of p is a trace of some state of Q, for Q not
-    empty.  tr(p, Q) holds when every move p -a-> p' has a non-empty Q/a,
-    the deduplicated a-successors of Q (``_step_masks``), with tr(p', Q/a).
-    A position stops at the first move that Q cannot answer."""
-    memo = {}
-
-    def node(key):
-        p, qs = key
-        value = True
-        for a, p2 in step(p):
-            sub = (p2, _step_masks(qs, a)[0])
-            if not sub[1]:
-                value = False
-                break
-            if sub not in memo:
-                yield sub
-            if not memo[sub]:
-                value = False
-                break
-        memo[key] = value
-
-    return node, memo
+# Linear flavors, and trace inclusion, the gate of every family
 
 
 def _play(game, p: CanonicalTerm, qs: tuple):
@@ -274,15 +248,6 @@ def _play(game, p: CanonicalTerm, qs: tuple):
     key = (p, qs)
     value = memo.get(key)
     return solve_game(node, key, memo) if value is None else value
-
-
-def _traced(p: CanonicalTerm, q: CanonicalTerm) -> bool:
-    """Is every trace of p a trace of q?  tr(p, {q}) of ``_trace_game``."""
-    return _play(_trace_game(), p, (q,))
-
-
-# ---------------------------------------------------------------------------
-# Linear flavors
 
 
 def _meet_match(geq, x, finals) -> tuple[bool, object]:
@@ -321,15 +286,16 @@ def _final_test(constraint: str, final: str):
     return lambda x, ys: any(map(relation, repeat(x), ys))
 
 
-def _row_tables() -> tuple[dict, dict, dict, dict]:
-    """(rules, bits, games, groups): per constraint, the distinct linear
-    rules decided on its labels, one bit each (U, C and S have 7, T 8, and I
-    10, as ER, ERT, ECR and ECRT compare I labels and ER and ERT rerun I:lf⊆
-    and I:l⊆); per linear or extended-ready id its (constraint, bit); per
-    (constraint, rule) of a mask game its (prefix relation, bit mask); per
-    constraint its games, as prefix relation -> final relation -> bit mask.
-    U rules are the gate and S rules with the final relation `leq`
-    simulation, so they play no game (``_included``).  At C every rule plays
+def _row_tables() -> tuple[dict, dict, dict, dict, int]:
+    """(rules, bits, games, plans, trace): per constraint, the distinct
+    linear rules decided on its labels, one bit each (U, C and S have 7, T
+    8, and I 10, as ER, ERT, ECR and ECRT compare I labels and ER and ERT
+    rerun I:lf⊆ and I:l⊆); per linear or extended-ready id its (constraint,
+    bit); per (constraint, rule) of a layer's mask game its bit mask; per
+    constraint the plan of its game, (final relation -> bit mask, prefix
+    relation -> bit mask); and the trace bit of C's game, the gate.  U rules
+    are the gate and S rules with the final relation `leq` simulation, so
+    they hold no bit of a game (``_included``).  At C every rule plays
     (None, eq): only a path's last state can be nil, so a prefix relation
     drops only nil states, which have no moves, and geq and leq are eq."""
     rules: dict = {}
@@ -341,92 +307,109 @@ def _row_tables() -> tuple[dict, dict, dict, dict]:
             if rule not in row:
                 row.append(rule)
             bits[sem] = constraint, row.index(rule)
-    games, groups = {}, {}
+    games, plans = {}, {}
     for constraint, row in rules.items():
         for bit, rule in enumerate(row):
             if constraint != "U" and not (constraint == "S" and rule[1] == "leq"):
                 prefix, final = (None, "eq") if constraint == "C" else rule
-                games[constraint, rule] = prefix, 1 << bit
-                finals = groups.setdefault(constraint, {}).setdefault(prefix, {})
+                games[constraint, rule] = 1 << bit
+                finals, prefixes = plans.setdefault(constraint, ({}, {}))
                 finals[final] = finals.get(final, 0) | 1 << bit
-    return rules, bits, games, groups
+                prefixes[prefix] = prefixes.get(prefix, 0) | 1 << bit
+    trace = 1 << len(rules["C"])
+    plans["C"][1][None] |= trace
+    return rules, bits, games, plans, trace
 
 
-_ROW_RULES, _ROW_BITS, _GAMES, _GROUPS = _row_tables()
+_ROW_RULES, _ROW_BITS, _GAMES, _PLANS, _TRACE = _row_tables()
 
 
 @lru_cache(maxsize=None)
-def _lin_game(constraint: str, prefix):
-    """lin(p, Q): the bit mask, in row bit positions, of the rules of
-    ``_GROUPS[constraint][prefix]`` that match every decorated trace of p
-    against the states Q.  A rule's bit holds at (p, Q) when p's label passes
-    the rule's final relation against Q (``_final_test``) and every move
-    p -a-> p' has a non-empty Q'/a with the bit holding at (p', Q'/a): Q' is
-    the states of Q whose labels p's label relates to under `prefix` (all of
-    Q for None), and Q'/a their deduplicated a-successors (``_step_masks``).
-    A position stops when its mask reaches 0.  This is the on-the-fly subset
+def _lin_game(constraint: str):
+    """lin(p, Q): the bit mask, in row bit positions, of the rules of the
+    layer's game (``_GAMES``) that match every decorated trace of p against
+    the states Q, and at C the gate, trace inclusion, as the bit ``_TRACE``,
+    which every leaf holds.  A rule's bit holds at (p, Q) when p's label
+    passes the rule's final relation against Q (``_final_test``) and every
+    move p -a-> p' has a non-empty Q'/a with the bit holding at (p', Q'/a):
+    Q' is the states of Q whose labels p's label relates to under the rule's
+    prefix relation (all of Q for None), and Q'/a their deduplicated
+    a-successors (``_step_masks``).  A position computes its labels once,
+    tests each final relation once and builds Q' once per prefix relation;
+    the prefix relations whose Q' coincide share one pass over p's moves,
+    which stops when its mask reaches 0.  This is the on-the-fly subset
     construction of De Wulf, Doyen, Henzinger and Raskin (CAV 2006), without
-    antichains."""
+    antichains, one game per layer."""
     label = LAYERS[constraint].value
-    tests = [(mask, _final_test(constraint, final)) for final, mask in _GROUPS[constraint][prefix].items()]
-    keep = prefix and _relation(constraint, prefix)
+    finals, prefixes = _PLANS[constraint]
+    tests = [(mask, _final_test(constraint, final)) for final, mask in finals.items()]
+    keeps = [(mask, prefix and _relation(constraint, prefix)) for prefix, mask in prefixes.items()]
+    leaf = _TRACE if constraint == "C" else 0
+    lazy = constraint == "C"  # C's one final test, eq, alone reads Q's labels, up to the first match
     memo = {}
 
     def node(key):
         p, qs = key
-        x, ys = label(p), [label(q) for q in qs]
-        value = 0
+        x, ys = label(p), map(label, qs) if lazy else list(map(label, qs))
+        value = leaf
         for mask, test in tests:
             if test(x, ys):
                 value |= mask
         if value and p.summands:
-            if keep:
-                qs = tuple(q for q, y in zip(qs, ys) if keep(x, y))
-            for a, p2 in step(p):
-                sub = (p2, _step_masks(qs, a)[0])
-                if not sub[1]:
-                    value = 0
-                    break
-                if sub not in memo:
-                    yield sub
-                value &= memo[sub]
-                if not value:
-                    break
+            live: dict = {}
+            for mask, keep in keeps:
+                if value & mask:
+                    kept = tuple(compress(qs, map(keep, repeat(x), ys))) if keep else qs
+                    live[kept] = live.get(kept, 0) | value & mask
+            value = 0
+            for kept, mask in live.items():
+                for a, p2 in step(p):
+                    sub = (p2, _step_masks(kept, a)[0])
+                    if not sub[1]:
+                        mask = 0
+                        break
+                    if sub not in memo:
+                        yield sub
+                    mask &= memo[sub]
+                    if not mask:
+                        break
+                value |= mask
         memo[key] = value
 
     return node, memo
 
 
+def _traced(p: CanonicalTerm, q: CanonicalTerm) -> bool:
+    """Is every trace of p a trace of q?  The ``_TRACE`` bit of C's game at (p, {q})."""
+    return _play(_lin_game("C"), p, (q,)) & _TRACE != 0
+
+
 def _included(linear: tuple, p: CanonicalTerm, qs: tuple) -> bool:
     """Is every decorated trace of p matched by one of the states qs under
     `linear`, a (constraint, rule) pair of ``spectrum.linear_rule``?  A cell
-    asks it at (p, {q}), past the gate.  At U it is the trace game, as every
+    asks it at (p, {q}), past the gate.  At U it is the gate, as every
     label is the same; at S a rule whose final relation is `leq` asks that a
     state of qs simulate p (the empty trace asks it, and a simulation
     answers each path of p pointwise); every other rule reads its bit of
-    its group's ``_lin_game``, whose positions the group's ids share."""
+    its layer's ``_lin_game``, whose positions the layer's ids share."""
     constraint, rule = linear
     if constraint == "U":
-        return _play(_trace_game(), p, qs)
+        return _play(_lin_game("C"), p, qs) & _TRACE != 0
     if constraint == "S" and rule[1] == "leq":
         return any(simulates("U", p, q) for q in qs)
-    prefix, mask = _GAMES[linear]
-    return bool(_play(_lin_game(constraint, prefix), p, qs) & mask)
+    return _play(_lin_game(constraint), p, qs) & _GAMES[linear] != 0
 
 
 def _row(constraint: str, p: CanonicalTerm, q: CanonicalTerm) -> int:
     """``_included`` at (p, {q}) for every rule of ``_ROW_RULES[constraint]``
-    at once, as a bit mask of the rules that hold, past the gate: every bit
-    at U; else the OR of the masks of the constraint's mask games, and at S
-    the `leq` rules by simulation."""
-    rules = _ROW_RULES[constraint]
+    at once, as a bit mask of the rules that hold (at C with ``_TRACE``
+    beside them), past the gate: every bit at U; else the layer's game, and
+    at S the `leq` rules by simulation."""
     if constraint == "U":
-        return (1 << len(rules)) - 1
-    row = 0
-    for prefix in _GROUPS[constraint]:
-        row |= _play(_lin_game(constraint, prefix), p, (q,))
+        return (1 << len(_ROW_RULES["U"])) - 1
+    row = _play(_lin_game(constraint), p, (q,))
     if constraint == "S" and simulates("U", p, q):
-        row |= sum(1 << bit for bit, rule in enumerate(rules) if rule[1] == "leq")
+        row |= sum(1 << bit for bit, rule in enumerate(_ROW_RULES["S"]) if rule[1] == "leq")
     return row
 
 
@@ -556,7 +539,7 @@ def _db_included(constraint: str, p: CanonicalTerm, q: CanonicalTerm) -> bool:
     many pairs share.
     """
     return constraint_holds(constraint, p, q) and all(
-        0 not in _play(_types_game(constraint), p2, successors(q, a)) for a, p2 in step(p)
+        0 not in _play(_types_game(constraint), p2, _step_masks((q,), a)[0]) for a, p2 in step(p)
     )
 
 
@@ -582,7 +565,7 @@ def _cover_game(exact: bool):
         if _leaf_covered(p, qs, exact):
             for q in qs:
                 for a, p2 in step(p):
-                    sub = (p2, successors(q, a))
+                    sub = (p2, _step_masks((q,), a)[0])
                     if sub not in memo:
                         yield sub
                     if not memo[sub]:
@@ -616,7 +599,7 @@ def _uncovered_bgo(p: CanonicalTerm, q: CanonicalTerm, exact: bool) -> dict:
         if _leaf_covered(p, qs, exact):
             for q in qs:
                 for a, p2 in step(p):
-                    sub = (p2, successors(q, a))
+                    sub = (p2, _step_masks((q,), a)[0])
                     if not _covered(*sub, exact):
                         if sub not in built:
                             yield sub
@@ -671,8 +654,7 @@ def _cell(sem: SemanticsId):
             return lambda key: True
         if constraint == "S" and rule[1] == "leq":
             return _pair("U")
-        prefix, mask = _GAMES[constraint, rule]
-        return _bit(_lin_game(constraint, prefix), mask)
+        return _bit(_lin_game(constraint), _GAMES[constraint, rule])
     if flavor == "b":
         return _pair(constraint)
     if flavor in ("bf", "bf⊇"):
@@ -700,27 +682,32 @@ _WITNESSES = {
 
 def decide(sem: SemanticsId, p: CanonicalTerm, q: CanonicalTerm) -> Verdict:
     """Does p lie below q in the given semantics?  Trace inclusion first,
-    which every semantics refines, then the id's cell, both read at the one
-    key (p, {q}).  A refuting verdict builds its witness when first read."""
+    which every semantics refines, as the ``_TRACE`` bit of C's game, then
+    the id's cell, both read at the one key (p, {q}).  A refuting verdict
+    builds its witness when first read, and is itself built with no
+    ``__init__`` call, as most decisions refute."""
     key = (p, (q,))
-    node, memo = _trace_game()
-    traced = memo.get(key)
-    if traced is None:
-        traced = solve_game(node, key, memo)
-    if traced and _cell(sem)(key):
+    node, memo = _lin_game("C")
+    gate = memo.get(key)
+    if gate is None:
+        gate = solve_game(node, key, memo)
+    if gate & _TRACE and _cell(sem)(key):
         return HOLDS
     constraint, flavor = sem
-    return Verdict(False, None, _WITNESSES[flavor], constraint, flavor, p, q)
+    verdict = object.__new__(Verdict)  # Verdict(False, None, build, *args), with no __init__ call
+    verdict.holds, verdict._witness = False, None
+    verdict._build, verdict._args = _WITNESSES[flavor], (constraint, flavor, p, q)
+    return verdict
 
 
 def holds(sem: SemanticsId, p: CanonicalTerm, q: CanonicalTerm) -> bool:
     """``decide(sem, p, q).holds``, with no verdict built."""
     key = (p, (q,))
-    node, memo = _trace_game()
-    traced = memo.get(key)
-    if traced is None:
-        traced = solve_game(node, key, memo)
-    return traced and _cell(sem)(key)
+    node, memo = _lin_game("C")
+    gate = memo.get(key)
+    if gate is None:
+        gate = solve_game(node, key, memo)
+    return gate & _TRACE != 0 and _cell(sem)(key)
 
 
 def engine(name: str):
@@ -770,19 +757,21 @@ def coverage(sem: SemanticsId) -> tuple[str, ...]:
 
 def spectrum_matrix(p: CanonicalTerm, q: CanonicalTerm) -> dict[SemanticsId, str]:
     """Both directions of every supported semantics, as "≡", "⊑", "⊒" or
-    "incomparable".  Trace inclusion is asked once per direction: a refuted
-    direction reads False in every cell and plays no other game, and a pair
-    refuted both ways is incomparable everywhere.  The linear and
-    extended-ready cells are bits of one ``_row`` per direction and
-    constraint, the masks of its mask games, computed when a cell first
-    reads it; every other cell reads its ``_cell`` at (p, {q}) and (q, {p}).
+    "incomparable".  Trace inclusion is asked once per direction, as C's
+    game, whose mask is C's row too: a refuted direction reads False in
+    every cell and plays no other game, and a pair refuted both ways is
+    incomparable everywhere.  The linear and extended-ready cells are bits
+    of one ``_row`` per direction and constraint, the mask of its layer's
+    game, computed when a cell first reads it; every other cell reads its
+    ``_cell`` at (p, {q}) and (q, {p}).
     Only the booleans are read, so no verdict or witness is built, and
     deciding enumerates no world, so every cell is decided."""
-    down, up = _traced(p, q), _traced(q, p)
+    gate = _play(_lin_game("C"), p, (q,)), _play(_lin_game("C"), q, (p,))
+    down, up = gate[0] & _TRACE, gate[1] & _TRACE
     if not (down or up):
         return dict.fromkeys(supported_ids(), "incomparable")
     out: dict[SemanticsId, str] = {}
-    rows: dict[str, tuple[int, int]] = {}
+    rows: dict[str, tuple[int, int]] = {"C": gate}
     keys = (p, (q,)), (q, (p,))
     for sem in supported_ids():
         row_bit = _ROW_BITS.get(sem)

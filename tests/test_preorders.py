@@ -273,9 +273,9 @@ def test_equality_rules_decide_by_inclusion_alone(monkeypatch, pool2):
     names = ("I:l", "I:lf", "C:l⊆", "C:lf⊆")
     verdicts = [decide(parse_semantics(name), p, q) for name in names for p, q in pairs]
     assert not all(verdicts)
-    # each cell plays only its group's mask game: I's eq and None groups, C's one game
-    games = [preorders._lin_game(*group) for group in (("I", "eq"), ("I", None), ("C", None))]
-    assert preorders._lin_game.cache_info().currsize == 3 and all(memo for _, memo in games)
+    # each cell plays only its layer's mask game: I's, and C's, which is the gate too
+    games = [preorders._lin_game(n) for n in ("I", "C")]
+    assert preorders._lin_game.cache_info().currsize == 2 and all(memo for _, memo in games)
     # and no witness is built until one is read
     refuted = next(verdict for verdict in verdicts if not verdict)
     with pytest.raises(RuntimeError, match="witness built"):
@@ -303,8 +303,8 @@ def test_trace_refuted_linear_cells_build_no_table(pool2):
     assert len(linear) == 39
     verdicts = [decide(sem, p, q) for sem in linear + extended for p, q in pairs]
     assert not any(verdicts)
-    # the gate refutes every cell, so no mask game is played
-    assert preorders._lin_game.cache_info().currsize == 0
+    # the gate refutes every cell, so no game past it is played: only C's, the gate
+    assert preorders._lin_game.cache_info().currsize == 1 and preorders._lin_game("C")[1]
     assert all(verdict.witness["kind"] == "lgo" for verdict in verdicts[:: len(pairs)])
 
 
@@ -325,7 +325,7 @@ def test_collapsed_linear_cells_build_no_table(pool2):
     # some cells are refuted past the trace layer, by completed traces at C
     assert any(not verdict and traces(p) <= traces(q) for verdict, (_, p, q) in zip(verdicts, cells))
     # U and the S partial-offer rules play no mask game, and C plays one
-    assert preorders._lin_game.cache_info().currsize == 1 and preorders._lin_game("C", None)[1]
+    assert preorders._lin_game.cache_info().currsize == 1 and preorders._lin_game("C")[1]
     assert next(verdict for verdict in verdicts if not verdict).witness["kind"] == "lgo"
 
 
@@ -432,11 +432,12 @@ def test_warm_cells_start_no_game(monkeypatch, pool2, random3):
 
 
 def test_mask_games_against_the_oracle(pool2, random3):
-    """Every bit of every mask game, and every rule through ``_included`` and
-    ``_row``, at all five layers, against the decorated-trace tables of the
-    oracle: random pool2 and depth-3 pairs, and perturbed pairs in both
-    directions, most of which pass the gate and differ past it."""
-    from procsem.preorders import _GAMES, _GROUPS, _ROW_RULES, _included, _lin_game, _play, _row, _traced
+    """Every bit of every layer's mask game, the gate bit of C's included,
+    and every rule through ``_included`` and ``_row``, at all five layers,
+    against the decorated-trace tables of the oracle: random pool2 and
+    depth-3 pairs, and perturbed pairs in both directions, most of which
+    pass the gate and differ past it."""
+    from procsem.preorders import _GAMES, _PLANS, _ROW_RULES, _TRACE, _included, _lin_game, _play, _row, _traced
 
     rng = random.Random(37)
     pairs = [(rng.choice(pool2), rng.choice(pool2)) for _ in range(400)]
@@ -444,19 +445,22 @@ def test_mask_games_against_the_oracle(pool2, random3):
     pairs += [pair for p, q in _perturbed_pairs(random.Random(39), pool2, 150) for pair in ((p, q), (q, p))]
     bits = mixed = 0
     for p, q in pairs:
+        traced = traces(p) <= traces(q)
+        assert bool(_play(_lin_game("C"), p, (q,)) & _TRACE) == traced, (p, q)
+        bits += 1
         for n, rules in _ROW_RULES.items():
             expected = [next(iter(unmatched(n, rule, p, q)), None) is None for rule in rules]
-            masks = {prefix: _play(_lin_game(n, prefix), p, (q,)) for prefix in _GROUPS.get(n, ())}
+            mask = _play(_lin_game(n), p, (q,)) if n in _PLANS else None
             for rule, held in zip(rules, expected):
                 assert _included((n, rule), p, (q,)) == held, (n, rule, p, q)
                 if (n, rule) in _GAMES:
-                    prefix, mask = _GAMES[n, rule]
-                    assert bool(masks[prefix] & mask) == held, (n, rule, p, q)
+                    assert bool(mask & _GAMES[n, rule]) == held, (n, rule, p, q)
                     bits += 1
             if _traced(p, q):
-                assert _row(n, p, q) == sum(held << bit for bit, held in enumerate(expected)), (n, p, q)
+                gate = _TRACE if n == "C" else 0
+                assert _row(n, p, q) == gate | sum(held << bit for bit, held in enumerate(expected)), (n, p, q)
             mixed += 0 < sum(expected) < len(expected)
-    assert bits == 30 * len(pairs) and mixed > 100
+    assert bits == 31 * len(pairs) and mixed > 100
 
 
 def test_linear_witnesses_are_least_on_perturbed_pairs(pool2):
@@ -484,8 +488,9 @@ def test_linear_witnesses_are_least_on_perturbed_pairs(pool2):
 
 
 def test_spectrum_matrix_stays_lazy(monkeypatch, pool2, random3):
-    """A row refuted at the trace layer plays no mask game, a U row plays
-    none and a C row one, and no matrix builds a witness."""
+    """A row refuted at the trace layer plays no game past C's, the gate, a
+    U row plays none and a C row only C's, a full sweep plays one game per
+    layer, and no matrix builds a witness."""
     import procsem
     from procsem import preorders
 
@@ -500,7 +505,7 @@ def test_spectrum_matrix_stays_lazy(monkeypatch, pool2, random3):
     assert len(refuted) > 100
     for p, q in refuted:
         assert set(spectrum_matrix(p, q).values()) == {"incomparable"}
-    assert preorders._lin_game.cache_info().currsize == 0
+    assert preorders._lin_game.cache_info().currsize == 1 and preorders._lin_game("C")[1]
     pairs = [(rng.choice(pool2), rng.choice(pool2)) for _ in range(300)]
     rows = {n: [preorders._row(n, p, q) for p, q in pairs] for n in ("U", "C")}
     assert 0 in rows["C"] and any(rows["C"]) and any(rows["U"])
@@ -508,8 +513,35 @@ def test_spectrum_matrix_stays_lazy(monkeypatch, pool2, random3):
     pairs += [(rng.choice(random3), rng.choice(random3)) for _ in range(100)]
     for p, q in pairs:
         spectrum_matrix(p, q)
-    groups = [(n, prefix) for n in preorders._GROUPS for prefix in preorders._GROUPS[n]]
-    assert len(groups) == 13 and all(preorders._lin_game(*group)[1] for group in groups)
+    assert len(preorders._PLANS) == 4 and all(preorders._lin_game(n)[1] for n in preorders._PLANS)
+    assert preorders._lin_game.cache_info().currsize == 4
+
+
+def test_one_game_per_layer_and_only_the_layers_read(pool2, random3):
+    """Families outside the linear rows read only C's game, the gate, on
+    pairs that pass it; a linear id builds C's and its own layer's game;
+    and a full matrix sweep builds one game per layer, four in all."""
+    import procsem
+    from procsem import preorders
+
+    rng = random.Random(101)
+    traced = [(p, q) for p, q in ((rng.choice(pool2), rng.choice(pool2)) for _ in range(400))
+              if traces(p) <= traces(q)]
+    assert len(traced) > 100
+    procsem.clear_caches()
+    verdicts = [decide(parse_semantics(name), p, q) for name in ("B", "S:b", "I:db") for p, q in traced]
+    assert any(verdicts) and not all(verdicts)
+    assert preorders._lin_game.cache_info().currsize == 1 and preorders._lin_game("C")[1]
+    procsem.clear_caches()
+    verdicts = [decide(parse_semantics("I:l"), p, q) for p, q in traced]
+    assert any(verdicts) and not all(verdicts)
+    assert preorders._lin_game.cache_info().currsize == 2
+    assert preorders._lin_game("C")[1] and preorders._lin_game("I")[1]
+    assert preorders._lin_game.cache_info().currsize == 2
+    procsem.clear_caches()
+    for p, q in traced + [(rng.choice(random3), rng.choice(random3)) for _ in range(50)]:
+        spectrum_matrix(p, q)
+    assert preorders._lin_game.cache_info().currsize == 4
 
 
 def test_every_semantics_refines_trace_inclusion(pool2, random3):
@@ -609,8 +641,8 @@ def test_clear_caches_empties_every_cache_and_game_memo(pool2):
         out = [constraints._sim_game(n, step) for n in CONSTRAINTS] + [constraints._sim_game("I", stepper)]
         out += [preorders._types_game(n) for n in CONSTRAINTS]
         out += [preorders._cover_game(exact) for exact in (True, False)]
-        out += [preorders._lin_game(n, prefix) for n in preorders._GROUPS for prefix in preorders._GROUPS[n]]
-        return out + [preorders._trace_game(), observations._world_game()]
+        out += [preorders._lin_game(n) for n in preorders._PLANS]
+        return out + [observations._world_game()]
 
     rng = random.Random(29)
     pairs = [(rng.choice(pool2), rng.choice(pool2)) for _ in range(40)]
@@ -644,8 +676,8 @@ def test_clear_caches_empties_every_cache_and_game_memo(pool2):
             decide(sem, p, q)
     assert preorders._cell.cache_info().currsize == len(supported_ids())
     assert [len(memo) for _, memo in bound] == sizes
-    lin = [preorders._lin_game(n, prefix) for n in preorders._GROUPS for prefix in preorders._GROUPS[n]]
-    assert all(memo for _, memo in lin + [preorders._trace_game(), preorders._cover_game(True)])
+    lin = [preorders._lin_game(n) for n in preorders._PLANS]
+    assert all(memo for _, memo in lin + [preorders._cover_game(True)])
 
 
 def test_db_examples():
