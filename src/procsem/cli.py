@@ -108,10 +108,14 @@ def _emit(args, payload) -> None:
 
 def _named(value, prefix="s"):
     """An index into a payload's "states" (or, prefix "n", its "nodes") as
-    plain text names it, a list of them as one line; other values as they are."""
+    plain text names it (with no prefix, as it is), a list of them as one
+    line, and the empty string, the empty trace, as ``""``; other values as
+    they are."""
     if isinstance(value, list):
         return "[" + ", ".join(str(_named(v, prefix)) for v in value) + "]"
-    return f"{prefix}{value}" if type(value) is int else value
+    if value == "":
+        return '""'
+    return f"{prefix}{value}" if prefix and type(value) is int else value
 
 
 _LINES = {
@@ -125,14 +129,19 @@ _LINES = {
 
 def _pretty(payload, indent="", named=False) -> None:
     """Indented text, one line per leaf, per state (``s3 = a.s4 + b.s5``),
-    per transition (``s0 -a-> s3``) and per refutation node.  Inside a
-    payload that carries a "states" table every integer names a state
-    (``s3``).  Payloads are a few levels deep."""
+    per transition (``s0 -a-> s3``), per refutation node and per list inside
+    a list (``[b, c]``, a label of a decorated trace, or ``[s0, a, s1]``, a
+    decorated trace at S).  Inside a payload that carries a "states" table
+    every integer names a state (``s3``).  Payloads are a few levels deep."""
+    prefix = "s" if named else ""
     if isinstance(payload, list):
         for item in payload:
-            _pretty(item, indent, named)
+            if isinstance(item, list):
+                print(f"{indent}{_named(item, prefix)}")
+            else:
+                _pretty(item, indent, named)
     elif not isinstance(payload, dict):
-        print(f"{indent}{_named(payload) if named else payload}")
+        print(f"{indent}{_named(payload, prefix)}")
     else:
         named = named or "states" in payload
         for key, value in payload.items():
@@ -142,7 +151,7 @@ def _pretty(payload, indent="", named=False) -> None:
                 print(f"{indent}{key}:")
                 _pretty(value, indent + "  ", named)
             else:
-                print(f"{indent}{key}: {_named(value) if named else value}")
+                print(f"{indent}{key}: {_named(value, 's' if named else '')}")
 
 
 def _cmd_compare(args) -> int:

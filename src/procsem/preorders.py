@@ -13,10 +13,9 @@ Three families of procedures live here:
      (``decide``, ``holds``, ``spectrum_matrix``) play it first for every
      family, as the bit ``_TRACE`` of C's game, which every leaf holds;
   2. the U shortcut: every U label is the same, so every U rule is the gate;
-  3. the rule's bit of its layer's game;
-  ``decide`` reads one bit, ``spectrum_matrix`` a layer's whole mask
-  (``_row``), and a witness is the least unmatched decorated trace, found
-  by a breadth-first walk that reads the games' memos,
+  3. the rule's bit of its layer's game (at S a `leq` rule is simulation);
+  and a witness is the least unmatched decorated trace, found by a
+  breadth-first walk that reads the games' memos,
 * the exotic deciders: deterministic branching (a game over bit-masked
   types, the sets of q-states that match a world of p) and
   final-ready/final-failure branching (a coverage game), both on the same
@@ -26,9 +25,11 @@ A pair that the gate refutes is refuted in every semantics, and C's game
 stops at the first move of p that Q cannot answer, so such pairs cost
 almost nothing and play no other game.
 
-Every cell is read at the one key (p, {q}): C's memo, then
-past the gate the test of the semantics (``_cell``), bound once per id to
-the memo of the game it reads, so a warm cell starts no game.
+One table, ``_SOURCES``, says for every id which game it reads past the
+gate and which bits of that game's value say it holds: ``decide``,
+``holds``, ``spectrum_matrix`` and the witness walk all read it.  Every cell
+is read at the one key (p, {q}): C's memo, then past the gate the memo of
+the id's game (``_reader``), so a warm cell starts no game.
 
 Negative verdicts carry replayable witnesses: a refutation tree for
 simulations, the least unmatched decorated trace (by ``LinearObs.sort_key``)
@@ -241,15 +242,6 @@ def _bisim_refutation(p: CanonicalTerm, q: CanonicalTerm) -> dict:
 # Linear flavors, and trace inclusion, the gate of every family
 
 
-def _play(game, p: CanonicalTerm, qs: tuple):
-    """The value of the position (p, qs) of a game on (p, Q), read from its
-    memo, so ``solve_game`` plays only a missing position."""
-    node, memo = game
-    key = (p, qs)
-    value = memo.get(key)
-    return solve_game(node, key, memo) if value is None else value
-
-
 def _meet_match(geq, x, finals) -> tuple[bool, object]:
     """Meet (revivals-style) matching of the final value x: some final below
     x, and every element of x offered by such a final.  A failure names the
@@ -286,50 +278,61 @@ def _final_test(constraint: str, final: str):
     return lambda x, ys: any(map(relation, repeat(x), ys))
 
 
-def _row_tables() -> tuple[dict, dict, dict, dict, int]:
-    """(rules, bits, games, plans, trace): per constraint, the distinct
-    linear rules decided on its labels, one bit each (U, C and S have 7, T
-    8, and I 10, as ER, ERT, ECR and ECRT compare I labels and ER and ERT
-    rerun I:lf⊆ and I:l⊆); per linear or extended-ready id its (constraint,
-    bit); per (constraint, rule) of a layer's mask game its bit mask; per
-    constraint the plan of its game, (final relation -> bit mask, prefix
-    relation -> bit mask); and the trace bit of C's game, the gate.  U rules
-    are the gate and S rules with the final relation `leq` simulation, so
-    they hold no bit of a game (``_included``).  At C every rule plays
-    (None, eq): only a path's last state can be nil, so a prefix relation
-    drops only nil states, which have no moves, and geq and leq are eq."""
-    rules: dict = {}
-    bits = {}
+# C's game holds the gate, trace inclusion, in bit 0: the bits of the rules start at bit 1.
+_TRACE = 1
+
+
+def _row_tables() -> tuple[dict, dict]:
+    """(sources, plans): the one statement of the game each id reads.  Per
+    supported id ``((kind, arg), mask)``: the game that decides it past the
+    gate (``_reader(kind, arg)``) and the bits of that game's value that say
+    it holds; and per constraint the plan of its layer's mask game, (final
+    relation -> bit mask, prefix relation -> bit mask).  A linear or
+    extended-ready id reads its rule's bit of its layer's ``_lin_game`` (U,
+    C and S have 7 rules, T 8 and I 10, as ER, ERT, ECR and ECRT compare I
+    labels and ER and ERT rerun I:lf⊆ and I:l⊆), with two exceptions that
+    hold no bit: every U label is the same, so a U rule is the gate,
+    ``_TRACE``; and at S a rule whose final relation is `leq` asks that Q
+    simulate p (the empty trace asks it, and a simulation answers each path
+    of p pointwise), so it reads U:b's game.  Every other id reads the
+    boolean value of its own game, mask 1.  At C every rule plays (None,
+    eq): only a path's last state can be nil, so a prefix relation drops
+    only nil states, which have no moves, and geq and leq are eq."""
+    sources, games, plans = {}, {}, {}
     for sem in supported_ids():
-        if sem.flavor in LINEAR_RULES:
-            constraint, rule = linear_rule(sem.constraint, sem.flavor)
-            row = rules.setdefault(constraint, [])
-            if rule not in row:
-                row.append(rule)
-            bits[sem] = constraint, row.index(rule)
-    games, plans = {}, {}
-    for constraint, row in rules.items():
-        for bit, rule in enumerate(row):
-            if constraint != "U" and not (constraint == "S" and rule[1] == "leq"):
-                prefix, final = (None, "eq") if constraint == "C" else rule
-                games[constraint, rule] = 1 << bit
-                finals, prefixes = plans.setdefault(constraint, ({}, {}))
-                finals[final] = finals.get(final, 0) | 1 << bit
-                prefixes[prefix] = prefixes.get(prefix, 0) | 1 << bit
-    trace = 1 << len(rules["C"])
-    plans["C"][1][None] |= trace
-    return rules, bits, games, plans, trace
+        constraint, flavor = sem
+        source, mask = ("sim" if flavor == "b" else flavor, constraint), 1  # b, db and bisim
+        if flavor in ("bf", "bf⊇"):
+            source = ("cover", flavor == "bf")
+        elif flavor in LINEAR_RULES:
+            constraint, rule = linear_rule(constraint, flavor)
+            if constraint == "U":
+                source, mask = ("lin", "C"), _TRACE
+            elif constraint == "S" and rule[1] == "leq":
+                source = ("sim", "U")
+            else:
+                source = ("lin", constraint)
+                if (constraint, rule) not in games:
+                    bit = games[constraint, rule] = 2 << sum(n == constraint for n, _ in games)
+                    prefix, final = (None, "eq") if constraint == "C" else rule
+                    finals, prefixes = plans.setdefault(constraint, ({}, {}))
+                    finals[final] = finals.get(final, 0) | bit
+                    prefixes[prefix] = prefixes.get(prefix, 0) | bit
+                mask = games[constraint, rule]
+        sources[sem] = source, mask
+    plans["C"][1][None] |= _TRACE
+    return sources, plans
 
 
-_ROW_RULES, _ROW_BITS, _GAMES, _PLANS, _TRACE = _row_tables()
+_SOURCES, _PLANS = _row_tables()
 
 
 @lru_cache(maxsize=None)
 def _lin_game(constraint: str):
-    """lin(p, Q): the bit mask, in row bit positions, of the rules of the
-    layer's game (``_GAMES``) that match every decorated trace of p against
-    the states Q, and at C the gate, trace inclusion, as the bit ``_TRACE``,
-    which every leaf holds.  A rule's bit holds at (p, Q) when p's label
+    """lin(p, Q): the bit mask of the rules of the layer's game (their masks
+    in ``_SOURCES``, its plan in ``_PLANS``) that match every decorated trace
+    of p against the states Q, and at C the gate, trace inclusion, as the
+    bit ``_TRACE``, which every leaf holds.  A rule's bit holds at (p, Q) when p's label
     passes the rule's final relation against Q (``_final_test``) and every
     move p -a-> p' has a non-empty Q'/a with the bit holding at (p', Q'/a):
     Q' is the states of Q whose labels p's label relates to under the rule's
@@ -379,49 +382,18 @@ def _lin_game(constraint: str):
     return node, memo
 
 
-def _traced(p: CanonicalTerm, q: CanonicalTerm) -> bool:
-    """Is every trace of p a trace of q?  The ``_TRACE`` bit of C's game at (p, {q})."""
-    return _play(_lin_game("C"), p, (q,)) & _TRACE != 0
-
-
-def _included(linear: tuple, p: CanonicalTerm, qs: tuple) -> bool:
-    """Is every decorated trace of p matched by one of the states qs under
-    `linear`, a (constraint, rule) pair of ``spectrum.linear_rule``?  A cell
-    asks it at (p, {q}), past the gate.  At U it is the gate, as every
-    label is the same; at S a rule whose final relation is `leq` asks that a
-    state of qs simulate p (the empty trace asks it, and a simulation
-    answers each path of p pointwise); every other rule reads its bit of
-    its layer's ``_lin_game``, whose positions the layer's ids share."""
-    constraint, rule = linear
-    if constraint == "U":
-        return _play(_lin_game("C"), p, qs) & _TRACE != 0
-    if constraint == "S" and rule[1] == "leq":
-        return any(simulates("U", p, q) for q in qs)
-    return _play(_lin_game(constraint), p, qs) & _GAMES[linear] != 0
-
-
-def _row(constraint: str, p: CanonicalTerm, q: CanonicalTerm) -> int:
-    """``_included`` at (p, {q}) for every rule of ``_ROW_RULES[constraint]``
-    at once, as a bit mask of the rules that hold (at C with ``_TRACE``
-    beside them), past the gate: every bit at U; else the layer's game, and
-    at S the `leq` rules by simulation."""
-    if constraint == "U":
-        return (1 << len(_ROW_RULES["U"])) - 1
-    row = _play(_lin_game(constraint), p, (q,))
-    if constraint == "S" and simulates("U", p, q):
-        row |= sum(1 << bit for bit, rule in enumerate(_ROW_RULES["S"]) if rule[1] == "leq")
-    return row
-
-
-def _lgo_witness(constraint: str, rule: tuple, name: str, p: CanonicalTerm, q: CanonicalTerm) -> dict:
+def _lgo_witness(sem: SemanticsId, p: CanonicalTerm, q: CanonicalTerm) -> dict:
     """The least unmatched decorated trace of p (by ``LinearObs.sort_key``:
-    length, trace, label keys) as a witness, with the revival action of a
-    failed meet.  A breadth-first walk from (p, {q}), one trace length per
-    level, keeps per (trace, position (p', Q)) the least label-key prefix
-    that reaches it, which is exact, as the order is lexicographic, and
-    skips every position that ``_included`` wins.  The least (trace, label
-    keys) of the first level where a label fails its final test against Q
-    (or Q is empty) is the witness."""
+    length, trace, label keys) as a witness of a refuted linear or
+    extended-ready id, with the revival action of a failed meet.  A
+    breadth-first walk from (p, {q}), one trace length per level, keeps per
+    (trace, position (p', Q)) the least label-key prefix that reaches it,
+    which is exact, as the order is lexicographic, and skips every position
+    that the id's cell (``_cell``) wins.  The least (trace, label keys) of
+    the first level where a label fails its final test against Q (or Q is
+    empty) is the witness."""
+    constraint, rule = linear_rule(*sem)
+    read, mask = _cell(sem)
     key, label = LAYERS[constraint].key, LAYERS[constraint].value
     keep = rule[0] and _relation(constraint, rule[0])
     final = _final_test(constraint, rule[1])
@@ -437,7 +409,7 @@ def _lgo_witness(constraint: str, rule: tuple, name: str, p: CanonicalTerm, q: C
                 qs = tuple(r for r in qs if keep(xs[-1], label(r)))
             for a, s2 in step(s):
                 qs2 = _step_masks(qs, a)[0]
-                if qs2 and _included((constraint, rule), s2, qs2):
+                if qs2 and read((s2, qs2)) & mask:
                     continue
                 y = label(s2)
                 at, entry = (trace + (a,), s2, qs2), (keys + (key(y),), xs + (y,))
@@ -445,7 +417,7 @@ def _lgo_witness(constraint: str, rule: tuple, name: str, p: CanonicalTerm, q: C
         level = below
     trace, _, xs, qs = min(failed, key=lambda f: f[:2])
     head, *labels = [LocalObs(constraint, x) for x in xs]
-    witness = {"kind": "lgo", "unmatched": LinearObs(head, tuple(zip(trace, labels))), "semantics": name}
+    witness = {"kind": "lgo", "unmatched": LinearObs(head, tuple(zip(trace, labels))), "semantics": str(sem)}
     if rule[1] == "meet":
         element = _meet_match(LAYERS[constraint].geq, xs[-1], [label(r) for r in qs])[1]
         if element is not None:
@@ -538,8 +510,9 @@ def _db_included(constraint: str, p: CanonicalTerm, q: CanonicalTerm) -> bool:
     (a, p') of p has the empty type over q's a-successors, positions that
     many pairs share.
     """
+    types = _reader("types", constraint)
     return constraint_holds(constraint, p, q) and all(
-        0 not in _play(_types_game(constraint), p2, _step_masks((q,), a)[0]) for a, p2 in step(p)
+        0 not in types((p2, _step_masks((q,), a)[0])) for a, p2 in step(p)
     )
 
 
@@ -582,16 +555,12 @@ def _leaf_covered(p: CanonicalTerm, qs: tuple[CanonicalTerm, ...], exact: bool) 
     return any(initials(q) == initials(p) for q in qs) if exact else bool(qs)
 
 
-def _covered(p: CanonicalTerm, qs: tuple[CanonicalTerm, ...], exact: bool) -> bool:
-    return _play(_cover_game(exact), p, qs)
-
-
 def _uncovered_bgo(p: CanonicalTerm, q: CanonicalTerm, exact: bool) -> dict:
     """The witness of a refuted cover game, an observation of p that q does
     not match: at (p', Q) the leaf if no state of Q answers it, else one child
     per state, from its first uncovered move of p'; built children first on
     the stack of ``solve_game``, reading the cover game's memo."""
-    built = {}
+    built, covered = {}, _reader("cover", exact)
 
     def node(key):
         p, qs = key
@@ -600,7 +569,7 @@ def _uncovered_bgo(p: CanonicalTerm, q: CanonicalTerm, exact: bool) -> dict:
             for q in qs:
                 for a, p2 in step(p):
                     sub = (p2, _step_masks((q,), a)[0])
-                    if not _covered(*sub, exact):
+                    if not covered(sub):
                         if sub not in built:
                             yield sub
                         children.add((a, built[sub]))
@@ -614,54 +583,47 @@ def _uncovered_bgo(p: CanonicalTerm, q: CanonicalTerm, exact: bool) -> dict:
 # The cell table and the spectrum matrix
 
 
-def _bit(game, mask: int):
-    """test(key): has the position key, (p, {q}), of a game on (p, Q) a bit
-    of `mask` in its value?  Only a position missing from the memo is played."""
-    node, memo = game
+@lru_cache(maxsize=None)
+def _reader(kind: str, arg):
+    """read(key): the value at key = (p, Q) of the game (kind, arg), read
+    from its memo first, so a warm read starts no game.  The games of
+    ``_SOURCES``: "lin", the mask game of layer `arg`; "cover", the cover
+    game, exact if `arg`; "sim", the `arg`-simulation, True when some q in Q
+    simulates p; "db", deterministic branching at `arg`, and "bisim",
+    identity on canonical forms, both for Q = {q}.  And "types", the types
+    game of "db".  Cached, so ``clear_caches()`` drops it with its memo."""
+    if kind == "db":
+        return lambda key: _db_included(arg, key[0], key[1][0])
+    if kind == "bisim":
+        return lambda key: key[0] is key[1][0]
+    games = {"lin": _lin_game, "cover": _cover_game, "types": _types_game}
+    node, memo = _sim_game(arg, step) if kind == "sim" else games[kind](arg)
 
-    def test(key):
+    def read(key):
         value = memo.get(key)
-        if value is None:
-            value = solve_game(node, key, memo)
-        return value & mask != 0
+        return solve_game(node, key, memo) if value is None else value
 
-    return test
+    if kind == "sim":
+        pair = read
 
+        def read(key):
+            p, qs = key
+            for q in qs:
+                if pair((p, q)):
+                    return True
+            return False
 
-def _pair(constraint: str):
-    """test(key): the constrained simulation at (p, q), for the key (p, {q})."""
-    node, memo = _sim_game(constraint, step)
-
-    def test(key):
-        pair = key[0], key[1][0]
-        value = memo.get(pair)
-        return solve_game(node, pair, memo) if value is None else value
-
-    return test
+    return read
 
 
 @lru_cache(maxsize=None)
 def _cell(sem: SemanticsId):
-    """test(key): does p lie below q in `sem`, for key = (p, {q}) past the
-    trace gate?  Bound once per id to the game it reads, as ``_included``
-    reads a linear rule (a U rule is the gate itself); cached, so
-    ``clear_caches()`` drops it with the memos it binds, and first asked
-    past the gate, so no game is built for pairs the gate refutes."""
-    constraint, flavor = sem
-    if flavor in LINEAR_RULES:
-        constraint, rule = linear_rule(constraint, flavor)
-        if constraint == "U":
-            return lambda key: True
-        if constraint == "S" and rule[1] == "leq":
-            return _pair("U")
-        return _bit(_lin_game(constraint), _GAMES[constraint, rule])
-    if flavor == "b":
-        return _pair(constraint)
-    if flavor in ("bf", "bf⊇"):
-        return _bit(_cover_game(flavor == "bf"), 1)
-    if flavor == "db":
-        return lambda key: _db_included(constraint, key[0], key[1][0])
-    return lambda key: key[0] is key[1][0]  # bisim, identity on canonical forms
+    """(read, mask): p lies below q in `sem`, past the trace gate, when
+    ``read((p, {q})) & mask``, the reader and mask of its ``_SOURCES`` entry.
+    Cached, and first asked past the gate, so no game is built for pairs the
+    gate refutes."""
+    source, mask = _SOURCES[sem]
+    return _reader(*source), mask
 
 
 # The witness of a refuted cell, per flavor, as witness(constraint, flavor,
@@ -669,9 +631,7 @@ def _cell(sem: SemanticsId):
 # read.  The lambdas look their builders up when called, so a replaced module
 # function is the one used.
 _WITNESSES = {
-    **dict.fromkeys(
-        LINEAR_RULES, lambda c, f, p, q: _lgo_witness(*linear_rule(c, f), str(SemanticsId(c, f)), p, q)
-    ),
+    **dict.fromkeys(LINEAR_RULES, lambda c, f, p, q: _lgo_witness(SemanticsId(c, f), p, q)),
     "bisim": lambda c, f, p, q: _bisim_refutation(p, q),
     "b": lambda c, f, p, q: _sim_refutation(c, p, q),
     "db": lambda c, f, p, q: _db_witness(c, p, q),
@@ -683,16 +643,18 @@ _WITNESSES = {
 def decide(sem: SemanticsId, p: CanonicalTerm, q: CanonicalTerm) -> Verdict:
     """Does p lie below q in the given semantics?  Trace inclusion first,
     which every semantics refines, as the ``_TRACE`` bit of C's game, then
-    the id's cell, both read at the one key (p, {q}).  A refuting verdict
-    builds its witness when first read, and is itself built with no
-    ``__init__`` call, as most decisions refute."""
+    the id's cell (``_cell``), both read at the one key (p, {q}).  A
+    refuting verdict builds its witness when first read, and is itself built
+    with no ``__init__`` call, as most decisions refute."""
     key = (p, (q,))
     node, memo = _lin_game("C")
     gate = memo.get(key)
     if gate is None:
         gate = solve_game(node, key, memo)
-    if gate & _TRACE and _cell(sem)(key):
-        return HOLDS
+    if gate & _TRACE:
+        read, mask = _cell(sem)
+        if read(key) & mask:
+            return HOLDS
     constraint, flavor = sem
     verdict = object.__new__(Verdict)  # Verdict(False, None, build, *args), with no __init__ call
     verdict.holds, verdict._witness = False, None
@@ -707,7 +669,10 @@ def holds(sem: SemanticsId, p: CanonicalTerm, q: CanonicalTerm) -> bool:
     gate = memo.get(key)
     if gate is None:
         gate = solve_game(node, key, memo)
-    return gate & _TRACE != 0 and _cell(sem)(key)
+    if gate & _TRACE:
+        read, mask = _cell(sem)
+        return read(key) & mask != 0
+    return False
 
 
 def engine(name: str):
@@ -758,33 +723,27 @@ def coverage(sem: SemanticsId) -> tuple[str, ...]:
 def spectrum_matrix(p: CanonicalTerm, q: CanonicalTerm) -> dict[SemanticsId, str]:
     """Both directions of every supported semantics, as "≡", "⊑", "⊒" or
     "incomparable".  Trace inclusion is asked once per direction, as C's
-    game, whose mask is C's row too: a refuted direction reads False in
-    every cell and plays no other game, and a pair refuted both ways is
-    incomparable everywhere.  The linear and extended-ready cells are bits
-    of one ``_row`` per direction and constraint, the mask of its layer's
-    game, computed when a cell first reads it; every other cell reads its
-    ``_cell`` at (p, {q}) and (q, {p}).
-    Only the booleans are read, so no verdict or witness is built, and
+    game: a refuted direction reads False in every cell and plays no other
+    game, and a pair refuted both ways is incomparable everywhere.  Each
+    cell is its ``_SOURCES`` mask of its game's value at (p, {q}) and at
+    (q, {p}), and each game is read once per direction, when a cell first
+    needs it: all the linear ids of a layer share one value, as S `leq`
+    rules share U:b's.  Only the booleans are read, so no verdict or witness is built, and
     deciding enumerates no world, so every cell is decided."""
-    gate = _play(_lin_game("C"), p, (q,)), _play(_lin_game("C"), q, (p,))
+    keys = (p, (q,)), (q, (p,))
+    read = _reader("lin", "C")
+    gate = read(keys[0]), read(keys[1])
     down, up = gate[0] & _TRACE, gate[1] & _TRACE
     if not (down or up):
         return dict.fromkeys(supported_ids(), "incomparable")
     out: dict[SemanticsId, str] = {}
-    rows: dict[str, tuple[int, int]] = {"C": gate}
-    keys = (p, (q,)), (q, (p,))
-    for sem in supported_ids():
-        row_bit = _ROW_BITS.get(sem)
-        if row_bit:
-            constraint, bit = row_bit
-            if constraint not in rows:
-                rows[constraint] = down and _row(constraint, p, q), up and _row(constraint, q, p)
-            below, above = rows[constraint]
-            below, above = below >> bit & 1, above >> bit & 1
-        else:
-            test = _cell(sem)
-            below = down and test(keys[0])
-            above = up and test(keys[1])
+    values = {("lin", "C"): gate}  # (kind, arg) -> its value at both keys
+    for sem, (source, mask) in _SOURCES.items():
+        value = values.get(source)
+        if value is None:
+            read = _reader(*source)
+            value = values[source] = down and read(keys[0]), up and read(keys[1])
+        below, above = value[0] & mask, value[1] & mask
         if below and above:
             out[sem] = "≡"
         elif below:

@@ -236,8 +236,8 @@ def test_final_ready_on_a_full_depth3_term(capsys):
 def test_deep_chain(capsys):
     # the parser and canonicalizer read a chain of prefixes in a loop; every
     # id but the 10 that read T labels (``lts.traces`` still recurses)
-    # decides on explicit stacks: the games, the trace game that gates them
-    # all and decides the U flavors, and the linear mask games
+    # decides on explicit stacks: the games, the linear mask games, and the
+    # trace bit of C's mask game, which gates them all and decides the U flavors
     chain = "a." * 3000 + "0"
     t_labels = ("TS", "T:db", "PFT", "IFT", "PF", "IF", "T:l⊆", "T:lf⊆", "T:join", "T:meet")
     ids = [str(sem) for sem in procsem.supported_ids() if str(sem) not in t_labels]
@@ -297,7 +297,7 @@ def test_extreme_inputs(capsys):
     for expected, *argv in rows:
         code, _, err = run(capsys, *argv)
         assert code == expected and "Traceback" not in err and "internal error" not in err, argv[:4]
-    # the trace game refutes both directions, so no other game is played
+    # the trace bit of C's mask game refutes both directions, so no other game is played
     code, out, _ = run(capsys, "--json", "spectrum", p, q)
     assert code == 0 and set(json.loads(out).values()) == {"incomparable"}
 
@@ -490,8 +490,20 @@ def test_plain_decorated_traces_at_s_name_states(capsys):
                                    "  semantics: S:lf\n  states:\n    s0 = a.s1 + a.s2\n    s1 = b.s3\n"
                                    "    s2 = c.s3\n    s3 = 0\n", "")
     code, out, err = run(capsys, "observe", "--kind", "lgo", "--constraint", "S", "a.b.0")
-    assert (code, out, err) == (0, "observations:\n  s0\n  s0\n  a\n  s1\n  s0\n  a\n  s1\n  b\n  s2\n"
+    # each decorated trace, a list in a list, is one line
+    assert (code, out, err) == (0, "observations:\n  [s0]\n  [s0, a, s1]\n  [s0, a, s1, b, s2]\n"
                                    "states:\n  s0 = a.s1\n  s1 = b.s2\n  s2 = 0\ntruncated: False\n", "")
+
+
+def test_plain_decorated_traces_keep_labels_apart(capsys):
+    # a label that is a list prints on one line, so labels and actions stay
+    # apart, and the empty trace in a T label shows as ""
+    code, out, err = run(capsys, "compare", "--semantics", "RT", _Q, _P)
+    assert (code, out, err) == (1, "holds: False\nwitness:\n  kind: lgo\n  unmatched:\n    [a]\n    a\n"
+                                   "    [b, c]\n  semantics: RT\n", "")
+    code, out, err = run(capsys, "compare", "--semantics", "T:l", "a.b.0", "a.0")
+    assert (code, out, err) == (1, 'holds: False\nwitness:\n  kind: lgo\n  unmatched:\n    ["", a, ab]\n'
+                                   "  semantics: PFT\n", "")
 
 
 def test_readme_examples_stay_true(capsys):

@@ -63,6 +63,18 @@ print("ok")
     assert proc.returncode == 0 and proc.stdout == "ok\n", proc.stderr
 
 
+def test_import_builds_no_game():
+    # the table of the game each id reads is built at import; it names the
+    # games, and no reader or game is built until a cell first asks
+    script = """
+from procsem import preorders
+assert len(preorders._SOURCES) == 56
+print(preorders._reader.cache_info().currsize, preorders._lin_game.cache_info().currsize)
+"""
+    proc = python("-c", script)
+    assert proc.returncode == 0 and proc.stdout == "0 0\n", proc.stderr
+
+
 def test_every_exported_name_resolves():
     # tools that wrap each public function look every __all__ name up, so a
     # stale entry left behind by a deletion breaks them

@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import random
@@ -113,7 +114,6 @@ def test_s_partial_offer_witnesses_come_from_the_tables(pool2):
     """S:l⊆ and S:lf⊆ are decided by simulation; a refuted cell's witness is
     still the least unmatched decorated trace of the tables."""
     from procsem.preorders import _lgo_witness
-    from procsem.spectrum import linear_rule
 
     rng = random.Random(61)
     pairs = [(rng.choice(pool2), rng.choice(pool2)) for _ in range(400)]
@@ -124,7 +124,7 @@ def test_s_partial_offer_witnesses_come_from_the_tables(pool2):
             verdict = decide(sem, p, q)
             assert verdict.holds == simulates("U", p, q), (flavor, p, q)
             if not verdict.holds:
-                expected = Verdict(False, _lgo_witness(*linear_rule("S", flavor), str(sem), p, q))
+                expected = Verdict(False, _lgo_witness(sem, p, q))
                 assert verdict.to_json() == expected.to_json(), (flavor, p, q)
                 refuted += 1
         assert refuted > 100, flavor
@@ -386,13 +386,16 @@ _CELL = {(True, True): "≡", (True, False): "⊑", (False, True): "⊒", (False
 def test_holds_is_the_verdict_bool_and_the_matrix_cell(pool2, random3):
     """``holds`` returns the very bool of ``decide``'s verdict, though mask
     games store ints, for all 56 ids in both directions, and each agrees with
-    the ``spectrum_matrix`` cell; on random pairs and on pairs that the
-    trace gate refutes one way or both."""
+    the ``spectrum_matrix`` cell; on random pairs, on pairs that the trace
+    gate refutes one way or both, and on perturbed pairs, which tell the S
+    ids b, db, l, lf and join apart where the matrix shares one read of a
+    game among several ids."""
     rng = random.Random(83)
     pairs = [(rng.choice(pool2), rng.choice(pool2)) for _ in range(150)]
     pairs += [(rng.choice(random3), rng.choice(random3)) for _ in range(30)]
     pairs += _trace_refuted_pairs(pool2, rng, 60)
     assert any(not traces(q) <= traces(p) for p, q in pairs[-60:])  # refuted both ways
+    pairs += _perturbed_pairs(random.Random(87), pool2, 60)
     ids = supported_ids()
     assert len(ids) == 56
     for p, q in pairs:
@@ -401,6 +404,46 @@ def test_holds_is_the_verdict_bool_and_the_matrix_cell(pool2, random3):
             below, above = holds(sem, p, q), holds(sem, q, p)
             assert below is decide(sem, p, q).holds and above is decide(sem, q, p).holds, (sem, p, q)
             assert matrix[sem] == _CELL[below, above], (sem, p, q)
+
+
+def test_spectrum_matrix_reads_each_game_once_per_direction(monkeypatch, pool2, random3):
+    """``spectrum_matrix`` reads each game of ``_SOURCES`` at most once per
+    direction, C's gate included, however many ids share it: all the linear
+    ids of a layer one mask, and the S `leq` rules U:b's simulation."""
+    from procsem import preorders
+
+    reads = []
+
+    def counted(kind, arg):
+        read = reader(kind, arg)
+
+        def count(key):
+            if key in top:  # a game's own reads, as db's of its types game, are at other keys
+                reads.append((kind, arg, key))
+            return read(key)
+
+        return count
+
+    reader = preorders._reader
+    monkeypatch.setattr(preorders, "_reader", counted)
+    rng = random.Random(103)
+    pairs = [(rng.choice(pool2), rng.choice(pool2)) for _ in range(100)]
+    pairs += [(rng.choice(random3), rng.choice(random3)) for _ in range(20)]
+    pairs += _perturbed_pairs(random.Random(107), pool2, 40)
+    sources = {source for source, _ in preorders._SOURCES.values()}
+    assert len(sources) == 17
+    full = 0
+    for p, q in pairs:
+        reads.clear()
+        top = {(p, (q,)), (q, (p,))}
+        spectrum_matrix(p, q)
+        counts = collections.Counter((kind, arg) for kind, arg, _ in reads)
+        assert max(counts.values()) <= 2 and set(counts) <= sources, (p, q)
+        assert p is q or len(set(reads)) == len(reads), (p, q)  # once at each key
+        if traces(p) == traces(q):
+            full += 1
+            assert counts == dict.fromkeys(sources, 2), (p, q)
+    assert full > 10
 
 
 def test_warm_cells_start_no_game(monkeypatch, pool2, random3):
@@ -433,33 +476,36 @@ def test_warm_cells_start_no_game(monkeypatch, pool2, random3):
 
 def test_mask_games_against_the_oracle(pool2, random3):
     """Every bit of every layer's mask game, the gate bit of C's included,
-    and every rule through ``_included`` and ``_row``, at all five layers,
-    against the decorated-trace tables of the oracle: random pool2 and
-    depth-3 pairs, and perturbed pairs in both directions, most of which
-    pass the gate and differ past it."""
-    from procsem.preorders import _GAMES, _PLANS, _ROW_RULES, _TRACE, _included, _lin_game, _play, _row, _traced
+    and every linear and extended-ready id through its ``_SOURCES`` cell, at
+    all five layers, against the decorated-trace tables of the oracle:
+    random pool2 and depth-3 pairs, and perturbed pairs in both directions,
+    most of which pass the gate and differ past it."""
+    from procsem.preorders import _PLANS, _SOURCES, _TRACE, _cell, _reader
+    from procsem.spectrum import linear_rule
 
     rng = random.Random(37)
     pairs = [(rng.choice(pool2), rng.choice(pool2)) for _ in range(400)]
     pairs += [(rng.choice(random3), rng.choice(random3)) for _ in range(100)]
     pairs += [pair for p, q in _perturbed_pairs(random.Random(39), pool2, 150) for pair in ((p, q), (q, p))]
+    linear = [sem for sem in supported_ids() if sem.flavor in LINEAR_RULES]
+    rules = {sem: linear_rule(*sem) for sem in linear}
+    games = {(rules[sem], mask) for sem in linear for source, mask in [_SOURCES[sem]]
+             if source[0] == "lin" and mask != _TRACE}
+    assert len(linear) == 43 and len(set(rules.values())) == 39 and len(games) == 30
     bits = mixed = 0
     for p, q in pairs:
-        traced = traces(p) <= traces(q)
-        assert bool(_play(_lin_game("C"), p, (q,)) & _TRACE) == traced, (p, q)
+        key = (p, (q,))
+        held = {rule: next(iter(unmatched(*rule, p, q)), None) is None for rule in rules.values()}
+        masks = {n: _reader("lin", n)(key) for n in _PLANS}
+        assert bool(masks["C"] & _TRACE) == (traces(p) <= traces(q)), (p, q)
         bits += 1
-        for n, rules in _ROW_RULES.items():
-            expected = [next(iter(unmatched(n, rule, p, q)), None) is None for rule in rules]
-            mask = _play(_lin_game(n), p, (q,)) if n in _PLANS else None
-            for rule, held in zip(rules, expected):
-                assert _included((n, rule), p, (q,)) == held, (n, rule, p, q)
-                if (n, rule) in _GAMES:
-                    assert bool(mask & _GAMES[n, rule]) == held, (n, rule, p, q)
-                    bits += 1
-            if _traced(p, q):
-                gate = _TRACE if n == "C" else 0
-                assert _row(n, p, q) == gate | sum(held << bit for bit, held in enumerate(expected)), (n, p, q)
-            mixed += 0 < sum(expected) < len(expected)
+        for (n, rule), mask in games:
+            assert bool(masks[n] & mask) == held[n, rule], (n, rule, p, q)
+            bits += 1
+        for sem in linear:
+            read, mask = _cell(sem)
+            assert bool(read(key) & mask) == held[rules[sem]], (sem, p, q)
+        mixed += 0 < sum(held.values()) < len(held)
     assert bits == 31 * len(pairs) and mixed > 100
 
 
@@ -488,11 +534,12 @@ def test_linear_witnesses_are_least_on_perturbed_pairs(pool2):
 
 
 def test_spectrum_matrix_stays_lazy(monkeypatch, pool2, random3):
-    """A row refuted at the trace layer plays no game past C's, the gate, a
-    U row plays none and a C row only C's, a full sweep plays one game per
+    """A row refuted at the trace layer plays no game past C's, the gate,
+    the U and C cells read only C's game, a full sweep plays one game per
     layer, and no matrix builds a witness."""
     import procsem
     from procsem import preorders
+    from procsem.spectrum import LINEAR_FLAVORS
 
     def refuse(*args):
         raise RuntimeError("witness built")
@@ -507,8 +554,9 @@ def test_spectrum_matrix_stays_lazy(monkeypatch, pool2, random3):
         assert set(spectrum_matrix(p, q).values()) == {"incomparable"}
     assert preorders._lin_game.cache_info().currsize == 1 and preorders._lin_game("C")[1]
     pairs = [(rng.choice(pool2), rng.choice(pool2)) for _ in range(300)]
-    rows = {n: [preorders._row(n, p, q) for p, q in pairs] for n in ("U", "C")}
-    assert 0 in rows["C"] and any(rows["C"]) and any(rows["U"])
+    at_uc = [sem for sem in supported_ids() if sem.constraint in ("U", "C") and sem.flavor in LINEAR_FLAVORS]
+    cells = [holds(sem, p, q) for sem in at_uc for p, q in pairs]
+    assert any(cells) and not all(cells)
     assert preorders._lin_game.cache_info().currsize == 1
     pairs += [(rng.choice(random3), rng.choice(random3)) for _ in range(100)]
     for p, q in pairs:
@@ -553,31 +601,32 @@ def test_every_semantics_refines_trace_inclusion(pool2, random3):
 
 
 def test_trace_game_is_trace_inclusion(pool2, random3):
-    from procsem.preorders import _traced
+    # the cell of T is the gate itself, the trace bit of C's game
+    trace = parse_semantics("T")
 
     rng = random.Random(61)
     pairs = itertools.chain(
         itertools.product(pool2, repeat=2), ((rng.choice(random3), rng.choice(random3)) for _ in range(3000))
     )
     for p, q in pairs:
-        assert _traced(p, q) == (traces(p) <= traces(q)), (p, q)
+        assert holds(trace, p, q) == (traces(p) <= traces(q)), (p, q)
 
 
 def test_ungated_families_refute_trace_refuted_pairs(pool2, random3):
-    """The entry points gate every family on ``_traced``; each family refutes
-    such pairs on its own as well, so the gate changes no verdict.  At U a
-    linear rule is trace inclusion by definition, so U has no row here."""
-    from procsem.constraints import CONSTRAINTS
-    from procsem.preorders import _ROW_RULES, _covered, _db_included, _included
+    """The entry points gate every family on the trace bit of C's game; the
+    cell of each id (``_cell``, its ``_SOURCES`` entry) refutes such pairs on
+    its own as well, so the gate changes no verdict.  A U linear rule is
+    trace inclusion by definition, as its cell is the gate, so it is left out."""
+    from procsem.preorders import _SOURCES, _TRACE, _cell
 
     rng = random.Random(67)
     pairs = _trace_refuted_pairs(pool2, rng, 300) + _trace_refuted_pairs(random3, rng, 60)
+    ungated = [sem for sem, source in _SOURCES.items() if source != (("lin", "C"), _TRACE)]
+    assert len(ungated) == 56 - 8
     for p, q in pairs:
-        assert not any(simulates(n, p, q) for n in CONSTRAINTS), (p, q)
-        assert not any(_db_included(n, p, q) for n in CONSTRAINTS), (p, q)
-        assert not _covered(p, (q,), True) and not _covered(p, (q,), False), (p, q)
-        for n in ("C", "I", "T", "S"):
-            assert not any(_included((n, rule), p, (q,)) for rule in _ROW_RULES[n]), (n, p, q)
+        for sem in ungated:
+            read, mask = _cell(sem)
+            assert not read((p, (q,))) & mask, (sem, p, q)
 
 
 def test_witnesses_are_built_on_first_read(monkeypatch):
