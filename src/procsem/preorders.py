@@ -596,22 +596,26 @@ def _reader(kind: str, arg):
         return lambda key: _db_included(arg, key[0], key[1][0])
     if kind == "bisim":
         return lambda key: key[0] is key[1][0]
-    games = {"lin": _lin_game, "cover": _cover_game, "types": _types_game}
-    node, memo = _sim_game(arg, step) if kind == "sim" else games[kind](arg)
+    if kind == "sim":
+        node, memo = _sim_game(arg, step)
+
+        def simulated(key):
+            p, qs = key
+            for q in qs:
+                pair = (p, q)
+                value = memo.get(pair)
+                if value is None:
+                    value = solve_game(node, pair, memo)
+                if value:
+                    return True
+            return False
+
+        return simulated
+    node, memo = {"lin": _lin_game, "cover": _cover_game, "types": _types_game}[kind](arg)
 
     def read(key):
         value = memo.get(key)
         return solve_game(node, key, memo) if value is None else value
-
-    if kind == "sim":
-        pair = read
-
-        def read(key):
-            p, qs = key
-            for q in qs:
-                if pair((p, q)):
-                    return True
-            return False
 
     return read
 
