@@ -144,6 +144,7 @@ def _pretty(payload, indent="", named=False) -> None:
         print(f"{indent}{_named(payload, prefix)}")
     else:
         named = named or "states" in payload
+        prefix = "s" if named else ""
         for key, value in payload.items():
             if key in _LINES:
                 value = [_LINES[key](i, entry) for i, entry in enumerate(value)]
@@ -151,7 +152,7 @@ def _pretty(payload, indent="", named=False) -> None:
                 print(f"{indent}{key}:")
                 _pretty(value, indent + "  ", named)
             else:
-                print(f"{indent}{key}: {_named(value, 's' if named else '')}")
+                print(f"{indent}{key}: {_named(value, prefix)}")
 
 
 def _cmd_compare(args) -> int:
