@@ -23,7 +23,11 @@ Three families of procedures live here:
 
 A pair that the gate refutes is refuted in every semantics, and C's game
 stops at the first move of p that Q cannot answer, so such pairs cost
-almost nothing and play no other game.
+almost nothing and play no other game.  Past the gate, ``spectrum_matrix``
+reads the spectrum's order too (``spectrum.BRACKETS``): N:b is refuted when
+the next coarser b or N:l is, and N:db holds when N:b does and is refuted
+when N:l is, so it plays those games only where the brackets leave a cell
+open; ``decide`` and ``holds`` play each id's own game.
 
 One table, ``_SOURCES``, says for every id which game it reads past the
 gate and which bits of that game's value say it holds: ``decide``,
@@ -67,7 +71,7 @@ from .observations import (
     decide_via_observations,
     enum_complete_dbgo,
 )
-from .spectrum import LINEAR_RULES, SemanticsId, UncoveredSemanticsError, linear_rule, supported_ids
+from .spectrum import BRACKETS, LINEAR_RULES, SemanticsId, UncoveredSemanticsError, linear_rule, supported_ids
 from .terms import NIL, CanonicalTerm, state_table
 
 __all__ = [
@@ -167,8 +171,8 @@ def lgo_json(observations) -> dict:
 def _label_payload(label, index):
     if label.constraint == "U":
         return "·"
-    if label.constraint == "T":
-        return sorted("".join(t) for t in label.value)
+    if label.constraint == "T":  # an action holds no ".", so joined traces stay apart
+        return [".".join(t) for t in LAYERS["T"].key(label.value)]
     if label.constraint == "I":
         return sorted(label.value)
     return index[label.value] if label.constraint == "S" else label.value
@@ -325,6 +329,10 @@ def _row_tables() -> tuple[dict, dict]:
 
 
 _SOURCES, _PLANS = _row_tables()
+# The games of ``spectrum.BRACKETS`` in its order, each with its (holders,
+# refuters) as ``_SOURCES`` entries; ``spectrum_matrix`` reads the others first.
+_BRACKETS = {_SOURCES[sem][0]: [[_SOURCES[s] for s in ids] for ids in pair] for sem, pair in BRACKETS.items()}
+_UNBRACKETED = [*dict.fromkeys(s for s, _ in _SOURCES.values() if s not in _BRACKETS and s != ("lin", "C"))]
 
 
 @lru_cache(maxsize=None)
@@ -730,23 +738,33 @@ def spectrum_matrix(p: CanonicalTerm, q: CanonicalTerm) -> dict[SemanticsId, str
     game: a refuted direction reads False in every cell and plays no other
     game, and a pair refuted both ways is incomparable everywhere.  Each
     cell is its ``_SOURCES`` mask of its game's value at (p, {q}) and at
-    (q, {p}), and each game is read once per direction, when a cell first
-    needs it: all the linear ids of a layer share one value, as S `leq`
-    rules share U:b's.  Only the booleans are read, so no verdict or witness is built, and
-    deciding enumerates no world, so every cell is decided."""
+    (q, {p}), and each game is read at most once per direction: all the
+    linear ids of a layer share one value, as S `leq` rules share U:b's.
+    The games no bracket settles come first, then those of ``_BRACKETS``
+    in order (simulations from C to S, then `db`), each read only in a
+    direction that its brackets leave open.  Only the booleans are read, so
+    no verdict or witness is built, and deciding enumerates no world, so
+    every cell is decided."""
     keys = (p, (q,)), (q, (p,))
     read = _reader("lin", "C")
     gate = read(keys[0]), read(keys[1])
     down, up = gate[0] & _TRACE, gate[1] & _TRACE
     if not (down or up):
         return dict.fromkeys(supported_ids(), "incomparable")
-    out: dict[SemanticsId, str] = {}
     values = {("lin", "C"): gate}  # (kind, arg) -> its value at both keys
+    for source in _UNBRACKETED:
+        read = _reader(*source)
+        values[source] = down and read(keys[0]), up and read(keys[1])
+    for source, (holders, refuters) in _BRACKETS.items():  # each has an N:l refuter, 0 where the gate fails
+        read = _reader(*source)
+        values[source] = [
+            0 if any(not values[s][i] & m for s, m in refuters)
+            else any(values[s][i] & m for s, m in holders) or read(key)
+            for i, key in enumerate(keys)
+        ]
+    out: dict[SemanticsId, str] = {}
     for sem, (source, mask) in _SOURCES.items():
-        value = values.get(source)
-        if value is None:
-            read = _reader(*source)
-            value = values[source] = down and read(keys[0]), up and read(keys[1])
+        value = values[source]
         below, above = value[0] & mask, value[1] & mask
         if below and above:
             out[sem] = "≡"

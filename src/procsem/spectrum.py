@@ -33,6 +33,7 @@ __all__ = [
     "classic_name",
     "CLASSIC_NAMES",
     "SPECTRUM_ARROWS",
+    "BRACKETS",
     "UnsupportedSemanticsError",
     "UncoveredSemanticsError",
 ]
@@ -251,3 +252,13 @@ SPECTRUM_ARROWS: tuple[tuple[SemanticsId, SemanticsId], ...] = (
     # vertical arrows between consecutive layers, flavor by flavor
     *((_ID[m, f], _ID[n, f]) for m, n in pairwise(_LAYERS) for f in ("db", "l", "l⊇", "lf", "lf⊇")),
 )
+
+# The brackets that the arrows put around the b and db games: id -> (ids
+# whose holding makes it hold, ids whose refutation refutes it), each a path
+# of SPECTRUM_ARROWS: N:b -> M:b to the next coarser layer M, and N:b -> N:db
+# -> N:l within a layer.  Coarser layers first, so each bracket names only
+# ids listed before it or outside the table.
+BRACKETS: dict[SemanticsId, tuple[tuple[SemanticsId, ...], tuple[SemanticsId, ...]]] = {
+    **{_ID[n, "b"]: ((), (_ID[m, "b"], _ID[n, "l"])) for m, n in pairwise(reversed(_LAYERS))},
+    **{_ID[n, "db"]: ((_ID[n, "b"],), (_ID[n, "l"],)) for n in _LAYERS},
+}

@@ -433,7 +433,7 @@ _PINNED_JSON = [
      '{"holds": false, "witness": {"kind": "bgo", "unmatched": "<frozenset({\'a\'}),{(a,<frozenset({\'b\'}),{}>)}>"}}\n'),
     (("compare", "--semantics", "PFT", _R, _P), 1,
      '{"holds": false, "witness": {"kind": "lgo", "semantics": "PFT", '
-     '"unmatched": [["", "a", "ab", "ac", "acb", "b"]]}}\n'),
+     '"unmatched": [["", "a", "a.b", "a.c", "a.c.b", "b"]]}}\n'),
     (("compare", "--semantics", "ECRT", _R, _Q), 1,
      '{"holds": false, "witness": {"kind": "lgo", "semantics": "ECRT", "unmatched": [["a", "b"]]}}\n'),
     (("compare", "--engine", "observational", "--semantics", "RT", "a.b.0", "a.c.0"), 1,
@@ -450,7 +450,7 @@ _PINNED_JSON = [
     (("observe", "--kind", "lgo", _R), 0,
      "sha256:e4278ff7b1445d80bd4129e8d326c69e90ba88c52064e37d32976de24d5e9009"),
     (("observe", "--kind", "lgo", "--constraint", "T", _P), 0,
-     "sha256:a3f2a9669467eea094ede1a71a5c78b3cf29f3de6c9ac40862b5ffa6ac73a667"),
+     "sha256:3ca71190bfeeff0d08bbf9964c1d62162bacfa254ce54747a3a231499186500a"),
     (("observe", "--kind", "lgo", "--constraint", "S", _P), 0,
      '{"observations": [[0], [0, "a", 1], [0, "a", 2], [0, "a", 1, "b", 3], [0, "a", 2, "c", 3]], '
      '"states": [[["a", 1], ["a", 2]], [["b", 3]], [["c", 3]], []], "truncated": false}\n'),
@@ -502,8 +502,16 @@ def test_plain_decorated_traces_keep_labels_apart(capsys):
     assert (code, out, err) == (1, "holds: False\nwitness:\n  kind: lgo\n  unmatched:\n    [a]\n    a\n"
                                    "    [b, c]\n  semantics: RT\n", "")
     code, out, err = run(capsys, "compare", "--semantics", "T:l", "a.b.0", "a.0")
-    assert (code, out, err) == (1, 'holds: False\nwitness:\n  kind: lgo\n  unmatched:\n    ["", a, ab]\n'
+    assert (code, out, err) == (1, 'holds: False\nwitness:\n  kind: lgo\n  unmatched:\n    ["", a, a.b]\n'
                                    "  semantics: PFT\n", "")
+
+
+def test_t_labels_keep_multi_letter_actions_apart(capsys):
+    # a T label joins each trace's actions with ".", which no action holds,
+    # so the trace `ab` and the trace `a b` print apart, in value_key order
+    code, out, err = run(capsys, "--json", "observe", "--kind", "lgo", "--constraint", "T", "ab.0 + a.b.0")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["observations"][0] == [["", "a", "a.b", "ab"]]
 
 
 def test_readme_examples_stay_true(capsys):

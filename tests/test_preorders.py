@@ -412,38 +412,161 @@ def test_spectrum_matrix_reads_each_game_once_per_direction(monkeypatch, pool2, 
     ids of a layer one mask, and the S `leq` rules U:b's simulation."""
     from procsem import preorders
 
-    reads = []
-
-    def counted(kind, arg):
-        read = reader(kind, arg)
-
-        def count(key):
-            if key in top:  # a game's own reads, as db's of its types game, are at other keys
-                reads.append((kind, arg, key))
-            return read(key)
-
-        return count
-
-    reader = preorders._reader
-    monkeypatch.setattr(preorders, "_reader", counted)
     rng = random.Random(103)
     pairs = [(rng.choice(pool2), rng.choice(pool2)) for _ in range(100)]
     pairs += [(rng.choice(random3), rng.choice(random3)) for _ in range(20)]
     pairs += _perturbed_pairs(random.Random(107), pool2, 40)
     sources = {source for source, _ in preorders._SOURCES.values()}
     assert len(sources) == 17
+    opened = [_open_reads(p, q) for p, q in pairs]  # asked through holds, before the reads are counted
+    counted = _counted_reads(monkeypatch)
     full = 0
-    for p, q in pairs:
-        reads.clear()
-        top = {(p, (q,)), (q, (p,))}
+    for (p, q), expected in zip(pairs, opened):
+        counted.clear()
         spectrum_matrix(p, q)
+        top = {(p, (q,)), (q, (p,))}  # a game's own reads, as db's of its types game, are at other keys
+        reads = [read for read in counted if read[2] in top]
         counts = collections.Counter((kind, arg) for kind, arg, _ in reads)
         assert max(counts.values()) <= 2 and set(counts) <= sources, (p, q)
         assert p is q or len(set(reads)) == len(reads), (p, q)  # once at each key
-        if traces(p) == traces(q):
-            full += 1
-            assert counts == dict.fromkeys(sources, 2), (p, q)
+        # a game is read at a key exactly when the gate passes and its brackets leave it open
+        assert collections.Counter(((kind, arg), key) for kind, arg, key in reads) == expected, (p, q)
+        full += traces(p) == traces(q)
     assert full > 10
+
+
+def _counted_reads(monkeypatch) -> list:
+    """Records every read of a game through ``preorders._reader`` as
+    (kind, arg, key) in the returned list."""
+    from procsem import preorders
+
+    reader, reads = preorders._reader, []
+
+    def counted(kind, arg):
+        read = reader(kind, arg)
+
+        def count(key):
+            reads.append((kind, arg, key))
+            return read(key)
+
+        return count
+
+    monkeypatch.setattr(preorders, "_reader", counted)
+    return reads
+
+
+def _open_reads(p, q):
+    """The (source, key) pairs at which ``spectrum_matrix(p, q)`` must read
+    a game of ``_SOURCES``, by ``holds``: C's game at both keys; past the
+    gate, a game that ``spectrum.BRACKETS`` brackets when none of its
+    holders holds and each id whose refutation refutes it holds, and every
+    other game."""
+    from procsem.preorders import _SOURCES
+    from procsem.spectrum import BRACKETS
+
+    brackets = {_SOURCES[sem][0]: pair for sem, pair in BRACKETS.items()}
+    out = collections.Counter()
+    for x, y in ((p, q), (q, p)):
+        key, gate = (x, (y,)), holds(CLASSIC_NAMES["T"], x, y)
+        for source in dict.fromkeys(source for source, _ in _SOURCES.values()):
+            holders, refuters = brackets.get(source, ((), ()))
+            if source == ("lin", "C") or gate and not any(holds(s, x, y) for s in holders) and all(
+                holds(s, x, y) for s in refuters
+            ):
+                out[source, key] += 1
+    return out
+
+
+def test_spectrum_matrix_brackets_agree_with_holds(monkeypatch, pool2, random3):
+    """Every b and db cell of ``spectrum_matrix``, which the brackets may
+    settle without playing its game, equals ``holds`` in both directions:
+    on all ordered pairs inside pool2's trace-equivalence classes, where both
+    gates pass, and on seeded depth-3 pairs.  On the trace-equal pairs the
+    types game still plays at 5,112 (layer, p, q) cells."""
+    from procsem import preorders
+
+    classes = {}
+    for p in pool2:
+        classes.setdefault(traces(p), []).append(p)
+    pairs = [(p, q) for terms in classes.values() for p in terms for q in terms]
+    assert len(pairs) == 12100
+    rng = random.Random(113)
+    pairs += [(rng.choice(random3), rng.choice(random3)) for _ in range(300)]
+    cells = [sem for sem in supported_ids() if sem.flavor in ("b", "db")]
+    assert len(cells) == 10
+    db_included, played = preorders._db_included, []
+
+    def counted(constraint, p, q):
+        played.append((constraint, p, q))
+        return db_included(constraint, p, q)
+
+    matrices = []
+    monkeypatch.setattr(preorders, "_db_included", counted)
+    for p, q in pairs:
+        matrices.append(spectrum_matrix(p, q))
+        if len(matrices) == 12100:  # each ordered pair's matrix reads both directions
+            assert len(played) == 2 * len(set(played)) == 2 * 5112
+    monkeypatch.undo()
+    for (p, q), matrix in zip(pairs, matrices):
+        for sem in cells:
+            assert matrix[sem] == _CELL[holds(sem, p, q), holds(sem, q, p)], (sem, p, q)
+
+
+def test_brackets_are_paths_of_the_arrows():
+    """Every bracket of ``spectrum.BRACKETS`` follows the arrows: a holder
+    lies below its id, a refuter above it, in the transitive closure of
+    ``SPECTRUM_ARROWS``; and each names only ids listed before it or outside
+    the table, so one pass in table order reads every bracket's values first."""
+    from procsem.spectrum import BRACKETS
+
+    above = collections.defaultdict(set)
+    for finer, coarser in SPECTRUM_ARROWS:
+        above[finer].add(coarser)
+    changed = True
+    while changed:
+        changed = False
+        for sem in list(above):
+            more = set().union(*(above[s] for s in above[sem])) - above[sem]
+            changed |= bool(more)
+            above[sem] |= more
+    seen = set()
+    assert len(BRACKETS) == 9
+    for sem, (holders, refuters) in BRACKETS.items():
+        assert all(sem in above[h] for h in holders) and all(r in above[sem] for r in refuters), sem
+        assert all(s in seen or s not in BRACKETS for s in holders + refuters), sem
+        seen.add(sem)
+
+
+def test_spectrum_matrix_of_a_term_with_itself_plays_no_types_game(monkeypatch, pool2, random3):
+    """Every simulation holds of a term against itself, so the brackets
+    settle every db cell, and ``spectrum_matrix(p, p)`` plays no types game."""
+    from procsem import preorders
+
+    def refuse(*args):
+        raise RuntimeError("types game played")
+
+    monkeypatch.setattr(preorders, "_db_included", refuse)
+    for p in pool2 + random3:
+        matrix = spectrum_matrix(p, p)
+        assert all(matrix[SemanticsId(n, "db")] == "≡" for n in ("U", "C", "I", "T", "S")), p
+
+
+def test_refuted_cs_plays_no_finer_simulation(monkeypatch, pool2, random3):
+    """A pair whose C:b fails both ways plays no I, T or S simulation at its
+    keys: each of them is refuted by the next coarser layer's b."""
+    rng = random.Random(127)
+    pairs = [(rng.choice(pool2), rng.choice(pool2)) for _ in range(400)]
+    pairs += [(rng.choice(random3), rng.choice(random3)) for _ in range(100)]
+    cs = CLASSIC_NAMES["CS"]
+    pairs = [(p, q) for p, q in pairs if not holds(cs, p, q) and not holds(cs, q, p)]
+    gated = [(p, q) for p, q in pairs if holds(CLASSIC_NAMES["T"], p, q) or holds(CLASSIC_NAMES["T"], q, p)]
+    assert len(gated) > 20
+    reads = _counted_reads(monkeypatch)
+    for p, q in pairs:
+        reads.clear()
+        spectrum_matrix(p, q)
+        keys = {(p, (q,)), (q, (p,))}
+        assert not [r for r in reads if r[:2] in {("sim", "I"), ("sim", "T"), ("sim", "S")} and r[2] in keys], (p, q)
 
 
 def test_warm_cells_start_no_game(monkeypatch, pool2, random3):
@@ -923,6 +1046,8 @@ def test_spectrum_matrix_cell_errors_do_not_abort():
     matrix = spectrum_matrix(big, big)
     for n in ("U", "C", "I", "T", "S"):
         assert matrix[SemanticsId(n, "db")] == "≡"
+        # the matrix settles db by the brackets; holds plays its types game
+        assert holds(SemanticsId(n, "db"), big, big)
     assert matrix[parse_semantics("F")] == "≡"
 
 
