@@ -178,7 +178,7 @@ def axiom_catalog(sem: SemanticsId | str, form: str = "order") -> tuple[Axiom, .
     if flavor in ("bf", "bf⊇"):
         raise UncoveredSemanticsError(f"{sem} is conjectured not to be finitely axiomatizable")
     # at the 2-nested layer S the conditions would range over simulation classes
-    if flavor in ("l⊆", "lf⊆") or n == "S" or (flavor == "db" and n != "I"):
+    if n == "S" or (flavor == "db" and n != "I"):
         raise UncoveredSemanticsError(f"no axiomatization is known for {sem}")
     if flavor == "b":
         return B_AXIOMS + (ns_axiom(n, eq),)
@@ -187,9 +187,9 @@ def axiom_catalog(sem: SemanticsId | str, form: str = "order") -> tuple[Axiom, .
             return B_AXIOMS + (PW_AXIOM,)
         return B_AXIOMS + (ns_axiom("I", False), PW_AXIOM)
     n, condition = REDUCTIONS[sem]
-    # at T the inequational reduction schema is unsound for the R/F
-    # conditions at this layer; the equational form works for all four
-    return B_AXIOMS + (ns_axiom(n, eq), nd_axiom(condition, eq or n == "T"))
+    # over the T layer the inequational reduction schema is unsound for the
+    # R/F conditions; the equational form works for all of them
+    return B_AXIOMS + (ns_axiom(n, eq), nd_axiom(condition, eq or condition.startswith("M_T-")))
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,8 @@ from .constraints import constraint_holds, local_obs, simulates
 from .lts import completed_traces, initials, reachable, step, traces
 from .observations import BranchingObs, LinearObs
 from .preorders import decide, decide_nsim
-from .spectrum import SemanticsId, UncoveredSemanticsError, parse_semantics
+from .spectrum import LINEAR_RULES, RELATION_PARTS, SemanticsId, UncoveredSemanticsError, parse_semantics
+from .spectrum import linear_rule
 from .terms import ACTION_RE, CanonicalTerm
 
 __all__ = [
@@ -343,19 +344,18 @@ def _flatten(f: Formula) -> tuple[Formula, ...]:
 # eq leaves with at most one positive among the last state's, a revival
 # (meet's observation formulas are failure pins).  A state continues by
 # "any" number of diamonds, by diamonds on distinct actions ("det") or by
-# "one" diamond, which ends at the last state.  A mode before the last state
-# is the last one's.  join is the union of l⊇ and lf; bisim takes every
-# formula.
+# "one" diamond, which ends at the last state.  A linear row maps its rule by
+# ``spectrum.RELATION_PARTS``, at the layer it compares (I for ER and ERT).
+# ECR and ECRT have none, as no pin realizes their complete relation, nor has
+# join, the union of l⊇ and lf; bisim takes every formula.
 _GRAMMARS = {
     "b": ("eq", "eq", "any"),
     "db": ("eq", "eq", "det"),
-    "l": ("eq", "eq", "one"),
-    "l⊇": ("neg", "neg", "one"),
-    "l⊆": ("pos", "pos", "one"),
-    "lf": (None, "eq", "one"),
-    "lf⊇": (None, "neg", "one"),
-    "lf⊆": (None, "pos", "one"),
-    "meet": (None, "rev", "one"),
+    **{
+        flavor: (*(RELATION_PARTS[r][0] for r in rule), "one")
+        for flavor, rule in LINEAR_RULES.items()
+        if flavor != "join" and all(RELATION_PARTS[r][0] for r in rule if r)
+    },
 }
 
 
@@ -368,8 +368,8 @@ _NO_SEPARATOR = frozenset({SemanticsId("C", "l⊆"), SemanticsId("C", "lf⊆")})
 def _covered(sem: SemanticsId | str, pathway: str, gaps=()) -> SemanticsId:
     """sem, parsed; UncoveredSemanticsError when `pathway` has nothing for
     it: a flavor with no grammar (final-ready and final-failure branching,
-    the extended-ready family), an id of ``_NO_SEPARATOR``, or a flavor of
-    the pathway's own `gaps`."""
+    ECR and ECRT), an id of ``_NO_SEPARATOR``, or a flavor of the pathway's
+    own `gaps`."""
     if isinstance(sem, str):
         sem = parse_semantics(sem)
     flavor = sem.flavor
@@ -385,7 +385,7 @@ def in_sublogic(f: Formula, sem: SemanticsId | str, alphabet=None) -> bool:
         return True
     if alphabet is None:
         alphabet = formula_actions(f)
-    logic = base_constraint_logic(sem.constraint, frozenset(alphabet))
+    logic = base_constraint_logic(linear_rule(*sem)[0], frozenset(alphabet))
     if sem.flavor == "join":
         return any(_in_grammar(logic, f, *_GRAMMARS[part]) for part in ("l⊇", "lf"))
     return _in_grammar(logic, f, *_GRAMMARS[sem.flavor])
@@ -522,15 +522,15 @@ def formula_from_observation(obs, sem: SemanticsId | str, alphabet, context=()) 
     mid, last, continue_by = _GRAMMARS[sem.flavor]
     if continue_by != "one":
         return _branching_formula(sem.constraint, obs, alphabet, context)
-    last = "neg" if last == "rev" else last
+    last, constraint = "neg" if last == "rev" else last, linear_rule(*sem)[0]
     labels = obs.labels()
     steps = obs.steps
-    out = _pin(sem.constraint, labels[-1], alphabet, last, context)
+    out = _pin(constraint, labels[-1], alphabet, last, context)
     for i in range(len(steps) - 1, -1, -1):
         action = steps[i][0]
         out = Diamond(action, out)
         if mid is not None:
-            out = conj(_pin(sem.constraint, labels[i], alphabet, mid, context), out)
+            out = conj(_pin(constraint, labels[i], alphabet, mid, context), out)
     return out
 
 
@@ -736,7 +736,7 @@ def _random_pin(constraint, alphabet, rng, depth, mode) -> Formula:
 
 
 def _random_formula(sem: SemanticsId, alphabet, rng, depth) -> Formula:
-    flavor, n = sem.flavor, sem.constraint
+    flavor, n = sem.flavor, linear_rule(*sem)[0]
     if flavor == "bisim":
         return _random_hml(alphabet, rng, depth)
     if flavor == "join":

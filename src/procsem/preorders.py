@@ -601,7 +601,8 @@ def _reader(kind: str, arg):
     identity on canonical forms, both for Q = {q}.  And "types", the types
     game of "db".  Cached, so ``clear_caches()`` drops it with its memo."""
     if kind == "db":
-        return lambda key: _db_included(arg, key[0], key[1][0])
+        memo = {}
+        return lambda k: memo[k] if k in memo else memo.setdefault(k, _db_included(arg, k[0], k[1][0]))
     if kind == "bisim":
         return lambda key: key[0] is key[1][0]
     if kind == "sim":

@@ -27,6 +27,7 @@ __all__ = [
     "SemanticsId",
     "LINEAR_RULES",
     "linear_rule",
+    "RELATION_PARTS",
     "REDUCTIONS",
     "parse_semantics",
     "supported_ids",
@@ -81,15 +82,16 @@ _PLACES = {
 }
 
 
-def linear_rule(constraint: str, flavor: str) -> tuple[str, tuple]:
+def linear_rule(constraint: str, flavor: str) -> tuple[str, tuple | None]:
     """(constraint whose labels are compared, rule) of a flavor named at
     `constraint`: the extended-ready family compares offers (I), and meet at
-    U and C is lf, as a union of unit or termination values is one of them."""
+    U and C is lf, as a union of unit or termination values is one of them.
+    A flavor with no linear rule compares `constraint`'s labels, by None."""
     if flavor in _EXTENDED_READY:
         return "I", LINEAR_RULES[flavor]
     if flavor == "meet" and constraint in ("U", "C"):
         return constraint, LINEAR_RULES["lf"]
-    return constraint, LINEAR_RULES[flavor]
+    return constraint, LINEAR_RULES.get(flavor)
 
 
 _ASCII_FLAVOR = {
@@ -205,50 +207,68 @@ def supported_ids() -> tuple[SemanticsId, ...]:
     return _SUPPORTED_IDS
 
 
-# The equational and operational characterizations of every family that the
-# choice axioms axiomatize with one simulation axiom and one reduction axiom
-# (arXiv 1304.6574): sem -> (N, M), the constraint of the simulation axiom and
-# the condition (an ``operational.CONDITIONS`` name) of the reduction axiom;
-# the operational engine decides sem as N-simulation up to M-saturation.  A
-# condition is one of six merge rules over one layer's order: ``_REDUCTION``
-# names the rule of each linear flavor, run over the I layer (M_…) at I and
-# over the T layer (M_T-…) at T.  At U and C every linear flavor collapses to
-# (completed) traces, where every merge is sound (F); the extended ready ids
-# merge by the I layer's R and RT.
-_REDUCTION = {"l": "RT", "l⊇": "FT", "lf": "R", "lf⊇": "F", "join": "R∧FT", "meet": "R∨FT"}
-REDUCTIONS: dict[SemanticsId, tuple[str, str]] = {
-    **{
-        _ID[n, flavor]: (n, prefix + m)
-        for n, prefix in (("I", "M_"), ("T", "M_T-"))
-        for flavor, m in _REDUCTION.items()
-    },
-    **{_ID[n, flavor]: (n, "M_F") for n in ("U", "C") for flavor in _REDUCTION},
-    _ID["U", "ER"]: ("U", "M_R"),
-    _ID["U", "ERT"]: ("U", "M_RT"),
-    _ID["C", "ECR"]: ("C", "M_R"),
-    _ID["C", "ECRT"]: ("C", "M_RT"),
+# The parts of each relation of ``LINEAR_RULES``: its pin mode in ``logic``'s
+# grammars (None: no pin realizes it), the merge rule it asks of the last label
+# ("": none) and the relations it implies.  ``logic``'s linear grammar rows,
+# ``REDUCTIONS`` and the linear arrows are derived from them.  By hand: meet's
+# merge rule, as R∨FT is no conjunction of parts; l⊇ -> meet, as its argument
+# reads past the last label: matching the trace extended by each action of the
+# last offer gives finals below that offer which cover it.
+RELATION_PARTS = {
+    None: (None, "", (None,)),
+    "eq": ("eq", "R", (None, "eq", "geq", "leq", "complete", "meet")),
+    "geq": ("neg", "", (None, "geq")),
+    "leq": ("pos", "R", (None, "leq")),
+    "complete": (None, "R", (None, "leq", "complete")),
+    "meet": ("rev", "R∨FT", (None, "geq", "meet")),
 }
 
 
-# The finer -> coarser edges of one layer, the real diamond included.
-#
-# Layer order by constraint fineness: S, T, I, C, U.  Within a layer:
-# b -> db -> l -> {l⊇, lf} -> lf⊇, refined at I by the join/meet diamond
-# RT -> join -> {FT, R} -> meet -> F.  By ``LINEAR_RULES``, l -> l⊆ and
-# lf -> lf⊆ (eq implies leq) and l⊆ -> lf⊆ (a rule that matches every
-# label matches the last) at every layer.  join is (geq, eq), so l -> join
-# -> {l⊇, lf} (eq implies geq) at every layer too, S included; S has no
-# meet.
-_WITHIN = (
-    ("b", "db"), ("db", "l"), ("l", "l⊇"), ("l", "lf"), ("l⊇", "lf⊇"), ("lf", "lf⊇"),
-    ("l", "l⊆"), ("lf", "lf⊆"), ("l⊆", "lf⊆"), ("l", "join"), ("join", "l⊇"), ("join", "lf"),
-    ("l⊇", "meet"), ("lf", "meet"), ("meet", "lf⊇"),
-)
+def _reduction(constraint: str, flavor: str) -> tuple[str, str]:
+    """(N, M) of an id whose rule compares I's or T's labels.  A prefix
+    relation that asks R asks RT, which absorbs R, else FT; N is U for a leq
+    final and C for a complete final, as the simulation axiom then asks what
+    the last label does."""
+    layer, (prefix, final) = linear_rule(constraint, flavor)
+    merge = RELATION_PARTS[final][1]
+    if prefix is not None:
+        head = "RT" if RELATION_PARTS[prefix][1] else "FT"
+        merge = f"{merge}∧{head}" if merge and head == "FT" else head
+    n = {"leq": "U", "complete": "C"}.get(final, constraint)
+    return n, {"I": "M_", "T": "M_T-"}[layer] + (merge or "F")
+
+
+# sem -> (N, M) for every family that the choice axioms, a simulation axiom
+# with constraint N and a reduction axiom with condition M (an
+# ``operational.CONDITIONS`` name) axiomatize (arXiv 1304.6574); the operational
+# engine decides sem as N-simulation up to M-saturation.  By hand: at U and C
+# every linear flavor collapses to (completed) traces, where every merge is sound.
+REDUCTIONS: dict[SemanticsId, tuple[str, str]] = {
+    **{sem: _reduction(*sem) for sem in _SUPPORTED_IDS
+       if sem.flavor in LINEAR_RULES and linear_rule(*sem)[0] in ("T", "I")},
+    **{_ID[n, f]: (n, "M_F") for n in ("U", "C") for f in LINEAR_FLAVORS},
+}
+
+
+def _linear_arrows(layer: str) -> list:
+    """The finer -> coarser edges among the ids whose rules compare `layer`'s
+    labels, but those with an id strictly between their ends: a rule is finer
+    than another when each of its parts implies the other's."""
+    ids = [sem for sem in _SUPPORTED_IDS if sem.flavor in LINEAR_RULES and linear_rule(*sem)[0] == layer]
+    below = {(s, t) for s in ids for t in ids if s is not t and (
+        (s.flavor, t.flavor) == ("l⊇", "meet")
+        or all(y in RELATION_PARTS[x][2] for x, y in zip(LINEAR_RULES[s.flavor], LINEAR_RULES[t.flavor])))}
+    strict = below - {(t, s) for s, t in below}
+    return [(s, t) for s in ids for t in ids if (s, t) in below
+            and not any((s, m) in strict and (m, t) in strict for m in ids)]
+
+
+# The finer -> coarser edges, layers by constraint fineness: S, T, I, C, U.  By
+# hand, as no relation's parts state them: b -> db -> l, and the vertical arrows.
 SPECTRUM_ARROWS: tuple[tuple[SemanticsId, SemanticsId], ...] = (
     # bisimilarity, then b from layer to layer
     *pairwise((BISIM, *(_ID[n, "b"] for n in _LAYERS))),
-    # the diagram of one layer, wherever both its ends live
-    *((_ID[n, f], _ID[n, g]) for n in _LAYERS for f, g in _WITHIN if (n, f) in _ID and (n, g) in _ID),
+    *(edge for n in _LAYERS for edge in (*pairwise(_ID[n, f] for f in ("b", "db", "l")), *_linear_arrows(n))),
     # vertical arrows between consecutive layers, flavor by flavor
     *((_ID[m, f], _ID[n, f]) for m, n in pairwise(_LAYERS) for f in ("db", "l", "l⊇", "lf", "lf⊇")),
 )

@@ -37,8 +37,9 @@ def test_catalog_contents():
     assert names("PW", "equivalence") == ["B1", "B2", "B3", "B4", "PW"]
     assert names("ER") == ["B1", "B2", "B3", "B4", "S", "ND^R"]
     assert names("ECRT") == ["B1", "B2", "B3", "B4", "CS", "ND^RT"]
-    # the trace layer needs the equational reduction schema
+    # the trace layer needs the equational reduction schema, whatever N is
     assert names("PF") == ["B1", "B2", "B3", "B4", "TS", "ND^T-R≡"]
+    assert names("T:lf⊆") == ["B1", "B2", "B3", "B4", "S", "ND^T-R≡"]
 
 
 def test_catalogs_are_pinned():
@@ -53,10 +54,10 @@ def test_catalogs_are_pinned():
                 lines.append(f"{sem} {form}: {e}")
     assert len(lines) == 112
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "6748ec14d1b8805c19a231e2ff2bb614641c076524a3e8314023ed5ef1f4b67a"
+    assert digest == "4d23e4627387cf1241cc868dd60d93a8052a46e22adc6ec7e51169542eefc4ef"
 
 
-@pytest.mark.parametrize("bad", ["I:bf", "SF", "2S", "I:l⊆", "U:db"])
+@pytest.mark.parametrize("bad", ["I:bf", "SF", "2S", "S:l⊆", "U:db"])
 def test_catalog_rejections(bad):
     with pytest.raises(UncoveredSemanticsError):
         axiom_catalog(bad)

@@ -58,7 +58,7 @@ def test_observational_ready_simulation_traces(capsys):
 def test_refusals_name_no_supported_ids(capsys):
     # a valid id that a pathway does not characterize is not an unknown id
     for argv, message in (
-        (("in-logic", "--semantics", "ER", "T"), "ER has no logical characterization"),
+        (("in-logic", "--semantics", "ECR", "T"), "ECR has no logical characterization"),
         (("distinguish", "--semantics", "I:bf", "a.0", "b.0"), "I:bf has no distinguishing formulas"),
         (("axioms", "list", "--semantics", "I:bf"), "I:bf is conjectured not to be finitely axiomatizable"),
         (("axioms", "list", "--semantics", "S:b"), "no axiomatization is known for 2S"),
@@ -211,7 +211,7 @@ def test_operational_engine_covers_every_axiomatized_layer(capsys):
         direct, _, _ = run(capsys, "compare", "--semantics", sem, p, q)
         code, _, err = run(capsys, "compare", "--engine", "operational", "--semantics", sem, p, q)
         assert code == direct == 1 and err == "", sem
-    for sem in ("S", "PW", "SF", "I:bf", "C:l⊆", "B"):
+    for sem in ("S", "PW", "SF", "I:bf", "S:l⊆", "B"):
         code, out, err = run(capsys, "compare", "--engine", "operational", "--semantics", sem, "a.0", "a.0")
         assert code == 2 and out == "" and err == f"error: operational engine does not cover {sem}\n", sem
 

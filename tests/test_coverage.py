@@ -26,10 +26,10 @@ def test_coverage_counts():
     assert totals == {
         "direct": 56,
         "observational": 53,
-        "operational": 28,
-        "axioms": 34,
-        "logic": 48,
-        "distinguish": 48,
+        "operational": 36,
+        "axioms": 42,
+        "logic": 50,
+        "distinguish": 50,
     }
 
 

@@ -482,7 +482,8 @@ def test_spectrum_matrix_brackets_agree_with_holds(monkeypatch, pool2, random3):
     settle without playing its game, equals ``holds`` in both directions:
     on all ordered pairs inside pool2's trace-equivalence classes, where both
     gates pass, and on seeded depth-3 pairs.  On the trace-equal pairs the
-    types game still plays at 5,112 (layer, p, q) cells."""
+    types game still plays at 5,112 (layer, p, q) cells, once each."""
+    import procsem
     from procsem import preorders
 
     classes = {}
@@ -501,24 +502,46 @@ def test_spectrum_matrix_brackets_agree_with_holds(monkeypatch, pool2, random3):
         return db_included(constraint, p, q)
 
     matrices = []
+    procsem.clear_caches()
     monkeypatch.setattr(preorders, "_db_included", counted)
     for p, q in pairs:
         matrices.append(spectrum_matrix(p, q))
-        if len(matrices) == 12100:  # each ordered pair's matrix reads both directions
-            assert len(played) == 2 * len(set(played)) == 2 * 5112
+        if len(matrices) == 12100:  # the matrices of (p, q) and (q, p) share the db memo
+            assert len(played) == len(set(played)) == 5112
     monkeypatch.undo()
     for (p, q), matrix in zip(pairs, matrices):
         for sem in cells:
             assert matrix[sem] == _CELL[holds(sem, p, q), holds(sem, q, p)], (sem, p, q)
 
 
-def test_brackets_are_paths_of_the_arrows():
-    """Every bracket of ``spectrum.BRACKETS`` follows the arrows: a holder
-    lies below its id, a refuter above it, in the transitive closure of
-    ``SPECTRUM_ARROWS``; and each names only ids listed before it or outside
-    the table, so one pass in table order reads every bracket's values first."""
-    from procsem.spectrum import BRACKETS
+def test_db_reader_plays_each_cell_once(monkeypatch, pool2):
+    """The "db" reader keeps a memo at (p, {q}): ``spectrum_matrix(p, q)``
+    then ``(q, p)`` run ``_db_included`` once per distinct (layer, p, q), and
+    after ``clear_caches()`` the same matrices run it again, once each."""
+    import procsem
+    from procsem import preorders
 
+    classes = {}
+    for p in pool2:
+        classes.setdefault(traces(p), []).append(p)
+    pairs = [pair for terms in classes.values() for pair in itertools.combinations(terms, 2)]
+    db_included, played = preorders._db_included, []
+    monkeypatch.setattr(preorders, "_db_included", lambda *args: played.append(args) or db_included(*args))
+    procsem.clear_caches()
+    for p, q in pairs:
+        spectrum_matrix(p, q)
+        spectrum_matrix(q, p)
+    first = collections.Counter(played)
+    assert len(first) == 5112 and set(first.values()) == {1}
+    procsem.clear_caches()
+    played.clear()
+    for p, q in pairs:
+        spectrum_matrix(p, q)
+    assert collections.Counter(played) == first
+
+
+def _arrows_above() -> dict:
+    """id -> the ids above it in the transitive closure of ``SPECTRUM_ARROWS``."""
     above = collections.defaultdict(set)
     for finer, coarser in SPECTRUM_ARROWS:
         above[finer].add(coarser)
@@ -529,12 +552,89 @@ def test_brackets_are_paths_of_the_arrows():
             more = set().union(*(above[s] for s in above[sem])) - above[sem]
             changed |= bool(more)
             above[sem] |= more
+    return above
+
+
+def test_brackets_are_paths_of_the_arrows():
+    """Every bracket of ``spectrum.BRACKETS`` follows the arrows: a holder
+    lies below its id, a refuter above it, in the transitive closure of
+    ``SPECTRUM_ARROWS``; and each names only ids listed before it or outside
+    the table, so one pass in table order reads every bracket's values first."""
+    from procsem.spectrum import BRACKETS
+
+    above = _arrows_above()
     seen = set()
     assert len(BRACKETS) == 9
     for sem, (holders, refuters) in BRACKETS.items():
         assert all(sem in above[h] for h in holders) and all(r in above[sem] for r in refuters), sem
         assert all(s in seen or s not in BRACKETS for s in holders + refuters), sem
         seen.add(sem)
+
+
+# The hand tables that ``spectrum.RELATION_PARTS`` replaced, written out as
+# the reference that the derived tables must reproduce: the merge rule of each
+# linear flavor (``REDUCTIONS`` ran it over I and T and collapsed it to M_F at
+# U and C) and the extended-ready rows, the edges within one layer, and the
+# linear rows of ``logic._GRAMMARS``.
+OLD_REDUCTION = {"l": "RT", "l⊇": "FT", "lf": "R", "lf⊇": "F", "join": "R∧FT", "meet": "R∨FT"}
+OLD_EXTENDED_READY = {"ER": ("U", "M_R"), "ERT": ("U", "M_RT"), "ECR": ("C", "M_R"), "ECRT": ("C", "M_RT")}
+OLD_WITHIN = (
+    ("b", "db"), ("db", "l"), ("l", "l⊇"), ("l", "lf"), ("l⊇", "lf⊇"), ("lf", "lf⊇"),
+    ("l", "l⊆"), ("lf", "lf⊆"), ("l⊆", "lf⊆"), ("l", "join"), ("join", "l⊇"), ("join", "lf"),
+    ("l⊇", "meet"), ("lf", "meet"), ("meet", "lf⊇"),
+)
+OLD_GRAMMARS = {
+    "l": ("eq", "eq", "one"),
+    "l⊇": ("neg", "neg", "one"),
+    "l⊆": ("pos", "pos", "one"),
+    "lf": (None, "eq", "one"),
+    "lf⊇": (None, "neg", "one"),
+    "lf⊆": (None, "pos", "one"),
+    "meet": (None, "rev", "one"),
+}
+
+
+def test_derived_tables_reproduce_the_hand_tables():
+    """Every row of the hand tables comes back from ``LINEAR_RULES`` and
+    ``RELATION_PARTS``: each old reduction and grammar row equal, and each
+    old edge within a layer in the reflexive-transitive closure of the
+    arrows."""
+    from procsem.logic import _GRAMMARS
+
+    ids = {(sem.constraint, sem.flavor): sem for sem in supported_ids()}
+    old = {ids[n, f]: (n, prefix + m) for n, prefix in (("I", "M_"), ("T", "M_T-")) for f, m in OLD_REDUCTION.items()}
+    old.update({ids[n, f]: (n, "M_F") for n in "UC" for f in OLD_REDUCTION})
+    old.update({CLASSIC_NAMES[name]: row for name, row in OLD_EXTENDED_READY.items()})
+    assert len(old) == 28
+    assert {sem: REDUCTIONS[sem] for sem in old} == old
+    assert {f: _GRAMMARS[f] for f in OLD_GRAMMARS} == OLD_GRAMMARS
+    above = _arrows_above()
+    edges = [(ids[n, f], ids[n, g]) for n in "STICU" for f, g in OLD_WITHIN if (n, f) in ids and (n, g) in ids]
+    assert len(edges) == 72
+    for finer, coarser in edges:
+        assert coarser is finer or coarser in above[finer], (finer, coarser)
+
+
+def test_no_arrow_is_a_composite():
+    """No edge of ``SPECTRUM_ARROWS`` is the composite of two others, save
+    through an id that the arrows make equal to one of its ends; the only
+    such ids are ER and I:lf⊆, and ERT and I:l⊆, which compare I's labels by
+    one rule.  So a redundant edge written by hand fails here."""
+    above = _arrows_above()
+    edges = set(SPECTRUM_ARROWS)
+    assert len(edges) == len(SPECTRUM_ARROWS) == 91
+
+    def equal(s, t):
+        return s in above[t] and t in above[s]
+
+    for s, t in SPECTRUM_ARROWS:
+        for a, m in edges:
+            if a is s and (m, t) in edges:
+                assert equal(s, m) or equal(m, t), (s, m, t)
+    pairs = {frozenset(edge) for edge in edges if equal(*edge)}
+    assert pairs == {frozenset((CLASSIC_NAMES[x], parse_semantics(y))) for x, y in (("ER", "I:lf⊆"), ("ERT", "I:l⊆"))}
+    placed = {sem for edge in edges for sem in edge}
+    assert set(supported_ids()) - placed == {parse_semantics("I:bf"), parse_semantics("I:bf⊇")}
 
 
 def test_spectrum_matrix_of_a_term_with_itself_plays_no_types_game(monkeypatch, pool2, random3):
@@ -949,7 +1049,7 @@ def test_supported_ids_share_the_classic_objects():
         assert sem is CLASSIC_NAMES[classic_name(sem)]
 
 
-GRID_PIN = "e2d1eca383c98d662ae72d0a2c10426f66c01296caee30954745e9ab7c7f17c7"
+GRID_PIN = "34d8c14994a062873366ab4022bab40f8aaa03796b6316e4002d40e6a86de023"
 
 
 def test_the_grid_is_pinned():
