@@ -1,10 +1,10 @@
 """Deciders for the full spectrum of strong process semantics over BCCSP.
 
-Three independent engines (memoized simulation games with decorated-trace
-scans, observation-set comparison, saturated-transition games) decide every
-preorder and equivalence of the extended linear time-branching time spectrum
-for finite terms, with modal sublogic checking, distinguishing-formula
-synthesis and axiom verification on top.
+Three independent engines (memoized simulation games and, for linear cells,
+mask games on (p, Q); observation-set comparison; saturated-transition
+games) decide every preorder and equivalence of the extended linear
+time-branching time spectrum for finite terms, with modal sublogic checking,
+distinguishing-formula synthesis and axiom verification on top.
 
 ``import procsem`` loads only the decide core: ``terms``, ``lts``,
 ``constraints``, ``observations``, ``spectrum`` and ``preorders``.  The

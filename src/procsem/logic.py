@@ -21,10 +21,9 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from functools import lru_cache
-from itertools import product
 
 from .constraints import constraint_holds, local_obs, simulates
-from .lts import completed_traces, initials, reachable, step, traces
+from .lts import initials, reachable, step
 from .observations import BranchingObs, LinearObs
 from .preorders import decide, decide_nsim
 from .spectrum import LINEAR_RULES, RELATION_PARTS, SemanticsId, UncoveredSemanticsError, parse_semantics
@@ -425,7 +424,7 @@ def _in_grammar(logic: BaseLogic, f: Formula, mid: str | None, last: str, contin
 # mode "pos" : lower bound - states whose observation lies above the label
 # For constraint C the orders collapse to equality and the negative closure
 # cannot express "not terminated", nor the positive one "terminated"; the
-# unrealizable cases raise and their callers take the trace-difference route.
+# unrealizable cases raise, and C separators read the T and CT witnesses.
 
 
 class UnrealizablePinError(ValueError):
@@ -480,18 +479,10 @@ def _local_pin(constraint: str, value, alphabet: frozenset, mode: str) -> Formul
 
 
 def _trace_complement(trace_set, alphabet):
-    """Traces outside the set, up to one step beyond its longest member.
-
-    Enough to pin the prefix-closed set from above: the shortest missing
-    trace of any larger prefix-closed set extends a member by one action.
-    """
-    horizon = max((len(t) for t in trace_set), default=0) + 1
-    out = []
-    for length in range(1, horizon + 1):
-        for tr in product(sorted(alphabet), repeat=length):
-            if tr not in trace_set:
-                out.append(tr)
-    return out
+    """The one-action extensions of members outside the set: enough to pin
+    the prefix-closed set from above, as the shortest missing trace of any
+    larger prefix-closed set extends a member by one action."""
+    return {t + (a,) for t in trace_set for a in alphabet} - trace_set
 
 
 # The I and T layers pin a value by its elements: per layer, the formula
@@ -624,14 +615,14 @@ def _constraint_separator(constraint, p, q, alphabet) -> Formula:
 
 
 def _distinguish_completed(p, q, alphabet) -> Formula:
-    """All linear flavors at constraint C coincide with completed traces."""
-    trace_diff = sorted(traces(p) - traces(q), key=lambda t: (len(t), t))
-    if trace_diff:
-        return chain(trace_diff[0])
-    ct_diff = sorted(completed_traces(p) - completed_traces(q), key=lambda t: (len(t), t))
-    if ct_diff:
-        return chain(ct_diff[0], Neg(not_zero(alphabet)))
-    raise AssertionError("completed-trace inclusion holds; nothing to distinguish")
+    """All linear flavors at constraint C coincide with completed traces: the
+    trace of T's witness when T refutes, else the trace of CT's witness, which
+    on a trace-included pair ends at a terminated state, then termination."""
+    verdict = decide(parse_semantics("T"), p, q)
+    if not verdict.holds:
+        return chain(verdict.witness["unmatched"].trace())
+    unmatched = decide(parse_semantics("CT"), p, q).witness["unmatched"]
+    return chain(unmatched.trace(), Neg(not_zero(alphabet)))
 
 
 def _conj_of(members: tuple) -> Formula:

@@ -17,7 +17,6 @@ __all__ = [
     "initials",
     "successors",
     "traces",
-    "completed_traces",
     "reachable",
     "transition_graph_dot",
 ]
@@ -48,17 +47,6 @@ def traces(p: CanonicalTerm) -> frozenset[Trace]:
     out = {()}
     for a, q in p.summands:
         out.update((a,) + t for t in traces(q))
-    return frozenset(out)
-
-
-@lru_cache(maxsize=None)
-def completed_traces(p: CanonicalTerm) -> frozenset[Trace]:
-    """Traces leading to a state with empty offer."""
-    out = set()
-    if p.is_nil:
-        out.add(())
-    for a, q in p.summands:
-        out.update((a,) + t for t in completed_traces(q))
     return frozenset(out)
 
 

@@ -195,8 +195,8 @@ def parse_semantics(text: str) -> SemanticsId:
     if token in CLASSIC_NAMES:
         return CLASSIC_NAMES[token]
     if ":" in token:
-        constraint, flavor = token.split(":", 1)
-        constraint, flavor = constraint.strip(), _ASCII_FLAVOR.get(flavor, flavor).strip()
+        constraint, flavor = (part.strip() for part in token.split(":", 1))
+        flavor = _ASCII_FLAVOR.get(flavor, flavor)
         # the grid object, or the constructor's refusal
         return _ID.get((constraint, flavor)) or SemanticsId(constraint, flavor)
     raise UnsupportedSemanticsError(f"unknown semantics {text!r}")

@@ -60,6 +60,16 @@ def bgo_count(constraint: str, p) -> int:
 
 
 @lru_cache(maxsize=None)
+def completed_traces(p) -> frozenset:
+    """Traces of p leading to a state with empty offer (an oracle: the
+    library reads completed traces off the CT witness)."""
+    out = {()} if p.is_nil else set()
+    for a, q in step(p):
+        out.update((a,) + t for t in completed_traces(q))
+    return frozenset(out)
+
+
+@lru_cache(maxsize=None)
 def trace_table(constraint: str, p) -> tuple[frozenset, frozenset]:
     """(items, finals) of p's decorated traces: the (trace, label-value
     tuple) pairs, built from the successors' items, and the (trace, final

@@ -15,14 +15,14 @@ import random
 
 import pytest
 
-from conftest import c, random_term, unmatched
+from conftest import c, completed_traces, random_term, unmatched
 from procsem import axioms as ax
 from procsem import logic as lg
 from procsem import operational as op
 from procsem import preorders as pr
 from procsem.constraints import simulates
 from procsem.corpus import run_corpus
-from procsem.lts import completed_traces, traces
+from procsem.lts import traces
 from procsem.observations import ClosureSet, bgo_leq, decide_via_observations, enum_lgo, world_count
 from procsem.spectrum import LINEAR_RULES, SPECTRUM_ARROWS, SemanticsId, linear_rule, parse_semantics, supported_ids
 from procsem.terms import enumerate_terms

@@ -76,6 +76,20 @@ def test_parse_error_exit_2(capsys):
     assert code2 == 2
 
 
+def test_formula_parse_errors_exit_2(capsys):
+    # one row per raise of logic.parse_formula: exit 2, the offset, no traceback
+    for formula, message in (
+        ("<a>", "unexpected end of formula at offset 3"),
+        ("(T", "unbalanced parenthesis at offset 2"),
+        ("<>T", "expected action name at offset 1"),
+        ("<a T", "expected '>' at offset 3"),
+        ("T T", "unexpected 'T' at offset 2"),
+        ("?", "unexpected '?' at offset 0"),
+    ):
+        code, out, err = run(capsys, "check-formula", "a.0", formula)
+        assert (code, out, err) == (2, "", f"error: bad formula {formula!r}: {message}\n"), formula
+
+
 def test_cap_exit_3(capsys):
     # the direct engine decides without enumerating worlds; only a witness,
     # which enumerates p's worlds, meets the world cap
@@ -623,6 +637,10 @@ def test_check_formula_and_logic(capsys):
     assert run(capsys, "in-logic", "--semantics", "F", "<a>~<b>T") == (code3, out3, "")
     code4, _, _ = run(capsys, "in-logic", "--semantics", "F", "--alphabet", "a,b", "<a><b>T & <a>T")
     assert code4 == 1
+    # the actions of a conjunction are its members' actions
+    code5, out5, _ = run(capsys, "in-logic", "--semantics", "F", "--alphabet", "a,b,c", "<a>T & <b><c>T")
+    assert code5 == 1
+    assert run(capsys, "in-logic", "--semantics", "F", "<a>T & <b><c>T") == (code5, out5, "")
 
 
 def test_distinguish_cli(capsys):

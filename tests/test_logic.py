@@ -111,6 +111,16 @@ def _nested_key(f):
     return ("T",)
 
 
+def test_conj_variants_merge_an_equal_member():
+    from procsem.logic import _conj_variants
+
+    f = parse_formula("<a><b>T & <a>(<b>T & <c>T)")
+    variants = [render_formula(g) for g in _conj_variants(f)]
+    # the last drops <c>T inside the first member, which leaves <a><b>T, the
+    # second member: the two merge into one, not a conjunction of equals
+    assert variants == ["<a><b>T", "<a>(<b>T & <c>T)", "<a><b>T & <a><c>T", "<a><b>T"]
+
+
 def test_formula_order_is_the_nested_key_order(pool2):
     rng = random.Random(2006)
     formulas = {TOP}

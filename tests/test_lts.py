@@ -1,6 +1,5 @@
-from conftest import c
+from conftest import c, completed_traces
 from procsem.lts import (
-    completed_traces,
     initials,
     reachable,
     step,

@@ -1024,6 +1024,9 @@ def test_semantics_id_validation():
         parse_semantics("nonsense")
     assert parse_semantics("T:l>=") is not None
     assert parse_semantics("I:lf⊇") == CLASSIC_NAMES["F"]
+    # spaces around the parts are stripped before an ASCII flavor is read
+    for text, sem in (("I: l>=", "I:l⊇"), (" I : lf<=", "I:lf⊆"), ("I: bf>=", "I:bf⊇")):
+        assert parse_semantics(text) == parse_semantics(sem), text
 
 
 def test_semantics_id_is_a_frozen_value():
