@@ -7,15 +7,15 @@ time-branching time spectrum for finite terms, with modal sublogic checking,
 distinguishing-formula synthesis and axiom verification on top.
 
 ``import procsem`` loads only the decide core: ``terms``, ``lts``,
-``constraints``, ``observations``, ``spectrum`` and ``preorders``.  The
-engine modules ``logic``, ``axioms`` and ``operational`` load on first use,
-as ``procsem.logic`` or ``from procsem import axioms``.
+``constraints``, ``spectrum`` and ``preorders``.  The engine modules
+``observations``, ``logic``, ``axioms`` and ``operational`` load on first
+use, as ``procsem.logic`` or ``from procsem import axioms``.
 """
 
 import importlib
 import sys
 
-from . import constraints, lts, observations, preorders, spectrum, terms
+from . import constraints, lts, preorders, spectrum, terms
 from .preorders import Verdict, decide, spectrum_matrix
 from .spectrum import SemanticsId, parse_semantics, supported_ids
 from .terms import CanonicalTerm, canonicalize, parse_term, render_term
@@ -43,7 +43,7 @@ __all__ = [
     "clear_caches",
 ]
 
-_ENGINES = ("axioms", "logic", "operational")
+_ENGINES = ("axioms", "logic", "observations", "operational")
 
 
 def __getattr__(name: str):

@@ -17,17 +17,19 @@ Three families of procedures live here:
   and a witness is the least unmatched decorated trace, found by a
   breadth-first walk that reads the games' memos,
 * the exotic deciders: deterministic branching (a game over bit-masked
-  types, the sets of q-states that match a world of p) and
-  final-ready/final-failure branching (a coverage game), both on the same
-  driver.
+  types, the sets of q-states that match a world of p) and final-ready
+  branching (a coverage game), both on the same driver; final-failure
+  branching compares no offers, so it reads U:b's game.
 
 A pair that the gate refutes is refuted in every semantics, and C's game
 stops at the first move of p that Q cannot answer, so such pairs cost
 almost nothing and play no other game.  Past the gate, ``spectrum_matrix``
-reads the spectrum's order too (``spectrum.BRACKETS``): N:b is refuted when
-the next coarser b or N:l is, and N:db holds when N:b does and is refuted
-when N:l is, so it plays those games only where the brackets leave a cell
-open; ``decide`` and ``holds`` play each id's own game.
+reads the spectrum's order too (``spectrum.BRACKETS``): S's mask game is
+refuted when IF is; N:b is refuted when the next coarser b or N:l is; N:db
+holds when N:b does and is refuted when N:l is, as I:bf is between RS and
+R; so it plays those games only where the brackets leave a cell open.
+``decide`` and ``holds`` play each id's own game, the oracle of every cell
+the matrix infers.
 
 One table, ``_SOURCES``, says for every id which game it reads past the
 gate and which bits of that game's value say it holds: ``decide``,
@@ -40,9 +42,10 @@ simulations, the least unmatched decorated trace (by ``LinearObs.sort_key``)
 for linear flavors, the least unmatched complete deterministic observation
 for ``db``.  Every witness is built when it is first read, so deciding alone
 pays for no witness and enumerates no world: the world cap guards only the
-``db`` witness.  ``holds`` is the boolean of ``decide(sem, p, q)``, with no
-verdict; ``decide_nsim`` takes q's transition relation, for the
-operational engine and ``logic``.
+``db`` witness, and only the witness builders load ``observations``.
+``holds`` is the boolean of ``decide(sem, p, q)``, with no verdict;
+``decide_nsim`` takes q's transition relation, for the operational engine
+and ``logic``.
 ``engine(name)`` names the decider of each of the three engines, and
 ``coverage(sem)`` lists the pathways that characterize a semantics.
 """
@@ -51,7 +54,7 @@ from __future__ import annotations
 
 import operator
 from functools import lru_cache
-from itertools import compress, groupby, repeat
+from itertools import compress, groupby
 
 from .constraints import (
     LAYERS,
@@ -63,14 +66,6 @@ from .constraints import (
     solve_game,
 )
 from .lts import initials, step
-from .observations import (
-    BranchingObs,
-    LinearObs,
-    bgo_member,
-    check_world_cap,
-    decide_via_observations,
-    enum_complete_dbgo,
-)
 from .spectrum import BRACKETS, LINEAR_RULES, SemanticsId, UncoveredSemanticsError, linear_rule, supported_ids
 from .terms import NIL, CanonicalTerm, state_table
 
@@ -246,40 +241,41 @@ def _bisim_refutation(p: CanonicalTerm, q: CanonicalTerm) -> dict:
 # Linear flavors, and trace inclusion, the gate of every family
 
 
-def _meet_match(geq, x, finals) -> tuple[bool, object]:
-    """Meet (revivals-style) matching of the final value x: some final below
-    x, and every element of x offered by such a final.  A failure names the
-    least element left unoffered, or None when no final lies below x."""
+def _revival_action(geq, x, finals):
+    """The least element of x that no final below x offers, where meet
+    (revivals-style) matching fails with some final below x; else None."""
     below = [y for y in finals if geq(x, y)]
-    if not below:
-        return False, None
-    missing = x.difference(*below)
-    if not missing:
-        return True, None
-    return False, min(missing, key=lambda e: (len(e), e) if isinstance(e, tuple) else e)
+    missing = x.difference(*below) if below else ()
+    return min(missing, key=lambda e: (len(e), e) if isinstance(e, tuple) else e, default=None)
 
 
-@lru_cache(maxsize=None)
-def _relation(constraint: str, name: str):
-    """The relation `name` of ``spectrum.LINEAR_RULES`` on the labels of
-    `constraint`, of a label x of p and a label y of q."""
+# The relations of ``spectrum.LINEAR_RULES``, in the order of the lists
+# that ``_comparisons`` returns, which the mask games index.
+_RELATIONS = ("eq", "geq", "leq", "complete", "meet")
+
+
+def _comparisons(constraint: str, names):
+    """compare(x, ys): per relation of ``_RELATIONS``, whether p's label x
+    relates to each label y of Q, read off one geq(x, y) and one geq(y, x)
+    per y (one list where the layer's geq is its eq, as at C); complete and
+    meet are None unless `names` holds them.  Meet's list is one boolean:
+    some y lies below x, and those y offer every element of x."""
     eq, geq = LAYERS[constraint].eq, LAYERS[constraint].geq
-    if name == "leq":
-        if geq is eq:  # U and C order values by equality alone
-            return eq
-        return operator.le if geq is operator.ge else lambda x, y: geq(y, x)
-    # complete: q's offer dominates p's, and only an empty offer answers an empty one
-    return {"eq": eq, "geq": geq, "complete": lambda x, y: not y if not x else y >= x}[name]
+    complete, meet = "complete" in names, "meet" in names
 
+    def compare(x, ys):
+        g = [geq(x, y) for y in ys]
+        if geq is eq:
+            return g, g, g, None, None
+        l = [geq(y, x) for y in ys]
+        return (
+            [a and b for a, b in zip(g, l)], g, l,
+            # q's offer dominates p's, and only an empty offer answers an empty one
+            (l if x else [not y for y in ys]) if complete else None,
+            [True in g and not x.difference(*compress(ys, g))] if meet else None,
+        )
 
-def _final_test(constraint: str, final: str):
-    """test(x, ys): p's label x passes the final relation against the labels
-    ys of Q: some y in ys relates, or for meet, ``_meet_match`` over all of ys."""
-    if final == "meet":
-        geq = LAYERS[constraint].geq
-        return lambda x, ys: _meet_match(geq, x, ys)[0]
-    relation = _relation(constraint, final)
-    return lambda x, ys: any(map(relation, repeat(x), ys))
+    return compare
 
 
 # C's game holds the gate, trace inclusion, in bit 0: the bits of the rules start at bit 1.
@@ -298,16 +294,20 @@ def _row_tables() -> tuple[dict, dict]:
     hold no bit: every U label is the same, so a U rule is the gate,
     ``_TRACE``; and at S a rule whose final relation is `leq` asks that Q
     simulate p (the empty trace asks it, and a simulation answers each path
-    of p pointwise), so it reads U:b's game.  Every other id reads the
-    boolean value of its own game, mask 1.  At C every rule plays (None,
-    eq): only a path's last state can be nil, so a prefix relation drops
-    only nil states, which have no moves, and geq and leq are eq."""
+    of p pointwise), so it reads U:b's game, as does final-failure
+    branching, which compares no offers.  Every other id reads the boolean
+    value of its own game, mask 1, `I:bf` ("cover", None).  At C every rule
+    plays (None, eq): only a path's last state can be nil, so a prefix
+    relation drops only nil states, which have no moves, and geq and leq are
+    eq."""
     sources, games, plans = {}, {}, {}
     for sem in supported_ids():
         constraint, flavor = sem
         source, mask = ("sim" if flavor == "b" else flavor, constraint), 1  # b, db and bisim
-        if flavor in ("bf", "bf⊇"):
-            source = ("cover", flavor == "bf")
+        if flavor == "bf":
+            source = ("cover", None)
+        elif flavor == "bf⊇":
+            source = ("sim", "U")
         elif flavor in LINEAR_RULES:
             constraint, rule = linear_rule(constraint, flavor)
             if constraint == "U":
@@ -330,7 +330,8 @@ def _row_tables() -> tuple[dict, dict]:
 
 _SOURCES, _PLANS = _row_tables()
 # The games of ``spectrum.BRACKETS`` in its order, each with its (holders,
-# refuters) as ``_SOURCES`` entries; ``spectrum_matrix`` reads the others first.
+# refuters) as ``_SOURCES`` entries; ``spectrum_matrix`` reads the others
+# first.  A refuted bracket refutes every id that reads its game.
 _BRACKETS = {_SOURCES[sem][0]: [[_SOURCES[s] for s in ids] for ids in pair] for sem, pair in BRACKETS.items()}
 _UNBRACKETED = [*dict.fromkeys(s for s, _ in _SOURCES.values() if s not in _BRACKETS and s != ("lin", "C"))]
 
@@ -340,37 +341,39 @@ def _lin_game(constraint: str):
     """lin(p, Q): the bit mask of the rules of the layer's game (their masks
     in ``_SOURCES``, its plan in ``_PLANS``) that match every decorated trace
     of p against the states Q, and at C the gate, trace inclusion, as the
-    bit ``_TRACE``, which every leaf holds.  A rule's bit holds at (p, Q) when p's label
-    passes the rule's final relation against Q (``_final_test``) and every
+    bit ``_TRACE``, which every leaf holds.  A rule's bit holds at (p, Q)
+    when p's label passes the rule's final relation against Q and every
     move p -a-> p' has a non-empty Q'/a with the bit holding at (p', Q'/a):
     Q' is the states of Q whose labels p's label relates to under the rule's
     prefix relation (all of Q for None), and Q'/a their deduplicated
-    a-successors (``_step_masks``).  A position computes its labels once,
-    tests each final relation once and builds Q' once per prefix relation;
-    the prefix relations whose Q' coincide share one pass over p's moves,
-    which stops when its mask reaches 0.  This is the on-the-fly subset
-    construction of De Wulf, Doyen, Henzinger and Raskin (CAV 2006), without
-    antichains, one game per layer."""
+    a-successors (``_step_masks``).  A position compares p's label with each
+    label of Q once each way (``_comparisons``) and reads every final
+    relation and every Q' off those lists; the prefix relations whose Q'
+    coincide share one pass over p's moves, which stops when its mask
+    reaches 0.  This is the on-the-fly subset construction of De Wulf,
+    Doyen, Henzinger and Raskin (CAV 2006), without antichains, one game per
+    layer."""
     label = LAYERS[constraint].value
     finals, prefixes = _PLANS[constraint]
-    tests = [(mask, _final_test(constraint, final)) for final, mask in finals.items()]
-    keeps = [(mask, prefix and _relation(constraint, prefix)) for prefix, mask in prefixes.items()]
+    compare = _comparisons(constraint, [*finals, *prefixes])
+    finals = [(_RELATIONS.index(final), mask) for final, mask in finals.items()]
+    prefixes = [(prefix and _RELATIONS.index(prefix), mask) for prefix, mask in prefixes.items()]
     leaf = _TRACE if constraint == "C" else 0
-    lazy = constraint == "C"  # C's one final test, eq, alone reads Q's labels, up to the first match
     memo = {}
 
     def node(key):
         p, qs = key
-        x, ys = label(p), map(label, qs) if lazy else list(map(label, qs))
+        lists = compare(label(p), [label(q) for q in qs])
         value = leaf
-        for mask, test in tests:
-            if test(x, ys):
+        for i, mask in finals:
+            if True in lists[i]:
                 value |= mask
         if value and p.summands:
             live: dict = {}
-            for mask, keep in keeps:
+            for i, mask in prefixes:
                 if value & mask:
-                    kept = tuple(compress(qs, map(keep, repeat(x), ys))) if keep else qs
+                    keep = () if i is None else lists[i]  # all of Q, unless it drops some state
+                    kept = tuple(compress(qs, keep)) if False in keep else qs
                     live[kept] = live.get(kept, 0) | value & mask
             value = 0
             for kept, mask in live.items():
@@ -400,21 +403,23 @@ def _lgo_witness(sem: SemanticsId, p: CanonicalTerm, q: CanonicalTerm) -> dict:
     that the id's cell (``_cell``) wins.  The least (trace, label keys) of
     the first level where a label fails its final test against Q (or Q is
     empty) is the witness."""
+    from .observations import LinearObs
+
     constraint, rule = linear_rule(*sem)
     read, mask = _cell(sem)
     key, label = LAYERS[constraint].key, LAYERS[constraint].value
-    keep = rule[0] and _relation(constraint, rule[0])
-    final = _final_test(constraint, rule[1])
+    compare = _comparisons(constraint, rule)
+    prefix, final = (r and _RELATIONS.index(r) for r in rule)
     x = label(p)
     level = {((), p, (q,)): ((key(x),), (x,))}  # (trace, p', Q) -> (label keys, labels)
     while not (failed := [(trace, keys, xs, qs) for (trace, _, qs), (keys, xs) in level.items()
-                          if not final(xs[-1], [label(r) for r in qs])]):
+                          if True not in compare(xs[-1], [label(r) for r in qs])[final]]):
         if not level:
             raise AssertionError("witness requested for a holding pair")
         below: dict = {}
         for (trace, s, qs), (keys, xs) in level.items():
-            if keep:
-                qs = tuple(r for r in qs if keep(xs[-1], label(r)))
+            if prefix is not None:
+                qs = tuple(compress(qs, compare(xs[-1], [label(r) for r in qs])[prefix]))
             for a, s2 in step(s):
                 qs2 = _step_masks(qs, a)[0]
                 if qs2 and read((s2, qs2)) & mask:
@@ -427,7 +432,7 @@ def _lgo_witness(sem: SemanticsId, p: CanonicalTerm, q: CanonicalTerm) -> dict:
     head, *labels = [LocalObs(constraint, x) for x in xs]
     witness = {"kind": "lgo", "unmatched": LinearObs(head, tuple(zip(trace, labels))), "semantics": str(sem)}
     if rule[1] == "meet":
-        element = _meet_match(LAYERS[constraint].geq, xs[-1], [label(r) for r in qs])[1]
+        element = _revival_action(LAYERS[constraint].geq, xs[-1], [label(r) for r in qs])
         if element is not None:
             witness["revival_action"] = element
     return witness
@@ -499,6 +504,8 @@ def _types_game(constraint: str):
 def _db_witness(constraint: str, p: CanonicalTerm, q: CanonicalTerm) -> dict:
     """The least complete deterministic observation of p (by (nodes, obs))
     that q lacks.  It enumerates p's worlds, so the world cap is checked first."""
+    from .observations import bgo_member, check_world_cap, enum_complete_dbgo
+
     check_world_cap(p)
     unmatched = (obs for obs in enum_complete_dbgo(constraint, p) if not bgo_member(obs, q))
     least = min(unmatched, key=lambda o: (o.nodes, o), default=None)
@@ -525,25 +532,25 @@ def _db_included(constraint: str, p: CanonicalTerm, q: CanonicalTerm) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Final-ready and final-failure branching (constraint I)
+# Final-ready branching (constraint I)
 
 
 @lru_cache(maxsize=None)
-def _cover_game(exact: bool):
+def _cover_game():
     """cov(p, Q): some q in Q matches each branching observation of p.
 
-    Only leaves compare offers: exactly for final-ready (bf), not at all for
-    final-failure (bf⊇).  Observations are closed under dropping children,
-    so one q must match the observation with all child pairs:
-    cov(p, Q) = [exact => some q in Q offers I(p)] and (p = 0 ? Q nonempty :
-    some q in Q has cov(p', q/a) for every p -a-> p').
+    Only leaves compare offers, exactly (final-failure branching compares
+    none, so it reads U-simulation).  Observations are closed under dropping
+    children, so one q must match the observation with all child pairs:
+    cov(p, Q) = some q in Q offers I(p) and (p = 0 ? Q nonempty : some q in
+    Q has cov(p', q/a) for every p -a-> p').
     """
     memo = {}
 
     def node(key):
         p, qs = key
         value = False
-        if _leaf_covered(p, qs, exact):
+        if _leaf_covered(p, qs):
             for q in qs:
                 for a, p2 in step(p):
                     sub = (p2, _step_masks((q,), a)[0])
@@ -559,21 +566,24 @@ def _cover_game(exact: bool):
     return node, memo
 
 
-def _leaf_covered(p: CanonicalTerm, qs: tuple[CanonicalTerm, ...], exact: bool) -> bool:
-    return any(initials(q) == initials(p) for q in qs) if exact else bool(qs)
+def _leaf_covered(p: CanonicalTerm, qs: tuple[CanonicalTerm, ...]) -> bool:
+    return any(initials(q) == initials(p) for q in qs)
 
 
-def _uncovered_bgo(p: CanonicalTerm, q: CanonicalTerm, exact: bool) -> dict:
-    """The witness of a refuted cover game, an observation of p that q does
-    not match: at (p', Q) the leaf if no state of Q answers it, else one child
-    per state, from its first uncovered move of p'; built children first on
-    the stack of ``solve_game``, reading the cover game's memo."""
-    built, covered = {}, _reader("cover", exact)
+def _uncovered_bgo(sem: SemanticsId, p: CanonicalTerm, q: CanonicalTerm) -> dict:
+    """The witness of a refuted `I:bf` or `I:bf⊇`, an observation of p that q
+    does not match: at (p', Q) the leaf if no state of Q answers it (at
+    `I:bf⊇` any state does), else one child per state, from its first move
+    of p' that the id's cell (``_cell``) leaves uncovered; built children
+    first on the stack of ``solve_game``."""
+    from .observations import BranchingObs
+
+    built, (covered, _) = {}, _cell(sem)
 
     def node(key):
         p, qs = key
         children = set()
-        if _leaf_covered(p, qs, exact):
+        if sem.flavor == "bf⊇" or _leaf_covered(p, qs):
             for q in qs:
                 for a, p2 in step(p):
                     sub = (p2, _step_masks((q,), a)[0])
@@ -595,10 +605,10 @@ def _uncovered_bgo(p: CanonicalTerm, q: CanonicalTerm, exact: bool) -> dict:
 def _reader(kind: str, arg):
     """read(key): the value at key = (p, Q) of the game (kind, arg), read
     from its memo first, so a warm read starts no game.  The games of
-    ``_SOURCES``: "lin", the mask game of layer `arg`; "cover", the cover
-    game, exact if `arg`; "sim", the `arg`-simulation, True when some q in Q
-    simulates p; "db", deterministic branching at `arg`, and "bisim",
-    identity on canonical forms, both for Q = {q}.  And "types", the types
+    ``_SOURCES``: "lin", the mask game of layer `arg`; "cover", final-ready
+    branching's cover game (`arg` None); "sim", the `arg`-simulation, True
+    when some q in Q simulates p; "db", deterministic branching at `arg`,
+    and "bisim", identity on canonical forms, both for Q = {q}.  And "types", the types
     game of "db".  Cached, so ``clear_caches()`` drops it with its memo."""
     if kind == "db":
         memo = {}
@@ -620,7 +630,7 @@ def _reader(kind: str, arg):
             return False
 
         return simulated
-    node, memo = {"lin": _lin_game, "cover": _cover_game, "types": _types_game}[kind](arg)
+    node, memo = _cover_game() if kind == "cover" else {"lin": _lin_game, "types": _types_game}[kind](arg)
 
     def read(key):
         value = memo.get(key)
@@ -648,8 +658,7 @@ _WITNESSES = {
     "bisim": lambda c, f, p, q: _bisim_refutation(p, q),
     "b": lambda c, f, p, q: _sim_refutation(c, p, q),
     "db": lambda c, f, p, q: _db_witness(c, p, q),
-    "bf": lambda c, f, p, q: _uncovered_bgo(p, q, True),
-    "bf⊇": lambda c, f, p, q: _uncovered_bgo(p, q, False),
+    **dict.fromkeys(("bf", "bf⊇"), lambda c, f, p, q: _uncovered_bgo(SemanticsId(c, f), p, q)),
 }
 
 
@@ -696,6 +705,8 @@ def engine(name: str):
     if name == "direct":
         return decide
     if name == "observational":
+        from .observations import decide_via_observations
+
         return decide_via_observations
     if name == "operational":
         from .operational import decide_via_operational
@@ -717,7 +728,7 @@ def coverage(sem: SemanticsId) -> tuple[str, ...]:
 
     probes = {
         "direct": lambda: decide(sem, NIL, NIL),
-        "observational": lambda: decide_via_observations(sem, NIL, NIL),
+        "observational": lambda: engine("observational")(sem, NIL, NIL),
         "operational": lambda: engine("operational")(sem, NIL, NIL),
         "axioms": lambda: axioms.axiom_catalog(sem),
         "logic": lambda: logic.in_sublogic(logic.TOP, sem),
@@ -740,12 +751,12 @@ def spectrum_matrix(p: CanonicalTerm, q: CanonicalTerm) -> dict[SemanticsId, str
     game, and a pair refuted both ways is incomparable everywhere.  Each
     cell is its ``_SOURCES`` mask of its game's value at (p, {q}) and at
     (q, {p}), and each game is read at most once per direction: all the
-    linear ids of a layer share one value, as S `leq` rules share U:b's.
-    The games no bracket settles come first, then those of ``_BRACKETS``
-    in order (simulations from C to S, then `db`), each read only in a
-    direction that its brackets leave open.  Only the booleans are read, so
-    no verdict or witness is built, and deciding enumerates no world, so
-    every cell is decided."""
+    linear ids of a layer share one value, as S `leq` rules and `I:bf⊇`
+    share U:b's.  The games no bracket settles come first, then those of
+    ``_BRACKETS`` in order (S's mask game, simulations from C to S, `db`,
+    then the cover game), each read only in a direction that its brackets
+    leave open.  Only the booleans are read, so no verdict or witness is
+    built, and deciding enumerates no world, so every cell is decided."""
     keys = (p, (q,)), (q, (p,))
     read = _reader("lin", "C")
     gate = read(keys[0]), read(keys[1])
@@ -756,13 +767,21 @@ def spectrum_matrix(p: CanonicalTerm, q: CanonicalTerm) -> dict[SemanticsId, str
     for source in _UNBRACKETED:
         read = _reader(*source)
         values[source] = down and read(keys[0]), up and read(keys[1])
-    for source, (holders, refuters) in _BRACKETS.items():  # each has an N:l refuter, 0 where the gate fails
-        read = _reader(*source)
-        values[source] = [
-            0 if any(not values[s][i] & m for s, m in refuters)
-            else any(values[s][i] & m for s, m in holders) or read(key)
-            for i, key in enumerate(keys)
-        ]
+    for source, (holders, refuters) in _BRACKETS.items():  # a refuter in a layer's mask game, 0 where the gate fails
+        read, value = _reader(*source), []
+        for i, key in enumerate(keys):  # loops, not generators: most brackets settle their cells
+            for s, m in refuters:
+                if not values[s][i] & m:
+                    value.append(0)
+                    break
+            else:
+                for s, m in holders:
+                    if values[s][i] & m:
+                        value.append(True)
+                        break
+                else:
+                    value.append(read(key))
+        values[source] = value
     out: dict[SemanticsId, str] = {}
     for sem, (source, mask) in _SOURCES.items():
         value = values[source]

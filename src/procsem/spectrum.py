@@ -264,21 +264,28 @@ def _linear_arrows(layer: str) -> list:
 
 
 # The finer -> coarser edges, layers by constraint fineness: S, T, I, C, U.  By
-# hand, as no relation's parts state them: b -> db -> l, and the vertical arrows.
+# hand, as no relation's parts state them: b -> db -> l, RS -> I:bf -> R (an
+# I-simulation answers the cover game, which asks for every ready pair of p),
+# and the vertical arrows.
 SPECTRUM_ARROWS: tuple[tuple[SemanticsId, SemanticsId], ...] = (
     # bisimilarity, then b from layer to layer
     *pairwise((BISIM, *(_ID[n, "b"] for n in _LAYERS))),
     *(edge for n in _LAYERS for edge in (*pairwise(_ID[n, f] for f in ("b", "db", "l")), *_linear_arrows(n))),
+    *pairwise(_ID["I", f] for f in ("b", "bf", "lf")),
     # vertical arrows between consecutive layers, flavor by flavor
     *((_ID[m, f], _ID[n, f]) for m, n in pairwise(_LAYERS) for f in ("db", "l", "l⊇", "lf", "lf⊇")),
 )
 
-# The brackets that the arrows put around the b and db games: id -> (ids
-# whose holding makes it hold, ids whose refutation refutes it), each a path
-# of SPECTRUM_ARROWS: N:b -> M:b to the next coarser layer M, and N:b -> N:db
-# -> N:l within a layer.  Coarser layers first, so each bracket names only
-# ids listed before it or outside the table.
+# The brackets that the arrows put around a game: id -> (ids whose holding
+# makes it hold, ids whose refutation refutes it), each a path of
+# SPECTRUM_ARROWS.  SF -> IF settles S's mask game, as every id that reads
+# that game lies below SF; N:b -> M:b to the next coarser layer M, N:b -> N:db
+# -> N:l within a layer, and RS -> I:bf -> R.  Each bracket names only ids
+# whose game is bracketed before it or not at all, so SF comes before 2S,
+# whose refuter S:l reads S's mask game.
 BRACKETS: dict[SemanticsId, tuple[tuple[SemanticsId, ...], tuple[SemanticsId, ...]]] = {
+    _ID["S", "lf⊇"]: ((), (_ID["T", "lf⊇"],)),
     **{_ID[n, "b"]: ((), (_ID[m, "b"], _ID[n, "l"])) for m, n in pairwise(reversed(_LAYERS))},
     **{_ID[n, "db"]: ((_ID[n, "b"],), (_ID[n, "l"],)) for n in _LAYERS},
+    _ID["I", "bf"]: ((_ID["I", "b"],), (_ID["I", "lf"],)),
 }

@@ -11,7 +11,7 @@ from pathlib import Path
 import procsem
 
 ENGINES = {"procsem.logic", "procsem.axioms", "procsem.operational", "procsem.corpus"}
-WATCHED = ENGINES | {"procsem.cli", "dataclasses"}
+WATCHED = ENGINES | {"procsem.cli", "procsem.observations", "dataclasses"}
 ENV = dict(os.environ, PYTHONPATH=str(Path(procsem.__file__).parents[1]))
 
 

@@ -417,7 +417,7 @@ def test_spectrum_matrix_reads_each_game_once_per_direction(monkeypatch, pool2, 
     pairs += [(rng.choice(random3), rng.choice(random3)) for _ in range(20)]
     pairs += _perturbed_pairs(random.Random(107), pool2, 40)
     sources = {source for source, _ in preorders._SOURCES.values()}
-    assert len(sources) == 17
+    assert len(sources) == 16
     opened = [_open_reads(p, q) for p, q in pairs]  # asked through holds, before the reads are counted
     counted = _counted_reads(monkeypatch)
     full = 0
@@ -478,13 +478,17 @@ def _open_reads(p, q):
 
 
 def test_spectrum_matrix_brackets_agree_with_holds(monkeypatch, pool2, random3):
-    """Every b and db cell of ``spectrum_matrix``, which the brackets may
-    settle without playing its game, equals ``holds`` in both directions:
-    on all ordered pairs inside pool2's trace-equivalence classes, where both
-    gates pass, and on seeded depth-3 pairs.  On the trace-equal pairs the
-    types game still plays at 5,112 (layer, p, q) cells, once each."""
+    """Every b and db cell of ``spectrum_matrix``, and every other cell whose
+    game has a bracket (the five S linear ids that read S's mask game, and
+    `I:bf`), which the brackets may settle without playing its game, equals
+    ``holds`` in both directions: on all ordered pairs inside pool2's
+    trace-equivalence classes, where both gates pass, on seeded depth-3
+    pairs, and on perturbed pairs, where the S ids come apart.  On the
+    trace-equal pairs the types game still plays at 5,112 (layer, p, q)
+    cells, once each."""
     import procsem
     from procsem import preorders
+    from procsem.spectrum import BRACKETS
 
     classes = {}
     for p in pool2:
@@ -493,8 +497,10 @@ def test_spectrum_matrix_brackets_agree_with_holds(monkeypatch, pool2, random3):
     assert len(pairs) == 12100
     rng = random.Random(113)
     pairs += [(rng.choice(random3), rng.choice(random3)) for _ in range(300)]
-    cells = [sem for sem in supported_ids() if sem.flavor in ("b", "db")]
-    assert len(cells) == 10
+    pairs += _perturbed_pairs(random.Random(131), pool2, 200)
+    bracketed = {preorders._SOURCES[sem][0] for sem in BRACKETS}
+    cells = [sem for sem in supported_ids() if sem.flavor in ("b", "db") or preorders._SOURCES[sem][0] in bracketed]
+    assert len(cells) == 16
     db_included, played = preorders._db_included, []
 
     def counted(constraint, p, q):
@@ -558,17 +564,24 @@ def _arrows_above() -> dict:
 def test_brackets_are_paths_of_the_arrows():
     """Every bracket of ``spectrum.BRACKETS`` follows the arrows: a holder
     lies below its id, a refuter above it, in the transitive closure of
-    ``SPECTRUM_ARROWS``; and each names only ids listed before it or outside
-    the table, so one pass in table order reads every bracket's values first."""
+    ``SPECTRUM_ARROWS``; every id that reads the bracketed game lies below
+    the bracketed id, so a refuted bracket refutes each of them; and each
+    holder's and refuter's game is bracketed earlier or not at all, so one
+    pass in table order reads every bracket's values first."""
+    from procsem.preorders import _SOURCES
     from procsem.spectrum import BRACKETS
 
     above = _arrows_above()
+    games = {_SOURCES[sem][0] for sem in BRACKETS}
+    assert len(BRACKETS) == len(games) == 11
     seen = set()
-    assert len(BRACKETS) == 9
     for sem, (holders, refuters) in BRACKETS.items():
+        game = _SOURCES[sem][0]
         assert all(sem in above[h] for h in holders) and all(r in above[sem] for r in refuters), sem
-        assert all(s in seen or s not in BRACKETS for s in holders + refuters), sem
-        seen.add(sem)
+        readers = [s for s, (source, _) in _SOURCES.items() if source == game]
+        assert all(s is sem or sem in above[s] for s in readers), (sem, readers)
+        assert all(_SOURCES[s][0] in seen or _SOURCES[s][0] not in games for s in holders + refuters), sem
+        seen.add(game)
 
 
 # The hand tables that ``spectrum.RELATION_PARTS`` replaced, written out as
@@ -622,7 +635,7 @@ def test_no_arrow_is_a_composite():
     one rule.  So a redundant edge written by hand fails here."""
     above = _arrows_above()
     edges = set(SPECTRUM_ARROWS)
-    assert len(edges) == len(SPECTRUM_ARROWS) == 91
+    assert len(edges) == len(SPECTRUM_ARROWS) == 93
 
     def equal(s, t):
         return s in above[t] and t in above[s]
@@ -634,7 +647,7 @@ def test_no_arrow_is_a_composite():
     pairs = {frozenset(edge) for edge in edges if equal(*edge)}
     assert pairs == {frozenset((CLASSIC_NAMES[x], parse_semantics(y))) for x, y in (("ER", "I:lf⊆"), ("ERT", "I:l⊆"))}
     placed = {sem for edge in edges for sem in edge}
-    assert set(supported_ids()) - placed == {parse_semantics("I:bf"), parse_semantics("I:bf⊇")}
+    assert set(supported_ids()) - placed == {parse_semantics("I:bf⊇")}
 
 
 def test_spectrum_matrix_of_a_term_with_itself_plays_no_types_game(monkeypatch, pool2, random3):
@@ -912,7 +925,7 @@ def test_clear_caches_empties_every_cache_and_game_memo(pool2):
         stepper = operational._stepper("M_F", operational.DEFAULT_SATURATION_CAP)
         out = [constraints._sim_game(n, step) for n in CONSTRAINTS] + [constraints._sim_game("I", stepper)]
         out += [preorders._types_game(n) for n in CONSTRAINTS]
-        out += [preorders._cover_game(exact) for exact in (True, False)]
+        out.append(preorders._cover_game())
         out += [preorders._lin_game(n) for n in preorders._PLANS]
         return out + [observations._world_game()]
 
@@ -949,7 +962,7 @@ def test_clear_caches_empties_every_cache_and_game_memo(pool2):
     assert preorders._cell.cache_info().currsize == len(supported_ids())
     assert [len(memo) for _, memo in bound] == sizes
     lin = [preorders._lin_game(n) for n in preorders._PLANS]
-    assert all(memo for _, memo in lin + [preorders._cover_game(True)])
+    assert all(memo for _, memo in lin + [preorders._cover_game()])
 
 
 def test_db_examples():
@@ -1052,7 +1065,7 @@ def test_supported_ids_share_the_classic_objects():
         assert sem is CLASSIC_NAMES[classic_name(sem)]
 
 
-GRID_PIN = "34d8c14994a062873366ab4022bab40f8aaa03796b6316e4002d40e6a86de023"
+GRID_PIN = "71409d3ed80081d79e843788a711cfac2fbce51fa6282b411e73cba9f87e133a"
 
 
 def test_the_grid_is_pinned():
@@ -1306,9 +1319,9 @@ def test_final_ready_sits_between_rsim_and_readiness(pool2):
 
 
 def test_final_failure_branching_is_simulation(pool2, random3):
-    # as decided, I:bf⊇ compares no offers: its cover game's leaf test is
-    # "some state answers", so it plays U-simulation (as _final_sim_match,
-    # the oracle above, does)
+    # as decided, I:bf⊇ compares no offers, so it reads U-simulation's game
+    # (as _final_sim_match, the oracle above, does with its leaf test "some
+    # state answers")
     sem = SemanticsId("I", "bf⊇")
     for pool in (pool2, random3):
         related = 0
