@@ -9,10 +9,10 @@ of the spectrum work.
 The order on values is owned here: ``LAYERS`` holds one row per
 constraint, with the value it observes of a state, (eq, geq) on those
 values and the sort key that makes witnesses and their text reproducible;
-``local_obs``, ``local_eq``, ``local_geq``, ``value_key`` and
-``constraint_holds`` read the row.  The S case compares class
-representatives with ``simulates``, the constrained-simulation game; it
-and every other game of the package run on the memoized, explicit-stack
+``local_obs``, ``local_eq``, ``local_geq``, ``value_key``,
+``constraint_holds`` and the simulation game read the row.  The S case
+compares class representatives with ``simulates``, the
+constrained-simulation game; it and every other game of the package run on the memoized, explicit-stack
 driver ``solve_game`` defined here: a game constructor returns a position
 generator and the memo it fills, and a position yields only the
 sub-positions that memo lacks.
@@ -151,20 +151,22 @@ def solve_game(node, root, memo: dict):
 
 @lru_cache(maxsize=None)
 def _sim_game(constraint: str, answers):
+    label, eq = LAYERS[constraint].value, LAYERS[constraint].eq
     memo = {}
 
     def node(key):
         p, q = key
-        value = constraint_holds(constraint, p, q)
+        value = eq(label(p), label(q))
         if value:
             q_moves = answers(q)
             for a, p2 in step(p):
                 for b, q2 in q_moves:
                     if b == a:
                         sub = (p2, q2)
-                        if sub not in memo:
+                        if (held := memo.get(sub)) is None:
                             yield sub
-                        if memo[sub]:
+                            held = memo[sub]
+                        if held:
                             break
                 else:
                     value = False

@@ -7,8 +7,11 @@ Three families of procedures live here:
 * linear deciders, the extended-ready family included, as one mask game
   per layer (``_lin_game``) on positions (p, Q), a state of p against the
   set Q of states that q reaches by the same trace, whose value is the bit
-  mask of the layer's rules that hold.  Each cell is settled at the
-  coarsest of three layers that decides it:
+  mask of the layer's rules that hold.  A position relates p's label to
+  each label of Q once, as a relation code (``_relater``), reads its rules
+  off two tables per layer compiled at import (``_TABLES``), indexed by
+  the OR and the AND of its codes, and probes its memo once per move.
+  Each cell is settled at the coarsest of three layers that decides it:
   1. trace inclusion, which every semantics refines, so the entry points
      (``decide``, ``holds``, ``spectrum_matrix``) play it first for every
      family, as the bit ``_TRACE`` of C's game, which every leaf holds;
@@ -54,7 +57,7 @@ from __future__ import annotations
 
 import operator
 from functools import lru_cache
-from itertools import compress, groupby
+from itertools import groupby
 
 from .constraints import (
     LAYERS,
@@ -241,49 +244,66 @@ def _bisim_refutation(p: CanonicalTerm, q: CanonicalTerm) -> dict:
 # Linear flavors, and trace inclusion, the gate of every family
 
 
-def _revival_action(geq, x, finals):
-    """The least element of x that no final below x offers, where meet
-    (revivals-style) matching fails with some final below x; else None."""
-    below = [y for y in finals if geq(x, y)]
-    missing = x.difference(*below) if below else ()
-    return min(missing, key=lambda e: (len(e), e) if isinstance(e, tuple) else e, default=None)
+# A relation code says how p's label x relates to a label y of Q, one bit per
+# relation of ``spectrum.LINEAR_RULES``.  Meet is a bit of the whole
+# position: an equal y covers x on its own, and at a layer that plays meet
+# the y below x may cover it together.
+_BITS = {"eq": 1, "geq": 2, "leq": 4, "complete": 8, "meet": 16}
+_EQ, _GEQ, _LEQ, _COMPLETE, _MEET = _BITS.values()
+_ALL = _EQ | _GEQ | _LEQ | _COMPLETE | _MEET  # the code of an equal y, which covers x alone
 
 
-# The relations of ``spectrum.LINEAR_RULES``, in the order of the lists
-# that ``_comparisons`` returns, which the mask games index.
-_RELATIONS = ("eq", "geq", "leq", "complete", "meet")
+def _relater(constraint: str):
+    """relate(p, qs) -> (codes, some, every): the relation code of p's label x
+    with the label y of each state of `qs`, their OR and their AND.  Each
+    code is read off one geq(x, y) and one geq(y, x) (one eq(x, y) where the
+    layer's geq is its eq, as at C); complete is leq, and an empty offer
+    only by an empty one.  `some` holds meet when an equal y does, or, at a
+    layer that plays meet, when the y below x together offer every element
+    of x."""
+    label, eq, geq = LAYERS[constraint].value, LAYERS[constraint].eq, LAYERS[constraint].geq
+    one, meet = geq is eq, "meet" in _PLANS.get(constraint, ({},))[0]
+
+    def relate(p, qs):
+        x = label(p)
+        codes, some, every = [], 0, _ALL
+        for q in qs:
+            y = label(q)
+            if one:
+                code = _ALL if eq(x, y) else 0
+            elif geq(x, y):
+                code = _ALL if geq(y, x) else _GEQ
+            elif geq(y, x):
+                code = _LEQ | _COMPLETE if x or not y else _LEQ
+            else:
+                code = 0
+            codes.append(code)
+            some |= code
+            every &= code
+        if meet and some & (_GEQ | _MEET) == _GEQ and not x.difference(
+            *(label(q) for q, code in zip(qs, codes) if code & _GEQ)
+        ):
+            some |= _MEET
+        return codes, some, every
+
+    return relate
 
 
-def _comparisons(constraint: str, names):
-    """compare(x, ys): per relation of ``_RELATIONS``, whether p's label x
-    relates to each label y of Q, read off one geq(x, y) and one geq(y, x)
-    per y (one list where the layer's geq is its eq, as at C); complete and
-    meet are None unless `names` holds them.  Meet's list is one boolean:
-    some y lies below x, and those y offer every element of x."""
-    eq, geq = LAYERS[constraint].eq, LAYERS[constraint].geq
-    complete, meet = "complete" in names, "meet" in names
-
-    def compare(x, ys):
-        g = [geq(x, y) for y in ys]
-        if geq is eq:
-            return g, g, g, None, None
-        l = [geq(y, x) for y in ys]
-        return (
-            [a and b for a, b in zip(g, l)], g, l,
-            # q's offer dominates p's, and only an empty offer answers an empty one
-            (l if x else [not y for y in ys]) if complete else None,
-            [True in g and not x.difference(*compress(ys, g))] if meet else None,
-        )
-
-    return compare
+def _table(masks: dict, base: int = 0) -> tuple[int, ...]:
+    """Per relation code, `base` and the masks (by relation) of every
+    relation the code holds: 32 entries, doubled once per bit."""
+    table = (base,)
+    for relation in _BITS:  # bits 1, 2, 4, 8, 16 in turn
+        table += tuple(map(masks.get(relation, 0).__or__, table))
+    return table
 
 
 # C's game holds the gate, trace inclusion, in bit 0: the bits of the rules start at bit 1.
 _TRACE = 1
 
 
-def _row_tables() -> tuple[dict, dict]:
-    """(sources, plans): the one statement of the game each id reads.  Per
+def _row_tables() -> tuple[dict, dict, dict]:
+    """(sources, plans, tables): the one statement of the game each id reads.  Per
     supported id ``((kind, arg), mask)``: the game that decides it past the
     gate (``_reader(kind, arg)``) and the bits of that game's value that say
     it holds; and per constraint the plan of its layer's mask game, (final
@@ -299,7 +319,9 @@ def _row_tables() -> tuple[dict, dict]:
     value of its own game, mask 1, `I:bf` ("cover", None).  At C every rule
     plays (None, eq): only a path's last state can be nil, so a prefix
     relation drops only nil states, which have no moves, and geq and leq are
-    eq."""
+    eq.  And per constraint its plan compiled into two tables indexed by a
+    relation code (``_table``): the bits whose final relation the code
+    holds, and the bits whose prefix relation is None or held."""
     sources, games, plans = {}, {}, {}
     for sem in supported_ids():
         constraint, flavor = sem
@@ -325,10 +347,12 @@ def _row_tables() -> tuple[dict, dict]:
                 mask = games[constraint, rule]
         sources[sem] = source, mask
     plans["C"][1][None] |= _TRACE
-    return sources, plans
+    tables = {n: (_table(finals), _table(prefixes, prefixes.get(None, 0)))
+              for n, (finals, prefixes) in plans.items()}
+    return sources, plans, tables
 
 
-_SOURCES, _PLANS = _row_tables()
+_SOURCES, _PLANS, _TABLES = _row_tables()
 # The games of ``spectrum.BRACKETS`` in its order, each with its (holders,
 # refuters) as ``_SOURCES`` entries; ``spectrum_matrix`` reads the others
 # first.  A refuted bracket refutes every id that reads its game.
@@ -346,35 +370,36 @@ def _lin_game(constraint: str):
     move p -a-> p' has a non-empty Q'/a with the bit holding at (p', Q'/a):
     Q' is the states of Q whose labels p's label relates to under the rule's
     prefix relation (all of Q for None), and Q'/a their deduplicated
-    a-successors (``_step_masks``).  A position compares p's label with each
-    label of Q once each way (``_comparisons``) and reads every final
-    relation and every Q' off those lists; the prefix relations whose Q'
-    coincide share one pass over p's moves, which stops when its mask
-    reaches 0.  This is the on-the-fly subset construction of De Wulf,
+    a-successors (``_step_masks``).  A position reads one relation code per
+    state of Q (``_relater``) and its rules off the layer's two tables
+    (``_TABLES``): its value is the leaf bit and FINAL[OR of the codes], the
+    rules that keep all of Q are those of KEEP[AND of the codes], and a
+    filtered Q' is built only for a rule that some but not all states pass,
+    never when |Q| = 1.  The rules whose Q' coincide share one pass over p's
+    moves, which stops when its mask reaches 0, and probes the memo once per
+    sub-position.  This is the on-the-fly subset construction of De Wulf,
     Doyen, Henzinger and Raskin (CAV 2006), without antichains, one game per
     layer."""
-    label = LAYERS[constraint].value
-    finals, prefixes = _PLANS[constraint]
-    compare = _comparisons(constraint, [*finals, *prefixes])
-    finals = [(_RELATIONS.index(final), mask) for final, mask in finals.items()]
-    prefixes = [(prefix and _RELATIONS.index(prefix), mask) for prefix, mask in prefixes.items()]
+    relate = _relater(constraint)
+    final, keep = _TABLES[constraint]
+    prefixes = [(_BITS[r], mask) for r, mask in _PLANS[constraint][1].items() if r]
     leaf = _TRACE if constraint == "C" else 0
     memo = {}
 
     def node(key):
         p, qs = key
-        lists = compare(label(p), [label(q) for q in qs])
-        value = leaf
-        for i, mask in finals:
-            if True in lists[i]:
-                value |= mask
+        codes, some, every = relate(p, qs)
+        value = leaf | final[some]
         if value and p.summands:
-            live: dict = {}
-            for i, mask in prefixes:
-                if value & mask:
-                    keep = () if i is None else lists[i]  # all of Q, unless it drops some state
-                    kept = tuple(compress(qs, keep)) if False in keep else qs
-                    live[kept] = live.get(kept, 0) | value & mask
+            value &= keep[some]  # a rule whose prefix relation no state passes has an empty Q'
+            whole = value & keep[every]
+            live = {qs: whole} if whole else {}
+            if value != whole:
+                for bit, mask in prefixes:
+                    mask &= value & ~whole
+                    if mask:
+                        kept = tuple(q for q, code in zip(qs, codes) if code & bit)
+                        live[kept] = live.get(kept, 0) | mask
             value = 0
             for kept, mask in live.items():
                 for a, p2 in step(p):
@@ -382,9 +407,10 @@ def _lin_game(constraint: str):
                     if not sub[1]:
                         mask = 0
                         break
-                    if sub not in memo:
+                    if (held := memo.get(sub)) is None:
                         yield sub
-                    mask &= memo[sub]
+                        held = memo[sub]
+                    mask &= held
                     if not mask:
                         break
                 value |= mask
@@ -400,26 +426,31 @@ def _lgo_witness(sem: SemanticsId, p: CanonicalTerm, q: CanonicalTerm) -> dict:
     breadth-first walk from (p, {q}), one trace length per level, keeps per
     (trace, position (p', Q)) the least label-key prefix that reaches it,
     which is exact, as the order is lexicographic, and skips every position
-    that the id's cell (``_cell``) wins.  The least (trace, label keys) of
-    the first level where a label fails its final test against Q (or Q is
-    empty) is the witness."""
+    that the id's cell (``_cell``) wins.  Each position of a level is
+    related once (``_relater``, the codes of the mask games): the least
+    (trace, label keys) of the first level where a label's codes lack the
+    rule's final bit (or Q is empty) is the witness, and a rule's Q' keeps
+    the states whose codes hold its prefix bit."""
     from .observations import LinearObs
 
     constraint, rule = linear_rule(*sem)
     read, mask = _cell(sem)
     key, label = LAYERS[constraint].key, LAYERS[constraint].value
-    compare = _comparisons(constraint, rule)
-    prefix, final = (r and _RELATIONS.index(r) for r in rule)
+    relate = _relater(constraint)
+    prefix, final = (r and _BITS[r] for r in rule)
     x = label(p)
     level = {((), p, (q,)): ((key(x),), (x,))}  # (trace, p', Q) -> (label keys, labels)
-    while not (failed := [(trace, keys, xs, qs) for (trace, _, qs), (keys, xs) in level.items()
-                          if True not in compare(xs[-1], [label(r) for r in qs])[final]]):
+    while True:
         if not level:
             raise AssertionError("witness requested for a holding pair")
+        related = {at: relate(at[1], at[2]) for at in level}  # (trace, p', Q) -> (codes, some, every)
+        failed = [(at[0], keys, xs, at) for at, (keys, xs) in level.items() if not related[at][1] & final]
+        if failed:
+            break
         below: dict = {}
         for (trace, s, qs), (keys, xs) in level.items():
-            if prefix is not None:
-                qs = tuple(compress(qs, compare(xs[-1], [label(r) for r in qs])[prefix]))
+            if prefix:
+                qs = tuple(r for r, code in zip(qs, related[trace, s, qs][0]) if code & prefix)
             for a, s2 in step(s):
                 qs2 = _step_masks(qs, a)[0]
                 if qs2 and read((s2, qs2)) & mask:
@@ -428,13 +459,14 @@ def _lgo_witness(sem: SemanticsId, p: CanonicalTerm, q: CanonicalTerm) -> dict:
                 at, entry = (trace + (a,), s2, qs2), (keys + (key(y),), xs + (y,))
                 below[at] = min(below.get(at, entry), entry)
         level = below
-    trace, _, xs, qs = min(failed, key=lambda f: f[:2])
+    trace, _, xs, at = min(failed, key=lambda f: f[:2])
     head, *labels = [LocalObs(constraint, x) for x in xs]
     witness = {"kind": "lgo", "unmatched": LinearObs(head, tuple(zip(trace, labels))), "semantics": str(sem)}
-    if rule[1] == "meet":
-        element = _revival_action(LAYERS[constraint].geq, xs[-1], [label(r) for r in qs])
-        if element is not None:
-            witness["revival_action"] = element
+    if rule[1] == "meet":  # revivals: the least element of x that no final below x offers
+        below = [label(r) for r, code in zip(at[2], related[at][0]) if code & _GEQ]
+        missing = xs[-1].difference(*below) if below else ()
+        if missing:
+            witness["revival_action"] = min(missing, key=lambda e: (len(e), e) if isinstance(e, tuple) else e)
     return witness
 
 
@@ -477,13 +509,13 @@ def _types_game(constraint: str):
     is monotone, so only minimal types matter; [0] means some world of p
     lies in no bgo(q), and ends the search.
     """
-    eq = LAYERS[constraint].eq
+    label, eq = LAYERS[constraint].value, LAYERS[constraint].eq
     memo = {}
 
     def node(key):
         p, qs = key
-        label = local_obs(constraint, p).value
-        acc = [sum(1 << i for i, q in enumerate(qs) if eq(label, local_obs(constraint, q).value))]
+        x = label(p)
+        acc = [sum(1 << i for i, q in enumerate(qs) if eq(x, label(q)))]
         for a, moves in groupby(step(p), operator.itemgetter(0)):
             if acc == [0]:
                 break
@@ -491,9 +523,10 @@ def _types_game(constraint: str):
             children = set()
             for _, p2 in moves:
                 sub = (p2, qa)
-                if sub not in memo:
+                if (types := memo.get(sub)) is None:
                     yield sub
-                children.update(memo[sub])
+                    types = memo[sub]
+                children.update(types)
             lifted = {sum(1 << i for i, s in enumerate(succ) if s & m) for m in children}
             acc = _minimal({x & y for x in acc for y in lifted})
         memo[key] = tuple(acc)
@@ -554,9 +587,10 @@ def _cover_game():
             for q in qs:
                 for a, p2 in step(p):
                     sub = (p2, _step_masks((q,), a)[0])
-                    if sub not in memo:
+                    if (covered := memo.get(sub)) is None:
                         yield sub
-                    if not memo[sub]:
+                        covered = memo[sub]
+                    if not covered:
                         break
                 else:
                     value = True

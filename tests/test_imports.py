@@ -1,8 +1,10 @@
 """The import graph: ``import procsem`` loads the decide core, and the engine
 modules load on first use.  Each check runs in a fresh interpreter."""
 
+import ast
 import importlib
 import os
+import re
 import pkgutil
 import subprocess
 import sys
@@ -73,6 +75,18 @@ print(preorders._reader.cache_info().currsize, preorders._lin_game.cache_info().
 """
     proc = python("-c", script)
     assert proc.returncode == 0 and proc.stdout == "0 0\n", proc.stderr
+
+
+def test_sources_parse_as_the_declared_python():
+    # pyproject.toml declares the oldest Python procsem runs on, so no module
+    # may use a later grammar
+    root = Path(procsem.__file__).parent
+    declared = (root.parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    major, minor = map(int, re.search(r'requires-python = ">=(\d+)\.(\d+)"', declared).groups())
+    modules = sorted(root.rglob("*.py"))
+    assert len(modules) > 10
+    for path in modules:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(major, minor))
 
 
 def test_every_exported_name_resolves():

@@ -745,6 +745,61 @@ def test_mask_games_against_the_oracle(pool2, random3):
     assert bits == 31 * len(pairs) and mixed > 100
 
 
+def test_relation_codes_and_tables(pool2, random3):
+    """The mask games read their rules off relation codes: each bit of the
+    code of a label pair is the layer's eq or geq applied directly, the meet
+    bit of a position is the set definition on ``spectrum.LINEAR_RULES``
+    (at C and S, whose values are no sets, only an equal label covers x),
+    the OR and AND of a position are those of its codes, and each entry
+    of a layer's two tables is the OR of the ``_PLANS`` masks it stands for."""
+    from procsem.constraints import LAYERS
+    from procsem.preorders import _BITS, _PLANS, _TABLES, _relater
+
+    assert sorted(_TABLES) == sorted(_PLANS) == ["C", "I", "S", "T"]
+    rng = random.Random(45)
+    pairs = meets = 0
+    for n in ("C", "I", "T", "S"):
+        label, eq, geq = LAYERS[n].value, LAYERS[n].eq, LAYERS[n].geq
+        relate = _relater(n)
+        states = list({label(s): s for s in pool2 + random3}.values())  # one state per label
+
+        def meet(x, ys):
+            below = [y for y in ys if geq(x, y)]
+            if isinstance(x, frozenset):
+                return bool(below) and not x.difference(*below)
+            return any(eq(x, y) for y in below)
+
+        for p in states:
+            x = label(p)
+            for q in states:
+                y = label(q)
+                codes, some, every = relate(p, (q,))
+                held = {"eq": eq(x, y), "geq": geq(x, y), "leq": geq(y, x),
+                        "complete": geq(y, x) and (bool(x) or not y), "meet": meet(x, [y])}
+                assert codes == [some] and some == every, (n, p, q)
+                assert {r: bool(some & bit) for r, bit in _BITS.items()} == held, (n, p, q)
+                pairs += 1
+        for _ in range(300):
+            p, qs = rng.choice(states), tuple(rng.sample(pool2 + random3, rng.randint(2, 4)))
+            codes, some, every = relate(p, qs)
+            assert codes == [relate(p, (q,))[0][0] for q in qs]
+            ored = anded = codes[0]
+            for code in codes:
+                ored, anded = ored | code, anded & code
+            assert some & ~_BITS["meet"] == ored & ~_BITS["meet"] and every == anded, (n, p, qs)
+            expected = meet(label(p), [label(q) for q in qs]) if "meet" in _PLANS[n][0] else bool(ored & _BITS["eq"])
+            assert bool(some & _BITS["meet"]) == expected, (n, p, qs)
+            meets += bool(some & _BITS["meet"]) and not ored & _BITS["eq"]
+    assert pairs > 10_000 and meets > 0
+    for n, (finals, prefixes) in _PLANS.items():
+        final, keep = _TABLES[n]
+        assert len(final) == len(keep) == 32
+        for code in range(32):
+            held = [r for r, bit in _BITS.items() if code & bit]
+            assert final[code] == functools.reduce(int.__or__, (finals.get(r, 0) for r in held), 0), (n, code)
+            assert keep[code] == functools.reduce(int.__or__, (prefixes.get(r, 0) for r in [None, *held]), 0), (n, code)
+
+
 def test_linear_witnesses_are_least_on_perturbed_pairs(pool2):
     """The witness walk against the brute-force oracle on pairs that pass the
     gate, where the least unmatched decorated trace often lies past the root."""
