@@ -12,10 +12,11 @@ values and the sort key that makes witnesses and their text reproducible;
 ``local_obs``, ``local_eq``, ``local_geq``, ``value_key``,
 ``constraint_holds`` and the simulation game read the row.  The S case
 compares class representatives with ``simulates``, the
-constrained-simulation game; it and every other game of the package run on the memoized, explicit-stack
-driver ``solve_game`` defined here: a game constructor returns a position
-generator and the memo it fills, and a position yields only the
-sub-positions that memo lacks.
+constrained-simulation game; it and every other game of the package run
+on the memoized, explicit-stack driver ``solve_game`` defined here: a game
+constructor returns a position generator and the memo it fills, and a
+position yields only the sub-positions that memo lacks, probing the memo
+once per sub-position.
 """
 
 from __future__ import annotations
