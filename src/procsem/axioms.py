@@ -1,4 +1,4 @@
-"""Axiom schemas, soundness sweeps, head-normal-form laws and proof replay.
+"""Axiom schemas, soundness sweeps and proof replay through head normal forms.
 
 The catalog is generated from three schema families: the choice axioms (the
 bisimilarity base), one simulation axiom per constraint (conditional on the
@@ -28,8 +28,6 @@ __all__ = [
     "axiom_catalog",
     "SoundnessReport",
     "check_soundness",
-    "HnfLawReport",
-    "verify_hnf_laws",
     "Derivation",
     "derive_leq",
 ]
@@ -154,14 +152,6 @@ PW_AXIOM = Axiom(
     action_vars=("a", "b"),
 )
 
-T_AXIOM = Axiom(
-    "T",
-    Choice(Prefix("a", X), Prefix("a", Y)),
-    Prefix("a", Choice(X, Y)),
-    "equation",
-    action_vars=("a",),
-)
-
 
 def axiom_catalog(sem: SemanticsId | str, form: str = "order") -> tuple[Axiom, ...]:
     """The axiom set for one point of the spectrum, order or equivalence
@@ -231,10 +221,10 @@ def check_soundness(
     pool: Sequence[CanonicalTerm],
     alphabet: Sequence[str],
     max_instances: int | None = None,
-    rng: random.Random | None = None,
 ) -> SoundnessReport:
     """Instantiate the axiom over the pool and check every instance with the
-    decision engine.  Violations are collected, not raised."""
+    decision engine, or `max_instances` of them drawn by ``Random(0)`` where
+    there are more.  Violations are collected, not raised."""
     if isinstance(sem, str):
         sem = parse_semantics(sem)
     variables = axiom.variables()
@@ -242,7 +232,7 @@ def check_soundness(
     pool = list(pool)
     total = len(pool) ** len(variables) * len(actions) ** len(axiom.action_vars)
     if max_instances is not None and total > max_instances:
-        rng = rng or random.Random(0)
+        rng = random.Random(0)
         instances = (
             (
                 tuple(rng.choice(pool) for _ in variables),
@@ -275,19 +265,7 @@ def check_soundness(
 
 
 # ---------------------------------------------------------------------------
-# Head normal forms (operational.saturate) and their laws
-
-
-class HnfLawReport(NamedTuple):
-    z: str
-    equivalence_failures: list
-    matching_failures: list
-    terms_checked: int
-    pairs_checked: int
-
-    @property
-    def ok(self) -> bool:
-        return not self.equivalence_failures and not self.matching_failures
+# Head normal forms (operational.saturate)
 
 
 def _hnf_rule(z: str) -> tuple[SemanticsId, str]:
@@ -299,29 +277,6 @@ def _hnf_rule(z: str) -> tuple[SemanticsId, str]:
     if n != "I":
         raise UncoveredSemanticsError(f"head normal form derivations do not cover {sem}")
     return sem, condition
-
-
-def verify_hnf_laws(z: str, pool: Sequence[CanonicalTerm]) -> HnfLawReport:
-    """Check that the head normal form (``operational.saturate``) is a
-    Z-equivalent saturation and that every related ordered pair of `pool`
-    matches summand-wise through the head normal form of the larger side."""
-    sem, condition = _hnf_rule(z)
-    pool = list(pool)
-    equivalence_failures = []
-    for p in pool:
-        h = saturate(condition, p)
-        if not (preorders.holds(sem, h, p) and preorders.holds(sem, p, h)):
-            equivalence_failures.append(p)
-    matching_failures = []
-    pairs_checked = 0
-    for p, q in product(pool, repeat=2):
-        if not preorders.holds(sem, p, q):
-            continue
-        pairs_checked += 1
-        for a, derivative in p.summands:
-            if _answer(sem, saturate(condition, q), a, derivative) is None:
-                matching_failures.append((p, q, a, derivative))
-    return HnfLawReport(z, equivalence_failures, matching_failures, len(pool), pairs_checked)
 
 
 @lru_cache(maxsize=None)

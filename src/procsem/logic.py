@@ -18,7 +18,6 @@ closure (upper bounds) or positive closure (lower bounds).
 
 from __future__ import annotations
 
-import random
 from bisect import bisect_left
 from functools import lru_cache
 
@@ -49,7 +48,6 @@ __all__ = [
     "in_sublogic",
     "formula_from_observation",
     "distinguish",
-    "sample_formulas",
 ]
 
 
@@ -671,112 +669,3 @@ def _minimize(f: Formula, sem, p, q, alphabet) -> Formula:
                 changed = True
                 break
     return f
-
-
-# ---------------------------------------------------------------------------
-# Random grammar sampling (property-test fuel)
-
-
-def sample_formulas(sem: SemanticsId | str, alphabet, rng: random.Random, max_depth: int, count: int):
-    if isinstance(sem, str):
-        sem = parse_semantics(sem)
-    alphabet = frozenset(alphabet)
-    out = []
-    for _ in range(count):
-        out.append(_random_formula(sem, alphabet, rng, max_depth))
-    return out
-
-
-def _random_base(constraint, alphabet, rng, depth) -> Formula:
-    actions = sorted(alphabet)
-    if constraint == "U":
-        return TOP
-    if constraint == "C":
-        return rng.choice([TOP, not_zero(alphabet)])
-    if constraint == "I":
-        return rng.choice([TOP, not_zero(alphabet)] + [Diamond(a, TOP) for a in actions])
-    if constraint == "T":
-        if rng.random() < 0.2:
-            return rng.choice([TOP, not_zero(alphabet)])
-        length = rng.randint(1, max(1, depth))
-        return chain(rng.choices(actions, k=length))
-    if constraint == "S":
-        if depth <= 0 or rng.random() < 0.3:
-            return TOP
-        if rng.random() < 0.6:
-            return Diamond(rng.choice(actions), _random_base("S", alphabet, rng, depth - 1))
-        return conj(
-            _random_base("S", alphabet, rng, depth - 1),
-            _random_base("S", alphabet, rng, depth - 1),
-        )
-    raise ValueError(constraint)
-
-
-def _random_leaf(constraint, alphabet, rng, depth, mode) -> Formula:
-    base = _random_base(constraint, alphabet, rng, depth)
-    if mode == "neg":
-        return Neg(base)
-    if mode == "eq":
-        return Neg(base) if rng.random() < 0.5 else base
-    return base
-
-
-def _random_pin(constraint, alphabet, rng, depth, mode) -> Formula:
-    leaves = [_random_leaf(constraint, alphabet, rng, depth, mode) for _ in range(rng.randint(0, 2))]
-    return conj(*leaves)
-
-
-def _random_formula(sem: SemanticsId, alphabet, rng, depth) -> Formula:
-    flavor, n = sem.flavor, linear_rule(*sem)[0]
-    if flavor == "bisim":
-        return _random_hml(alphabet, rng, depth)
-    if flavor == "join":
-        inner = SemanticsId(n, "l⊇" if rng.random() < 0.5 else "lf")
-        return _random_formula(inner, alphabet, rng, depth)
-    mid, last, continue_by = _GRAMMARS[flavor]
-    if continue_by != "one":
-        return _random_tree(n, alphabet, rng, depth, continue_by == "det")
-    actions = sorted(alphabet)
-    length = rng.randint(0, depth)
-    if last == "rev":
-        positives = []
-        if rng.random() < 0.7:
-            positives.append(_random_base(n, alphabet, rng, depth))
-        negatives = [
-            Neg(_random_base(n, alphabet, rng, depth)) for _ in range(rng.randint(0, 2))
-        ]
-        return chain(rng.choices(actions, k=length), conj(*(positives + negatives)))
-    out = _random_pin(n, alphabet, rng, depth, last)
-    for _ in range(length):
-        out = Diamond(rng.choice(actions), out)
-        if mid is not None and rng.random() < 0.6:
-            out = conj(_random_pin(n, alphabet, rng, depth, mid), out)
-    return out
-
-
-def _random_hml(alphabet, rng, depth) -> Formula:
-    if depth <= 0 or rng.random() < 0.25:
-        return TOP
-    roll = rng.random()
-    if roll < 0.4:
-        return Diamond(rng.choice(sorted(alphabet)), _random_hml(alphabet, rng, depth - 1))
-    if roll < 0.65:
-        return Neg(_random_hml(alphabet, rng, depth - 1))
-    return conj(
-        _random_hml(alphabet, rng, depth - 1), _random_hml(alphabet, rng, depth - 1)
-    )
-
-
-def _random_tree(n, alphabet, rng, depth, deterministic) -> Formula:
-    """A branching grammar formula: eq leaves and diamonds, on distinct
-    actions when `deterministic`."""
-    leaves = [_random_leaf(n, alphabet, rng, depth, "eq") for _ in range(rng.randint(0, 2))]
-    if depth > 0:
-        actions = sorted(alphabet)
-        if deterministic:
-            picks = rng.sample(actions, rng.randint(0, len(actions)))
-        else:  # drawn one by one, each before its subtree
-            picks = (rng.choice(actions) for _ in range(rng.randint(0, 2)))
-        for a in picks:
-            leaves.append(Diamond(a, _random_tree(n, alphabet, rng, depth - 1, deterministic)))
-    return conj(*leaves)

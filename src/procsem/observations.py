@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from itertools import combinations, groupby, product
+from itertools import groupby, product
 from operator import itemgetter
 
 from .constraints import LocalObs, local_eq, local_geq, local_key, local_obs, solve_game, value_repr
@@ -217,9 +217,11 @@ def _world_game():
         for _, moves in groupby(step(p), itemgetter(0)):
             worlds = 0
             for _, q in moves:
-                if q not in memo:
+                count = memo.get(q)
+                if count is None:
                     yield q
-                worlds += memo[q]
+                    count = memo[q]
+                worlds += count
             total *= worlds
         memo[p] = total
 
@@ -327,10 +329,8 @@ class ClosureSet:
     l⊇, lf and lf⊇ by their names ``=``, ``⊇``, ``f`` and ``f⊇``.  Equality
     matters at S, where an observation value is a term standing for its
     simulation class, so equal observations may have distinct values.
-
-    Membership queries never materialize anything; ``materialize`` works only
-    where the label domain is small (offers over an alphabet of at most three
-    actions, traces of bounded depth).
+    Membership is read off the base observations on the same trace; the
+    closure itself is never built.
     """
 
     def __init__(self, flavor: str, base: frozenset[LinearObs], constraint: str):
@@ -362,32 +362,6 @@ class ClosureSet:
 
     def contains_all(self, items) -> bool:
         return all(obs in self for obs in items)
-
-    def materialize(self, alphabet: frozenset[Action]) -> frozenset[LinearObs]:
-        if self.constraint not in ("U", "C", "I"):
-            raise ValueError(f"cannot materialize closure over constraint {self.constraint}")
-        if self.constraint == "I" and len(alphabet) > 3:
-            raise ValueError("refusing to materialize offers over more than 3 actions")
-        labels = _label_domain(self.constraint, alphabet)
-        out = set()
-        for trace, cands in self._by_trace.items():
-            positions = len(trace) + 1
-            for labelling in product(labels, repeat=positions):
-                head = labelling[0]
-                steps = tuple((a, labelling[i + 1]) for i, a in enumerate(trace))
-                obs = LinearObs(head, steps)
-                if obs in self:
-                    out.add(obs)
-        return frozenset(out)
-
-
-def _label_domain(constraint: str, alphabet: frozenset[Action]) -> list[LocalObs]:
-    if constraint == "U":
-        return [LocalObs("U", None)]
-    if constraint == "C":
-        return [LocalObs("C", False), LocalObs("C", True)]
-    subsets = [frozenset(c) for r in range(len(alphabet) + 1) for c in combinations(sorted(alphabet), r)]
-    return [LocalObs("I", s) for s in subsets]
 
 
 def lgo_leq_via_closure(constraint: str, flavor: str, p: CanonicalTerm, q: CanonicalTerm) -> bool:

@@ -1,17 +1,33 @@
 import random
 from functools import lru_cache
+from itertools import combinations, product
 
 import pytest
 
-from procsem.constraints import LAYERS, constraint_holds, local_obs
+from procsem.axioms import Axiom, X, Y, derive_leq
+from procsem.constraints import LAYERS, LocalObs, constraint_holds, local_obs
+from procsem.logic import _GRAMMARS, TOP, Diamond, Formula, Neg, chain, conj, not_zero
 from procsem.lts import step
-from procsem.observations import BranchingObs
-from procsem.terms import canonicalize, enumerate_terms, parse_term
+from procsem.observations import BranchingObs, ClosureSet, LinearObs
+from procsem.operational import rule, saturate
+from procsem.preorders import holds
+from procsem.spectrum import SemanticsId, linear_rule, parse_semantics
+from procsem.terms import Choice, Prefix, canonicalize, enumerate_terms, parse_term
 
 
 # 294,912 complete deterministic observations, above the world cap 2^16
 MANY_WORLDS = " + ".join(
     f"{x}.({' + '.join(f'b.{y}.0' for y in 'abcdefgh')} + {x}.0)" for x in "abcdef"
+)
+
+
+# a.X + a.Y = a.(X + Y): sound in T, refuted in CT, in no catalog
+T_AXIOM = Axiom(
+    "T",
+    Choice(Prefix("a", X), Prefix("a", Y)),
+    Prefix("a", Choice(X, Y)),
+    "equation",
+    action_vars=("a",),
 )
 
 
@@ -156,3 +172,147 @@ def replay_bisim_refutation(p, q, node):
         for answer, sub in zip(answers, node["responses"]):
             assert answer is not moved
             todo.append((moved, answer, sub))
+
+
+def check_hnf_laws(z: str, pool) -> int:
+    """Assert the two head-normal-form laws of z over `pool`: saturation is
+    z-equivalent, and every related ordered pair derives through the head
+    normal form of its larger side (``derive_leq`` raises on the first
+    summand, at any depth, that the head normal form cannot match).
+    Returns the number of derivations."""
+    sem = parse_semantics(z)
+    _, condition = rule(sem)
+    for p in pool:
+        h = saturate(condition, p)
+        assert holds(sem, h, p) and holds(sem, p, h), (z, p)
+    derived = 0
+    for p, q in product(pool, repeat=2):
+        if holds(sem, p, q):
+            assert derive_leq(z, p, q).goal == (p, q)
+            derived += 1
+    return derived
+
+
+def materialize(flavor: str, base, alphabet) -> frozenset:
+    """The closure of the I observations `base` under the rule of `flavor`,
+    written out over the offers of `alphabet`: every labelling of a trace
+    of `base` that ``ClosureSet(flavor, base, "I")`` contains."""
+    closure = ClosureSet(flavor, base, "I")
+    subsets = [frozenset(part) for r in range(len(alphabet) + 1) for part in combinations(sorted(alphabet), r)]
+    labels = [LocalObs("I", offer) for offer in subsets]
+    out = set()
+    for trace in {obs.trace() for obs in base}:
+        for labelling in product(labels, repeat=len(trace) + 1):
+            obs = LinearObs(labelling[0], tuple(zip(trace, labelling[1:])))
+            if obs in closure:
+                out.add(obs)
+    return frozenset(out)
+
+
+# ---------------------------------------------------------------------------
+# Random grammar sampling (property-test fuel)
+
+
+def sample_formulas(sem: SemanticsId | str, alphabet, rng: random.Random, max_depth: int, count: int):
+    if isinstance(sem, str):
+        sem = parse_semantics(sem)
+    alphabet = frozenset(alphabet)
+    out = []
+    for _ in range(count):
+        out.append(_random_formula(sem, alphabet, rng, max_depth))
+    return out
+
+
+def _random_base(constraint, alphabet, rng, depth) -> Formula:
+    actions = sorted(alphabet)
+    if constraint == "U":
+        return TOP
+    if constraint == "C":
+        return rng.choice([TOP, not_zero(alphabet)])
+    if constraint == "I":
+        return rng.choice([TOP, not_zero(alphabet)] + [Diamond(a, TOP) for a in actions])
+    if constraint == "T":
+        if rng.random() < 0.2:
+            return rng.choice([TOP, not_zero(alphabet)])
+        length = rng.randint(1, max(1, depth))
+        return chain(rng.choices(actions, k=length))
+    if constraint == "S":
+        if depth <= 0 or rng.random() < 0.3:
+            return TOP
+        if rng.random() < 0.6:
+            return Diamond(rng.choice(actions), _random_base("S", alphabet, rng, depth - 1))
+        return conj(
+            _random_base("S", alphabet, rng, depth - 1),
+            _random_base("S", alphabet, rng, depth - 1),
+        )
+    raise ValueError(constraint)
+
+
+def _random_leaf(constraint, alphabet, rng, depth, mode) -> Formula:
+    base = _random_base(constraint, alphabet, rng, depth)
+    if mode == "neg":
+        return Neg(base)
+    if mode == "eq":
+        return Neg(base) if rng.random() < 0.5 else base
+    return base
+
+
+def _random_pin(constraint, alphabet, rng, depth, mode) -> Formula:
+    leaves = [_random_leaf(constraint, alphabet, rng, depth, mode) for _ in range(rng.randint(0, 2))]
+    return conj(*leaves)
+
+
+def _random_formula(sem: SemanticsId, alphabet, rng, depth) -> Formula:
+    flavor, n = sem.flavor, linear_rule(*sem)[0]
+    if flavor == "bisim":
+        return _random_hml(alphabet, rng, depth)
+    if flavor == "join":
+        inner = SemanticsId(n, "l⊇" if rng.random() < 0.5 else "lf")
+        return _random_formula(inner, alphabet, rng, depth)
+    mid, last, continue_by = _GRAMMARS[flavor]
+    if continue_by != "one":
+        return _random_tree(n, alphabet, rng, depth, continue_by == "det")
+    actions = sorted(alphabet)
+    length = rng.randint(0, depth)
+    if last == "rev":
+        positives = []
+        if rng.random() < 0.7:
+            positives.append(_random_base(n, alphabet, rng, depth))
+        negatives = [
+            Neg(_random_base(n, alphabet, rng, depth)) for _ in range(rng.randint(0, 2))
+        ]
+        return chain(rng.choices(actions, k=length), conj(*(positives + negatives)))
+    out = _random_pin(n, alphabet, rng, depth, last)
+    for _ in range(length):
+        out = Diamond(rng.choice(actions), out)
+        if mid is not None and rng.random() < 0.6:
+            out = conj(_random_pin(n, alphabet, rng, depth, mid), out)
+    return out
+
+
+def _random_hml(alphabet, rng, depth) -> Formula:
+    if depth <= 0 or rng.random() < 0.25:
+        return TOP
+    roll = rng.random()
+    if roll < 0.4:
+        return Diamond(rng.choice(sorted(alphabet)), _random_hml(alphabet, rng, depth - 1))
+    if roll < 0.65:
+        return Neg(_random_hml(alphabet, rng, depth - 1))
+    return conj(
+        _random_hml(alphabet, rng, depth - 1), _random_hml(alphabet, rng, depth - 1)
+    )
+
+
+def _random_tree(n, alphabet, rng, depth, deterministic) -> Formula:
+    """A branching grammar formula: eq leaves and diamonds, on distinct
+    actions when `deterministic`."""
+    leaves = [_random_leaf(n, alphabet, rng, depth, "eq") for _ in range(rng.randint(0, 2))]
+    if depth > 0:
+        actions = sorted(alphabet)
+        if deterministic:
+            picks = rng.sample(actions, rng.randint(0, len(actions)))
+        else:  # drawn one by one, each before its subtree
+            picks = (rng.choice(actions) for _ in range(rng.randint(0, 2)))
+        for a in picks:
+            leaves.append(Diamond(a, _random_tree(n, alphabet, rng, depth - 1, deterministic)))
+    return conj(*leaves)

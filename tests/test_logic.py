@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import c
+from conftest import _random_hml, c, sample_formulas
 from procsem.logic import (
     TOP,
     UnrealizablePinError,
@@ -21,7 +21,6 @@ from procsem.logic import (
     not_zero,
     parse_formula,
     render_formula,
-    sample_formulas,
     sat,
     zero_formula,
 )
@@ -291,8 +290,6 @@ def _ref_in_sublogic(f, sem, alphabet):
 
 
 def test_grammar_walker_matches_the_written_out_grammars():
-    from procsem.logic import _random_hml
-
     rng = random.Random(31)
     sems = [s for s in supported_ids() if s.flavor != "bisim" and "logic" in coverage(s)]
     assert len(sems) == 49

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import bgo_count, c, deterministic
+from conftest import bgo_count, c, deterministic, materialize
 from procsem.constraints import LocalObs, local_key, local_obs, simulates
 from procsem.lts import traces
 from procsem.observations import (
@@ -269,10 +269,10 @@ def test_closure_laws_small():
         assert closure.contains_all(base)
         # idempotent + monotone via materialization over a 2-action alphabet
         alphabet = frozenset("ab")
-        mat = closure.materialize(alphabet)
-        again = ClosureSet(delta, mat, "I").materialize(alphabet)
+        mat = materialize(delta, base, alphabet)
+        again = materialize(delta, mat, alphabet)
         assert again == mat
-        smaller = ClosureSet(delta, set(itertools.islice(base, 1)), "I").materialize(alphabet)
+        smaller = materialize(delta, set(itertools.islice(base, 1)), alphabet)
         assert smaller <= mat
     # the extended-ready rules compare offers, so they close no other labels
     with pytest.raises(ValueError, match="ER compares observations of constraint I"):
