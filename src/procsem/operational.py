@@ -90,9 +90,8 @@ def rule(sem: SemanticsId | str) -> tuple[str, str]:
 
 def saturate(condition: str, p: CanonicalTerm, cap: int = DEFAULT_SATURATION_CAP) -> CanonicalTerm:
     """p's summands closed under the merge rule of ``CONDITIONS[condition]``,
-    as one term.  Each (condition, p) closure is computed once, whatever the
-    cap; a later call raises when the kept closure grew past its cap, as
-    computing it again would.
+    as one term, computed once per (condition, p, cap): a call with another
+    cap computes it again, and so raises exactly where that cap stops it.
 
     The rule picks two same-action summands a.x and a.v, splits v into
     y + w, and, when the condition accepts (x, y, w), adds the summand
@@ -101,20 +100,19 @@ def saturate(condition: str, p: CanonicalTerm, cap: int = DEFAULT_SATURATION_CAP
     summands, and together they have exactly this term's transitions.
     Each summand is merged with every earlier one in both roles (merged
     with itself it gives itself back).  The cap counts summands.
+
+    Moving a summand s of v that x also has from w into y leaves a.(x+y)
+    as it is and keeps every condition true, as I(s) ⊆ I(x) and traces(s)
+    ⊆ traces(x): y's value grows only within x's, and w's shrinks.  So the
+    splits that put all of v ∩ x into y, one per split of v minus x, add
+    every summand that the others add.
     """
-    known = _closures(condition)
-    closure = known.get(p)
-    if closure is None:
-        closure = known[p] = _saturate(condition, p, cap)
-    elif len(closure.summands) > max(cap, len(p.summands)):
-        raise SaturationCapError(p, cap)
-    return closure
+    return _closure(condition, p, cap)
 
 
 @lru_cache(maxsize=None)
-def _closures(condition: str) -> dict[CanonicalTerm, CanonicalTerm]:
-    """The saturations computed under one condition, by term."""
-    return {}
+def _closure(condition: str, p: CanonicalTerm, cap: int) -> CanonicalTerm:
+    return _saturate(condition, p, cap)
 
 
 def _saturate(condition: str, p: CanonicalTerm, cap: int) -> CanonicalTerm:

@@ -46,7 +46,7 @@ for linear flavors, the least unmatched complete deterministic observation
 for ``db``.  Every witness is built when it is first read, so deciding alone
 pays for no witness and enumerates no world: the world cap guards only the
 ``db`` witness, and only the witness builders load ``observations``.
-``holds`` is the boolean of ``decide(sem, p, q)``, with no verdict;
+``holds`` is the boolean of ``decide(sem, p, q)``, read through it;
 ``decide_nsim`` takes q's transition relation, for the operational engine
 and ``logic``.
 ``engine(name)`` names the decider of each of the three engines, and
@@ -719,16 +719,9 @@ def decide(sem: SemanticsId, p: CanonicalTerm, q: CanonicalTerm) -> Verdict:
 
 
 def holds(sem: SemanticsId, p: CanonicalTerm, q: CanonicalTerm) -> bool:
-    """``decide(sem, p, q).holds``, with no verdict built."""
-    key = (p, (q,))
-    node, memo = _lin_game("C")
-    gate = memo.get(key)
-    if gate is None:
-        gate = solve_game(node, key, memo)
-    if gate & _TRACE:
-        read, mask = _cell(sem)
-        return read(key) & mask != 0
-    return False
+    """``decide(sem, p, q).holds``: one read path per cell.  A refuted pair
+    pays for its verdict, never for its witness."""
+    return decide(sem, p, q).holds
 
 
 def engine(name: str):

@@ -16,7 +16,8 @@ from procsem.operational import (
     saturate,
     step_Z,
 )
-from procsem.preorders import decide
+from procsem.observations import decide_via_observations
+from procsem.preorders import decide, holds
 from procsem.spectrum import REDUCTIONS, UncoveredSemanticsError, parse_semantics, supported_ids
 from procsem.terms import NIL, CanonicalTerm, prefix, sum_terms
 
@@ -29,6 +30,18 @@ COVERED = (
 )
 SEMS = tuple(parse_semantics(name) for name in COVERED)
 RULE_CONDITIONS = sorted({rule(sem)[1] for sem in SEMS})
+
+# Pairs that the direct and observational engines relate and the operational
+# engine refutes, with the ids where it does (ROADMAP item 20).  The last pair
+# needs p itself among the summands of q's saturation: it is sound to add to
+# q, but no merge a.(x+y) of q's summands builds it.
+INCOMPLETE = (
+    ("c.(a.c.0 + b.c.0)", "c.(a.0 + b.c.0) + c.(a.c.0 + b.0 + c.0)", ("ERT", "ECRT", "I:l⊆")),
+    ("c.(c.b.0 + c.c.0)", "c.(a.0 + c.c.0) + c.c.b.0", ("ERT", "ECRT", "I:l⊆")),
+    ("b.(a.0 + a.b.0)", "b.a.0 + b.(a.b.0 + b.0)", ("ECRT",)),
+    ("c.(c.b.0 + c.c.0)", "c.(a.0 + c.c.0) + c.(b.0 + c.b.0)", ("ERT", "ECRT", "I:l⊆")),
+)
+INCOMPLETE_CASES = [(p, q, name) for p, q, names in INCOMPLETE for name in names]
 
 # six same-action summands: many rewrites of a state yield the same merged summand
 WIDE = " + ".join(f"a.{t}" for t in ("b.0", "c.0", "d.0", "e.0", "(b.0+c.0)", "(d.0+e.0)"))
@@ -213,6 +226,62 @@ def test_operational_agrees_with_direct_small(pool1):
     for sem in SEMS:
         for p, q in itertools.product(pool1, repeat=2):
             assert decide_via_operational(sem, p, q).holds == decide(sem, p, q).holds, (sem, p, q)
+
+
+def test_the_incomplete_pairs_are_related():
+    for p, q, name in INCOMPLETE_CASES:
+        sem = parse_semantics(name)
+        assert holds(sem, c(p), c(q)) and decide_via_observations(sem, c(p), c(q)).holds, (p, q, name)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ERT, ECRT and I:l⊆ miss merges (ROADMAP item 20)")
+@pytest.mark.parametrize("p, q, name", INCOMPLETE_CASES)
+def test_operational_relates_the_incomplete_pairs(p, q, name):
+    sem = parse_semantics(name)
+    assert decide_via_operational(sem, c(p), c(q)).holds == holds(sem, c(p), c(q))
+
+
+def test_no_merge_builds_the_summand_the_last_pair_needs():
+    """p = c.(c.b.0 + c.c.0) is sound to add to q, but every merge c.(x+y)
+    of q's c-summands that holds p's two summands keeps a.0 or b.0 of x, and
+    is unsound: so no sound reduction condition relates p below q."""
+    p_text, q_text, names = INCOMPLETE[-1]
+    p, q = c(p_text), c(q_text)
+    ((_, body),) = p.summands
+    merges = {
+        sum_terms(x, y)
+        for (_, x), (_, v) in itertools.permutations(q.summands, 2)
+        for y, _ in _oracle_splits(v)
+    }
+    covering = [m for m in merges if set(body.summands) <= set(m.summands)]
+    assert {c("a.0 + c.c.0 + c.b.0"), c("b.0 + c.b.0 + c.c.0")} <= set(covering)
+    for name in names:
+        sem = parse_semantics(name)
+        assert holds(sem, sum_terms(q, p), q)
+        for merged in covering:
+            assert not holds(sem, sum_terms(q, prefix("c", merged)), q), (name, merged)
+
+
+def test_moving_a_shared_summand_into_y_keeps_every_condition(pool2):
+    """The split argument of ``saturate``: when a condition accepts (x, y, w),
+    moving a summand s of w that x also has into y leaves x + y as it is,
+    and the condition still accepts, as I(s) ⊆ I(x) and traces(s) ⊆
+    traces(x)."""
+    terms = random.Random(47).sample([t for t in pool2 if len(t.summands) <= 3], 90)
+    checked = 0
+    for name, cond in CONDITIONS.items():
+        for x, v in itertools.product(terms, repeat=2):
+            for y, w in _oracle_splits(v):
+                shared = set(w.summands).intersection(x.summands)
+                if not shared or not cond(x, y, w):
+                    continue
+                for s in shared:
+                    moved_y = sum_terms(y, prefix(*s))
+                    moved_w = CanonicalTerm(tuple(t for t in w.summands if t != s))
+                    assert sum_terms(x, moved_y) == sum_terms(x, y)
+                    assert cond(x, moved_y, moved_w), (name, x, y, w, s)
+                    checked += 1
+    assert checked > 100_000, checked
 
 
 def test_operational_witness_replays(pool2):
