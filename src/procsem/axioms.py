@@ -20,7 +20,7 @@ from .constraints import constraint_holds
 from .lts import initials, step
 from .operational import CONDITIONS, saturate
 from .spectrum import REDUCTIONS, SemanticsId, UncoveredSemanticsError, classic_name, parse_semantics
-from .terms import NIL, CanonicalTerm, Choice, Nil, Prefix, Term, Var, prefix, render_term, sum_terms
+from .terms import NIL, CanonicalTerm, Choice, Nil, Prefix, Term, Var, choices, prefix, render_term, sum_terms
 
 __all__ = [
     "Axiom",
@@ -33,13 +33,6 @@ __all__ = [
 ]
 
 X, Y, Z = Var("X"), Var("Y"), Var("Z")
-
-
-def _plus(*parts: Term) -> Term:
-    out = parts[0]
-    for p in parts[1:]:
-        out = Choice(out, p)
-    return out
 
 
 class Axiom(NamedTuple):
@@ -146,7 +139,7 @@ def nd_axiom(condition: str, equational: bool) -> Axiom:
 
 PW_AXIOM = Axiom(
     "PW",
-    Prefix("a", _plus(Prefix("b", X), Prefix("b", Y), Z)),
+    Prefix("a", choices((Prefix("b", X), Prefix("b", Y), Z))),
     Choice(Prefix("a", Choice(Prefix("b", X), Z)), Prefix("a", Choice(Prefix("b", Y), Z))),
     "equation",
     action_vars=("a", "b"),

@@ -14,20 +14,25 @@ Grammar anatomy: each constraint N has a small base logic (what a single
 state shows), and the flavors assemble chains or trees whose per-state
 conjuncts come from the base logic's symmetric closure (exact pins), negative
 closure (upper bounds) or positive closure (lower bounds).
+
+Formulas are parsed and printed in the loops ``terms`` shares with terms,
+and ``sat`` is a position on the game driver ``constraints.solve_game``, so
+``check-formula`` answers formulas of any depth; the grammar walker and
+``formula_actions`` still recurse once per operator.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import lru_cache
+from functools import lru_cache, partial
 
-from .constraints import constraint_holds, local_obs, simulates
+from .constraints import constraint_holds, local_obs, simulates, solve_game
 from .lts import initials, reachable, step
 from .observations import BranchingObs, LinearObs
 from .preorders import decide, decide_nsim
 from .spectrum import LINEAR_RULES, RELATION_PARTS, SemanticsId, UncoveredSemanticsError, parse_semantics
 from .spectrum import linear_rule
-from .terms import ACTION_RE, CanonicalTerm
+from .terms import ACTION_RE, SPACE_RE, CanonicalTerm, parse_sums, render_pieces
 
 __all__ = [
     "Formula",
@@ -171,78 +176,43 @@ class FormulaParseError(ValueError):
         super().__init__(f"{message} at offset {offset}")
 
 
+def _modal(text: str, pos: int):
+    if text[pos] == "~":
+        return Neg, pos + 1
+    if text[pos] == "<":
+        if not (m := ACTION_RE.match(text, pos + 1)):
+            raise FormulaParseError("expected action name", pos + 1)
+        pos = SPACE_RE.match(text, m.end()).end()
+        if not text.startswith(">", pos):
+            raise FormulaParseError("expected '>'", pos)
+        return partial(Diamond, m.group()), pos + 1
+
+
 def parse_formula(text: str) -> Formula:
-    pos = [0]
+    """Parse a formula in the loops of ``terms.parse_sums``: chains of ``~``
+    and ``<a>`` over ``T`` or a group, with ``&`` folded into ``Conj``."""
+    return parse_sums(
+        text, "&", _modal, atom=lambda text, pos: (TOP, pos + 1) if text[pos] == "T" else None,
+        join=Conj, end="unexpected end of formula",
+        fail=lambda message, offset, expected: FormulaParseError(message, offset),  # no expected set
+    )
 
-    def skip():
-        while pos[0] < len(text) and text[pos[0]].isspace():
-            pos[0] += 1
 
-    def parse_conj() -> Formula:
-        items = [parse_unary()]
-        while True:
-            skip()
-            if pos[0] < len(text) and text[pos[0]] == "&":
-                pos[0] += 1
-                items.append(parse_unary())
-            else:
-                return Conj(items)
-
-    def parse_unary() -> Formula:
-        skip()
-        if pos[0] >= len(text):
-            raise FormulaParseError("unexpected end of formula", pos[0])
-        ch = text[pos[0]]
-        if ch == "T":
-            pos[0] += 1
-            return TOP
-        if ch == "~":
-            pos[0] += 1
-            return Neg(parse_unary())
-        if ch == "<":
-            pos[0] += 1
-            m = ACTION_RE.match(text, pos[0])
-            if not m:
-                raise FormulaParseError("expected action name", pos[0])
-            pos[0] = m.end()
-            skip()
-            if pos[0] >= len(text) or text[pos[0]] != ">":
-                raise FormulaParseError("expected '>'", pos[0])
-            pos[0] += 1
-            return Diamond(m.group(), parse_unary())
-        if ch == "(":
-            pos[0] += 1
-            inner = parse_conj()
-            skip()
-            if pos[0] >= len(text) or text[pos[0]] != ")":
-                raise FormulaParseError("unbalanced parenthesis", pos[0])
-            pos[0] += 1
-            return inner
-        raise FormulaParseError(f"unexpected {ch!r}", pos[0])
-
-    out = parse_conj()
-    skip()
-    if pos[0] < len(text):
-        raise FormulaParseError(f"unexpected {text[pos[0]]!r}", pos[0])
-    return out
+def _formula_pieces(f: Formula):
+    if f is TOP:
+        return ("T",)
+    if isinstance(f, Conj):  # the members, joined by " & "
+        out = [" & "] * (2 * len(f.members) - 1)
+        out[::2] = f.members
+        return out
+    if not isinstance(f, (Neg, Diamond)):
+        raise TypeError(f"not a formula: {f!r}")
+    head = "~" if isinstance(f, Neg) else f"<{f.action}>"
+    return (head + "(", f.body, ")") if isinstance(f.body, Conj) else (head, f.body)
 
 
 def render_formula(f: Formula) -> str:
-    if f is TOP:
-        return "T"
-    if isinstance(f, Neg):
-        body = render_formula(f.body)
-        if isinstance(f.body, Conj):
-            return f"~({body})"
-        return f"~{body}"
-    if isinstance(f, Diamond):
-        body = render_formula(f.body)
-        if isinstance(f.body, Conj):
-            return f"<{f.action}>({body})"
-        return f"<{f.action}>{body}"
-    if isinstance(f, Conj):
-        return " & ".join(render_formula(m) for m in f.members)
-    raise TypeError(f"not a formula: {f!r}")
+    return render_pieces(f, _formula_pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -250,16 +220,48 @@ def render_formula(f: Formula) -> str:
 
 
 @lru_cache(maxsize=None)
+def _sat_game():
+    memo = {}
+
+    def node(key):
+        # a diamond holds at its first answering move, a conjunction fails at
+        # its first false member, and a negation is its body's value negated
+        # (one loop over sub-positions and a stop value for all kinds was slower)
+        p, f = key
+        value = True
+        if isinstance(f, Diamond):
+            value = False
+            for a, q in step(p):
+                if a == f.action:
+                    if (held := memo.get((q, f.body))) is None:
+                        yield q, f.body
+                        held = memo[q, f.body]
+                    if held:
+                        value = True
+                        break
+        elif isinstance(f, (Conj, Neg)):
+            for m in f.members if isinstance(f, Conj) else (f.body,):
+                if (held := memo.get((p, m))) is None:
+                    yield p, m
+                    held = memo[p, m]
+                if not held:
+                    value = False
+                    break
+            if isinstance(f, Neg):
+                value = not value
+        elif f is not TOP:
+            raise TypeError(f"not a formula: {f!r}")
+        memo[key] = value
+
+    return node, memo
+
+
 def sat(p: CanonicalTerm, f: Formula) -> bool:
-    if f is TOP:
-        return True
-    if isinstance(f, Conj):
-        return all(sat(p, m) for m in f.members)
-    if isinstance(f, Neg):
-        return not sat(p, f.body)
-    if isinstance(f, Diamond):
-        return any(a == f.action and sat(q, f.body) for a, q in step(p))
-    raise TypeError(f"not a formula: {f!r}")
+    """Does p satisfy f?  The position (p, f) on the game driver
+    ``solve_game``, so formulas of any depth answer; its memo is held by the
+    ``lru_cache`` of ``_sat_game``, which ``clear_caches()`` empties."""
+    node, memo = _sat_game()
+    return solve_game(node, (p, f), memo)
 
 
 # ---------------------------------------------------------------------------

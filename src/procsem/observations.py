@@ -19,7 +19,7 @@ from operator import itemgetter
 from .constraints import LocalObs, local_eq, local_geq, local_key, local_obs, solve_game, value_repr
 from .lts import step, successors
 from .spectrum import LINEAR_RULES, SemanticsId, UncoveredSemanticsError, linear_rule
-from .terms import Action, CanonicalTerm, Frozen, prefix, sum_terms
+from .terms import Action, CanonicalTerm, Frozen, prefix, render_pieces, sum_terms
 
 __all__ = [
     "LinearObs",
@@ -128,19 +128,15 @@ class BranchingObs:
         return self.label.constraint
 
     def __repr__(self) -> str:
-        """``<label,{(a,child),...}>``, rendered on a stack of pieces of text
-        and observations still to render, as observations may be deep."""
-        out, todo = [], [self]
-        while todo:
-            o = todo.pop()
-            if isinstance(o, str):
-                out.append(o)
-            else:
-                pieces = [f"<{value_repr(o.constraint, o.label.value)},{{"]
-                for k, (a, c) in enumerate(o.arcs):
-                    pieces += (f"{',' if k else ''}({a},", c, ")")
-                todo += reversed(pieces + ["}>"])
-        return "".join(out)
+        """``<label,{(a,child),...}>``, printed by ``terms.render_pieces``,
+        as observations may be deep."""
+        return render_pieces(self, BranchingObs._pieces)
+
+    def _pieces(self) -> list:
+        out = [f"<{value_repr(self.constraint, self.label.value)},{{"]
+        for k, (a, c) in enumerate(self.arcs):
+            out += (f"{',' if k else ''}({a},", c, ")")
+        return out + ["}>"]
 
 
 @lru_cache(maxsize=None)

@@ -795,7 +795,7 @@ def spectrum_matrix(p: CanonicalTerm, q: CanonicalTerm) -> dict[SemanticsId, str
         read = _reader(*source)
         values[source] = down and read(keys[0]), up and read(keys[1])
     for source, (holders, refuters) in _BRACKETS.items():  # a refuter in a layer's mask game, 0 where the gate fails
-        read, value = _reader(*source), []
+        value = []
         for i, key in enumerate(keys):  # loops, not generators: most brackets settle their cells
             for s, m in refuters:
                 if not values[s][i] & m:
@@ -807,7 +807,7 @@ def spectrum_matrix(p: CanonicalTerm, q: CanonicalTerm) -> dict[SemanticsId, str
                         value.append(True)
                         break
                 else:
-                    value.append(read(key))
+                    value.append(_reader(*source)(key))
         values[source] = value
     out: dict[SemanticsId, str] = {}
     for sem, (source, mask) in _SOURCES.items():

@@ -14,12 +14,19 @@ Two representations coexist:
   equality is identity and they can be used freely as dict keys.  Two closed
   terms get the same canonical form exactly when the four choice axioms
   (commutativity, associativity, idempotence, nil unit) prove them equal.
+
+Terms and modal formulas share one parser and one printer, both in loops, so
+inputs and outputs of any depth take no recursion: ``parse_sums`` reads the
+shape sum := operand (op operand)*, operand := unary* (atom | "(" sum ")"),
+over a grammar's hooks, and ``render_pieces`` prints a node from the pieces
+(strings, and nodes still to print) that a function gives for it.
 """
 
 from __future__ import annotations
 
 import re
 from collections import namedtuple
+from functools import partial, reduce
 from itertools import combinations
 from math import comb
 from typing import Iterator
@@ -50,6 +57,7 @@ __all__ = [
 
 ACTION_RE = re.compile(r"[a-z][A-Za-z0-9_]*")
 VAR_RE = re.compile(r"[X-Z][A-Za-z0-9_]*")
+SPACE_RE = re.compile(r"\s*")  # white space as str.isspace has it
 
 Action = str
 
@@ -98,6 +106,10 @@ class Var(Term, namedtuple("Var", "name")):
 
     def __repr__(self) -> str:
         return f"Var({self.name!r})"
+
+
+# the sum of raw terms, nested to the left as the parser nests it
+choices = partial(reduce, Choice)
 
 
 class ParseError(ValueError):
@@ -185,125 +197,120 @@ def sum_terms(*parts: CanonicalTerm) -> CanonicalTerm:
     return CanonicalTerm(tuple(sorted(pool)))
 
 
-class _Parser:
-    """Parser for the external grammar, in loops: groups wait on a stack.
+def parse_sums(text: str, op: str, unary, atom, join, fail, end: str, starts: tuple = ()):
+    """Read `text` as one sum, in loops, by the shape terms and formulas share:
+    sum := operand (`op` operand)* ; operand := unary* (atom | "(" sum ")"),
+    where `op` is one character.
+
+    Past white space, ``unary(text, pos)`` reads one operator as (wrap, the
+    position after it), where ``wrap(body)`` builds the operand around its
+    body, and ``atom(text, pos)`` reads an atom as (node, the position after
+    it); either gives None where `pos` starts no such token.  An operand is
+    its atom wrapped by its operators from the inside out, and a sum is
+    ``join`` of its operands.  An open group waits on a stack with its sum's
+    operands so far and the operators before it, so nesting takes no
+    recursion.  A syntax error is raised as ``fail(message, offset,
+    expected)``: `end` is the message at an early end of input, and
+    `starts` names what may start an operand.
+    """
+    pos, groups, operands, wraps = 0, [], [], []
+    while True:
+        pos = SPACE_RE.match(text, pos).end()
+        if pos == len(text):
+            raise fail(end, pos, starts)
+        if read := unary(text, pos):
+            wraps.append(read[0])
+            pos = read[1]
+        elif text[pos] == "(":
+            groups.append((operands, wraps))
+            pos, operands, wraps = pos + 1, [], []
+        elif read := atom(text, pos):
+            node, pos = read
+            while True:  # close the operand, then each group it ends
+                for wrap in reversed(wraps):
+                    node = wrap(node)
+                operands.append(node)
+                pos = SPACE_RE.match(text, pos).end()
+                if text.startswith(op, pos):
+                    pos, wraps = pos + 1, []
+                    break
+                node = join(operands)
+                if not groups:
+                    if pos < len(text):
+                        raise fail(f"unexpected {text[pos]!r}", pos, (f"'{op}'", "end of input"))
+                    return node
+                if not text.startswith(")", pos):
+                    raise fail("unbalanced parenthesis", pos, ("')'",))
+                pos += 1
+                operands, wraps = groups.pop()
+        else:
+            raise fail(f"unexpected {text[pos]!r}", pos, starts)
+
+
+def _prefix(text: str, pos: int):
+    if m := ACTION_RE.match(text, pos):
+        pos = SPACE_RE.match(text, m.end()).end()
+        if not text.startswith(".", pos):
+            raise ParseError("prefix needs '.'", pos, ("'.'",))
+        return partial(Prefix, m.group()), pos + 1
+
+
+def _nil_or_var(text: str, pos: int):
+    if text[pos] == "0":
+        return Nil(), pos + 1
+    if m := VAR_RE.match(text, pos):
+        return Var(m.group()), m.end()
+
+
+def parse_term(text: str) -> Term:
+    """Parse a term; raises ParseError with offset on bad input.
 
     term := sum ; sum := prefix ("+" prefix)* ;
     prefix := "0" | action "." prefix | "(" sum ")" | var
     """
-
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def parse(self) -> Term:
-        self.skip_ws()
-        if self.pos >= len(self.text):
-            raise ParseError("empty input", 0, ("term",))
-        term = self.parse_sum()
-        self.skip_ws()
-        if self.pos < len(self.text):
-            raise ParseError(
-                f"unexpected {self.text[self.pos]!r}", self.pos, ("'+'", "end of input")
-            )
-        return term
-
-    def parse_sum(self) -> Term:
-        # an open group waits on a stack with the sum to its left and the
-        # prefixes before it, so that nesting takes no recursion
-        groups, left = [], None
-        while True:
-            actions = self.parse_actions()
-            if self.text[self.pos] == "(":
-                self.pos += 1
-                groups.append((left, actions))
-                left = None
-                continue
-            term = self.parse_atom()
-            while True:
-                for action in reversed(actions):
-                    term = Prefix(action, term)
-                left = term if left is None else Choice(left, term)
-                self.skip_ws()
-                if self.pos < len(self.text) and self.text[self.pos] == "+":
-                    self.pos += 1
-                    break
-                if not groups:
-                    return left
-                if self.pos >= len(self.text) or self.text[self.pos] != ")":
-                    raise ParseError("unbalanced parenthesis", self.pos, ("')'",))
-                self.pos += 1
-                term, (left, actions) = left, groups.pop()
-
-    def parse_actions(self) -> list[Action]:
-        """The chain of prefixes before an atom, read in a loop."""
-        actions = []
-        while True:
-            self.skip_ws()
-            if self.pos >= len(self.text):
-                raise ParseError("unexpected end of input", self.pos, ("'0'", "action", "'('", "variable"))
-            m = ACTION_RE.match(self.text, self.pos)
-            if not m:
-                return actions
-            self.pos = m.end()
-            self.skip_ws()
-            if self.pos >= len(self.text) or self.text[self.pos] != ".":
-                raise ParseError("prefix needs '.'", self.pos, ("'.'",))
-            self.pos += 1
-            actions.append(m.group())
-
-    def parse_atom(self) -> Term:
-        ch = self.text[self.pos]
-        if ch == "0":
-            self.pos += 1
-            return Nil()
-        if m := VAR_RE.match(self.text, self.pos):
-            self.pos = m.end()
-            return Var(m.group())
-        raise ParseError(f"unexpected {ch!r}", self.pos, ("'0'", "action", "'('", "variable"))
+    if not text.strip():
+        raise ParseError("empty input", 0, ("term",))
+    return parse_sums(
+        text, "+", _prefix, atom=_nil_or_var, join=choices, fail=ParseError, end="unexpected end of input",
+        starts=("'0'", "action", "'('", "variable"),
+    )
 
 
-def parse_term(text: str) -> Term:
-    """Parse a term; raises ParseError with offset on bad input."""
-    return _Parser(text).parse()
+def render_pieces(root, pieces) -> str:
+    """The text of `root`, printed on a stack: ``pieces(node)`` gives a
+    node's text as a sequence of strings and of nodes still to print, so
+    deep nodes take no recursion."""
+    out, todo = [], [root]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, str):
+            out.append(node)
+        else:
+            todo += reversed(pieces(node))
+    return "".join(out)
 
 
-def _render_raw(term: Term) -> str:
-    if isinstance(term, Nil):
-        return "0"
-    if isinstance(term, Var):
-        return term.name
-    if isinstance(term, Prefix):
-        body = term.body
-        if isinstance(body, Choice):
-            return f"{term.action}.({_render_raw(body)})"
-        return f"{term.action}.{_render_raw(body)}"
-    if isinstance(term, Choice):
-        return f"{_render_raw(term.left)} + {_render_raw(term.right)}"
-    raise TypeError(f"not a term: {term!r}")
+def _term_pieces(t: Term | CanonicalTerm):
+    if isinstance(t, CanonicalTerm):
+        out = [] if t.summands else ["0"]
+        for k, (action, body) in enumerate(t.summands):
+            head = f"{' + ' if k else ''}{action}."
+            out += (head + "(", body, ")") if len(body.summands) > 1 else (head, body)
+        return out
+    if isinstance(t, Prefix):
+        return (f"{t.action}.(", t.body, ")") if isinstance(t.body, Choice) else (f"{t.action}.", t.body)
+    if isinstance(t, Choice):
+        return t.left, " + ", t.right
+    if isinstance(t, Nil):
+        return ("0",)
+    if isinstance(t, Var):
+        return (t.name,)
+    raise TypeError(f"not a term: {t!r}")
 
 
 def render_term(term: Term | CanonicalTerm) -> str:
     """Deterministic concrete syntax; reparsing preserves the canonical form."""
-    if not isinstance(term, CanonicalTerm):
-        return _render_raw(term)
-    # a stack of pieces of text and terms still to render, as terms may be deep
-    out, todo = [], [term]
-    while todo:
-        t = todo.pop()
-        if isinstance(t, str):
-            out.append(t)
-        elif t.is_nil:
-            out.append("0")
-        else:
-            for k, (action, body) in reversed(list(enumerate(t.summands))):
-                head = f"{' + ' if k else ''}{action}."
-                todo += (")", body, head + "(") if len(body.summands) > 1 else (body, head)
-    return "".join(out)
+    return render_pieces(term, _term_pieces)
 
 
 def free_variables(term: Term) -> frozenset[str]:

@@ -289,8 +289,10 @@ def test_extreme_inputs(capsys):
     level in ``lts.traces``, so a ``spectrum`` of trace-related chains does
     too; a refuted ``db`` cell builds its witness by the recursive
     ``enum_complete_dbgo``, ``distinguish`` recurses over the refutation
-    tree or in ``lts.traces``, and formulas 2,000 deep in ``~``, ``<a>`` and
-    ``(`` recurse in the formula parser and in ``sat``."""
+    tree or in ``lts.traces``, and ``in-logic`` recurses in
+    ``formula_actions`` and the grammar walker.  Formulas are parsed and
+    printed in loops and satisfied on the game driver, so ``check-formula``
+    answers formulas 2,000 deep in ``~``, ``<a>`` and ``(``."""
     chain = "a." * 2000 + "0"
     p, q = "a." * 2000 + "b.0", "a." * 2000 + "c.0"
     parentheses = "(" * 2000 + "a.0" + ")" * 2000
@@ -307,6 +309,9 @@ def test_extreme_inputs(capsys):
         (0, "spectrum", parentheses, "a.0"),
         (1, "compare", "--semantics", "T", wide, "a.0"),
         (1, "compare", "--semantics", "B", wide, "a.0"),
+        (0, "check-formula", "a.0", "~" * 2000 + "T"),
+        (1, "check-formula", "a.0", "<a>" * 2000 + "T"),
+        (0, "check-formula", "a.0", "(" * 2000 + "T" + ")" * 2000),
     ]
     for expected, *argv in rows:
         code, _, err = run(capsys, *argv)

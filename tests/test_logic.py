@@ -70,6 +70,51 @@ def test_formula_parse_render_roundtrip_examples():
         assert parse_formula(render_formula(f)) is f
 
 
+# Tokens of the seeded formula strings: the grammar's own, plus tokens that
+# start nothing and an empty one.
+FORMULA_TOKENS = ("T", "~", "<a>", "<bc>", "<", ">", "&", "(", ")", " ", "\t", "?", "a", "0", "")
+FORMULA_PARSER_PIN = (13240, "c0566924efb160b92d9abbd7215346b60a70726fdfcb1da810d7782afe3a5157")
+
+
+def _seeded_formula_tokens(rng, depth):
+    """The tokens of a random formula; one node in 25 is a random token instead."""
+    roll = rng.random()
+    if roll < 0.04:
+        return [rng.choice(FORMULA_TOKENS)]
+    if depth == 0 or roll < 0.3:
+        return [rng.choice(("T", " T"))]
+    if roll < 0.45:
+        return [rng.choice(("~", "~ "))] + _seeded_formula_tokens(rng, depth - 1)
+    if roll < 0.65:
+        diamond = rng.choice((["<a>"], ["<bc>"], ["<", "a", ">"], ["<", "bc", " ", ">"]))
+        return diamond + _seeded_formula_tokens(rng, depth - 1)
+    if roll < 0.85:
+        left = _seeded_formula_tokens(rng, depth - 1)
+        return left + [rng.choice(("&", " & "))] + _seeded_formula_tokens(rng, depth - 1)
+    return ["("] + _seeded_formula_tokens(rng, depth - 1) + [")"]
+
+
+def test_formula_parser_output_is_pinned():
+    """20,000 seeded strings, a quarter of them with one token dropped: the
+    rendered parse, or the error's message and offset, of each."""
+    import hashlib
+
+    from procsem.logic import FormulaParseError
+
+    rng = random.Random(48)
+    rows, parsed = [], 0
+    for _ in range(20_000):
+        tokens = _seeded_formula_tokens(rng, 5)
+        if rng.random() < 0.25:
+            del tokens[rng.randrange(len(tokens))]
+        try:
+            rows.append(render_formula(parse_formula("".join(tokens))))
+            parsed += 1
+        except FormulaParseError as err:
+            rows.append(f"{err}|{err.offset}")
+    assert (parsed, hashlib.sha256("\n".join(rows).encode()).hexdigest()) == FORMULA_PARSER_PIN
+
+
 @st.composite
 def formulas(draw, depth=3):
     if depth == 0:
@@ -88,6 +133,20 @@ def formulas(draw, depth=3):
 @given(formulas())
 def test_formula_roundtrip_property(f):
     assert parse_formula(render_formula(f)) is f
+
+
+def test_deep_formulas_parse_print_and_satisfy_in_loops():
+    """Formulas 5,000 deep in ``~``, ``<a>`` and ``(`` round-trip, and
+    ``sat`` answers them: no level takes a frame of the interpreter."""
+    negations, diamonds, groups = TOP, TOP, TOP
+    for _ in range(5000):
+        negations, diamonds = Neg(negations), Diamond("a", diamonds)
+        groups = Diamond("a", conj(groups, Diamond("b", TOP)))
+    for f in (negations, diamonds, groups):
+        assert parse_formula(render_formula(f)) is f
+    assert render_formula(groups).count("(") == 4999
+    assert parse_formula("(" * 5000 + "T" + ")" * 5000) is TOP
+    assert sat(c("0"), negations) and not sat(c("a.0"), diamonds) and not sat(c("a.0"), groups)
 
 
 def test_conj_normalization():

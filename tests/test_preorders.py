@@ -856,6 +856,19 @@ def test_spectrum_matrix_stays_lazy(monkeypatch, pool2, random3):
     assert preorders._lin_game.cache_info().currsize == 4
 
 
+def test_spectrum_matrix_builds_only_the_games_it_reads(pool2):
+    """A bracket's game is built where a cell reads it, not for every
+    matrix: a term against itself is equivalent in every cell, which the
+    brackets settle before the cover game is asked."""
+    import procsem
+    from procsem import preorders
+
+    procsem.clear_caches()
+    for p in pool2[::8]:
+        assert set(spectrum_matrix(p, p).values()) == {"≡"}
+    assert preorders._cover_game.cache_info().currsize == 0
+
+
 def test_one_game_per_layer_and_only_the_layers_read(pool2, random3):
     """Families outside the linear rows read only C's game, the gate, on
     pairs that pass it; a linear id builds C's and its own layer's game;

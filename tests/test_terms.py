@@ -120,6 +120,12 @@ def test_parser_output_is_pinned():
     assert (parsed, hashlib.sha256("\n".join(rows).encode()).hexdigest()) == PARSER_PIN
 
 
+def test_deep_raw_terms_parse_and_print_in_loops():
+    # 5,000 prefixes deep with a sum at each level: "a.(a.(...0 + b.0) + b.0)"
+    text = "a.(" * 5000 + "0" + " + b.0)" * 5000
+    assert render_term(parse_term(text)) == text
+
+
 def test_render_examples():
     assert render_term(Nil()) == "0"
     assert render_term(Prefix("a", Nil())) == "a.0"
