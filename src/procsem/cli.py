@@ -229,8 +229,7 @@ def _cmd_in_logic(args) -> int:
 
     sem = parse_semantics(args.semantics)
     f = _formula(args.formula)
-    alphabet = args.alphabet or logic_mod.formula_actions(f)
-    member = logic_mod.in_sublogic(f, sem, alphabet)
+    member = logic_mod.in_sublogic(f, sem, args.alphabet)
     _emit(args, {"formula": logic_mod.render_formula(f), "semantics": str(sem), "member": member})
     return EXIT_OK if member else EXIT_FAILS
 

@@ -15,16 +15,17 @@ state shows), and the flavors assemble chains or trees whose per-state
 conjuncts come from the base logic's symmetric closure (exact pins), negative
 closure (upper bounds) or positive closure (lower bounds).
 
-Formulas are parsed and printed in the loops ``terms`` shares with terms,
-and ``sat`` is a position on the game driver ``constraints.solve_game``, so
-``check-formula`` answers formulas of any depth; the grammar walker and
-``formula_actions`` still recurse once per operator.
+Nothing here recurses once per operator: formulas are parsed and printed
+in the loops ``terms`` shares with terms, ``sat`` and the formulas of
+branching observations are positions on the game driver
+``constraints.solve_game``, and the subformula walk, the grammar walk, the
+conjunct variants and the refutation formulas run on stacks.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 
 from .constraints import constraint_holds, local_obs, simulates, solve_game
 from .lts import initials, reachable, step
@@ -153,17 +154,20 @@ def not_zero(alphabet) -> Formula:
     return Neg(zero_formula(alphabet))
 
 
+def _subformulas(f: Formula):
+    """Each subformula of f, f too, once, however often it is shared."""
+    seen, todo = {f}, [f]
+    while todo:
+        g = todo.pop()
+        yield g
+        for h in g.members if isinstance(g, Conj) else (g.body,) if isinstance(g, (Neg, Diamond)) else ():
+            if h not in seen:
+                seen.add(h)
+                todo.append(h)
+
+
 def formula_actions(f: Formula) -> frozenset[str]:
-    if isinstance(f, Diamond):
-        return formula_actions(f.body) | {f.action}
-    if isinstance(f, Neg):
-        return formula_actions(f.body)
-    if isinstance(f, Conj):
-        out = frozenset()
-        for m in f.members:
-            out |= formula_actions(m)
-        return out
-    return frozenset()
+    return frozenset(g.action for g in _subformulas(f) if isinstance(g, Diamond))
 
 
 # ---------------------------------------------------------------------------
@@ -285,19 +289,9 @@ def _contains(logic: BaseLogic, f: Formula) -> bool:
         while isinstance(f, Diamond):
             f = f.body
         return f is TOP
-    if n == "S":
-        return _is_positive(f)
+    if n == "S":  # positive: no negation anywhere
+        return not any(isinstance(g, Neg) for g in _subformulas(f))
     raise ValueError(f"unknown constraint {n!r}")
-
-
-def _is_positive(f: Formula) -> bool:
-    if f is TOP:
-        return True
-    if isinstance(f, Conj):
-        return all(_is_positive(m) for m in f.members)
-    if isinstance(f, Diamond):
-        return _is_positive(f.body)
-    return False
 
 
 class BaseLogic:
@@ -320,11 +314,9 @@ def base_constraint_logic(constraint: str, alphabet: frozenset) -> BaseLogic:
 def _leaf_mode(logic: BaseLogic, f: Formula, mode: str) -> bool:
     """Is f a legitimate closure leaf?  mode: eq (s or ~s), neg (~s), pos
     (s), or rev, whose leaves are eq's (see ``_GRAMMARS``)."""
-    if mode != "neg" and logic.contains(f):
-        return True
-    if mode != "pos" and isinstance(f, Neg) and logic.contains(f.body):
-        return True
-    return False
+    return (mode != "neg" and logic.contains(f)) or (
+        mode != "pos" and isinstance(f, Neg) and logic.contains(f.body)
+    )
 
 
 def _flatten(f: Formula) -> tuple[Formula, ...]:
@@ -392,28 +384,29 @@ def in_sublogic(f: Formula, sem: SemanticsId | str, alphabet=None) -> bool:
 
 @lru_cache(maxsize=None)
 def _in_grammar(logic: BaseLogic, f: Formula, mid: str | None, last: str, continue_by: str) -> bool:
-    """Is f a state of the grammar (mid, last, continue_by)?  Its conjuncts
-    are closure leaves and diamond continuations; base formulas may
-    syntactically be diamonds (an offer probe, a trace probe), and those
-    count as leaves."""
-    leaves, continuations = [], []
-    for m in _flatten(f):
-        if _leaf_mode(logic, m, last):
-            leaves.append(m)
-        elif isinstance(m, Diamond):
-            continuations.append(m)
-        else:
+    """Is f a state of the grammar (mid, last, continue_by)?  A state's
+    conjuncts are closure leaves and diamond continuations, whose bodies are
+    states too, checked on a stack; base formulas may syntactically be
+    diamonds (an offer probe, a trace probe), and those count as leaves."""
+    states = [f]
+    while states:
+        leaves, continuations = [], []
+        for m in _flatten(states.pop()):
+            if _leaf_mode(logic, m, last):
+                leaves.append(m)
+            elif isinstance(m, Diamond):
+                continuations.append(m)
+            else:
+                return False
+        if continue_by == "one":
+            if len(continuations) > 1 or continuations and leaves and mid is None:
+                return False
+            if not continuations and last == "rev" and sum(map(logic.contains, leaves)) > 1:
+                return False
+        elif continue_by == "det" and len({d.action for d in continuations}) != len(continuations):
             return False
-    if continue_by == "one":
-        if len(continuations) > 1:
-            return False
-        if not continuations:
-            return last != "rev" or sum(map(logic.contains, leaves)) <= 1
-        if leaves and mid is None:
-            return False
-    elif continue_by == "det" and len({d.action for d in continuations}) != len(continuations):
-        return False
-    return all(_in_grammar(logic, d.body, mid, last, continue_by) for d in continuations)
+        states += (d.body for d in continuations)
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -515,21 +508,25 @@ def formula_from_observation(obs, sem: SemanticsId | str, alphabet, context=()) 
         return _branching_formula(sem.constraint, obs, alphabet, context)
     last, constraint = "neg" if last == "rev" else last, linear_rule(*sem)[0]
     labels = obs.labels()
-    steps = obs.steps
     out = _pin(constraint, labels[-1], alphabet, last, context)
-    for i in range(len(steps) - 1, -1, -1):
-        action = steps[i][0]
-        out = Diamond(action, out)
+    for i in reversed(range(len(obs.steps))):
+        out = Diamond(obs.steps[i][0], out)
         if mid is not None:
             out = conj(_pin(constraint, labels[i], alphabet, mid, context), out)
     return out
 
 
 def _branching_formula(constraint, obs: BranchingObs, alphabet, context) -> Formula:
-    parts = [_pin(constraint, obs.label, alphabet, "eq", context)]
-    for a, child in obs.arcs:
-        parts.append(Diamond(a, _branching_formula(constraint, child, alphabet, context)))
-    return conj(*parts)
+    memo = {}
+
+    def node(o):  # a position on the game driver: o's eq pin, and a diamond into each child
+        for _, child in o.arcs:
+            if child not in memo:
+                yield child
+        arcs = [Diamond(a, memo[child]) for a, child in o.arcs]
+        memo[o] = conj(_pin(constraint, o.label, alphabet, "eq", context), *arcs)
+
+    return solve_game(node, obs, memo)
 
 
 # ---------------------------------------------------------------------------
@@ -587,14 +584,21 @@ def _revival_formula(constraint, obs: LinearObs, element, alphabet) -> Formula:
     return chain(obs.trace(), conj(revived, _pin(constraint, obs.final, alphabet, "neg")))
 
 
-def _refutation_formula(constraint, node, alphabet) -> Formula:
+def _refutation_formula(constraint, root, alphabet) -> Formula:
     """The formula a refutation tree of a simulation or bisimulation game
-    proves: its p side satisfies it and its q side does not."""
-    if node["kind"] == "constraint":
-        return _constraint_separator(constraint, node["p"], node["q"], alphabet)
-    responses = [_refutation_formula(constraint, sub, alphabet) for sub in node["responses"]]
-    f = Diamond(node["action"], conj(*responses))
-    return Neg(f) if node.get("side") == "right" else f
+    proves: its p side satisfies it and its q side does not.  Built on a
+    stack, each node after its responses, keyed by identity."""
+    built, todo = {}, [root]
+    while todo:
+        node = todo[-1]
+        if node["kind"] == "constraint":
+            built[id(todo.pop())] = _constraint_separator(constraint, node["p"], node["q"], alphabet)
+        elif missing := [sub for sub in node["responses"] if id(sub) not in built]:
+            todo += missing
+        else:
+            f = Diamond(node["action"], conj(*(built[id(sub)] for sub in node["responses"])))
+            built[id(todo.pop())] = Neg(f) if node.get("side") == "right" else f
+    return built[id(root)]
 
 
 def _constraint_separator(constraint, p, q, alphabet) -> Formula:
@@ -634,27 +638,33 @@ def _conj_of(members: tuple) -> Formula:
 
 
 def _conj_variants(f: Formula):
-    """All formulas obtained by dropping exactly one conjunct somewhere.  A
-    conjunction's variants keep its sorted members: a changed member (never
-    a conjunction or TOP) is inserted in order, or merged with its equal."""
-    if isinstance(f, Conj):
-        members = f.members
-        for i in range(len(members)):
-            yield _conj_of(members[:i] + members[i + 1 :])
-        for i, m in enumerate(members):
-            rest = members[:i] + members[i + 1 :]
-            for variant in _conj_variants(m):
-                j = bisect_left(rest, variant)
-                if j < len(rest) and rest[j] is variant:
-                    yield _conj_of(rest)
-                else:
-                    yield _conj_of(rest[:j] + (variant,) + rest[j:])
-    elif isinstance(f, Neg):
-        for variant in _conj_variants(f.body):
-            yield Neg(variant)
-    elif isinstance(f, Diamond):
-        for variant in _conj_variants(f.body):
-            yield Diamond(f.action, variant)
+    """All formulas obtained by dropping exactly one conjunct somewhere, in
+    pre-order: a conjunction's own drops, then its members' variants in
+    turn.  A stack holds (subformula, path) pairs, a path being the wraps
+    that put a changed subformula back, innermost first.  A conjunction's
+    variants keep its sorted members: a changed member (never a conjunction
+    or TOP) is inserted in order, or merged with its equal."""
+    todo = [(f, ())]
+    while todo:
+        g, path = todo.pop()
+        if isinstance(g, Conj):
+            rests = [g.members[:i] + g.members[i + 1 :] for i in range(len(g.members))]
+            for rest in rests:
+                yield reduce(lambda variant, wrap: wrap(variant), path, _conj_of(rest))
+            for m, rest in reversed(tuple(zip(g.members, rests))):
+                todo.append((m, (partial(_reinsert, rest), *path)))
+        elif isinstance(g, Neg):
+            todo.append((g.body, (Neg, *path)))
+        elif isinstance(g, Diamond):
+            todo.append((g.body, (partial(Diamond, g.action), *path)))
+
+
+def _reinsert(rest: tuple, variant: Formula) -> Formula:
+    """The conjunction of the sorted members `rest` and `variant`."""
+    j = bisect_left(rest, variant)
+    if j < len(rest) and rest[j] is variant:
+        return _conj_of(rest)
+    return _conj_of(rest[:j] + (variant,) + rest[j:])
 
 
 def _minimize(f: Formula, sem, p, q, alphabet) -> Formula:
@@ -662,12 +672,7 @@ def _minimize(f: Formula, sem, p, q, alphabet) -> Formula:
         # separation first: it is cached and rejects most variants
         return sat(p, g) and not sat(q, g) and in_sublogic(g, sem, alphabet)
 
-    changed = True
-    while changed:
-        changed = False
-        for variant in _conj_variants(f):
-            if good(variant):
-                f = variant
-                changed = True
-                break
+    # the first good variant wins each round, so the order of the variants is the output
+    while (variant := next(filter(good, _conj_variants(f)), None)) is not None:
+        f = variant
     return f

@@ -15,10 +15,11 @@ Two representations coexist:
   terms get the same canonical form exactly when the four choice axioms
   (commutativity, associativity, idempotence, nil unit) prove them equal.
 
-Terms and modal formulas share one parser and one printer, both in loops, so
-inputs and outputs of any depth take no recursion: ``parse_sums`` reads the
-shape sum := operand (op operand)*, operand := unary* (atom | "(" sum ")"),
-over a grammar's hooks, and ``render_pieces`` prints a node from the pieces
+Terms and modal formulas share one parser and one printer, both in loops, and
+``canonicalize`` builds a normal form on one stack of open sums, so inputs
+and outputs of any depth take no recursion: ``parse_sums`` reads the shape
+sum := operand (op operand)*, operand := unary* (atom | "(" sum ")"), over a
+grammar's hooks, and ``render_pieces`` prints a node from the pieces
 (strings, and nodes still to print) that a function gives for it.
 """
 
@@ -328,38 +329,33 @@ def free_variables(term: Term) -> frozenset[str]:
 
 
 def canonicalize(term: Term | CanonicalTerm) -> CanonicalTerm:
-    """ACI-flatten, erase nil summands, dedupe and sort.  Idempotent."""
+    """ACI-flatten, erase nil summands, dedupe and sort.  Idempotent.
+
+    One stack holds the open sums, each as (its prefix's action, operands
+    still to read, summands read): a prefix opens a sum for its body, a
+    sum's spine flattens into operands, and a closed sum is sorted once."""
     if isinstance(term, CanonicalTerm):
         return term
     names = free_variables(term)
     if names:
         raise OpenTermError(names)
-    return _canon(term)
-
-
-def _canon(term: Term) -> CanonicalTerm:
-    # a chain of prefixes is read in a loop and wrapped from the inside out
-    actions = []
-    while isinstance(term, Prefix):
-        actions.append(term.action)
-        term = term.body
-    if isinstance(term, Nil):
-        out = NIL
-    elif isinstance(term, Choice):
-        # the parser nests a sum's spine to the left: walk it on a stack, sort once
-        parts, todo = [], [term]
-        while todo:
+    sums = [(None, [term], set())]
+    while True:
+        action, todo, pool = sums[-1]
+        if todo:
             t = todo.pop()
             if isinstance(t, Choice):
                 todo += (t.right, t.left)
-            else:
-                parts.append(_canon(t))
-        out = sum_terms(*parts)
-    else:
-        raise TypeError(f"cannot canonicalize {term!r}")
-    for action in reversed(actions):
-        out = prefix(action, out)
-    return out
+            elif isinstance(t, Prefix):
+                sums.append((t.action, [t.body], set()))
+            elif not isinstance(t, Nil):
+                raise TypeError(f"cannot canonicalize {t!r}")
+        else:
+            sums.pop()
+            out = CanonicalTerm(tuple(sorted(pool)))
+            if not sums:
+                return out
+            sums[-1][2].add((action, out))
 
 
 def enumerate_terms(

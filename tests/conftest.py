@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_left
 from functools import lru_cache
 from itertools import combinations, product
 
@@ -6,7 +7,7 @@ import pytest
 
 from procsem.axioms import Axiom, X, Y, derive_leq
 from procsem.constraints import LAYERS, LocalObs, constraint_holds, local_obs
-from procsem.logic import _GRAMMARS, TOP, Diamond, Formula, Neg, chain, conj, not_zero
+from procsem.logic import _GRAMMARS, TOP, Conj, Diamond, Formula, Neg, _conj_of, chain, conj, not_zero
 from procsem.lts import step
 from procsem.observations import BranchingObs, ClosureSet, LinearObs
 from procsem.operational import rule, saturate
@@ -172,6 +173,31 @@ def replay_bisim_refutation(p, q, node):
         for answer, sub in zip(answers, node["responses"]):
             assert answer is not moved
             todo.append((moved, answer, sub))
+
+
+def conj_variants_reference(f: Formula):
+    """The recursive conjunct-variant walk, the reference for
+    ``logic._conj_variants``: a conjunction's own drops, then each member's
+    variants put back in its place.  ``_minimize`` keeps the first good
+    variant, so the stack walk must yield the same objects in this order."""
+    if isinstance(f, Conj):
+        members = f.members
+        for i in range(len(members)):
+            yield _conj_of(members[:i] + members[i + 1 :])
+        for i, m in enumerate(members):
+            rest = members[:i] + members[i + 1 :]
+            for variant in conj_variants_reference(m):
+                j = bisect_left(rest, variant)
+                if j < len(rest) and rest[j] is variant:
+                    yield _conj_of(rest)
+                else:
+                    yield _conj_of(rest[:j] + (variant,) + rest[j:])
+    elif isinstance(f, Neg):
+        for variant in conj_variants_reference(f.body):
+            yield Neg(variant)
+    elif isinstance(f, Diamond):
+        for variant in conj_variants_reference(f.body):
+            yield Diamond(f.action, variant)
 
 
 def check_hnf_laws(z: str, pool) -> int:

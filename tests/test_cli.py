@@ -283,18 +283,24 @@ def test_extreme_inputs(capsys):
     """Every row answers with its verdict's exit code, and no traceback or
     internal error.  Trace inclusion and the linear cells are games on an
     explicit stack, so T, the linear ids past T and their witnesses, and a
-    spectrum of two trace-incomparable chains answer.  Rows that wait on
-    other work are not here yet: the 10 ids that read T labels (TS,
-    ``T:db``, PF and the others at T past the trace gate) recurse once per
-    level in ``lts.traces``, so a ``spectrum`` of trace-related chains does
-    too; a refuted ``db`` cell builds its witness by the recursive
-    ``enum_complete_dbgo``, ``distinguish`` recurses over the refutation
-    tree or in ``lts.traces``, and ``in-logic`` recurses in
-    ``formula_actions`` and the grammar walker.  Formulas are parsed and
-    printed in loops and satisfied on the game driver, so ``check-formula``
-    answers formulas 2,000 deep in ``~``, ``<a>`` and ``(``."""
+    spectrum of two trace-incomparable chains answer.  Canonical forms are
+    built on a stack, so every subcommand reads a sum nested 2,000 deep.
+    Formulas are parsed and printed in loops, satisfied on the game driver,
+    and walked on stacks by ``in-logic`` and by ``distinguish`` (grammar
+    states, conjunct variants, refutation trees), so ``check-formula`` and
+    ``in-logic`` answer formulas 2,000 deep, and ``distinguish`` answers at
+    F, S and B.  Rows that wait on other work are not here yet: the 10 ids
+    that read T labels (TS, ``T:db``, PF and the others at T past the trace
+    gate) recurse once per level in ``lts.traces``, so a ``spectrum`` of
+    trace-related chains and their ``distinguish`` do too; a refuted ``db``
+    cell builds its witness by the recursive ``enum_complete_dbgo``; a pin
+    at S is the recursive ``characteristic_sim_formula``; and
+    ``distinguish`` at RT answers but slowly, as ``_minimize`` restarts its
+    scan after each dropped conjunct."""
     chain = "a." * 2000 + "0"
     p, q = "a." * 2000 + "b.0", "a." * 2000 + "c.0"
+    nested = "a.(" * 2000 + "0 + b.0" + ") + b.0" * 1999 + ")"  # a.(a.(…(0 + b.0)…) + b.0)
+    diamonds = "<a>" * 2000 + "T"
     parentheses = "(" * 2000 + "a.0" + ")" * 2000
     wide = " + ".join(f"a.y{i}.0" for i in range(2000))
     rows = [
@@ -312,6 +318,14 @@ def test_extreme_inputs(capsys):
         (0, "check-formula", "a.0", "~" * 2000 + "T"),
         (1, "check-formula", "a.0", "<a>" * 2000 + "T"),
         (0, "check-formula", "a.0", "(" * 2000 + "T" + ")" * 2000),
+        (0, "lts", nested),
+        (0, "compare", "--semantics", "S", nested, nested),
+        *((1, "distinguish", "--semantics", sem, p, q) for sem in ("F", "S", "B")),
+        *(
+            (0, "in-logic", "--semantics", sem, *alphabet, diamonds)
+            for sem in ("F", "2S")
+            for alphabet in ((), ("--alphabet", "a,b"))
+        ),
     ]
     for expected, *argv in rows:
         code, _, err = run(capsys, *argv)

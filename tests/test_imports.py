@@ -131,3 +131,20 @@ def test_operational_compare_loads_no_axioms():
     )
     assert "procsem.operational" in modules
     assert "procsem.axioms" not in modules
+
+
+def test_terms_and_logic_do_not_recurse():
+    # terms and formulas of any depth take no recursion: no function of these
+    # modules calls itself by name but the memoized fold
+    # characteristic_sim_formula and _build_separator, whose join case
+    # refutes one part, one level down; shrink the list when one stops
+    root = Path(procsem.__file__).parent
+    found = set()
+    for name in ("terms.py", "logic.py"):
+        for fn in ast.walk(ast.parse((root / name).read_text(encoding="utf-8"))):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == fn.name
+                for call in ast.walk(fn)
+            ):
+                found.add(fn.name)
+    assert found == {"characteristic_sim_formula", "_build_separator"}, found

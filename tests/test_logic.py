@@ -1,11 +1,12 @@
 import itertools
+import operator
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import _random_hml, c, sample_formulas
+from conftest import _random_hml, c, conj_variants_reference, sample_formulas
 from procsem.logic import (
     TOP,
     UnrealizablePinError,
@@ -177,6 +178,22 @@ def test_conj_variants_merge_an_equal_member():
     # the last drops <c>T inside the first member, which leaves <a><b>T, the
     # second member: the two merge into one, not a conjunction of equals
     assert variants == ["<a><b>T", "<a>(<b>T & <c>T)", "<a><b>T & <a><c>T", "<a><b>T"]
+
+
+def test_conj_variants_match_the_recursive_reference():
+    from procsem.logic import _conj_variants
+
+    rng = random.Random(49)
+    sems = [s for s in supported_ids() if "logic" in coverage(s)]
+    assert len(sems) == 50
+    variants = 0
+    for sem in sems:
+        for f in sample_formulas(sem, AB, rng, 4, 30):
+            expected = list(conj_variants_reference(f))
+            got = list(_conj_variants(f))
+            assert len(got) == len(expected) and all(map(operator.is_, got, expected)), (str(sem), render_formula(f))
+            variants += len(got)
+    assert variants > 10 * len(sems)
 
 
 def test_formula_order_is_the_nested_key_order(pool2):
