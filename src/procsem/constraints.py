@@ -16,14 +16,14 @@ constrained-simulation game; it and every other game of the package run
 on the memoized, explicit-stack driver ``solve_game`` defined here: a game
 constructor returns a position generator and the memo it fills, and a
 position yields only the sub-positions that memo lacks, probing the memo
-once per sub-position.
+once per sub-position.  Each memoized walk of a term is a ``fold`` on it.
 """
 
 from __future__ import annotations
 
 import operator
 from collections import namedtuple
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 from .lts import initials, step, traces
 from .terms import CanonicalTerm, Frozen
@@ -40,6 +40,7 @@ __all__ = [
     "LAYERS",
     "constraint_holds",
     "solve_game",
+    "fold",
     "simulates",
 ]
 
@@ -148,6 +149,40 @@ def solve_game(node, root, memo: dict):
             else:
                 stack.append(node(sub))
     return memo[root]
+
+
+def fold(combine, *, parts=step):
+    """Decorator: ``f(*args, p, folded)`` becomes ``f(*args, p)``, where
+    `folded` lists ``(label, f(*args, child))`` for each ``(label, child)``
+    of ``parts(p)``, p's moves by default; f never returns None.  Each node
+    is folded once per `args`, children first, as a position on ``solve_game``.
+    The ``lru_cache``d ``.game(*args)`` builds the (node, memo) pair, and its
+    ``cache_clear`` and ``cache_info`` are the fold's, so ``clear_caches()``
+    empties it.  A warm read is one ``.game`` hit and one dict read."""
+
+    @lru_cache(maxsize=None)
+    def game(*args):
+        memo = {}
+
+        def node(p):
+            folded = []
+            for label, child in parts(p):
+                if (value := memo.get(child)) is None:
+                    yield child
+                    value = memo[child]
+                folded.append((label, value))
+            memo[p] = combine(*args, p, folded)
+
+        return node, memo
+
+    @wraps(combine)
+    def read(*args):
+        node, memo = game(*args[:-1])
+        value = memo.get(args[-1])
+        return solve_game(node, args[-1], memo) if value is None else value
+
+    read.game, read.cache_clear, read.cache_info = game, game.cache_clear, game.cache_info
+    return read
 
 
 @lru_cache(maxsize=None)

@@ -16,18 +16,20 @@ conjuncts come from the base logic's symmetric closure (exact pins), negative
 closure (upper bounds) or positive closure (lower bounds).
 
 Nothing here recurses once per operator: formulas are parsed and printed
-in the loops ``terms`` shares with terms, ``sat`` and the formulas of
-branching observations are positions on the game driver
-``constraints.solve_game``, and the subformula walk, the grammar walk, the
-conjunct variants and the refutation formulas run on stacks.
+in the loops ``terms`` shares with terms, ``sat`` is a position on the game
+driver ``constraints.solve_game``, the characteristic formulas and the
+formulas of branching observations are folds on it (``constraints.fold``),
+and the subformula walk, the grammar walk, the conjunct variants and the
+refutation formulas run on stacks.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from functools import lru_cache, partial, reduce
+from operator import attrgetter
 
-from .constraints import constraint_holds, local_obs, simulates, solve_game
+from .constraints import constraint_holds, fold, local_obs, simulates, solve_game
 from .lts import initials, reachable, step
 from .observations import BranchingObs, LinearObs
 from .preorders import decide, decide_nsim
@@ -424,10 +426,10 @@ class UnrealizablePinError(ValueError):
     pass
 
 
-@lru_cache(maxsize=None)
-def characteristic_sim_formula(p: CanonicalTerm) -> Formula:
+@fold
+def characteristic_sim_formula(p: CanonicalTerm, folded) -> Formula:
     """Positive formula satisfied by exactly the states that simulate p."""
-    return conj(*[Diamond(a, characteristic_sim_formula(q)) for a, q in step(p)])
+    return conj(*[Diamond(a, f) for a, f in folded])
 
 
 def _pin(constraint: str, label, alphabet, mode: str, context=()) -> Formula:
@@ -505,7 +507,7 @@ def formula_from_observation(obs, sem: SemanticsId | str, alphabet, context=()) 
     alphabet = frozenset(alphabet)
     mid, last, continue_by = _GRAMMARS[sem.flavor]
     if continue_by != "one":
-        return _branching_formula(sem.constraint, obs, alphabet, context)
+        return _branching_formula(sem.constraint, alphabet, tuple(context), obs)
     last, constraint = "neg" if last == "rev" else last, linear_rule(*sem)[0]
     labels = obs.labels()
     out = _pin(constraint, labels[-1], alphabet, last, context)
@@ -516,17 +518,10 @@ def formula_from_observation(obs, sem: SemanticsId | str, alphabet, context=()) 
     return out
 
 
-def _branching_formula(constraint, obs: BranchingObs, alphabet, context) -> Formula:
-    memo = {}
-
-    def node(o):  # a position on the game driver: o's eq pin, and a diamond into each child
-        for _, child in o.arcs:
-            if child not in memo:
-                yield child
-        arcs = [Diamond(a, memo[child]) for a, child in o.arcs]
-        memo[o] = conj(_pin(constraint, o.label, alphabet, "eq", context), *arcs)
-
-    return solve_game(node, obs, memo)
+@partial(fold, parts=attrgetter("arcs"))
+def _branching_formula(constraint, alphabet, context, obs: BranchingObs, folded) -> Formula:
+    """obs's eq pin, and a diamond into each child."""
+    return conj(_pin(constraint, obs.label, alphabet, "eq", context), *[Diamond(a, f) for a, f in folded])
 
 
 # ---------------------------------------------------------------------------
@@ -561,8 +556,7 @@ def _build_separator(sem, verdict, p, q, alphabet, context) -> Formula:
     if flavor in ("bisim", "b"):
         return _refutation_formula(sem.constraint, verdict.witness, alphabet)
     if flavor == "db":
-        obs = verdict.witness["unmatched"]
-        return _branching_formula(sem.constraint, obs, alphabet, context)
+        return _branching_formula(sem.constraint, alphabet, context, verdict.witness["unmatched"])
     if sem.constraint == "C":
         return _distinguish_completed(p, q, alphabet)
     if flavor == "join":

@@ -14,9 +14,10 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 from itertools import groupby, product
+from math import prod
 from operator import itemgetter
 
-from .constraints import LocalObs, local_eq, local_geq, local_key, local_obs, solve_game, value_repr
+from .constraints import LocalObs, fold, local_eq, local_geq, local_key, local_obs, solve_game, value_repr
 from .lts import step, successors
 from .spectrum import LINEAR_RULES, SemanticsId, UncoveredSemanticsError, linear_rule
 from .terms import Action, CanonicalTerm, Frozen, prefix, render_pieces, sum_terms
@@ -139,14 +140,13 @@ class BranchingObs:
         return out + ["}>"]
 
 
-@lru_cache(maxsize=None)
-def enum_lgo(constraint: str, p: CanonicalTerm) -> frozenset[LinearObs]:
+@fold
+def enum_lgo(constraint: str, p: CanonicalTerm, folded) -> frozenset[LinearObs]:
     """All linear observations of p for the given local observer."""
     head = local_obs(constraint, p)
     out = {LinearObs(head, ())}
-    for a, q in step(p):
-        for tail in enum_lgo(constraint, q):
-            out.add(LinearObs(head, ((a, tail.head),) + tail.steps))
+    for a, tails in folded:
+        out.update(LinearObs(head, ((a, tail.head),) + tail.steps) for tail in tails)
     return frozenset(out)
 
 
@@ -204,32 +204,11 @@ def _enum_branching(constraint: str, p: CanonicalTerm, max_nodes: int, determini
     return frozenset(out), cut[0]
 
 
-@lru_cache(maxsize=None)
-def _world_game():
-    memo = {}
-
-    def node(p):
-        total = 1
-        for _, moves in groupby(step(p), itemgetter(0)):
-            worlds = 0
-            for _, q in moves:
-                count = memo.get(q)
-                if count is None:
-                    yield q
-                    count = memo[q]
-                worlds += count
-            total *= worlds
-        memo[p] = total
-
-    return node, memo
-
-
-def world_count(p: CanonicalTerm) -> int:
+@fold
+def world_count(p: CanonicalTerm, folded) -> int:
     """An upper bound, computed without enumerating, on the number of p's
-    complete deterministic observations and of its possible worlds, counted
-    on the explicit stack of ``solve_game`` so that deep terms count too."""
-    node, memo = _world_game()
-    return solve_game(node, p, memo)
+    complete deterministic observations and of its possible worlds."""
+    return prod(sum(count for _, count in moves) for _, moves in groupby(folded, itemgetter(0)))
 
 
 def check_world_cap(p: CanonicalTerm, cap: int = DEFAULT_WORLD_CAP) -> None:
@@ -239,62 +218,63 @@ def check_world_cap(p: CanonicalTerm, cap: int = DEFAULT_WORLD_CAP) -> None:
         raise TruncationError(f"{count} complete deterministic observations exceed the cap {cap}", cap)
 
 
-@lru_cache(maxsize=None)
-def enum_complete_dbgo(constraint: str, p: CanonicalTerm) -> frozenset[BranchingObs]:
+@fold
+def enum_complete_dbgo(constraint: str, p: CanonicalTerm, folded) -> frozenset[BranchingObs]:
     """Complete deterministic observations: one branch per offered action, everywhere."""
-    label = local_obs(constraint, p)
-    per_action = [
-        [(a, c) for _, q in moves for c in enum_complete_dbgo(constraint, q)]
-        for a, moves in groupby(step(p), itemgetter(0))
-    ]
-    return frozenset(BranchingObs(label, combo) for combo in product(*per_action))
+    per_action = [[(a, c) for _, cs in moves for c in cs] for a, moves in groupby(folded, itemgetter(0))]
+    return frozenset(BranchingObs(local_obs(constraint, p), combo) for combo in product(*per_action))
 
 
-@lru_cache(maxsize=None)
-def enum_possible_worlds(p: CanonicalTerm) -> frozenset[CanonicalTerm]:
+@fold
+def enum_possible_worlds(p: CanonicalTerm, folded) -> frozenset[CanonicalTerm]:
     """Deterministic terms obtained by resolving every choice, keeping the full offer."""
-    per_action = [
-        sorted({prefix(a, w) for _, q in moves for w in enum_possible_worlds(q)})
-        for a, moves in groupby(step(p), itemgetter(0))
-    ]
-    return frozenset(sum_terms(*combo) for combo in product(*per_action))
+    choices = [sorted({prefix(a, w) for _, ws in moves for w in ws}) for a, moves in groupby(folded, itemgetter(0))]
+    return frozenset(sum_terms(*combo) for combo in product(*choices))
 
 
 @lru_cache(maxsize=None)
+def _cover_game(constraint: str):
+    """cov(x, Q): some q in Q shows x's label and covers each move x -a-> x'
+    by cov(x', q/a).  x is a term, or a branching observation whose moves
+    are its arcs; the labels are observations of `constraint`."""
+    memo = {}
+
+    def node(key):
+        x, qs = key
+        label, moves = (x.label, x.arcs) if isinstance(x, BranchingObs) else (local_obs(constraint, x), step(x))
+        value = False
+        for q in qs:
+            if local_eq(constraint, label, local_obs(constraint, q)):
+                for a, x2 in moves:
+                    sub = (x2, successors(q, a))
+                    if (covered := memo.get(sub)) is None:
+                        yield sub
+                        covered = memo[sub]
+                    if not covered:
+                        break
+                else:
+                    value = True
+                    break
+        memo[key] = value
+
+    return node, memo
+
+
 def bgo_member(obs: BranchingObs, p: CanonicalTerm) -> bool:
-    """Does obs belong to the branching observations of p?"""
-    n = obs.constraint
-    if not local_eq(n, obs.label, local_obs(n, p)):
-        return False
-    for a, child in obs.children:
-        if not any(b == a and bgo_member(child, q) for b, q in step(p)):
-            return False
-    return True
+    """Does obs belong to the branching observations of p?  Those of obs are
+    its prunings, so this is ``bgo_leq`` with obs on the left."""
+    return bgo_leq(obs.constraint, obs, p)
 
 
 def bgo_leq(constraint: str, p: CanonicalTerm, q: CanonicalTerm) -> bool:
     """Inclusion of branching-observation sets, decided exactly.
 
     The observation set of a term is the powerset of its child pairs, so
-    inclusion reduces to label equality plus coverage of every child pair;
-    coverage recurses through sets of candidate states.  No observation set
-    is materialized, which keeps the oracle exact for any finite term.
-    """
-    return _covered(constraint, p, (q,))
-
-
-@lru_cache(maxsize=None)
-def _covered(constraint: str, p: CanonicalTerm, candidates: tuple[CanonicalTerm, ...]) -> bool:
-    lp = local_obs(constraint, p)
-    for q in candidates:
-        if not local_eq(constraint, lp, local_obs(constraint, q)):
-            continue
-        if all(
-            _covered(constraint, p2, successors(q, a))
-            for a, p2 in step(p)
-        ):
-            return True
-    return False
+    inclusion reduces to label equality plus coverage of every child pair,
+    the position (p, (q,)) of the cover game.  No observation set is built,
+    which keeps the oracle exact for any finite term."""
+    node, memo = _cover_game(constraint)
+    return solve_game(node, (p, (q,)), memo)
 
 
 def dbgo_leq(constraint: str, p: CanonicalTerm, q: CanonicalTerm, cap: int = DEFAULT_WORLD_CAP) -> bool:

@@ -14,12 +14,12 @@ summands bounds it.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import groupby
 from operator import itemgetter
 from typing import Callable
 
-from .constraints import LAYERS
+from .constraints import LAYERS, fold
 from .lts import step
 from .observations import TruncationError
 from .preorders import Verdict, decide_nsim
@@ -176,11 +176,14 @@ def decide_via_operational(
     return decide_nsim(n, p, q, _stepper(condition, DEFAULT_SATURATION_CAP if cap is None else cap))
 
 
-@lru_cache(maxsize=None)
-def deter(p: CanonicalTerm) -> CanonicalTerm:
-    """The deterministic form: merge all same-action derivatives, recursively.
-    Trace-equivalent to p, and above p in every semantics at or below traces."""
-    return CanonicalTerm(
-        tuple((a, deter(sum_terms(*(q for _, q in moves)))) for a, moves in groupby(step(p), itemgetter(0)))
-    )
+def _merged(p: CanonicalTerm) -> tuple:
+    """One move per action of p, to the sum of its targets."""
+    return tuple((a, sum_terms(*(q for _, q in moves))) for a, moves in groupby(step(p), itemgetter(0)))
 
+
+@partial(fold, parts=_merged)
+def deter(p: CanonicalTerm, folded) -> CanonicalTerm:
+    """The deterministic form: merge all same-action derivatives, at every
+    level, folded on the game driver.  Trace-equivalent to p, and above p in
+    every semantics at or below traces."""
+    return CanonicalTerm(tuple(folded))

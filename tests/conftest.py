@@ -1,19 +1,20 @@
 import random
 from bisect import bisect_left
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, groupby, product
+from operator import itemgetter
 
 import pytest
 
 from procsem.axioms import Axiom, X, Y, derive_leq
-from procsem.constraints import LAYERS, LocalObs, constraint_holds, local_obs
+from procsem.constraints import LAYERS, LocalObs, constraint_holds, local_eq, local_obs
 from procsem.logic import _GRAMMARS, TOP, Conj, Diamond, Formula, Neg, _conj_of, chain, conj, not_zero
-from procsem.lts import step
+from procsem.lts import step, successors
 from procsem.observations import BranchingObs, ClosureSet, LinearObs
 from procsem.operational import rule, saturate
 from procsem.preorders import holds
 from procsem.spectrum import SemanticsId, linear_rule, parse_semantics
-from procsem.terms import Choice, Prefix, canonicalize, enumerate_terms, parse_term
+from procsem.terms import NIL, CanonicalTerm, Choice, Prefix, canonicalize, enumerate_terms, parse_term, prefix, sum_terms
 
 
 # 294,912 complete deterministic observations, above the world cap 2^16
@@ -50,8 +51,6 @@ def pool2():
 
 def random_term(rng: random.Random, depth: int, alphabet=("a", "b", "c"), width: int = 3):
     """Random canonical term of the given depth bound."""
-    from procsem.terms import NIL, prefix, sum_terms
-
     if depth == 0 or rng.random() < 0.15:
         return NIL
     parts = []
@@ -130,6 +129,73 @@ def unmatched(constraint: str, rule: tuple, p, q):
             )
         if not matched:
             yield trace, x
+
+
+# The recursive walks that ``constraints.fold`` and the cover game of
+# ``observations`` replaced, kept as references for them.
+
+
+@lru_cache(maxsize=None)
+def enum_lgo_reference(constraint: str, p) -> frozenset:
+    head = local_obs(constraint, p)
+    out = {LinearObs(head, ())}
+    for a, q in step(p):
+        for tail in enum_lgo_reference(constraint, q):
+            out.add(LinearObs(head, ((a, tail.head),) + tail.steps))
+    return frozenset(out)
+
+
+@lru_cache(maxsize=None)
+def enum_complete_dbgo_reference(constraint: str, p) -> frozenset:
+    label = local_obs(constraint, p)
+    per_action = [
+        [(a, c) for _, q in moves for c in enum_complete_dbgo_reference(constraint, q)]
+        for a, moves in groupby(step(p), itemgetter(0))
+    ]
+    return frozenset(BranchingObs(label, combo) for combo in product(*per_action))
+
+
+@lru_cache(maxsize=None)
+def enum_possible_worlds_reference(p) -> frozenset:
+    per_action = [
+        sorted({prefix(a, w) for _, q in moves for w in enum_possible_worlds_reference(q)})
+        for a, moves in groupby(step(p), itemgetter(0))
+    ]
+    return frozenset(sum_terms(*combo) for combo in product(*per_action))
+
+
+@lru_cache(maxsize=None)
+def deter_reference(p):
+    merged = ((a, sum_terms(*(q for _, q in moves))) for a, moves in groupby(step(p), itemgetter(0)))
+    return CanonicalTerm(tuple((a, deter_reference(q)) for a, q in merged))
+
+
+@lru_cache(maxsize=None)
+def characteristic_sim_formula_reference(p) -> Formula:
+    return conj(*[Diamond(a, characteristic_sim_formula_reference(q)) for a, q in step(p)])
+
+
+@lru_cache(maxsize=None)
+def bgo_member_reference(obs: BranchingObs, p) -> bool:
+    n = obs.constraint
+    if not local_eq(n, obs.label, local_obs(n, p)):
+        return False
+    for a, child in obs.children:
+        if not any(b == a and bgo_member_reference(child, q) for b, q in step(p)):
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def covered_reference(constraint: str, p, candidates: tuple) -> bool:
+    """The reference for ``bgo_leq(n, p, q)``, at candidates (q,)."""
+    lp = local_obs(constraint, p)
+    for q in candidates:
+        if not local_eq(constraint, lp, local_obs(constraint, q)):
+            continue
+        if all(covered_reference(constraint, p2, successors(q, a)) for a, p2 in step(p)):
+            return True
+    return False
 
 
 def deterministic(t) -> bool:

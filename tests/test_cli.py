@@ -288,15 +288,19 @@ def test_extreme_inputs(capsys):
     Formulas are parsed and printed in loops, satisfied on the game driver,
     and walked on stacks by ``in-logic`` and by ``distinguish`` (grammar
     states, conjunct variants, refutation trees), so ``check-formula`` and
-    ``in-logic`` answer formulas 2,000 deep, and ``distinguish`` answers at
-    F, S and B.  Rows that wait on other work are not here yet: the 10 ids
-    that read T labels (TS, ``T:db``, PF and the others at T past the trace
-    gate) recurse once per level in ``lts.traces``, so a ``spectrum`` of
-    trace-related chains and their ``distinguish`` do too; a refuted ``db``
-    cell builds its witness by the recursive ``enum_complete_dbgo``; a pin
-    at S is the recursive ``characteristic_sim_formula``; and
-    ``distinguish`` at RT answers but slowly, as ``_minimize`` restarts its
-    scan after each dropped conjunct."""
+    ``in-logic`` answer formulas 2,000 deep.  The deterministic form, the
+    complete deterministic observations, the possible worlds and the
+    characteristic formulas of S pins are folds on the game driver, and
+    branching membership and inclusion are one cover game, so ``deter``,
+    ``observe --kind cdbgo|pw``, the observational engine at b and db, the
+    ``db`` witnesses and ``distinguish`` at F, S, B, ``S:l⊆`` and ``S:lf⊆``
+    answer.  Rows that wait on other work are not here yet: the 10 ids that
+    read T labels (TS, ``T:db``, PF and the others at T past the trace gate)
+    recurse once per level in ``lts.traces``, so a ``spectrum`` of
+    trace-related chains and their ``distinguish`` do too; and
+    ``distinguish`` at RT, PW and the other linear ids at S is slow (RT
+    takes 87 s at depth 1,500), as ``_minimize`` restarts its scan after
+    each dropped conjunct."""
     chain = "a." * 2000 + "0"
     p, q = "a." * 2000 + "b.0", "a." * 2000 + "c.0"
     nested = "a.(" * 2000 + "0 + b.0" + ") + b.0" * 1999 + ")"  # a.(a.(…(0 + b.0)…) + b.0)
@@ -320,7 +324,12 @@ def test_extreme_inputs(capsys):
         (0, "check-formula", "a.0", "(" * 2000 + "T" + ")" * 2000),
         (0, "lts", nested),
         (0, "compare", "--semantics", "S", nested, nested),
-        *((1, "distinguish", "--semantics", sem, p, q) for sem in ("F", "S", "B")),
+        *((1, "distinguish", "--semantics", sem, p, q) for sem in ("F", "S", "B", "S:l⊆", "S:lf⊆")),
+        (0, "deter", p),
+        *((0, "observe", "--kind", kind, chain) for kind in ("cdbgo", "pw")),
+        (0, "compare", "--engine", "observational", "--semantics", "PW", chain, chain),
+        *((1, "compare", "--engine", "observational", "--semantics", sem, p, q) for sem in ("RS", "PW")),
+        *((1, "--json", "compare", "--semantics", sem, p, q) for sem in ("UPW", "C:db", "PW")),
         *(
             (0, "in-logic", "--semantics", sem, *alphabet, diamonds)
             for sem in ("F", "2S")

@@ -5,7 +5,16 @@ from collections import Counter
 
 import pytest
 
-from conftest import c
+from conftest import (
+    bgo_member_reference,
+    c,
+    characteristic_sim_formula_reference,
+    covered_reference,
+    deter_reference,
+    enum_complete_dbgo_reference,
+    enum_lgo_reference,
+    enum_possible_worlds_reference,
+)
 from procsem.constraints import (
     CONSTRAINTS,
     LocalObs,
@@ -137,7 +146,8 @@ def test_positions_are_built_once_and_yield_only_misses(pool2):
         for n in CONSTRAINTS
     ]
     games.append((preorders._cover_game(), lambda p, q: [(p, (q,))]))
-    games.append((observations._world_game(), lambda p, q: [p]))
+    games.append((observations.world_count.game(), lambda p, q: [p]))
+    games += [(observations._cover_game(n), lambda p, q: [(p, (q,))]) for n in CONSTRAINTS]
     for (node, memo), roots in games:
         assert not memo
         built, yielded = Counter(), []
@@ -148,6 +158,33 @@ def test_positions_are_built_once_and_yield_only_misses(pool2):
         assert set(built.values()) == {1}
         assert built.keys() == memo.keys()
         assert yielded
+
+
+def test_folds_match_their_recursive_references(pool2, random3):
+    """Every fold, and the cover game under ``bgo_member`` and ``bgo_leq``,
+    gives the value of the recursion it replaced, and the same interned
+    object for terms and formulas: over pool2 and the depth-3 terms, at every
+    constraint, and for membership every complete deterministic observation
+    of p against each of a sample of q."""
+    from procsem.logic import characteristic_sim_formula
+    from procsem.observations import bgo_leq, bgo_member, enum_complete_dbgo, enum_lgo, enum_possible_worlds
+    from procsem.operational import deter
+
+    pool = pool2 + random3
+    for p in pool:
+        assert deter(p) is deter_reference(p), p
+        assert characteristic_sim_formula(p) is characteristic_sim_formula_reference(p), p
+        assert enum_possible_worlds(p) == enum_possible_worlds_reference(p), p
+    rng = random.Random(50)
+    for n in CONSTRAINTS:
+        qs = rng.sample(pool, 24)
+        for p in pool:
+            assert enum_lgo(n, p) == enum_lgo_reference(n, p), (n, p)
+            assert enum_complete_dbgo(n, p) == enum_complete_dbgo_reference(n, p), (n, p)
+            for q in qs:
+                assert bgo_leq(n, p, q) == covered_reference(n, p, (q,)), (n, p, q)
+                for obs in enum_complete_dbgo(n, p):
+                    assert bgo_member(obs, q) == bgo_member_reference(obs, q), (obs, q)
 
 
 def test_a_wide_position_decides_in_linear_time():

@@ -995,7 +995,7 @@ def test_clear_caches_empties_every_cache_and_game_memo(pool2):
         out += [preorders._types_game(n) for n in CONSTRAINTS]
         out.append(preorders._cover_game())
         out += [preorders._lin_game(n) for n in preorders._PLANS]
-        return out + [observations._world_game()]
+        return out + [observations.world_count.game()] + [observations._cover_game(n) for n in CONSTRAINTS]
 
     rng = random.Random(29)
     pairs = [(rng.choice(pool2), rng.choice(pool2)) for _ in range(40)]
@@ -1006,6 +1006,8 @@ def test_clear_caches_empties_every_cache_and_game_memo(pool2):
             logic.distinguish(name, p, q)
         operational.decide_via_operational("F", p, q)
         observations.world_count(p)
+        for n in CONSTRAINTS:
+            observations.bgo_leq(n, p, q)
     bound = games()
     assert all(memo for _, memo in bound) and preorders._cell.cache_info().currsize == len(supported_ids())
     procsem.clear_caches()
